@@ -21,6 +21,14 @@ cargo test --workspace -q --offline
 echo "== cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== gfsbench --self-test (the benchmark's own checks)"
+# The benchmark (gfsbench/, a package of its own) gates every run on byte
+# checks of each read, bit-for-bit determinism and a liveness/integrity
+# gate. Its self-test runs an honest small round of every workload and
+# shows each planted defect trips its check, so a data-path change that
+# breaks one of them fails here rather than in a benchmark run.
+cargo run --release --offline --quiet --manifest-path gfsbench/Cargo.toml -- --self-test
+
 echo "== perf smoke (benches/perf.rs -> BENCH_perf.json)"
 # Runs the heavy scenarios end-to-end under a wall clock and re-checks the
 # headline paper verdicts; any [OFF] verdict is a silent-results regression.

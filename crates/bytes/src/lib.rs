@@ -3,9 +3,19 @@
 //! The build environment has no network and no registry cache, so the
 //! workspace path-overrides `bytes` to this crate. [`Bytes`] is the only
 //! export: an immutable, cheaply-cloneable byte buffer backed by an
-//! `Arc<[u8]>` plus an `(offset, len)` view, which is all the page pool,
-//! `FsCore` block store, and tests need. `clone()` and `slice()` are O(1)
-//! and never copy.
+//! `Arc<Vec<u8>>` plus an `(offset, len)` view, which is all the page pool,
+//! `FsCore` block store, and tests need. [`Bytes::new`] has no backing and
+//! allocates nothing.
+//!
+//! Which constructors copy:
+//!
+//! * `From<Vec<u8>>` and `From<String>` **adopt** the caller's heap
+//!   allocation, as upstream `bytes` does: no copy, no reallocation. A
+//!   buffer built once at its final size stays the only copy.
+//! * [`Bytes::copy_from_slice`], `From<&[u8]>` and [`Bytes::from_static`]
+//!   copy their input into a new, independent allocation.
+//! * `clone()` and [`Bytes::slice`] are O(1) and share the backing
+//!   allocation; [`Bytes::to_vec`] copies the view out.
 
 use std::fmt;
 use std::ops::{Deref, Range, RangeFrom, RangeFull, RangeTo};
@@ -15,7 +25,8 @@ use std::sync::Arc;
 /// the same backing allocation.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    /// `None` from `new()` and `default()`, which allocate nothing.
+    data: Option<Arc<Vec<u8>>>,
     offset: usize,
     len: usize,
 }
@@ -102,7 +113,10 @@ impl Deref for Bytes {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        &self.data[self.offset..self.offset + self.len]
+        match &self.data {
+            Some(data) => &data[self.offset..self.offset + self.len],
+            None => &[],
+        }
     }
 }
 
@@ -113,10 +127,12 @@ impl AsRef<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Adopt `v`'s heap allocation (spare capacity included); nothing is
+    /// copied.
     fn from(v: Vec<u8>) -> Self {
         let len = v.len();
         Bytes {
-            data: v.into(),
+            data: Some(Arc::new(v)),
             offset: 0,
             len,
         }
@@ -130,6 +146,7 @@ impl From<&[u8]> for Bytes {
 }
 
 impl From<String> for Bytes {
+    /// Adopt the string's heap allocation, as `From<Vec<u8>>` does.
     fn from(s: String) -> Self {
         Bytes::from(s.into_bytes())
     }
@@ -181,12 +198,58 @@ mod tests {
 
     #[test]
     fn slice_shares_storage() {
-        let b = Bytes::from((0u8..=255).collect::<Vec<u8>>());
+        let v: Vec<u8> = (0u8..=255).collect();
+        let base = v.as_ptr();
+        let b = Bytes::from(v);
         let s = b.slice(10..20);
         assert_eq!(s.len(), 10);
         assert_eq!(s[0], 10);
+        assert_eq!(
+            s.as_ptr(),
+            base.wrapping_add(10),
+            "a slice must view the adopted buffer"
+        );
         let s2 = s.slice(5..);
         assert_eq!(s2[0], 15);
+        assert_eq!(s2.clone().as_ptr(), base.wrapping_add(15));
+    }
+
+    #[test]
+    fn from_vec_adopts_the_allocation() {
+        let v = vec![7u8; 4096];
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(
+            b.as_ptr(),
+            ptr,
+            "From<Vec<u8>> must keep the vector's heap buffer"
+        );
+        assert_eq!(&b[..], &[7u8; 4096][..]);
+    }
+
+    #[test]
+    fn from_string_adopts_the_allocation() {
+        let s = String::from("global file systems for grid computing");
+        let ptr = s.as_ptr();
+        let b = Bytes::from(s);
+        assert_eq!(
+            b.as_ptr(),
+            ptr,
+            "From<String> must keep the string's heap buffer"
+        );
+        assert_eq!(&b[..], b"global file systems for grid computing");
+    }
+
+    #[test]
+    fn copying_constructors_return_independent_buffers() {
+        let src = vec![1u8, 2, 3, 4];
+        let a = Bytes::copy_from_slice(&src);
+        let b = Bytes::from(&src[..]);
+        assert_ne!(a.as_ptr(), src.as_ptr());
+        assert_ne!(b.as_ptr(), src.as_ptr());
+        assert_ne!(a.as_ptr(), b.as_ptr());
+        assert_eq!(a, src);
+        assert_eq!(b, src);
     }
 
     #[test]

@@ -2179,7 +2179,8 @@ pub fn read(
             return;
         }
     };
-    let end = (offset + len).min(size);
+    // A length past `u64::MAX` reads to EOF, as `oracle::ModelFs::read` does.
+    let end = offset.saturating_add(len).min(size);
     if offset >= end {
         cb(sim, w, Ok(Bytes::new()));
         return;
@@ -2219,7 +2220,9 @@ pub fn read(
                         return;
                     }
                     // Assemble the byte range from the block parts. A read
-                    // inside one block is a zero-copy slice of the page.
+                    // inside one block is a zero-copy slice of the page; a
+                    // multi-block read copies once, into a buffer of its
+                    // final length that `Bytes::from` adopts.
                     let out = if nblocks == 1 {
                         let parts = parts.borrow();
                         let data = parts[0].as_ref().expect("all parts fetched");
@@ -2425,9 +2428,19 @@ pub fn write(
         cb(sim, w, Ok(()));
         return;
     }
+    let Some(end) = offset.checked_add(data.len() as u64) else {
+        cb(
+            sim,
+            w,
+            Err(FsError::InvalidArgument(format!(
+                "write of {} bytes at offset {offset} ends past u64::MAX",
+                data.len()
+            ))),
+        );
+        return;
+    };
     let (fs, inode) = (of.fs, of.inode);
     let block_size = w.fss[fs.0 as usize].core.config.block_size;
-    let end = offset + data.len() as u64;
     let cb: Cb<Result<(), FsError>> = Box::new(cb);
 
     acquire_token(
@@ -2513,12 +2526,15 @@ pub fn write(
                                           old: Option<Bytes>| {
                             // A fully covered block dirties the caller's
                             // slice as-is (zero-copy); a partial write
-                            // merges into a copy of the old contents.
+                            // merges into one block-sized copy of the old
+                            // contents, zero-padded past their end.
                             let page = match old {
                                 None => slice.clone(),
                                 Some(old) => {
-                                    let mut buf = old.to_vec();
-                                    buf.resize(block_size as usize, 0);
+                                    let bs = block_size as usize;
+                                    let mut buf = Vec::with_capacity(bs);
+                                    buf.extend_from_slice(&old[..old.len().min(bs)]);
+                                    buf.resize(bs, 0);
                                     buf[(s - bstart) as usize..(e - bstart) as usize]
                                         .copy_from_slice(&slice);
                                     Bytes::from(buf)

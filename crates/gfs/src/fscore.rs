@@ -1196,11 +1196,13 @@ impl FsCore {
                 blocks.get(last_idx).copied().flatten()
             };
             if let Some(addr) = addr {
-                let mut data = self.get_block_data(addr).to_vec();
+                let data = self.get_block_data(addr);
                 let keep = (new_size % bs) as usize;
                 if data.len() > keep {
-                    data[keep..].fill(0);
-                    self.put_block_data(addr, Bytes::from(data));
+                    let mut scrubbed = Vec::with_capacity(data.len());
+                    scrubbed.extend_from_slice(&data[..keep]);
+                    scrubbed.resize(data.len(), 0);
+                    self.put_block_data(addr, Bytes::from(scrubbed));
                 }
             }
         }

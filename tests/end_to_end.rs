@@ -6,7 +6,9 @@ use bytes::Bytes;
 use globalfs::gfs::admin::connect_clusters;
 use globalfs::gfs::client;
 use globalfs::gfs::fscore::FsConfig;
-use globalfs::gfs::types::{ClientId, FsError, OpenFlags, Owner};
+use globalfs::gfs::oracle::ModelFs;
+use globalfs::gfs::session::Session;
+use globalfs::gfs::types::{ClientId, FsError, Handle, OpenFlags, Owner};
 use globalfs::gfs::world::{FsParams, GfsWorld, WorldBuilder};
 use globalfs::gfs_auth::handshake::AccessMode;
 use globalfs::simcore::{Bandwidth, Sim, SimDuration};
@@ -229,4 +231,91 @@ fn errors_surface_cleanly_across_the_stack() {
     });
     sim.run(&mut w);
     assert_eq!(&*checks.borrow(), &[true]);
+}
+
+/// Start one op and run the world to quiescence; returns the op's result.
+fn settle<T: 'static>(
+    sim: &mut Sim<GfsWorld>,
+    w: &mut GfsWorld,
+    op: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Box<dyn FnOnce(T)>),
+) -> T {
+    let out = Rc::new(RefCell::new(None));
+    let slot = out.clone();
+    op(sim, w, Box::new(move |r| *slot.borrow_mut() = Some(r)));
+    sim.run(w);
+    let r = out.borrow_mut().take();
+    r.expect("op completed")
+}
+
+/// A `Session` on the owning site with `/f` open read-write and holding
+/// 100 bytes of 9s.
+fn session_file() -> (Sim<GfsWorld>, GfsWorld, Session, Handle) {
+    let (mut sim, mut w, local, _ncsa, _anl) = three_site_world();
+    let s = w.open_session(local);
+    let (sim_, w_) = (&mut sim, &mut w);
+    settle(sim_, w_, |sim, w, done| {
+        s.mount(sim, w, "gpfs-wan", AccessMode::ReadWrite, move |_, _, r| {
+            done(r)
+        })
+    })
+    .unwrap();
+    let h = settle(sim_, w_, |sim, w, done| {
+        s.open(
+            sim,
+            w,
+            "/f",
+            OpenFlags::ReadWrite,
+            owner(),
+            move |_, _, r| done(r),
+        )
+    })
+    .unwrap();
+    settle(sim_, w_, |sim, w, done| {
+        s.write(sim, w, h, 0, Bytes::from(vec![9u8; 100]), move |_, _, r| {
+            done(r)
+        })
+    })
+    .unwrap();
+    (sim, w, s, h)
+}
+
+#[test]
+fn session_read_length_past_u64_max_reads_to_eof() {
+    let (mut sim, mut w, s, h) = session_file();
+    let got = settle(&mut sim, &mut w, |sim, w, done| {
+        s.read(sim, w, h, 1, u64::MAX, move |_, _, r| done(r))
+    });
+    // The reference model saturates the end the same way.
+    let mut model = ModelFs::new();
+    let id = model.create_file("/f").unwrap();
+    model.write(id, 0, &[9u8; 100]).unwrap();
+    let expect = model.read(id, 1, u64::MAX).unwrap();
+    assert_eq!(expect, vec![9u8; 99]);
+    assert_eq!(got, Ok(Bytes::from(expect)));
+}
+
+#[test]
+fn session_write_ending_past_u64_max_is_invalid_argument() {
+    let (mut sim, mut w, s, h) = session_file();
+    let (sim_, w_) = (&mut sim, &mut w);
+    let r = settle(sim_, w_, |sim, w, done| {
+        s.write(
+            sim,
+            w,
+            h,
+            u64::MAX - 1,
+            Bytes::from(vec![1u8; 4]),
+            move |_, _, r| done(r),
+        )
+    });
+    assert!(matches!(r, Err(FsError::InvalidArgument(_))), "got {r:?}");
+    // The rejected write left the file and the handle intact.
+    let r = settle(sim_, w_, |sim, w, done| {
+        s.read(sim, w, h, 0, 200, move |_, _, r| done(r))
+    });
+    assert_eq!(r, Ok(Bytes::from(vec![9u8; 100])));
+    settle(sim_, w_, |sim, w, done| {
+        s.close(sim, w, h, move |_, _, r| done(r))
+    })
+    .unwrap();
 }
