@@ -68,6 +68,9 @@ floors = {
     # oracle differencing on every op; warm steady state is ~450k ev/s.
     'trace replay differential': 20000,
     'resolve microbench': 100000,
+    # The flow engine alone: ~400 64 KiB flows in one LAN-wide component,
+    # each start and drain a re-solve; warm steady state is ~100k ev/s.
+    'flow engine': 20000,
 }
 by_prefix = {p: s for s in doc['scenarios'] for p in floors if s['name'].startswith(p)}
 missing = sorted(set(floors) - set(by_prefix))

@@ -707,6 +707,123 @@ fn run_trace_replay_entry() -> Entry {
     }
 }
 
+/// The flow engine alone, on a LAN star shaped like the metadata
+/// workloads' NSD traffic: 32 client NICs at 1 Gb/s and 4 server NICs on
+/// one switch, 16 MiB windows (far above the LAN's bandwidth-delay
+/// product, so no flow is window-capped and every flow shares one
+/// LAN-wide component), ~400 flows of 64 KiB in flight in both
+/// directions, each restarted on drain, for a fixed number of starts.
+/// Every start and every drain changes the flow set and costs a re-solve.
+fn run_flow_engine_entry() -> Entry {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use simcore::{Bandwidth, Sim};
+    use simnet::{FlowSpec, NetWorld, Network, NodeId, TopologyBuilder};
+
+    const CLIENTS: usize = 32;
+    const SERVERS: usize = 4;
+    const IN_FLIGHT: u64 = 400;
+    const STARTS: u64 = 60_000;
+    const BYTES: u64 = 64 * 1024;
+    const WINDOW: u64 = 16 << 20;
+
+    struct Lan {
+        net: Network<Lan>,
+        clients: Vec<NodeId>,
+        servers: Vec<NodeId>,
+        rng: StdRng,
+        starts: u64,
+        drains: u64,
+    }
+    impl NetWorld for Lan {
+        fn net(&mut self) -> &mut Network<Lan> {
+            &mut self.net
+        }
+    }
+    /// Start one NSD-sized flow between a random client and server, in a
+    /// random direction; its drain starts the next one.
+    fn start(sim: &mut Sim<Lan>, w: &mut Lan) {
+        if w.starts == STARTS {
+            return;
+        }
+        w.starts += 1;
+        let c = w.clients[w.rng.gen_range(0..=CLIENTS - 1)];
+        let s = w.servers[w.rng.gen_range(0..=SERVERS - 1)];
+        let (src, dst) = if w.rng.gen::<f64>() < 0.5 {
+            (s, c)
+        } else {
+            (c, s)
+        };
+        let spec = FlowSpec::bulk(src, dst, BYTES).with_window(WINDOW);
+        Network::start_flow(sim, w, spec, |sim, w| {
+            w.drains += 1;
+            start(sim, w);
+        });
+    }
+
+    let mut b = TopologyBuilder::new();
+    let sw = b.node("switch");
+    let mut star = |name: String, delay_us: u64| {
+        let n = b.node(name.clone());
+        let delay = SimDuration::from_micros(delay_us);
+        b.duplex_link(n, sw, Bandwidth::gbit(1.0), delay, format!("nic-{name}"));
+        n
+    };
+    let clients = (0..CLIENTS)
+        .map(|i| star(format!("client{i}"), 100))
+        .collect();
+    let servers = (0..SERVERS)
+        .map(|i| star(format!("server{i}"), 50))
+        .collect();
+    let mut sim = Sim::new();
+    let mut w = Lan {
+        net: Network::new(b.build(), 7),
+        clients,
+        servers,
+        rng: StdRng::seed_from_u64(0x10_57a4),
+        starts: 0,
+        drains: 0,
+    };
+    let ((), wall) = time_scenario(|| {
+        for _ in 0..IN_FLIGHT {
+            start(&mut sim, &mut w);
+        }
+        sim.run(&mut w);
+    });
+
+    let (solves, solved_flows) = w.net.solve_stats();
+    let flow_events = w.starts + w.drains;
+    let mean_flows_per_solve = solved_flows as f64 / solves.max(1) as f64;
+    let as_num = |b: bool| if b { 1.0 } else { 0.0 };
+    Entry {
+        name: "flow engine (LAN star, 32+4 NICs, ~400 x 64 KiB flows)",
+        wall_seconds: wall,
+        events: sim.executed(),
+        checks: vec![
+            (
+                "every flow drained, every byte delivered",
+                1.0,
+                as_num(w.drains == STARTS && w.net.total_delivered() == STARTS * BYTES),
+                0.0,
+            ),
+            (
+                "flows share one LAN-wide component (>= 100 per solve)",
+                1.0,
+                as_num(mean_flows_per_solve >= 100.0),
+                0.0,
+            ),
+        ],
+        data_path: DataPathStats::default(),
+        extra: vec![
+            ("flow_starts", w.starts as f64),
+            ("flow_events", flow_events as f64),
+            ("flow_events_per_sec", flow_events as f64 / wall.max(1e-9)),
+            ("solves", solves as f64),
+            ("mean_flows_per_solve", mean_flows_per_solve),
+        ],
+    }
+}
+
 /// Minimal JSON string escape — names here are ASCII identifiers, but stay
 /// correct if one ever grows a quote.
 fn json_str(s: &str) -> String {
@@ -811,6 +928,7 @@ fn main() {
         run_replication_entry(),
         run_trace_replay_entry(),
         run_resolve_microbench_entry(),
+        run_flow_engine_entry(),
     ];
 
     let rows: Vec<Vec<String>> = entries

@@ -30,7 +30,8 @@ pub struct PageKey {
 /// Sentinel frame index for list ends and free slots.
 const NIL: u32 = u32::MAX;
 
-/// One page frame: cached contents plus its intrusive LRU links.
+/// One page frame: cached contents plus its intrusive LRU links. A page
+/// may be shorter than a block; every byte past its end reads as zero.
 #[derive(Debug)]
 struct Frame {
     key: PageKey,

@@ -20,7 +20,9 @@ use crate::cache::{DirtyPage, PageKey, PrefetchState};
 use crate::faults::RecoveryWhat;
 use crate::replica;
 use crate::tokens::{ByteRange, TokenMode};
-use crate::types::{BlockAddr, ClientId, FsError, FsId, Handle, InodeId, NsdId, OpenFlags, Owner};
+use crate::types::{
+    check_file_size, BlockAddr, ClientId, FsError, FsId, Handle, InodeId, NsdId, OpenFlags, Owner,
+};
 use crate::world::{GfsWorld, Mount};
 use bytes::Bytes;
 use gfs_auth::handshake::AccessMode;
@@ -862,6 +864,10 @@ pub fn truncate(
         cb(sim, w, Err(FsError::ReadOnly));
         return;
     }
+    if let Err(e) = check_file_size(new_size) {
+        cb(sim, w, Err(e));
+        return;
+    }
     let (fs, inode) = (of.fs, of.inode);
     let cb: Cb<Result<(), FsError>> = Box::new(cb);
     acquire_token(
@@ -1648,9 +1654,19 @@ fn coalesce<T>(mut items: Vec<(PageKey, BlockAddr, T)>) -> Vec<(BlockAddr, Vec<(
     runs
 }
 
+/// Append bytes `s..e` of a page to `out`. A page may end before the
+/// block does (a small file's page holds only its bytes); everything past
+/// its end reads as zeros.
+fn extend_from_page(out: &mut Vec<u8>, page: &[u8], s: usize, e: usize) {
+    let held = page.len().clamp(s, e);
+    out.extend_from_slice(page.get(s..held).unwrap_or_default());
+    out.resize(out.len() + (e - held), 0);
+}
+
 /// Fetch one block into the page pool (cache-aware). `cb` receives the
-/// block's full contents, or the error after the retry budget is spent.
-/// Single-block convenience over [`fetch_run`], used by read-modify-write.
+/// block's page (bytes past its end are zeros), or the error after the
+/// retry budget is spent. Single-block convenience over [`fetch_run`],
+/// used by read-modify-write.
 fn fetch_block(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
@@ -1677,10 +1693,9 @@ fn fetch_block(
         .ok()
         .and_then(|m| m.first().and_then(|(_, a)| *a));
     let Some(addr) = addr else {
-        // Hole or past-EOF: zeros, no I/O (and no allocation — the zero
-        // block is a shared refcounted payload).
-        let zeros = inst.core.zero_block();
-        cb(sim, w, Ok(zeros));
+        // Hole or past-EOF: zeros, no I/O. An empty page stands for them,
+        // since every byte past a page's end reads as zero.
+        cb(sim, w, Ok(Bytes::new()));
         return;
     };
     fetch_run(
@@ -2227,7 +2242,14 @@ pub fn read(
                         let parts = parts.borrow();
                         let data = parts[0].as_ref().expect("all parts fetched");
                         let bstart = first * block_size;
-                        data.slice((offset - bstart) as usize..(end - bstart) as usize)
+                        let (s, e) = ((offset - bstart) as usize, (end - bstart) as usize);
+                        if e <= data.len() {
+                            data.slice(s..e)
+                        } else {
+                            let mut out = Vec::with_capacity(e - s);
+                            extend_from_page(&mut out, data, s, e);
+                            Bytes::from(out)
+                        }
                     } else {
                         let mut out = Vec::with_capacity(len as usize);
                         for (i, part) in parts.borrow().iter().enumerate() {
@@ -2236,7 +2258,7 @@ pub fn read(
                             let bstart = block * block_size;
                             let s = offset.max(bstart) - bstart;
                             let e = (end.min(bstart + block_size)) - bstart;
-                            out.extend_from_slice(&data[s as usize..e as usize]);
+                            extend_from_page(&mut out, data, s as usize, e as usize);
                         }
                         Bytes::from(out)
                     };
@@ -2439,6 +2461,10 @@ pub fn write(
         );
         return;
     };
+    if let Err(e) = check_file_size(end) {
+        cb(sim, w, Err(e));
+        return;
+    }
     let (fs, inode) = (of.fs, of.inode);
     let block_size = w.fss[fs.0 as usize].core.config.block_size;
     let cb: Cb<Result<(), FsError>> = Box::new(cb);
@@ -2526,15 +2552,19 @@ pub fn write(
                                           old: Option<Bytes>| {
                             // A fully covered block dirties the caller's
                             // slice as-is (zero-copy); a partial write
-                            // merges into one block-sized copy of the old
-                            // contents, zero-padded past their end.
+                            // merges into one copy of the old contents
+                            // that ends where the old page or the write
+                            // ends, whichever is later. Bytes past a
+                            // page's end read as zeros, so a small file's
+                            // page holds its own bytes, not a whole block.
                             let page = match old {
                                 None => slice.clone(),
                                 Some(old) => {
-                                    let bs = block_size as usize;
-                                    let mut buf = Vec::with_capacity(bs);
-                                    buf.extend_from_slice(&old[..old.len().min(bs)]);
-                                    buf.resize(bs, 0);
+                                    let keep = old.len().min(block_size as usize);
+                                    let len = keep.max((e - bstart) as usize);
+                                    let mut buf = Vec::with_capacity(len);
+                                    buf.extend_from_slice(&old[..keep]);
+                                    buf.resize(len, 0);
                                     buf[(s - bstart) as usize..(e - bstart) as usize]
                                         .copy_from_slice(&slice);
                                     Bytes::from(buf)

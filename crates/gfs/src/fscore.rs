@@ -31,7 +31,7 @@
 //!   which we summarize in the client layer's message costs.
 
 use crate::cache::DentryCache;
-use crate::types::{BlockAddr, FsError, FsId, InodeId, NameId, Owner};
+use crate::types::{check_file_size, BlockAddr, FsError, FsId, InodeId, NameId, Owner};
 use bytes::Bytes;
 use simcore::fxhash::FxHashMap;
 use std::cell::Cell;
@@ -1109,6 +1109,12 @@ impl FsCore {
     /// round-robin striping (`(inode + block) % nsd_count` picks the NSD, as
     /// GPFS round-robins a file's blocks across the stripe group).
     pub fn ensure_block(&mut self, inode: InodeId, block_idx: u64) -> Result<BlockAddr, FsError> {
+        // The block's first byte must lie inside the largest file.
+        check_file_size(
+            block_idx
+                .saturating_mul(self.config.block_size)
+                .saturating_add(1),
+        )?;
         let nsd_count = self.config.nsd_count;
         let start_nsd = ((inode.0 + block_idx) % nsd_count as u64) as u32;
         {
@@ -1150,17 +1156,20 @@ impl FsCore {
         len: u64,
         now_ns: u64,
     ) -> Result<(), FsError> {
+        let end = offset.saturating_add(len);
+        check_file_size(end)?;
         let ino = self.inode_mut(inode)?;
         let InodeKind::File { size, .. } = &mut ino.kind else {
             return Err(FsError::IsADirectory(format!("inode {}", inode.0)));
         };
-        *size = (*size).max(offset + len);
+        *size = (*size).max(end);
         ino.mtime_ns = now_ns;
         Ok(())
     }
 
     /// Truncate to `new_size`, freeing whole blocks beyond it.
     pub fn truncate(&mut self, inode: InodeId, new_size: u64, now_ns: u64) -> Result<(), FsError> {
+        check_file_size(new_size)?;
         let bs = self.config.block_size;
         let keep_blocks = new_size.div_ceil(bs) as usize;
         let freed: Vec<BlockAddr> = {
@@ -1374,7 +1383,10 @@ impl FsCore {
         self.zero_block.clone()
     }
 
-    /// Fetch a block payload; absent blocks read as zeros in Stored mode.
+    /// Fetch a block payload. In Stored mode a payload may be shorter than
+    /// the block (a small file's block holds only its bytes) and every byte
+    /// past its end is zero; a block nothing was stored to has an empty
+    /// payload. Synthetic mode reads the shared zero block.
     pub fn get_block_data(&self, addr: BlockAddr) -> Bytes {
         match self.config.data_mode {
             DataMode::Stored => self
@@ -1382,7 +1394,7 @@ impl FsCore {
                 .get(addr.nsd as usize)
                 .and_then(|shard| shard.get(&addr.block))
                 .cloned()
-                .unwrap_or_else(|| self.zero_block.clone()),
+                .unwrap_or_default(),
             DataMode::Synthetic => self.zero_block.clone(),
         }
     }
@@ -1975,9 +1987,9 @@ mod tests {
         let mut f = fs();
         let id = f.create_file("/x", owner(), 1).unwrap();
         let addr = f.ensure_block(id, 0).unwrap();
+        // Nothing stored: an empty payload, all of whose bytes are zeros.
         let z = f.get_block_data(addr);
-        assert!(z.iter().all(|b| *b == 0));
-        assert_eq!(z.len(), f.config.block_size as usize);
+        assert!(z.is_empty());
     }
 
     #[test]

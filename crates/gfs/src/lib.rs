@@ -51,7 +51,7 @@ pub use session::{FanIn, Session, SessionState};
 pub use slab::Slab;
 pub use types::{
     BlockAddr, ClientId, ClusterId, FsError, FsId, Handle, InodeId, NsdId, OpenFlags, Owner,
-    SessionId,
+    SessionId, MAX_FILE_SIZE,
 };
 pub use stream::{gfs_stream, run_stream, StreamDir, StreamSpec};
 pub use world::{FsParams, GfsWorld, ManagerState, NsdBacking, ProtocolCosts, WorldBuilder};

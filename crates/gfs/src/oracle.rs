@@ -21,7 +21,7 @@
 //! rename-over-existing rules all match. Anything the model and the real
 //! stack disagree on is, by construction, a bug in one of them.
 
-use crate::types::{split_path, FsError, OpenFlags};
+use crate::types::{check_file_size, split_path, FsError, OpenFlags};
 use std::collections::BTreeMap;
 
 /// Model inode id — private to the model. The real stack allocates inode
@@ -306,7 +306,9 @@ impl ModelFs {
 
     /// Write `data` at `offset`, growing the file to
     /// `max(old_size, offset + len)` — the `note_write` size rule. The
-    /// gap below a past-EOF offset reads back as zeros, like a hole.
+    /// gap below a past-EOF offset reads back as zeros, like a hole. An
+    /// empty write changes nothing, as on the client; one ending past
+    /// [`crate::types::MAX_FILE_SIZE`] is refused.
     pub fn write(&mut self, id: ModelId, offset: u64, data: &[u8]) -> Result<(), FsError> {
         let ino = self
             .inodes
@@ -316,6 +318,10 @@ impl ModelFs {
         let ModelKind::File { data: content } = &mut ino.kind else {
             return Err(FsError::IsADirectory(format!("model inode {}", id.0)));
         };
+        if data.is_empty() {
+            return Ok(());
+        }
+        check_file_size(offset.saturating_add(data.len() as u64))?;
         let end = offset as usize + data.len();
         if content.len() < end {
             content.resize(end, 0);
@@ -336,7 +342,8 @@ impl ModelFs {
         Ok(data[start..end].to_vec())
     }
 
-    /// Truncate (grow with zeros or shrink) to `new_size`.
+    /// Truncate (grow with zeros or shrink) to `new_size`, at most
+    /// [`crate::types::MAX_FILE_SIZE`].
     pub fn truncate(&mut self, id: ModelId, new_size: u64) -> Result<(), FsError> {
         let ino = self
             .inodes
@@ -346,6 +353,7 @@ impl ModelFs {
         let ModelKind::File { data } = &mut ino.kind else {
             return Err(FsError::IsADirectory(format!("model inode {}", id.0)));
         };
+        check_file_size(new_size)?;
         data.resize(new_size as usize, 0);
         Ok(())
     }
@@ -604,5 +612,51 @@ mod tests {
         let a = m.open("/d/new", OpenFlags::Write).unwrap();
         let b = m.open("/d/new", OpenFlags::Read).unwrap();
         assert_eq!(a, b);
+    }
+
+    /// Bytes the model has reserved for file `id`'s content.
+    fn content_capacity(m: &ModelFs, id: ModelId) -> usize {
+        match &m.inode(id).unwrap().kind {
+            ModelKind::File { data } => data.capacity(),
+            ModelKind::Dir { .. } => panic!("not a file"),
+        }
+    }
+
+    /// A write or truncate past the largest file gets the stack's error
+    /// from both the model and `FsCore`, and changes (and reserves)
+    /// nothing.
+    #[test]
+    fn max_file_size_is_refused_like_the_stack() {
+        use crate::types::MAX_FILE_SIZE;
+        const PIB: u64 = 1 << 50;
+        let mut real = FsCore::create(FsConfig::small_test("limit"));
+        let mut m = ModelFs::new();
+        let rid = real.create_file("/f", owner(), 1).unwrap();
+        let mid = m.create_file("/f").unwrap();
+        real.note_write(rid, 0, 10, 2).unwrap();
+        m.write(mid, 0, &[5u8; 10]).unwrap();
+        let cap = content_capacity(&m, mid);
+
+        let refused = |r: Result<(), FsError>| matches!(r, Err(FsError::InvalidArgument(_)));
+        assert!(refused(m.write(mid, PIB, &[1u8; 4])));
+        assert!(refused(m.write(mid, MAX_FILE_SIZE, &[1u8])));
+        assert!(refused(m.write(mid, u64::MAX - 1, &[1u8; 4])));
+        assert!(refused(m.truncate(mid, PIB)));
+        assert!(refused(real.note_write(rid, PIB, 4, 3)));
+        assert!(refused(real.note_write(rid, MAX_FILE_SIZE, 1, 3)));
+        assert!(refused(real.note_write(rid, u64::MAX - 1, 4, 3)));
+        let pib_block = PIB / real.config.block_size;
+        assert!(refused(real.ensure_block(rid, pib_block).map(|_| ())));
+        assert!(refused(real.truncate(rid, PIB, 3)));
+        // An empty write is a no-op on the client, so on the model too.
+        m.write(mid, PIB, &[]).unwrap();
+
+        assert_eq!(m.stat("/f").unwrap().size, 10);
+        assert_eq!(real.stat("/f").unwrap().size, 10);
+        assert_eq!(content_capacity(&m, mid), cap, "the model reserved bytes");
+        assert_eq!(real.tree_fingerprint(), m.tree_fingerprint());
+        // The limit itself is a legal size.
+        real.note_write(rid, MAX_FILE_SIZE - 1, 1, 4).unwrap();
+        assert_eq!(real.stat("/f").unwrap().size, MAX_FILE_SIZE);
     }
 }

@@ -154,6 +154,25 @@ impl fmt::Display for FsError {
 
 impl std::error::Error for FsError {}
 
+/// The largest file any layer will hold: 1 TiB. Every file the paper's
+/// workloads write fits (Enzo's 100 GB visualization dumps are the
+/// largest), and it bounds the dense per-file block map at
+/// `MAX_FILE_SIZE / block_size` entries, where an unchecked offset in the
+/// petabytes would grow it until the allocation aborts.
+pub const MAX_FILE_SIZE: u64 = 1 << 40;
+
+/// `Ok` if a file may be `size` bytes long. Otherwise the one error every
+/// layer (client stack, [`crate::fscore::FsCore`], the oracle) returns
+/// for a write ending, or a truncate landing, past [`MAX_FILE_SIZE`].
+pub fn check_file_size(size: u64) -> Result<(), FsError> {
+    if size > MAX_FILE_SIZE {
+        return Err(FsError::InvalidArgument(format!(
+            "file size {size} exceeds the {MAX_FILE_SIZE}-byte maximum"
+        )));
+    }
+    Ok(())
+}
+
 /// Split a `/`-separated absolute path into components; rejects relative
 /// paths and empty components.
 pub fn split_path(path: &str) -> Result<Vec<&str>, FsError> {

@@ -16,6 +16,10 @@
 //!   solver entirely. Because components are arithmetically independent and
 //!   the solver freezes constraints with exact comparisons, the incremental
 //!   rates are bit-for-bit identical to a global re-solve.
+//! * Routes are **memoized** per (src, dst) on first use, and flows share
+//!   the memoized links. Active flows sit in one vector in flow-id order,
+//!   so a flow start or drain costs a few linear scans of it plus one
+//!   link-indexed fill of the dirty components.
 //! * The single pending completion event is a **cancellable timer**
 //!   ([`simcore::TimerId`]), re-registered whenever the earliest drain time
 //!   moves — replacing the classic stale-epoch guard and keeping the event
@@ -31,6 +35,7 @@
 use crate::fairshare::{FlatFlow, Solver};
 use crate::topology::{LinkId, NodeId, Topology};
 use rand::rngs::StdRng;
+use simcore::fxhash::FxHashMap;
 use simcore::{det_rng, Action, RateSeries, Sim, SimDuration, SimTime, TimeSeries, TimerId};
 use std::collections::BTreeMap;
 
@@ -104,15 +109,85 @@ struct LinkHealth {
     degrade: f64,
 }
 
+/// A run of [`RouteMemo::links`]: one memoized route's links, in order.
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn of(self, links: &[u32]) -> &[u32] {
+        &links[self.start as usize..][..self.len as usize]
+    }
+}
+
+/// One memoized shortest path and the fixed properties derived from it.
+#[derive(Clone, Copy, Debug)]
+struct Route {
+    links: Span,
+    /// One-way propagation delay ([`Topology::path_delay`]).
+    delay: SimDuration,
+    /// Nominal bottleneck capacity ([`Topology::path_capacity`]).
+    capacity: f64,
+}
+
+/// [`Topology::route`] memoized per (src, dst), filled on first use. The
+/// topology is immutable, so an entry never goes stale; link health is
+/// runtime state and callers check it on every use.
+#[derive(Default)]
+struct RouteMemo {
+    /// `None` memoizes "unreachable".
+    by_pair: FxHashMap<(u32, u32), Option<Route>>,
+    /// Every memoized route's links, back to back. Flows refer to their
+    /// route's run instead of holding a copy.
+    links: Vec<u32>,
+}
+
+impl RouteMemo {
+    fn get(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<Route> {
+        let links = &mut self.links;
+        *self.by_pair.entry((src.0, dst.0)).or_insert_with(|| {
+            let path = topo.route(src, dst)?;
+            let start = links.len() as u32;
+            links.extend(path.iter().map(|l| l.0));
+            Some(Route {
+                links: Span {
+                    start,
+                    len: path.len() as u32,
+                },
+                delay: topo.path_delay(&path),
+                capacity: topo.path_capacity(&path),
+            })
+        })
+    }
+}
+
 struct FlowState<W> {
-    path: Vec<LinkId>,
-    path_u32: Vec<u32>,
+    id: u64,
+    path: Span,
     cap: f64,
     remaining: f64,
     rate: f64,
     tag: u32,
     delivery_delay: SimDuration,
     on_complete: Option<Action<W>>,
+}
+
+/// Links a mutation touched since the last solve.
+struct DirtyLinks {
+    flag: Vec<bool>,
+    list: Vec<u32>,
+}
+
+impl DirtyLinks {
+    /// Mark one link as needing a re-solve.
+    fn mark(&mut self, l: u32) {
+        if !self.flag[l as usize] {
+            self.flag[l as usize] = true;
+            self.list.push(l);
+        }
+    }
 }
 
 struct Monitor {
@@ -130,7 +205,11 @@ pub struct Network<W> {
     topo: Topology,
     effective_capacity: Vec<f64>,
     health: Vec<LinkHealth>,
-    flows: BTreeMap<u64, FlowState<W>>,
+    routes: RouteMemo,
+    /// Active flows in ascending id order: ids only grow, so a start
+    /// appends, and every scan visits flows in the order a global solve
+    /// would.
+    flows: Vec<FlowState<W>>,
     next_id: u64,
     last_settle: SimTime,
     monitor: Option<Monitor>,
@@ -149,25 +228,27 @@ pub struct Network<W> {
     link_active: Vec<u32>,
     /// Per-link saturation flag from the last solve that touched the link.
     link_saturated: Vec<bool>,
-    dirty_links: Vec<u32>,
-    dirty_link_flag: Vec<bool>,
-    have_dirty: bool,
+    dirty: DirtyLinks,
     /// Whether an end-of-instant solve event is already queued.
     solve_scheduled: bool,
     /// The single pending completion timer, if any.
     tick_timer: Option<TimerId>,
+    /// Solver runs, and the flows they re-solved in total.
+    solves: u64,
+    solved_flows: u64,
 
     // ---- reusable scratch (no per-call allocation once warmed up) ----
-    rc_paths: Vec<u32>,
+    /// Flows to re-solve as (component root, index into `flows`).
+    rc_flows: Vec<(u32, u32)>,
     rc_meta: Vec<FlatFlow>,
-    rc_ids: Vec<u64>,
+    rc_ends: Vec<u32>,
     rc_rates: Vec<f64>,
     nw_uf: Vec<u32>,
     nw_seen: Vec<bool>,
     nw_touched: Vec<u32>,
     nw_root_dirty: Vec<bool>,
     nw_dirty_roots: Vec<u32>,
-    drain_ids: Vec<u64>,
+    drained: Vec<(SimDuration, Action<W>)>,
 }
 
 /// Path-halving union-find lookup over a parent array.
@@ -196,7 +277,8 @@ impl<W: NetWorld> Network<W> {
             topo,
             effective_capacity: caps,
             health,
-            flows: BTreeMap::new(),
+            routes: RouteMemo::default(),
+            flows: Vec::new(),
             next_id: 0,
             last_settle: SimTime::ZERO,
             monitor: None,
@@ -207,21 +289,24 @@ impl<W: NetWorld> Network<W> {
             link_load: vec![0.0; nl],
             link_active: vec![0; nl],
             link_saturated: vec![false; nl],
-            dirty_links: Vec::new(),
-            dirty_link_flag: vec![false; nl],
-            have_dirty: false,
+            dirty: DirtyLinks {
+                flag: vec![false; nl],
+                list: Vec::new(),
+            },
             solve_scheduled: false,
             tick_timer: None,
-            rc_paths: Vec::new(),
+            solves: 0,
+            solved_flows: 0,
+            rc_flows: Vec::new(),
             rc_meta: Vec::new(),
-            rc_ids: Vec::new(),
+            rc_ends: Vec::new(),
             rc_rates: Vec::new(),
             nw_uf: vec![0; nl],
             nw_seen: vec![false; nl],
             nw_touched: Vec::new(),
             nw_root_dirty: vec![false; nl],
             nw_dirty_roots: Vec::new(),
-            drain_ids: Vec::new(),
+            drained: Vec::new(),
         }
     }
 
@@ -235,28 +320,46 @@ impl<W: NetWorld> Network<W> {
         self.flows.len()
     }
 
+    /// Solver runs so far, and the flows they re-solved in total (a flow
+    /// counts once per solve it takes part in). Fast-path adds and removes
+    /// run no solve.
+    pub fn solve_stats(&self) -> (u64, u64) {
+        (self.solves, self.solved_flows)
+    }
+
     /// Total bytes fully drained from all flows so far.
     pub fn total_delivered(&self) -> u64 {
         self.total_delivered as u64
     }
 
+    /// Position of an active flow in `flows`.
+    fn flow_index(&self, id: FlowId) -> Option<usize> {
+        self.flows.binary_search_by_key(&id.0, |f| f.id).ok()
+    }
+
     /// Current rate of a flow in bytes/sec, if active.
     pub fn flow_rate(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id.0).map(|f| f.rate)
+        self.flow_index(id).map(|i| self.flows[i].rate)
     }
 
     /// Remaining bytes of a flow, if active.
     pub fn flow_remaining(&self, id: FlowId) -> Option<u64> {
-        self.flows.get(&id.0).map(|f| f.remaining.max(0.0) as u64)
+        self.flow_index(id)
+            .map(|i| self.flows[i].remaining.max(0.0) as u64)
     }
 
     /// Sum of active flow rates crossing a link (bytes/sec).
     pub fn link_throughput(&self, link: LinkId) -> f64 {
         self.flows
-            .values()
-            .filter(|f| f.path.contains(&link))
+            .iter()
+            .filter(|f| f.path.of(&self.routes.links).contains(&link.0))
             .map(|f| f.rate)
             .sum()
+    }
+
+    /// The memoized route from `src` to `dst`.
+    fn route(&mut self, src: NodeId, dst: NodeId) -> Option<Route> {
+        self.routes.get(&self.topo, src, dst)
     }
 
     /// Round-trip propagation time between two nodes (twice the one-way
@@ -327,7 +430,7 @@ impl<W: NetWorld> Network<W> {
             net.settle(now);
             net.health[link.0 as usize].up = up;
             net.refresh_capacity(link.0 as usize);
-            net.mark_link_dirty(link.0);
+            net.dirty.mark(link.0);
         }
         Self::schedule_solve(sim, w);
     }
@@ -345,7 +448,7 @@ impl<W: NetWorld> Network<W> {
             net.settle(now);
             net.health[link.0 as usize].degrade = factor;
             net.refresh_capacity(link.0 as usize);
-            net.mark_link_dirty(link.0);
+            net.dirty.mark(link.0);
         }
         Self::schedule_solve(sim, w);
     }
@@ -365,11 +468,6 @@ impl<W: NetWorld> Network<W> {
         self.effective_capacity[i] = self.base_capacity(i);
     }
 
-    /// Whether every link of `path` is currently up.
-    fn path_is_live(&self, path: &[LinkId]) -> bool {
-        path.iter().all(|l| self.health[l.0 as usize].up)
-    }
-
     // ------------------------------------------------------------------
     // Flow lifecycle
     // ------------------------------------------------------------------
@@ -387,18 +485,15 @@ impl<W: NetWorld> Network<W> {
         let (id, needs_solve) = {
             let net = w.net();
             net.settle(now);
-            let path = net
-                .topo
+            let route = net
                 .route(spec.src, spec.dst)
                 .unwrap_or_else(|| panic!("no route {:?} -> {:?}", spec.src, spec.dst));
-            let delivery_delay = net.topo.path_delay(&path);
+            let delivery_delay = route.delay;
             let rtt = {
                 // Window cap uses the full round trip as TCP would see it.
                 let back = net
-                    .topo
                     .route(spec.dst, spec.src)
-                    .map(|p| net.topo.path_delay(&p))
-                    .unwrap_or(delivery_delay);
+                    .map_or(delivery_delay, |r| r.delay);
                 delivery_delay + back
             };
             let cap = match spec.window {
@@ -410,7 +505,7 @@ impl<W: NetWorld> Network<W> {
             };
             let id = net.next_id;
             net.next_id += 1;
-            let path_u32: Vec<u32> = path.iter().map(|l| l.0).collect();
+            let path = route.links.of(&net.routes.links);
 
             // Fast path: a cap-limited flow that fits (with margin) under
             // every link it crosses, none of which is saturated or pending a
@@ -420,45 +515,42 @@ impl<W: NetWorld> Network<W> {
             // and joins the end-of-instant batch solve.
             let mut rate = 0.0;
             let mut needs = false;
-            if path_u32.is_empty() {
+            if path.is_empty() {
                 rate = cap.min(RATE_CLAMP);
             } else {
                 let fast = cap.is_finite()
-                    && path_u32.iter().all(|&l| {
+                    && path.iter().all(|&l| {
                         let li = l as usize;
                         let c = net.effective_capacity[li];
                         !net.link_saturated[li]
-                            && !net.dirty_link_flag[li]
+                            && !net.dirty.flag[li]
                             && net.link_load[li] + cap <= c - FAST_ADD_MARGIN * c
                     });
-                for &l in &path_u32 {
+                for &l in path {
                     net.link_active[l as usize] += 1;
                 }
                 if fast {
                     rate = cap.min(RATE_CLAMP);
-                    for &l in &path_u32 {
+                    for &l in path {
                         net.link_load[l as usize] += rate;
                     }
                 } else {
-                    for &l in &path_u32 {
-                        net.mark_link_dirty(l);
+                    for &l in path {
+                        net.dirty.mark(l);
                     }
                     needs = true;
                 }
             }
-            net.flows.insert(
+            net.flows.push(FlowState {
                 id,
-                FlowState {
-                    path,
-                    path_u32,
-                    cap,
-                    remaining: spec.bytes as f64,
-                    rate,
-                    tag: spec.tag,
-                    delivery_delay,
-                    on_complete: Some(Box::new(on_complete)),
-                },
-            );
+                path: route.links,
+                cap,
+                remaining: spec.bytes as f64,
+                rate,
+                tag: spec.tag,
+                delivery_delay,
+                on_complete: Some(Box::new(on_complete)),
+            });
             (id, needs)
         };
         if needs_solve {
@@ -477,9 +569,9 @@ impl<W: NetWorld> Network<W> {
         let ok = {
             let net = w.net();
             net.settle(now);
-            match net.flows.get_mut(&id.0) {
-                Some(f) => {
-                    f.remaining += extra as f64;
+            match net.flow_index(id) {
+                Some(i) => {
+                    net.flows[i].remaining += extra as f64;
                     true
                 }
                 None => false,
@@ -498,7 +590,7 @@ impl<W: NetWorld> Network<W> {
         let (remaining, needs_solve) = {
             let net = w.net();
             net.settle(now);
-            let f = net.flows.remove(&id.0)?;
+            let f = net.flows.remove(net.flow_index(id)?);
             let needs = net.note_removed(&f);
             (f.remaining.max(0.0) as u64, needs)
         };
@@ -518,21 +610,17 @@ impl<W: NetWorld> Network<W> {
         let (n, needs_solve) = {
             let net = w.net();
             net.settle(now);
-            let mut ids = std::mem::take(&mut net.drain_ids);
-            ids.clear();
-            ids.extend(
-                net.flows
-                    .iter()
-                    .filter(|(_, f)| f.tag == tag)
-                    .map(|(id, _)| *id),
-            );
-            let n = ids.len();
-            let mut needs = false;
-            for &id in &ids {
-                let f = net.flows.remove(&id).expect("id from iteration");
-                needs |= net.note_removed(&f);
-            }
-            net.drain_ids = ids;
+            let mut flows = std::mem::take(&mut net.flows);
+            let (mut n, mut needs) = (0, false);
+            flows.retain(|f| {
+                if f.tag != tag {
+                    return true;
+                }
+                n += 1;
+                needs |= net.note_removed(f);
+                false
+            });
+            net.flows = flows;
             (n, needs)
         };
         if n > 0 {
@@ -559,15 +647,20 @@ impl<W: NetWorld> Network<W> {
         on_deliver: impl FnOnce(&mut Sim<W>, &mut W) + 'static,
     ) -> bool {
         let net = w.net();
-        let path = net
-            .topo
+        let route = net
             .route(src, dst)
             .unwrap_or_else(|| panic!("no route {src:?} -> {dst:?}"));
-        if !net.path_is_live(&path) {
+        // Health is runtime state: checked on every message, never memoized.
+        let live = route
+            .links
+            .of(&net.routes.links)
+            .iter()
+            .all(|&l| net.health[l as usize].up);
+        if !live {
             return false;
         }
-        let mut delay = net.topo.path_delay(&path) + net.msg_overhead;
-        let cap = net.topo.path_capacity(&path);
+        let mut delay = route.delay + net.msg_overhead;
+        let cap = route.capacity;
         if cap.is_finite() && cap > 0.0 {
             delay += SimDuration::from_secs_f64(bytes as f64 / cap);
         }
@@ -630,7 +723,7 @@ impl<W: NetWorld> Network<W> {
                     let frac = net.topo.links()[i].jitter_frac;
                     net.effective_capacity[i] =
                         net.base_capacity(i) * simcore::rng::jitter(&mut net.rng, frac);
-                    net.mark_link_dirty(i as u32);
+                    net.dirty.mark(i as u32);
                     any_jitter = true;
                 }
             }
@@ -680,15 +773,15 @@ impl<W: NetWorld> Network<W> {
         // boundary credits the window the bytes were earned in, not the
         // next one.
         let t_rec = SimTime::from_nanos(now.as_nanos().saturating_sub(1));
-        for f in self.flows.values_mut() {
+        for f in &mut self.flows {
             let moved = (f.rate * dt).min(f.remaining);
             f.remaining -= moved;
             self.total_delivered += moved;
             if moved > 0.0 {
                 if let Some(m) = &mut self.monitor {
                     let b = moved as u64;
-                    for l in &f.path {
-                        m.link_series[l.0 as usize].record(t_rec, b);
+                    for &l in f.path.of(&self.routes.links) {
+                        m.link_series[l as usize].record(t_rec, b);
                     }
                     if let Some(ts) = m.tag_series.get_mut(&f.tag) {
                         ts.record(t_rec, b);
@@ -698,24 +791,15 @@ impl<W: NetWorld> Network<W> {
         }
     }
 
-    /// Mark one link as needing a re-solve.
-    fn mark_link_dirty(&mut self, l: u32) {
-        let li = l as usize;
-        if !self.dirty_link_flag[li] {
-            self.dirty_link_flag[li] = true;
-            self.dirty_links.push(l);
-            self.have_dirty = true;
-        }
-    }
-
     /// Per-link bookkeeping for a removed flow. Returns whether a re-solve
     /// is needed: a flow leaving a path of clean, unsaturated links cannot
     /// change any other flow's rate (its own rate was cap-frozen below every
     /// link's fill level), so the solver is skipped; otherwise its path is
     /// marked dirty.
     fn note_removed(&mut self, f: &FlowState<W>) -> bool {
+        let path = f.path.of(&self.routes.links);
         let mut fast = true;
-        for &l in &f.path_u32 {
+        for &l in path {
             let li = l as usize;
             self.link_active[li] -= 1;
             self.link_load[li] -= f.rate;
@@ -724,13 +808,13 @@ impl<W: NetWorld> Network<W> {
                 self.link_load[li] = 0.0;
                 self.link_saturated[li] = false;
             }
-            if self.link_saturated[li] || self.dirty_link_flag[li] {
+            if self.link_saturated[li] || self.dirty.flag[li] {
                 fast = false;
             }
         }
         if !fast {
-            for &l in &f.path_u32 {
-                self.mark_link_dirty(l);
+            for &l in path {
+                self.dirty.mark(l);
             }
         }
         !fast
@@ -764,14 +848,17 @@ impl<W: NetWorld> Network<W> {
     /// by shared links) reachable from a dirty link. Component independence
     /// makes the result bit-for-bit identical to a global re-solve.
     fn recompute_dirty(&mut self) {
-        if !self.have_dirty {
+        if self.dirty.list.is_empty() {
             return;
         }
+        let links = &self.routes.links;
         // Union-find over every active flow's path, so dirty links resolve
-        // to component roots.
-        let mut uf = std::mem::take(&mut self.nw_uf);
-        for f in self.flows.values() {
-            for &l in &f.path_u32 {
+        // to component roots. This is the solve's only component search:
+        // the solver gets the components grouped.
+        let uf = &mut self.nw_uf;
+        for f in &self.flows {
+            let path = f.path.of(links);
+            for &l in path {
                 let li = l as usize;
                 if !self.nw_seen[li] {
                     self.nw_seen[li] = true;
@@ -779,10 +866,10 @@ impl<W: NetWorld> Network<W> {
                     self.nw_touched.push(l);
                 }
             }
-            if let Some((&first, rest)) = f.path_u32.split_first() {
-                let mut root = uf_find(&mut uf, first);
+            if let Some((&first, rest)) = path.split_first() {
+                let mut root = uf_find(uf, first);
                 for &l in rest {
-                    let r = uf_find(&mut uf, l);
+                    let r = uf_find(uf, l);
                     if r != root {
                         // Deterministic union: smaller root wins.
                         let (lo, hi) = if r < root { (r, root) } else { (root, r) };
@@ -794,11 +881,10 @@ impl<W: NetWorld> Network<W> {
         }
         // Resolve dirty links to dirty component roots. A dirty link no flow
         // crosses has nothing to solve; reset its state directly.
-        for k in 0..self.dirty_links.len() {
-            let l = self.dirty_links[k];
+        for &l in &self.dirty.list {
             let li = l as usize;
             if self.nw_seen[li] {
-                let root = uf_find(&mut uf, l);
+                let root = uf_find(uf, l);
                 if !self.nw_root_dirty[root as usize] {
                     self.nw_root_dirty[root as usize] = true;
                     self.nw_dirty_roots.push(root);
@@ -808,61 +894,69 @@ impl<W: NetWorld> Network<W> {
                 self.link_saturated[li] = false;
             }
         }
-        // Collect the affected flows — flow-id order, matching what a global
-        // solve would see — into the flat scratch.
-        self.rc_paths.clear();
-        self.rc_meta.clear();
-        self.rc_ids.clear();
-        for (&id, f) in &self.flows {
-            let Some(&first) = f.path_u32.first() else {
+        // Collect the affected flows in flow-id order, each with its root,
+        // then group them by component (stable, so flow-id order holds
+        // within each; one dirty component is already grouped).
+        self.rc_flows.clear();
+        for (k, f) in self.flows.iter().enumerate() {
+            let Some(&first) = f.path.of(links).first() else {
                 continue;
             };
-            let root = uf_find(&mut uf, first);
+            let root = uf_find(uf, first);
             if self.nw_root_dirty[root as usize] {
-                let start = self.rc_paths.len() as u32;
-                self.rc_paths.extend_from_slice(&f.path_u32);
-                self.rc_meta.push(FlatFlow {
-                    start,
-                    len: f.path_u32.len() as u32,
-                    cap: f.cap,
-                });
-                self.rc_ids.push(id);
+                self.rc_flows.push((root, k as u32));
             }
         }
-        self.nw_uf = uf;
+        if self.nw_dirty_roots.len() > 1 {
+            self.rc_flows.sort_by_key(|&(root, _)| root);
+        }
+        self.rc_meta.clear();
+        self.rc_ends.clear();
+        for (k, &(root, i)) in self.rc_flows.iter().enumerate() {
+            if k > 0 && self.rc_flows[k - 1].0 != root {
+                self.rc_ends.push(k as u32);
+            }
+            let f = &self.flows[i as usize];
+            self.rc_meta.push(FlatFlow {
+                start: f.path.start,
+                len: f.path.len,
+                cap: f.cap,
+            });
+        }
 
-        if !self.rc_meta.is_empty() {
-            let paths = std::mem::take(&mut self.rc_paths);
-            let meta = std::mem::take(&mut self.rc_meta);
-            let mut rates = std::mem::take(&mut self.rc_rates);
-            let mut solver = std::mem::take(&mut self.solver);
-            solver.solve_flat(&self.effective_capacity, &paths, &meta, &mut rates);
+        if !self.rc_flows.is_empty() {
+            self.solves += 1;
+            self.solved_flows += self.rc_flows.len() as u64;
+            self.rc_ends.push(self.rc_flows.len() as u32);
+            self.solver.solve_grouped(
+                &self.effective_capacity,
+                links,
+                &self.rc_meta,
+                &self.rc_ends,
+                &mut self.rc_rates,
+            );
             // Solver-touched links get exact state: zeroed load re-accrued
             // from the freshly solved rates, and fresh saturation flags.
-            for &l in solver.touched_links() {
+            for &l in self.solver.touched_links() {
                 let li = l as usize;
                 self.link_load[li] = 0.0;
-                self.link_saturated[li] = solver.link_saturated(l);
+                self.link_saturated[li] = self.solver.link_saturated(l);
             }
-            for (k, &id) in self.rc_ids.iter().enumerate() {
-                let r = rates[k].min(RATE_CLAMP);
-                let f = self.flows.get_mut(&id).expect("id collected above");
-                f.rate = r;
-                for &l in &f.path_u32 {
-                    self.link_load[l as usize] += r;
+            // Components share no link, so each link accrues its flows'
+            // rates in flow-id order, as a global solve's write-back would.
+            for (&(_, i), &rate) in self.rc_flows.iter().zip(&self.rc_rates) {
+                let f = &mut self.flows[i as usize];
+                f.rate = rate.min(RATE_CLAMP);
+                for &l in f.path.of(links) {
+                    self.link_load[l as usize] += f.rate;
                 }
             }
-            self.rc_paths = paths;
-            self.rc_meta = meta;
-            self.rc_rates = rates;
-            self.solver = solver;
         }
 
-        for &l in &self.dirty_links {
-            self.dirty_link_flag[l as usize] = false;
+        for &l in &self.dirty.list {
+            self.dirty.flag[l as usize] = false;
         }
-        self.dirty_links.clear();
-        self.have_dirty = false;
+        self.dirty.list.clear();
         for &l in &self.nw_touched {
             self.nw_seen[l as usize] = false;
         }
@@ -874,15 +968,19 @@ impl<W: NetWorld> Network<W> {
     }
 
     /// Earliest instant at which some flow drains (absolute), if any.
+    /// `SimDuration::from_secs_f64` is monotone, so converting only the
+    /// smallest drain time gives the minimum over every flow's instant.
     fn next_drain(&self, now: SimTime) -> Option<SimTime> {
-        self.flows
-            .values()
-            .filter(|f| f.rate > 0.0)
-            .map(|f| {
-                let secs = (f.remaining.max(0.0)) / f.rate;
-                now + SimDuration::from_secs_f64(secs) + SimDuration::from_nanos(1)
-            })
-            .min()
+        let mut first: Option<f64> = None;
+        for f in &self.flows {
+            if f.rate > 0.0 {
+                let secs = f.remaining.max(0.0) / f.rate;
+                if first.is_none_or(|t| secs < t) {
+                    first = Some(secs);
+                }
+            }
+        }
+        first.map(|secs| now + SimDuration::from_secs_f64(secs) + SimDuration::from_nanos(1))
     }
 
     /// Re-register the single completion timer at the current earliest drain
@@ -905,39 +1003,36 @@ impl<W: NetWorld> Network<W> {
 
     fn tick(sim: &mut Sim<W>, w: &mut W) {
         let now = sim.now();
-        let (drained, needs_solve) = {
+        let (mut drained, needs_solve) = {
             let net = w.net();
             net.tick_timer = None;
             net.settle(now);
-            let mut ids = std::mem::take(&mut net.drain_ids);
-            ids.clear();
-            ids.extend(
-                net.flows
-                    .iter()
-                    .filter(|(_, f)| f.remaining <= DRAIN_EPS)
-                    .map(|(id, _)| *id),
-            );
-            let mut done: Vec<(SimDuration, Action<W>)> = Vec::with_capacity(ids.len());
+            let mut flows = std::mem::take(&mut net.flows);
+            let mut drained = std::mem::take(&mut net.drained);
             let mut needs_solve = false;
-            for &id in &ids {
-                let mut f = net.flows.remove(&id).expect("id from iteration");
-                self_credit_residual(&mut net.total_delivered, &mut f);
-                needs_solve |= net.note_removed(&f);
-                if let Some(cb) = f.on_complete.take() {
-                    done.push((f.delivery_delay, cb));
+            flows.retain_mut(|f| {
+                if f.remaining > DRAIN_EPS {
+                    return true;
                 }
-            }
-            net.drain_ids = ids;
-            (done, needs_solve)
+                self_credit_residual(&mut net.total_delivered, f);
+                needs_solve |= net.note_removed(f);
+                if let Some(cb) = f.on_complete.take() {
+                    drained.push((f.delivery_delay, cb));
+                }
+                false
+            });
+            net.flows = flows;
+            (drained, needs_solve)
         };
         if needs_solve {
             Self::schedule_solve(sim, w);
         } else {
             Self::reschedule_tick(sim, w);
         }
-        for (delay, cb) in drained {
+        for (delay, cb) in drained.drain(..) {
             sim.at(now + delay, cb);
         }
+        w.net().drained = drained;
     }
 }
 
@@ -1317,5 +1412,106 @@ mod tests {
         sim.run(&mut w);
         assert_eq!(w.done.len(), 32);
         assert_eq!(sim.pending(), 0);
+    }
+
+    #[test]
+    fn memoized_routes_match_topology_routes() {
+        use rand::{Rng, SeedableRng};
+        let mut r = StdRng::seed_from_u64(0x5eed_0a7e);
+        for case in 0..40 {
+            let mut b = TopologyBuilder::new();
+            let n = r.gen_range(2usize..=10);
+            let nodes: Vec<NodeId> = (0..n).map(|i| b.node(format!("n{i}"))).collect();
+            for k in 0..r.gen_range(0usize..=2 * n) {
+                let x = nodes[r.gen_range(0usize..=n - 1)];
+                let y = nodes[r.gen_range(0usize..=n - 1)];
+                if x == y {
+                    continue;
+                }
+                // Few distinct delays, so equal-latency alternatives are
+                // common; one-way links leave some pairs unreachable.
+                let delay = SimDuration::from_millis(r.gen_range(1u64..=3));
+                let bw = Bandwidth::gbit(r.gen_range(0.5f64..=10.0));
+                if r.gen::<f64>() < 0.5 {
+                    b.duplex_link(x, y, bw, delay, format!("d{k}"));
+                } else {
+                    b.directed_link(x, y, bw, delay, format!("l{k}"));
+                }
+            }
+            let mut net: Network<World> = Network::new(b.build(), case);
+            // The second pass answers every pair from the memo.
+            for _ in 0..2 {
+                for &src in &nodes {
+                    for &dst in &nodes {
+                        let want = net.topo.route(src, dst);
+                        match (want, net.route(src, dst)) {
+                            (None, None) => {}
+                            (Some(path), Some(route)) => {
+                                let links: Vec<u32> = path.iter().map(|l| l.0).collect();
+                                assert_eq!(route.links.of(&net.routes.links), &links[..]);
+                                assert_eq!(route.delay, net.topo.path_delay(&path));
+                                assert_eq!(
+                                    route.capacity.to_bits(),
+                                    net.topo.path_capacity(&path).to_bits()
+                                );
+                            }
+                            (want, got) => panic!(
+                                "case {case} {src:?} -> {dst:?}: topology {want:?}, memo {got:?}"
+                            ),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn route_memo_checks_link_health_on_every_use() {
+        let (mut sim, mut w, a, m, c) = world();
+        // Warm the memo for a -> c (and the flow's route below).
+        let warm = |sim: &mut Sim<World>, w: &mut World| w.done.push((sim.now(), "warm"));
+        assert!(Network::send_msg(&mut sim, &mut w, a, c, 1000, warm));
+        let id = Network::start_flow(
+            &mut sim,
+            &mut w,
+            FlowSpec::bulk(a, c, 125 * MBYTE),
+            |sim, w: &mut World| w.done.push((sim.now(), "flow")),
+        );
+        let mc = w.net().links_named("mc");
+        let down = mc.clone();
+        sim.at(SimTime::from_millis(500), move |sim, w: &mut World| {
+            for &l in &down {
+                Network::set_link_up(sim, w, l, false);
+            }
+            let sent = Network::send_msg(sim, w, a, c, 1000, |_s, w: &mut World| {
+                w.done.push((SimTime::ZERO, "delivered over a down link"))
+            });
+            if !sent {
+                w.done.push((sim.now(), "lost"));
+            }
+            // The a -> m leg of the same route is still up.
+            let partial = |sim: &mut Sim<World>, w: &mut World| w.done.push((sim.now(), "partial"));
+            assert!(Network::send_msg(sim, w, a, m, 1000, partial));
+        });
+        sim.at(SimTime::from_millis(750), move |_sim, w: &mut World| {
+            assert_eq!(w.net.flow_rate(id), Some(0.0), "the flow must stall");
+            let left = w.net.flow_remaining(id).unwrap();
+            assert!(left.abs_diff(125 * MBYTE / 2) < 1000, "{left} bytes left");
+        });
+        sim.at(SimTime::from_millis(1000), move |sim, w: &mut World| {
+            for &l in &mc {
+                Network::set_link_up(sim, w, l, true);
+            }
+            let restored =
+                |sim: &mut Sim<World>, w: &mut World| w.done.push((sim.now(), "restored"));
+            assert!(Network::send_msg(sim, w, a, c, 1000, restored));
+        });
+        sim.run(&mut w);
+        let names: Vec<&str> = w.done.iter().map(|(_, n)| *n).collect();
+        assert_eq!(names, ["warm", "lost", "partial", "restored", "flow"]);
+        // Stalled for exactly the half second the link was down.
+        let t = w.done[4].0.as_secs_f64();
+        assert!((t - 1.525).abs() < 2e-3, "flow completed at {t}");
+        assert_eq!(w.net.total_delivered(), 125 * MBYTE);
     }
 }

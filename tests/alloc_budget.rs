@@ -225,3 +225,59 @@ fn two_block_read_allocates_one_block_buffer() {
     assert_eq!(n, 1, "a multi-block read copies once into its result");
     assert!(got[..] == content[..]);
 }
+
+/// A write ending past `MAX_FILE_SIZE` (here at 1 PiB) or a truncate
+/// beyond it is refused with the typed error before any block map grows:
+/// no block-sized allocation, and the file keeps its size.
+#[test]
+fn ops_past_max_file_size_are_refused_without_allocating() {
+    const PIB: u64 = 1 << 50;
+    let (mut sim, mut w, s0, _) = world();
+    let h = open(&mut sim, &mut w, s0, OpenFlags::ReadWrite);
+    write(&mut sim, &mut w, s0, h, 0, Bytes::from(vec![3u8; 100]));
+
+    let (r, n) = counted(&mut sim, &mut w, |sim, w, done| {
+        s0.write(sim, w, h, PIB, Bytes::from(vec![1u8; 4]), move |_, _, r| {
+            done(r)
+        })
+    });
+    assert!(
+        matches!(r, Err(FsError::InvalidArgument(_))),
+        "write: {r:?}"
+    );
+    assert_eq!(n, 0, "a refused write allocates nothing");
+
+    let (r, n) = counted(&mut sim, &mut w, |sim, w, done| {
+        s0.truncate(sim, w, h, PIB, move |_, _, r| done(r))
+    });
+    assert!(
+        matches!(r, Err(FsError::InvalidArgument(_))),
+        "truncate: {r:?}"
+    );
+    assert_eq!(n, 0, "a refused truncate allocates nothing");
+
+    let (attr, _) = counted(&mut sim, &mut w, |sim, w, done| {
+        s0.stat(sim, w, "/f", move |_, _, r| done(r))
+    });
+    assert_eq!(attr.expect("stat").size, 100);
+}
+
+/// A small file's page holds its own bytes, not a whole zero-padded
+/// block; the bytes past its end read as zeros, also once the file grows.
+#[test]
+fn small_file_write_allocates_no_block_buffer() {
+    let (mut sim, mut w, s0, _) = world();
+    let h = open(&mut sim, &mut w, s0, OpenFlags::ReadWrite);
+    let n = write(&mut sim, &mut w, s0, h, 0, Bytes::from(vec![7u8; 4096]));
+    assert_eq!(n, 0, "a 4 KiB file must not hold a 1 MiB page");
+
+    let grown = 3 * BLOCK as u64 / 2;
+    let (r, _) = counted(&mut sim, &mut w, |sim, w, done| {
+        s0.truncate(sim, w, h, grown, move |_, _, r| done(r))
+    });
+    r.expect("truncate up");
+    let (got, _) = read(&mut sim, &mut w, s0, h, 0, grown);
+    assert_eq!(got.len() as u64, grown);
+    assert!(got[..4096].iter().all(|&b| b == 7));
+    assert!(got[4096..].iter().all(|&b| b == 0));
+}
