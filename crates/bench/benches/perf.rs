@@ -143,14 +143,12 @@ fn run_metadata_storm_entry() -> Entry {
         checks: vec![
             ("storm ops >= 1e6", 1.0, as_num(r.ops >= 1_000_000), 0.0),
             ("storm fsck clean", 1.0, as_num(r.fsck_clean), 0.0),
-            ("dentry hit rate > 5%", 1.0, as_num(r.dentry_hit_rate() > 0.05), 0.0),
         ],
         data_path: r.data_path,
         extra: vec![
             ("metadata_ops", r.ops as f64),
             ("metadata_ops_per_sec", r.ops as f64 / wall.max(1e-9)),
             ("metadata_errors", r.errors as f64),
-            ("dentry_hit_rate", r.dentry_hit_rate()),
             ("interned_names", r.interned_names as f64),
             ("resolves", r.resolves as f64),
             ("resolve_alloc_bytes", r.resolve_alloc_bytes as f64),

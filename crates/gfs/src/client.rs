@@ -1,7 +1,8 @@
-//! Client-side filesystem operations: mount (local and multi-cluster),
-//! open/read/write/fsync/close, and metadata calls — each one sequenced
-//! through simulated RPCs, token negotiation, NSD service and bulk data
-//! flows.
+//! Client-side filesystem operations: mount (local and multi-cluster) and
+//! the data path (read/write/fsync/truncate), each one sequenced through
+//! simulated RPCs, token negotiation, NSD service and bulk data flows;
+//! plus the manager-side bodies of the metadata ops that sessions
+//! ([`crate::session`]) carry to the manager in envelopes.
 //!
 //! The concurrency protocol is the GPFS one:
 //!
@@ -16,7 +17,7 @@
 //! * Remote-cluster mounts run the full §6 RSA handshake over the WAN
 //!   before any data moves.
 
-use crate::cache::{DirtyPage, PageKey, PrefetchState};
+use crate::cache::{DirtyPage, PageKey};
 use crate::faults::RecoveryWhat;
 use crate::replica;
 use crate::tokens::{ByteRange, TokenMode};
@@ -270,145 +271,9 @@ pub(crate) fn mount_of(w: &GfsWorld, client: ClientId, device: &str) -> Result<M
         .ok_or_else(|| FsError::NotMounted(device.to_string()))
 }
 
-// Manager-side op bodies, shared between the per-client free functions
-// below (one `meta_rpc` each) and the session fan-in envelopes
-// (`crate::session`), so both call surfaces apply byte-identical state
-// changes. `client` is the mount context whose dentry cache resolution
-// warms/seeds.
-
-pub(crate) fn mkdir_apply(
-    w: &mut GfsWorld,
-    fs: FsId,
-    now: u64,
-    client: ClientId,
-    path: &str,
-    owner: &Owner,
-) -> Result<InodeId, FsError> {
-    let ch = w.fss[fs.0 as usize].core.mkdir_entry(path, owner.clone(), now)?;
-    // Seed the creator's dentry cache — it will almost always resolve the
-    // new directory next.
-    let dentry = &mut w.clients[client.0 as usize].dentry;
-    dentry.insert(fs, ch.parent, ch.name, ch.id);
-    Ok(ch.id)
-}
-
-pub(crate) fn stat_apply(
-    w: &mut GfsWorld,
-    fs: FsId,
-    client: ClientId,
-    path: &str,
-) -> Result<crate::fscore::FileAttr, FsError> {
-    let (fss, clients) = (&w.fss, &mut w.clients);
-    let core = &fss[fs.0 as usize].core;
-    let id = core.lookup_via(fs, &mut clients[client.0 as usize].dentry, path)?;
-    core.stat_id(id)
-}
-
-pub(crate) fn readdir_apply(
-    w: &mut GfsWorld,
-    fs: FsId,
-    client: ClientId,
-    path: &str,
-) -> Result<Vec<String>, FsError> {
-    let (fss, clients) = (&w.fss, &mut w.clients);
-    let core = &fss[fs.0 as usize].core;
-    let id = core.lookup_via(fs, &mut clients[client.0 as usize].dentry, path)?;
-    core.readdir_id(id).map_err(|e| match e {
-        // readdir_id only knows the inode; report the path the caller
-        // actually asked about, as `readdir` always has.
-        FsError::NotADirectory(_) => FsError::NotADirectory(path.to_string()),
-        other => other,
-    })
-}
-
-pub(crate) fn unlink_apply(w: &mut GfsWorld, fs: FsId, path: &str) -> Result<(), FsError> {
-    let ch = {
-        let inst = &mut w.fss[fs.0 as usize];
-        let shard = inst.core.shards.shard_of(path) as usize;
-        let ch = inst.core.unlink_entry(path)?;
-        // Keep the owning manager's envelope path cache coherent when
-        // legacy clients and sessions share a filesystem (no-op when empty).
-        inst.mgrs[shard].uncache_path(path);
-        ch
-    };
-    // Invalidate everywhere (the manager broadcasts in GPFS; we apply the
-    // effect directly and charge nothing extra — unlink of an
-    // open-elsewhere file is out of scope). Dentry caches drop the
-    // `(parent, name)` mapping so no client resolves the dead entry.
-    for c in &mut w.clients {
-        c.pool.invalidate_file(fs, ch.id);
-        c.dentry.invalidate(fs, ch.parent, ch.name);
-    }
-    Ok(())
-}
-
-pub(crate) fn rename_apply(
-    w: &mut GfsWorld,
-    fs: FsId,
-    client: ClientId,
-    from: &str,
-    to: &str,
-) -> Result<(), FsError> {
-    let ch = {
-        let inst = &mut w.fss[fs.0 as usize];
-        let ch = inst.core.rename_entry(from, to)?;
-        for mgr in &mut inst.mgrs {
-            mgr.uncache_all_paths();
-        }
-        ch
-    };
-    // Every client must stop resolving the old name, and — when the rename
-    // atomically replaced an existing target — stop resolving the old
-    // target and drop its cached pages. The mover's cache learns the new
-    // entry immediately.
-    for c in &mut w.clients {
-        c.dentry.invalidate(fs, ch.from_parent, ch.from_name);
-        c.dentry.invalidate(fs, ch.to_parent, ch.to_name);
-        if let Some(rid) = ch.replaced {
-            c.pool.invalidate_file(fs, rid);
-        }
-    }
-    let dentry = &mut w.clients[client.0 as usize].dentry;
-    dentry.insert(fs, ch.to_parent, ch.to_name, ch.id);
-    Ok(())
-}
-
-pub(crate) fn open_apply(
-    w: &mut GfsWorld,
-    fs: FsId,
-    now: u64,
-    client: ClientId,
-    path: &str,
-    flags: OpenFlags,
-    owner: &Owner,
-) -> Result<(FsId, InodeId), FsError> {
-    let (fss, clients) = (&mut w.fss, &mut w.clients);
-    let core = &mut fss[fs.0 as usize].core;
-    let dentry = &mut clients[client.0 as usize].dentry;
-    let inode = match core.lookup_via(fs, dentry, path) {
-        Ok(id) => {
-            if core.inode(id)?.is_dir() {
-                return Err(FsError::IsADirectory(path.to_string()));
-            }
-            id
-        }
-        Err(FsError::NotFound(_)) if flags.writes() => {
-            let ch = core.create_file_entry(path, owner.clone(), now)?;
-            dentry.insert(fs, ch.parent, ch.name, ch.id);
-            ch.id
-        }
-        Err(e) => return Err(e),
-    };
-    Ok((fs, inode))
-}
-
-// Manager-side op bodies for fan-in envelopes. Envelopes execute *at* the
-// manager, which resolves against its own precisely-invalidated path
-// cache (see `ManagerState::cached_path`) instead of modeling a client
-// dentry walk — the per-client free functions above keep their exact
-// resolution behavior. Mutating bodies invalidate both the manager cache
-// and, via the shared broadcast, every client cache, so mixed
-// legacy+session workloads on one filesystem stay coherent.
+// Manager-side op bodies for envelopes (`crate::session`). Envelopes
+// execute *at* the owning manager shard, which resolves against its own
+// precisely-invalidated path cache (see `ManagerState::cached_path`).
 
 /// Resolve through the manager's path cache, filling it on miss.
 fn lookup_mgr(
@@ -425,7 +290,7 @@ fn lookup_mgr(
     Ok(id)
 }
 
-pub(crate) fn mkdir_apply_mgr(
+pub(crate) fn mkdir_apply(
     w: &mut GfsWorld,
     fs: FsId,
     shard: u32,
@@ -441,7 +306,7 @@ pub(crate) fn mkdir_apply_mgr(
     Ok(ch.id)
 }
 
-pub(crate) fn stat_apply_mgr(
+pub(crate) fn stat_apply(
     w: &mut GfsWorld,
     fs: FsId,
     shard: u32,
@@ -452,7 +317,7 @@ pub(crate) fn stat_apply_mgr(
     inst.core.stat_id(id)
 }
 
-pub(crate) fn readdir_apply_mgr(
+pub(crate) fn readdir_apply(
     w: &mut GfsWorld,
     fs: FsId,
     shard: u32,
@@ -466,26 +331,28 @@ pub(crate) fn readdir_apply_mgr(
     })
 }
 
-pub(crate) fn unlink_apply_mgr(
-    w: &mut GfsWorld,
-    fs: FsId,
-    shard: u32,
-    path: &str,
-) -> Result<(), FsError> {
+pub(crate) fn unlink_apply(w: &mut GfsWorld, fs: FsId, path: &str) -> Result<(), FsError> {
     let ch = {
         let inst = &mut w.fss[fs.0 as usize];
         let ch = inst.core.unlink_entry(path)?;
-        inst.mgrs[shard as usize].uncache_path(path);
+        // Every shard drops the path, not just the one that ran the op: a
+        // shard that owned the subtree before a migration may still cache
+        // it.
+        for mgr in &mut inst.mgrs {
+            mgr.uncache_path(path);
+        }
         ch
     };
+    // Every context drops the dead file's cached pages (the manager
+    // broadcasts in GPFS; the effect is applied directly and charged
+    // nothing extra).
     for c in &mut w.clients {
         c.pool.invalidate_file(fs, ch.id);
-        c.dentry.invalidate(fs, ch.parent, ch.name);
     }
     Ok(())
 }
 
-pub(crate) fn rename_apply_mgr(
+pub(crate) fn rename_apply(
     w: &mut GfsWorld,
     fs: FsId,
     from: &str,
@@ -502,17 +369,17 @@ pub(crate) fn rename_apply_mgr(
         }
         ch
     };
-    for c in &mut w.clients {
-        c.dentry.invalidate(fs, ch.from_parent, ch.from_name);
-        c.dentry.invalidate(fs, ch.to_parent, ch.to_name);
-        if let Some(rid) = ch.replaced {
+    // A rename that atomically replaced an existing target drops the old
+    // target's cached pages everywhere.
+    if let Some(rid) = ch.replaced {
+        for c in &mut w.clients {
             c.pool.invalidate_file(fs, rid);
         }
     }
     Ok(())
 }
 
-pub(crate) fn open_apply_mgr(
+pub(crate) fn open_apply(
     w: &mut GfsWorld,
     fs: FsId,
     shard: u32,
@@ -539,28 +406,26 @@ pub(crate) fn open_apply_mgr(
     Ok((fs, inode))
 }
 
-/// A manager-bound RPC with the full survival envelope: watchdog timeout,
-/// exponential backoff with seeded jitter, re-resolution of the *acting*
-/// manager on every attempt (so requests follow a failover), and
-/// exactly-once semantics for mutating operations.
+/// A data-path RPC to shard 0's manager (block allocation, size changes —
+/// shard 0 doubles as the filesystem's block/token manager) with the full
+/// survival envelope: watchdog timeout, exponential backoff with seeded
+/// jitter, re-resolution of the *acting* manager on every attempt (so
+/// requests follow a failover), and exactly-once semantics.
 ///
 /// Exactly-once works the GPFS way: every client request carries a unique
 /// op ID; the manager keeps a dedup table of applied mutations and their
 /// results. A retry whose original attempt did execute (the *reply* was
 /// lost, not the request) replays the recorded result instead of running
-/// `f` twice — without this, a lost mkdir reply would retry into
-/// `AlreadyExists` and a lost rename reply into `NotFound`.
+/// `f` twice — without this, a lost allocation reply would retry into a
+/// second size update.
 ///
 /// Requests reaching a crashed, recovering, or superseded manager are
-/// dropped at delivery; the watchdog is how the client learns. Read-only
-/// ops (`mutating == false`) skip the dedup table and simply re-execute.
+/// dropped at delivery; the watchdog is how the client learns.
 fn manager_rpc<T: Clone + 'static>(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
     client: ClientId,
     fs: FsId,
-    shard: u32,
-    mutating: bool,
     f: impl FnMut(&mut Sim<GfsWorld>, &mut GfsWorld, FsId) -> Result<T, FsError> + 'static,
     cb: Cb<Result<T, FsError>>,
 ) {
@@ -568,7 +433,7 @@ fn manager_rpc<T: Clone + 'static>(
     let slot: Once<Result<T, FsError>> = Rc::new(RefCell::new(Some(cb)));
     let f: Rc<RefCell<dyn FnMut(&mut Sim<GfsWorld>, &mut GfsWorld, FsId) -> Result<T, FsError>>> =
         Rc::new(RefCell::new(f));
-    manager_rpc_attempt(sim, w, client, fs, shard, mutating, op_id, f, 0, None, slot);
+    manager_rpc_attempt(sim, w, client, fs, op_id, f, 0, None, slot);
 }
 
 type ManagerOp<T> =
@@ -580,18 +445,15 @@ fn manager_rpc_attempt<T: Clone + 'static>(
     w: &mut GfsWorld,
     client: ClientId,
     fs: FsId,
-    shard: u32,
-    mutating: bool,
     op_id: u64,
     f: ManagerOp<T>,
     attempt: u32,
     prev_mgr: Option<NodeId>,
     cb: Once<Result<T, FsError>>,
 ) {
-    // Each attempt re-resolves the shard's acting manager, so a retry lands
-    // on the recovered (possibly relocated) manager rather than the dead
-    // home.
-    let mgr = w.fss[fs.0 as usize].manager_endpoint(shard);
+    // Each attempt re-resolves the acting manager, so a retry lands on the
+    // recovered (possibly relocated) manager rather than the dead home.
+    let mgr = w.fss[fs.0 as usize].manager_endpoint(0);
     log_failover(sim, w, client, prev_mgr, mgr);
     let from = client_node(w, client);
     let rpcb = w.costs.rpc_bytes;
@@ -610,19 +472,7 @@ fn manager_rpc_attempt<T: Clone + 'static>(
             }
             let delay = backoff_delay(w, attempt);
             sim.after(delay, move |sim, w| {
-                manager_rpc_attempt(
-                    sim,
-                    w,
-                    client,
-                    fs,
-                    shard,
-                    mutating,
-                    op_id,
-                    f,
-                    attempt + 1,
-                    Some(mgr),
-                    cb,
-                );
+                manager_rpc_attempt(sim, w, client, fs, op_id, f, attempt + 1, Some(mgr), cb);
             });
         })
     };
@@ -631,15 +481,15 @@ fn manager_rpc_attempt<T: Clone + 'static>(
         // silently; only the watchdog tells the client.
         {
             let inst = &w.fss[fs.0 as usize];
-            let ms = &inst.mgrs[shard as usize];
+            let ms = &inst.mgrs[0];
             if inst.down_servers.contains(&mgr) || ms.recovering || ms.acting != mgr {
                 return;
             }
         }
-        // Exactly-once: if an earlier attempt of this mutating op already
-        // applied (its reply was lost in flight), replay the recorded
-        // result instead of executing twice.
-        let replay = w.fss[fs.0 as usize].mgrs[shard as usize].applied_result(op_id);
+        // Exactly-once: if an earlier attempt of this op already applied
+        // (its reply was lost in flight), replay the recorded result
+        // instead of executing twice.
+        let replay = w.fss[fs.0 as usize].mgrs[0].applied_result(op_id);
         let result: Result<T, FsError> = match replay {
             Some(r) => r
                 .downcast_ref::<Result<T, FsError>>()
@@ -647,9 +497,7 @@ fn manager_rpc_attempt<T: Clone + 'static>(
                 .clone(),
             None => {
                 let r = (f.borrow_mut())(sim, w, fs);
-                if mutating {
-                    w.fss[fs.0 as usize].mgrs[shard as usize].record(op_id, Rc::new(r.clone()));
-                }
+                w.fss[fs.0 as usize].mgrs[0].record(op_id, Rc::new(r.clone()));
                 r
             }
         };
@@ -663,186 +511,6 @@ fn manager_rpc_attempt<T: Clone + 'static>(
             }
         });
     });
-}
-
-/// Generic metadata RPC against a mounted device's manager, under the
-/// [`manager_rpc`] survival envelope. `route_path` picks the owning
-/// manager shard (cross-shard legacy ops — a rename whose destination
-/// lives on another shard — run at the source's owner; the shared-disk
-/// `FsCore` makes that correct, and only sessions model the two-phase
-/// peer charge).
-fn meta_rpc<T: Clone + 'static>(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    client: ClientId,
-    device: &str,
-    route_path: &str,
-    needs_write: bool,
-    mut f: impl FnMut(&mut GfsWorld, FsId, u64) -> Result<T, FsError> + 'static,
-    cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<T, FsError>) + 'static,
-) {
-    let m = match mount_of(w, client, device) {
-        Ok(m) => m,
-        Err(e) => {
-            cb(sim, w, Err(e));
-            return;
-        }
-    };
-    if needs_write && m.mode == AccessMode::ReadOnly {
-        cb(sim, w, Err(FsError::ReadOnly));
-        return;
-    }
-    let shard = w.fss[m.fs.0 as usize].core.shards.shard_of(route_path);
-    // The legacy path votes on hotspot placement too — without this,
-    // single-session storms never accumulate heat and the rebalance
-    // policy is blind to them.
-    if w.fss[m.fs.0 as usize].core.shards.shards() > 1 {
-        w.fss[m.fs.0 as usize].core.shards.note_heat(route_path);
-    }
-    manager_rpc(
-        sim,
-        w,
-        client,
-        m.fs,
-        shard,
-        needs_write,
-        move |sim, w, fs| {
-            let now = sim.now().as_nanos();
-            f(w, fs, now)
-        },
-        Box::new(cb),
-    );
-}
-
-/// Create a directory.
-pub fn mkdir(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    client: ClientId,
-    device: &str,
-    path: &str,
-    owner: Owner,
-    cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<InodeId, FsError>) + 'static,
-) {
-    let path = path.to_string();
-    let route = path.clone();
-    meta_rpc(
-        sim,
-        w,
-        client,
-        device,
-        &route,
-        true,
-        move |w, fs, now| mkdir_apply(w, fs, now, client, &path, &owner),
-        cb,
-    );
-}
-
-/// `stat` a path.
-pub fn stat(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    client: ClientId,
-    device: &str,
-    path: &str,
-    cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<crate::fscore::FileAttr, FsError>)
-        + 'static,
-) {
-    let path = path.to_string();
-    let route = path.clone();
-    meta_rpc(
-        sim,
-        w,
-        client,
-        device,
-        &route,
-        false,
-        move |w, fs, _| stat_apply(w, fs, client, &path),
-        cb,
-    );
-}
-
-/// List a directory.
-pub fn readdir(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    client: ClientId,
-    device: &str,
-    path: &str,
-    cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<Vec<String>, FsError>) + 'static,
-) {
-    let path = path.to_string();
-    let route = path.clone();
-    meta_rpc(
-        sim,
-        w,
-        client,
-        device,
-        &route,
-        false,
-        move |w, fs, _| readdir_apply(w, fs, client, &path),
-        cb,
-    );
-}
-
-/// Remove a file or empty directory.
-pub fn unlink(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    client: ClientId,
-    device: &str,
-    path: &str,
-    cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<(), FsError>) + 'static,
-) {
-    let path = path.to_string();
-    let route = path.clone();
-    meta_rpc(
-        sim,
-        w,
-        client,
-        device,
-        &route,
-        true,
-        move |w, fs, _| unlink_apply(w, fs, &path),
-        cb,
-    );
-}
-
-/// Rename a file or directory within one filesystem.
-pub fn rename(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    client: ClientId,
-    device: &str,
-    from: &str,
-    to: &str,
-    cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<(), FsError>) + 'static,
-) {
-    let from = from.to_string();
-    let to = to.to_string();
-    let route = from.clone();
-    meta_rpc(
-        sim,
-        w,
-        client,
-        device,
-        &route,
-        true,
-        move |w, fs, _| {
-            let r = rename_apply(w, fs, client, &from, &to);
-            // The destination may live on another shard. The legacy path
-            // runs the whole op at the source's owner (correct over the
-            // shared-disk core) and only *counts* the cross-shard commit;
-            // the session envelope path models the peer's two-phase
-            // service charge and journal record.
-            let inst = &mut w.fss[fs.0 as usize];
-            if inst.core.shards.shard_of(&from) != inst.core.shards.shard_of(&to) {
-                inst.cross_shard_ops += 1;
-            }
-            r
-        },
-        cb,
-    );
 }
 
 /// Truncate an open file to `new_size` (shrinking frees blocks; extending
@@ -903,8 +571,6 @@ pub fn truncate(
                         w,
                         client,
                         fs,
-                        0,
-                        true,
                         move |sim, w, fs| {
                             let now = sim.now().as_nanos();
                             w.fss[fs.0 as usize].core.truncate(inode, new_size, now)
@@ -921,49 +587,6 @@ pub fn truncate(
                 });
             flush_dirty_pages(sim, w, client, dirty, after_flush);
         }),
-    );
-}
-
-/// Open (and possibly create) a file.
-pub fn open(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    client: ClientId,
-    device: &str,
-    path: &str,
-    flags: OpenFlags,
-    owner: Owner,
-    cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<Handle, FsError>) + 'static,
-) {
-    let path = path.to_string();
-    let path2 = path.clone();
-    let route = path.clone();
-    meta_rpc(
-        sim,
-        w,
-        client,
-        device,
-        &route,
-        flags.writes(),
-        move |w, fs, now| open_apply(w, fs, now, client, &path, flags, &owner),
-        move |sim, w, r| match r {
-            Ok((fs, inode)) => {
-                let h = w.alloc_handle();
-                let c = &mut w.clients[client.0 as usize];
-                c.handles.insert(
-                    h,
-                    crate::world::OpenFile {
-                        fs,
-                        inode,
-                        flags,
-                        path: path2,
-                    },
-                );
-                c.prefetch.insert(h, PrefetchState::new(16));
-                cb(sim, w, Ok(h));
-            }
-            Err(e) => cb(sim, w, Err(e)),
-        },
     );
 }
 
@@ -1558,7 +1181,7 @@ pub fn maybe_rebalance(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, fs: FsId) -> b
         let inst = &mut w.fss[fs.0 as usize];
         for (top, from, to) in &moves {
             // Migration records live in the bit-62 op-id namespace —
-            // disjoint from legacy client ids and bit-63 session ids, so
+            // disjoint from per-client op ids and bit-63 session ids, so
             // they can never collide with (or be retired by) ordinary op
             // acks.
             let op_id = (1u64 << 62) | inst.migration_seq;
@@ -2492,8 +2115,6 @@ pub fn write(
                 w,
                 client,
                 fs,
-                0,
-                true,
                 move |sim, w, fs| -> Result<(), FsError> {
                     let now = sim.now().as_nanos();
                     let inst = &mut w.fss[fs.0 as usize];
@@ -2625,56 +2246,11 @@ pub fn fsync(
     flush_dirty_pages(sim, w, client, dirty, Box::new(cb));
 }
 
-/// Close: flush, release tokens at the manager, drop the handle.
-pub fn close(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    client: ClientId,
-    handle: Handle,
-    cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<(), FsError>) + 'static,
-) {
-    let Some(of) = w.clients[client.0 as usize].handles.get(&handle).cloned() else {
-        cb(sim, w, Err(FsError::BadHandle));
-        return;
-    };
-    let (fs, inode) = (of.fs, of.inode);
-    let cb: Cb<Result<(), FsError>> = Box::new(cb);
-    fsync(sim, w, client, handle, move |sim, w, r| {
-        if let Err(e) = r {
-            cb(sim, w, Err(e));
-            return;
-        }
-        // Token releases go where tokens live: shard 0's manager.
-        manager_rpc(
-            sim,
-            w,
-            client,
-            fs,
-            0,
-            true,
-            move |_sim, w, fs| {
-                w.fss[fs.0 as usize].tokens.release_all(inode, client);
-                Ok(())
-            },
-            Box::new(move |sim, w, r: Result<(), FsError>| {
-                if let Err(e) = r {
-                    cb(sim, w, Err(e));
-                    return;
-                }
-                let c = &mut w.clients[client.0 as usize];
-                c.held_tokens.remove(&(fs, inode));
-                c.handles.remove(&handle);
-                c.prefetch.remove(&handle);
-                cb(sim, w, Ok(()));
-            }),
-        );
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fscore::FsConfig;
+    use crate::session::Session;
     use crate::world::{FsParams, WorldBuilder};
     use simcore::{Bandwidth, SimDuration};
 
@@ -2686,6 +2262,9 @@ mod tests {
         w: GfsWorld,
         local: ClientId,
         remote: ClientId,
+        /// One session on each context, for the metadata ops.
+        ls: Session,
+        rs: Session,
     }
 
     fn bed() -> TestBed {
@@ -2739,11 +2318,15 @@ mod tests {
                 remote_device: "gpfs-wan".into(),
             },
         );
+        let ls = w.open_session(local);
+        let rs = w.open_session(remote);
         TestBed {
             sim,
             w,
             local,
             remote,
+            ls,
+            rs,
         }
     }
 
@@ -2763,34 +2346,33 @@ mod tests {
     }
 
     #[test]
-    fn legacy_meta_path_votes_shard_heat() {
-        // Single-session (fan_in = false) clients route metadata through
-        // the legacy `meta_rpc` path, which must still vote subtree heat —
-        // otherwise a storm of legacy clients leaves the rebalance policy
-        // blind to the hotspot they create.
+    fn meta_ops_vote_shard_heat() {
+        // Metadata ops that travel to a manager shard vote subtree heat —
+        // otherwise the rebalance policy is blind to the hotspot they
+        // create.
         let mut t = bed();
-        let local = t.local;
+        let ls = t.ls;
         t.w.fss[0].core.shards.set_shards(2);
         // Pin the test top to shard 0 so the one-manager bed still serves
         // it; the vote, not the placement, is under test.
         t.w.fss[0].core.shards.assign("d", 0);
         let ok = Rc::new(Cell::new(false));
         let ok2 = ok.clone();
-        mount(&mut t.sim, &mut t.w, local, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, r| {
+        ls.mount(&mut t.sim, &mut t.w, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, r| {
             r.unwrap();
-            mkdir(sim, w, local, "gpfs-wan", "/d", owner(), move |sim, w, r| {
+            ls.mkdir(sim, w, "/d", owner(), move |sim, w, r| {
                 r.unwrap();
-                stat(sim, w, local, "gpfs-wan", "/d", move |_sim, _w, r| {
+                ls.stat(sim, w, "/d", move |_sim, _w, r| {
                     r.unwrap();
                     ok2.set(true);
                 });
             });
         });
         run(&mut t);
-        assert!(ok.get(), "legacy op chain did not complete");
+        assert!(ok.get(), "op chain did not complete");
         assert!(
             t.w.fss[0].core.shards.heat_of("d") >= 2,
-            "legacy mkdir + stat must each vote heat, got {}",
+            "mkdir + stat must each vote heat, got {}",
             t.w.fss[0].core.shards.heat_of("d")
         );
     }
@@ -2798,17 +2380,13 @@ mod tests {
     #[test]
     fn local_mount_write_read_roundtrip() {
         let mut t = bed();
+        let ls = t.ls;
         let done: Slot<Bytes> = slot();
         let d2 = done.clone();
         let local = t.local;
-        mount(&mut t.sim, &mut t.w, local, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, r| {
+        ls.mount(&mut t.sim, &mut t.w, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, r| {
             r.unwrap();
-            open(
-                sim,
-                w,
-                local,
-                "gpfs-wan",
-                "/hello.txt",
+            ls.open(sim, w, "/hello.txt",
                 OpenFlags::ReadWrite,
                 owner(),
                 move |sim, w, r| {
@@ -2820,7 +2398,7 @@ mod tests {
                         read(sim, w, local, h, 0, expect.len() as u64, move |sim, w, r| {
                             let got = r.unwrap();
                             assert_eq!(got, expect);
-                            close(sim, w, local, h, move |_sim, _w, r| r.unwrap());
+                            ls.close(sim, w, h, move |_sim, _w, r| r.unwrap());
                             *d2.borrow_mut() = Some(got);
                         });
                     });
@@ -2834,19 +2412,15 @@ mod tests {
     #[test]
     fn cross_block_write_and_readback() {
         let mut t = bed();
+        let ls = t.ls;
         let local = t.local;
         let ok = Rc::new(Cell::new(false));
         let ok2 = ok.clone();
         // 200 KB spanning four 64 KiB blocks, written at an unaligned offset.
         let payload: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
         let payload = Bytes::from(payload);
-        mount(&mut t.sim, &mut t.w, local, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, _| {
-            open(
-                sim,
-                w,
-                local,
-                "gpfs-wan",
-                "/span.bin",
+        ls.mount(&mut t.sim, &mut t.w, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, _| {
+            ls.open(sim, w, "/span.bin",
                 OpenFlags::ReadWrite,
                 owner(),
                 move |sim, w, r| {
@@ -2875,17 +2449,13 @@ mod tests {
     #[test]
     fn remote_mount_handshake_and_io() {
         let mut t = bed();
+        let (ls, rs) = (t.ls, t.rs);
         let (local, remote) = (t.local, t.remote);
         let ok = Rc::new(Cell::new(false));
         let ok2 = ok.clone();
         // Local writes; remote mounts over the WAN and reads the data back.
-        mount(&mut t.sim, &mut t.w, local, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, _| {
-            open(
-                sim,
-                w,
-                local,
-                "gpfs-wan",
-                "/shared.dat",
+        ls.mount(&mut t.sim, &mut t.w, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, _| {
+            ls.open(sim, w, "/shared.dat",
                 OpenFlags::ReadWrite,
                 owner(),
                 move |sim, w, r| {
@@ -2893,22 +2463,16 @@ mod tests {
                     let payload = Bytes::from(vec![0x5au8; 100_000]);
                     write(sim, w, local, h, 0, payload, move |sim, w, r| {
                         r.unwrap();
-                        close(sim, w, local, h, move |sim, w, r| {
+                        ls.close(sim, w, h, move |sim, w, r| {
                             r.unwrap();
-                            mount(
+                            rs.mount(
                                 sim,
                                 w,
-                                remote,
                                 "gpfs-wan",
                                 AccessMode::ReadWrite,
                                 move |sim, w, r| {
                                     r.unwrap();
-                                    open(
-                                        sim,
-                                        w,
-                                        remote,
-                                        "gpfs-wan",
-                                        "/shared.dat",
+                                    rs.open(sim, w, "/shared.dat",
                                         OpenFlags::Read,
                                         owner(),
                                         move |sim, w, r| {
@@ -2935,7 +2499,7 @@ mod tests {
     #[test]
     fn readonly_grant_rejects_writes_at_mount_and_op() {
         let mut t = bed();
-        let remote = t.remote;
+        let rs = t.rs;
         // Downgrade the grant to read-only (PTF 2 behaviour).
         let sdsc = t.w.cluster_by_name("sdsc.teragrid").unwrap();
         t.w.clusters[sdsc.0 as usize].auth.mmauth_grant(
@@ -2946,22 +2510,16 @@ mod tests {
         let ok = Rc::new(Cell::new(false));
         let ok2 = ok.clone();
         // RW mount must fail; RO mount succeeds but write-opens fail.
-        mount(
+        rs.mount(
             &mut t.sim,
             &mut t.w,
-            remote,
             "gpfs-wan",
             AccessMode::ReadWrite,
             move |sim, w, r| {
                 assert!(matches!(r, Err(FsError::AuthFailed(_))));
-                mount(sim, w, remote, "gpfs-wan", AccessMode::ReadOnly, move |sim, w, r| {
+                rs.mount(sim, w, "gpfs-wan", AccessMode::ReadOnly, move |sim, w, r| {
                     r.unwrap();
-                    open(
-                        sim,
-                        w,
-                        remote,
-                        "gpfs-wan",
-                        "/new.dat",
+                    rs.open(sim, w, "/new.dat",
                         OpenFlags::Write,
                         owner(),
                         move |_s, _w, r| {
@@ -2979,13 +2537,14 @@ mod tests {
     #[test]
     fn token_revocation_flushes_writer() {
         let mut t = bed();
+        let (ls, rs) = (t.ls, t.rs);
         let (a, b_) = (t.local, t.remote);
         let ok = Rc::new(Cell::new(false));
         let ok2 = ok.clone();
-        mount(&mut t.sim, &mut t.w, a, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, _| {
-            mount(sim, w, b_, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, r| {
+        ls.mount(&mut t.sim, &mut t.w, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, _| {
+            rs.mount(sim, w, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, r| {
                 r.unwrap();
-                open(sim, w, a, "gpfs-wan", "/contested", OpenFlags::ReadWrite, owner(), move |sim, w, r| {
+                ls.open(sim, w, "/contested", OpenFlags::ReadWrite, owner(), move |sim, w, r| {
                     let ha = r.unwrap();
                     let payload = Bytes::from(vec![7u8; 65536]);
                     // A writes but does NOT fsync: data is dirty in A's pool.
@@ -2993,7 +2552,7 @@ mod tests {
                         r.unwrap();
                         // B reads: the manager must revoke A's write token,
                         // forcing A's flush, before B's read proceeds.
-                        open(sim, w, b_, "gpfs-wan", "/contested", OpenFlags::Read, owner(), move |sim, w, r| {
+                        rs.open(sim, w, "/contested", OpenFlags::Read, owner(), move |sim, w, r| {
                             let hb = r.unwrap();
                             read(sim, w, b_, hb, 0, 65536, move |_s, w, r| {
                                 let got = r.unwrap();
@@ -3016,11 +2575,12 @@ mod tests {
     #[test]
     fn cache_hits_on_reread() {
         let mut t = bed();
+        let ls = t.ls;
         let local = t.local;
         let ok = Rc::new(Cell::new(false));
         let ok2 = ok.clone();
-        mount(&mut t.sim, &mut t.w, local, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, _| {
-            open(sim, w, local, "gpfs-wan", "/c", OpenFlags::ReadWrite, owner(), move |sim, w, r| {
+        ls.mount(&mut t.sim, &mut t.w, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, _| {
+            ls.open(sim, w, "/c", OpenFlags::ReadWrite, owner(), move |sim, w, r| {
                 let h = r.unwrap();
                 write(sim, w, local, h, 0, Bytes::from(vec![1u8; 65536]), move |sim, w, r| {
                     r.unwrap();
@@ -3043,11 +2603,12 @@ mod tests {
     #[test]
     fn sequential_reads_trigger_prefetch() {
         let mut t = bed();
+        let ls = t.ls;
         let local = t.local;
         let ok = Rc::new(Cell::new(false));
         let ok2 = ok.clone();
-        mount(&mut t.sim, &mut t.w, local, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, _| {
-            open(sim, w, local, "gpfs-wan", "/seq", OpenFlags::ReadWrite, owner(), move |sim, w, r| {
+        ls.mount(&mut t.sim, &mut t.w, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, _| {
+            ls.open(sim, w, "/seq", OpenFlags::ReadWrite, owner(), move |sim, w, r| {
                 let h = r.unwrap();
                 // 1 MB file = 16 blocks of 64 KiB.
                 write(sim, w, local, h, 0, Bytes::from(vec![9u8; 1 << 20]), move |sim, w, r| {
@@ -3087,26 +2648,27 @@ mod tests {
     #[test]
     fn metadata_ops_over_rpc() {
         let mut t = bed();
+        let ls = t.ls;
         let local = t.local;
         let ok = Rc::new(Cell::new(false));
         let ok2 = ok.clone();
-        mount(&mut t.sim, &mut t.w, local, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, _| {
-            mkdir(sim, w, local, "gpfs-wan", "/data", owner(), move |sim, w, r| {
+        ls.mount(&mut t.sim, &mut t.w, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, _| {
+            ls.mkdir(sim, w, "/data", owner(), move |sim, w, r| {
                 r.unwrap();
-                open(sim, w, local, "gpfs-wan", "/data/f1", OpenFlags::Write, owner(), move |sim, w, r| {
+                ls.open(sim, w, "/data/f1", OpenFlags::Write, owner(), move |sim, w, r| {
                     let h = r.unwrap();
                     write(sim, w, local, h, 0, Bytes::from(vec![1u8; 100]), move |sim, w, r| {
                         r.unwrap();
-                        close(sim, w, local, h, move |sim, w, r| {
+                        ls.close(sim, w, h, move |sim, w, r| {
                             r.unwrap();
-                            stat(sim, w, local, "gpfs-wan", "/data/f1", move |sim, w, r| {
+                            ls.stat(sim, w, "/data/f1", move |sim, w, r| {
                                 let st = r.unwrap();
                                 assert_eq!(st.size, 100);
-                                readdir(sim, w, local, "gpfs-wan", "/data", move |sim, w, r| {
+                                ls.readdir(sim, w, "/data", move |sim, w, r| {
                                     assert_eq!(r.unwrap(), vec!["f1".to_string()]);
-                                    unlink(sim, w, local, "gpfs-wan", "/data/f1", move |sim, w, r| {
+                                    ls.unlink(sim, w, "/data/f1", move |sim, w, r| {
                                         r.unwrap();
-                                        stat(sim, w, local, "gpfs-wan", "/data/f1", move |_s, _w, r| {
+                                        ls.stat(sim, w, "/data/f1", move |_s, _w, r| {
                                             assert!(matches!(r, Err(FsError::NotFound(_))));
                                             ok2.set(true);
                                         });
@@ -3123,79 +2685,91 @@ mod tests {
     }
 
     #[test]
-    fn dentry_invalidation_on_unlink_and_rename() {
-        // A second client's dentry cache, warmed by stat, must not serve
-        // entries another client has since removed or renamed — the
-        // broadcast invalidation in unlink/rename is what this pins.
+    fn unlink_and_rename_are_visible_across_contexts_and_spellings() {
+        // The remote context's stats warm the manager's path cache; entries
+        // the local context removes or renames must stop resolving there.
+        // An alias spelling — `x` under cwd `/d/`, or `/d//x` — must not
+        // keep serving a dead inode once `/d/x` is unlinked and re-created.
         let mut t = bed();
-        let (local, remote) = (t.local, t.remote);
+        let (ls, rs) = (t.ls, t.rs);
         let ok = Rc::new(Cell::new(false));
         let ok2 = ok.clone();
-        mount(&mut t.sim, &mut t.w, local, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, _| {
-            mkdir(sim, w, local, "gpfs-wan", "/d", owner(), move |sim, w, r| {
+        let create = move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, path: &str, then: Cb<()>| {
+            ls.open(sim, w, path, OpenFlags::Write, owner(), move |sim, w, r| {
+                let h = r.unwrap();
+                ls.close(sim, w, h, move |sim, w, r| {
+                    r.unwrap();
+                    then(sim, w, ());
+                });
+            });
+        };
+        ls.mount(&mut t.sim, &mut t.w, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, _| {
+            ls.mkdir(sim, w, "/d", owner(), move |sim, w, r| {
                 r.unwrap();
-                open(sim, w, local, "gpfs-wan", "/d/x", OpenFlags::Write, owner(), move |sim, w, r| {
-                    let h = r.unwrap();
-                    close(sim, w, local, h, move |sim, w, r| {
+                create(sim, w, "/d/x", Box::new(move |sim, w, ()| {
+                    rs.mount(sim, w, "gpfs-wan", AccessMode::ReadOnly, move |sim, w, r| {
                         r.unwrap();
-                        mount(sim, w, remote, "gpfs-wan", AccessMode::ReadOnly, move |sim, w, r| {
-                            r.unwrap();
-                            // Warm the remote client's dentry cache.
-                            stat(sim, w, remote, "gpfs-wan", "/d/x", move |sim, w, r| {
-                                r.unwrap();
-                                unlink(sim, w, local, "gpfs-wan", "/d/x", move |sim, w, r| {
+                        rs.chdir(w, "/d/");
+                        // Warm the cache through both spellings.
+                        rs.stat(sim, w, "x", move |sim, w, r| {
+                            let old = r.unwrap().inode;
+                            rs.stat(sim, w, "/d//x", move |sim, w, r| {
+                                assert_eq!(r.unwrap().inode, old);
+                                ls.unlink(sim, w, "/d/x", move |sim, w, r| {
                                     r.unwrap();
-                                    stat(sim, w, remote, "gpfs-wan", "/d/x", move |sim, w, r| {
+                                    rs.stat(sim, w, "/d/x", move |sim, w, r| {
                                         assert!(
                                             matches!(r, Err(FsError::NotFound(_))),
                                             "remote resolved an unlinked entry: {r:?}"
                                         );
-                                        open(sim, w, local, "gpfs-wan", "/d/y", OpenFlags::Write, owner(), move |sim, w, r| {
-                                            let h = r.unwrap();
-                                            close(sim, w, local, h, move |sim, w, r| {
-                                                r.unwrap();
-                                                stat(sim, w, remote, "gpfs-wan", "/d/y", move |sim, w, r| {
-                                                    let before = r.unwrap();
-                                                    rename(sim, w, local, "gpfs-wan", "/d/y", "/d/z", move |sim, w, r| {
-                                                        r.unwrap();
-                                                        stat(sim, w, remote, "gpfs-wan", "/d/y", move |sim, w, r| {
-                                                            assert!(
-                                                                matches!(r, Err(FsError::NotFound(_))),
-                                                                "remote resolved a renamed-away entry: {r:?}"
-                                                            );
-                                                            stat(sim, w, remote, "gpfs-wan", "/d/z", move |_s, _w, r| {
-                                                                let after = r.unwrap();
-                                                                assert_eq!(after.inode, before.inode);
-                                                                ok2.set(true);
+                                        create(sim, w, "/d/x", Box::new(move |sim, w, ()| {
+                                            rs.stat(sim, w, "x", move |sim, w, r| {
+                                                let new = r.expect("re-created file must resolve through the alias");
+                                                assert_ne!(new.inode, old);
+                                                rs.stat(sim, w, "/d//x", move |sim, w, r| {
+                                                    assert_eq!(r.unwrap().inode, new.inode);
+                                                    create(sim, w, "/d/y", Box::new(move |sim, w, ()| {
+                                                        rs.stat(sim, w, "/d/y", move |sim, w, r| {
+                                                            let before = r.unwrap();
+                                                            ls.rename(sim, w, "/d/y", "/d/z", move |sim, w, r| {
+                                                                r.unwrap();
+                                                                rs.stat(sim, w, "y", move |sim, w, r| {
+                                                                    assert!(
+                                                                        matches!(r, Err(FsError::NotFound(_))),
+                                                                        "remote resolved a renamed-away entry: {r:?}"
+                                                                    );
+                                                                    rs.stat(sim, w, "/d/z/", move |_s, _w, r| {
+                                                                        assert_eq!(r.unwrap().inode, before.inode);
+                                                                        ok2.set(true);
+                                                                    });
+                                                                });
                                                             });
                                                         });
-                                                    });
+                                                    }));
                                                 });
                                             });
-                                        });
+                                        }));
                                     });
                                 });
                             });
                         });
                     });
-                });
+                }));
             });
         });
         run(&mut t);
         assert!(ok.get());
-        // The remote cache was genuinely exercised, not bypassed.
-        let dc = &t.w.clients[remote.0 as usize].dentry;
-        assert!(dc.hits + dc.misses > 0, "remote dentry cache never probed");
     }
 
     #[test]
     fn read_past_eof_is_short() {
         let mut t = bed();
+        let ls = t.ls;
         let local = t.local;
         let ok = Rc::new(Cell::new(false));
         let ok2 = ok.clone();
-        mount(&mut t.sim, &mut t.w, local, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, _| {
-            open(sim, w, local, "gpfs-wan", "/short", OpenFlags::ReadWrite, owner(), move |sim, w, r| {
+        ls.mount(&mut t.sim, &mut t.w, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, _| {
+            ls.open(sim, w, "/short", OpenFlags::ReadWrite, owner(), move |sim, w, r| {
                 let h = r.unwrap();
                 write(sim, w, local, h, 0, Bytes::from(vec![3u8; 100]), move |sim, w, r| {
                     r.unwrap();
@@ -3218,24 +2792,25 @@ mod tests {
         // The same op sequence takes longer from the 30 ms-away client than
         // from the local one — the paper's latency question, in miniature.
         let mut t = bed();
+        let (ls, rs) = (t.ls, t.rs);
         let (local, remote) = (t.local, t.remote);
         let t_local = Rc::new(Cell::new(0u64));
         let t_remote = Rc::new(Cell::new(0u64));
         let (tl, tr) = (t_local.clone(), t_remote.clone());
-        mount(&mut t.sim, &mut t.w, local, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, _| {
+        ls.mount(&mut t.sim, &mut t.w, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, _| {
             let start = sim.now();
-            open(sim, w, local, "gpfs-wan", "/lat", OpenFlags::ReadWrite, owner(), move |sim, w, r| {
+            ls.open(sim, w, "/lat", OpenFlags::ReadWrite, owner(), move |sim, w, r| {
                 let h = r.unwrap();
                 write(sim, w, local, h, 0, Bytes::from(vec![1u8; 65536]), move |sim, w, r| {
                     r.unwrap();
-                    close(sim, w, local, h, move |sim, w, r| {
+                    ls.close(sim, w, h, move |sim, w, r| {
                         r.unwrap();
                         tl.set(sim.now().since(start).as_nanos());
                         // Now remote does a read of the same file.
-                        mount(sim, w, remote, "gpfs-wan", AccessMode::ReadOnly, move |sim, w, r| {
+                        rs.mount(sim, w, "gpfs-wan", AccessMode::ReadOnly, move |sim, w, r| {
                             r.unwrap();
                             let start_r = sim.now();
-                            open(sim, w, remote, "gpfs-wan", "/lat", OpenFlags::Read, owner(), move |sim, w, r| {
+                            rs.open(sim, w, "/lat", OpenFlags::Read, owner(), move |sim, w, r| {
                                 let h = r.unwrap();
                                 read(sim, w, remote, h, 0, 65536, move |sim, _w, r| {
                                     r.unwrap();
@@ -3277,10 +2852,12 @@ mod tests {
     #[test]
     fn unmounted_device_errors() {
         let mut t = bed();
-        let local = t.local;
+        let ls = t.ls;
         let ok = Rc::new(Cell::new(false));
         let ok2 = ok.clone();
-        stat(&mut t.sim, &mut t.w, local, "gpfs-wan", "/x", move |_s, _w, r| {
+        // Bound to a device the context never mounted.
+        ls.bind_device(&mut t.w, "gpfs-wan");
+        ls.stat(&mut t.sim, &mut t.w, "/x", move |_s, _w, r| {
             assert!(matches!(r, Err(FsError::NotMounted(_))));
             ok2.set(true);
         });

@@ -10,8 +10,9 @@
 //! traffic** — the property that lets GPFS scale MPI-IO nearly linearly
 //! until the network or disks saturate.
 
-use crate::client::{self, Cb};
-use crate::types::{ClientId, FsError, Handle, OpenFlags, Owner};
+use crate::client::Cb;
+use crate::session::Session;
+use crate::types::{FsError, Handle, OpenFlags, Owner};
 use crate::world::GfsWorld;
 use bytes::Bytes;
 use simcore::Sim;
@@ -21,19 +22,18 @@ use std::rc::Rc;
 /// A file opened collectively by a set of ranks.
 #[derive(Clone, Debug)]
 pub struct MpiFile {
-    /// Participating clients, rank order.
-    pub ranks: Vec<ClientId>,
+    /// Participating sessions (one per rank's mount context), rank order.
+    pub ranks: Vec<Session>,
     /// Per-rank open handle, rank order.
     pub handles: Vec<Handle>,
 }
 
-/// Collectively open `path` on `device` at every rank. All ranks must
-/// already have the device mounted.
+/// Collectively open `path` at every rank. Every rank's session must
+/// already be bound to a mounted device.
 pub fn open_all(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
-    ranks: Vec<ClientId>,
-    device: &str,
+    ranks: Vec<Session>,
     path: &str,
     flags: OpenFlags,
     owner: Owner,
@@ -48,13 +48,7 @@ pub fn open_all(
         Rc::new(RefCell::new(Some(Box::new(cb))));
     // Rank 0 opens first (it may create the file); the rest follow to
     // avoid create races — the standard MPI-IO implementation ordering.
-    let rest: Vec<(usize, ClientId)> = ranks
-        .iter()
-        .copied()
-        .enumerate()
-        .skip(1)
-        .collect();
-    let device = device.to_string();
+    let rest: Vec<(usize, Session)> = ranks.iter().copied().enumerate().skip(1).collect();
     let path = path.to_string();
     let ranks2 = ranks.clone();
     let arrive = move |sim: &mut Sim<GfsWorld>,
@@ -63,7 +57,7 @@ pub fn open_all(
                        failed: &Rc<RefCell<Option<FsError>>>,
                        remaining: &Rc<Cell<usize>>,
                        cb: &Rc<RefCell<Option<Cb<Result<MpiFile, FsError>>>>>,
-                       ranks: &[ClientId]| {
+                       ranks: &[Session]| {
         let left = remaining.get();
         remaining.set(left - 1);
         if left == 1 {
@@ -93,49 +87,30 @@ pub fn open_all(
     let f0 = failed.clone();
     let r0 = remaining.clone();
     let c0 = cb.clone();
-    let d0 = device.clone();
     let p0 = path.clone();
-    client::open(
-        sim,
-        w,
-        ranks[0],
-        &device,
-        &path,
-        flags,
-        owner.clone(),
-        move |sim, w, r| {
-            match r {
-                Ok(h) => h0.borrow_mut()[0] = Some(h),
-                Err(e) => *f0.borrow_mut() = Some(e),
-            }
-            // Now the remaining ranks open concurrently.
-            for (i, rank) in rest {
-                let handles = h0.clone();
-                let failed = f0.clone();
-                let remaining = r0.clone();
-                let cb = c0.clone();
-                let ranks = ranks2.clone();
-                let arrive = arrive;
-                client::open(
-                    sim,
-                    w,
-                    rank,
-                    &d0,
-                    &p0,
-                    flags,
-                    owner.clone(),
-                    move |sim, w, r| {
-                        match r {
-                            Ok(h) => handles.borrow_mut()[i] = Some(h),
-                            Err(e) => *failed.borrow_mut() = Some(e),
-                        }
-                        arrive(sim, w, &handles, &failed, &remaining, &cb, &ranks);
-                    },
-                );
-            }
-            arrive(sim, w, &h0, &f0, &r0, &c0, &ranks2);
-        },
-    );
+    ranks[0].open(sim, w, &path, flags, owner.clone(), move |sim, w, r| {
+        match r {
+            Ok(h) => h0.borrow_mut()[0] = Some(h),
+            Err(e) => *f0.borrow_mut() = Some(e),
+        }
+        // Now the remaining ranks open concurrently.
+        for (i, rank) in rest {
+            let handles = h0.clone();
+            let failed = f0.clone();
+            let remaining = r0.clone();
+            let cb = c0.clone();
+            let ranks = ranks2.clone();
+            let arrive = arrive;
+            rank.open(sim, w, &p0, flags, owner.clone(), move |sim, w, r| {
+                match r {
+                    Ok(h) => handles.borrow_mut()[i] = Some(h),
+                    Err(e) => *failed.borrow_mut() = Some(e),
+                }
+                arrive(sim, w, &handles, &failed, &remaining, &cb, &ranks);
+            });
+        }
+        arrive(sim, w, &h0, &f0, &r0, &c0, &ranks2);
+    });
 }
 
 /// Direction of a collective transfer.
@@ -228,7 +203,7 @@ pub fn transfer_at_all(
 fn rank_loop(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
-    rank: ClientId,
+    rank: Session,
     handle: Handle,
     offset: u64,
     end: u64,
@@ -248,12 +223,12 @@ fn rank_loop(
     match dir {
         MpiDir::Write => {
             let data = Bytes::from(vec![0xa5u8; len as usize]);
-            client::write(sim, w, rank, handle, offset, data, move |sim, w, r| {
+            rank.write(sim, w, handle, offset, data, move |sim, w, r| {
                 next(sim, w, r)
             });
         }
         MpiDir::Read => {
-            client::read(sim, w, rank, handle, offset, len, move |sim, w, r| {
+            rank.read(sim, w, handle, offset, len, move |sim, w, r| {
                 next(sim, w, r.map(|_| ()))
             });
         }
@@ -276,7 +251,7 @@ pub fn close_all(
         let remaining = remaining.clone();
         let failed = failed.clone();
         let cb = cb.clone();
-        client::close(sim, w, rank, handle, move |sim, w, r| {
+        rank.close(sim, w, handle, move |sim, w, r| {
             if let Err(e) = r {
                 failed.borrow_mut().get_or_insert(e);
             }
@@ -303,7 +278,7 @@ mod tests {
     use simcore::{Bandwidth, SimDuration};
 
     /// Four ranks on distinct nodes behind a common switch, one fs.
-    fn bed(nranks: usize) -> (Sim<GfsWorld>, GfsWorld, Vec<ClientId>) {
+    fn bed(nranks: usize) -> (Sim<GfsWorld>, GfsWorld, Vec<Session>) {
         let mut b = WorldBuilder::new(9);
         b.key_bits(384);
         let sw = b.topo().node("switch");
@@ -327,18 +302,19 @@ mod tests {
             ranks.push(b.client(cl, n, 256));
         }
         let (mut sim, mut w) = b.build();
+        let ranks: Vec<Session> = ranks.into_iter().map(|c| w.open_session(c)).collect();
         // Mount everywhere.
         let done = Rc::new(Cell::new(0));
         for &r in &ranks {
             let done = done.clone();
-            client::mount(&mut sim, &mut w, r, "pfs", gfs_auth::handshake::AccessMode::ReadWrite, move |_s, _w, res| {
+            r.mount(&mut sim, &mut w, "pfs", gfs_auth::handshake::AccessMode::ReadWrite, move |_s, _w, res| {
                 res.unwrap();
                 done.set(done.get() + 1);
             });
         }
         sim.run(&mut w);
         assert_eq!(done.get(), nranks);
-        let _ = fs; // ids are positional; the bed returns clients only
+        let _ = fs; // ids are positional; the bed returns sessions only
         (sim, w, ranks)
     }
 
@@ -351,7 +327,6 @@ mod tests {
             &mut sim,
             &mut w,
             ranks.clone(),
-            "pfs",
             "/mpi.dat",
             OpenFlags::ReadWrite,
             Owner::local(1, 1),
@@ -378,7 +353,6 @@ mod tests {
             &mut sim,
             &mut w,
             ranks,
-            "pfs",
             "/mpi.dat",
             OpenFlags::ReadWrite,
             Owner::local(1, 1),
@@ -430,7 +404,6 @@ mod tests {
                     &mut sim,
                     &mut w,
                     ranks,
-                    "pfs",
                     "/scale.dat",
                     OpenFlags::ReadWrite,
                     Owner::local(1, 1),

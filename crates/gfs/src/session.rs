@@ -1,32 +1,29 @@
-//! Flyweight sessions and manager-RPC fan-in: the million-client envelope.
+//! Flyweight sessions and manager-RPC fan-in: the one metadata call
+//! surface.
 //!
-//! The storm scenarios topped out at tens of clients because every
-//! [`crate::world::Client`] is a heavyweight mount context — its own page
-//! pool, token mirror, dentry cache and mount table — and every operation
-//! is a one-shot free function taking a [`ClientId`]. Real wide-area
-//! deployments (XUFS-style per-user sessions over shared per-site state,
-//! Grid Datafarm's worldwide user counts) need thousands of *users* per
+//! Every [`crate::world::Client`] is a heavyweight mount context — its own
+//! page pool, token mirror and mount table. Real wide-area deployments
+//! (XUFS-style per-user sessions over shared per-site state, Grid
+//! Datafarm's worldwide user counts) need thousands of *users* per
 //! mounting node.
 //!
 //! A [`Session`] is a flyweight over one mount context: thousands of
-//! sessions share a `Client`'s pool / tokens / dentry cache, while
-//! per-session state is just a slab-allocated handle table, a cwd, a bound
-//! device and an in-flight counter ([`SessionState`]). The facade methods
-//! (`sess.mkdir(sim, w, path, cb)` …) replace the loose `client::*` free
-//! functions as the scenario-facing call surface; the old `ClientId` paths
-//! remain as single-session delegates, byte-identical to the pre-session
-//! event sequences.
+//! sessions share a `Client`'s pool and tokens, while per-session state is
+//! just a slab-allocated handle table, a cwd, a bound device and an
+//! in-flight counter ([`SessionState`]). The facade methods
+//! (`sess.mkdir(sim, w, path, cb)` …) are the only way to run a metadata
+//! op; the data-path methods wrap [`client::read`], [`client::write`],
+//! [`client::fsync`] and [`client::truncate`].
 //!
-//! **Fan-in**: on mount contexts built with
-//! [`crate::world::WorldBuilder::mount_context`], sessions batch
-//! same-instant metadata RPCs into one *envelope* per `(context, fs)` —
-//! one request message, one watchdog, one response for the whole batch,
-//! with per-op results demuxed in submission order. Exactly-once semantics
-//! are preserved per session op id: a retried envelope replays recorded
-//! results from the manager's dedup table instead of re-running mutations.
-//! This is what makes a 100k-session, 10M-op storm affordable: the
-//! simulator pays a handful of events per *envelope* instead of four per
-//! op.
+//! **Fan-in**: sessions batch same-instant metadata RPCs into one
+//! *envelope* per `(context, fs, shard)` — one request message, one
+//! watchdog, one response for the whole batch, with per-op results demuxed
+//! in submission order. A context with one session simply sends
+//! one-op envelopes. Exactly-once semantics are preserved per session op
+//! id: a retried envelope replays recorded results from the manager's
+//! dedup table instead of re-running mutations. This is what makes a
+//! 100k-session, 10M-op storm affordable: the simulator pays a handful of
+//! events per *envelope* instead of four per op.
 
 use crate::cache::PrefetchState;
 use crate::client;
@@ -270,17 +267,19 @@ impl Session {
         self.state_mut(w).cwd = abs;
     }
 
-    /// Resolve a possibly-relative path against the session cwd.
+    /// Resolve a possibly-relative path against the session cwd, in the
+    /// canonical spelling the manager path caches key on (see
+    /// [`canonical`]).
     fn resolve(self, w: &GfsWorld, path: &str) -> String {
         if path.starts_with('/') {
-            return path.to_string();
+            return canonical(path.to_string());
         }
         let cwd = &self.state(w).cwd;
-        if cwd == "/" {
+        canonical(if cwd == "/" {
             format!("/{path}")
         } else {
             format!("{cwd}/{path}")
-        }
+        })
     }
 
     fn device(self, w: &GfsWorld) -> Result<String, FsError> {
@@ -288,11 +287,6 @@ impl Session {
             .device
             .clone()
             .ok_or_else(|| FsError::NotMounted("no device bound to session".to_string()))
-    }
-
-    /// Does this session's context batch manager RPCs?
-    fn fan_in(self, w: &GfsWorld) -> bool {
-        w.clients[self.ctx(w).0 as usize].fan_in
     }
 
     /// Mount `device` on the shared context ([`client::mount`] dispatches
@@ -327,23 +321,6 @@ impl Session {
         cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<InodeId, FsError>) + 'static,
     ) {
         let path = self.resolve(w, path);
-        let ctx = self.ctx(w);
-        if !self.fan_in(w) {
-            self.enter(w);
-            let device = match self.device(w) {
-                Ok(d) => d,
-                Err(e) => {
-                    self.exit(w);
-                    cb(sim, w, Err(e));
-                    return;
-                }
-            };
-            client::mkdir(sim, w, ctx, &device, &path, owner, move |sim, w, r| {
-                self.exit(w);
-                cb(sim, w, r);
-            });
-            return;
-        }
         // The parent directory may live on a different shard (a mkdir at
         // the namespace's first level); routing carries it as the peer so
         // the envelope runs the boundary op as a two-phase record.
@@ -354,7 +331,7 @@ impl Session {
         let route = path.clone();
         self.submit_meta(sim, w, true, route, Some(parent), move |sim, w, fs, shard| {
             let now = sim.now().as_nanos();
-            client::mkdir_apply_mgr(w, fs, shard, now, &path, &owner)
+            client::mkdir_apply(w, fs, shard, now, &path, &owner)
         }, cb);
     }
 
@@ -368,26 +345,9 @@ impl Session {
             + 'static,
     ) {
         let path = self.resolve(w, path);
-        let ctx = self.ctx(w);
-        if !self.fan_in(w) {
-            self.enter(w);
-            let device = match self.device(w) {
-                Ok(d) => d,
-                Err(e) => {
-                    self.exit(w);
-                    cb(sim, w, Err(e));
-                    return;
-                }
-            };
-            client::stat(sim, w, ctx, &device, &path, move |sim, w, r| {
-                self.exit(w);
-                cb(sim, w, r);
-            });
-            return;
-        }
         let route = path.clone();
         self.submit_meta(sim, w, false, route, None, move |_sim, w, fs, shard| {
-            client::stat_apply_mgr(w, fs, shard, &path)
+            client::stat_apply(w, fs, shard, &path)
         }, cb);
     }
 
@@ -400,26 +360,9 @@ impl Session {
         cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<Vec<String>, FsError>) + 'static,
     ) {
         let path = self.resolve(w, path);
-        let ctx = self.ctx(w);
-        if !self.fan_in(w) {
-            self.enter(w);
-            let device = match self.device(w) {
-                Ok(d) => d,
-                Err(e) => {
-                    self.exit(w);
-                    cb(sim, w, Err(e));
-                    return;
-                }
-            };
-            client::readdir(sim, w, ctx, &device, &path, move |sim, w, r| {
-                self.exit(w);
-                cb(sim, w, r);
-            });
-            return;
-        }
         let route = path.clone();
         self.submit_meta(sim, w, false, route, None, move |_sim, w, fs, shard| {
-            client::readdir_apply_mgr(w, fs, shard, &path)
+            client::readdir_apply(w, fs, shard, &path)
         }, cb);
     }
 
@@ -432,26 +375,9 @@ impl Session {
         cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<(), FsError>) + 'static,
     ) {
         let path = self.resolve(w, path);
-        let ctx = self.ctx(w);
-        if !self.fan_in(w) {
-            self.enter(w);
-            let device = match self.device(w) {
-                Ok(d) => d,
-                Err(e) => {
-                    self.exit(w);
-                    cb(sim, w, Err(e));
-                    return;
-                }
-            };
-            client::unlink(sim, w, ctx, &device, &path, move |sim, w, r| {
-                self.exit(w);
-                cb(sim, w, r);
-            });
-            return;
-        }
         let route = path.clone();
-        self.submit_meta(sim, w, true, route, None, move |_sim, w, fs, shard| {
-            client::unlink_apply_mgr(w, fs, shard, &path)
+        self.submit_meta(sim, w, true, route, None, move |_sim, w, fs, _shard| {
+            client::unlink_apply(w, fs, &path)
         }, cb);
     }
 
@@ -466,30 +392,13 @@ impl Session {
     ) {
         let from = self.resolve(w, from);
         let to = self.resolve(w, to);
-        let ctx = self.ctx(w);
-        if !self.fan_in(w) {
-            self.enter(w);
-            let device = match self.device(w) {
-                Ok(d) => d,
-                Err(e) => {
-                    self.exit(w);
-                    cb(sim, w, Err(e));
-                    return;
-                }
-            };
-            client::rename(sim, w, ctx, &device, &from, &to, move |sim, w, r| {
-                self.exit(w);
-                cb(sim, w, r);
-            });
-            return;
-        }
         // A rename coordinates at the source's owning shard; when the
         // destination hashes elsewhere the envelope runs it as a two-phase
         // op, charging and journaling on both managers.
         let route = from.clone();
         let peer = to.clone();
         self.submit_meta(sim, w, true, route, Some(peer), move |_sim, w, fs, _shard| {
-            client::rename_apply_mgr(w, fs, &from, &to)
+            client::rename_apply(w, fs, &from, &to)
         }, cb);
     }
 
@@ -507,25 +416,6 @@ impl Session {
     ) {
         let path = self.resolve(w, path);
         let ctx = self.ctx(w);
-        if !self.fan_in(w) {
-            self.enter(w);
-            let device = match self.device(w) {
-                Ok(d) => d,
-                Err(e) => {
-                    self.exit(w);
-                    cb(sim, w, Err(e));
-                    return;
-                }
-            };
-            client::open(sim, w, ctx, &device, &path, flags, owner, move |sim, w, r| {
-                if let Ok(h) = r {
-                    self.state_mut(w).handles.insert(h);
-                }
-                self.exit(w);
-                cb(sim, w, r);
-            });
-            return;
-        }
         let path2 = path.clone();
         let route = path.clone();
         self.submit_meta(
@@ -536,7 +426,7 @@ impl Session {
             None,
             move |sim, w, fs, shard| {
                 let now = sim.now().as_nanos();
-                client::open_apply_mgr(w, fs, shard, now, &path, flags, &owner)
+                client::open_apply(w, fs, shard, now, &path, flags, &owner)
             },
             move |sim, w, r: Result<(FsId, InodeId), FsError>| match r {
                 Ok((fs, inode)) => {
@@ -570,27 +460,14 @@ impl Session {
         cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<(), FsError>) + 'static,
     ) {
         let ctx = self.ctx(w);
-        if !self.fan_in(w) {
-            self.enter(w);
-            client::close(sim, w, ctx, handle, move |sim, w, r| {
-                if r.is_ok() {
-                    self.forget_handle(w, handle);
-                }
-                self.exit(w);
-                cb(sim, w, degrade(r));
-            });
-            return;
-        }
         let Some(of) = w.clients[ctx.0 as usize].handles.get(&handle).cloned() else {
-            self.enter(w);
-            self.exit(w);
             cb(sim, w, Err(FsError::BadHandle));
             return;
         };
         let (fs, inode) = (of.fs, of.inode);
         self.enter(w);
-        // Write-behind pages flush first, exactly as the per-client path
-        // does; the token release then rides a fan-in envelope.
+        // Write-behind pages flush first; the token release then rides an
+        // envelope.
         client::fsync(sim, w, ctx, handle, move |sim, w, r| {
             if let Err(e) = r {
                 self.exit(w);
@@ -935,6 +812,25 @@ impl Session {
     }
 }
 
+/// `path` with repeated `/` collapsed and a trailing `/` dropped (the root
+/// stays `/`). A manager path cache invalidates one spelling per entry, so
+/// `/d//f` or `/d/f/` would outlive an unlink of `/d/f`. `.` and `..`
+/// pass through for `FsCore` to reject. Canonical input comes back as is.
+fn canonical(path: String) -> String {
+    if !path.contains("//") && (path.len() == 1 || !path.ends_with('/')) {
+        return path;
+    }
+    let mut out = String::with_capacity(path.len());
+    for comp in path.split('/').filter(|c| !c.is_empty()) {
+        out.push('/');
+        out.push_str(comp);
+    }
+    if out.is_empty() {
+        out.push('/');
+    }
+    out
+}
+
 /// Map total-server-loss to the session surface's degraded-service error.
 fn degrade<T>(r: Result<T, FsError>) -> Result<T, FsError> {
     r.map_err(degrade_err)
@@ -951,10 +847,14 @@ fn degrade_err(e: FsError) -> FsError {
 
 /// Push one op into the `(ctx, fs, shard)` batch.
 ///
-/// Single-shard worlds keep the PR-6 rule byte-for-byte: the first op of
-/// an instant schedules the same-instant flush (`sim.immediately` runs
-/// *after* every event already queued at the current instant, so all
-/// same-instant submits land in the same envelope).
+/// Single-shard worlds flush same-instant: the first op of an instant
+/// schedules the flush (`sim.immediately` runs *after* every event already
+/// queued at the current instant, so all same-instant submits land in the
+/// same envelope), and a context's envelopes never wait on each other.
+/// Gating one manager like several cost the M=1 `meta_untar` benchmark
+/// workload ~6% of its modeled op rate and ~8x its p50 read latency
+/// (DESIGN.md, "Flyweight sessions & RPC fan-in"), so the shard count
+/// picks the rule here, in `flush_shard_batch` and in `envelope_done`.
 ///
 /// Multi-shard worlds run the **per-shard gate** instead: ops park while
 /// an envelope of this `(ctx, fs, shard)` is in flight and flush the
@@ -1505,7 +1405,7 @@ mod tests {
                 SimDuration::from_micros(300),
             ),
         );
-        let ctx = b.mount_context(site, cn, 256);
+        let ctx = b.client(site, cn, 256);
         let ids: Vec<_> = (0..n_sessions).map(|_| b.session(ctx)).collect();
         let (sim, w) = b.build();
         Bed {
@@ -1675,6 +1575,70 @@ mod tests {
         let sid = t.sessions[1].id();
         t.w.end_session(sid);
         assert_eq!(t.w.sessions.len(), 1);
+    }
+
+    #[test]
+    fn unlink_after_migration_leaves_no_stale_path_on_the_old_owner() {
+        // Two shards on one node; `/p` starts on shard 0, where a stat
+        // caches `/p/f`, then migrates to shard 1, which runs the unlink.
+        let mut b = WorldBuilder::new(7);
+        b.key_bits(384);
+        let mgr = b.topo().node("mgr");
+        let cn = b.topo().node("ctx");
+        b.topo()
+            .duplex_link(cn, mgr, Bandwidth::gbit(1.0), SimDuration::from_micros(50), "lan");
+        let site = b.cluster("site.teragrid");
+        let mut p = FsParams::ideal(
+            FsConfig::small_test("gpfs0"),
+            mgr,
+            vec![mgr],
+            Bandwidth::mbyte(400.0),
+            SimDuration::from_micros(300),
+        );
+        p.managers = 2;
+        b.filesystem(site, p);
+        let ctx = b.client(site, cn, 256);
+        let (mut sim, mut w) = b.build();
+        w.fss[0].core.shards.assign("p", 0);
+        let s = w.open_session(ctx);
+        let done = Rc::new(Cell::new(false));
+        let done2 = done.clone();
+        s.mount(&mut sim, &mut w, "gpfs0", AccessMode::ReadWrite, move |sim, w, r| {
+            r.unwrap();
+            s.mkdir(sim, w, "/p", owner(), move |sim, w, r| {
+                r.unwrap();
+                s.open(sim, w, "/p/f", OpenFlags::Write, owner(), move |sim, w, r| {
+                    let h = r.unwrap();
+                    s.close(sim, w, h, move |sim, w, r| {
+                        r.unwrap();
+                        s.stat(sim, w, "/p/f", move |sim, w, r| {
+                            r.unwrap();
+                            assert!(w.fss[0].mgrs[0].cached_path("/p/f").is_some());
+                            w.fss[0].core.shards.commit_move("p", 1);
+                            s.unlink(sim, w, "/p/f", move |_sim, _w, r| {
+                                r.unwrap();
+                                done2.set(true);
+                            });
+                        });
+                    });
+                });
+            });
+        });
+        sim.run(&mut w);
+        assert!(done.get());
+        for m in &w.fss[0].mgrs {
+            assert_eq!(m.cached_path("/p/f"), None, "a shard still caches the unlinked path");
+        }
+    }
+
+    #[test]
+    fn canonical_collapses_repeated_and_trailing_slashes() {
+        assert_eq!(canonical("/d//f/".into()), "/d/f");
+        assert_eq!(canonical("//".into()), "/");
+        assert_eq!(canonical("/".into()), "/");
+        assert_eq!(canonical("/d/f".into()), "/d/f");
+        // `.` and `..` are left for `FsCore` to reject.
+        assert_eq!(canonical("/d/../f".into()), "/d/../f");
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub struct InodeId(pub u64);
 pub struct NsdId(pub u32);
 
 /// An interned path component: an index into the filesystem's global name
-/// table. Directory entries, dentry caches and resolution all work on these
+/// table. Directory entries, path resolution and the dentry cache work on these
 /// 4-byte ids instead of `String` keys — one interning per *distinct* name
 /// ever created, zero string allocation per lookup.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -27,7 +27,7 @@ pub struct NameId(pub u32);
 pub struct ClientId(pub u32);
 
 /// Identifies a flyweight session: one simulated user sharing a mount
-/// context's page pool, token mirror and dentry cache (see
+/// context's page pool and token mirror (see
 /// [`crate::session`]). Thousands of sessions ride on one [`ClientId`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct SessionId(pub u32);

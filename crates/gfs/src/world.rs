@@ -5,7 +5,7 @@
 //! mutated only through simulation events. Scenario- or benchmark-specific
 //! state rides in the `ext` slot so callbacks can reach it.
 
-use crate::cache::{DentryCache, PagePool, PrefetchState};
+use crate::cache::{PagePool, PrefetchState};
 use crate::fscore::{FsConfig, FsCore};
 use crate::tokens::{ByteRange, TokenManager, TokenMode};
 use crate::types::{ClientId, ClusterId, FsId, Handle, InodeId, NsdId, OpenFlags};
@@ -103,15 +103,16 @@ pub struct ManagerState {
     /// Total WAL entries replayed across all recoveries (observability).
     pub replayed: u64,
     /// The acting manager's own path → inode cache, used when applying
-    /// fan-in envelopes (`crate::session`). Client dentry caches stay
-    /// coherent through invalidation broadcasts plus the namespace
-    /// generation (a wholesale tag that any unlink bumps); the manager
-    /// needs neither, because it applies every namespace mutation itself
-    /// and can therefore invalidate *exactly*: unlink removes the one
-    /// dead path (an unlinked directory is empty, so no cached descendant
-    /// can exist — each was removed at its own unlink), rename moves a
-    /// whole subtree and clears wholesale, and create/mkdir can never
-    /// make a cached positive mapping wrong. Volatile: wiped on crash.
+    /// envelope ops (`crate::session`). The manager applies every
+    /// namespace mutation itself and can therefore invalidate *exactly*:
+    /// unlink removes the one dead path from every shard's cache (a shard
+    /// that owned the subtree before a migration may still hold it; an
+    /// unlinked directory is empty, so no cached descendant can exist —
+    /// each was removed at its own unlink), rename moves a whole subtree
+    /// and clears wholesale, and create/mkdir can never make a cached
+    /// positive mapping wrong. Exact invalidation needs one spelling per
+    /// entry, so keys are canonical absolute paths (no repeated or
+    /// trailing `/`; see `Session::resolve`). Volatile: wiped on crash.
     paths: FxHashMap<Box<str>, crate::types::InodeId>,
     /// Service queue head for fan-in envelopes: the instant the manager's
     /// CPU frees up. Arriving envelopes start at
@@ -165,6 +166,12 @@ impl ManagerState {
         self.paths.clear();
     }
 
+    /// Every cached `(path, inode)` pair, in no particular order — for
+    /// coherence audits against the live tree.
+    pub fn cached_paths(&self) -> impl Iterator<Item = (&str, crate::types::InodeId)> + '_ {
+        self.paths.iter().map(|(p, id)| (p.as_ref(), *id))
+    }
+
     /// The recorded result of an already-applied op, if any.
     pub fn applied_result(&self, op_id: u64) -> Option<Rc<dyn Any>> {
         self.applied.get(&op_id).cloned()
@@ -188,8 +195,8 @@ impl ManagerState {
     /// acked history keeps the dedup table O(live sessions) instead of
     /// O(total ops) — the retirement-floor scheme real fan-in managers
     /// use. Only session-space op ids (bit 63 set) are ever passed here;
-    /// legacy per-client ops keep their full history, so WAL length and
-    /// recovery-replay accounting for the chaos scenarios are unchanged.
+    /// per-client data-path ops (write allocation, truncate) keep their
+    /// full history.
     pub fn retire(&mut self, lo: u64, hi: u64) {
         for id in lo..=hi {
             if self.applied.remove(&id).is_some() {
@@ -283,7 +290,7 @@ pub struct FsInstance {
     /// while queued envelopes flush.
     pub migrating: bool,
     /// Sequence for migration WAL record ids (bit 62 namespace — disjoint
-    /// from both legacy client ids and bit-63 session op ids).
+    /// from both per-client op ids and bit-63 session op ids).
     pub migration_seq: u64,
     /// The owning (serving) cluster.
     pub owning_cluster: ClusterId,
@@ -485,15 +492,8 @@ pub struct Client {
     /// daemon likewise completes in-flight operations before honouring a
     /// revoke, which is what makes individual writes atomic.
     pub inflight: BTreeMap<(FsId, InodeId), u32>,
-    /// Dentry cache: `(fs, parent, name) -> inode`, filled by path
-    /// resolution at the manager and invalidated on remove/rename.
-    pub dentry: DentryCache,
     /// Sequence number for manager-op ids (see [`Client::next_op_id`]).
     pub next_op_seq: u64,
-    /// When true, sessions sharing this mount context batch same-instant
-    /// manager RPCs into fan-in envelopes (see [`crate::session`]).
-    /// Plain one-user clients keep the direct per-op RPC path.
-    pub fan_in: bool,
     /// Client-side mirror of held subtree leases: `(fs, top-level
     /// subtree)`. While an entry is present, this context's metadata ops
     /// under the subtree run against the local delegate (no manager
@@ -533,8 +533,9 @@ pub struct JournalEntry {
 }
 
 impl Client {
-    /// A fresh globally-unique op id for a manager RPC: the client id in
-    /// the high 32 bits, a per-client sequence below. Retries of one
+    /// A fresh globally-unique op id for a data-path manager RPC (write
+    /// allocation, truncate): the client id in the high 32 bits, a
+    /// per-client sequence below. Retries of one
     /// operation reuse the id — that is what the manager's dedup table
     /// keys on for exactly-once semantics.
     pub fn next_op_id(&mut self) -> u64 {
@@ -588,8 +589,8 @@ pub struct ProtocolCosts {
     /// manager for `n × manager_op_service`, so one site manager sustains
     /// at most `1/manager_op_service` metadata ops per simulated second
     /// (200k/s at the 5µs default — a directory op on 2004-era SMP
-    /// hardware). The legacy per-op RPC path keeps its original costing;
-    /// only batched envelopes are charged here.
+    /// hardware). Every metadata op rides an envelope and pays this; the
+    /// data path's own manager RPCs (write allocation, truncate) do not.
     pub manager_op_service: SimDuration,
     /// Gather window for gated (multi-shard) envelope flushes: when a
     /// shard's gate frees, the next envelope waits this long collecting
@@ -820,7 +821,7 @@ pub struct WorldBuilder {
     key_bits: u32,
     clusters: Vec<(String, Vec<NodeId>)>,
     fss: Vec<(usize, FsParams)>,
-    clients: Vec<(usize, NodeId, usize, bool)>,
+    clients: Vec<(usize, NodeId, usize)>,
     sessions: Vec<u32>,
     arrays: Vec<ArraySpec>,
 }
@@ -877,20 +878,13 @@ impl WorldBuilder {
         id
     }
 
-    /// Declare a client node in `cluster` at `node` with a page pool of
-    /// `pool_pages` blocks.
+    /// Declare a mount context (a client node) in `cluster` at `node` with
+    /// a page pool of `pool_pages` blocks. Sessions riding on it batch
+    /// same-instant manager RPCs into shared envelopes (see
+    /// [`crate::session`]).
     pub fn client(&mut self, cluster: ClusterId, node: NodeId, pool_pages: usize) -> ClientId {
         let id = ClientId(self.clients.len() as u32);
-        self.clients.push((cluster.0 as usize, node, pool_pages, false));
-        id
-    }
-
-    /// Declare a fan-in mount context: like [`WorldBuilder::client`], but
-    /// sessions riding on it batch same-instant manager RPCs into shared
-    /// envelopes (see [`crate::session`]).
-    pub fn mount_context(&mut self, cluster: ClusterId, node: NodeId, pool_pages: usize) -> ClientId {
-        let id = ClientId(self.clients.len() as u32);
-        self.clients.push((cluster.0 as usize, node, pool_pages, true));
+        self.clients.push((cluster.0 as usize, node, pool_pages));
         id
     }
 
@@ -985,7 +979,7 @@ impl WorldBuilder {
             .clients
             .into_iter()
             .enumerate()
-            .map(|(i, (cl, node, pool, fan_in))| Client {
+            .map(|(i, (cl, node, pool))| Client {
                 id: ClientId(i as u32),
                 node,
                 cluster: ClusterId(cl as u32),
@@ -995,9 +989,7 @@ impl WorldBuilder {
                 prefetch: BTreeMap::new(),
                 held_tokens: BTreeMap::new(),
                 inflight: BTreeMap::new(),
-                dentry: DentryCache::new(),
                 next_op_seq: 0,
-                fan_in,
                 leases: std::collections::BTreeSet::new(),
                 delegate_busy_until: SimTime::from_nanos(0),
                 delegate_inflight: 0,

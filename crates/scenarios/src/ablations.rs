@@ -206,7 +206,6 @@ pub struct AuthReport {
 /// Run the handshake measurement over a link with the given one-way delay.
 pub fn auth_handshake(one_way: SimDuration) -> AuthReport {
     use gfs::admin::connect_clusters;
-    use gfs::client::mount;
     use gfs::fscore::FsConfig;
     use gfs::world::FsParams;
     use gfs_auth::handshake::AccessMode;
@@ -242,7 +241,8 @@ pub fn auth_handshake(one_way: SimDuration) -> AuthReport {
         let rtt = w.net.rtt(server, remote).as_secs_f64();
         let t = Rc::new(Cell::new(0u64));
         let t2 = t.clone();
-        mount(&mut sim, &mut w, c, "gpfs-x", AccessMode::ReadWrite, move |sim, _w, r| {
+        let sess = w.open_session(c);
+        sess.mount(&mut sim, &mut w, "gpfs-x", AccessMode::ReadWrite, move |sim, _w, r| {
             r.unwrap();
             t2.set(sim.now().as_nanos());
         });

@@ -560,7 +560,8 @@ impl ScenarioBuilder {
     /// `count` client nodes at a site, each on its own `nic`-rate link
     /// (`"nic-{site}-{i}"`), with `pool_pages` pages of block cache.
     /// Returns one [`Session`] per node: a 1:1 session over a dedicated
-    /// mount context, byte-identical to the pre-session per-client paths.
+    /// mount context, whose metadata ops travel as one-op envelopes unless
+    /// several land in the same instant.
     pub fn clients(
         &mut self,
         site: &str,
@@ -605,7 +606,7 @@ impl ScenarioBuilder {
                     SimDuration::from_micros(100),
                     format!("nic-mc-{site}-{i}"),
                 );
-                ctx = Some(self.b.mount_context(self.cluster, n, 64));
+                ctx = Some(self.b.client(self.cluster, n, 64));
             }
             out.push(Session(self.b.session(ctx.expect("context exists"))));
         }

@@ -14,9 +14,10 @@
 //!   (ops that exhausted the retry budget) stays 0 as long as outages are
 //!   shorter than the retry window.
 //! * **Post-storm health** — fsck comes back clean, op chains drain, no
-//!   watchdog timers leak, token state is conflict-free and client token
-//!   mirrors / dentry caches agree with the manager and the live tree
-//!   ([`world_invariants`], also evaluated inside every storm point).
+//!   watchdog timers leak, token state is conflict-free, client token
+//!   mirrors agree with the manager and every manager path cache agrees
+//!   with the live tree ([`world_invariants`], also evaluated inside every
+//!   storm point).
 //! * **Exactly-once** — a manager kill/restart mid-storm recovers by WAL
 //!   replay and leaves the tree *identical* to a fault-free oracle run
 //!   ([`check_manager_recovery`]): retried mutations are deduplicated, not
@@ -34,7 +35,7 @@ use simcore::{Sim, SimDuration};
 
 /// Audit a drained storm world. Returns one message per violated
 /// invariant; empty means healthy. Cheap relative to the storm itself
-/// (linear in clients × cached entries), so every storm point runs it —
+/// (linear in clients plus cached paths), so every storm point runs it —
 /// healthy runs assert the same invariants chaos runs do.
 pub fn world_invariants(sim: &Sim<GfsWorld>, w: &GfsWorld) -> Vec<String> {
     let mut v = Vec::new();
@@ -72,19 +73,6 @@ pub fn world_invariants(sim: &Sim<GfsWorld>, w: &GfsWorld) -> Vec<String> {
                         c.id.0, inode.0
                     ));
                 }
-            }
-        }
-
-        // Dentry coherence: positive entries are only dropped by explicit
-        // invalidation broadcasts, so any disagreement with the live tree
-        // means an unlink/rename invalidation was lost along the way.
-        for (fs, parent, name, cached) in c.dentry.entries() {
-            let live = w.fss[fs.0 as usize].core.dir_child(parent, name);
-            if live != Some(cached) {
-                v.push(format!(
-                    "client {} dentry stale: ({}, name {}) cached inode {} but tree has {:?}",
-                    c.id.0, parent.0, name.0, cached.0, live
-                ));
             }
         }
     }
@@ -141,6 +129,19 @@ pub fn world_invariants(sim: &Sim<GfsWorld>, w: &GfsWorld) -> Vec<String> {
                     "fs {i}: manager shard {shard} still mid-recovery after drain"
                 ));
             }
+            // Path-cache coherence: entries are only dropped by exact
+            // invalidation at unlink/rename, so any disagreement with the
+            // live tree means an invalidation missed (or a key was not
+            // canonical and outlived its entry).
+            for (path, cached) in m.cached_paths() {
+                let live = live_inode(&inst.core, path);
+                if live != Some(cached) {
+                    v.push(format!(
+                        "fs {i}: manager shard {shard} caches {path:?} as inode {} but tree has {live:?}",
+                        cached.0
+                    ));
+                }
+            }
         }
         // Replica coherence: no read may ever have been served from an
         // invalidated copy, file generations stay under the monotone
@@ -195,6 +196,16 @@ pub fn world_invariants(sim: &Sim<GfsWorld>, w: &GfsWorld) -> Vec<String> {
     }
 
     v
+}
+
+/// Resolve `path` on the live tree without moving the core's resolution
+/// counters (an audit must not change a reported metric).
+fn live_inode(core: &gfs::FsCore, path: &str) -> Option<gfs::InodeId> {
+    path.split('/')
+        .filter(|c| !c.is_empty())
+        .try_fold(gfs::fscore::ROOT, |cur, c| {
+            core.dir_child(cur, core.names.get(c)?)
+        })
 }
 
 /// Verdict of a chaos storm: the (serial) report plus every violated
@@ -410,6 +421,7 @@ pub fn check_manager_recovery_on(
 mod tests {
     use super::*;
     use crate::metadata_storm::StormMix;
+    use crate::trace::TraceCorpus;
 
     /// The acceptance scenario: NSD crash at 40% + WAN flap at 70%, storm
     /// completes fsck-clean with every client RPC eventually succeeding,
@@ -430,6 +442,26 @@ mod tests {
         assert_eq!(r.gave_up, 0, "every RPC must eventually succeed");
     }
 
+    /// The path-cache audit catches an entry that outlived its file under
+    /// another spelling — what a non-canonical key would leave behind.
+    #[test]
+    fn world_invariants_flag_a_stale_path_cache_entry() {
+        let mut sb = crate::builder::ScenarioBuilder::new(1);
+        let fs = sb.nsd_farm("site", crate::builder::NsdFarm::new("meta", 1));
+        let mut run = sb.run(simcore::SimTime::ZERO);
+        let owner = gfs::Owner::local(0, 0);
+        let inst = &mut run.world.fss[fs.0 as usize];
+        inst.core.mkdir("/d", owner.clone(), 0).unwrap();
+        let old = inst.core.create_file("/d/x", owner.clone(), 0).unwrap();
+        inst.mgrs[0].cache_path("/d//x", old);
+        assert!(world_invariants(&run.sim, &run.world).is_empty());
+        let inst = &mut run.world.fss[fs.0 as usize];
+        inst.core.unlink("/d/x").unwrap();
+        inst.core.create_file("/d/x", owner, 0).unwrap();
+        let v = world_invariants(&run.sim, &run.world);
+        assert!(v.len() == 1 && v[0].contains("\"/d//x\""), "{v:?}");
+    }
+
     /// Exactly-once across manager death: kill/restart mid-storm, recover
     /// via WAL replay, end up with the oracle's tree bit-for-bit.
     #[test]
@@ -444,10 +476,10 @@ mod tests {
         assert!(v.chaos.manager_epochs >= 1);
     }
 
-    /// The same guarantees hold under the trace-shaped mix.
+    /// The same guarantees hold under a trace-corpus mix.
     #[test]
     fn trace_mix_chaos_storm_survives() {
-        let cfg = StormConfig::small().with_mix(StormMix::Trace);
+        let cfg = StormConfig::small().with_mix(StormMix::Corpus(TraceCorpus::UntarBuild));
         let spec = canonical_chaos(&cfg, SimDuration::from_millis(400));
         check_chaos_storm(&cfg, &spec).assert_clean();
     }

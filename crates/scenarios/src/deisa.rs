@@ -10,7 +10,6 @@
 
 use crate::common::TCP_EFF;
 use gfs::admin::connect_clusters;
-use gfs::client;
 use gfs::fscore::{DataMode, FsConfig};
 use gfs::stream::{gfs_stream, StreamDir};
 use gfs::types::{ClientId, ClusterId, FsId};
@@ -148,10 +147,10 @@ pub fn run(cfg: DeisaConfig) -> DeisaResult {
             let device = format!("gpfs-{exp_name}");
             mounts.push((SITES[j].to_string(), device.clone()));
             let mounted = mounted.clone();
-            client::mount(
+            let sess = w.open_session(site.client);
+            sess.mount(
                 &mut sim,
                 &mut w,
-                site.client,
                 &device,
                 AccessMode::ReadWrite,
                 move |_s, _w, r| {

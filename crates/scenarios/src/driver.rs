@@ -264,9 +264,10 @@ mod tests {
         let _ = fs;
         let done: Rc<RefCell<Option<WorkloadStats>>> = Rc::new(RefCell::new(None));
         let d = done.clone();
-        client::mount(&mut sim, &mut w, client, "wl", AccessMode::ReadWrite, move |sim, w, r| {
+        let sess = w.open_session(client);
+        sess.mount(&mut sim, &mut w, "wl", AccessMode::ReadWrite, move |sim, w, r| {
             r.unwrap();
-            client::open(sim, w, client, "wl", "/mixed", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
+            sess.open(sim, w, "/mixed", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
                 let h = r.unwrap();
                 let wl = Workload {
                     name: "mixed".into(),

@@ -7,9 +7,10 @@
 //! tree (`/tXX/sYY/fZZZZ`) of ~131k files directly on the filesystem core,
 //! then lets a crowd of clients race mkdir / create / stat / readdir /
 //! small-write / remove RPCs against it through the full client stack
-//! (mount, metadata RPCs at the manager, dentry caches, byte-range tokens,
-//! write-behind). Eight points × (131,344 tree ops + 32 clients × 128 race
-//! ops) ≈ 1.08M metadata operations per run at the defaults.
+//! (mount, metadata envelopes at the manager and its path cache,
+//! byte-range tokens, write-behind). Eight points × (131,344 tree ops +
+//! 32 clients × 128 race ops) ≈ 1.08M metadata operations per run at the
+//! defaults.
 //!
 //! Points are fully independent seeded worlds, so they fan out through
 //! [`crate::parallel::run_indexed`]; the merged [`StormReport`] — including
@@ -34,21 +35,13 @@ pub enum StormMix {
     /// Uniform random paths and a fixed op distribution — every probe is
     /// equally likely to land anywhere in the tree.
     Uniform,
-    /// Trace-shaped: each client works through untar-like (sequential
-    /// creates), build-like (stat + small-write), and `ls -R`-like
-    /// (readdir + stat) phases, pinned to a working directory that changes
-    /// only every 16 ops. Locality concentrates dentry-cache hits the way
-    /// real client traces do.
-    ///
-    /// Kept byte-identical to its pre-corpus pins; the real-corpus path
-    /// is the separate [`StormMix::Corpus`] variant.
-    Trace,
     /// Replay a generated [`TraceCorpus`] shape: each op of the corpus is
     /// mapped onto the storm's `(top, sub, file, selector)` coordinates by
     /// hashing its path components, and every client walks the script
-    /// sequentially from its own offset. Path locality — and therefore
-    /// dentry-cache behavior — is the *corpus's*, not a synthetic
-    /// working-directory schedule's.
+    /// sequentially from its own offset, so the op stream carries the
+    /// corpus's path locality and verb mix.
+    ///
+    /// [`TraceCorpus`]: crate::trace::TraceCorpus
     Corpus(crate::trace::TraceCorpus),
 }
 
@@ -59,10 +52,12 @@ pub struct StormConfig {
     pub points: u32,
     /// Racing mount contexts per point.
     pub clients_per_point: u32,
-    /// Flyweight sessions per mount context. `1` (the default) is the
-    /// legacy one-session-per-client storm, byte-identical to the
-    /// pre-session runs; `> 1` packs that many fan-in sessions onto each
-    /// shared context, batching same-instant metadata RPCs into envelopes.
+    /// Flyweight sessions per mount context. Every context batches its
+    /// sessions' same-instant metadata RPCs into envelopes; `1` (the
+    /// default) gives each context one session, so envelopes carry only
+    /// ops that happen to share an instant, while `> 1` packs that many
+    /// sessions onto each shared context (and keeps the small-write arm
+    /// pure metadata).
     pub sessions_per_client: u32,
     /// Top-level directories in the generated tree.
     pub top_dirs: u32,
@@ -291,10 +286,6 @@ pub struct StormReport {
     pub resolve_alloc_bytes: u64,
     /// Distinct interned names, summed over points.
     pub interned_names: u64,
-    /// Dentry-cache hits summed over all clients.
-    pub dentry_hits: u64,
-    /// Dentry-cache misses summed over all clients.
-    pub dentry_misses: u64,
     /// Every point's post-storm fsck came back clean.
     pub fsck_clean: bool,
     /// Data-path counters summed over points (small writes do real I/O).
@@ -355,8 +346,7 @@ pub struct StormReport {
     pub invariant_violations: u64,
     /// Flyweight sessions that raced, summed over points.
     pub sessions: u64,
-    /// Fan-in envelopes sent (first attempts), summed over points. 0 on a
-    /// legacy one-session-per-client storm.
+    /// Fan-in envelopes sent (first attempts), summed over points.
     pub envelopes: u64,
     /// Metadata ops those envelopes carried, summed over points.
     pub envelope_ops: u64,
@@ -381,23 +371,13 @@ impl StormReport {
         self.ops as f64 * 1e9 / self.sim_ns as f64
     }
 
-    /// Mean ops per fan-in envelope — the batching-efficiency headline.
-    /// 0.0 on a legacy storm that sent no envelopes at all.
+    /// Mean ops per fan-in envelope — the batching-efficiency headline
+    /// (0.0 when no envelope was sent).
     pub fn ops_per_envelope(&self) -> f64 {
         if self.envelopes == 0 {
             0.0
         } else {
             self.envelope_ops as f64 / self.envelopes as f64
-        }
-    }
-
-    /// Dentry hit rate in `[0, 1]`.
-    pub fn dentry_hit_rate(&self) -> f64 {
-        let probes = self.dentry_hits + self.dentry_misses;
-        if probes == 0 {
-            0.0
-        } else {
-            self.dentry_hits as f64 / probes as f64
         }
     }
 }
@@ -409,8 +389,6 @@ struct PointSummary {
     events: u64,
     fingerprint: u64,
     meta: MetaSnapshot,
-    dentry_hits: u64,
-    dentry_misses: u64,
     fsck_clean: bool,
     data_path: DataPathStats,
     timeouts: u64,
@@ -548,8 +526,6 @@ pub fn run_chaos_storm_with_threads(
         resolves: 0,
         resolve_alloc_bytes: 0,
         interned_names: 0,
-        dentry_hits: 0,
-        dentry_misses: 0,
         fsck_clean: true,
         data_path: DataPathStats::default(),
         timeouts: 0,
@@ -583,8 +559,6 @@ pub fn run_chaos_storm_with_threads(
         r.resolves += s.meta.resolves;
         r.resolve_alloc_bytes += s.meta.resolve_alloc_bytes;
         r.interned_names += s.meta.interned_names;
-        r.dentry_hits += s.dentry_hits;
-        r.dentry_misses += s.dentry_misses;
         r.fsck_clean &= s.fsck_clean;
         r.data_path = r.data_path.merged(&s.data_path);
         r.timeouts += s.timeouts;
@@ -639,24 +613,9 @@ fn run_point(cfg: &StormConfig, chaos: &ChaosSpec, point: u32) -> PointSummary {
     } else {
         "site"
     };
-    // One session per client (legacy, byte-identical event stream), or
-    // `sessions_per_client` fan-in sessions packed onto each shared mount
-    // context (the flyweight scale path).
-    let sessions = if cfg.sessions_per_client > 1 {
-        sb.sessions(
-            client_site,
-            cfg.clients_per_point * cfg.sessions_per_client,
-            cfg.sessions_per_client,
-        )
-    } else {
-        sb.clients(
-            client_site,
-            cfg.clients_per_point,
-            Bandwidth::gbit(1.0),
-            SimDuration::from_micros(100),
-            64,
-        )
-    };
+    // `sessions_per_client` sessions packed onto each mount context.
+    let spc = cfg.sessions_per_client.max(1);
+    let sessions = sb.sessions(client_site, cfg.clients_per_point * spc, spc);
     sb.faults(chaos.timed.clone());
     // No queued workloads: the builder just assembles the world; the storm
     // drives the client API directly.
@@ -683,7 +642,7 @@ fn run_point(cfg: &StormConfig, chaos: &ChaosSpec, point: u32) -> PointSummary {
             &c.generate(4, 2, cfg.seed),
             cfg,
         ))),
-        _ => None,
+        StormMix::Uniform => None,
     };
 
     // Phase 1 — tree generation, straight on the core (the bulk of the
@@ -728,8 +687,8 @@ fn run_point(cfg: &StormConfig, chaos: &ChaosSpec, point: u32) -> PointSummary {
     // Phase 2 — the race: each mount context is mounted once (by its first
     // session), the rest of its sessions bind the device, then every
     // session runs its op chain. Chains launched from one callback share
-    // the instant, so a fan-in context's first round is already one
-    // envelope.
+    // the instant, so a multi-session context's first round is already
+    // one envelope.
     let race_start = run.sim.now();
     {
         let (sim, w) = (&mut run.sim, &mut run.world);
@@ -835,8 +794,6 @@ fn run_point(cfg: &StormConfig, chaos: &ChaosSpec, point: u32) -> PointSummary {
             inst.core.shards.migrations(),
         );
     }
-    let dentry_hits = run.world.clients.iter().map(|c| c.dentry.hits).sum();
-    let dentry_misses = run.world.clients.iter().map(|c| c.dentry.misses).sum();
     let w = &run.world;
     let core = &w.fss[fs.0 as usize].core;
     // Every point — healthy or faulted — is audited against the world
@@ -852,8 +809,6 @@ fn run_point(cfg: &StormConfig, chaos: &ChaosSpec, point: u32) -> PointSummary {
         events: run.sim.executed(),
         fingerprint: tally.fingerprint.get(),
         meta: core.meta_snapshot(),
-        dentry_hits,
-        dentry_misses,
         fsck_clean: gfs::fsck(core).is_clean(),
         data_path: crate::builder::data_path_stats_of(w),
         timeouts: w
@@ -985,8 +940,6 @@ fn corpus_script(
 /// completion callback, so each session is a sequential stream of racing
 /// RPCs. Progress-keyed faults are advanced here, so "at op N" thresholds
 /// are evaluated against the shared per-point op counter between ops.
-/// Legacy sessions delegate straight to the per-client paths; fan-in
-/// sessions route metadata through batched envelopes.
 #[allow(clippy::too_many_arguments)]
 fn next_op(
     sim: &mut Sim<GfsWorld>,
@@ -1032,42 +985,9 @@ fn next_op(
             let f = rng.gen::<u32>() % (cfg.files_per_sub + cfg.files_per_sub / 4 + 1);
             (t, s, f, rng.gen::<u32>() % 100)
         }
-        // Trace: a working directory pinned for 16-op windows, and op kinds
-        // that move through untar → build → ls -R phases. The selector
-        // values index into the same arms as the uniform distribution.
-        StormMix::Trace => {
-            let window = u64::from(done / 16);
-            let h = mix(mix(0x7472_6163, u64::from(c.0)), window);
-            let t = ((h >> 8) as u32) % cfg.top_dirs;
-            let s = ((h >> 24) as u32) % cfg.sub_dirs;
-            let frac = u64::from(done) * 100 / u64::from(cfg.ops_per_client.max(1));
-            if frac < 40 {
-                // untar: sequential fresh creates with a sprinkle of mkdir
-                // and stat.
-                let sel = match rng.gen::<u32>() % 10 {
-                    0 => 40, // mkdir
-                    1 => 0,  // stat
-                    _ => 45, // create
-                };
-                (t, s, cfg.files_per_sub + done % 997, sel)
-            } else if frac < 70 {
-                // build: stat-heavy with small writes and the odd readdir.
-                let sel = match rng.gen::<u32>() % 10 {
-                    0..=3 => 0,  // stat
-                    4..=7 => 65, // small write
-                    _ => 30,     // readdir
-                };
-                (t, s, rng.gen::<u32>() % cfg.files_per_sub.max(1), sel)
-            } else {
-                // ls -R: readdir-dominated, stats of what it lists.
-                let sel = if rng.gen::<u32>() % 10 < 6 { 30 } else { 0 };
-                (t, s, rng.gen::<u32>() % cfg.files_per_sub.max(1), sel)
-            }
-        }
         // Corpus: walk the compiled trace script sequentially from this
         // client's offset — consecutive ops carry the corpus's real
-        // directory locality, so the dentry cache sees what a captured
-        // client trace would actually show it.
+        // directory locality.
         StormMix::Corpus(_) => {
             let sc = script.as_ref().expect("corpus mix compiles a script");
             let idx = (u64::from(c.0)
@@ -1242,44 +1162,16 @@ mod tests {
             "interned {} names for a 2-point small storm",
             r.interned_names
         );
-        assert!(
-            r.dentry_hits > 0,
-            "clients never hit their dentry caches during the race"
-        );
-    }
-
-    #[test]
-    fn trace_mix_concentrates_dentry_hits() {
-        let uniform = run_storm(&StormConfig::small());
-        let trace = run_storm(&StormConfig::small().with_mix(StormMix::Trace));
-        assert!(trace.fsck_clean);
-        assert!(
-            trace.dentry_hit_rate() > uniform.dentry_hit_rate() + 0.05,
-            "trace locality should lift the dentry hit rate measurably: \
-             trace {:.3} vs uniform {:.3}",
-            trace.dentry_hit_rate(),
-            uniform.dentry_hit_rate()
-        );
     }
 
     #[test]
     fn corpus_mix_carries_real_trace_locality() {
-        // The real-corpus script must beat uniform probing on dentry
-        // locality the same way the synthetic trace phases do — the
-        // locality now comes from the generated untar/build paths, not a
-        // hand-tuned working-directory schedule.
-        let uniform = run_storm(&StormConfig::small());
+        // Every corpus-shaped storm drains with a clean tree and no op
+        // that gave up.
         for corpus in crate::trace::TraceCorpus::ALL {
             let r = run_storm(&StormConfig::small().with_mix(StormMix::Corpus(corpus)));
             assert!(r.fsck_clean, "{corpus:?} storm left an inconsistent fs");
             assert_eq!(r.gave_up, 0);
-            assert!(
-                r.dentry_hit_rate() > uniform.dentry_hit_rate() + 0.05,
-                "{corpus:?} locality should lift the dentry hit rate: \
-                 corpus {:.3} vs uniform {:.3}",
-                r.dentry_hit_rate(),
-                uniform.dentry_hit_rate()
-            );
         }
     }
 

@@ -603,10 +603,6 @@ pub struct ReplayReport {
     pub replica_remote_picks: u64,
     /// Replica invalidations from writes to cataloged files.
     pub replica_invalidations: u64,
-    /// Dentry-cache hits across all contexts.
-    pub dentry_hits: u64,
-    /// Dentry-cache misses across all contexts.
-    pub dentry_misses: u64,
 }
 
 impl ReplayReport {
@@ -1200,8 +1196,6 @@ pub fn replay_trace(ops: &[TraceOp], cfg: &ReplayConfig, chaos: &ChaosSpec) -> R
         replica_installs: st.installs.get(),
         replica_remote_picks: rc.remote_picks,
         replica_invalidations: rc.invalidations,
-        dentry_hits: w.clients.iter().map(|c| c.dentry.hits).sum(),
-        dentry_misses: w.clients.iter().map(|c| c.dentry.misses).sum(),
     }
 }
 

@@ -9,7 +9,6 @@
 
 use bytes::Bytes;
 use gfs::admin::connect_clusters;
-use gfs::client;
 use gfs::commands::{mmauth_show, mmdf, mmdiag_tokens, mmlsfs, mmlsmount, mmremote_show};
 use gfs::fscore::FsConfig;
 use gfs::fsck::fsck;
@@ -55,13 +54,14 @@ fn main() {
     println!("## mmremotecluster/mmremotefs show (at ncsa)\n{}", mmremote_show(&w, c_ncsa));
 
     // Mount from NCSA and do some I/O so the views have content.
-    client::mount(&mut sim, &mut w, ncsa_client, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, r| {
+    let user = w.open_session(ncsa_client);
+    user.mount(&mut sim, &mut w, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, r| {
         r.expect("mount");
-        client::open(sim, w, ncsa_client, "gpfs-wan", "/tour.dat", OpenFlags::ReadWrite, Owner::local(71003, 100), move |sim, w, r| {
+        user.open(sim, w, "/tour.dat", OpenFlags::ReadWrite, Owner::local(71003, 100), move |sim, w, r| {
             let h = r.unwrap();
-            client::write(sim, w, ncsa_client, h, 0, Bytes::from(vec![1u8; 1 << 20]), move |sim, w, r| {
+            user.write(sim, w, h, 0, Bytes::from(vec![1u8; 1 << 20]), move |sim, w, r| {
                 r.unwrap();
-                client::fsync(sim, w, ncsa_client, h, |_s, _w, r| r.unwrap());
+                user.fsync(sim, w, h, |_s, _w, r| r.unwrap());
             });
         });
     });
@@ -85,7 +85,7 @@ fn main() {
         .mmauth_finalize_key("ncsa.teragrid");
     let new_fp = w.clusters[c_ncsa.0 as usize].auth.public_key().fingerprint();
     println!("  ncsa key rotated: {old_fp} -> {new_fp}");
-    client::mount(&mut sim, &mut w, ncsa_client, "gpfs-wan", AccessMode::ReadOnly, |_s, _w, r| {
+    user.mount(&mut sim, &mut w, "gpfs-wan", AccessMode::ReadOnly, |_s, _w, r| {
         println!("  remount under new key: ok = {}\n", r.is_ok());
     });
     sim.run(&mut w);

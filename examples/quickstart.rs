@@ -7,7 +7,6 @@
 
 use bytes::Bytes;
 use gfs::admin::connect_clusters;
-use gfs::client;
 use gfs::fscore::FsConfig;
 use gfs::types::{OpenFlags, Owner};
 use gfs::world::{FsParams, WorldBuilder};
@@ -47,6 +46,9 @@ fn main() {
     let writer = b.client(sdsc_cluster, sdsc, 256);
     let reader = b.client(ncsa_cluster, ncsa, 256);
     let (mut sim, mut w) = b.build();
+    // One user session on each node.
+    let writer = w.open_session(writer);
+    let reader = w.open_session(reader);
 
     // 4. Multi-cluster trust: mmauth add/grant + mmremotecluster/-fs.
     connect_clusters(
@@ -63,29 +65,26 @@ fn main() {
     // ------------------------------------------------------------------
     let payload = Bytes::from_static(b"Massive High-Performance Global File Systems for Grid computing");
     let expect = payload.clone();
-    client::mount(&mut sim, &mut w, writer, "gpfs-wan", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
+    writer.mount(&mut sim, &mut w, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, r| {
         r.expect("local mount");
         println!("[{:>9}] SDSC mounted gpfs-wan locally", sim.now());
-        client::open(
+        writer.open(
             sim,
             w,
-            writer,
-            "gpfs-wan",
             "/hello.dat",
             OpenFlags::ReadWrite,
             Owner::local(500, 100),
             move |sim, w, r| {
                 let h = r.expect("open for write");
-                client::write(sim, w, writer, h, 0, payload, move |sim, w, r| {
+                writer.write(sim, w, h, 0, payload, move |sim, w, r| {
                     r.expect("write");
-                    client::close(sim, w, writer, h, move |sim, w, r| {
+                    writer.close(sim, w, h, move |sim, w, r| {
                         r.expect("close flushes to the NSDs");
                         println!("[{:>9}] SDSC wrote and closed /hello.dat", sim.now());
                         // Remote side: RSA challenge-response, then read.
-                        client::mount(
+                        reader.mount(
                             sim,
                             w,
-                            reader,
                             "gpfs-wan",
                             AccessMode::ReadWrite,
                             move |sim, w, r| {
@@ -94,20 +93,17 @@ fn main() {
                                     "[{:>9}] NCSA authenticated + mounted over the WAN",
                                     sim.now()
                                 );
-                                client::open(
+                                reader.open(
                                     sim,
                                     w,
-                                    reader,
-                                    "gpfs-wan",
                                     "/hello.dat",
                                     OpenFlags::Read,
                                     Owner::local(71003, 100),
                                     move |sim, w, r| {
                                         let h = r.expect("open for read");
-                                        client::read(
+                                        reader.read(
                                             sim,
                                             w,
-                                            reader,
                                             h,
                                             0,
                                             expect.len() as u64,

@@ -1,7 +1,7 @@
-//! Flyweight sessions + manager-RPC fan-in: the PR-6 call surface.
+//! Flyweight sessions + manager-RPC fan-in: the metadata call surface.
 //!
-//! Thousands of simulated *users* share one mounting node's page pool,
-//! token mirror and dentry cache; each [`gfs::session::Session`] carries
+//! Thousands of simulated *users* share one mounting node's page pool and
+//! token mirror; each [`gfs::session::Session`] carries
 //! only a handle table, a cwd and a bound device. Sessions that submit
 //! metadata ops in the same simulation instant share **one** RPC envelope
 //! to the namespace manager — one message, one watchdog, one response —
@@ -46,7 +46,7 @@ fn main() {
             SimDuration::from_micros(300),
         ),
     );
-    let ctx = b.mount_context(site, login, 256);
+    let ctx = b.client(site, login, 256);
     let ids: Vec<SessionId> = (0..64).map(|_| b.session(ctx)).collect();
     let (mut sim, mut w) = b.build();
     let sessions: Vec<gfs::session::Session> =

@@ -1,13 +1,14 @@
 //! Model-based testing of the full client operation path: random
-//! write/read/truncate sequences executed through mounts, tokens, RPCs,
-//! NSD service and flows — compared byte-for-byte against a plain
-//! `Vec<u8>` reference file.
+//! write/read/truncate/fsync programs run through a session (mounts,
+//! envelopes, tokens, NSD service and flows) and, op for op, against the
+//! reference model [`ModelFs`]; every read must return the model's bytes.
 
 use bytes::Bytes;
-use globalfs::gfs::client;
 use globalfs::gfs::fscore::FsConfig;
-use globalfs::gfs::types::{ClientId, FsError, Handle, OpenFlags, Owner};
+use globalfs::gfs::oracle::{ModelFs, ModelId};
+use globalfs::gfs::types::{FsError, Handle, OpenFlags, Owner};
 use globalfs::gfs::world::{FsParams, GfsWorld, WorldBuilder};
+use globalfs::gfs::Session;
 use globalfs::simcore::{Bandwidth, Sim, SimDuration};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -43,7 +44,7 @@ fn random_op(r: &mut StdRng) -> Op {
     }
 }
 
-fn world() -> (Sim<GfsWorld>, GfsWorld, ClientId) {
+fn world() -> (Sim<GfsWorld>, GfsWorld, Session) {
     let mut b = WorldBuilder::new(77);
     b.key_bits(384);
     let srv = b.topo().node("srv");
@@ -67,104 +68,91 @@ fn world() -> (Sim<GfsWorld>, GfsWorld, ClientId) {
         ),
     );
     let client = b.client(c, cli, 64); // small pool: forces evictions
-    let (sim, w) = b.build();
-    (sim, w, client)
+    let (sim, mut w) = b.build();
+    let sess = w.open_session(client);
+    (sim, w, sess)
+}
+
+/// The model side of one run: the file's model id plus every read that
+/// disagreed with it.
+struct Check {
+    model: RefCell<ModelFs>,
+    id: ModelId,
+    failures: RefCell<Vec<String>>,
 }
 
 /// Apply the ops through the simulator and against the model; verify every
 /// read against the model and the final stat size.
 fn run_case(ops: Vec<Op>) {
-    let (mut sim, mut w, client) = world();
-    let model: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
-    let failures: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
+    let (mut sim, mut w, sess) = world();
+    let mut model = ModelFs::new();
+    let id = model.open("/model.bin", OpenFlags::ReadWrite).unwrap();
+    let check = Rc::new(Check {
+        model: RefCell::new(model),
+        id,
+        failures: RefCell::new(Vec::new()),
+    });
     let finished = Rc::new(std::cell::Cell::new(false));
 
     {
-        let model = model.clone();
-        let failures = failures.clone();
+        let check = check.clone();
         let finished = finished.clone();
-        client::mount(&mut sim, &mut w, client, "m", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
+        sess.mount(&mut sim, &mut w, "m", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
             r.unwrap();
-            client::open(
-                sim,
-                w,
-                client,
-                "m",
-                "/model.bin",
-                OpenFlags::ReadWrite,
-                Owner::local(1, 1),
-                move |sim, w, r| {
-                    let h = r.unwrap();
-                    step(sim, w, client, h, ops, 0, model, failures, finished);
-                },
-            );
+            sess.open(sim, w, "/model.bin", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
+                let h = r.unwrap();
+                step(sim, w, sess, h, ops, 0, check, finished);
+            });
         });
     }
     sim.run(&mut w);
     assert!(finished.get(), "op sequence did not run to completion");
-    let fails = failures.borrow();
+    let fails = check.failures.borrow();
     assert!(fails.is_empty(), "mismatches: {:?}", *fails);
     // Final size agreement.
-    let model_len = model.borrow().len() as u64;
+    let model_size = check.model.borrow().stat("/model.bin").unwrap().size;
     let fs_size = w.fss[0].core.stat("/model.bin").unwrap().size;
-    assert_eq!(fs_size, model_len, "final size mismatch");
+    assert_eq!(fs_size, model_size, "final size mismatch");
 }
 
 #[allow(clippy::too_many_arguments)]
 fn step(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
-    client: ClientId,
+    sess: Session,
     h: Handle,
     ops: Vec<Op>,
     idx: usize,
-    model: Rc<RefCell<Vec<u8>>>,
-    failures: Rc<RefCell<Vec<String>>>,
+    check: Rc<Check>,
     finished: Rc<std::cell::Cell<bool>>,
 ) {
     let Some(op) = ops.get(idx).cloned() else {
         // Close (flushes) and finish.
-        client::close(sim, w, client, h, move |_s, _w, r| {
+        sess.close(sim, w, h, move |_s, _w, r| {
             r.unwrap();
             finished.set(true);
         });
         return;
     };
-    let model2 = model.clone();
-    let failures2 = failures.clone();
+    let c = check.clone();
     let next = move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld| {
-        step(sim, w, client, h, ops, idx + 1, model2, failures2, finished);
+        step(sim, w, sess, h, ops, idx + 1, c, finished);
     };
     match op {
         Op::Write { offset, len, fill } => {
-            {
-                let mut m = model.borrow_mut();
-                if m.len() < (offset as usize) + len {
-                    m.resize(offset as usize + len, 0);
-                }
-                m[offset as usize..offset as usize + len].fill(fill);
-            }
-            let data = Bytes::from(vec![fill; len]);
-            client::write(sim, w, client, h, offset, data, move |sim, w, r| {
+            let data = vec![fill; len];
+            check.model.borrow_mut().write(check.id, offset, &data).unwrap();
+            sess.write(sim, w, h, offset, Bytes::from(data), move |sim, w, r| {
                 r.unwrap();
                 next(sim, w);
             });
         }
         Op::Read { offset, len } => {
-            let expect: Vec<u8> = {
-                let m = model.borrow();
-                let end = ((offset + len) as usize).min(m.len());
-                if offset as usize >= m.len() {
-                    Vec::new()
-                } else {
-                    m[offset as usize..end].to_vec()
-                }
-            };
-            let fail_log = failures.clone();
-            client::read(sim, w, client, h, offset, len, move |sim, w, r| {
+            let expect = check.model.borrow().read(check.id, offset, len).unwrap();
+            sess.read(sim, w, h, offset, len, move |sim, w, r| {
                 let got = r.unwrap();
                 if got.as_ref() != expect.as_slice() {
-                    fail_log.borrow_mut().push(format!(
+                    check.failures.borrow_mut().push(format!(
                         "read({offset},{len}): got {} bytes, want {} (first diff at {:?})",
                         got.len(),
                         expect.len(),
@@ -175,17 +163,14 @@ fn step(
             });
         }
         Op::Truncate { size } => {
-            {
-                let mut m = model.borrow_mut();
-                m.resize(size as usize, 0);
-            }
-            client::truncate(sim, w, client, h, size, move |sim, w, r| {
+            check.model.borrow_mut().truncate(check.id, size).unwrap();
+            sess.truncate(sim, w, h, size, move |sim, w, r| {
                 r.unwrap();
                 next(sim, w);
             });
         }
         Op::Fsync => {
-            client::fsync(sim, w, client, h, move |sim, w, r| {
+            sess.fsync(sim, w, h, move |sim, w, r| {
                 r.unwrap();
                 next(sim, w);
             });
@@ -237,22 +222,22 @@ fn regression_read_past_truncated_eof() {
 
 #[test]
 fn rename_is_visible_through_the_op_path() {
-    let (mut sim, mut w, client) = world();
+    let (mut sim, mut w, sess) = world();
     let ok = Rc::new(std::cell::Cell::new(false));
     let ok2 = ok.clone();
-    client::mount(&mut sim, &mut w, client, "m", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
+    sess.mount(&mut sim, &mut w, "m", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
         r.unwrap();
-        client::open(sim, w, client, "m", "/a", OpenFlags::Write, Owner::local(1, 1), move |sim, w, r| {
+        sess.open(sim, w, "/a", OpenFlags::Write, Owner::local(1, 1), move |sim, w, r| {
             let h = r.unwrap();
-            client::write(sim, w, client, h, 0, Bytes::from_static(b"payload"), move |sim, w, r| {
+            sess.write(sim, w, h, 0, Bytes::from_static(b"payload"), move |sim, w, r| {
                 r.unwrap();
-                client::close(sim, w, client, h, move |sim, w, r| {
+                sess.close(sim, w, h, move |sim, w, r| {
                     r.unwrap();
-                    client::rename(sim, w, client, "m", "/a", "/b", move |sim, w, r| {
+                    sess.rename(sim, w, "/a", "/b", move |sim, w, r| {
                         r.unwrap();
-                        client::stat(sim, w, client, "m", "/a", move |sim, w, r| {
+                        sess.stat(sim, w, "/a", move |sim, w, r| {
                             assert!(matches!(r, Err(FsError::NotFound(_))));
-                            client::stat(sim, w, client, "m", "/b", move |_s, _w, r| {
+                            sess.stat(sim, w, "/b", move |_s, _w, r| {
                                 assert_eq!(r.unwrap().size, 7);
                                 ok2.set(true);
                             });

@@ -8,16 +8,16 @@
 #![allow(clippy::type_complexity)] // Sim callback signatures are inherent to the event-driven style
 
 use bytes::Bytes;
-use globalfs::gfs::client;
 use globalfs::gfs::fscore::FsConfig;
-use globalfs::gfs::types::{ClientId, FsId, Handle, OpenFlags, Owner};
+use globalfs::gfs::types::{FsId, Handle, OpenFlags, Owner};
+use globalfs::gfs::Session;
 use globalfs::gfs::world::{FsParams, GfsWorld, WorldBuilder};
 use globalfs::simcore::{Bandwidth, Sim, SimDuration};
 use std::cell::Cell;
 use std::rc::Rc;
 
-/// N clients on distinct nodes around one manager.
-fn bed(n: usize) -> (Sim<GfsWorld>, GfsWorld, Vec<ClientId>) {
+/// N clients on distinct nodes around one manager, one session each.
+fn bed(n: usize) -> (Sim<GfsWorld>, GfsWorld, Vec<Session>) {
     let mut b = WorldBuilder::new(88);
     b.key_bits(384);
     let mgr = b.topo().node("mgr");
@@ -47,30 +47,31 @@ fn bed(n: usize) -> (Sim<GfsWorld>, GfsWorld, Vec<ClientId>) {
         );
         clients.push(b.client(c, node, 128));
     }
-    let (sim, w) = b.build();
-    (sim, w, clients)
+    let (sim, mut w) = b.build();
+    let sessions = clients.into_iter().map(|c| w.open_session(c)).collect();
+    (sim, w, sessions)
 }
 
 /// Mount + open the same file at every client, then run `body`.
 fn with_open_handles(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
-    clients: &[ClientId],
-    body: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Vec<(ClientId, Handle)>) + 'static,
+    clients: &[Session],
+    body: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Vec<(Session, Handle)>) + 'static,
 ) {
     let total = clients.len();
-    let opened: Rc<std::cell::RefCell<Vec<(ClientId, Handle)>>> =
+    let opened: Rc<std::cell::RefCell<Vec<(Session, Handle)>>> =
         Rc::new(std::cell::RefCell::new(Vec::new()));
-    let body: Rc<std::cell::RefCell<Option<Box<dyn FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Vec<(ClientId, Handle)>)>>>> =
+    let body: Rc<std::cell::RefCell<Option<Box<dyn FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Vec<(Session, Handle)>)>>>> =
         Rc::new(std::cell::RefCell::new(Some(Box::new(body))));
-    for &cid in clients {
+    for &s in clients {
         let opened = opened.clone();
         let body = body.clone();
-        client::mount(sim, w, cid, "cfs", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
+        s.mount(sim, w, "cfs", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
             r.unwrap();
-            client::open(sim, w, cid, "cfs", "/contested", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
+            s.open(sim, w, "/contested", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
                 let h = r.unwrap();
-                opened.borrow_mut().push((cid, h));
+                opened.borrow_mut().push((s, h));
                 if opened.borrow().len() == total {
                     let handles = opened.borrow().clone();
                     (body.borrow_mut().take().unwrap())(sim, w, handles);
@@ -93,11 +94,11 @@ fn contested_writes_are_atomic_never_torn() {
         // three rounds each, all launched at once — the token manager
         // serializes them in simulated-time order.
         for round in 0..3u8 {
-            for (i, &(cid, h)) in handles.iter().enumerate() {
+            for (i, &(s, h)) in handles.iter().enumerate() {
                 let fill = 0x10 * (i as u8 + 1) + round;
                 let d = d.clone();
                 let data = Bytes::from(vec![fill; REGION as usize]);
-                client::write(sim, w, cid, h, 0, data, move |_s, _w, r| {
+                s.write(sim, w, h, 0, data, move |_s, _w, r| {
                     r.unwrap();
                     d.set(d.get() + 1);
                 });
@@ -109,11 +110,11 @@ fn contested_writes_are_atomic_never_torn() {
 
     // Flush everything via closes, then inspect authoritative bytes.
     let flushed = Rc::new(Cell::new(0u32));
-    for c in &clients {
-        let handles: Vec<Handle> = w.clients[c.0 as usize].handles.keys().copied().collect();
+    for &s in &clients {
+        let handles: Vec<Handle> = w.clients[s.ctx(&w).0 as usize].handles.keys().copied().collect();
         for h in handles {
             let f = flushed.clone();
-            client::close(&mut sim, &mut w, *c, h, move |_s, _w, r| {
+            s.close(&mut sim, &mut w, h, move |_s, _w, r| {
                 r.unwrap();
                 f.set(f.get() + 1);
             });
@@ -162,13 +163,13 @@ fn disjoint_writers_proceed_without_revocation() {
     let d = done.clone();
     let cl = clients.clone();
     with_open_handles(&mut sim, &mut w, &cl, move |sim, w, handles| {
-        for (i, &(cid, h)) in handles.iter().enumerate() {
+        for (i, &(s, h)) in handles.iter().enumerate() {
             let base = i as u64 * 100_000;
             let fill = i as u8 + 1;
             let d = d.clone();
-            client::write(sim, w, cid, h, base, Bytes::from(vec![fill; 100_000]), move |sim, w, r| {
+            s.write(sim, w, h, base, Bytes::from(vec![fill; 100_000]), move |sim, w, r| {
                 r.unwrap();
-                client::fsync(sim, w, cid, h, move |_s, _w, r| {
+                s.fsync(sim, w, h, move |_s, _w, r| {
                     r.unwrap();
                     d.set(d.get() + 1);
                 });

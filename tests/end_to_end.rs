@@ -55,6 +55,9 @@ fn owner() -> Owner {
 #[test]
 fn one_filesystem_three_administrative_domains() {
     let (mut sim, mut w, local, ncsa, anl) = three_site_world();
+    let local_sess = w.open_session(local);
+    let ncsa_sess = w.open_session(ncsa);
+    let anl_sess = w.open_session(anl);
     let done = Rc::new(Cell::new(false));
     let d = done.clone();
 
@@ -64,24 +67,24 @@ fn one_filesystem_three_administrative_domains() {
     let expect1 = payload.clone();
     let expect2 = payload.clone();
 
-    client::mount(&mut sim, &mut w, local, "gpfs-wan", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
+    local_sess.mount(&mut sim, &mut w, "gpfs-wan", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
         r.unwrap();
-        client::open(sim, w, local, "gpfs-wan", "/enzo.out", OpenFlags::ReadWrite, owner(), move |sim, w, r| {
+        local_sess.open(sim, w, "/enzo.out", OpenFlags::ReadWrite, owner(), move |sim, w, r| {
             let h = r.unwrap();
             client::write(sim, w, local, h, 0, payload, move |sim, w, r| {
                 r.unwrap();
-                client::close(sim, w, local, h, move |sim, w, r| {
+                local_sess.close(sim, w, h, move |sim, w, r| {
                     r.unwrap();
                     // Both remote sites mount and verify the same bytes.
-                    client::mount(sim, w, ncsa, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, r| {
+                    ncsa_sess.mount(sim, w, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, r| {
                         r.unwrap();
-                        client::mount(sim, w, anl, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, r| {
+                        anl_sess.mount(sim, w, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, r| {
                             r.unwrap();
-                            client::open(sim, w, ncsa, "gpfs-wan", "/enzo.out", OpenFlags::Read, owner(), move |sim, w, r| {
+                            ncsa_sess.open(sim, w, "/enzo.out", OpenFlags::Read, owner(), move |sim, w, r| {
                                 let hn = r.unwrap();
                                 client::read(sim, w, ncsa, hn, 0, 300_000, move |sim, w, r| {
                                     assert_eq!(r.unwrap(), expect1);
-                                    client::open(sim, w, anl, "gpfs-wan", "/enzo.out", OpenFlags::Read, owner(), move |sim, w, r| {
+                                    anl_sess.open(sim, w, "/enzo.out", OpenFlags::Read, owner(), move |sim, w, r| {
                                         let ha = r.unwrap();
                                         // ANL reads a slice out of the middle.
                                         client::read(sim, w, anl, ha, 100_000, 50_000, move |_s, _w, r| {
@@ -107,19 +110,22 @@ fn cross_site_write_sharing_is_coherent() {
     // NCSA writes; ANL then reads the same region. The byte-range token
     // protocol must force NCSA's flush before ANL's read is served.
     let (mut sim, mut w, local, ncsa, anl) = three_site_world();
+    let local_sess = w.open_session(local);
+    let ncsa_sess = w.open_session(ncsa);
+    let anl_sess = w.open_session(anl);
     let done = Rc::new(Cell::new(false));
     let d = done.clone();
-    client::mount(&mut sim, &mut w, local, "gpfs-wan", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
+    local_sess.mount(&mut sim, &mut w, "gpfs-wan", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
         r.unwrap();
-        client::mount(sim, w, ncsa, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, r| {
+        ncsa_sess.mount(sim, w, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, r| {
             r.unwrap();
-            client::mount(sim, w, anl, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, r| {
+            anl_sess.mount(sim, w, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, r| {
                 r.unwrap();
-                client::open(sim, w, ncsa, "gpfs-wan", "/shared", OpenFlags::ReadWrite, owner(), move |sim, w, r| {
+                ncsa_sess.open(sim, w, "/shared", OpenFlags::ReadWrite, owner(), move |sim, w, r| {
                     let hn = r.unwrap();
                     client::write(sim, w, ncsa, hn, 0, Bytes::from(vec![0xEEu8; 70_000]), move |sim, w, r| {
                         r.unwrap(); // write-behind: still dirty at NCSA
-                        client::open(sim, w, anl, "gpfs-wan", "/shared", OpenFlags::Read, owner(), move |sim, w, r| {
+                        anl_sess.open(sim, w, "/shared", OpenFlags::Read, owner(), move |sim, w, r| {
                             let ha = r.unwrap();
                             client::read(sim, w, anl, ha, 0, 70_000, move |_s, w, r| {
                                 let got = r.unwrap();
@@ -142,25 +148,24 @@ fn cross_site_write_sharing_is_coherent() {
 #[test]
 fn grid_identity_ownership_travels_with_files() {
     let (mut sim, mut w, local, _ncsa, _anl) = three_site_world();
+    let local_sess = w.open_session(local);
     let dn = globalfs::gfs_auth::identity::Dn::new("/C=US/O=NPACI/CN=Alice Researcher");
     let done = Rc::new(Cell::new(false));
     let d = done.clone();
     let dn2 = dn.clone();
-    client::mount(&mut sim, &mut w, local, "gpfs-wan", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
+    local_sess.mount(&mut sim, &mut w, "gpfs-wan", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
         r.unwrap();
-        client::open(
+        local_sess.open(
             sim,
             w,
-            local,
-            "gpfs-wan",
             "/alice.dat",
             OpenFlags::Write,
             Owner::grid(5012, 100, dn2.clone()),
             move |sim, w, r| {
                 let h = r.unwrap();
-                client::close(sim, w, local, h, move |sim, w, r| {
+                local_sess.close(sim, w, h, move |sim, w, r| {
                     r.unwrap();
-                    client::stat(sim, w, local, "gpfs-wan", "/alice.dat", move |_s, _w, r| {
+                    local_sess.stat(sim, w, "/alice.dat", move |_s, _w, r| {
                         let st = r.unwrap();
                         // The DN is recorded alongside the (site-local) UID.
                         assert_eq!(st.uid, 5012);
@@ -203,23 +208,25 @@ fn concurrent_remote_streams_share_fairly() {
 #[test]
 fn errors_surface_cleanly_across_the_stack() {
     let (mut sim, mut w, local, ncsa, _anl) = three_site_world();
+    let local_sess = w.open_session(local);
+    let ncsa_sess = w.open_session(ncsa);
     let checks = Rc::new(RefCell::new(Vec::new()));
     let c1 = checks.clone();
     // Reading a file that does not exist, from a remote site.
-    client::mount(&mut sim, &mut w, local, "gpfs-wan", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
+    local_sess.mount(&mut sim, &mut w, "gpfs-wan", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
         r.unwrap();
-        client::mount(sim, w, ncsa, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, r| {
+        ncsa_sess.mount(sim, w, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, r| {
             r.unwrap();
-            client::open(sim, w, ncsa, "gpfs-wan", "/missing", OpenFlags::Read, owner(), move |sim, w, r| {
+            ncsa_sess.open(sim, w, "/missing", OpenFlags::Read, owner(), move |sim, w, r| {
                 c1.borrow_mut().push(matches!(r, Err(FsError::NotFound(_))));
                 // Unlinking a non-empty directory.
-                client::mkdir(sim, w, ncsa, "gpfs-wan", "/dir", owner(), move |sim, w, r| {
+                ncsa_sess.mkdir(sim, w, "/dir", owner(), move |sim, w, r| {
                     r.unwrap();
-                    client::open(sim, w, ncsa, "gpfs-wan", "/dir/f", OpenFlags::Write, owner(), move |sim, w, r| {
+                    ncsa_sess.open(sim, w, "/dir/f", OpenFlags::Write, owner(), move |sim, w, r| {
                         let h = r.unwrap();
-                        client::close(sim, w, ncsa, h, move |sim, w, r| {
+                        ncsa_sess.close(sim, w, h, move |sim, w, r| {
                             r.unwrap();
-                            client::unlink(sim, w, ncsa, "gpfs-wan", "/dir", move |_s, w, r| {
+                            ncsa_sess.unlink(sim, w, "/dir", move |_s, w, r| {
                                 let _ = w;
                                 assert!(matches!(r, Err(FsError::NotEmpty(_))));
                             });

@@ -58,6 +58,7 @@ fn bed() -> (Sim<GfsWorld>, GfsWorld, ClientId, FsId, NodeId, NodeId) {
 #[test]
 fn nsds_fail_over_to_surviving_server() {
     let (mut sim, mut w, client, fs, s1, s2) = bed();
+    let sess = w.open_session(client);
     // Before failure: NSDs split across both servers.
     let inst = &w.fss[fs.0 as usize];
     assert_eq!(inst.try_server_of(NsdId(0)), Some(s1));
@@ -67,9 +68,9 @@ fn nsds_fail_over_to_surviving_server() {
     let ok2 = ok.clone();
     let payload = Bytes::from(vec![0x77u8; 300_000]);
     let expect = payload.clone();
-    client::mount(&mut sim, &mut w, client, "hafs", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
+    sess.mount(&mut sim, &mut w, "hafs", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
         r.unwrap();
-        client::open(sim, w, client, "hafs", "/survive", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
+        sess.open(sim, w, "/survive", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
             let h = r.unwrap();
             client::write(sim, w, client, h, 0, payload, move |sim, w, r| {
                 r.unwrap();
@@ -146,11 +147,12 @@ fn total_failure_surfaces_server_down_to_the_client() {
     // ...but the client data path reports it as a typed error instead of
     // tearing the process down.
     let (mut sim, mut w, client, fs, s1, s2) = bed();
+    let sess = w.open_session(client);
     let seen = Rc::new(std::cell::RefCell::new(None::<FsError>));
     let seen2 = seen.clone();
-    client::mount(&mut sim, &mut w, client, "hafs", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
+    sess.mount(&mut sim, &mut w, "hafs", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
         r.unwrap();
-        client::open(sim, w, client, "hafs", "/doomed", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
+        sess.open(sim, w, "/doomed", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
             let h = r.unwrap();
             client::write(sim, w, client, h, 0, Bytes::from(vec![9u8; 200_000]), move |sim, w, r| {
                 r.unwrap();
@@ -176,21 +178,22 @@ fn total_failure_surfaces_server_down_to_the_client() {
 #[test]
 fn writes_after_failover_land_and_survive_restore() {
     let (mut sim, mut w, client, fs, s1, _s2) = bed();
+    let sess = w.open_session(client);
     let ok = Rc::new(Cell::new(false));
     let ok2 = ok.clone();
-    client::mount(&mut sim, &mut w, client, "hafs", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
+    sess.mount(&mut sim, &mut w, "hafs", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
         r.unwrap();
         // Fail the primary before any I/O.
         w.fss[fs.0 as usize].fail_server(s1);
-        client::open(sim, w, client, "hafs", "/via-backup", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
+        sess.open(sim, w, "/via-backup", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
             let h = r.unwrap();
             client::write(sim, w, client, h, 0, Bytes::from(vec![5u8; 100_000]), move |sim, w, r| {
                 r.unwrap();
-                client::close(sim, w, client, h, move |sim, w, r| {
+                sess.close(sim, w, h, move |sim, w, r| {
                     r.unwrap();
                     // Primary comes back; data must read fine through it.
                     w.fss[fs.0 as usize].restore_server(s1);
-                    client::open(sim, w, client, "hafs", "/via-backup", OpenFlags::Read, Owner::local(1, 1), move |sim, w, r| {
+                    sess.open(sim, w, "/via-backup", OpenFlags::Read, Owner::local(1, 1), move |sim, w, r| {
                         let h = r.unwrap();
                         client::read(sim, w, client, h, 0, 100_000, move |_s, _w, r| {
                             let got = r.unwrap();
@@ -316,15 +319,16 @@ fn coalesced_scatter_gather_fails_over_like_per_block() {
 
     let run = |per_block: bool| -> Outcome {
         let (mut sim, mut w, client, fs, s1, _s2) = bed();
+        let sess = w.open_session(client);
         let pattern = |i: usize| (i % 251) as u8;
         let payload = Bytes::from((0..(BLOCKS * BLOCK) as usize).map(pattern).collect::<Vec<_>>());
         let intact = Rc::new(Cell::new(0u64));
         let errors = Rc::new(Cell::new(0usize));
         {
             let (intact, errors) = (intact.clone(), errors.clone());
-            client::mount(&mut sim, &mut w, client, "hafs", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
+            sess.mount(&mut sim, &mut w, "hafs", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
                 r.unwrap();
-                client::open(sim, w, client, "hafs", "/sg", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
+                sess.open(sim, w, "/sg", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
                     let h = r.unwrap();
                     client::write(sim, w, client, h, 0, payload, move |sim, w, r| {
                         r.unwrap();
@@ -411,6 +415,7 @@ fn completed_request_watchdogs_are_cancelled_not_leaked() {
     const BLOCKS: u64 = 32;
     const BLOCK: u64 = 64 * 1024;
     let (mut sim, mut w, client, fs, _s1, _s2) = bed();
+    let sess = w.open_session(client);
     let pending_log: Rc<std::cell::RefCell<Vec<usize>>> = Rc::new(std::cell::RefCell::new(Vec::new()));
 
     fn read_chain(
@@ -433,9 +438,9 @@ fn completed_request_watchdogs_are_cancelled_not_leaked() {
 
     {
         let log = pending_log.clone();
-        client::mount(&mut sim, &mut w, client, "hafs", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
+        sess.mount(&mut sim, &mut w, "hafs", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
             r.unwrap();
-            client::open(sim, w, client, "hafs", "/flat", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
+            sess.open(sim, w, "/flat", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
                 let h = r.unwrap();
                 client::write(sim, w, client, h, 0, Bytes::from(vec![3u8; (BLOCKS * BLOCK) as usize]), move |sim, w, r| {
                     r.unwrap();
@@ -470,6 +475,7 @@ fn completed_request_watchdogs_are_cancelled_not_leaked() {
 #[test]
 fn request_timeout_surfaces_exactly_once_despite_late_responses() {
     let (mut sim, mut w, client, fs, _s1, _s2) = bed();
+    let sess = w.open_session(client);
     let outcomes: Rc<std::cell::RefCell<Vec<Result<usize, FsError>>>> =
         Rc::new(std::cell::RefCell::new(Vec::new()));
     let recovered = Rc::new(Cell::new(false));
@@ -477,9 +483,9 @@ fn request_timeout_surfaces_exactly_once_despite_late_responses() {
     {
         let outcomes = outcomes.clone();
         let recovered = recovered.clone();
-        client::mount(&mut sim, &mut w, client, "hafs", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
+        sess.mount(&mut sim, &mut w, "hafs", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
             r.unwrap();
-            client::open(sim, w, client, "hafs", "/flaky", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
+            sess.open(sim, w, "/flaky", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
                 let h = r.unwrap();
                 client::write(sim, w, client, h, 0, Bytes::from(vec![8u8; 65_536]), move |sim, w, r| {
                     r.unwrap();
@@ -527,12 +533,13 @@ fn request_timeout_surfaces_exactly_once_despite_late_responses() {
 fn metadata_op_rides_out_manager_crash_and_wal_recovery() {
     use globalfs::gfs::{apply_fault, FaultKind, RecoveryWhat};
     let (mut sim, mut w, client, fs, _s1, s2) = bed();
+    let sess = w.open_session(client);
     let ok = Rc::new(Cell::new(false));
     let ok2 = ok.clone();
-    client::mount(&mut sim, &mut w, client, "hafs", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
+    sess.mount(&mut sim, &mut w, "hafs", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
         r.unwrap();
         // An acknowledged mutation, so the WAL has something to replay.
-        client::mkdir(sim, w, client, "hafs", "/pre", Owner::local(1, 1), move |sim, w, r| {
+        sess.mkdir(sim, w, "/pre", Owner::local(1, 1), move |sim, w, r| {
             r.unwrap();
             apply_fault(sim, w, FaultKind::ServerCrash { fs, server: "nsd-1".into() });
             assert!(
@@ -541,9 +548,9 @@ fn metadata_op_rides_out_manager_crash_and_wal_recovery() {
             );
             // Issued straight into the outage: dropped at the dead manager,
             // retried until the replacement finishes replay.
-            client::mkdir(sim, w, client, "hafs", "/during", Owner::local(1, 1), move |sim, w, r| {
+            sess.mkdir(sim, w, "/during", Owner::local(1, 1), move |sim, w, r| {
                 r.unwrap();
-                client::stat(sim, w, client, "hafs", "/during", move |_s, w, r| {
+                sess.stat(sim, w, "/during", move |_s, w, r| {
                     r.unwrap();
                     let mgr = &w.fss[fs.0 as usize].mgrs[0];
                     assert_eq!(mgr.acting, s2, "takeover did not move the manager role");
@@ -578,14 +585,15 @@ fn coalesced_read_retries_to_restored_server_after_transient_crash() {
     const BLOCK: u64 = 64 * 1024;
     const BLOCKS: u64 = 16;
     let (mut sim, mut w, client, fs, s1, _s2) = bed();
+    let sess = w.open_session(client);
     let pattern = |i: usize| (i % 241) as u8;
     let payload = Bytes::from((0..(BLOCKS * BLOCK) as usize).map(pattern).collect::<Vec<_>>());
     let intact = Rc::new(Cell::new(false));
     {
         let intact = intact.clone();
-        client::mount(&mut sim, &mut w, client, "hafs", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
+        sess.mount(&mut sim, &mut w, "hafs", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
             r.unwrap();
-            client::open(sim, w, client, "hafs", "/transient", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
+            sess.open(sim, w, "/transient", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
                 let h = r.unwrap();
                 client::write(sim, w, client, h, 0, payload, move |sim, w, r| {
                     r.unwrap();
@@ -677,10 +685,6 @@ fn subtree_lease_lifecycle_break_expel_readmit() {
     let a = b.client(c, ca, 256);
     let bc = b.client(c, cb, 256);
     let (mut sim, mut w) = b.build();
-    // Fan-in contexts so metadata rides envelopes — the path that checks
-    // lease conflicts and runs the delegate.
-    w.clients[a.0 as usize].fan_in = true;
-    w.clients[bc.0 as usize].fan_in = true;
     let sa = w.open_session(a);
     let sb = w.open_session(bc);
     w.fss[fs.0 as usize]
@@ -855,7 +859,6 @@ fn reconcile_replay_is_exactly_once_across_manager_crash() {
         );
         let a = b.client(c, ca, 256);
         let (mut sim, mut w) = b.build();
-        w.clients[a.0 as usize].fan_in = true;
         let sa = w.open_session(a);
         w.fss[fs.0 as usize]
             .core

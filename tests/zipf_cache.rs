@@ -53,13 +53,14 @@ fn bed(pool_pages: usize) -> (Sim<GfsWorld>, GfsWorld, ClientId) {
 /// (elapsed_seconds, cache_hits, cache_misses).
 fn run_queries(pool_pages: usize, wl: Workload) -> (f64, u64, u64) {
     let (mut sim, mut w, client) = bed(pool_pages);
+    let sess = w.open_session(client);
     let done = Rc::new(Cell::new(0u64));
     let d = done.clone();
     let started = Rc::new(RefCell::new(None::<globalfs::simcore::SimTime>));
     let st = started.clone();
-    client::mount(&mut sim, &mut w, client, "catalog", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
+    sess.mount(&mut sim, &mut w, "catalog", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
         r.unwrap();
-        client::open(sim, w, client, "catalog", "/objects", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
+        sess.open(sim, w, "/objects", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
             let h = r.unwrap();
             // Materialize the 16 MB object store, then run the queries.
             let data = bytes::Bytes::from(vec![0x11u8; 16 << 20]);
