@@ -21,6 +21,20 @@ cargo test --workspace -q --offline
 echo "== cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== examples (release build, each under timeout 60)"
+# Every root example must run to completion: one that hangs (an event loop
+# that never drains) or exits nonzero fails here. Each finishes in seconds.
+RUSTFLAGS="-D warnings" cargo build --release --offline --examples
+for src in examples/*.rs; do
+    ex=$(basename "$src" .rs)
+    echo "-- $ex"
+    if ! out=$(timeout 60 "target/release/examples/$ex" 2>&1); then
+        echo "$out" | tail -20 >&2
+        echo "example $ex failed or ran past 60 s" >&2
+        exit 1
+    fi
+done
+
 echo "== gfsbench --self-test (the benchmark's own checks)"
 # The benchmark (gfsbench/, a package of its own) gates every run on byte
 # checks of each read, bit-for-bit determinism and a liveness/integrity

@@ -20,6 +20,7 @@
 use crate::cache::{DirtyPage, PageKey};
 use crate::faults::RecoveryWhat;
 use crate::replica;
+use crate::rpc::{self, Attempt};
 use crate::tokens::{ByteRange, TokenMode};
 use crate::types::{
     check_file_size, BlockAddr, ClientId, FsError, FsId, Handle, InodeId, NsdId, OpenFlags, Owner,
@@ -27,11 +28,11 @@ use crate::types::{
 use crate::world::{GfsWorld, Mount};
 use bytes::Bytes;
 use gfs_auth::handshake::AccessMode;
-use rand::Rng;
 use simcore::{Sim, SimDuration, SimTime};
 use simnet::{FlowSpec, Network, NodeId};
 use simsan::IoKind;
 use std::cell::{Cell, RefCell};
+use std::ops::ControlFlow::{Break, Continue};
 use std::rc::Rc;
 
 /// Callback type for operations yielding `T`.
@@ -72,24 +73,6 @@ fn inflight_busy(w: &GfsWorld, c: ClientId, fs: FsId, inode: InodeId) -> bool {
         .inflight
         .get(&(fs, inode))
         .is_some_and(|n| *n > 0)
-}
-
-/// One request/response RPC: request message, execute `f` at the far node,
-/// response message, then `cb` with the result.
-fn rpc<T: 'static>(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    from: NodeId,
-    to: NodeId,
-    f: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld) -> T + 'static,
-    cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, T) + 'static,
-) {
-    let bytes = w.costs.rpc_bytes;
-    Network::send_msg(sim, w, from, to, bytes, move |sim, w| {
-        let result = f(sim, w);
-        let bytes = w.costs.rpc_bytes;
-        Network::send_msg(sim, w, to, from, bytes, move |sim, w| cb(sim, w, result));
-    });
 }
 
 /// Join helper: run `cb` once `n` completions have been counted.
@@ -135,8 +118,10 @@ impl Join {
 /// cluster ([`GfsWorld::resolve_device`]): a locally-owned filesystem costs
 /// one RPC to the configuration manager; an `mmremotefs` device runs the
 /// full §6.2 RSA challenge–response over the WAN before installing the
-/// mount. Unknown devices surface [`FsError::NotMounted`]; export/grant
-/// problems surface [`FsError::AuthFailed`] — no variant-mismatch panics.
+/// mount. Either is one exchange ([`crate::rpc`]): a lost leg times out
+/// and the whole exchange retries. Unknown devices surface
+/// [`FsError::NotMounted`]; export/grant problems surface
+/// [`FsError::AuthFailed`] — no variant-mismatch panics.
 pub fn mount(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
@@ -146,47 +131,56 @@ pub fn mount(
     cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<(), FsError>) + 'static,
 ) {
     let cl = w.clients[client.0 as usize].cluster;
-    let device = device.to_string();
-    let Some((fs, remote)) = w.resolve_device(cl, &device) else {
-        cb(sim, w, Err(FsError::NotMounted(device)));
+    let Some((fs, remote)) = w.resolve_device(cl, device) else {
+        cb(sim, w, Err(FsError::NotMounted(device.to_string())));
         return;
     };
+    let installed: Cb<Result<Mount, FsError>> = {
+        let device = device.to_string();
+        Box::new(move |sim, w, r| match r {
+            Ok(m) => {
+                w.clients[client.0 as usize].mounts.insert(device, m);
+                cb(sim, w, Ok(()));
+            }
+            Err(e) => cb(sim, w, Err(e)),
+        })
+    };
     if !remote {
-        let from = client_node(w, client);
-        let to = w.fss[fs.0 as usize].manager_node;
-        rpc(
+        let mgr = w.fss[fs.0 as usize].manager_node;
+        rpc::exchange(
             sim,
             w,
-            from,
-            to,
-            move |_sim, _w| (),
-            move |sim, w, ()| {
-                w.clients[client.0 as usize].mounts.insert(
-                    device,
-                    Mount {
-                        fs,
-                        mode,
-                        session_key: None,
-                    },
-                );
-                cb(sim, w, Ok(()));
+            client,
+            move |_, _| Continue(mgr),
+            move |sim, w, a| {
+                let from = client_node(w, client);
+                let rpcb = w.costs.rpc_bytes;
+                Network::send_msg(sim, w, from, a.to, rpcb, move |sim, w| {
+                    let rpcb = w.costs.rpc_bytes;
+                    Network::send_msg(sim, w, a.to, from, rpcb, move |sim, w| {
+                        let mount = Mount {
+                            fs,
+                            mode,
+                            session_key: None,
+                        };
+                        a.reply(sim, w, Ok(mount));
+                    });
+                });
             },
+            installed,
         );
         return;
     }
     let inst = &w.fss[fs.0 as usize];
     if !inst.exported {
-        cb(
-            sim,
-            w,
-            Err(FsError::AuthFailed(format!("{device}: not exported"))),
-        );
+        let e = FsError::AuthFailed(format!("{device}: not exported"));
+        installed(sim, w, Err(e));
         return;
     }
     let serving = inst.owning_cluster;
     let rfs = w.clusters[cl.0 as usize]
         .remote_fs
-        .get(&device)
+        .get(device)
         .expect("resolve_device found it");
     let remote_name = rfs.cluster.clone();
     let contact = w.clusters[cl.0 as usize]
@@ -195,68 +189,74 @@ pub fn mount(
         .expect("mmremotecluster entry required before mount")
         .contact;
     let fs_name = w.fss[fs.0 as usize].core.config.name.clone();
-    let from = client_node(w, client);
-
-    // HELLO: client -> contact node of the serving cluster.
-    let rpcb = w.costs.rpc_bytes;
     let client_cluster_name = w.clusters[cl.0 as usize].name.clone();
-    Network::send_msg(sim, w, from, contact, rpcb, move |sim, w| {
-        // Serving cluster issues a challenge.
-        let challenge = {
-            let (clusters, rng) = (&mut w.clusters, &mut w.rng);
-            clusters[serving.0 as usize]
-                .auth
-                .issue_challenge(&client_cluster_name, rng)
-        };
-        let rpcb = w.costs.rpc_bytes;
-        Network::send_msg(sim, w, contact, from, rpcb, move |sim, w| {
-            // Client signs the challenge (charge RSA sign time).
-            let sign_time = w.costs.sign_time;
-            sim.after(sign_time, move |sim, w| {
-                let cl = w.clients[client.0 as usize].cluster;
-                let response =
-                    w.clusters[cl.0 as usize]
+    rpc::exchange(
+        sim,
+        w,
+        client,
+        move |_, _| Continue(contact),
+        move |sim, w, a| {
+            let (client_cluster_name, fs_name) = (client_cluster_name.clone(), fs_name.clone());
+            let from = client_node(w, client);
+            // HELLO: client -> contact node of the serving cluster.
+            let rpcb = w.costs.rpc_bytes;
+            Network::send_msg(sim, w, from, a.to, rpcb, move |sim, w| {
+                // Serving cluster issues a challenge.
+                let challenge = {
+                    let (clusters, rng) = (&mut w.clusters, &mut w.rng);
+                    clusters[serving.0 as usize]
                         .auth
-                        .respond(&challenge, &fs_name, mode);
-                let challenge_id = challenge.id;
+                        .issue_challenge(&client_cluster_name, rng)
+                };
                 let rpcb = w.costs.rpc_bytes;
-                Network::send_msg(sim, w, from, contact, rpcb, move |sim, w| {
-                    // Server verifies (charge RSA verify time).
-                    let verify_time = w.costs.verify_time;
-                    sim.after(verify_time, move |sim, w| {
-                        let outcome = {
-                            let (clusters, rng) = (&mut w.clusters, &mut w.rng);
-                            clusters[serving.0 as usize].auth.verify_response(
-                                challenge_id,
-                                &response,
-                                rng,
-                            )
-                        };
+                Network::send_msg(sim, w, a.to, from, rpcb, move |sim, w| {
+                    // Client signs the challenge (charge RSA sign time).
+                    let sign_time = w.costs.sign_time;
+                    sim.after(sign_time, move |sim, w| {
+                        let cl = w.clients[client.0 as usize].cluster;
+                        let response = w.clusters[cl.0 as usize]
+                            .auth
+                            .respond(&challenge, &fs_name, mode);
+                        let challenge_id = challenge.id;
                         let rpcb = w.costs.rpc_bytes;
-                        Network::send_msg(sim, w, contact, from, rpcb, move |sim, w| {
-                            match outcome {
-                                Ok(grant) => {
-                                    let cl = w.clients[client.0 as usize].cluster;
-                                    let key =
-                                        w.clusters[cl.0 as usize].auth.open_session_key(&grant);
-                                    w.clients[client.0 as usize].mounts.insert(
-                                        device,
-                                        Mount {
-                                            fs,
-                                            mode: grant.mode,
-                                            session_key: key,
-                                        },
-                                    );
-                                    cb(sim, w, Ok(()));
-                                }
-                                Err(e) => cb(sim, w, Err(FsError::AuthFailed(format!("{e:?}")))),
-                            }
+                        Network::send_msg(sim, w, from, a.to, rpcb, move |sim, w| {
+                            // Server verifies (charge RSA verify time).
+                            let verify_time = w.costs.verify_time;
+                            sim.after(verify_time, move |sim, w| {
+                                let outcome = {
+                                    let (clusters, rng) = (&mut w.clusters, &mut w.rng);
+                                    clusters[serving.0 as usize].auth.verify_response(
+                                        challenge_id,
+                                        &response,
+                                        rng,
+                                    )
+                                };
+                                let rpcb = w.costs.rpc_bytes;
+                                Network::send_msg(sim, w, a.to, from, rpcb, move |sim, w| {
+                                    let r = match outcome {
+                                        Ok(grant) => {
+                                            let cl = w.clients[client.0 as usize].cluster;
+                                            let session_key = w.clusters[cl.0 as usize]
+                                                .auth
+                                                .open_session_key(&grant);
+                                            Ok(Mount {
+                                                fs,
+                                                mode: grant.mode,
+                                                session_key,
+                                            })
+                                        }
+                                        Err(e) => Err(FsError::AuthFailed(format!("{e:?}"))),
+                                    };
+                                    a.reply(sim, w, r);
+                                });
+                            });
                         });
                     });
                 });
             });
-        });
-    });
+        },
+        installed,
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -406,11 +406,55 @@ pub(crate) fn open_apply(
     Ok((fs, inode))
 }
 
-/// A data-path RPC to shard 0's manager (block allocation, size changes —
-/// shard 0 doubles as the filesystem's block/token manager) with the full
-/// survival envelope: watchdog timeout, exponential backoff with seeded
-/// jitter, re-resolution of the *acting* manager on every attempt (so
-/// requests follow a failover), and exactly-once semantics.
+/// A request/response exchange ([`crate::rpc`]) with the acting manager of
+/// the shard that owns `route` (shard 0 for the empty route), re-resolved
+/// on every attempt so a retry follows a failover or a subtree migration.
+/// `serve` runs at the manager when it answers, and its result travels
+/// back as the answer; a crashed, recovering or superseded manager drops
+/// the request.
+fn manager_call<T: 'static>(
+    sim: &mut Sim<GfsWorld>,
+    w: &mut GfsWorld,
+    client: ClientId,
+    fs: FsId,
+    route: Box<str>,
+    serve: impl FnMut(&mut Sim<GfsWorld>, &mut GfsWorld) -> Result<T, FsError> + 'static,
+    done: Cb<Result<T, FsError>>,
+) {
+    let target_route = route.clone();
+    let serve = Rc::new(RefCell::new(serve));
+    rpc::exchange(
+        sim,
+        w,
+        client,
+        move |w, _| {
+            let inst = &mut w.fss[fs.0 as usize];
+            let shard = inst.core.shards.shard_of(&target_route);
+            Continue(inst.manager_endpoint(shard))
+        },
+        move |sim, w, a| {
+            let shard = w.fss[fs.0 as usize].core.shards.shard_of(&route);
+            let serve = serve.clone();
+            let from = client_node(w, client);
+            let rpcb = w.costs.rpc_bytes;
+            Network::send_msg(sim, w, from, a.to, rpcb, move |sim, w| {
+                if !w.fss[fs.0 as usize].manager_answers(shard, a.to) {
+                    return;
+                }
+                let answer = (serve.borrow_mut())(sim, w);
+                let rpcb = w.costs.rpc_bytes;
+                Network::send_msg(sim, w, a.to, from, rpcb, move |sim, w| {
+                    a.reply(sim, w, answer)
+                });
+            });
+        },
+        done,
+    );
+}
+
+/// A data-path call to shard 0's manager (block allocation, size changes —
+/// shard 0 doubles as the filesystem's block/token manager) with
+/// exactly-once semantics.
 ///
 /// Exactly-once works the GPFS way: every client request carries a unique
 /// op ID; the manager keeps a dedup table of applied mutations and their
@@ -418,99 +462,31 @@ pub(crate) fn open_apply(
 /// lost, not the request) replays the recorded result instead of running
 /// `f` twice — without this, a lost allocation reply would retry into a
 /// second size update.
-///
-/// Requests reaching a crashed, recovering, or superseded manager are
-/// dropped at delivery; the watchdog is how the client learns.
 fn manager_rpc<T: Clone + 'static>(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
     client: ClientId,
     fs: FsId,
-    f: impl FnMut(&mut Sim<GfsWorld>, &mut GfsWorld, FsId) -> Result<T, FsError> + 'static,
+    mut f: impl FnMut(&mut Sim<GfsWorld>, &mut GfsWorld, FsId) -> Result<T, FsError> + 'static,
     cb: Cb<Result<T, FsError>>,
 ) {
     let op_id = w.clients[client.0 as usize].next_op_id();
-    let slot: Once<Result<T, FsError>> = Rc::new(RefCell::new(Some(cb)));
-    let f: Rc<RefCell<dyn FnMut(&mut Sim<GfsWorld>, &mut GfsWorld, FsId) -> Result<T, FsError>>> =
-        Rc::new(RefCell::new(f));
-    manager_rpc_attempt(sim, w, client, fs, op_id, f, 0, None, slot);
-}
-
-type ManagerOp<T> =
-    Rc<RefCell<dyn FnMut(&mut Sim<GfsWorld>, &mut GfsWorld, FsId) -> Result<T, FsError>>>;
-
-#[allow(clippy::too_many_arguments)]
-fn manager_rpc_attempt<T: Clone + 'static>(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    client: ClientId,
-    fs: FsId,
-    op_id: u64,
-    f: ManagerOp<T>,
-    attempt: u32,
-    prev_mgr: Option<NodeId>,
-    cb: Once<Result<T, FsError>>,
-) {
-    // Each attempt re-resolves the acting manager, so a retry lands on the
-    // recovered (possibly relocated) manager rather than the dead home.
-    let mgr = w.fss[fs.0 as usize].manager_endpoint(0);
-    log_failover(sim, w, client, prev_mgr, mgr);
-    let from = client_node(w, client);
-    let rpcb = w.costs.rpc_bytes;
-    let timeout = w.costs.request_timeout;
-    let watchdog = {
-        let cb = cb.clone();
-        let f = f.clone();
-        sim.timer_after(timeout, move |sim, w| {
-            w.recovery
-                .log(sim.now(), RecoveryWhat::TimeoutDetected { client, server: mgr });
-            if attempt >= w.costs.max_retries {
-                if let Some(cb) = take(&cb) {
-                    cb(sim, w, Err(FsError::Timeout));
-                }
-                return;
-            }
-            let delay = backoff_delay(w, attempt);
-            sim.after(delay, move |sim, w| {
-                manager_rpc_attempt(sim, w, client, fs, op_id, f, attempt + 1, Some(mgr), cb);
-            });
-        })
-    };
-    Network::send_msg(sim, w, from, mgr, rpcb, move |sim, w| {
-        // A crashed, recovering, or superseded manager drops the request
-        // silently; only the watchdog tells the client.
-        {
-            let inst = &w.fss[fs.0 as usize];
-            let ms = &inst.mgrs[0];
-            if inst.down_servers.contains(&mgr) || ms.recovering || ms.acting != mgr {
-                return;
-            }
-        }
-        // Exactly-once: if an earlier attempt of this op already applied
-        // (its reply was lost in flight), replay the recorded result
-        // instead of executing twice.
+    let serve = move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld| {
         let replay = w.fss[fs.0 as usize].mgrs[0].applied_result(op_id);
-        let result: Result<T, FsError> = match replay {
+        match replay {
             Some(r) => r
                 .downcast_ref::<Result<T, FsError>>()
                 .expect("op replayed with a different result type")
                 .clone(),
             None => {
-                let r = (f.borrow_mut())(sim, w, fs);
+                let r = f(sim, w, fs);
                 w.fss[fs.0 as usize].mgrs[0].record(op_id, Rc::new(r.clone()));
                 r
             }
-        };
-        let rpcb = w.costs.rpc_bytes;
-        Network::send_msg(sim, w, mgr, from, rpcb, move |sim, w| {
-            if !sim.cancel_timer(watchdog) {
-                return; // watchdog fired first; the retry owns this op
-            }
-            if let Some(cb) = take(&cb) {
-                cb(sim, w, result);
-            }
-        });
-    });
+        }
+    };
+    // The empty route is shard 0's: the block and token manager.
+    manager_call(sim, w, client, fs, "".into(), serve, cb);
 }
 
 /// Truncate an open file to `new_size` (shrinking frees blocks; extending
@@ -597,15 +573,16 @@ pub fn truncate(
 /// Acquire a byte-range token, paying for revocations (including the
 /// revoked holders' dirty-page flushes).
 ///
-/// The exchange runs under a two-stage watchdog. Stage one covers the
-/// request leg: if the manager never acknowledges (crashed, recovering, or
-/// the message was lost to a link flap), the attempt is retried with
-/// backoff against the re-resolved acting manager. Stage two covers the
-/// revocation phase with a much longer fuse — revoking holders legitimately
-/// takes as long as their dirty-page flushes, so only a manager that died
-/// *mid-grant* trips it. A retry after the grant was installed but the
-/// reply lost hits the token manager's `already_held` fast path, which
-/// makes re-acquisition idempotent.
+/// One exchange ([`crate::rpc`]) with shard 0's acting manager under a
+/// two-stage watchdog. Stage one covers the request leg: if the manager
+/// never acknowledges (crashed, recovering, or the message was lost to a
+/// link flap), the attempt is retried with backoff against the re-resolved
+/// acting manager. The ack swaps in stage two, a much longer fuse over the
+/// revocation phase — revoking holders legitimately takes as long as their
+/// dirty-page flushes, so only a manager that died *mid-grant* trips it. A
+/// retry after the grant was installed but the reply lost hits the token
+/// manager's `already_held` fast path, which makes re-acquisition
+/// idempotent.
 fn acquire_token(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
@@ -616,12 +593,34 @@ fn acquire_token(
     mode: TokenMode,
     cb: Cb<Result<(), FsError>>,
 ) {
-    let slot: Once<Result<(), FsError>> = Rc::new(RefCell::new(Some(cb)));
-    acquire_token_attempt(sim, w, client, fs, inode, range, mode, 0, None, slot);
+    rpc::exchange(
+        sim,
+        w,
+        client,
+        move |w, _| {
+            // Checked per attempt, not just on entry: another op on this
+            // context may have secured a covering token meanwhile.
+            if w.clients[client.0 as usize].holds_token(fs, inode, range, mode) {
+                return Break(Ok(()));
+            }
+            // Tokens are a whole-filesystem concern; shard 0's manager
+            // serves them regardless of how the namespace is partitioned.
+            Continue(w.fss[fs.0 as usize].manager_endpoint(0))
+        },
+        move |sim, w, a| {
+            let from = client_node(w, client);
+            let rpcb = w.costs.rpc_bytes;
+            Network::send_msg(sim, w, from, a.to, rpcb, move |sim, w| {
+                token_grant(sim, w, client, fs, inode, range, mode, from, a)
+            });
+        },
+        cb,
+    );
 }
 
-#[allow(clippy::too_many_arguments)]
-fn acquire_token_attempt(
+/// Runs at the token manager when an acquire attempt arrives: acknowledge
+/// at once, revoke every conflicting holder, then send the grant.
+fn token_grant(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
     client: ClientId,
@@ -629,128 +628,70 @@ fn acquire_token_attempt(
     inode: InodeId,
     range: ByteRange,
     mode: TokenMode,
-    attempt: u32,
-    prev_mgr: Option<NodeId>,
-    cb: Once<Result<(), FsError>>,
+    from: NodeId,
+    a: Attempt<()>,
 ) {
-    // Checked per attempt, not just on entry: a previous attempt may have
-    // delivered the grant even though its reply raced the watchdog.
-    if w.clients[client.0 as usize].holds_token(fs, inode, range, mode) {
-        if let Some(cb) = take(&cb) {
-            cb(sim, w, Ok(()));
-        }
-        return;
+    let mgr = a.to;
+    if !w.fss[fs.0 as usize].manager_answers(0, mgr) {
+        return; // dropped; stage-one watchdog will retry
     }
-    // Tokens are a whole-filesystem concern; shard 0's manager serves them
-    // regardless of how the namespace is partitioned.
-    let mgr = w.fss[fs.0 as usize].manager_endpoint(0);
-    log_failover(sim, w, client, prev_mgr, mgr);
-    let from = client_node(w, client);
+    let outcome = w.fss[fs.0 as usize]
+        .tokens
+        .acquire(inode, client, range, mode);
+    // Distinct clients that must be revoked before the grant lands.
+    let mut holders: Vec<ClientId> = outcome.revoked.iter().map(|g| g.client).collect();
+    holders.sort();
+    holders.dedup();
+
+    // Immediate acknowledgment so the requester swaps the short fuse for
+    // the long one; the grant itself arrives only after every revocation
+    // completes (the ack always travels first on the same path).
+    let a = Rc::new(a);
+    let ack = a.clone();
     let rpcb = w.costs.rpc_bytes;
-    let timeout = w.costs.request_timeout;
-
-    let retry = move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, cb: Once<Result<(), FsError>>| {
-        w.recovery
-            .log(sim.now(), RecoveryWhat::TimeoutDetected { client, server: mgr });
-        if attempt >= w.costs.max_retries {
-            if let Some(cb) = take(&cb) {
-                cb(sim, w, Err(FsError::Timeout));
-            }
-            return;
-        }
-        let delay = backoff_delay(w, attempt);
-        sim.after(delay, move |sim, w| {
-            acquire_token_attempt(
-                sim,
-                w,
-                client,
-                fs,
-                inode,
-                range,
-                mode,
-                attempt + 1,
-                Some(mgr),
-                cb,
-            );
-        });
-    };
-
-    // Stage-one watchdog: request → manager acknowledgment.
-    let ack_watchdog = {
-        let cb = cb.clone();
-        sim.timer_after(timeout, move |sim, w| retry(sim, w, cb))
-    };
-
-    Network::send_msg(sim, w, from, mgr, rpcb, move |sim, w| {
-        {
-            let inst = &w.fss[fs.0 as usize];
-            let ms = &inst.mgrs[0];
-            if inst.down_servers.contains(&mgr) || ms.recovering || ms.acting != mgr {
-                return; // dropped; stage-one watchdog will retry
-            }
-        }
-        let outcome = w.fss[fs.0 as usize]
-            .tokens
-            .acquire(inode, client, range, mode);
-        // Distinct clients that must be revoked before the grant lands.
-        let mut holders: Vec<ClientId> = outcome.revoked.iter().map(|g| g.client).collect();
-        holders.sort();
-        holders.dedup();
-
-        // Immediate acknowledgment so the requester stops the short fuse;
-        // the grant itself arrives only after every revocation completes.
-        // The fuse slot hands the stage-two watchdog from the ack's
-        // delivery (where it is armed) to the grant's (where it is
-        // disarmed); the ack always travels first on the same path.
-        let fuse_slot: Rc<Cell<Option<simcore::TimerId>>> = Rc::new(Cell::new(None));
-        let rpcb = w.costs.rpc_bytes;
-        let cb_ack = cb.clone();
-        let fuse_arm = fuse_slot.clone();
-        Network::send_msg(sim, w, mgr, from, rpcb, move |sim, w| {
-            if !sim.cancel_timer(ack_watchdog) {
-                return; // a retry owns the acquire now
-            }
-            // Stage-two watchdog: revocations can legitimately take flush
-            // time, so the fuse is generous; it only trips if the manager
-            // (or the grant reply's path) died mid-exchange.
-            let fuse = SimDuration::from_secs_f64(
-                w.costs.request_timeout.as_secs_f64() * (2 + w.costs.max_retries) as f64,
-            );
-            fuse_arm.set(Some(sim.timer_after(fuse, move |sim, w| retry(sim, w, cb_ack))));
-        });
-
-        let finish: Cb<()> = Box::new(move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ()| {
-            // Grant reply to the requester.
-            let rpcb = w.costs.rpc_bytes;
-            Network::send_msg(sim, w, mgr, from, rpcb, move |sim, w| {
-                if let Some(t) = fuse_slot.take() {
-                    if !sim.cancel_timer(t) {
-                        return; // stage-two fuse fired; the retry owns this
-                    }
-                }
-                let held = w.clients[client.0 as usize]
-                    .held_tokens
-                    .entry((fs, inode))
-                    .or_default();
-                // A retried acquire can deliver the same grant twice; the
-                // mirror must not double-count it.
-                if !held.contains(&(range, mode)) {
-                    held.push((range, mode));
-                }
-                if let Some(cb) = take(&cb) {
-                    cb(sim, w, Ok(()));
-                }
-            });
-        });
-        let join = Join::new(holders.len(), finish);
-        join.maybe_done(sim, w);
-        for holder in holders {
-            let join = join.clone();
-            revoke_from(sim, w, holder, fs, inode, mgr, Box::new(move |sim, w, ()| {
-                join.arrive(sim, w)
-            }));
-        }
+    Network::send_msg(sim, w, mgr, from, rpcb, move |sim, w| {
+        // Stage two: revocations can legitimately take flush time, so the
+        // fuse is generous; it only trips if the manager (or the grant
+        // reply's path) died mid-exchange.
+        let fuse = SimDuration::from_secs_f64(
+            w.costs.request_timeout.as_secs_f64() * (2 + w.costs.max_retries) as f64,
+        );
+        ack.rearm(sim, fuse);
     });
+
+    let finish: Cb<()> = Box::new(move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ()| {
+        // Grant reply to the requester.
+        let rpcb = w.costs.rpc_bytes;
+        Network::send_msg(sim, w, mgr, from, rpcb, move |sim, w| {
+            let Some(cb) = a.claim(sim) else {
+                return; // a watchdog fired; the retry owns this acquire
+            };
+            let held = w.clients[client.0 as usize]
+                .held_tokens
+                .entry((fs, inode))
+                .or_default();
+            // Two acquires on this context can be granted the same
+            // token; the mirror must not double-count it.
+            if !held.contains(&(range, mode)) {
+                held.push((range, mode));
+            }
+            cb(sim, w, Ok(()));
+        });
+    });
+    let join = Join::new(holders.len(), finish);
+    join.maybe_done(sim, w);
+    for holder in holders {
+        let join = join.clone();
+        revoke_from(
+            sim,
+            w,
+            holder,
+            fs,
+            inode,
+            mgr,
+            Box::new(move |sim, w, ()| join.arrive(sim, w)),
+        );
+    }
 }
 
 /// Revoke `holder`'s tokens on an inode: message out, dirty-page flush at
@@ -826,9 +767,11 @@ fn revoke_at_holder(
 // hear from anyone. The next word from the expelled client re-admits it.
 
 /// Acquire a subtree lease on the top-level component of `path` for this
-/// client's site. Runs against the owning shard's manager without the
-/// retry envelope — leasing is an optimization, callers acquire from a
-/// healthy manager or simply keep paying the remote path.
+/// client's site from the owning shard's acting manager, as an exchange
+/// ([`crate::rpc`]): a lost request or answer retries, and a manager that
+/// never answers ends the acquire with `Timeout`. When another context's
+/// delegate holds the subtree, the manager starts breaking that lease and
+/// answers "not yet"; the client asks again 10 ms later.
 pub fn acquire_lease(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
@@ -855,10 +798,11 @@ pub fn acquire_lease(
         cb(sim, w, Err(FsError::InvalidArgument(path.to_string())));
         return;
     }
-    acquire_lease_attempt(sim, w, client, m.fs, top.into(), Box::new(cb));
+    lease_request(sim, w, client, m.fs, top.into(), Box::new(cb));
 }
 
-fn acquire_lease_attempt(
+/// One lease-acquire exchange (see [`acquire_lease`]).
+fn lease_request(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
     client: ClientId,
@@ -866,49 +810,39 @@ fn acquire_lease_attempt(
     top: Box<str>,
     cb: Cb<Result<(), FsError>>,
 ) {
-    let shard = w.fss[fs.0 as usize].core.shards.shard_of(&top);
-    let mgr = w.fss[fs.0 as usize].manager_endpoint(shard);
-    let from = client_node(w, client);
-    let rpcb = w.costs.rpc_bytes;
-    Network::send_msg(sim, w, from, mgr, rpcb, move |sim, w| {
-        {
-            let inst = &w.fss[fs.0 as usize];
-            let ms = &inst.mgrs[shard as usize];
-            if inst.down_servers.contains(&mgr) || ms.recovering || ms.acting != mgr {
-                // Dropped at a dead manager; re-poll after a timeout.
-                let t = w.costs.request_timeout;
-                sim.after(t, move |sim, w| {
-                    acquire_lease_attempt(sim, w, client, fs, top, cb);
-                });
-                return;
-            }
-        }
+    let (route, asked) = (top.clone(), top.clone());
+    let serve = move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld| {
         // An expelled client asking for a lease is back on the air; the
         // manager re-admits it before considering the grant.
         readmit_if_expelled(sim, w, fs, client);
-        let holder = w.fss[fs.0 as usize].leases.get(&top).copied();
+        let holder = w.fss[fs.0 as usize].leases.get(&asked).copied();
         match holder {
             Some(h) if h != client => {
                 // Someone else's delegate owns the subtree: break its
-                // lease, then come back for the grant.
-                start_lease_break(sim, w, fs, top.clone(), h);
-                sim.after(SimDuration::from_millis(10), move |sim, w| {
-                    acquire_lease_attempt(sim, w, client, fs, top, cb);
-                });
+                // lease; the client comes back for the grant.
+                start_lease_break(sim, w, fs, asked.clone(), h);
+                Ok(false)
             }
             _ => {
                 let inst = &mut w.fss[fs.0 as usize];
-                if inst.leases.insert(top.clone(), client).is_none() {
+                if inst.leases.insert(asked.clone(), client).is_none() {
                     inst.lease_grants += 1;
                 }
-                let rpcb = w.costs.rpc_bytes;
-                Network::send_msg(sim, w, mgr, from, rpcb, move |sim, w| {
-                    w.clients[client.0 as usize].leases.insert((fs, top));
-                    cb(sim, w, Ok(()));
-                });
+                Ok(true)
             }
         }
+    };
+    let done: Cb<Result<bool, FsError>> = Box::new(move |sim, w, r| match r {
+        Ok(true) => {
+            w.clients[client.0 as usize].leases.insert((fs, top));
+            cb(sim, w, Ok(()));
+        }
+        Ok(false) => sim.after(SimDuration::from_millis(10), move |sim, w| {
+            lease_request(sim, w, client, fs, top, cb)
+        }),
+        Err(e) => cb(sim, w, Err(e)),
     });
+    manager_call(sim, w, client, fs, route, serve, done);
 }
 
 /// Break `holder`'s lease on `top` (manager side). Idempotent while a
@@ -1107,8 +1041,10 @@ fn surrender_drain(
 }
 
 /// Surrender stage 2 (post-reconcile): release the lease at the owning
-/// shard's acting manager. A dead or recovering manager re-polls — the
-/// release must eventually land or the manager-side grant would leak.
+/// shard's acting manager, as an exchange ([`crate::rpc`]) — a lost
+/// request or answer retries, so the release lands once the manager is
+/// reachable again, and a manager that never answers ends the surrender
+/// with `Timeout`.
 fn surrender_release(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
@@ -1117,31 +1053,15 @@ fn surrender_release(
     top: Box<str>,
     cb: Cb<Result<(), FsError>>,
 ) {
-    let shard = w.fss[fs.0 as usize].core.shards.shard_of(&top);
-    let mgr = w.fss[fs.0 as usize].manager_endpoint(shard);
-    let from = client_node(w, client);
-    let rpcb = w.costs.rpc_bytes;
-    Network::send_msg(sim, w, from, mgr, rpcb, move |sim, w| {
-        {
-            let inst = &w.fss[fs.0 as usize];
-            let ms = &inst.mgrs[shard as usize];
-            if inst.down_servers.contains(&mgr) || ms.recovering || ms.acting != mgr {
-                let t = w.costs.request_timeout;
-                sim.after(t, move |sim, w| {
-                    surrender_release(sim, w, client, fs, top, cb);
-                });
-                return;
-            }
-        }
+    let route = top.clone();
+    let serve = move |_: &mut Sim<GfsWorld>, w: &mut GfsWorld| {
         let inst = &mut w.fss[fs.0 as usize];
         if inst.leases.get(&top) == Some(&client) {
             inst.leases.remove(&top);
         }
-        let rpcb = w.costs.rpc_bytes;
-        Network::send_msg(sim, w, mgr, from, rpcb, move |sim, w| {
-            cb(sim, w, Ok(()));
-        });
-    });
+        Ok(())
+    };
+    manager_call(sim, w, client, fs, route, serve, cb);
 }
 
 /// How many subtree moves one rebalance drain cycle may batch. A single
@@ -1201,49 +1121,19 @@ pub fn maybe_rebalance(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, fs: FsId) -> b
 // Data path
 // ---------------------------------------------------------------------
 //
-// Every NSD request runs under a watchdog: if no response arrives within
-// `costs.request_timeout` the attempt is abandoned and retried after a
-// bounded exponential backoff with seeded jitter, re-resolving the target
-// server each time so requests fail over to the next healthy NSD server in
-// the ring. The watchdog is a cancellable timer ([`Sim::timer_after`]): the
-// response path revokes it on arrival, so completed requests leave nothing
-// behind in the event queue, and a response arriving after its watchdog
-// fired finds the cancel refused and is dropped (the retry owns the
-// operation). The completion callback lives in a shared one-shot slot that
-// successive attempts hand forward; `costs.max_retries` timeouts surface
-// `FsError::Timeout`, and no reachable server at all is
-// `FsError::ServerDown`.
+// Every NSD request — a fetch or a flush of one scatter-gather run — is one
+// exchange ([`crate::rpc`]): it re-resolves its server on every attempt, so
+// a retry fails over to the next healthy NSD server in the ring, and no
+// reachable server at all ends it with `FsError::ServerDown`. A replica
+// read asks a current replica site on its first attempt only; every retry
+// goes to the home farm.
 
-/// Shared one-shot completion slot: the watchdog and the response path race
-/// to take it.
-type Once<T> = Rc<RefCell<Option<Cb<T>>>>;
-
-fn take<T>(slot: &Once<T>) -> Option<Cb<T>> {
-    slot.borrow_mut().take()
-}
-
-/// Backoff delay before retry `attempt + 1`: `retry_base * 2^attempt`,
-/// scaled by a deterministic jitter in `[0.5, 1.5)` drawn from the world's
-/// seeded RNG (so colliding clients decorrelate but reruns reproduce).
-pub(crate) fn backoff_delay(w: &mut GfsWorld, attempt: u32) -> SimDuration {
-    let jitter = 0.5 + w.rng.gen::<f64>();
-    let scale = (1u64 << attempt.min(16)) as f64;
-    SimDuration::from_secs_f64(w.costs.retry_base.as_secs_f64() * scale * jitter)
-}
-
-/// Note a failover in the recovery log when a retry lands on a new server.
-pub(crate) fn log_failover(sim: &Sim<GfsWorld>, w: &mut GfsWorld, client: ClientId, prev: Option<NodeId>, now_srv: NodeId) {
-    if let Some(prev) = prev {
-        if prev != now_srv {
-            w.recovery.log(
-                sim.now(),
-                RecoveryWhat::FailedOver {
-                    client,
-                    from: prev,
-                    to: now_srv,
-                },
-            );
-        }
+/// The home farm's server for NSD `nsd`: its primary, or the next healthy
+/// server in the ring. `ServerDown` ends the exchange when none is left.
+fn home_server<T>(w: &GfsWorld, fs: FsId, nsd: u32) -> rpc::Target<T> {
+    match w.fss[fs.0 as usize].try_server_of(NsdId(nsd)) {
+        Some(server) => Continue(server),
+        None => Break(Err(FsError::ServerDown)),
     }
 }
 
@@ -1328,16 +1218,31 @@ fn fetch_block(
         vec![key],
         addr,
         block_size,
+        replica::Source::Home,
         Box::new(move |sim, w, r| {
             cb(sim, w, r.map(|mut parts| parts.pop().expect("one block requested")))
         }),
     );
 }
 
-/// Fetch a scatter-gather run of disk-contiguous blocks (one request
-/// message, one NSD service, one bulk flow, one watchdog for the whole
-/// run). `keys[i]` is the file block stored at disk block `addr.block + i`.
-/// `cb` receives the per-block payloads in run order.
+/// Fetch a scatter-gather run of disk-contiguous blocks from `source`
+/// (one request message, one NSD service, one bulk flow, one watchdog for
+/// the whole run). `keys[i]` is the file block stored at disk block
+/// `addr.block + i`. `cb` receives the per-block payloads in run order.
+///
+/// A replica `source` is the nearest-replica read path: the request targets
+/// the replica site's server and service queue instead of the home farm's,
+/// with two guarantees on top:
+///
+/// * **Never serve stale.** The copy's currency
+///   ([`crate::replica::ReplicaCatalog::copy_current`]) is checked at
+///   issue and again at completion; a write that invalidated the copy in
+///   between makes the fetch fall back to the home farm (counted as a
+///   `stale_fallback`), so `stale_reads` stays zero by construction.
+/// * **No availability regression.** Only the first attempt asks the site,
+///   and only while its server is up; a timeout retries at the *home* farm
+///   with the shared retry budget, so a dead or partitioned replica site
+///   degrades to the single-home path instead of failing the read.
 fn fetch_run(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
@@ -1345,263 +1250,115 @@ fn fetch_run(
     keys: Vec<PageKey>,
     addr: BlockAddr,
     block_size: u64,
+    source: replica::Source,
     cb: Cb<Result<Vec<Bytes>, FsError>>,
-) {
-    let slot: Once<Result<Vec<Bytes>, FsError>> = Rc::new(RefCell::new(Some(cb)));
-    fetch_run_attempt(sim, w, client, keys, addr, block_size, 0, None, slot);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn fetch_run_attempt(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    client: ClientId,
-    keys: Vec<PageKey>,
-    addr: BlockAddr,
-    block_size: u64,
-    attempt: u32,
-    prev_server: Option<NodeId>,
-    cb: Once<Result<Vec<Bytes>, FsError>>,
-) {
-    let fs = keys[0].fs;
-    let nblocks = keys.len() as u64;
-    let Some(server) = w.fss[fs.0 as usize].try_server_of(NsdId(addr.nsd)) else {
-        if let Some(cb) = take(&cb) {
-            cb(sim, w, Err(FsError::ServerDown));
-        }
-        return;
-    };
-    log_failover(sim, w, client, prev_server, server);
-    w.nsd_stats.record(nblocks, nblocks * block_size);
-    let from = client_node(w, client);
-    let rpcb = w.costs.rpc_bytes;
-    let window = w.costs.flow_window;
-
-    // Watchdog: a cancellable timer the response path revokes on arrival.
-    // If it fires, this attempt is abandoned and the retry owns the slot.
-    let timeout = w.costs.request_timeout;
-    let watchdog = {
-        let cb = cb.clone();
-        let keys = keys.clone();
-        sim.timer_after(timeout, move |sim, w| {
-            w.recovery
-                .log(sim.now(), RecoveryWhat::TimeoutDetected { client, server });
-            if attempt >= w.costs.max_retries {
-                if let Some(cb) = take(&cb) {
-                    cb(sim, w, Err(FsError::Timeout));
-                }
-                return;
-            }
-            let delay = backoff_delay(w, attempt);
-            sim.after(delay, move |sim, w| {
-                fetch_run_attempt(
-                    sim,
-                    w,
-                    client,
-                    keys,
-                    addr,
-                    block_size,
-                    attempt + 1,
-                    Some(server),
-                    cb,
-                );
-            });
-        })
-    };
-
-    Network::send_msg(sim, w, from, server, rpcb, move |sim, w| {
-        // A crashed server silently drops the request: the watchdog is the
-        // only way the client learns about it.
-        if w.fss[fs.0 as usize].down_servers.contains(&server) {
-            return;
-        }
-        // NSD service at the server: one seek, `nblocks` contiguous blocks.
-        let inst = &mut w.fss[fs.0 as usize];
-        let done = inst.nsds[addr.nsd as usize].serve(
-            &mut w.arrays,
-            sim.now(),
-            IoKind::Read,
-            addr.block * block_size,
-            nblocks * block_size,
-        );
-        sim.at(done, move |sim, w| {
-            // Bulk data back to the client.
-            let spec = FlowSpec {
-                src: server,
-                dst: from,
-                bytes: nblocks * block_size,
-                window: Some(window),
-                tag: tags::NSD_READ,
-            };
-            Network::start_flow(sim, w, spec, move |sim, w| {
-                if !sim.cancel_timer(watchdog) {
-                    return; // watchdog fired first; a retry owns this fetch
-                }
-                let parts = w.fss[fs.0 as usize].core.get_block_run(addr, nblocks);
-                for (key, data) in keys.iter().zip(parts.iter()) {
-                    let evicted = w.clients[client.0 as usize]
-                        .pool
-                        .insert_clean(*key, data.clone());
-                    flush_evicted(sim, w, client, evicted);
-                }
-                if let Some(cb) = take(&cb) {
-                    cb(sim, w, Ok(parts));
-                }
-            });
-        });
-    });
-}
-
-/// Fetch a scatter-gather run from a replica site — the nearest-replica
-/// read path. Identical envelope to [`fetch_run`] (one request message,
-/// one service queue pass, one bulk flow, one watchdog) except the
-/// request targets the replica site's server and queues instead of the
-/// home farm's. Two guarantees on top:
-///
-/// * **Never serve stale.** The copy's currency
-///   ([`crate::replica::ReplicaCatalog::copy_current`]) is re-checked at
-///   issue and again at completion; a write that invalidated the copy in
-///   between makes the fetch fall back to the home farm (counted as a
-///   `stale_fallback`), so `stale_reads` stays zero by construction.
-/// * **No availability regression.** A watchdog timeout retries against
-///   the *home* farm with the shared retry budget — a dead or
-///   partitioned replica site degrades to the single-home path instead
-///   of failing the read.
-fn fetch_run_replica(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    client: ClientId,
-    keys: Vec<PageKey>,
-    addr: BlockAddr,
-    block_size: u64,
-    site: u32,
-    cb: Cb<Result<Vec<Bytes>, FsError>>,
-) {
-    let slot: Once<Result<Vec<Bytes>, FsError>> = Rc::new(RefCell::new(Some(cb)));
-    fetch_run_replica_attempt(sim, w, client, keys, addr, block_size, site, 0, slot);
-}
-
-fn fetch_run_replica_attempt(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    client: ClientId,
-    keys: Vec<PageKey>,
-    addr: BlockAddr,
-    block_size: u64,
-    site: u32,
-    attempt: u32,
-    cb: Once<Result<Vec<Bytes>, FsError>>,
 ) {
     let fs = keys[0].fs;
     let inode = keys[0].inode;
     let nblocks = keys.len() as u64;
-    let (server, current) = {
-        let inst = &w.fss[fs.0 as usize];
-        let s = &inst.replicas.sites[site as usize];
-        (
-            s.servers[addr.nsd as usize % s.servers.len()],
-            inst.replicas.copy_current(inode, site),
-        )
-    };
-    if !current || w.fss[fs.0 as usize].down_servers.contains(&server) {
-        // The plan raced a write (or the site's server is down): never
-        // serve a non-current copy — re-fetch from the home farm.
-        if !current {
-            w.fss[fs.0 as usize].replicas.counters.stale_fallbacks += 1;
-        }
-        fetch_run_attempt(sim, w, client, keys, addr, block_size, attempt, None, cb);
-        return;
-    }
-    w.nsd_stats.record(nblocks, nblocks * block_size);
-    let from = client_node(w, client);
-    let rpcb = w.costs.rpc_bytes;
-    let window = w.costs.flow_window;
-
-    // Watchdog: like the home path's, but the retry goes *home* — the
-    // replica site already failed to answer once.
-    let timeout = w.costs.request_timeout;
-    let watchdog = {
-        let cb = cb.clone();
-        let keys = keys.clone();
-        sim.timer_after(timeout, move |sim, w| {
-            w.recovery
-                .log(sim.now(), RecoveryWhat::TimeoutDetected { client, server });
-            if attempt >= w.costs.max_retries {
-                if let Some(cb) = take(&cb) {
-                    cb(sim, w, Err(FsError::Timeout));
-                }
-                return;
+    // The replica site the first attempt asks, with its server.
+    let site = match source {
+        replica::Source::Home => None,
+        replica::Source::Site(s) => {
+            let inst = &mut w.fss[fs.0 as usize];
+            let site = &inst.replicas.sites[s as usize];
+            let server = site.servers[addr.nsd as usize % site.servers.len()];
+            if !inst.replicas.copy_current(inode, s) {
+                // The plan raced a write: never serve a non-current copy.
+                inst.replicas.counters.stale_fallbacks += 1;
+                None
+            } else if inst.down_servers.contains(&server) {
+                None
+            } else {
+                Some((s, server))
             }
-            let delay = backoff_delay(w, attempt);
-            sim.after(delay, move |sim, w| {
-                fetch_run_attempt(
-                    sim,
-                    w,
-                    client,
-                    keys,
-                    addr,
-                    block_size,
-                    attempt + 1,
-                    Some(server),
-                    cb,
-                );
-            });
-        })
-    };
-
-    Network::send_msg(sim, w, from, server, rpcb, move |sim, w| {
-        if w.fss[fs.0 as usize].down_servers.contains(&server) {
-            return; // crashed mid-flight; the watchdog handles it
         }
-        // Service at the replica site's own queue for this stripe slot.
-        let inst = &mut w.fss[fs.0 as usize];
-        let nq = inst.replicas.sites[site as usize].nsds.len();
-        let done = inst.replicas.sites[site as usize].nsds[addr.nsd as usize % nq].serve(
-            &mut w.arrays,
-            sim.now(),
-            IoKind::Read,
-            addr.block * block_size,
-            nblocks * block_size,
-        );
-        sim.at(done, move |sim, w| {
-            let spec = FlowSpec {
-                src: server,
-                dst: from,
-                bytes: nblocks * block_size,
-                window: Some(window),
-                tag: tags::NSD_READ,
-            };
-            Network::start_flow(sim, w, spec, move |sim, w| {
-                if !sim.cancel_timer(watchdog) {
-                    return; // watchdog fired first; a retry owns this fetch
-                }
-                // Completion-side currency check: a write that landed
-                // while the data was in flight invalidated this copy.
-                // Serving it now would be exactly the stale-after-
-                // invalidate read the invariants forbid — go home.
-                if !w.fss[fs.0 as usize].replicas.copy_current(inode, site) {
-                    w.fss[fs.0 as usize].replicas.counters.stale_fallbacks += 1;
-                    fetch_run_attempt(sim, w, client, keys, addr, block_size, 0, None, cb);
+    };
+    rpc::exchange(
+        sim,
+        w,
+        client,
+        move |w, n| match site {
+            Some((_, server)) if n == 0 => Continue(server),
+            _ => home_server(w, fs, addr.nsd),
+        },
+        move |sim, w, a| {
+            let at_site = site.filter(|_| a.n == 0).map(|(s, _)| s);
+            let keys = keys.clone();
+            w.nsd_stats.record(nblocks, nblocks * block_size);
+            let from = client_node(w, client);
+            let rpcb = w.costs.rpc_bytes;
+            let window = w.costs.flow_window;
+            Network::send_msg(sim, w, from, a.to, rpcb, move |sim, w| {
+                let server = a.to;
+                // A crashed server silently drops the request: the
+                // watchdog is the only way the client learns about it.
+                if w.fss[fs.0 as usize].down_servers.contains(&server) {
                     return;
                 }
-                {
-                    let s = &mut w.fss[fs.0 as usize].replicas.sites[site as usize];
-                    s.reads += 1;
-                    s.bytes_served += nblocks * block_size;
-                }
-                let parts = w.fss[fs.0 as usize].core.get_block_run(addr, nblocks);
-                for (key, data) in keys.iter().zip(parts.iter()) {
-                    let evicted = w.clients[client.0 as usize]
-                        .pool
-                        .insert_clean(*key, data.clone());
-                    flush_evicted(sim, w, client, evicted);
-                }
-                if let Some(cb) = take(&cb) {
-                    cb(sim, w, Ok(parts));
-                }
+                // NSD service at the server: one seek, `nblocks` contiguous
+                // blocks, on the replica site's own queue for this stripe
+                // slot when the site serves.
+                let inst = &mut w.fss[fs.0 as usize];
+                let nsd = match at_site {
+                    Some(s) => {
+                        let nsds = &mut inst.replicas.sites[s as usize].nsds;
+                        let nq = nsds.len();
+                        &mut nsds[addr.nsd as usize % nq]
+                    }
+                    None => &mut inst.nsds[addr.nsd as usize],
+                };
+                let done = nsd.serve(
+                    &mut w.arrays,
+                    sim.now(),
+                    IoKind::Read,
+                    addr.block * block_size,
+                    nblocks * block_size,
+                );
+                sim.at(done, move |sim, w| {
+                    // Bulk data back to the client.
+                    let spec = FlowSpec {
+                        src: server,
+                        dst: from,
+                        bytes: nblocks * block_size,
+                        window: Some(window),
+                        tag: tags::NSD_READ,
+                    };
+                    Network::start_flow(sim, w, spec, move |sim, w| {
+                        let Some(cb) = a.claim(sim) else {
+                            return; // watchdog fired first; a retry owns this fetch
+                        };
+                        if let Some(s) = at_site {
+                            // Completion-side currency check: a write that
+                            // landed while the data was in flight
+                            // invalidated this copy. Serving it now would be
+                            // exactly the stale-after-invalidate read the
+                            // invariants forbid — go home.
+                            let replicas = &mut w.fss[fs.0 as usize].replicas;
+                            if !replicas.copy_current(inode, s) {
+                                replicas.counters.stale_fallbacks += 1;
+                                let home = replica::Source::Home;
+                                fetch_run(sim, w, client, keys, addr, block_size, home, cb);
+                                return;
+                            }
+                            let site = &mut replicas.sites[s as usize];
+                            site.reads += 1;
+                            site.bytes_served += nblocks * block_size;
+                        }
+                        let parts = w.fss[fs.0 as usize].core.get_block_run(addr, nblocks);
+                        for (key, data) in keys.iter().zip(parts.iter()) {
+                            let evicted = w.clients[client.0 as usize]
+                                .pool
+                                .insert_clean(*key, data.clone());
+                            flush_evicted(sim, w, client, evicted);
+                        }
+                        cb(sim, w, Ok(parts));
+                    });
+                });
             });
-        });
-    });
+        },
+        cb,
+    );
 }
 
 /// Flush a batch of dirty pages, coalescing disk-contiguous blocks into
@@ -1666,9 +1423,8 @@ fn flush_dirty_pages(
 }
 
 /// Flush a scatter-gather run of dirty pages to disk-contiguous blocks on
-/// one NSD, with the same timeout/retry/failover envelope as reads: one
-/// bulk flow, one NSD service, one ack, one watchdog for the whole run.
-#[allow(clippy::too_many_arguments)]
+/// one NSD as one exchange ([`crate::rpc`]): one bulk flow, one NSD
+/// service, one ack, one watchdog for the whole run.
 fn flush_run(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
@@ -1679,106 +1435,56 @@ fn flush_run(
     block_size: u64,
     cb: Cb<Result<(), FsError>>,
 ) {
-    let slot: Once<Result<(), FsError>> = Rc::new(RefCell::new(Some(cb)));
-    flush_run_attempt(sim, w, client, keys, data, addr, block_size, 0, None, slot);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn flush_run_attempt(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    client: ClientId,
-    keys: Vec<PageKey>,
-    data: Vec<Bytes>,
-    addr: BlockAddr,
-    block_size: u64,
-    attempt: u32,
-    prev_server: Option<NodeId>,
-    cb: Once<Result<(), FsError>>,
-) {
     let fs = keys[0].fs;
     let nblocks = keys.len() as u64;
-    let Some(server) = w.fss[fs.0 as usize].try_server_of(NsdId(addr.nsd)) else {
-        if let Some(cb) = take(&cb) {
-            cb(sim, w, Err(FsError::ServerDown));
-        }
-        return;
-    };
-    log_failover(sim, w, client, prev_server, server);
-    w.nsd_stats.record(nblocks, nblocks * block_size);
-    let from = client_node(w, client);
-    let window = w.costs.flow_window;
-
-    // Watchdog: cancelled by the ack path; on fire the retry owns the slot.
-    let timeout = w.costs.request_timeout;
-    let watchdog = {
-        let cb = cb.clone();
-        let keys = keys.clone();
-        let data = data.clone();
-        sim.timer_after(timeout, move |sim, w| {
-            w.recovery
-                .log(sim.now(), RecoveryWhat::TimeoutDetected { client, server });
-            if attempt >= w.costs.max_retries {
-                if let Some(cb) = take(&cb) {
-                    cb(sim, w, Err(FsError::Timeout));
+    rpc::exchange(
+        sim,
+        w,
+        client,
+        move |w, _| home_server(w, fs, addr.nsd),
+        move |sim, w, a| {
+            let (keys, data) = (keys.clone(), data.clone());
+            w.nsd_stats.record(nblocks, nblocks * block_size);
+            let from = client_node(w, client);
+            let spec = FlowSpec {
+                src: from,
+                dst: a.to,
+                bytes: nblocks * block_size,
+                window: Some(w.costs.flow_window),
+                tag: tags::NSD_WRITE,
+            };
+            Network::start_flow(sim, w, spec, move |sim, w| {
+                let server = a.to;
+                // Crashed mid-transfer: the data never lands, no ack comes back.
+                if w.fss[fs.0 as usize].down_servers.contains(&server) {
+                    return;
                 }
-                return;
-            }
-            let delay = backoff_delay(w, attempt);
-            sim.after(delay, move |sim, w| {
-                flush_run_attempt(
-                    sim,
-                    w,
-                    client,
-                    keys,
-                    data,
-                    addr,
-                    block_size,
-                    attempt + 1,
-                    Some(server),
-                    cb,
+                let inst = &mut w.fss[fs.0 as usize];
+                let done = inst.nsds[addr.nsd as usize].serve(
+                    &mut w.arrays,
+                    sim.now(),
+                    IoKind::Write,
+                    addr.block * block_size,
+                    nblocks * block_size,
                 );
+                sim.at(done, move |sim, w| {
+                    w.fss[fs.0 as usize].core.put_block_run(addr, data);
+                    // Ack back to the client.
+                    let rpcb = w.costs.rpc_bytes;
+                    Network::send_msg(sim, w, server, from, rpcb, move |sim, w| {
+                        let Some(cb) = a.claim(sim) else {
+                            return; // a retry owns this flush now
+                        };
+                        for key in &keys {
+                            w.clients[client.0 as usize].pool.mark_clean(*key);
+                        }
+                        cb(sim, w, Ok(()));
+                    });
+                });
             });
-        })
-    };
-
-    let spec = FlowSpec {
-        src: from,
-        dst: server,
-        bytes: nblocks * block_size,
-        window: Some(window),
-        tag: tags::NSD_WRITE,
-    };
-    Network::start_flow(sim, w, spec, move |sim, w| {
-        // Crashed mid-transfer: the data never lands, no ack comes back.
-        if w.fss[fs.0 as usize].down_servers.contains(&server) {
-            return;
-        }
-        let inst = &mut w.fss[fs.0 as usize];
-        let done = inst.nsds[addr.nsd as usize].serve(
-            &mut w.arrays,
-            sim.now(),
-            IoKind::Write,
-            addr.block * block_size,
-            nblocks * block_size,
-        );
-        sim.at(done, move |sim, w| {
-            w.fss[fs.0 as usize].core.put_block_run(addr, data);
-            // Ack back to the client.
-            let rpcb = w.costs.rpc_bytes;
-            Network::send_msg(sim, w, server, from, rpcb, move |sim, w| {
-                if !sim.cancel_timer(watchdog) {
-                    return; // a retry owns this flush now
-                }
-                for key in &keys {
-                    w.clients[client.0 as usize].pool.mark_clean(*key);
-                }
-                if let Some(cb) = take(&cb) {
-                    cb(sim, w, Ok(()));
-                }
-            });
-        });
-    });
+        },
+        cb,
+    );
 }
 
 fn flush_evicted(
@@ -1946,14 +1652,9 @@ pub fn read(
                                             .release_pending(seg.source, run_len as u64);
                                     }
                                 });
-                            match seg.source {
-                                replica::Source::Home => {
-                                    fetch_run(sim, w, client, seg_keys, seg_addr, block_size, done)
-                                }
-                                replica::Source::Site(s) => fetch_run_replica(
-                                    sim, w, client, seg_keys, seg_addr, block_size, s, done,
-                                ),
-                            }
+                            fetch_run(
+                                sim, w, client, seg_keys, seg_addr, block_size, seg.source, done,
+                            );
                         }
                     }
                     inflight_exit(w, client, fs, inode);
@@ -2033,16 +1734,9 @@ pub fn read(
                             join.arrive(sim, w);
                         }
                     });
-                    match seg.source {
-                        replica::Source::Home => {
-                            fetch_run(sim, w, client, seg_keys, seg_addr, block_size, done);
-                        }
-                        replica::Source::Site(s) => {
-                            fetch_run_replica(
-                                sim, w, client, seg_keys, seg_addr, block_size, s, done,
-                            );
-                        }
-                    }
+                    fetch_run(
+                        sim, w, client, seg_keys, seg_addr, block_size, seg.source, done,
+                    );
                 }
             }
             join.maybe_done(sim, w);

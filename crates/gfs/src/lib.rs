@@ -29,6 +29,7 @@ pub mod hsmlink;
 pub mod mpiio;
 pub mod oracle;
 pub mod replica;
+mod rpc;
 pub mod sanfs;
 pub mod session;
 pub mod slab;

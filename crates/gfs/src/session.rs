@@ -27,7 +27,7 @@
 
 use crate::cache::PrefetchState;
 use crate::client;
-use crate::faults::RecoveryWhat;
+use crate::rpc::{self, Attempt};
 use crate::types::{ClientId, FsError, FsId, Handle, InodeId, OpenFlags, Owner, SessionId};
 use crate::world::{GfsWorld, OpenFile};
 use bytes::Bytes;
@@ -37,6 +37,7 @@ use simcore::{Sim, SimDuration};
 use simnet::Network;
 use std::any::Any;
 use std::cell::RefCell;
+use std::ops::ControlFlow::Continue;
 use std::rc::Rc;
 
 /// Per-session state: everything a simulated user owns that is *not*
@@ -918,7 +919,11 @@ fn arm_shard_flush(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ctx: ClientId, fs:
 }
 
 /// Flush one `(ctx, fs, shard)` batch as an envelope (shared by both the
-/// single-shard immediate flush and the wave flush).
+/// single-shard immediate flush and the wave flush). The envelope travels
+/// to the shard's acting manager as one exchange ([`crate::rpc`]): one
+/// message out, one watchdog, one message back — per *batch*. A retried
+/// envelope runs every op again through the manager's dedup table, so each
+/// mutation still applies exactly once.
 fn flush_shard_batch(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ctx: ClientId, fs: FsId, shard: u32) {
     let ops = w.fanin.pending.remove(&(ctx.0, fs.0, shard)).unwrap_or_default();
     if ops.is_empty() {
@@ -931,7 +936,20 @@ fn flush_shard_batch(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ctx: ClientId, f
         *w.fanin.outstanding.entry((ctx.0, fs.0, shard)).or_insert(0) += 1;
     }
     let env = Rc::new(RefCell::new(ops));
-    envelope_attempt(sim, w, ctx, fs, shard, env, 0, None);
+    let done_env = env.clone();
+    rpc::exchange(
+        sim,
+        w,
+        ctx,
+        move |w, n| {
+            if n > 0 {
+                w.fanin.retries += 1;
+            }
+            Continue(w.fss[fs.0 as usize].manager_endpoint(shard))
+        },
+        move |sim, w, a| envelope_attempt(sim, w, ctx, fs, shard, env.clone(), a),
+        Box::new(move |sim, w, r| envelope_finish(sim, w, ctx, fs, shard, done_env, r)),
+    );
 }
 
 /// One envelope of `(ctx, fs, shard)` reached a terminal state (response
@@ -1112,11 +1130,12 @@ fn requeue_delay() -> simcore::SimDuration {
     simcore::SimDuration::from_millis(10)
 }
 
-/// One wire attempt of a whole envelope, under the same survival rules as
-/// [`client`]'s per-op `manager_rpc`: watchdog timeout, exponential
-/// backoff, acting-manager re-resolution per attempt, drop at a crashed /
-/// recovering / superseded manager, per-op exactly-once via the dedup
-/// table. One message out, one watchdog, one message back — per *batch*.
+/// An envelope's result per op, in submission order: `None` marks an op
+/// the manager deferred (a lease conflict or an unavailable peer shard).
+type EnvelopeResults = Vec<Option<Rc<dyn Any>>>;
+
+/// One wire attempt of a whole envelope. A crashed, recovering or
+/// superseded manager drops it on arrival.
 ///
 /// The envelope travels to `shard`'s acting manager. At the service slot's
 /// end each op may additionally:
@@ -1127,7 +1146,6 @@ fn requeue_delay() -> simcore::SimDuration {
 ///   the op runs now, charges the peer's service queue, and journals on
 ///   *both* managers under the same op id (the commit record); if the
 ///   peer is down the op is re-queued until the peer recovers.
-#[allow(clippy::too_many_arguments)]
 fn envelope_attempt(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
@@ -1135,53 +1153,14 @@ fn envelope_attempt(
     fs: FsId,
     shard: u32,
     env: Rc<RefCell<Vec<BatchOp>>>,
-    attempt: u32,
-    prev_mgr: Option<simnet::NodeId>,
+    a: Attempt<EnvelopeResults>,
 ) {
-    let mgr = w.fss[fs.0 as usize].manager_endpoint(shard);
-    client::log_failover(sim, w, ctx, prev_mgr, mgr);
+    let mgr = a.to;
     let from = client::client_node(w, ctx);
     let rpcb = w.costs.rpc_bytes;
-    let timeout = w.costs.request_timeout;
-    let watchdog = {
-        let env = env.clone();
-        sim.timer_after(timeout, move |sim, w| {
-            w.recovery.log(
-                sim.now(),
-                RecoveryWhat::TimeoutDetected { client: ctx, server: mgr },
-            );
-            if attempt >= w.costs.max_retries {
-                // Terminal: the shard's gate slot frees *before* the error
-                // deliveries run, so any ops they re-submit start a fresh
-                // envelope instead of deadlocking on this dead one.
-                envelope_done(sim, w, ctx, fs, shard);
-                let delivers: Vec<_> = env
-                    .borrow_mut()
-                    .iter_mut()
-                    .map(|op| op.deliver.take())
-                    .collect();
-                for d in delivers.into_iter().flatten() {
-                    d(sim, w, Err(FsError::Timeout));
-                }
-                return;
-            }
-            w.fanin.retries += 1;
-            let delay = client::backoff_delay(w, attempt);
-            sim.after(delay, move |sim, w| {
-                envelope_attempt(sim, w, ctx, fs, shard, env, attempt + 1, Some(mgr));
-            });
-        })
-    };
-    let env2 = env.clone();
     Network::send_msg(sim, w, from, mgr, rpcb, move |sim, w| {
-        // A crashed, recovering, or superseded manager drops the whole
-        // envelope silently; only the watchdog tells the sessions.
-        {
-            let inst = &w.fss[fs.0 as usize];
-            let ms = &inst.mgrs[shard as usize];
-            if inst.down_servers.contains(&mgr) || ms.recovering || ms.acting != mgr {
-                return;
-            }
+        if !w.fss[fs.0 as usize].manager_answers(shard, mgr) {
+            return;
         }
         // First word from an expelled context re-admits it before anything
         // else happens at the manager.
@@ -1192,7 +1171,7 @@ fn envelope_attempt(
         // arrival order — the same interleaving the uncharged model
         // produced, just later on the clock.
         let (n_live, n_replay) = {
-            let ops = env2.borrow();
+            let ops = env.borrow();
             let nr = ops.iter().filter(|o| o.replay).count() as u64;
             (ops.len() as u64 - nr, nr)
         };
@@ -1206,12 +1185,8 @@ fn envelope_attempt(
             // Re-check: the manager may have died while this envelope sat
             // in its queue. The crash wiped the queue; whatever was in it
             // dies with the node and the watchdogs drive the retries.
-            {
-                let inst = &w.fss[fs.0 as usize];
-                let ms = &inst.mgrs[shard as usize];
-                if inst.down_servers.contains(&mgr) || ms.recovering || ms.acting != mgr {
-                    return;
-                }
+            if !w.fss[fs.0 as usize].manager_answers(shard, mgr) {
+                return;
             }
             // Apply (or replay) every op in submission order. Results
             // travel to the response event as the same `Rc<dyn Any>` the
@@ -1219,14 +1194,14 @@ fn envelope_attempt(
             // identically. `None` marks an op deferred by a lease conflict
             // or an unavailable peer shard — delivered to nobody, it is
             // re-queued when the response lands.
-            let n = env2.borrow().len();
-            let mut results: Vec<Option<Rc<dyn Any>>> = Vec::with_capacity(n);
+            let n = env.borrow().len();
+            let mut results: EnvelopeResults = Vec::with_capacity(n);
             // Two-phase ops wait for their peer's service slot; the
             // envelope's response leaves when the last peer commit is in.
             let mut response_at = sim.now();
             for i in 0..n {
                 let (op_id, mutating, ack, peer) = {
-                    let ops = env2.borrow();
+                    let ops = env.borrow();
                     (ops[i].op_id, ops[i].mutating, ops[i].ack, ops[i].peer)
                 };
                 // Acked history first: results the session has proven
@@ -1244,12 +1219,12 @@ fn envelope_attempt(
                     if inst.leases.is_empty() {
                         None
                     } else {
-                        let top = &env2.borrow()[i].top;
+                        let top = &env.borrow()[i].top;
                         inst.leases.get(top).copied().filter(|&h| h != ctx)
                     }
                 };
                 if let Some(holder) = conflict {
-                    let top = env2.borrow()[i].top.clone();
+                    let top = env.borrow()[i].top.clone();
                     client::start_lease_break(sim, w, fs, top, holder);
                     results.push(None);
                     continue;
@@ -1266,7 +1241,7 @@ fn envelope_attempt(
                     Some(r) => r,
                     None => {
                         let r = {
-                            let mut ops = env2.borrow_mut();
+                            let mut ops = env.borrow_mut();
                             let run = &mut ops[i].run;
                             run(sim, w, fs, shard)
                         };
@@ -1302,57 +1277,7 @@ fn envelope_attempt(
             let respond = move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld| {
                 let rpcb = w.costs.rpc_bytes;
                 Network::send_msg(sim, w, mgr, from, rpcb, move |sim, w| {
-                    if !sim.cancel_timer(watchdog) {
-                        return; // watchdog fired first; the retry owns the envelope
-                    }
-                    // Terminal: free the shard's gate slot first, so deliveries
-                    // below park their follow-up ops into the next
-                    // envelope (armed as this one completes).
-                    envelope_done(sim, w, ctx, fs, shard);
-                    // This delivery now owns the envelope exclusively:
-                    // deferred ops are peeled off and re-queued as fresh
-                    // envelopes (same op id — exactly-once holds), the
-                    // rest demux their results.
-                    let n = env2.borrow().len();
-                    for (i, r) in results.into_iter().enumerate() {
-                        match r {
-                            Some(r) => {
-                                let d = env2.borrow_mut()[i].deliver.take();
-                                if let Some(d) = d {
-                                    d(sim, w, Ok(r));
-                                }
-                            }
-                            None => {
-                                let mut ops = env2.borrow_mut();
-                                let op = &mut ops[i];
-                                let mut requeued = BatchOp {
-                                    op_id: op.op_id,
-                                    mutating: op.mutating,
-                                    ack: None,
-                                    top: op.top.clone(),
-                                    peer: op.peer,
-                                    defers: op.defers + 1,
-                                    replay: op.replay,
-                                    run: std::mem::replace(
-                                        &mut op.run,
-                                        Box::new(|_, _, _, _| unreachable!("requeued op re-run")),
-                                    ),
-                                    deliver: op.deliver.take(),
-                                };
-                                drop(ops);
-                                if requeued.defers > MAX_DEFERS {
-                                    if let Some(d) = requeued.deliver.take() {
-                                        d(sim, w, Err(FsError::Timeout));
-                                    }
-                                    continue;
-                                }
-                                sim.after(requeue_delay(), move |sim, w| {
-                                    submit_batch(sim, w, ctx, fs, shard, requeued);
-                                });
-                            }
-                        }
-                    }
-                    debug_assert_eq!(n, env2.borrow().len());
+                    a.reply(sim, w, Ok(results))
                 });
             };
             if response_at > sim.now() {
@@ -1362,6 +1287,78 @@ fn envelope_attempt(
             }
         });
     });
+}
+
+/// An envelope's terminal state: the response arrived, or the retry
+/// budget ran out. The shard's gate slot frees first, so ops the
+/// deliveries below re-submit park into the next envelope (armed as this
+/// one completes) instead of deadlocking on this one. Then every op gets
+/// its result — or the exchange's error — and ops the manager deferred
+/// re-queue as fresh envelopes under the same op id (exactly-once holds).
+fn envelope_finish(
+    sim: &mut Sim<GfsWorld>,
+    w: &mut GfsWorld,
+    ctx: ClientId,
+    fs: FsId,
+    shard: u32,
+    env: Rc<RefCell<Vec<BatchOp>>>,
+    r: Result<EnvelopeResults, FsError>,
+) {
+    envelope_done(sim, w, ctx, fs, shard);
+    let results = match r {
+        Ok(results) => results,
+        Err(e) => {
+            let delivers: Vec<_> = env
+                .borrow_mut()
+                .iter_mut()
+                .map(|op| op.deliver.take())
+                .collect();
+            for d in delivers.into_iter().flatten() {
+                d(sim, w, Err(e.clone()));
+            }
+            return;
+        }
+    };
+    let n = env.borrow().len();
+    for (i, r) in results.into_iter().enumerate() {
+        match r {
+            Some(r) => {
+                let d = env.borrow_mut()[i].deliver.take();
+                if let Some(d) = d {
+                    d(sim, w, Ok(r));
+                }
+            }
+            None => {
+                let mut ops = env.borrow_mut();
+                let op = &mut ops[i];
+                let mut requeued = BatchOp {
+                    op_id: op.op_id,
+                    mutating: op.mutating,
+                    ack: None,
+                    top: op.top.clone(),
+                    peer: op.peer,
+                    defers: op.defers + 1,
+                    replay: op.replay,
+                    run: std::mem::replace(
+                        &mut op.run,
+                        Box::new(|_, _, _, _| unreachable!("requeued op re-run")),
+                    ),
+                    deliver: op.deliver.take(),
+                };
+                drop(ops);
+                if requeued.defers > MAX_DEFERS {
+                    if let Some(d) = requeued.deliver.take() {
+                        d(sim, w, Err(FsError::Timeout));
+                    }
+                    continue;
+                }
+                sim.after(requeue_delay(), move |sim, w| {
+                    submit_batch(sim, w, ctx, fs, shard, requeued);
+                });
+            }
+        }
+    }
+    debug_assert_eq!(n, env.borrow().len());
 }
 
 #[cfg(test)]

@@ -328,15 +328,6 @@ impl FsInstance {
             .find(|cand| !self.down_servers.contains(cand))
     }
 
-    /// Like [`FsInstance::try_server_of`] but panics on total failure.
-    #[deprecated(
-        note = "use try_server_of and surface total server loss as FsError::Degraded/ServerDown"
-    )]
-    pub fn server_of(&self, nsd: NsdId) -> NodeId {
-        self.try_server_of(nsd)
-            .unwrap_or_else(|| panic!("no NSD server available for {nsd:?}: all servers failed"))
-    }
-
     /// Mark an NSD server failed (its NSDs fail over to the ring).
     pub fn fail_server(&mut self, node: NodeId) {
         self.down_servers.insert(node);
@@ -371,6 +362,13 @@ impl FsInstance {
     pub fn manager_available(&self, shard: u32) -> bool {
         let mgr = &self.mgrs[shard as usize];
         !mgr.recovering && !self.down_servers.contains(&mgr.acting)
+    }
+
+    /// Does `node` answer as `shard`'s namespace manager right now? A
+    /// request that reaches a crashed, recovering or superseded manager is
+    /// dropped on arrival; the client's watchdog is how it learns.
+    pub fn manager_answers(&self, shard: u32, node: NodeId) -> bool {
+        self.mgrs[shard as usize].acting == node && self.manager_available(shard)
     }
 
     /// The next healthy server in the ring to take over as namespace
@@ -567,9 +565,10 @@ pub struct ProtocolCosts {
     /// TCP window for block-fetch flows (bytes); models the per-connection
     /// socket buffer GPFS configures.
     pub flow_window: u64,
-    /// How long a client waits for an NSD request before declaring it lost
-    /// and retrying (GPFS lease/ping timeout, compressed to simulation
-    /// scale).
+    /// How long a client waits for the answer to one attempt of any
+    /// exchange (NSD request, manager call, token acquire, envelope, mount,
+    /// lease acquire or surrender) before declaring it lost and retrying
+    /// (GPFS lease/ping timeout, compressed to simulation scale).
     pub request_timeout: SimDuration,
     /// Base delay of the exponential retry backoff; attempt `k` waits
     /// `retry_base * 2^k`, scaled by a seeded jitter in `[0.5, 1.5)`.

@@ -13,6 +13,8 @@ use gfs::types::{ClientId, FsId};
 use gfs::world::{FsParams, GfsWorld, WorldBuilder};
 use simcore::{Bandwidth, Sim, SimDuration, GBYTE, MBYTE};
 use simnet::Network;
+use std::cell::Cell;
+use std::rc::Rc;
 use workloads::{enzo, Phase};
 
 fn main() {
@@ -61,15 +63,28 @@ fn main() {
         wl.compute_time()
     );
 
-    run_phases(&mut sim, &mut w, enzo_client, fs, wl.phases.clone(), 0);
+    // Finished loops: the Enzo run and the two visualization consumers.
+    // Link monitoring reschedules itself forever, so the run stops when all
+    // three are done rather than when the event queue drains.
+    let finished = Rc::new(Cell::new(0));
+    run_phases(
+        &mut sim,
+        &mut w,
+        enzo_client,
+        fs,
+        wl.phases.clone(),
+        0,
+        finished.clone(),
+    );
 
     // Visualization: each site repeatedly reads 2 GB slices as soon as
     // checkpoints land — partial access, never the whole dataset.
     for (name, c) in [("NCSA", vis_a), ("ANL", vis_b)] {
-        schedule_vis(&mut sim, &mut w, c, fs, name, 8);
+        schedule_vis(&mut sim, &mut w, c, fs, name, 8, finished.clone());
     }
 
-    sim.run(&mut w);
+    let all_done = sim.run_until(&mut w, |_| finished.get() == 3);
+    assert!(all_done, "the queue drained before the campaign ended");
     let end = sim.now();
     println!(
         "campaign finished at {end}; total bytes through the repo: {:.1} GB",
@@ -92,16 +107,18 @@ fn run_phases(
     fs: FsId,
     mut phases: Vec<Phase>,
     checkpoint_no: u32,
+    finished: Rc<Cell<u32>>,
 ) {
     if phases.is_empty() {
         println!("[{:>9}] Enzo run complete", sim.now());
+        finished.set(finished.get() + 1);
         return;
     }
     let phase = phases.remove(0);
     match phase {
         Phase::Compute(d) => {
             sim.after(d, move |sim, w| {
-                run_phases(sim, w, client, fs, phases, checkpoint_no)
+                run_phases(sim, w, client, fs, phases, checkpoint_no, finished)
             });
         }
         Phase::Write { bytes } => {
@@ -116,12 +133,12 @@ fn run_phases(
                     dt,
                     bytes as f64 / GBYTE as f64 / dt.as_secs_f64()
                 );
-                run_phases(sim, w, client, fs, phases, checkpoint_no + 1);
+                run_phases(sim, w, client, fs, phases, checkpoint_no + 1, finished);
             });
         }
         Phase::Read { bytes } | Phase::ReadAt { bytes, .. } => {
             gfs_stream(sim, w, client, fs, bytes, StreamDir::Read, 1, move |sim, w| {
-                run_phases(sim, w, client, fs, phases, checkpoint_no)
+                run_phases(sim, w, client, fs, phases, checkpoint_no, finished)
             });
         }
     }
@@ -135,8 +152,10 @@ fn schedule_vis(
     fs: FsId,
     site: &'static str,
     remaining: u32,
+    finished: Rc<Cell<u32>>,
 ) {
     if remaining == 0 {
+        finished.set(finished.get() + 1);
         return;
     }
     let slice = 2 * GBYTE;
@@ -150,7 +169,7 @@ fn schedule_vis(
                 sim.now(),
                 slice as f64 / GBYTE as f64
             );
-            schedule_vis(sim, w, client, fs, site, remaining - 1);
+            schedule_vis(sim, w, client, fs, site, remaining - 1, finished);
         });
     });
 }

@@ -6,7 +6,8 @@
 use bytes::Bytes;
 use globalfs::gfs::client;
 use globalfs::gfs::fscore::{DataMode, FsConfig};
-use globalfs::gfs::types::{ClientId, FsError, FsId, NsdId, OpenFlags, Owner};
+use globalfs::gfs::session::Session;
+use globalfs::gfs::types::{ClientId, FsError, FsId, Handle, NsdId, OpenFlags, Owner};
 use globalfs::gfs::world::{FsParams, GfsWorld, NsdBacking, WorldBuilder};
 use globalfs::scenarios::recovery::{
     crash_one_of_n, disk_failure_during_sweep, link_flap_during_enzo, CrashConfig,
@@ -639,6 +640,91 @@ fn coalesced_read_retries_to_restored_server_after_transient_crash() {
 // re-admission
 // ---------------------------------------------------------------------
 
+/// The subtree-lease bed: two NSD servers and `clients` client nodes
+/// (`client-a`, `client-b`, ...) behind one switch, `managers` namespace
+/// shards, and `/proj` created up front. With `wan` every client sits in a
+/// second cluster behind a 30 ms link and reaches the filesystem as a
+/// granted `mmremotefs` device of the same name, mounted through the §6
+/// handshake.
+fn lease_bed(
+    seed: u64,
+    managers: u32,
+    clients: usize,
+    wan: bool,
+) -> (Sim<GfsWorld>, GfsWorld, FsId, Vec<ClientId>) {
+    use globalfs::gfs::world::{RemoteClusterDef, RemoteFsDef};
+    let mut b = WorldBuilder::new(seed);
+    b.key_bits(384);
+    let sw = b.topo().node("sw");
+    let s1 = b.topo().node("nsd-1");
+    let s2 = b.topo().node("nsd-2");
+    for (n, name) in [(s1, "l1"), (s2, "l2")] {
+        b.topo().duplex_link(
+            n,
+            sw,
+            Bandwidth::gbit(1.0),
+            SimDuration::from_micros(100),
+            name,
+        );
+    }
+    let delay = SimDuration::from_micros(if wan { 30_000 } else { 100 });
+    let nodes: Vec<NodeId> = (0..clients)
+        .map(|i| {
+            let x = char::from(b'a' + i as u8);
+            let n = b.topo().node(format!("client-{x}"));
+            b.topo()
+                .duplex_link(n, sw, Bandwidth::gbit(1.0), delay, format!("l{x}"));
+            n
+        })
+        .collect();
+    let home = b.cluster("ha");
+    let site = if wan { b.cluster("far") } else { home };
+    let fs = b.filesystem(
+        home,
+        FsParams {
+            config: FsConfig {
+                name: "hafs".into(),
+                block_size: 64 * 1024,
+                nsd_blocks: 4096,
+                nsd_count: 8,
+                data_mode: DataMode::Stored,
+            },
+            manager: s1,
+            managers,
+            nsd_servers: vec![s1, s2],
+            storage_nodes: vec![],
+            backing: vec![NsdBacking::Ideal {
+                rate: Bandwidth::mbyte(400.0).bytes_per_sec(),
+                latency: SimDuration::from_micros(200),
+            }],
+            exported: wan,
+        },
+    );
+    let ctxs = nodes.into_iter().map(|n| b.client(site, n, 256)).collect();
+    let (sim, mut w) = b.build();
+    if wan {
+        let key = w.clusters[site.0 as usize].auth.public_key();
+        let auth = &mut w.clusters[home.0 as usize].auth;
+        auth.mmauth_add("far", key);
+        auth.mmauth_grant("far", "hafs", gfs_auth::handshake::AccessMode::ReadWrite);
+        let far = &mut w.clusters[site.0 as usize];
+        far.remote_clusters
+            .insert("ha".into(), RemoteClusterDef { contact: s1 });
+        far.remote_fs.insert(
+            "hafs".into(),
+            RemoteFsDef {
+                cluster: "ha".into(),
+                remote_device: "hafs".into(),
+            },
+        );
+    }
+    w.fss[fs.0 as usize]
+        .core
+        .mkdir("/proj", Owner::local(1, 1), 0)
+        .unwrap();
+    (sim, w, fs, ctxs)
+}
+
 /// The full subtree-lease lifecycle, staged over one world: a context
 /// acquires a lease and serves ops at its local delegate; a conflicting
 /// remote op breaks the lease like a token revocation (the responsive
@@ -649,48 +735,10 @@ fn coalesced_read_retries_to_restored_server_after_transient_crash() {
 #[test]
 fn subtree_lease_lifecycle_break_expel_readmit() {
     use globalfs::gfs::{apply_fault, FaultKind, RecoveryWhat};
-    let mut b = WorldBuilder::new(56);
-    b.key_bits(384);
-    let sw = b.topo().node("sw");
-    let s1 = b.topo().node("nsd-1");
-    let s2 = b.topo().node("nsd-2");
-    let ca = b.topo().node("client-a");
-    let cb = b.topo().node("client-b");
-    for (n, name) in [(s1, "l1"), (s2, "l2"), (ca, "la"), (cb, "lb")] {
-        b.topo()
-            .duplex_link(n, sw, Bandwidth::gbit(1.0), SimDuration::from_micros(100), name);
-    }
-    let c = b.cluster("ha");
-    let fs = b.filesystem(
-        c,
-        FsParams {
-            config: FsConfig {
-                name: "hafs".into(),
-                block_size: 64 * 1024,
-                nsd_blocks: 4096,
-                nsd_count: 8,
-                data_mode: DataMode::Stored,
-            },
-            manager: s1,
-            managers: 2,
-            nsd_servers: vec![s1, s2],
-            storage_nodes: vec![],
-            backing: vec![NsdBacking::Ideal {
-                rate: Bandwidth::mbyte(400.0).bytes_per_sec(),
-                latency: SimDuration::from_micros(200),
-            }],
-            exported: false,
-        },
-    );
-    let a = b.client(c, ca, 256);
-    let bc = b.client(c, cb, 256);
-    let (mut sim, mut w) = b.build();
+    let (mut sim, mut w, fs, ctxs) = lease_bed(56, 2, 2, false);
+    let a = ctxs[0];
     let sa = w.open_session(a);
-    let sb = w.open_session(bc);
-    w.fss[fs.0 as usize]
-        .core
-        .mkdir("/proj", Owner::local(1, 1), 0)
-        .unwrap();
+    let sb = w.open_session(ctxs[1]);
 
     // Phase 1 — both contexts mount; A leases /proj and serves a mkdir at
     // its delegate without a manager round trip.
@@ -809,6 +857,54 @@ fn subtree_lease_lifecycle_break_expel_readmit() {
         assert_eq!(inst.lease_breaks, 2, "both conflicts must have started breaks");
     }
     assert_eq!(sim.pending(), 0, "events left after the run drained");
+}
+
+/// A lease acquire that meets another context's lease: the manager breaks
+/// the holder's lease (its journaled mkdir reconciles on the way out) and
+/// grants the subtree to the asker once the break is done.
+#[test]
+fn conflicting_lease_acquire_breaks_the_holder_then_grants() {
+    let (mut sim, mut w, fs, ctxs) = lease_bed(59, 1, 2, false);
+    let (a, b) = (ctxs[0], ctxs[1]);
+    let (sa, sb) = (w.open_session(a), w.open_session(b));
+    let rw = gfs_auth::handshake::AccessMode::ReadWrite;
+    for s in [sa, sb] {
+        settle(&mut sim, &mut w, |sim, w, cb| {
+            s.mount(sim, w, "hafs", rw, cb)
+        })
+        .unwrap();
+    }
+    settle(&mut sim, &mut w, |sim, w, cb| {
+        sa.acquire_lease(sim, w, "/proj", cb)
+    })
+    .unwrap();
+    settle(&mut sim, &mut w, |sim, w, cb| {
+        sa.mkdir(sim, w, "/proj/d0", Owner::local(1, 1), cb)
+    })
+    .unwrap();
+    assert_eq!(
+        w.clients[a.0 as usize].journal.len(),
+        1,
+        "the mkdir must run at A's delegate"
+    );
+    settle(&mut sim, &mut w, |sim, w, cb| {
+        sb.acquire_lease(sim, w, "/proj", cb)
+    })
+    .unwrap();
+    assert_eq!(sim.pending(), 0, "events left after the run drained");
+    let inst = &w.fss[fs.0 as usize];
+    assert_eq!(
+        inst.leases.get("proj"),
+        Some(&b),
+        "the manager must list B as the holder"
+    );
+    assert_eq!(inst.lease_breaks, 1);
+    assert_eq!(inst.lease_grants, 2);
+    assert_eq!(inst.reconcile_ops, 1);
+    assert!(
+        w.clients[a.0 as usize].leases.is_empty(),
+        "A's lease mirror must be empty"
+    );
 }
 
 /// Writeback reconciliation is exactly-once across a manager crash. The
@@ -1070,4 +1166,267 @@ fn manager_crash_replay_is_oracle_equivalent() {
     assert_eq!(r.gave_up, 0, "an op exhausted its retry budget");
     assert!(r.fsck_clean, "post-replay fsck found inconsistencies");
     assert_eq!(r.invariant_violations, 0);
+}
+
+// ---------------------------------------------------------------------
+// Partition sweep: every client exchange completes, times out or fails
+// with a typed error
+// ---------------------------------------------------------------------
+
+/// Run one op on a fault-free world until the simulation drains, and hand
+/// back its result.
+fn settle<T: 'static>(
+    sim: &mut Sim<GfsWorld>,
+    w: &mut GfsWorld,
+    op: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, client::Cb<T>),
+) -> T {
+    let out = Rc::new(std::cell::RefCell::new(None));
+    let slot = out.clone();
+    op(
+        sim,
+        w,
+        Box::new(move |_, _, r| *slot.borrow_mut() = Some(r)),
+    );
+    sim.run(w);
+    let r = out.borrow_mut().take();
+    r.expect("op never completed")
+}
+
+/// Every `Session` verb, each driven by the partition sweep.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Verb {
+    MountLocal,
+    MountRemote,
+    Mkdir,
+    Stat,
+    Readdir,
+    Open,
+    Close,
+    Read,
+    Write,
+    Fsync,
+    Truncate,
+    Unlink,
+    Rename,
+    AcquireLease,
+    SurrenderLease,
+}
+
+/// Bytes of the file the data verbs work on: four 64 KiB blocks.
+const SWEEP_BYTES: usize = 200_000;
+
+/// A drained world with one mount context, ready for `verb`: mounted
+/// (except for the mount verbs) and holding what the verb works on — an
+/// open handle, a dirty or cold file, a lease with a journaled mkdir.
+fn sweep_world(verb: Verb) -> (Sim<GfsWorld>, GfsWorld, Session, Option<Handle>) {
+    use Verb::*;
+    let (mut sim, mut w, fs, ctxs) = lease_bed(58, 1, 1, verb == MountRemote);
+    let s = w.open_session(ctxs[0]);
+    let (sim_, w_) = (&mut sim, &mut w);
+    let owner = || Owner::local(1, 1);
+    let rw = gfs_auth::handshake::AccessMode::ReadWrite;
+    if !matches!(verb, MountLocal | MountRemote) {
+        settle(sim_, w_, |sim, w, cb| s.mount(sim, w, "hafs", rw, cb)).unwrap();
+    }
+    if matches!(verb, Unlink | Rename) {
+        let h = settle(sim_, w_, |sim, w, cb| {
+            s.open(sim, w, "/proj/f", OpenFlags::Write, owner(), cb)
+        });
+        settle(sim_, w_, |sim, w, cb| s.close(sim, w, h.unwrap(), cb)).unwrap();
+    }
+    if verb == SurrenderLease {
+        settle(sim_, w_, |sim, w, cb| s.acquire_lease(sim, w, "/proj", cb)).unwrap();
+        settle(sim_, w_, |sim, w, cb| {
+            s.mkdir(sim, w, "/proj/d0", owner(), cb)
+        })
+        .unwrap();
+    }
+    let mut handle = None;
+    if matches!(verb, Close | Read | Write | Fsync | Truncate) {
+        let open = |flags| {
+            move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, cb| {
+                s.open(sim, w, "/proj/f", flags, owner(), cb)
+            }
+        };
+        let mut h = settle(sim_, w_, open(OpenFlags::ReadWrite)).unwrap();
+        if verb != Write {
+            let data = Bytes::from(vec![5u8; SWEEP_BYTES]);
+            settle(sim_, w_, |sim, w, cb| s.write(sim, w, h, 0, data, cb)).unwrap();
+        }
+        if verb == Read {
+            // Cold cache: the read needs its token and every block.
+            settle(sim_, w_, |sim, w, cb| s.close(sim, w, h, cb)).unwrap();
+            h = settle(sim_, w_, open(OpenFlags::Read)).unwrap();
+            let inode = w_.clients[0].handles[&h].inode;
+            w_.clients[0].pool.invalidate_file(fs, inode);
+        }
+        handle = Some(h);
+    }
+    (sim, w, s, handle)
+}
+
+/// Submit `verb`; `cb` gets its outcome with the value dropped.
+fn submit(
+    verb: Verb,
+    sim: &mut Sim<GfsWorld>,
+    w: &mut GfsWorld,
+    s: Session,
+    h: Option<Handle>,
+    cb: client::Cb<Result<(), FsError>>,
+) {
+    use Verb::*;
+    let h = || h.expect("the verb works on an open handle");
+    let owner = Owner::local(1, 1);
+    match verb {
+        MountLocal | MountRemote => s.mount(
+            sim,
+            w,
+            "hafs",
+            gfs_auth::handshake::AccessMode::ReadWrite,
+            cb,
+        ),
+        Mkdir => s.mkdir(sim, w, "/proj/new", owner, move |sim, w, r| {
+            cb(sim, w, r.map(|_| ()))
+        }),
+        Stat => s.stat(sim, w, "/proj", move |sim, w, r| cb(sim, w, r.map(|_| ()))),
+        Readdir => s.readdir(sim, w, "/proj", move |sim, w, r| cb(sim, w, r.map(|_| ()))),
+        Open => s.open(
+            sim,
+            w,
+            "/proj/new",
+            OpenFlags::Write,
+            owner,
+            move |sim, w, r| cb(sim, w, r.map(|_| ())),
+        ),
+        Close => s.close(sim, w, h(), cb),
+        Read => s.read(sim, w, h(), 0, SWEEP_BYTES as u64, move |sim, w, r| {
+            cb(sim, w, r.map(|_| ()))
+        }),
+        Write => s.write(sim, w, h(), 1000, Bytes::from(vec![6u8; SWEEP_BYTES]), cb),
+        Fsync => s.fsync(sim, w, h(), cb),
+        Truncate => s.truncate(sim, w, h(), 50_000, cb),
+        Unlink => s.unlink(sim, w, "/proj/f", cb),
+        Rename => s.rename(sim, w, "/proj/f", "/proj/g", cb),
+        AcquireLease => s.acquire_lease(sim, w, "/proj", cb),
+        SurrenderLease => s.surrender_lease(sim, w, "/proj", cb),
+    }
+}
+
+/// Partition the only client at each of 8 evenly spaced instants of every
+/// verb's fault-free run, from its submission up to its completion. Healed
+/// a second later, the verb completes exactly once with `Ok` and leaves a
+/// world every invariant holds in — after a lease verb, the manager's lease
+/// table agrees with the client's mirror. Never healed, it still completes
+/// exactly once, with `Ok` or a typed error, and the simulation drains.
+#[test]
+fn every_session_verb_rides_out_a_client_partition() {
+    use globalfs::gfs::{apply_fault, FaultKind};
+    use Verb::*;
+    let verbs = [
+        MountLocal,
+        MountRemote,
+        Mkdir,
+        Stat,
+        Readdir,
+        Open,
+        Close,
+        Read,
+        Write,
+        Fsync,
+        Truncate,
+        Unlink,
+        Rename,
+        AcquireLease,
+        SurrenderLease,
+    ];
+    let partition = || FaultKind::Partition {
+        node: "client-a".into(),
+    };
+    let mut failures = Vec::new();
+    for verb in verbs {
+        let (mut sim, mut w, s, h) = sweep_world(verb);
+        let t0 = sim.now();
+        let span = settle(&mut sim, &mut w, |sim, w, cb| {
+            submit(verb, sim, w, s, h, cb)
+        })
+        .map(|()| sim.now().since(t0))
+        .unwrap_or_else(|e| panic!("{verb:?} fails fault-free: {e:?}"));
+        for heal in [true, false] {
+            for k in 0..8 {
+                let (mut sim, mut w, s, h) = sweep_world(verb);
+                let at = sim.now() + span * k / 8;
+                if k == 0 {
+                    apply_fault(&mut sim, &mut w, partition());
+                } else {
+                    sim.at(at, move |sim, w| apply_fault(sim, w, partition()));
+                }
+                if heal {
+                    sim.at(at + SimDuration::from_secs(1), |sim, w| {
+                        apply_fault(
+                            sim,
+                            w,
+                            FaultKind::Heal {
+                                node: "client-a".into(),
+                            },
+                        )
+                    });
+                }
+                let calls = Rc::new(std::cell::RefCell::new(Vec::new()));
+                let log = calls.clone();
+                submit(
+                    verb,
+                    &mut sim,
+                    &mut w,
+                    s,
+                    h,
+                    Box::new(move |_, _, r| log.borrow_mut().push(r)),
+                );
+                sim.run(&mut w);
+                let calls = calls.borrow();
+                let mut fail = |what: String| {
+                    failures.push(format!(
+                        "{verb:?} partitioned {k}/8 into {span}, healed {heal}: {what}"
+                    ))
+                };
+                if calls.len() != 1 {
+                    fail(format!("the callback fired {} times", calls.len()));
+                    continue;
+                }
+                if sim.pending() != 0 {
+                    fail(format!(
+                        "{} events left after the run drained",
+                        sim.pending()
+                    ));
+                }
+                if !heal {
+                    continue;
+                }
+                if calls[0] != Ok(()) {
+                    fail(format!("{:?}", calls[0]));
+                }
+                let violations = globalfs::scenarios::chaos::world_invariants(&sim, &w);
+                if !violations.is_empty() {
+                    fail(format!("{violations:?}"));
+                }
+                let held = w.fss[0].leases.get("proj") == Some(&ClientId(0));
+                let mirrored = w.clients[0].leases.contains(&(FsId(0), "proj".into()));
+                let agreed = match verb {
+                    AcquireLease => held && mirrored,
+                    SurrenderLease => !held && !mirrored,
+                    _ => true,
+                };
+                if !agreed {
+                    fail(format!(
+                        "lease table holds: {held}, client mirrors: {mirrored}"
+                    ));
+                }
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} case(s) failed:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
 }
