@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate: build, test, lint — all offline (no network, no new deps).
 # Tier-1 (ROADMAP.md) is the build + root test suite; the workspace test
-# run and clippy -D warnings are the full gate.
+# run, clippy -D warnings and rustdoc -D warnings are the full gate.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -20,6 +20,11 @@ cargo test --workspace -q --offline
 
 echo "== cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "== cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
+# Docs-as-a-gate: a public doc that links a private, renamed or deleted
+# item fails here instead of rendering as a dead link.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== examples (release build, each under timeout 60)"
 # Every root example must run to completion: one that hangs (an event loop

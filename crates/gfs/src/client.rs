@@ -21,6 +21,7 @@ use crate::cache::{DirtyPage, PageKey};
 use crate::faults::RecoveryWhat;
 use crate::replica;
 use crate::rpc::{self, Attempt};
+use crate::session::Session;
 use crate::tokens::{ByteRange, TokenMode};
 use crate::types::{
     check_file_size, BlockAddr, ClientId, FsError, FsId, Handle, InodeId, NsdId, OpenFlags, Owner,
@@ -118,10 +119,10 @@ impl Join {
 /// cluster ([`GfsWorld::resolve_device`]): a locally-owned filesystem costs
 /// one RPC to the configuration manager; an `mmremotefs` device runs the
 /// full §6.2 RSA challenge–response over the WAN before installing the
-/// mount. Either is one exchange ([`crate::rpc`]): a lost leg times out
-/// and the whole exchange retries. Unknown devices surface
-/// [`FsError::NotMounted`]; export/grant problems surface
-/// [`FsError::AuthFailed`] — no variant-mismatch panics.
+/// mount. Either is one exchange under the client's attempt loop (the
+/// `rpc` module): a lost leg times out and the whole exchange retries.
+/// Unknown devices surface [`FsError::NotMounted`]; export/grant problems
+/// surface [`FsError::AuthFailed`] — no variant-mismatch panics.
 pub fn mount(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
@@ -406,100 +407,20 @@ pub(crate) fn open_apply(
     Ok((fs, inode))
 }
 
-/// A request/response exchange ([`crate::rpc`]) with the acting manager of
-/// the shard that owns `route` (shard 0 for the empty route), re-resolved
-/// on every attempt so a retry follows a failover or a subtree migration.
-/// `serve` runs at the manager when it answers, and its result travels
-/// back as the answer; a crashed, recovering or superseded manager drops
-/// the request.
-fn manager_call<T: 'static>(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    client: ClientId,
-    fs: FsId,
-    route: Box<str>,
-    serve: impl FnMut(&mut Sim<GfsWorld>, &mut GfsWorld) -> Result<T, FsError> + 'static,
-    done: Cb<Result<T, FsError>>,
-) {
-    let target_route = route.clone();
-    let serve = Rc::new(RefCell::new(serve));
-    rpc::exchange(
-        sim,
-        w,
-        client,
-        move |w, _| {
-            let inst = &mut w.fss[fs.0 as usize];
-            let shard = inst.core.shards.shard_of(&target_route);
-            Continue(inst.manager_endpoint(shard))
-        },
-        move |sim, w, a| {
-            let shard = w.fss[fs.0 as usize].core.shards.shard_of(&route);
-            let serve = serve.clone();
-            let from = client_node(w, client);
-            let rpcb = w.costs.rpc_bytes;
-            Network::send_msg(sim, w, from, a.to, rpcb, move |sim, w| {
-                if !w.fss[fs.0 as usize].manager_answers(shard, a.to) {
-                    return;
-                }
-                let answer = (serve.borrow_mut())(sim, w);
-                let rpcb = w.costs.rpc_bytes;
-                Network::send_msg(sim, w, a.to, from, rpcb, move |sim, w| {
-                    a.reply(sim, w, answer)
-                });
-            });
-        },
-        done,
-    );
-}
-
-/// A data-path call to shard 0's manager (block allocation, size changes —
-/// shard 0 doubles as the filesystem's block/token manager) with
-/// exactly-once semantics.
-///
-/// Exactly-once works the GPFS way: every client request carries a unique
-/// op ID; the manager keeps a dedup table of applied mutations and their
-/// results. A retry whose original attempt did execute (the *reply* was
-/// lost, not the request) replays the recorded result instead of running
-/// `f` twice — without this, a lost allocation reply would retry into a
-/// second size update.
-fn manager_rpc<T: Clone + 'static>(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    client: ClientId,
-    fs: FsId,
-    mut f: impl FnMut(&mut Sim<GfsWorld>, &mut GfsWorld, FsId) -> Result<T, FsError> + 'static,
-    cb: Cb<Result<T, FsError>>,
-) {
-    let op_id = w.clients[client.0 as usize].next_op_id();
-    let serve = move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld| {
-        let replay = w.fss[fs.0 as usize].mgrs[0].applied_result(op_id);
-        match replay {
-            Some(r) => r
-                .downcast_ref::<Result<T, FsError>>()
-                .expect("op replayed with a different result type")
-                .clone(),
-            None => {
-                let r = f(sim, w, fs);
-                w.fss[fs.0 as usize].mgrs[0].record(op_id, Rc::new(r.clone()));
-                r
-            }
-        }
-    };
-    // The empty route is shard 0's: the block and token manager.
-    manager_call(sim, w, client, fs, "".into(), serve, cb);
-}
-
 /// Truncate an open file to `new_size` (shrinking frees blocks; extending
 /// creates a hole). Requires a write-capable handle; takes a whole-file
-/// write token, as GPFS does for size changes.
-pub fn truncate(
+/// write token, as GPFS does for size changes. The size change itself is
+/// part of `sess`'s truncate op (reached through `Session::truncate`): it
+/// rides the session's envelope to shard 0 under a session op id.
+pub(crate) fn truncate(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
-    client: ClientId,
+    sess: Session,
     handle: Handle,
     new_size: u64,
     cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<(), FsError>) + 'static,
 ) {
+    let client = sess.ctx(w);
     let Some(of) = w.clients[client.0 as usize].handles.get(&handle).cloned() else {
         cb(sim, w, Err(FsError::BadHandle));
         return;
@@ -540,25 +461,28 @@ pub fn truncate(
                         cb(sim, w, Err(e));
                         return;
                     }
-                    // Size changes ride the same channel as tokens: shard 0,
-                    // which doubles as the filesystem's block/token manager.
-                    manager_rpc(
+                    // Size changes go where tokens live: shard 0, which
+                    // doubles as the filesystem's block/token manager.
+                    sess.submit_mgr(
                         sim,
                         w,
-                        client,
                         fs,
-                        move |sim, w, fs| {
+                        0,
+                        "".into(),
+                        None,
+                        true,
+                        move |sim, w, fs, _shard| {
                             let now = sim.now().as_nanos();
                             w.fss[fs.0 as usize].core.truncate(inode, new_size, now)
                         },
-                        Box::new(move |sim, w, r| {
+                        move |sim, w, r| {
                             // Cached pages past the new EOF are stale; drop
                             // the whole file conservatively.
                             if r.is_ok() {
                                 w.clients[client.0 as usize].pool.invalidate_file(fs, inode);
                             }
                             cb(sim, w, r);
-                        }),
+                        },
                     );
                 });
             flush_dirty_pages(sim, w, client, dirty, after_flush);
@@ -765,85 +689,8 @@ fn revoke_at_holder(
 // subtree and releases every token the node held, and the node itself,
 // knowing its term expired, stops trusting its mirror without needing to
 // hear from anyone. The next word from the expelled client re-admits it.
-
-/// Acquire a subtree lease on the top-level component of `path` for this
-/// client's site from the owning shard's acting manager, as an exchange
-/// ([`crate::rpc`]): a lost request or answer retries, and a manager that
-/// never answers ends the acquire with `Timeout`. When another context's
-/// delegate holds the subtree, the manager starts breaking that lease and
-/// answers "not yet"; the client asks again 10 ms later.
-pub fn acquire_lease(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    client: ClientId,
-    device: &str,
-    path: &str,
-    cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<(), FsError>) + 'static,
-) {
-    let m = match mount_of(w, client, device) {
-        Ok(m) => m,
-        Err(e) => {
-            cb(sim, w, Err(e));
-            return;
-        }
-    };
-    if m.mode == AccessMode::ReadOnly {
-        cb(sim, w, Err(FsError::ReadOnly));
-        return;
-    }
-    let top = crate::fscore::top_component(path);
-    if top.is_empty() {
-        // The root itself is never leased — that would privatize the
-        // entire namespace to one site.
-        cb(sim, w, Err(FsError::InvalidArgument(path.to_string())));
-        return;
-    }
-    lease_request(sim, w, client, m.fs, top.into(), Box::new(cb));
-}
-
-/// One lease-acquire exchange (see [`acquire_lease`]).
-fn lease_request(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    client: ClientId,
-    fs: FsId,
-    top: Box<str>,
-    cb: Cb<Result<(), FsError>>,
-) {
-    let (route, asked) = (top.clone(), top.clone());
-    let serve = move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld| {
-        // An expelled client asking for a lease is back on the air; the
-        // manager re-admits it before considering the grant.
-        readmit_if_expelled(sim, w, fs, client);
-        let holder = w.fss[fs.0 as usize].leases.get(&asked).copied();
-        match holder {
-            Some(h) if h != client => {
-                // Someone else's delegate owns the subtree: break its
-                // lease; the client comes back for the grant.
-                start_lease_break(sim, w, fs, asked.clone(), h);
-                Ok(false)
-            }
-            _ => {
-                let inst = &mut w.fss[fs.0 as usize];
-                if inst.leases.insert(asked.clone(), client).is_none() {
-                    inst.lease_grants += 1;
-                }
-                Ok(true)
-            }
-        }
-    };
-    let done: Cb<Result<bool, FsError>> = Box::new(move |sim, w, r| match r {
-        Ok(true) => {
-            w.clients[client.0 as usize].leases.insert((fs, top));
-            cb(sim, w, Ok(()));
-        }
-        Ok(false) => sim.after(SimDuration::from_millis(10), move |sim, w| {
-            lease_request(sim, w, client, fs, top, cb)
-        }),
-        Err(e) => cb(sim, w, Err(e)),
-    });
-    manager_call(sim, w, client, fs, route, serve, done);
-}
+// Acquire and surrender are `Session` verbs riding envelopes; this module
+// keeps the manager-initiated side: the break and the expulsion.
 
 /// Break `holder`'s lease on `top` (manager side). Idempotent while a
 /// break is already in flight. Arms the expulsion fuse: a holder that
@@ -976,103 +823,14 @@ pub(crate) fn readmit_if_expelled(
     }
 }
 
-/// Voluntarily give a subtree lease back: drain the local delegate,
-/// reconcile the writeback journal with the owning shard, then release
-/// the lease at the manager. Completes with `Ok` immediately when the
-/// client no longer holds the lease (a break or expulsion won the race).
-pub fn surrender_lease(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    client: ClientId,
-    device: &str,
-    path: &str,
-    cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<(), FsError>) + 'static,
-) {
-    let m = match mount_of(w, client, device) {
-        Ok(m) => m,
-        Err(e) => {
-            cb(sim, w, Err(e));
-            return;
-        }
-    };
-    let top = crate::fscore::top_component(path);
-    if top.is_empty() {
-        cb(sim, w, Err(FsError::InvalidArgument(path.to_string())));
-        return;
-    }
-    surrender_drain(sim, w, client, m.fs, top.into(), Box::new(cb));
-}
-
-/// Surrender stage 1: wait out in-flight delegate ops (including batches
-/// still parked this instant — they count in `delegate_inflight` from
-/// park time), like a lease break does.
-fn surrender_drain(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    client: ClientId,
-    fs: FsId,
-    top: Box<str>,
-    cb: Cb<Result<(), FsError>>,
-) {
-    if !w.clients[client.0 as usize].leases.contains(&(fs, top.clone())) {
-        cb(sim, w, Ok(()));
-        return;
-    }
-    if w.clients[client.0 as usize].delegate_inflight > 0 {
-        sim.after(SimDuration::from_micros(500), move |sim, w| {
-            surrender_drain(sim, w, client, fs, top, cb);
-        });
-        return;
-    }
-    // Mirror entry goes first: from here no new op delegates, so the
-    // journal taken by the reconcile below is complete.
-    w.clients[client.0 as usize].leases.remove(&(fs, top.clone()));
-    let release_top = top.clone();
-    crate::session::reconcile_journal(
-        sim,
-        w,
-        client,
-        fs,
-        top,
-        Box::new(move |sim, w| {
-            surrender_release(sim, w, client, fs, release_top, cb);
-        }),
-    );
-}
-
-/// Surrender stage 2 (post-reconcile): release the lease at the owning
-/// shard's acting manager, as an exchange ([`crate::rpc`]) — a lost
-/// request or answer retries, so the release lands once the manager is
-/// reachable again, and a manager that never answers ends the surrender
-/// with `Timeout`.
-fn surrender_release(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    client: ClientId,
-    fs: FsId,
-    top: Box<str>,
-    cb: Cb<Result<(), FsError>>,
-) {
-    let route = top.clone();
-    let serve = move |_: &mut Sim<GfsWorld>, w: &mut GfsWorld| {
-        let inst = &mut w.fss[fs.0 as usize];
-        if inst.leases.get(&top) == Some(&client) {
-            inst.leases.remove(&top);
-        }
-        Ok(())
-    };
-    manager_call(sim, w, client, fs, route, serve, cb);
-}
-
 /// How many subtree moves one rebalance drain cycle may batch. A single
 /// move cannot close a gap wider than twice the hottest movable subtree;
 /// batching the top-K drains a pile-up in one cycle instead of K.
 const REBALANCE_MOVES_PER_STEP: usize = 3;
 
 /// One step of the live rebalance policy: plan the next authority
-/// migration batch from accumulated heat (up to
-/// [`REBALANCE_MOVES_PER_STEP`] subtrees when a single move cannot close
-/// the load gap), drain every involved manager's queued envelopes, then
+/// migration batch from accumulated heat (up to three subtrees when a
+/// single move cannot close the load gap), drain every involved manager's queued envelopes, then
 /// commit — flipping each subtree's owner and journaling a migration
 /// record in *both* shards' WALs (either manager can prove the handoff
 /// after a crash). Ops already routed keep their captured shard: the
@@ -1101,9 +859,8 @@ pub fn maybe_rebalance(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, fs: FsId) -> b
         let inst = &mut w.fss[fs.0 as usize];
         for (top, from, to) in &moves {
             // Migration records live in the bit-62 op-id namespace —
-            // disjoint from per-client op ids and bit-63 session ids, so
-            // they can never collide with (or be retired by) ordinary op
-            // acks.
+            // disjoint from the bit-63 session ids, so they can never
+            // collide with (or be retired by) ordinary op acks.
             let op_id = (1u64 << 62) | inst.migration_seq;
             inst.migration_seq += 1;
             let rec: std::rc::Rc<dyn std::any::Any> =
@@ -1746,15 +1503,23 @@ pub fn read(
 
 /// Write `data` at `offset` (write-behind: completes once the pages are
 /// dirty in the pool and space/size are recorded at the manager).
-pub fn write(
+///
+/// The block allocation and size update are part of `sess`'s write op
+/// (reached through `Session::write`): they ride the session's envelope to
+/// shard 0 under a session op id, so a retry whose first attempt did
+/// execute — the reply was lost, not the request — replays the recorded
+/// result from the manager's dedup table instead of running a second size
+/// update.
+pub(crate) fn write(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
-    client: ClientId,
+    sess: Session,
     handle: Handle,
     offset: u64,
     data: Bytes,
     cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<(), FsError>) + 'static,
 ) {
+    let client = sess.ctx(w);
     let Some(of) = w.clients[client.0 as usize].handles.get(&handle).cloned() else {
         cb(sim, w, Err(FsError::BadHandle));
         return;
@@ -1802,14 +1567,17 @@ pub fn write(
             // The token is held: mark the operation in flight so a
             // concurrent revocation waits for us (write atomicity).
             inflight_enter(w, client, fs, inode);
-            // Allocation + size RPC to the manager — block allocation is
-            // shard 0's job regardless of namespace partitioning.
-            manager_rpc(
+            // Allocation + size update at the manager — block allocation
+            // is shard 0's job regardless of namespace partitioning.
+            sess.submit_mgr(
                 sim,
                 w,
-                client,
                 fs,
-                move |sim, w, fs| -> Result<(), FsError> {
+                0,
+                "".into(),
+                None,
+                true,
+                move |sim, w, fs, _shard| -> Result<(), FsError> {
                     let now = sim.now().as_nanos();
                     let inst = &mut w.fss[fs.0 as usize];
                     let first = offset / block_size;
@@ -1825,7 +1593,7 @@ pub fn write(
                     inst.replicas.on_write(inode, end - offset);
                     Ok(())
                 },
-                Box::new(move |sim, w, alloc_result| {
+                move |sim, w, alloc_result| {
                     if let Err(e) = alloc_result {
                         inflight_exit(w, client, fs, inode);
                         cb(sim, w, Err(e));
@@ -1916,7 +1684,7 @@ pub fn write(
                             );
                         }
                     }
-                }),
+                },
             );
         }),
     );
@@ -1944,7 +1712,6 @@ pub fn fsync(
 mod tests {
     use super::*;
     use crate::fscore::FsConfig;
-    use crate::session::Session;
     use crate::world::{FsParams, WorldBuilder};
     use simcore::{Bandwidth, SimDuration};
 
@@ -2087,7 +1854,7 @@ mod tests {
                     let h = r.unwrap();
                     let payload = Bytes::from_static(b"global file systems for grid computing");
                     let expect = payload.clone();
-                    write(sim, w, local, h, 0, payload, move |sim, w, r| {
+                    ls.write(sim, w, h, 0, payload, move |sim, w, r| {
                         r.unwrap();
                         read(sim, w, local, h, 0, expect.len() as u64, move |sim, w, r| {
                             let got = r.unwrap();
@@ -2120,7 +1887,7 @@ mod tests {
                 move |sim, w, r| {
                     let h = r.unwrap();
                     let expect = payload.clone();
-                    write(sim, w, local, h, 1000, payload, move |sim, w, r| {
+                    ls.write(sim, w, h, 1000, payload, move |sim, w, r| {
                         r.unwrap();
                         read(sim, w, local, h, 1000, expect.len() as u64, move |sim, w, r| {
                             assert_eq!(r.unwrap(), expect);
@@ -2144,7 +1911,7 @@ mod tests {
     fn remote_mount_handshake_and_io() {
         let mut t = bed();
         let (ls, rs) = (t.ls, t.rs);
-        let (local, remote) = (t.local, t.remote);
+        let remote = t.remote;
         let ok = Rc::new(Cell::new(false));
         let ok2 = ok.clone();
         // Local writes; remote mounts over the WAN and reads the data back.
@@ -2155,7 +1922,7 @@ mod tests {
                 move |sim, w, r| {
                     let h = r.unwrap();
                     let payload = Bytes::from(vec![0x5au8; 100_000]);
-                    write(sim, w, local, h, 0, payload, move |sim, w, r| {
+                    ls.write(sim, w, h, 0, payload, move |sim, w, r| {
                         r.unwrap();
                         ls.close(sim, w, h, move |sim, w, r| {
                             r.unwrap();
@@ -2242,7 +2009,7 @@ mod tests {
                     let ha = r.unwrap();
                     let payload = Bytes::from(vec![7u8; 65536]);
                     // A writes but does NOT fsync: data is dirty in A's pool.
-                    write(sim, w, a, ha, 0, payload, move |sim, w, r| {
+                    ls.write(sim, w, ha, 0, payload, move |sim, w, r| {
                         r.unwrap();
                         // B reads: the manager must revoke A's write token,
                         // forcing A's flush, before B's read proceeds.
@@ -2276,7 +2043,7 @@ mod tests {
         ls.mount(&mut t.sim, &mut t.w, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, _| {
             ls.open(sim, w, "/c", OpenFlags::ReadWrite, owner(), move |sim, w, r| {
                 let h = r.unwrap();
-                write(sim, w, local, h, 0, Bytes::from(vec![1u8; 65536]), move |sim, w, r| {
+                ls.write(sim, w, h, 0, Bytes::from(vec![1u8; 65536]), move |sim, w, r| {
                     r.unwrap();
                     read(sim, w, local, h, 0, 65536, move |sim, w, r| {
                         r.unwrap();
@@ -2305,7 +2072,7 @@ mod tests {
             ls.open(sim, w, "/seq", OpenFlags::ReadWrite, owner(), move |sim, w, r| {
                 let h = r.unwrap();
                 // 1 MB file = 16 blocks of 64 KiB.
-                write(sim, w, local, h, 0, Bytes::from(vec![9u8; 1 << 20]), move |sim, w, r| {
+                ls.write(sim, w, h, 0, Bytes::from(vec![9u8; 1 << 20]), move |sim, w, r| {
                     r.unwrap();
                     fsync(sim, w, local, h, move |sim, w, r| {
                         r.unwrap();
@@ -2343,7 +2110,6 @@ mod tests {
     fn metadata_ops_over_rpc() {
         let mut t = bed();
         let ls = t.ls;
-        let local = t.local;
         let ok = Rc::new(Cell::new(false));
         let ok2 = ok.clone();
         ls.mount(&mut t.sim, &mut t.w, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, _| {
@@ -2351,7 +2117,7 @@ mod tests {
                 r.unwrap();
                 ls.open(sim, w, "/data/f1", OpenFlags::Write, owner(), move |sim, w, r| {
                     let h = r.unwrap();
-                    write(sim, w, local, h, 0, Bytes::from(vec![1u8; 100]), move |sim, w, r| {
+                    ls.write(sim, w, h, 0, Bytes::from(vec![1u8; 100]), move |sim, w, r| {
                         r.unwrap();
                         ls.close(sim, w, h, move |sim, w, r| {
                             r.unwrap();
@@ -2465,7 +2231,7 @@ mod tests {
         ls.mount(&mut t.sim, &mut t.w, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, _| {
             ls.open(sim, w, "/short", OpenFlags::ReadWrite, owner(), move |sim, w, r| {
                 let h = r.unwrap();
-                write(sim, w, local, h, 0, Bytes::from(vec![3u8; 100]), move |sim, w, r| {
+                ls.write(sim, w, h, 0, Bytes::from(vec![3u8; 100]), move |sim, w, r| {
                     r.unwrap();
                     read(sim, w, local, h, 50, 1000, move |sim, w, r| {
                         assert_eq!(r.unwrap().len(), 50);
@@ -2487,7 +2253,7 @@ mod tests {
         // from the local one — the paper's latency question, in miniature.
         let mut t = bed();
         let (ls, rs) = (t.ls, t.rs);
-        let (local, remote) = (t.local, t.remote);
+        let remote = t.remote;
         let t_local = Rc::new(Cell::new(0u64));
         let t_remote = Rc::new(Cell::new(0u64));
         let (tl, tr) = (t_local.clone(), t_remote.clone());
@@ -2495,7 +2261,7 @@ mod tests {
             let start = sim.now();
             ls.open(sim, w, "/lat", OpenFlags::ReadWrite, owner(), move |sim, w, r| {
                 let h = r.unwrap();
-                write(sim, w, local, h, 0, Bytes::from(vec![1u8; 65536]), move |sim, w, r| {
+                ls.write(sim, w, h, 0, Bytes::from(vec![1u8; 65536]), move |sim, w, r| {
                     r.unwrap();
                     ls.close(sim, w, h, move |sim, w, r| {
                         r.unwrap();

@@ -438,9 +438,9 @@ fn rtt_ns(topo: &Topology, cache: &mut FxHashMap<(u32, u32), u64>, from: NodeId,
 /// With current copies on the table, every candidate source is scored
 /// `RTT(client, server) + queue depth + in-flight pressure`; the
 /// cheapest wins (ties break home-first, then lowest site index), and a
-/// run of [`SPLIT_MIN_BLOCKS`]+ blocks is fanned across every source
-/// scoring within [`SPLIT_SLACK_NS`] (or 2×) of the winner — the
-/// "large striped reads fan across replicas in parallel" path.
+/// run of four or more blocks (`SPLIT_MIN_BLOCKS`) is fanned across every
+/// source scoring within 2 ms (`SPLIT_SLACK_NS`) or 2× of the winner —
+/// the "large striped reads fan across replicas in parallel" path.
 pub fn plan_run(
     topo: &Topology,
     inst: &mut FsInstance,

@@ -1,11 +1,13 @@
 //! One attempt loop for every client exchange.
 //!
 //! An *exchange* is a request a client sends and some server must answer:
-//! a data-path manager call, a token acquire, an NSD fetch or flush, a
-//! metadata envelope, a mount, a lease acquire or surrender. Any message
-//! can be lost — to a partition, a crashed NSD server, a manager that is
-//! recovering or was superseded — so every exchange runs as a sequence of
-//! attempts under [`exchange`], and the survival rules live here alone:
+//! a token acquire, an NSD fetch or flush, a mount, or a manager envelope
+//! (which carries every other manager request: metadata ops, write
+//! allocation, truncate, token release, lease acquire and surrender). Any
+//! message can be lost — to a partition, a crashed NSD server, a manager
+//! that is recovering or was superseded — so every exchange runs as a
+//! sequence of attempts under [`exchange`], and the survival rules live
+//! here alone:
 //!
 //! * Each attempt re-resolves its target (the acting manager, the next
 //!   healthy NSD server, ...), so a retry follows a failover. An attempt

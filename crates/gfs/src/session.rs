@@ -12,24 +12,26 @@
 //! just a slab-allocated handle table, a cwd, a bound device and an
 //! in-flight counter ([`SessionState`]). The facade methods
 //! (`sess.mkdir(sim, w, path, cb)` …) are the only way to run a metadata
-//! op; the data-path methods wrap [`client::read`], [`client::write`],
-//! [`client::fsync`] and [`client::truncate`].
+//! op; the data-path methods wrap [`client::read`] and [`client::fsync`],
+//! and hand the session itself to `client::write` and `client::truncate`,
+//! whose block allocation and size change ride the session's envelopes.
 //!
-//! **Fan-in**: sessions batch same-instant metadata RPCs into one
-//! *envelope* per `(context, fs, shard)` — one request message, one
-//! watchdog, one response for the whole batch, with per-op results demuxed
-//! in submission order. A context with one session simply sends
-//! one-op envelopes. Exactly-once semantics are preserved per session op
-//! id: a retried envelope replays recorded results from the manager's
-//! dedup table instead of re-running mutations. This is what makes a
-//! 100k-session, 10M-op storm affordable: the simulator pays a handful of
-//! events per *envelope* instead of four per op.
+//! **Fan-in**: sessions batch same-instant manager requests — metadata
+//! ops, write allocation, truncate, token release, lease acquire and
+//! surrender — into one *envelope* per `(context, fs, shard)`: one request
+//! message, one watchdog, one response for the whole batch, with per-op
+//! results demuxed in submission order. A context with one session simply
+//! sends one-op envelopes. Exactly-once semantics are preserved per
+//! session op id: a retried envelope replays recorded results from the
+//! manager's dedup table instead of re-running mutations. This is what
+//! makes a 100k-session, 10M-op storm affordable: the simulator pays a
+//! handful of events per *envelope* instead of four per op.
 
 use crate::cache::PrefetchState;
 use crate::client;
 use crate::rpc::{self, Attempt};
 use crate::types::{ClientId, FsError, FsId, Handle, InodeId, OpenFlags, Owner, SessionId};
-use crate::world::{GfsWorld, OpenFile};
+use crate::world::{GfsWorld, Mount, OpenFile};
 use bytes::Bytes;
 use gfs_auth::handshake::AccessMode;
 use simcore::fxhash::{FxHashMap, FxHashSet};
@@ -55,9 +57,11 @@ pub struct SessionState {
     pub device: Option<String>,
     /// Facade operations currently in flight (invariant: drains to 0).
     pub inflight_ops: u32,
-    /// Sequence for session op ids (high bit set, session id in bits
-    /// 62..32, sequence below — disjoint from per-client op ids, so both
-    /// populations share one manager dedup table safely).
+    /// Sequence for session op ids: bit 63 set, session id in bits 62..32,
+    /// sequence below. Every manager request a session sends — metadata,
+    /// write allocation, truncate, lease verbs — and every delegated op
+    /// takes its id here; the only other ids in a manager's dedup table
+    /// are bit-62 migration records, so the two never collide.
     pub next_op_seq: u64,
     /// Highest sequence this session has told the manager to retire:
     /// every result at or below it was delivered, so the manager may drop
@@ -110,6 +114,44 @@ pub struct BatchOp {
     replay: bool,
     run: Box<dyn FnMut(&mut Sim<GfsWorld>, &mut GfsWorld, FsId, u32) -> Rc<dyn Any>>,
     deliver: Option<Box<dyn FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<Rc<dyn Any>, FsError>)>>,
+}
+
+impl BatchOp {
+    /// A live op under `op_id`: `run` executes at the manager (or the
+    /// lease delegate) and `cb` receives its typed result. Delivery moves
+    /// the result out of the `Rc` when it holds the only reference (always
+    /// true for unrecorded reads — the readdir name vector is never
+    /// cloned) and clones it when the dedup table still holds the other.
+    fn new<T: Clone + 'static>(
+        op_id: u64,
+        ack: Option<(u64, u64)>,
+        mutating: bool,
+        top: Box<str>,
+        peer: Option<u32>,
+        mut run: impl FnMut(&mut Sim<GfsWorld>, &mut GfsWorld, FsId, u32) -> Result<T, FsError> + 'static,
+        cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<T, FsError>) + 'static,
+    ) -> BatchOp {
+        BatchOp {
+            op_id,
+            mutating,
+            ack,
+            top,
+            peer,
+            defers: 0,
+            replay: false,
+            run: Box::new(move |sim, w, fs, shard| Rc::new(run(sim, w, fs, shard)) as Rc<dyn Any>),
+            deliver: Some(Box::new(move |sim, w, r| {
+                let out: Result<T, FsError> = match r {
+                    Ok(rc) => match rc.downcast::<Result<T, FsError>>() {
+                        Ok(rc) => Rc::try_unwrap(rc).unwrap_or_else(|rc| (*rc).clone()),
+                        Err(_) => panic!("batch op delivered a different result type"),
+                    },
+                    Err(e) => Err(e),
+                };
+                cb(sim, w, out);
+            })),
+        }
+    }
 }
 
 /// Manager-RPC fan-in state on the world: per-`(mount ctx, fs, shard)`
@@ -254,6 +296,20 @@ impl Session {
         st.inflight_ops -= 1;
     }
 
+    /// Start a facade op: count it in flight and wrap its callback so the
+    /// count drops just before `cb` runs.
+    fn begin<T: 'static>(
+        self,
+        w: &mut GfsWorld,
+        cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, T) + 'static,
+    ) -> impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, T) + 'static {
+        self.enter(w);
+        move |sim, w, r| {
+            self.exit(w);
+            cb(sim, w, r)
+        }
+    }
+
     /// Bind `device` as the session's target without mounting — the
     /// flyweight path when another session already mounted it on the
     /// shared context.
@@ -283,11 +339,13 @@ impl Session {
         })
     }
 
-    fn device(self, w: &GfsWorld) -> Result<String, FsError> {
-        self.state(w)
-            .device
-            .clone()
-            .ok_or_else(|| FsError::NotMounted("no device bound to session".to_string()))
+    /// The mount the session's bound device names on its context,
+    /// borrowing the device name in place (no per-op `String` clone).
+    fn bound_mount(self, w: &GfsWorld) -> Result<Mount, FsError> {
+        match self.state(w).device.as_deref() {
+            Some(dev) => client::mount_of(w, self.ctx(w), dev),
+            None => Err(FsError::NotMounted("no device bound to session".to_string())),
+        }
     }
 
     /// Mount `device` on the shared context ([`client::mount`] dispatches
@@ -300,14 +358,13 @@ impl Session {
         mode: AccessMode,
         cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<(), FsError>) + 'static,
     ) {
-        self.enter(w);
+        let cb = self.begin(w, cb);
         let ctx = self.ctx(w);
         let dev = device.to_string();
         client::mount(sim, w, ctx, device, mode, move |sim, w, r| {
             if r.is_ok() {
                 self.state_mut(w).device = Some(dev);
             }
-            self.exit(w);
             cb(sim, w, r);
         });
     }
@@ -466,12 +523,11 @@ impl Session {
             return;
         };
         let (fs, inode) = (of.fs, of.inode);
-        self.enter(w);
+        let cb = self.begin(w, cb);
         // Write-behind pages flush first; the token release then rides an
         // envelope.
         client::fsync(sim, w, ctx, handle, move |sim, w, r| {
             if let Err(e) = r {
-                self.exit(w);
                 cb(sim, w, Err(degrade_err(e)));
                 return;
             }
@@ -485,7 +541,6 @@ impl Session {
                 c.handles.remove(&handle);
                 c.prefetch.remove(&handle);
                 self.forget_handle(w, handle);
-                self.exit(w);
                 cb(sim, w, Ok(()));
                 return;
             }
@@ -527,15 +582,15 @@ impl Session {
         len: u64,
         cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<Bytes, FsError>) + 'static,
     ) {
-        self.enter(w);
+        let cb = self.begin(w, cb);
         let ctx = self.ctx(w);
         client::read(sim, w, ctx, handle, offset, len, move |sim, w, r| {
-            self.exit(w);
-            cb(sim, w, degrade(r));
+            cb(sim, w, degrade(r))
         });
     }
 
-    /// Write-behind through the shared page pool. Total NSD-server loss
+    /// Write-behind through the shared page pool; the block allocation
+    /// rides this session's envelope to shard 0. Total NSD-server loss
     /// surfaces as [`FsError::Degraded`] at the session surface.
     pub fn write(
         self,
@@ -546,11 +601,9 @@ impl Session {
         data: Bytes,
         cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<(), FsError>) + 'static,
     ) {
-        self.enter(w);
-        let ctx = self.ctx(w);
-        client::write(sim, w, ctx, handle, offset, data, move |sim, w, r| {
-            self.exit(w);
-            cb(sim, w, degrade(r));
+        let cb = self.begin(w, cb);
+        client::write(sim, w, self, handle, offset, data, move |sim, w, r| {
+            cb(sim, w, degrade(r))
         });
     }
 
@@ -562,15 +615,13 @@ impl Session {
         handle: Handle,
         cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<(), FsError>) + 'static,
     ) {
-        self.enter(w);
+        let cb = self.begin(w, cb);
         let ctx = self.ctx(w);
-        client::fsync(sim, w, ctx, handle, move |sim, w, r| {
-            self.exit(w);
-            cb(sim, w, degrade(r));
-        });
+        client::fsync(sim, w, ctx, handle, move |sim, w, r| cb(sim, w, degrade(r)));
     }
 
-    /// Truncate an open file.
+    /// Truncate an open file; the size change rides this session's
+    /// envelope to shard 0.
     pub fn truncate(
         self,
         sim: &mut Sim<GfsWorld>,
@@ -579,11 +630,9 @@ impl Session {
         new_size: u64,
         cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<(), FsError>) + 'static,
     ) {
-        self.enter(w);
-        let ctx = self.ctx(w);
-        client::truncate(sim, w, ctx, handle, new_size, move |sim, w, r| {
-            self.exit(w);
-            cb(sim, w, degrade(r));
+        let cb = self.begin(w, cb);
+        client::truncate(sim, w, self, handle, new_size, move |sim, w, r| {
+            cb(sim, w, degrade(r))
         });
     }
 
@@ -617,23 +666,16 @@ impl Session {
         mut run: impl FnMut(&mut Sim<GfsWorld>, &mut GfsWorld, FsId, u32) -> Result<T, FsError> + 'static,
         cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<T, FsError>) + 'static,
     ) {
-        self.enter(w);
+        let cb = self.begin(w, cb);
         let ctx = self.ctx(w);
-        // Borrow the bound device in place — no per-op String clone.
-        let m = match self.state(w).device.as_deref() {
-            Some(dev) => client::mount_of(w, ctx, dev),
-            None => Err(FsError::NotMounted("no device bound to session".to_string())),
-        };
-        let m = match m {
+        let m = match self.bound_mount(w) {
             Ok(m) => m,
             Err(e) => {
-                self.exit(w);
                 cb(sim, w, Err(e));
                 return;
             }
         };
         if needs_write && m.mode == AccessMode::ReadOnly {
-            self.exit(w);
             cb(sim, w, Err(FsError::ReadOnly));
             return;
         }
@@ -669,31 +711,11 @@ impl Session {
             let op_id = self.next_delegate_op_id(w);
             w.fss[fs.0 as usize].delegated_ops += 1;
             w.fanin.delegated += 1;
-            let op = BatchOp {
-                op_id,
-                mutating: needs_write,
-                ack: None,
-                top,
-                peer: None,
-                defers: 0,
-                replay: false,
-                // Capture the routed shard: delegate application charges no
-                // manager, but run bodies key path caches by shard.
-                run: Box::new(move |sim, w, fs, _s| {
-                    Rc::new(run(sim, w, fs, shard)) as Rc<dyn Any>
-                }),
-                deliver: Some(Box::new(move |sim, w, r| {
-                    let out: Result<T, FsError> = match r {
-                        Ok(rc) => match rc.downcast::<Result<T, FsError>>() {
-                            Ok(rc) => Rc::try_unwrap(rc).unwrap_or_else(|rc| (*rc).clone()),
-                            Err(_) => panic!("delegate op journaled a different result type"),
-                        },
-                        Err(e) => Err(e),
-                    };
-                    self.exit(w);
-                    cb(sim, w, out);
-                })),
-            };
+            // Capture the routed shard: delegate application charges no
+            // manager, but run bodies key path caches by shard.
+            let run =
+                move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, fs, _| run(sim, w, fs, shard);
+            let op = BatchOp::new(op_id, None, needs_write, top, None, run, cb);
             submit_delegate(sim, w, ctx, fs, op);
             return;
         }
@@ -710,11 +732,16 @@ impl Session {
         self.submit_mgr(sim, w, m.fs, shard, top, peer, needs_write, run, cb);
     }
 
-    /// Enqueue one manager op into the `(ctx, fs, shard)` envelope forming
-    /// this instant (the caller has already done any preflight). The first
-    /// op of an instant schedules the same-instant flush event.
+    /// Enqueue one manager op, under a fresh session op id, into the
+    /// `(ctx, fs, shard)` envelope forming this instant (the caller has
+    /// already done any preflight). The first op of an instant schedules
+    /// the same-instant flush event. Every request a session sends to a
+    /// manager comes through here — metadata ops, token releases, lease
+    /// verbs, and the block allocation or size change of
+    /// `client::write` and `client::truncate`, each as part of its facade
+    /// op.
     #[allow(clippy::too_many_arguments)]
-    fn submit_mgr<T: Clone + 'static>(
+    pub(crate) fn submit_mgr<T: Clone + 'static>(
         self,
         sim: &mut Sim<GfsWorld>,
         w: &mut GfsWorld,
@@ -723,42 +750,24 @@ impl Session {
         top: Box<str>,
         peer: Option<u32>,
         mutating: bool,
-        mut run: impl FnMut(&mut Sim<GfsWorld>, &mut GfsWorld, FsId, u32) -> Result<T, FsError> + 'static,
+        run: impl FnMut(&mut Sim<GfsWorld>, &mut GfsWorld, FsId, u32) -> Result<T, FsError> + 'static,
         cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<T, FsError>) + 'static,
     ) {
         let ctx = self.ctx(w);
         let (op_id, ack) = self.next_op_id(w);
-        let op = BatchOp {
-            op_id,
-            mutating,
-            ack,
-            top,
-            peer,
-            defers: 0,
-            replay: false,
-            run: Box::new(move |sim, w, fs, shard| Rc::new(run(sim, w, fs, shard)) as Rc<dyn Any>),
-            deliver: Some(Box::new(move |sim, w, r| {
-                // Move the result out of the `Rc` when this delivery holds
-                // the only reference (always true for unrecorded reads —
-                // the readdir name vector is never cloned); fall back to a
-                // clone when the dedup table still holds the other one.
-                let out: Result<T, FsError> = match r {
-                    Ok(rc) => match rc.downcast::<Result<T, FsError>>() {
-                        Ok(rc) => Rc::try_unwrap(rc).unwrap_or_else(|rc| (*rc).clone()),
-                        Err(_) => panic!("batch op replayed with a different result type"),
-                    },
-                    Err(e) => Err(e),
-                };
-                self.exit(w);
-                cb(sim, w, out);
-            })),
-        };
+        let op = BatchOp::new(op_id, ack, mutating, top, peer, run, cb);
         submit_batch(sim, w, ctx, fs, shard, op);
     }
 
     /// Acquire a subtree lease (on the top-level component of `path`) for
     /// this session's mount context, enabling the delegate fast path for
-    /// every session sharing the context.
+    /// every session sharing the context. The grant rides an envelope to
+    /// the subtree's owning shard. When another context's delegate holds
+    /// the subtree, the envelope's lease-conflict rule applies as to any
+    /// op there: the manager breaks that lease and the acquire re-polls
+    /// 10 ms later, at most `MAX_DEFERS` (200) times. The grant is
+    /// idempotent, so it is not recorded: a retry after a lost reply asks
+    /// afresh rather than replaying a grant a break may have taken back.
     pub fn acquire_lease(
         self,
         sim: &mut Sim<GfsWorld>,
@@ -767,27 +776,47 @@ impl Session {
         cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<(), FsError>) + 'static,
     ) {
         let path = self.resolve(w, path);
-        self.enter(w);
-        let ctx = self.ctx(w);
-        let device = match self.device(w) {
-            Ok(d) => d,
+        let cb = self.begin(w, cb);
+        let (fs, top) = match self.lease_target(w, &path, true) {
+            Ok(target) => target,
             Err(e) => {
-                self.exit(w);
                 cb(sim, w, Err(e));
                 return;
             }
         };
-        client::acquire_lease(sim, w, ctx, &device, &path, move |sim, w, r| {
-            self.exit(w);
-            cb(sim, w, r);
-        });
+        let ctx = self.ctx(w);
+        let shard = w.fss[fs.0 as usize].core.shards.shard_of(&top);
+        let asked = top.clone();
+        self.submit_mgr(
+            sim,
+            w,
+            fs,
+            shard,
+            top.clone(),
+            None,
+            false,
+            move |_sim, w, fs, _shard| {
+                let inst = &mut w.fss[fs.0 as usize];
+                if inst.leases.insert(asked.clone(), ctx).is_none() {
+                    inst.lease_grants += 1;
+                }
+                Ok(())
+            },
+            move |sim, w, r: Result<(), FsError>| {
+                if r.is_ok() {
+                    w.clients[ctx.0 as usize].leases.insert((fs, top));
+                }
+                cb(sim, w, r);
+            },
+        );
     }
 
     /// Surrender a subtree lease voluntarily: drain in-flight delegate
     /// ops, reconcile the writeback journal with the owning manager shard
     /// (one bulk envelope through the dedup table), then release the lease
-    /// at the manager. A context that no longer holds the lease (broken or
-    /// expelled meanwhile) completes immediately with `Ok`.
+    /// in an envelope of this session. A context that no longer holds the
+    /// lease (broken or expelled meanwhile) completes immediately with
+    /// `Ok`.
     pub fn surrender_lease(
         self,
         sim: &mut Sim<GfsWorld>,
@@ -796,20 +825,76 @@ impl Session {
         cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<(), FsError>) + 'static,
     ) {
         let path = self.resolve(w, path);
-        self.enter(w);
+        let cb = self.begin(w, cb);
+        match self.lease_target(w, &path, false) {
+            Ok((fs, top)) => self.surrender_drain(sim, w, fs, top, Box::new(cb)),
+            Err(e) => cb(sim, w, Err(e)),
+        }
+    }
+
+    /// The bound filesystem and the leasable top-level subtree of `path`.
+    /// The root itself is never leased — that would privatize the entire
+    /// namespace to one site.
+    fn lease_target(
+        self,
+        w: &GfsWorld,
+        path: &str,
+        needs_write: bool,
+    ) -> Result<(FsId, Box<str>), FsError> {
+        let m = self.bound_mount(w)?;
+        if needs_write && m.mode == AccessMode::ReadOnly {
+            return Err(FsError::ReadOnly);
+        }
+        match crate::fscore::top_component(path) {
+            "" => Err(FsError::InvalidArgument(path.to_string())),
+            top => Ok((m.fs, top.into())),
+        }
+    }
+
+    /// Wait out in-flight delegate ops (including batches still parked
+    /// this instant — they count in `delegate_inflight` from park time),
+    /// like a lease break does; then drop the mirror entry, reconcile the
+    /// journal and release the lease at the manager.
+    fn surrender_drain(
+        self,
+        sim: &mut Sim<GfsWorld>,
+        w: &mut GfsWorld,
+        fs: FsId,
+        top: Box<str>,
+        cb: client::Cb<Result<(), FsError>>,
+    ) {
         let ctx = self.ctx(w);
-        let device = match self.device(w) {
-            Ok(d) => d,
-            Err(e) => {
-                self.exit(w);
-                cb(sim, w, Err(e));
-                return;
-            }
+        let c = &mut w.clients[ctx.0 as usize];
+        if !c.leases.contains(&(fs, top.clone())) {
+            cb(sim, w, Ok(()));
+            return;
+        }
+        if c.delegate_inflight > 0 {
+            sim.after(SimDuration::from_micros(500), move |sim, w| {
+                self.surrender_drain(sim, w, fs, top, cb);
+            });
+            return;
+        }
+        // Mirror entry goes first: from here no new op delegates, so the
+        // journal taken by the reconcile below is complete.
+        c.leases.remove(&(fs, top.clone()));
+        let reconciled = top.clone();
+        // The release drops only this context's own grant and is
+        // idempotent, so it is not recorded. It goes to the grant's shard
+        // but names no subtree: a surrender must never trip the
+        // lease-conflict rule against a newer holder.
+        let release = move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld| {
+            let shard = w.fss[fs.0 as usize].core.shards.shard_of(&top);
+            let run = move |_: &mut Sim<GfsWorld>, w: &mut GfsWorld, fs: FsId, _| {
+                let inst = &mut w.fss[fs.0 as usize];
+                if inst.leases.get(&top) == Some(&ctx) {
+                    inst.leases.remove(&top);
+                }
+                Ok(())
+            };
+            self.submit_mgr(sim, w, fs, shard, "".into(), None, false, run, cb);
         };
-        client::surrender_lease(sim, w, ctx, &device, &path, move |sim, w, r| {
-            self.exit(w);
-            cb(sim, w, r);
-        });
+        reconcile_journal(sim, w, ctx, fs, reconciled, Box::new(release));
     }
 }
 
@@ -895,27 +980,20 @@ fn arm_shard_flush(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ctx: ClientId, fs:
     if !w.fanin.armed.insert(key) {
         return;
     }
-    // Nagle-style gather window: hold the launch for `envelope_gather` so
+    // Nagle-style gather window: hold the launch for `ENVELOPE_GATHER` so
     // ops submitted just after the gate freed (staggered envelope returns,
     // delegate batch deliveries) ride this envelope instead of the next
     // one. The window trades per-op latency for batch mass — a lone op on
     // an idle stream still pays it — which is the right trade for the
-    // saturated storms this path exists for; latency-sensitive callers
-    // can zero `envelope_gather` (single-shard namespaces never take this
-    // path at all, so the M=1 flows are unaffected either way).
-    let delay = w.costs.envelope_gather;
-    let fire = move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld| {
+    // saturated storms this path exists for (single-shard namespaces
+    // never take this path at all).
+    sim.after(ENVELOPE_GATHER, move |sim, w| {
         w.fanin.armed.remove(&key);
         if w.fanin.outstanding.get(&key).copied().unwrap_or(0) > 0 {
             return; // a racing flush already launched an envelope
         }
         flush_shard_batch(sim, w, ctx, fs, shard);
-    };
-    if delay == SimDuration::ZERO {
-        sim.immediately(fire);
-    } else {
-        sim.after(delay, fire);
-    }
+    });
 }
 
 /// Flush one `(ctx, fs, shard)` batch as an envelope (shared by both the
@@ -1119,6 +1197,13 @@ pub(crate) fn reconcile_journal(
 /// any modeled recovery, far less than forever.
 const MAX_DEFERS: u32 = 200;
 
+/// Gather window for gated (multi-shard) envelope flushes: when a shard's
+/// gate frees, the next envelope waits this long collecting ops before it
+/// launches. It trades latency for batch mass without changing per-op
+/// service cost; single-shard fan-in keeps its same-instant flush and
+/// never waits for it.
+const ENVELOPE_GATHER: SimDuration = SimDuration::from_micros(4000);
+
 /// Delegate journal high-water mark: a delegate batch whose client journal
 /// reaches this many entries kicks an early reconcile of every journaled
 /// subtree on that filesystem. Keeps surrender/break replay envelopes
@@ -1205,11 +1290,17 @@ fn envelope_attempt(
                     (ops[i].op_id, ops[i].mutating, ops[i].ack, ops[i].peer)
                 };
                 // Acked history first: results the session has proven
-                // delivered are retired before anything else runs. Re-runs
-                // on an envelope retry are no-ops (the ids are already
-                // gone).
+                // delivered are retired before anything else runs — on
+                // every shard, since the session's earlier ops (and the
+                // peer halves of its two-phase ops) may have been recorded
+                // anywhere. The direct reach into the other shards is the
+                // same shortcut `unlink_apply` takes for the path caches.
+                // Re-runs on an envelope retry are no-ops (the ids are
+                // already gone).
                 if let Some((lo, hi)) = ack {
-                    w.fss[fs.0 as usize].mgrs[shard as usize].retire(lo, hi);
+                    for m in &mut w.fss[fs.0 as usize].mgrs {
+                        m.retire(lo, hi);
+                    }
                 }
                 // A subtree leased to someone else's delegate: the op must
                 // not run behind the delegate's back. Break the lease
@@ -1380,6 +1471,11 @@ mod tests {
     /// One cluster, one manager/NSD node, one mount context carrying
     /// `n_sessions` flyweight sessions.
     fn bed(n_sessions: usize) -> Bed {
+        bed_sharded(1, n_sessions)
+    }
+
+    /// [`bed`] with `managers` namespace shards, all on the one node.
+    fn bed_sharded(managers: u32, n_sessions: usize) -> Bed {
         let mut b = WorldBuilder::new(7);
         b.key_bits(384);
         let mgr = b.topo().node("mgr");
@@ -1392,16 +1488,15 @@ mod tests {
             "lan",
         );
         let site = b.cluster("site.teragrid");
-        b.filesystem(
-            site,
-            FsParams::ideal(
-                FsConfig::small_test("gpfs0"),
-                mgr,
-                vec![mgr],
-                Bandwidth::mbyte(400.0),
-                SimDuration::from_micros(300),
-            ),
+        let mut p = FsParams::ideal(
+            FsConfig::small_test("gpfs0"),
+            mgr,
+            vec![mgr],
+            Bandwidth::mbyte(400.0),
+            SimDuration::from_micros(300),
         );
+        p.managers = managers;
+        b.filesystem(site, p);
         let ctx = b.client(site, cn, 256);
         let ids: Vec<_> = (0..n_sessions).map(|_| b.session(ctx)).collect();
         let (sim, w) = b.build();
@@ -1477,7 +1572,9 @@ mod tests {
             // retries — but the manager has already applied + recorded the
             // op, so the retry must replay, not re-run.
             w.costs.request_timeout = SimDuration::from_micros(1);
-            s.enter(w);
+            let cb = s.begin(w, move |_sim, _w, r: Result<u32, FsError>| {
+                got2.set(r.unwrap());
+            });
             s.submit_mgr(
                 sim,
                 w,
@@ -1490,9 +1587,7 @@ mod tests {
                     ran2.set(ran2.get() + 1);
                     Ok(42u32)
                 },
-                move |_sim, _w, r: Result<u32, FsError>| {
-                    got2.set(r.unwrap());
-                },
+                cb,
             );
             // Restore a sane timeout before the backoff (>= 50ms) fires,
             // so attempt 1 can actually complete.
@@ -1504,6 +1599,76 @@ mod tests {
         assert_eq!(ran.get(), 1, "mutating op must run exactly once across retries");
         assert!(t.w.fanin.retries >= 1, "the starved attempt must have retried");
         assert_eq!(t.sessions[0].state(&t.w).inflight_ops, 0);
+    }
+
+    /// The WAL bound these tests hold: compaction runs once 1,024 retired
+    /// records make up half the log, so a log that retires stays within
+    /// 1,024 plus its live records.
+    const WAL_BOUND: usize = 1100;
+
+    /// `n` mkdirs from one session, strictly one after another, alternating
+    /// between `/a` and `/b`.
+    fn mkdir_chain(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, s: Session, i: u32, n: u32) {
+        if i == n {
+            return;
+        }
+        let top = if i.is_multiple_of(2) { "a" } else { "b" };
+        s.mkdir(sim, w, &format!("/{top}/d{i}"), owner(), move |sim, w, r| {
+            r.unwrap();
+            mkdir_chain(sim, w, s, i + 1, n);
+        });
+    }
+
+    #[test]
+    fn acks_retire_on_every_shard() {
+        // Consecutive ops of the session land on different shards, so the
+        // ack each op carries covers a result recorded on the other shard.
+        let mut t = bed_sharded(2, 1);
+        t.w.fss[0].core.shards.assign("a", 0);
+        t.w.fss[0].core.shards.assign("b", 1);
+        let s = t.sessions[0];
+        mounted(&mut t, move |sim, w| {
+            s.mkdir(sim, w, "/a", owner(), move |sim, w, r| {
+                r.unwrap();
+                s.mkdir(sim, w, "/b", owner(), move |sim, w, r| {
+                    r.unwrap();
+                    mkdir_chain(sim, w, s, 0, 6000);
+                });
+            });
+        });
+        assert_eq!(t.w.fss[0].core.readdir("/b").unwrap().len(), 3000);
+        for (shard, m) in t.w.fss[0].mgrs.iter().enumerate() {
+            assert!(
+                m.wal_len() <= WAL_BOUND,
+                "shard {shard} kept {} WAL records for one session",
+                m.wal_len()
+            );
+        }
+    }
+
+    /// `n` sequential 4 KiB writes from one session on one handle.
+    fn write_chain(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, s: Session, h: Handle, i: u64, n: u64) {
+        if i == n {
+            return;
+        }
+        s.write(sim, w, h, i * 4096, Bytes::from(vec![1u8; 4096]), move |sim, w, r| {
+            r.unwrap();
+            write_chain(sim, w, s, h, i + 1, n);
+        });
+    }
+
+    #[test]
+    fn write_allocations_retire_like_every_session_op() {
+        let mut t = bed(1);
+        let s = t.sessions[0];
+        mounted(&mut t, move |sim, w| {
+            s.open(sim, w, "/f", OpenFlags::Write, owner(), move |sim, w, r| {
+                write_chain(sim, w, s, r.unwrap(), 0, 3000);
+            });
+        });
+        assert_eq!(t.w.fss[0].core.stat("/f").unwrap().size, 3000 * 4096);
+        let wal = t.w.fss[0].mgrs[0].wal_len();
+        assert!(wal <= WAL_BOUND, "3,000 writes of one session kept {wal} WAL records");
     }
 
     #[test]

@@ -194,9 +194,9 @@ impl ManagerState {
     /// was delivered, so no retry can ever ask for them again. Dropping
     /// acked history keeps the dedup table O(live sessions) instead of
     /// O(total ops) — the retirement-floor scheme real fan-in managers
-    /// use. Only session-space op ids (bit 63 set) are ever passed here;
-    /// per-client data-path ops (write allocation, truncate) keep their
-    /// full history.
+    /// use. Every client request a manager records carries a session op
+    /// id (bit 63), so every one of them is retired this way; only the
+    /// bit-62 migration records are never passed here.
     pub fn retire(&mut self, lo: u64, hi: u64) {
         for id in lo..=hi {
             if self.applied.remove(&id).is_some() {
@@ -290,7 +290,8 @@ pub struct FsInstance {
     /// while queued envelopes flush.
     pub migrating: bool,
     /// Sequence for migration WAL record ids (bit 62 namespace — disjoint
-    /// from both per-client op ids and bit-63 session op ids).
+    /// from the bit-63 session op ids, the only other ids a manager
+    /// records).
     pub migration_seq: u64,
     /// The owning (serving) cluster.
     pub owning_cluster: ClusterId,
@@ -490,8 +491,6 @@ pub struct Client {
     /// daemon likewise completes in-flight operations before honouring a
     /// revoke, which is what makes individual writes atomic.
     pub inflight: BTreeMap<(FsId, InodeId), u32>,
-    /// Sequence number for manager-op ids (see [`Client::next_op_id`]).
-    pub next_op_seq: u64,
     /// Client-side mirror of held subtree leases: `(fs, top-level
     /// subtree)`. While an entry is present, this context's metadata ops
     /// under the subtree run against the local delegate (no manager
@@ -531,16 +530,6 @@ pub struct JournalEntry {
 }
 
 impl Client {
-    /// A fresh globally-unique op id for a data-path manager RPC (write
-    /// allocation, truncate): the client id in the high 32 bits, a
-    /// per-client sequence below. Retries of one
-    /// operation reuse the id — that is what the manager's dedup table
-    /// keys on for exactly-once semantics.
-    pub fn next_op_id(&mut self) -> u64 {
-        self.next_op_seq += 1;
-        (u64::from(self.id.0) << 32) | (self.next_op_seq & 0xffff_ffff)
-    }
-
     /// Does the client-side token mirror cover the request?
     pub fn holds_token(&self, fs: FsId, inode: InodeId, range: ByteRange, mode: TokenMode) -> bool {
         self.held_tokens
@@ -566,9 +555,9 @@ pub struct ProtocolCosts {
     /// socket buffer GPFS configures.
     pub flow_window: u64,
     /// How long a client waits for the answer to one attempt of any
-    /// exchange (NSD request, manager call, token acquire, envelope, mount,
-    /// lease acquire or surrender) before declaring it lost and retrying
-    /// (GPFS lease/ping timeout, compressed to simulation scale).
+    /// exchange (NSD request, token acquire, envelope, mount) before
+    /// declaring it lost and retrying (GPFS lease/ping timeout, compressed
+    /// to simulation scale).
     pub request_timeout: SimDuration,
     /// Base delay of the exponential retry backoff; attempt `k` waits
     /// `retry_base * 2^k`, scaled by a seeded jitter in `[0.5, 1.5)`.
@@ -588,15 +577,10 @@ pub struct ProtocolCosts {
     /// manager for `n × manager_op_service`, so one site manager sustains
     /// at most `1/manager_op_service` metadata ops per simulated second
     /// (200k/s at the 5µs default — a directory op on 2004-era SMP
-    /// hardware). Every metadata op rides an envelope and pays this; the
-    /// data path's own manager RPCs (write allocation, truncate) do not.
+    /// hardware). Every manager request rides an envelope and pays this:
+    /// metadata ops, token releases, write allocation, truncate, lease
+    /// acquire and lease surrender.
     pub manager_op_service: SimDuration,
-    /// Gather window for gated (multi-shard) envelope flushes: when a
-    /// shard's gate frees, the next envelope waits this long collecting
-    /// ops before it launches. A pure batching/latency dial — it fattens
-    /// envelopes without changing per-op service cost; single-shard
-    /// fan-in keeps its same-instant flush and never reads this.
-    pub envelope_gather: SimDuration,
     /// How long the owning manager waits for a lease-break ack before
     /// expelling the unresponsive holder: its leases and tokens are
     /// force-released and the blocked remote op proceeds. Generous — a
@@ -619,7 +603,6 @@ impl Default for ProtocolCosts {
             manager_recovery_base: SimDuration::from_millis(250),
             manager_replay_per_op: SimDuration::from_micros(2),
             manager_op_service: SimDuration::from_micros(5),
-            envelope_gather: SimDuration::from_micros(4000),
             lease_break_timeout: SimDuration::from_secs(2),
         }
     }
@@ -988,7 +971,6 @@ impl WorldBuilder {
                 prefetch: BTreeMap::new(),
                 held_tokens: BTreeMap::new(),
                 inflight: BTreeMap::new(),
-                next_op_seq: 0,
                 leases: std::collections::BTreeSet::new(),
                 delegate_busy_until: SimTime::from_nanos(0),
                 delegate_inflight: 0,

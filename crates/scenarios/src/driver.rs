@@ -1,8 +1,8 @@
 //! Workload driver: executes a [`workloads::Workload`] phase list against
 //! a mounted filesystem, through either the streaming path (figure-scale
-//! runs) or the per-operation client path (correctness-scale runs).
+//! runs) or the per-operation session path (correctness-scale runs).
 
-use gfs::client;
+use gfs::session::Session;
 use gfs::stream::{gfs_stream, StreamDir};
 use gfs::types::{ClientId, FsError, FsId, Handle};
 use gfs::world::GfsWorld;
@@ -88,12 +88,13 @@ fn step_streamed(
     }
 }
 
-/// Run a workload through the real operation path against an open handle
-/// (`ReadAt` honours offsets; `Read`/`Write` proceed sequentially).
+/// Run a workload through the real operation path against a handle `sess`
+/// holds open (`ReadAt` honours offsets; `Read`/`Write` proceed
+/// sequentially).
 pub fn run_ops(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
-    client: ClientId,
+    sess: Session,
     handle: Handle,
     workload: Workload,
     on_done: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<WorkloadStats, FsError>) + 'static,
@@ -102,7 +103,7 @@ pub fn run_ops(
     step_ops(
         sim,
         w,
-        client,
+        sess,
         handle,
         workload.phases,
         0,
@@ -115,7 +116,7 @@ pub fn run_ops(
 fn step_ops(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
-    client: ClientId,
+    sess: Session,
     handle: Handle,
     mut phases: Vec<Phase>,
     cursor: u64,
@@ -132,23 +133,23 @@ fn step_ops(
     match phase {
         Phase::Compute(d) => {
             sim.after(d, move |sim, w| {
-                step_ops(sim, w, client, handle, phases, cursor, stats, on_done)
+                step_ops(sim, w, sess, handle, phases, cursor, stats, on_done)
             });
         }
         Phase::Write { bytes } => {
             let data = bytes::Bytes::from(vec![0x42u8; bytes as usize]);
-            client::write(sim, w, client, handle, cursor, data, move |sim, w, r| match r {
+            sess.write(sim, w, handle, cursor, data, move |sim, w, r| match r {
                 Ok(()) => {
                     let mut s = stats.get();
                     s.written_bytes += bytes;
                     stats.set(s);
-                    step_ops(sim, w, client, handle, phases, cursor + bytes, stats, on_done)
+                    step_ops(sim, w, sess, handle, phases, cursor + bytes, stats, on_done)
                 }
                 Err(e) => on_done(sim, w, Err(e)),
             });
         }
         Phase::Read { bytes } => {
-            client::read(sim, w, client, handle, cursor, bytes, move |sim, w, r| match r {
+            sess.read(sim, w, handle, cursor, bytes, move |sim, w, r| match r {
                 Ok(data) => {
                     let mut s = stats.get();
                     s.read_bytes += data.len() as u64;
@@ -156,7 +157,7 @@ fn step_ops(
                     step_ops(
                         sim,
                         w,
-                        client,
+                        sess,
                         handle,
                         phases,
                         cursor + data.len() as u64,
@@ -168,12 +169,12 @@ fn step_ops(
             });
         }
         Phase::ReadAt { offset, bytes } => {
-            client::read(sim, w, client, handle, offset, bytes, move |sim, w, r| match r {
+            sess.read(sim, w, handle, offset, bytes, move |sim, w, r| match r {
                 Ok(data) => {
                     let mut s = stats.get();
                     s.read_bytes += data.len() as u64;
                     stats.set(s);
-                    step_ops(sim, w, client, handle, phases, cursor, stats, on_done)
+                    step_ops(sim, w, sess, handle, phases, cursor, stats, on_done)
                 }
                 Err(e) => on_done(sim, w, Err(e)),
             });
@@ -278,7 +279,7 @@ mod tests {
                         Phase::Write { bytes: 100_000 },
                     ],
                 };
-                run_ops(sim, w, client, h, wl, move |_s, _w, r| {
+                run_ops(sim, w, sess, h, wl, move |_s, _w, r| {
                     *d.borrow_mut() = Some(r.unwrap());
                 });
             });

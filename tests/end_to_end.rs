@@ -71,7 +71,7 @@ fn one_filesystem_three_administrative_domains() {
         r.unwrap();
         local_sess.open(sim, w, "/enzo.out", OpenFlags::ReadWrite, owner(), move |sim, w, r| {
             let h = r.unwrap();
-            client::write(sim, w, local, h, 0, payload, move |sim, w, r| {
+            local_sess.write(sim, w, h, 0, payload, move |sim, w, r| {
                 r.unwrap();
                 local_sess.close(sim, w, h, move |sim, w, r| {
                     r.unwrap();
@@ -123,7 +123,7 @@ fn cross_site_write_sharing_is_coherent() {
                 r.unwrap();
                 ncsa_sess.open(sim, w, "/shared", OpenFlags::ReadWrite, owner(), move |sim, w, r| {
                     let hn = r.unwrap();
-                    client::write(sim, w, ncsa, hn, 0, Bytes::from(vec![0xEEu8; 70_000]), move |sim, w, r| {
+                    ncsa_sess.write(sim, w, hn, 0, Bytes::from(vec![0xEEu8; 70_000]), move |sim, w, r| {
                         r.unwrap(); // write-behind: still dirty at NCSA
                         anl_sess.open(sim, w, "/shared", OpenFlags::Read, owner(), move |sim, w, r| {
                             let ha = r.unwrap();

@@ -73,7 +73,7 @@ fn nsds_fail_over_to_surviving_server() {
         r.unwrap();
         sess.open(sim, w, "/survive", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
             let h = r.unwrap();
-            client::write(sim, w, client, h, 0, payload, move |sim, w, r| {
+            sess.write(sim, w, h, 0, payload, move |sim, w, r| {
                 r.unwrap();
                 client::fsync(sim, w, client, h, move |sim, w, r| {
                     r.unwrap();
@@ -155,7 +155,7 @@ fn total_failure_surfaces_server_down_to_the_client() {
         r.unwrap();
         sess.open(sim, w, "/doomed", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
             let h = r.unwrap();
-            client::write(sim, w, client, h, 0, Bytes::from(vec![9u8; 200_000]), move |sim, w, r| {
+            sess.write(sim, w, h, 0, Bytes::from(vec![9u8; 200_000]), move |sim, w, r| {
                 r.unwrap();
                 client::fsync(sim, w, client, h, move |sim, w, r| {
                     r.unwrap();
@@ -188,7 +188,7 @@ fn writes_after_failover_land_and_survive_restore() {
         w.fss[fs.0 as usize].fail_server(s1);
         sess.open(sim, w, "/via-backup", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
             let h = r.unwrap();
-            client::write(sim, w, client, h, 0, Bytes::from(vec![5u8; 100_000]), move |sim, w, r| {
+            sess.write(sim, w, h, 0, Bytes::from(vec![5u8; 100_000]), move |sim, w, r| {
                 r.unwrap();
                 sess.close(sim, w, h, move |sim, w, r| {
                     r.unwrap();
@@ -331,7 +331,7 @@ fn coalesced_scatter_gather_fails_over_like_per_block() {
                 r.unwrap();
                 sess.open(sim, w, "/sg", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
                     let h = r.unwrap();
-                    client::write(sim, w, client, h, 0, payload, move |sim, w, r| {
+                    sess.write(sim, w, h, 0, payload, move |sim, w, r| {
                         r.unwrap();
                         client::fsync(sim, w, client, h, move |sim, w, r| {
                             r.unwrap();
@@ -443,7 +443,7 @@ fn completed_request_watchdogs_are_cancelled_not_leaked() {
             r.unwrap();
             sess.open(sim, w, "/flat", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
                 let h = r.unwrap();
-                client::write(sim, w, client, h, 0, Bytes::from(vec![3u8; (BLOCKS * BLOCK) as usize]), move |sim, w, r| {
+                sess.write(sim, w, h, 0, Bytes::from(vec![3u8; (BLOCKS * BLOCK) as usize]), move |sim, w, r| {
                     r.unwrap();
                     client::fsync(sim, w, client, h, move |sim, w, r| {
                         r.unwrap();
@@ -488,7 +488,7 @@ fn request_timeout_surfaces_exactly_once_despite_late_responses() {
             r.unwrap();
             sess.open(sim, w, "/flaky", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
                 let h = r.unwrap();
-                client::write(sim, w, client, h, 0, Bytes::from(vec![8u8; 65_536]), move |sim, w, r| {
+                sess.write(sim, w, h, 0, Bytes::from(vec![8u8; 65_536]), move |sim, w, r| {
                     r.unwrap();
                     client::fsync(sim, w, client, h, move |sim, w, r| {
                         r.unwrap();
@@ -596,7 +596,7 @@ fn coalesced_read_retries_to_restored_server_after_transient_crash() {
             r.unwrap();
             sess.open(sim, w, "/transient", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
                 let h = r.unwrap();
-                client::write(sim, w, client, h, 0, payload, move |sim, w, r| {
+                sess.write(sim, w, h, 0, payload, move |sim, w, r| {
                     r.unwrap();
                     client::fsync(sim, w, client, h, move |sim, w, r| {
                         r.unwrap();
@@ -1077,6 +1077,68 @@ fn reconcile_replay_is_exactly_once_across_manager_crash() {
         fp, oracle_fp,
         "crash-retry tree must match the fault-free twin"
     );
+}
+
+/// Write allocation is exactly-once across a lost reply and a manager
+/// crash. A second write inside the range the first one holds a token for
+/// needs no token exchange, so its allocation envelope is its first
+/// exchange. That envelope's first attempt lands — the manager stamps the
+/// file's mtime and records the result — but its reply starves. Before the
+/// retry the manager crashes, so recovery must rebuild the dedup table
+/// from the WAL, and the retry must replay the recorded result: running
+/// the allocation again would stamp the retry's later instant.
+#[test]
+fn write_allocation_is_exactly_once_across_lost_reply_and_manager_crash() {
+    use globalfs::gfs::{apply_fault, fsck_instance, FaultKind};
+    let (mut sim, mut w, client, fs, _s1, _s2) = bed();
+    let sess = w.open_session(client);
+    let outcomes = Rc::new(std::cell::RefCell::new(Vec::new()));
+    let crashed_at = Rc::new(Cell::new(0u64));
+    {
+        let (outcomes, crashed_at) = (outcomes.clone(), crashed_at.clone());
+        sess.mount(&mut sim, &mut w, "hafs", gfs_auth::handshake::AccessMode::ReadWrite, move |sim, w, r| {
+            r.unwrap();
+            sess.open(sim, w, "/alloc", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
+                let h = r.unwrap();
+                // The first write takes the write token over [0, 200000).
+                sess.write(sim, w, h, 0, Bytes::from(vec![1u8; 200_000]), move |sim, w, r| {
+                    r.unwrap();
+                    // Starve the second write's allocation: its watchdog
+                    // fires before the ~400 µs round trip completes.
+                    w.costs.request_timeout = SimDuration::from_micros(1);
+                    sess.write(sim, w, h, 1000, Bytes::from(vec![2u8; 50_000]), move |_s, _w, r| {
+                        outcomes.borrow_mut().push(r);
+                    });
+                    // Heal the timeout before the ≥50ms retry backoff
+                    // expires...
+                    sim.after(SimDuration::from_millis(10), |_s, w| {
+                        w.costs.request_timeout = SimDuration::from_millis(1500);
+                    });
+                    // ...then crash shard 0's manager, wiping its dedup
+                    // table. The WAL survives; recovery replays it.
+                    sim.after(SimDuration::from_millis(20), move |sim, w| {
+                        crashed_at.set(sim.now().as_nanos());
+                        apply_fault(sim, w, FaultKind::ServerCrash { fs, server: "nsd-1".into() });
+                    });
+                });
+            });
+        });
+    }
+    sim.run(&mut w);
+    assert_eq!(*outcomes.borrow(), vec![Ok(())], "the write must complete exactly once");
+    assert!(w.fanin.retries >= 1, "the starved reply must force an envelope retry");
+    let inst = &w.fss[fs.0 as usize];
+    assert!(inst.mgrs[0].replayed >= 1, "recovery must rebuild the dedup table from the WAL");
+    let st = inst.core.stat("/alloc").unwrap();
+    assert!(
+        st.mtime_ns < crashed_at.get(),
+        "the allocation ran again after the crash (mtime {} >= crash at {})",
+        st.mtime_ns,
+        crashed_at.get()
+    );
+    assert_eq!(st.size, 200_000);
+    assert!(fsck_instance(inst).is_clean(), "fsck found inconsistencies");
+    assert_eq!(sim.pending(), 0, "events left after the run drained");
 }
 
 /// Progress-keyed fault boundaries: an event at op 0 fires before the race

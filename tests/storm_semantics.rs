@@ -57,7 +57,7 @@ fn small_corpus_storm_is_exact_clean_and_pinned() {
     );
     assert_eq!(r.ops, 1448);
     assert_eq!(r.errors, 15);
-    assert_eq!(r.fingerprint, 5784380427608854160);
+    assert_eq!(r.fingerprint, 1085845825601355389);
     assert_eq!(r.tree_fingerprint, 4016635406266118264);
 }
 
@@ -71,7 +71,7 @@ fn thirty_two_client_storm_is_exact_clean_and_pinned() {
     let r = exact_clean_storm(&cfg);
     assert_eq!(r.ops, 1300);
     assert_eq!(r.errors, 77);
-    assert_eq!(r.fingerprint, 3158899136783559091);
+    assert_eq!(r.fingerprint, 2515506939515091150);
     assert_eq!(r.tree_fingerprint, 15063891407670087431);
 }
 

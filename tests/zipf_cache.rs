@@ -64,7 +64,7 @@ fn run_queries(pool_pages: usize, wl: Workload) -> (f64, u64, u64) {
             let h = r.unwrap();
             // Materialize the 16 MB object store, then run the queries.
             let data = bytes::Bytes::from(vec![0x11u8; 16 << 20]);
-            client::write(sim, w, client, h, 0, data, move |sim, w, r| {
+            sess.write(sim, w, h, 0, data, move |sim, w, r| {
                 r.unwrap();
                 client::fsync(sim, w, client, h, move |sim, w, r| {
                     r.unwrap();
@@ -75,7 +75,7 @@ fn run_queries(pool_pages: usize, wl: Workload) -> (f64, u64, u64) {
                     c.pool.hits = 0;
                     c.pool.misses = 0;
                     *st.borrow_mut() = Some(sim.now());
-                    run_ops(sim, w, client, h, wl, move |sim, _w, r| {
+                    run_ops(sim, w, sess, h, wl, move |sim, _w, r| {
                         r.unwrap();
                         d.set(sim.now().as_nanos());
                     });
