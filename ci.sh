@@ -48,6 +48,17 @@ echo "== gfsbench --self-test (the benchmark's own checks)"
 # breaks one of them fails here rather than in a benchmark run.
 cargo run --release --offline --quiet --manifest-path gfsbench/Cargo.toml -- --self-test
 
+echo "== gfsbench: every workload once at full size"
+# The self-test plays small shapes only; one untraced round of each
+# workload at the benchmark's own size puts the integrity gate (fsck,
+# world invariants such as every cached page lying under a held token)
+# on full-size worlds. A failed gate exits nonzero.
+for wl in $(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+    echo "-- $wl"
+    cargo run --release --offline --quiet --manifest-path gfsbench/Cargo.toml -- \
+        --workload "$wl" --seed 1 --seconds 0 --trace 0 | tail -1
+done
+
 echo "== perf smoke (benches/perf.rs -> BENCH_perf.json)"
 # Runs the heavy scenarios end-to-end under a wall clock and re-checks the
 # headline paper verdicts; any [OFF] verdict is a silent-results regression.

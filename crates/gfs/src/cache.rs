@@ -251,23 +251,40 @@ impl PagePool {
         out
     }
 
-    /// Drop every page of one file (on unlink or revoke).
+    /// Drop every page of one file (on unlink or truncate).
     pub fn invalidate_file(&mut self, fs: FsId, inode: InodeId) {
+        self.retain(|key, _| key.fs != fs || key.inode != inode);
+    }
+
+    /// Drop every page for which `keep(key, dirty)` is false, dirty or
+    /// not; returns how many of the dropped pages were dirty.
+    pub fn retain(&mut self, mut keep: impl FnMut(PageKey, bool) -> bool) -> usize {
         let doomed: Vec<u32> = self
             .frames
             .iter()
             .enumerate()
-            .filter(|(_, f)| f.live && f.key.fs == fs && f.key.inode == inode)
+            .filter(|(_, f)| f.live && !keep(f.key, f.dirty))
             .map(|(i, _)| i as u32)
             .collect();
+        let mut dirty = 0;
         for i in doomed {
             self.unlink(i);
             let f = &mut self.frames[i as usize];
+            dirty += usize::from(f.dirty);
             f.live = false;
             f.data = Bytes::new();
             self.index.remove(&f.key);
             self.free.push(i);
         }
+        dirty
+    }
+
+    /// Every resident page with its dirty flag, in no particular order.
+    pub fn pages(&self) -> impl Iterator<Item = (PageKey, bool)> + '_ {
+        self.frames
+            .iter()
+            .filter(|f| f.live)
+            .map(|f| (f.key, f.dirty))
     }
 
     /// Number of resident pages.

@@ -22,7 +22,7 @@ use crate::faults::RecoveryWhat;
 use crate::replica;
 use crate::rpc::{self, Attempt};
 use crate::session::Session;
-use crate::tokens::{ByteRange, TokenMode};
+use crate::tokens::{ByteRange, Held, TokenMode};
 use crate::types::{
     check_file_size, BlockAddr, ClientId, FsError, FsId, Handle, InodeId, NsdId, OpenFlags, Owner,
 };
@@ -33,6 +33,7 @@ use simcore::{Sim, SimDuration, SimTime};
 use simnet::{FlowSpec, Network, NodeId};
 use simsan::IoKind;
 use std::cell::{Cell, RefCell};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow::{Break, Continue};
 use std::rc::Rc;
 
@@ -494,19 +495,29 @@ pub(crate) fn truncate(
 // Tokens
 // ---------------------------------------------------------------------
 
-/// Acquire a byte-range token, paying for revocations (including the
-/// revoked holders' dirty-page flushes).
+/// Secure a byte-range token covering `range`, paying for revocations
+/// (including the revoked holders' dirty-page flushes).
 ///
-/// One exchange ([`crate::rpc`]) with shard 0's acting manager under a
-/// two-stage watchdog. Stage one covers the request leg: if the manager
-/// never acknowledges (crashed, recovering, or the message was lost to a
-/// link flap), the attempt is retried with backoff against the re-resolved
-/// acting manager. The ack swaps in stage two, a much longer fuse over the
-/// revocation phase — revoking holders legitimately takes as long as their
-/// dirty-page flushes, so only a manager that died *mid-grant* trips it. A
-/// retry after the grant was installed but the reply lost hits the token
-/// manager's `already_held` fast path, which makes re-acquisition
-/// idempotent.
+/// Tokens are cached grants ([`crate::tokens`]): a context keeps each
+/// grant until a conflicting acquire revokes it or the context's cap
+/// gives it back, so a request its mirror already covers costs nothing.
+/// The required range rounds out to whole blocks, because a cached page is
+/// a whole block: two contexts writing disjoint bytes of one block must
+/// still revoke each other. A call that starts where one of the context's
+/// grants on the inode ends continues a stream and asks for the desired
+/// range `[start, ∞)`, which the manager grants up to the first
+/// conflicting grant.
+///
+/// Otherwise one exchange ([`crate::rpc`]) with shard 0's acting manager
+/// under a two-stage watchdog. Stage one covers the request leg: if the
+/// manager never acknowledges (crashed, recovering, or the message was
+/// lost to a link flap), the attempt is retried with backoff against the
+/// re-resolved acting manager. The ack swaps in stage two, a much longer
+/// fuse over the revocation phase — revoking holders legitimately takes as
+/// long as their dirty-page flushes, so only a manager that died
+/// *mid-grant* trips it. A retry after the grant was installed but the
+/// reply lost hits the token manager's `already_held` fast path, which
+/// makes re-acquisition idempotent.
 fn acquire_token(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
@@ -517,14 +528,25 @@ fn acquire_token(
     mode: TokenMode,
     cb: Cb<Result<(), FsError>>,
 ) {
+    let required = range.to_blocks(w.fss[fs.0 as usize].core.config.block_size);
+    let c = &mut w.clients[client.0 as usize];
+    if c.held_tokens.covers(fs, inode, required, mode) {
+        cb(sim, w, Ok(()));
+        return;
+    }
+    let desired = if c.held_tokens.ends_at(fs, inode, required.start) {
+        ByteRange::from(required.start)
+    } else {
+        required
+    };
     rpc::exchange(
         sim,
         w,
         client,
         move |w, _| {
-            // Checked per attempt, not just on entry: another op on this
-            // context may have secured a covering token meanwhile.
-            if w.clients[client.0 as usize].holds_token(fs, inode, range, mode) {
+            // Checked per attempt: another op on this context may have
+            // secured a covering token meanwhile.
+            if w.clients[client.0 as usize].held_tokens.covers(fs, inode, required, mode) {
                 return Break(Ok(()));
             }
             // Tokens are a whole-filesystem concern; shard 0's manager
@@ -535,7 +557,7 @@ fn acquire_token(
             let from = client_node(w, client);
             let rpcb = w.costs.rpc_bytes;
             Network::send_msg(sim, w, from, a.to, rpcb, move |sim, w| {
-                token_grant(sim, w, client, fs, inode, range, mode, from, a)
+                token_grant(sim, w, client, fs, inode, required, desired, mode, from, a)
             });
         },
         cb,
@@ -543,14 +565,18 @@ fn acquire_token(
 }
 
 /// Runs at the token manager when an acquire attempt arrives: acknowledge
-/// at once, revoke every conflicting holder, then send the grant.
+/// at once, revoke every conflicting holder and wait for the revocations
+/// already under way that conflict too, then send the grant, which names
+/// its sequence number. Revocations of the new grant follow its reply.
+#[allow(clippy::too_many_arguments)]
 fn token_grant(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
     client: ClientId,
     fs: FsId,
     inode: InodeId,
-    range: ByteRange,
+    required: ByteRange,
+    desired: ByteRange,
     mode: TokenMode,
     from: NodeId,
     a: Attempt<()>,
@@ -559,13 +585,46 @@ fn token_grant(
     if !w.fss[fs.0 as usize].manager_answers(0, mgr) {
         return; // dropped; stage-one watchdog will retry
     }
-    let outcome = w.fss[fs.0 as usize]
+    let inst = &mut w.fss[fs.0 as usize];
+    let outcome = inst
         .tokens
-        .acquire(inode, client, range, mode);
-    // Distinct clients that must be revoked before the grant lands.
-    let mut holders: Vec<ClientId> = outcome.revoked.iter().map(|g| g.client).collect();
-    holders.sort();
-    holders.dedup();
+        .acquire_desired(inode, client, required, desired, mode);
+    let granted = Held {
+        range: outcome.granted.range,
+        mode: outcome.granted.mode,
+        seq: outcome.granted.seq,
+    };
+    // One revocation per holder for the grants this acquire revoked, plus
+    // the ones already under way that it conflicts with.
+    let mut by_holder: BTreeMap<ClientId, Vec<u64>> = BTreeMap::new();
+    for g in &outcome.revoked {
+        by_holder.entry(g.client).or_default().push(g.seq);
+    }
+    let mut fresh = Vec::with_capacity(by_holder.len());
+    for (holder, seqs) in by_holder {
+        let rev = Rc::new(Revocation {
+            holder,
+            fs,
+            inode,
+            seqs: seqs.into(),
+            mgr,
+            landed: Cell::new(false),
+            fuse: Cell::new(None),
+            waiters: RefCell::new(Some(Vec::new())),
+        });
+        for &s in rev.seqs.iter() {
+            inst.revocations.insert(s, rev.clone());
+        }
+        fresh.push(rev);
+    }
+    let mut waits = fresh.clone();
+    for g in &outcome.awaited {
+        if let Some(rev) = inst.revocations.get(&g.seq) {
+            if !waits.iter().any(|r| Rc::ptr_eq(r, rev)) {
+                waits.push(rev.clone());
+            }
+        }
+    }
 
     // Immediate acknowledgment so the requester swaps the short fuse for
     // the long one; the grant itself arrives only after every revocation
@@ -584,92 +643,241 @@ fn token_grant(
     });
 
     let finish: Cb<()> = Box::new(move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ()| {
-        // Grant reply to the requester.
-        let rpcb = w.costs.rpc_bytes;
-        Network::send_msg(sim, w, mgr, from, rpcb, move |sim, w| {
-            let Some(cb) = a.claim(sim) else {
-                return; // a watchdog fired; the retry owns this acquire
-            };
-            let held = w.clients[client.0 as usize]
-                .held_tokens
-                .entry((fs, inode))
-                .or_default();
-            // Two acquires on this context can be granted the same
-            // token; the mirror must not double-count it.
-            if !held.contains(&(range, mode)) {
-                held.push((range, mode));
-            }
-            cb(sim, w, Ok(()));
-        });
+        let inst = &mut w.fss[fs.0 as usize];
+        // An expulsion of the requester meanwhile took the grant back; its
+        // retry asks afresh.
+        let live = inst.tokens.is_granted(inode, client, granted.seq);
+        inst.tokens.replied(granted.seq);
+        if live {
+            let rpcb = w.costs.rpc_bytes;
+            Network::send_msg(sim, w, mgr, from, rpcb, move |sim, w| {
+                let Some(cb) = a.claim(sim) else {
+                    return; // a watchdog fired; the retry owns this acquire
+                };
+                w.clients[client.0 as usize]
+                    .held_tokens
+                    .install(fs, inode, granted);
+                give_back_over_cap(sim, w, client);
+                cb(sim, w, Ok(()));
+            });
+        }
+        // Revocations of this grant go out behind its reply, on the same
+        // path, so none can reach the holder before the grant does.
+        let parked = w.fss[fs.0 as usize].parked.remove(&granted.seq);
+        for rev in parked.unwrap_or_default() {
+            start_revocation(sim, w, rev);
+        }
     });
-    let join = Join::new(holders.len(), finish);
-    join.maybe_done(sim, w);
-    for holder in holders {
+    let join = Join::new(waits.len(), finish);
+    for rev in &waits {
         let join = join.clone();
-        revoke_from(
-            sim,
-            w,
-            holder,
-            fs,
-            inode,
-            mgr,
-            Box::new(move |sim, w, ()| join.arrive(sim, w)),
-        );
+        rev.wait(Box::new(move |sim, w, ()| join.arrive(sim, w)));
+    }
+    join.maybe_done(sim, w);
+    for rev in fresh {
+        start_revocation(sim, w, rev);
     }
 }
 
-/// Revoke `holder`'s tokens on an inode: message out, dirty-page flush at
-/// the holder, cache invalidation, acknowledgment back.
-fn revoke_from(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    holder: ClientId,
-    fs: FsId,
-    inode: InodeId,
-    mgr: NodeId,
-    cb: Cb<()>,
-) {
-    let holder_node = client_node(w, holder);
+/// Past [`crate::tokens::CACHED_INODES`], give back the grants on the
+/// context's least recently used inode together with its pages. An inode
+/// with I/O in flight or a dirty page is passed over, so nothing written
+/// is lost and no op loses its token. The release is one message to the
+/// token manager; if a link flap drops it, the manager keeps grants nobody
+/// uses until a conflicting acquire revokes them, which then finds nothing
+/// to drop.
+fn give_back_over_cap(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, client: ClientId) {
+    let c = &mut w.clients[client.0 as usize];
+    if c.held_tokens.len() <= crate::tokens::CACHED_INODES {
+        return;
+    }
+    let dirty: BTreeSet<(FsId, InodeId)> = c
+        .pool
+        .pages()
+        .filter(|&(_, dirty)| dirty)
+        .map(|(k, _)| (k.fs, k.inode))
+        .collect();
+    let victim = c.held_tokens.over_cap(|fs, inode| {
+        !c.inflight.contains_key(&(fs, inode)) && !dirty.contains(&(fs, inode))
+    });
+    let Some((fs, inode)) = victim else {
+        return;
+    };
+    let seqs = c.held_tokens.take(fs, inode);
+    c.pool.invalidate_file(fs, inode);
+    let (from, mgr) = (c.node, w.fss[fs.0 as usize].mgrs[0].acting);
     let rpcb = w.costs.rpc_bytes;
-    Network::send_msg(sim, w, mgr, holder_node, rpcb, move |sim, w| {
-        revoke_at_holder(sim, w, holder, fs, inode, mgr, holder_node, cb);
+    Network::send_msg(sim, w, from, mgr, rpcb, move |_sim, w| {
+        w.fss[fs.0 as usize].tokens.release(inode, client, &seqs);
     });
 }
 
-/// Runs at the holder: defers until the holder's in-flight operations on
-/// the inode complete (GPFS semantics), then flushes, invalidates and acks.
-#[allow(clippy::too_many_arguments)]
-fn revoke_at_holder(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
+/// One token revocation under way: `holder`'s grants `seqs` on an inode.
+/// The acquire that started it and every later acquire that conflicts with
+/// the same grants wait for it.
+///
+/// The manager sends the revoke once the revoked grants' replies are out
+/// and repeats it every `retry_base` until the holder's ack arrives: a
+/// repeat that finds the holder still at work is ignored, one that finds
+/// it done draws the ack again, so neither a revoke nor an ack lost to a
+/// link flap can wedge the revocation. A holder that no send reaches for
+/// `costs.lease_break_timeout` is expelled, as for an unanswered lease
+/// break, and the revocation completes then.
+pub(crate) struct Revocation {
     holder: ClientId,
     fs: FsId,
     inode: InodeId,
+    seqs: Rc<[u64]>,
+    /// The manager node that sends it.
     mgr: NodeId,
-    holder_node: NodeId,
-    cb: Cb<()>,
-) {
+    /// Some send has reached the holder; later ones are repeats.
+    landed: Cell<bool>,
+    /// Expulsion fuse, armed while no send gets through.
+    fuse: Cell<Option<simcore::TimerId>>,
+    /// Who waits for the ack; `None` once the revocation completed.
+    waiters: RefCell<Option<Vec<Cb<()>>>>,
+}
+
+impl Revocation {
+    fn wait(&self, cb: Cb<()>) {
+        self.waiters
+            .borrow_mut()
+            .as_mut()
+            .expect("waiting on a finished revocation")
+            .push(cb);
+    }
+
+    fn pending(&self) -> bool {
+        self.waiters.borrow().is_some()
+    }
+}
+
+/// Send `rev` once every grant it revokes has had its reply sent;
+/// otherwise hold it back behind the first reply still pending.
+fn start_revocation(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rev: Rc<Revocation>) {
+    let inst = &mut w.fss[rev.fs.0 as usize];
+    match rev.seqs.iter().find(|&&s| !inst.tokens.is_replied(s)) {
+        Some(&s) => inst.parked.entry(s).or_default().push(rev),
+        None => send_revoke(sim, w, rev),
+    }
+}
+
+/// One send of a revoke, then the next one `retry_base` later while the
+/// revocation is pending (see [`Revocation`]).
+fn send_revoke(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rev: Rc<Revocation>) {
+    if !rev.pending() {
+        return;
+    }
+    let repeat = rev.landed.get();
+    let holder_node = client_node(w, rev.holder);
+    let rpcb = w.costs.rpc_bytes;
+    let r = rev.clone();
+    let landed = Network::send_msg(sim, w, rev.mgr, holder_node, rpcb, move |sim, w| {
+        revoke_arrives(sim, w, r, repeat);
+    });
+    if landed {
+        rev.landed.set(true);
+        if let Some(fuse) = rev.fuse.take() {
+            sim.cancel_timer(fuse);
+        }
+    } else if rev.fuse.get().is_none() {
+        let r = rev.clone();
+        let fuse = sim.timer_after(w.costs.lease_break_timeout, move |sim, w| {
+            r.fuse.set(None);
+            if r.pending() {
+                expel(sim, w, r.fs, r.holder);
+            }
+        });
+        rev.fuse.set(Some(fuse));
+    }
+    sim.after(w.costs.retry_base, move |sim, w| send_revoke(sim, w, rev));
+}
+
+/// A revoke reached its holder.
+fn revoke_arrives(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rev: Rc<Revocation>, repeat: bool) {
+    let key = (rev.fs, rev.seqs[0]);
+    let c = &mut w.clients[rev.holder.0 as usize];
+    if repeat {
+        if !c.revoking.contains(&key) {
+            revoke_ack(sim, w, rev); // the work is done; its ack was lost
+        }
+        return;
+    }
+    c.revoking.insert(key);
+    c.held_tokens.begin_revoke(rev.fs, rev.inode, &rev.seqs);
+    revoke_at_holder(sim, w, rev);
+}
+
+/// Runs at the holder: waits while the holder has I/O in flight on the
+/// inode (GPFS completes in-flight operations before honouring a revoke,
+/// which is what makes a read or write atomic; new ops already stopped
+/// relying on the revoked grants when the revoke arrived, so the wait
+/// ends). Then the revoked grants leave the mirror, the dirty pages no
+/// remaining write grant covers are flushed, the pages no remaining grant
+/// covers are dropped, and the ack goes back.
+fn revoke_at_holder(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rev: Rc<Revocation>) {
+    let (holder, fs, inode) = (rev.holder, rev.fs, rev.inode);
     if inflight_busy(w, holder, fs, inode) {
-        sim.after(simcore::SimDuration::from_micros(500), move |sim, w| {
-            revoke_at_holder(sim, w, holder, fs, inode, mgr, holder_node, cb);
+        sim.after(SimDuration::from_micros(500), move |sim, w| {
+            revoke_at_holder(sim, w, rev);
         });
         return;
     }
-    {
-        // Flush the holder's dirty pages for this inode, then invalidate.
-        // A failed write-back does not block revocation: the token is being
-        // taken away and the cached copy is invalidated regardless;
-        // durability of the lost page is the failed flush's problem.
-        let dirty = w.clients[holder.0 as usize].pool.dirty_pages_of(fs, inode);
-        let after_flush: Cb<Result<(), FsError>> =
-            Box::new(move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, _r| {
-                let c = &mut w.clients[holder.0 as usize];
-                c.pool.invalidate_file(fs, inode);
-                c.held_tokens.remove(&(fs, inode));
-                let rpcb = w.costs.rpc_bytes;
-                Network::send_msg(sim, w, holder_node, mgr, rpcb, move |sim, w| cb(sim, w, ()));
+    // From here no new op of the holder can use the revoked grants. A
+    // failed write-back does not block revocation: the token is being
+    // taken away and the cached copy is invalidated regardless;
+    // durability of the lost page is the failed flush's problem.
+    let block = w.fss[fs.0 as usize].core.config.block_size;
+    let c = &mut w.clients[holder.0 as usize];
+    c.held_tokens.revoke(fs, inode, &rev.seqs);
+    let tokens = &c.held_tokens;
+    let dirty: Vec<DirtyPage> = c
+        .pool
+        .dirty_pages_of(fs, inode)
+        .into_iter()
+        .filter(|p| !tokens.holds_page(p.key, true, block))
+        .collect();
+    let after_flush: Cb<Result<(), FsError>> =
+        Box::new(move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, _r| {
+            let c = &mut w.clients[holder.0 as usize];
+            let tokens = &c.held_tokens;
+            c.pool.retain(|key, dirty| {
+                key.fs != fs || key.inode != inode || tokens.holds_page(key, dirty, block)
             });
-        flush_dirty_pages(sim, w, holder, dirty, after_flush);
+            c.revoking.remove(&(fs, rev.seqs[0]));
+            revoke_ack(sim, w, rev);
+        });
+    flush_dirty_pages(sim, w, holder, dirty, after_flush);
+}
+
+/// The holder's ack. If a link flap drops it, the manager's next repeat of
+/// the revoke draws it again.
+fn revoke_ack(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rev: Rc<Revocation>) {
+    let holder_node = client_node(w, rev.holder);
+    let rpcb = w.costs.rpc_bytes;
+    let mgr = rev.mgr;
+    Network::send_msg(sim, w, holder_node, mgr, rpcb, move |sim, w| {
+        finish_revocation(sim, w, &rev);
+    });
+}
+
+/// The revocation is over — acknowledged, or its holder expelled: the
+/// revoked grants stop blocking, and every acquire waiting on them moves
+/// on.
+fn finish_revocation(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rev: &Revocation) {
+    let Some(waiters) = rev.waiters.borrow_mut().take() else {
+        return; // a repeated ack, or the expulsion finished it first
+    };
+    if let Some(fuse) = rev.fuse.take() {
+        sim.cancel_timer(fuse);
+    }
+    let inst = &mut w.fss[rev.fs.0 as usize];
+    inst.tokens.revoke_done(rev.inode, rev.holder, &rev.seqs);
+    for s in rev.seqs.iter() {
+        inst.revocations.remove(s);
+    }
+    for cb in waiters {
+        cb(sim, w, ());
     }
 }
 
@@ -685,10 +893,11 @@ fn revoke_at_holder(
 // table; a conflicting op from anyone else breaks the lease exactly like
 // a token revocation (message out, deferral while the delegate has ops
 // in flight, ack back). A holder that never acks — partitioned or dead —
-// is *expelled* when its lease term runs out: the manager reclaims the
-// subtree and releases every token the node held, and the node itself,
-// knowing its term expired, stops trusting its mirror without needing to
-// hear from anyone. The next word from the expelled client re-admits it.
+// is *expelled* when its lease term runs out: the manager reclaims its
+// leases and releases every token the node held, and the node itself,
+// knowing its term expired, stops trusting its mirrors and drops its
+// cached pages without needing to hear from anyone. The next word from
+// the expelled client re-admits it.
 // Acquire and surrender are `Session` verbs riding envelopes; this module
 // keeps the manager-initiated side: the break and the expulsion.
 
@@ -717,7 +926,7 @@ pub(crate) fn start_lease_break(
     let fuse = {
         let top = top.clone();
         sim.timer_after(w.costs.lease_break_timeout, move |sim, w| {
-            expel(sim, w, fs, top, holder);
+            lease_expired(sim, w, fs, top, holder);
         })
     };
     Network::send_msg(sim, w, mgr, holder_node, rpcb, move |sim, w| {
@@ -772,25 +981,36 @@ fn lease_break_at_holder(
 }
 
 /// Lease-term expiry: the holder never acked the break. The manager
-/// reclaims the subtree and expels the node — every token it held is
-/// released so nobody else blocks on a dead delegate. The node side
-/// needs no message: its own term clock tells it the lease (and its
-/// cluster membership) lapsed, so it stops trusting every cached grant.
-fn expel(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, fs: FsId, top: Box<str>, holder: ClientId) {
+/// reclaims the subtree and expels the node, unless the break completed on
+/// another path after all.
+fn lease_expired(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, fs: FsId, top: Box<str>, holder: ClientId) {
+    let inst = &mut w.fss[fs.0 as usize];
+    inst.breaking.remove(&top);
+    if inst.leases.get(&top) == Some(&holder) {
+        expel(sim, w, fs, holder);
+    }
+}
+
+/// Expel `holder` from `fs`: it left a lease break or a token revocation
+/// unanswered for `costs.lease_break_timeout`. The manager takes back its
+/// leases and releases every token it held, so nobody else blocks on a
+/// dead or cut-off node. The node side needs no message: its own term
+/// clock tells it its membership lapsed, so it stops trusting its lease
+/// and token mirrors and discards every cached page of the filesystem —
+/// a page is only valid under a token. Dirty pages dropped this way never
+/// reach the disk; the recovery log counts them.
+fn expel(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, fs: FsId, holder: ClientId) {
     {
         let inst = &mut w.fss[fs.0 as usize];
-        inst.breaking.remove(&top);
-        if inst.leases.get(&top) != Some(&holder) {
-            return; // the break completed on another path after all
-        }
-        inst.leases.remove(&top);
+        inst.leases.retain(|_, h| *h != holder);
         inst.expelled.insert(holder);
         inst.expulsions += 1;
         inst.tokens.release_client(holder);
     }
     let c = &mut w.clients[holder.0 as usize];
     c.leases.retain(|(f, _)| *f != fs);
-    c.held_tokens.retain(|(f, _), _| *f != fs);
+    c.held_tokens.forget_fs(fs);
+    let lost_pages = c.pool.retain(|key, _| key.fs != fs) as u64;
     // The writeback journal dies with the membership: an expelled node's
     // locally-applied mutations will never reconcile (the shared-disk
     // state already holds them; only the manager-side records are lost) —
@@ -804,6 +1024,24 @@ fn expel(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, fs: FsId, top: Box<str>, hol
             sim.now(),
             RecoveryWhat::JournalDiscarded { client: holder, ops: dropped },
         );
+    }
+    if lost_pages > 0 {
+        w.recovery.log(
+            sim.now(),
+            RecoveryWhat::DirtyPagesDiscarded { client: holder, pages: lost_pages },
+        );
+    }
+    // Nobody waits on the node any more: its revocations are over.
+    let mut revs: Vec<Rc<Revocation>> = w.fss[fs.0 as usize]
+        .revocations
+        .values()
+        .filter(|r| r.holder == holder)
+        .cloned()
+        .collect();
+    revs.sort_by_key(|r| r.seqs[0]);
+    revs.dedup_by(|a, b| Rc::ptr_eq(a, b));
+    for rev in revs {
+        finish_revocation(sim, w, &rev);
     }
 }
 
@@ -1013,6 +1251,10 @@ fn fetch_run(
     let fs = keys[0].fs;
     let inode = keys[0].inode;
     let nblocks = keys.len() as u64;
+    // The token generation the fetch starts under: a revocation (or an
+    // expulsion) while it is on the wire means the data may be stale by
+    // the time it lands, so it reaches the caller but not the pool.
+    let gen = w.clients[client.0 as usize].held_tokens.gen(fs, inode);
     // The replica site the first attempt asks, with its server.
     let site = match source {
         replica::Source::Home => None,
@@ -1103,11 +1345,16 @@ fn fetch_run(
                             site.bytes_served += nblocks * block_size;
                         }
                         let parts = w.fss[fs.0 as usize].core.get_block_run(addr, nblocks);
-                        for (key, data) in keys.iter().zip(parts.iter()) {
-                            let evicted = w.clients[client.0 as usize]
-                                .pool
-                                .insert_clean(*key, data.clone());
-                            flush_evicted(sim, w, client, evicted);
+                        let current = w.clients[client.0 as usize].held_tokens.gen(fs, inode);
+                        if gen.is_some() && current == gen {
+                            for (key, data) in keys.iter().zip(parts.iter()) {
+                                let c = &mut w.clients[client.0 as usize];
+                                if !c.held_tokens.holds_page(*key, false, block_size) {
+                                    continue;
+                                }
+                                let evicted = c.pool.insert_clean(*key, data.clone());
+                                flush_evicted(sim, w, client, evicted);
+                            }
                         }
                         cb(sim, w, Ok(parts));
                     });
@@ -1370,6 +1617,13 @@ pub fn read(
                             inode,
                             block: b,
                         };
+                        // Prefetch stays under the token: a block no held
+                        // read token covers could be written by another
+                        // context without any revocation reaching this one.
+                        let c = &w.clients[client.0 as usize];
+                        if !c.held_tokens.holds_page(key, false, block_size) {
+                            break;
+                        }
                         if w.clients[client.0 as usize].pool.contains(key) {
                             continue;
                         }
@@ -1630,9 +1884,20 @@ pub(crate) fn write(
                         let join = join.clone();
                         let join_err = join.clone();
                         let first_err = first_err.clone();
+                        let merge_err = first_err.clone();
                         let merge = move |sim: &mut Sim<GfsWorld>,
                                           w: &mut GfsWorld,
                                           old: Option<Bytes>| {
+                            // Revocations wait for the write, so only an
+                            // expulsion can take its token away; a page
+                            // no write token covers must not be cached
+                            // dirty, so the write fails instead.
+                            let c = &w.clients[client.0 as usize];
+                            if !c.held_tokens.holds_page(key, true, block_size) {
+                                merge_err.borrow_mut().get_or_insert(FsError::Timeout);
+                                join.arrive(sim, w);
+                                return;
+                            }
                             // A fully covered block dirties the caller's
                             // slice as-is (zero-copy); a partial write
                             // merges into one copy of the old contents

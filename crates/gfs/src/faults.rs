@@ -417,9 +417,10 @@ pub enum RecoveryWhat {
     },
     /// A restorative fault (link up, server restart, heal) was applied.
     Restored(String),
-    /// A mount context was expelled after not answering a lease break
-    /// within [`crate::world::ProtocolCosts::lease_break_timeout`]; its
-    /// leases and tokens were force-released.
+    /// A mount context was expelled after leaving a lease break or a
+    /// token revocation unanswered for
+    /// [`crate::world::ProtocolCosts::lease_break_timeout`]; its leases and
+    /// tokens were force-released and its cached pages discarded.
     Expelled {
         /// The unresponsive context.
         client: ClientId,
@@ -439,6 +440,14 @@ pub enum RecoveryWhat {
         client: ClientId,
         /// How many journal entries were discarded.
         ops: u64,
+    },
+    /// An expelled context discarded dirty pages its filesystem never
+    /// received: writes that returned but will never reach the disk.
+    DirtyPagesDiscarded {
+        /// The expelled context.
+        client: ClientId,
+        /// How many dirty pages were dropped.
+        pages: u64,
     },
 }
 

@@ -8,7 +8,12 @@
 //! Because each rank's region is disjoint, the token manager grants every
 //! rank an independent byte-range token and steady state has **zero token
 //! traffic** — the property that lets GPFS scale MPI-IO nearly linearly
-//! until the network or disks saturate.
+//! until the network or disks saturate. Cached tokens keep it so: a rank's
+//! first transfer asks for exactly its block-aligned range, and each later
+//! one that continues the rank's grant asks for `[offset, ∞)`, which the
+//! manager grants only up to the next rank's grant, so disjoint ranks
+//! still see zero revocations
+//! (`tests::blocked_write_then_read_no_revocations`).
 
 use crate::client::Cb;
 use crate::session::Session;

@@ -3,7 +3,7 @@
 //! An *exchange* is a request a client sends and some server must answer:
 //! a token acquire, an NSD fetch or flush, a mount, or a manager envelope
 //! (which carries every other manager request: metadata ops, write
-//! allocation, truncate, token release, lease acquire and surrender). Any
+//! allocation, truncate, lease acquire and surrender). Any
 //! message can be lost — to a partition, a crashed NSD server, a manager
 //! that is recovering or was superseded — so every exchange runs as a
 //! sequence of attempts under [`exchange`], and the survival rules live

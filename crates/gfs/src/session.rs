@@ -17,8 +17,8 @@
 //! whose block allocation and size change ride the session's envelopes.
 //!
 //! **Fan-in**: sessions batch same-instant manager requests — metadata
-//! ops, write allocation, truncate, token release, lease acquire and
-//! surrender — into one *envelope* per `(context, fs, shard)`: one request
+//! ops, write allocation, truncate, lease acquire and surrender — into
+//! one *envelope* per `(context, fs, shard)`: one request
 //! message, one watchdog, one response for the whole batch, with per-op
 //! results demuxed in submission order. A context with one session simply
 //! sends one-op envelopes. Exactly-once semantics are preserved per
@@ -97,7 +97,7 @@ pub struct BatchOp {
     ack: Option<(u64, u64)>,
     /// Top-level namespace component the op touches, for lease-conflict
     /// detection at the owning manager (empty for ops outside the
-    /// namespace, e.g. token releases).
+    /// namespace, e.g. write allocation).
     top: Box<str>,
     /// Owning shard of the *other* path of a cross-shard op (rename whose
     /// destination lives elsewhere, mkdir at a shard boundary). `None` for
@@ -177,6 +177,12 @@ pub struct FanIn {
     /// `(ctx, fs, shard)` keys with a same-instant flush already scheduled
     /// (dedups the flush event across many same-instant submits).
     armed: FxHashSet<(u32, u32, u32)>,
+    /// Reconciled delegate-journal op ids whose results reached their
+    /// holder, keyed by `(ctx, fs, shard)`: the next envelope of that key
+    /// tells the shard to retire them. A reconcile records each entry
+    /// under its original session op id, which the session already acked
+    /// in a later op, so no session ack would ever cover it again.
+    retire: FxHashMap<(u32, u32, u32), Vec<u64>>,
     /// Delegate batches collecting this instant, keyed by `(ctx, fs)` —
     /// writeback-delegated ops batch exactly like envelopes do, paying a
     /// couple of simulator events per *batch* on the local delegate queue.
@@ -508,8 +514,12 @@ impl Session {
         );
     }
 
-    /// Close: flush, release tokens at the manager, drop the handle from
-    /// both the shared context and the session table.
+    /// Close: flush the file's dirty pages, then drop the handle from
+    /// both the shared context and the session table. No message goes to
+    /// a manager: the context keeps its tokens on the file as cached
+    /// grants (see [`crate::tokens`]) until a conflicting acquire revokes
+    /// them, and that revocation is also what invalidates its cached pages
+    /// when another context writes the file.
     pub fn close(
         self,
         sim: &mut Sim<GfsWorld>,
@@ -518,56 +528,21 @@ impl Session {
         cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<(), FsError>) + 'static,
     ) {
         let ctx = self.ctx(w);
-        let Some(of) = w.clients[ctx.0 as usize].handles.get(&handle).cloned() else {
+        if !w.clients[ctx.0 as usize].handles.contains_key(&handle) {
             cb(sim, w, Err(FsError::BadHandle));
             return;
-        };
-        let (fs, inode) = (of.fs, of.inode);
+        }
         let cb = self.begin(w, cb);
-        // Write-behind pages flush first; the token release then rides an
-        // envelope.
         client::fsync(sim, w, ctx, handle, move |sim, w, r| {
             if let Err(e) = r {
                 cb(sim, w, Err(degrade_err(e)));
                 return;
             }
-            // Pure-metadata close: if the shared context holds no tokens
-            // on this inode there is nothing to release at the manager —
-            // complete locally instead of spending an envelope slot. (The
-            // common case for the create/stat/list storms, where opens
-            // never touch data.)
-            if !w.clients[ctx.0 as usize].held_tokens.contains_key(&(fs, inode)) {
-                let c = &mut w.clients[ctx.0 as usize];
-                c.handles.remove(&handle);
-                c.prefetch.remove(&handle);
-                self.forget_handle(w, handle);
-                cb(sim, w, Ok(()));
-                return;
-            }
-            // Token releases go where tokens live: shard 0's manager.
-            self.submit_mgr(
-                sim,
-                w,
-                fs,
-                0,
-                "".into(),
-                None,
-                true,
-                move |_sim, w, fs, _shard| {
-                    w.fss[fs.0 as usize].tokens.release_all(inode, ctx);
-                    Ok(())
-                },
-                move |sim, w, r: Result<(), FsError>| {
-                    if r.is_ok() {
-                        let c = &mut w.clients[ctx.0 as usize];
-                        c.held_tokens.remove(&(fs, inode));
-                        c.handles.remove(&handle);
-                        c.prefetch.remove(&handle);
-                        self.forget_handle(w, handle);
-                    }
-                    cb(sim, w, r);
-                },
-            );
+            let c = &mut w.clients[ctx.0 as usize];
+            c.handles.remove(&handle);
+            c.prefetch.remove(&handle);
+            self.forget_handle(w, handle);
+            cb(sim, w, Ok(()));
         });
     }
 
@@ -736,8 +711,8 @@ impl Session {
     /// `(ctx, fs, shard)` envelope forming this instant (the caller has
     /// already done any preflight). The first op of an instant schedules
     /// the same-instant flush event. Every request a session sends to a
-    /// manager comes through here — metadata ops, token releases, lease
-    /// verbs, and the block allocation or size change of
+    /// manager comes through here — metadata ops, lease verbs, and the
+    /// block allocation or size change of
     /// `client::write` and `client::truncate`, each as part of its facade
     /// op.
     #[allow(clippy::too_many_arguments)]
@@ -1015,6 +990,13 @@ fn flush_shard_batch(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ctx: ClientId, f
     }
     let env = Rc::new(RefCell::new(ops));
     let done_env = env.clone();
+    let retire: Rc<[u64]> = w
+        .fanin
+        .retire
+        .remove(&(ctx.0, fs.0, shard))
+        .unwrap_or_default()
+        .into();
+    let unretired = retire.clone();
     rpc::exchange(
         sim,
         w,
@@ -1025,8 +1007,16 @@ fn flush_shard_batch(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ctx: ClientId, f
             }
             Continue(w.fss[fs.0 as usize].manager_endpoint(shard))
         },
-        move |sim, w, a| envelope_attempt(sim, w, ctx, fs, shard, env.clone(), a),
-        Box::new(move |sim, w, r| envelope_finish(sim, w, ctx, fs, shard, done_env, r)),
+        move |sim, w, a| envelope_attempt(sim, w, ctx, fs, shard, env.clone(), retire.clone(), a),
+        Box::new(move |sim, w, r| {
+            if r.is_err() && !unretired.is_empty() {
+                // The list may never have arrived; the next envelope
+                // carries it again (retiring twice is a no-op).
+                let key = (ctx.0, fs.0, shard);
+                w.fanin.retire.entry(key).or_default().extend_from_slice(&unretired);
+            }
+            envelope_finish(sim, w, ctx, fs, shard, done_env, r)
+        }),
     );
 }
 
@@ -1128,7 +1118,9 @@ fn submit_delegate(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ctx: ClientId, fs:
 /// table, so a crash mid-reconcile retries the whole envelope and replays
 /// — never re-records — entries the first attempt already landed.
 /// Exactly-once costs nothing new here; it is the same machinery every
-/// envelope mutation already rides.
+/// envelope mutation already rides. Once an entry's answer is back, no
+/// retry can ask for it again: its id rides the context's next envelope
+/// to the shard, which retires it (see `FanIn::retire`).
 pub(crate) fn reconcile_journal(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
@@ -1178,7 +1170,11 @@ pub(crate) fn reconcile_journal(
                 w.fss[fs.0 as usize].reconcile_ops += 1;
                 result.clone()
             }),
-            deliver: Some(Box::new(move |sim, w, _r| {
+            deliver: Some(Box::new(move |sim, w, r| {
+                if r.is_ok() {
+                    let key = (ctx.0, fs.0, shard);
+                    w.fanin.retire.entry(key).or_default().push(op_id);
+                }
                 left.set(left.get() - 1);
                 if left.get() == 0 {
                     if let Some(d) = done.borrow_mut().take() {
@@ -1231,6 +1227,7 @@ type EnvelopeResults = Vec<Option<Rc<dyn Any>>>;
 ///   the op runs now, charges the peer's service queue, and journals on
 ///   *both* managers under the same op id (the commit record); if the
 ///   peer is down the op is re-queued until the peer recovers.
+#[allow(clippy::too_many_arguments)]
 fn envelope_attempt(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
@@ -1238,6 +1235,7 @@ fn envelope_attempt(
     fs: FsId,
     shard: u32,
     env: Rc<RefCell<Vec<BatchOp>>>,
+    retire: Rc<[u64]>,
     a: Attempt<EnvelopeResults>,
 ) {
     let mgr = a.to;
@@ -1279,6 +1277,11 @@ fn envelope_attempt(
             // identically. `None` marks an op deferred by a lease conflict
             // or an unavailable peer shard — delivered to nobody, it is
             // re-queued when the response lands.
+            // Reconciled journal entries the holder has seen answered.
+            let ms = &mut w.fss[fs.0 as usize].mgrs[shard as usize];
+            for &id in retire.iter() {
+                ms.retire(id, id);
+            }
             let n = env.borrow().len();
             let mut results: EnvelopeResults = Vec::with_capacity(n);
             // Two-phase ops wait for their peer's service slot; the
@@ -1607,15 +1610,23 @@ mod tests {
     const WAL_BOUND: usize = 1100;
 
     /// `n` mkdirs from one session, strictly one after another, alternating
-    /// between `/a` and `/b`.
-    fn mkdir_chain(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, s: Session, i: u32, n: u32) {
+    /// between `/a` and `/b`; then `then`.
+    fn mkdir_chain(
+        sim: &mut Sim<GfsWorld>,
+        w: &mut GfsWorld,
+        s: Session,
+        i: u32,
+        n: u32,
+        then: Box<dyn FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld)>,
+    ) {
         if i == n {
+            then(sim, w);
             return;
         }
         let top = if i.is_multiple_of(2) { "a" } else { "b" };
         s.mkdir(sim, w, &format!("/{top}/d{i}"), owner(), move |sim, w, r| {
             r.unwrap();
-            mkdir_chain(sim, w, s, i + 1, n);
+            mkdir_chain(sim, w, s, i + 1, n, then);
         });
     }
 
@@ -1632,7 +1643,7 @@ mod tests {
                 r.unwrap();
                 s.mkdir(sim, w, "/b", owner(), move |sim, w, r| {
                     r.unwrap();
-                    mkdir_chain(sim, w, s, 0, 6000);
+                    mkdir_chain(sim, w, s, 0, 6000, Box::new(|_, _| {}));
                 });
             });
         });
@@ -1644,6 +1655,43 @@ mod tests {
                 m.wal_len()
             );
         }
+    }
+
+    #[test]
+    fn reconciled_journal_entries_retire() {
+        // One leased session alternates mkdirs between its leased subtree
+        // (run by the local delegate and journaled) and another subtree
+        // (envelopes), then surrenders: the reconcile records the 3,000
+        // journaled results under ids the session acked long ago, so only
+        // the reconcile's own retirement keeps the log bounded.
+        let mut t = bed(1);
+        let s = t.sessions[0];
+        let surrendered = Rc::new(Cell::new(false));
+        let done = surrendered.clone();
+        mounted(&mut t, move |sim, w| {
+            s.mkdir(sim, w, "/a", owner(), move |sim, w, r| {
+                r.unwrap();
+                s.mkdir(sim, w, "/b", owner(), move |sim, w, r| {
+                    r.unwrap();
+                    s.acquire_lease(sim, w, "/a", move |sim, w, r| {
+                        r.unwrap();
+                        let then = Box::new(move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld| {
+                            s.surrender_lease(sim, w, "/a", move |_sim, _w, r| {
+                                r.unwrap();
+                                done.set(true);
+                            });
+                        });
+                        mkdir_chain(sim, w, s, 0, 6000, then);
+                    });
+                });
+            });
+        });
+        assert!(surrendered.get());
+        let inst = &t.w.fss[0];
+        assert_eq!(inst.core.readdir("/a").unwrap().len(), 3000);
+        assert_eq!(inst.reconcile_ops, 3000, "every journal entry reconciles once");
+        let wal = inst.mgrs[0].wal_len();
+        assert!(wal <= WAL_BOUND, "a reconciled journal kept {wal} WAL records");
     }
 
     /// `n` sequential 4 KiB writes from one session on one handle.

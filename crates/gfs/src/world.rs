@@ -7,7 +7,7 @@
 
 use crate::cache::{PagePool, PrefetchState};
 use crate::fscore::{FsConfig, FsCore};
-use crate::tokens::{ByteRange, TokenManager, TokenMode};
+use crate::tokens::{TokenCache, TokenManager};
 use crate::types::{ClientId, ClusterId, FsId, Handle, InodeId, NsdId, OpenFlags};
 use gfs_auth::handshake::{AccessMode, ClusterAuth};
 use rand::rngs::StdRng;
@@ -245,6 +245,13 @@ pub struct FsInstance {
     pub core: FsCore,
     /// Byte-range token manager (runs on the manager node).
     pub tokens: TokenManager,
+    /// Token revocations under way, by revoked grant: every acquire that
+    /// conflicts with one of them waits for it (see
+    /// [`crate::tokens::AcquireOutcome::awaited`]).
+    pub(crate) revocations: FxHashMap<u64, Rc<crate::client::Revocation>>,
+    /// Revocations held back until the reply of the grant they revoke has
+    /// been sent, by that grant.
+    pub(crate) parked: FxHashMap<u64, Vec<Rc<crate::client::Revocation>>>,
     /// Configured (home) filesystem/token/configuration manager node.
     /// Shard 0's home; also the token/configuration manager and the target
     /// of mount handshakes and data-path control RPCs.
@@ -484,8 +491,13 @@ pub struct Client {
     pub handles: BTreeMap<Handle, OpenFile>,
     /// Prefetch detector per handle.
     pub prefetch: BTreeMap<Handle, PrefetchState>,
-    /// Client-side mirror of held tokens.
-    pub held_tokens: BTreeMap<(FsId, InodeId), Vec<(ByteRange, TokenMode)>>,
+    /// Client-side mirror of held tokens: every grant the manager gave
+    /// this context and has not revoked, kept past close.
+    pub held_tokens: TokenCache,
+    /// Token revocations this context is working on, by `(fs, first
+    /// revoked grant)`: a repeated revoke for one of them is ignored, one
+    /// for a revocation already finished is answered with its ack again.
+    pub revoking: std::collections::BTreeSet<(FsId, u64)>,
     /// Operations currently applying data under a held token, per inode.
     /// Token revocations are deferred while this is nonzero — GPFS's
     /// daemon likewise completes in-flight operations before honouring a
@@ -529,19 +541,6 @@ pub struct JournalEntry {
     pub result: std::rc::Rc<dyn std::any::Any>,
 }
 
-impl Client {
-    /// Does the client-side token mirror cover the request?
-    pub fn holds_token(&self, fs: FsId, inode: InodeId, range: ByteRange, mode: TokenMode) -> bool {
-        self.held_tokens
-            .get(&(fs, inode))
-            .is_some_and(|grants| {
-                grants.iter().any(|(r, m)| {
-                    r.contains(&range) && (*m == TokenMode::Write || mode == TokenMode::Read)
-                })
-            })
-    }
-}
-
 /// Tunable protocol constants.
 #[derive(Clone, Debug)]
 pub struct ProtocolCosts {
@@ -578,8 +577,8 @@ pub struct ProtocolCosts {
     /// at most `1/manager_op_service` metadata ops per simulated second
     /// (200k/s at the 5µs default — a directory op on 2004-era SMP
     /// hardware). Every manager request rides an envelope and pays this:
-    /// metadata ops, token releases, write allocation, truncate, lease
-    /// acquire and lease surrender.
+    /// metadata ops, write allocation, truncate, lease acquire and lease
+    /// surrender.
     pub manager_op_service: SimDuration,
     /// How long the owning manager waits for a lease-break ack before
     /// expelling the unresponsive holder: its leases and tokens are
@@ -933,6 +932,8 @@ impl WorldBuilder {
                 FsInstance {
                     core,
                     tokens: TokenManager::new(),
+                    revocations: FxHashMap::default(),
+                    parked: FxHashMap::default(),
                     manager_node: p.manager,
                     mgrs,
                     leases: BTreeMap::new(),
@@ -969,7 +970,8 @@ impl WorldBuilder {
                 mounts: BTreeMap::new(),
                 handles: BTreeMap::new(),
                 prefetch: BTreeMap::new(),
-                held_tokens: BTreeMap::new(),
+                held_tokens: TokenCache::default(),
+                revoking: std::collections::BTreeSet::new(),
                 inflight: BTreeMap::new(),
                 leases: std::collections::BTreeSet::new(),
                 delegate_busy_until: SimTime::from_nanos(0),

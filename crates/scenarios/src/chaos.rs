@@ -15,9 +15,9 @@
 //!   shorter than the retry window.
 //! * **Post-storm health** — fsck comes back clean, op chains drain, no
 //!   watchdog timers leak, token state is conflict-free, client token
-//!   mirrors agree with the manager and every manager path cache agrees
-//!   with the live tree ([`world_invariants`], also evaluated inside every
-//!   storm point).
+//!   mirrors agree with the manager, every cached page lies under a token
+//!   its context holds and every manager path cache agrees with the live
+//!   tree ([`world_invariants`], also evaluated inside every storm point).
 //! * **Exactly-once** — a manager kill/restart mid-storm recovers by WAL
 //!   replay and leaves the tree *identical* to a fault-free oracle run
 //!   ([`check_manager_recovery`]): retried mutations are deduplicated, not
@@ -32,10 +32,12 @@ use crate::metadata_storm::{
 use gfs::faults::ProgressPlan;
 use gfs::world::GfsWorld;
 use simcore::{Sim, SimDuration};
+use std::collections::BTreeMap;
 
 /// Audit a drained storm world. Returns one message per violated
 /// invariant; empty means healthy. Cheap relative to the storm itself
-/// (linear in clients plus cached paths), so every storm point runs it —
+/// (linear in clients, cached pages and cached paths), so every storm
+/// point runs it —
 /// healthy runs assert the same invariants chaos runs do.
 pub fn world_invariants(sim: &Sim<GfsWorld>, w: &GfsWorld) -> Vec<String> {
     let mut v = Vec::new();
@@ -63,16 +65,46 @@ pub fn world_invariants(sim: &Sim<GfsWorld>, w: &GfsWorld) -> Vec<String> {
         // The client-side token mirror must be a subset of what the manager
         // actually granted: believing in a token the manager revoked (or
         // never granted) is how silent data corruption starts.
-        for ((fs, inode), grants) in &c.held_tokens {
+        for (&(fs, inode), grants) in c.held_tokens.iter() {
             let tm = &w.fss[fs.0 as usize].tokens;
-            for (range, mode) in grants {
-                if !tm.holds(*inode, c.id, *range, *mode) {
+            for h in grants {
+                if !tm.holds(inode, c.id, h.range, h.mode) {
                     v.push(format!(
                         "client {} mirrors a token the manager does not hold: \
-                         inode {} {range:?} {mode:?}",
-                        c.id.0, inode.0
+                         inode {} [{}, {}) {:?}",
+                        c.id.0, inode.0, h.range.start, h.range.end, h.mode
                     ));
                 }
+            }
+        }
+
+        if !c.revoking.is_empty() {
+            v.push(format!(
+                "client {} still works on {} token revocation(s) after drain",
+                c.id.0,
+                c.revoking.len()
+            ));
+        }
+
+        // Every cached page lives under a token its context holds — read
+        // or write for a clean page, write for a dirty one. A page no
+        // token covers is one no revocation will ever invalidate.
+        let mut uncovered: BTreeMap<u32, (usize, usize)> = BTreeMap::new();
+        for (key, dirty) in c.pool.pages() {
+            let block = w.fss[key.fs.0 as usize].core.config.block_size;
+            let n = uncovered.entry(key.fs.0).or_default();
+            n.1 += 1;
+            if !c.held_tokens.holds_page(key, dirty, block) {
+                n.0 += 1;
+            }
+        }
+        for (fs, (bad, total)) in uncovered {
+            if bad > 0 {
+                v.push(format!(
+                    "client {}: {bad} of {total} cached page(s) on fs {fs} \
+                     lie outside every token it holds",
+                    c.id.0
+                ));
             }
         }
     }
@@ -122,6 +154,16 @@ pub fn world_invariants(sim: &Sim<GfsWorld>, w: &GfsWorld) -> Vec<String> {
         let n = inst.tokens.conflicting_grants();
         if n != 0 {
             v.push(format!("fs {i}: {n} conflicting token grant pair(s) coexist"));
+        }
+        // Every revocation was acknowledged (or its holder expelled) and
+        // every grant's reply went out: a revocation left pending would
+        // block every conflicting acquire from then on.
+        let (revoking, unreplied) = inst.tokens.pending();
+        if revoking + unreplied != 0 {
+            v.push(format!(
+                "fs {i}: {revoking} token revocation(s) unacknowledged and \
+                 {unreplied} grant(s) unreplied after drain"
+            ));
         }
         for (shard, m) in inst.mgrs.iter().enumerate() {
             if m.recovering {

@@ -46,8 +46,8 @@ fn small_uniform_storm_is_exact_clean_and_pinned() {
     let r = exact_clean_storm(&StormConfig::small());
     assert_eq!(r.ops, 1448);
     assert_eq!(r.errors, 36);
-    assert_eq!(r.fingerprint, 18440317126014107998);
-    assert_eq!(r.tree_fingerprint, 12469937407274218023);
+    assert_eq!(r.fingerprint, 16556278373671237300);
+    assert_eq!(r.tree_fingerprint, 8302466619863689343);
 }
 
 #[test]
@@ -57,7 +57,7 @@ fn small_corpus_storm_is_exact_clean_and_pinned() {
     );
     assert_eq!(r.ops, 1448);
     assert_eq!(r.errors, 15);
-    assert_eq!(r.fingerprint, 1085845825601355389);
+    assert_eq!(r.fingerprint, 10152536190760135434);
     assert_eq!(r.tree_fingerprint, 4016635406266118264);
 }
 
@@ -71,8 +71,8 @@ fn thirty_two_client_storm_is_exact_clean_and_pinned() {
     let r = exact_clean_storm(&cfg);
     assert_eq!(r.ops, 1300);
     assert_eq!(r.errors, 77);
-    assert_eq!(r.fingerprint, 2515506939515091150);
-    assert_eq!(r.tree_fingerprint, 15063891407670087431);
+    assert_eq!(r.fingerprint, 7317268188588145229);
+    assert_eq!(r.tree_fingerprint, 5130660943358764152);
 }
 
 #[test]
