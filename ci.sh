@@ -211,9 +211,17 @@ print(f"chaos storm: healthy {chaos['chaos_healthy_ops_per_sec']:.0f} ops/sec, "
       f"crash {chaos['chaos_crash_ops_per_sec']:.0f}, flap {chaos['chaos_flap_ops_per_sec']:.0f}, "
       f"mgr-kill {chaos['chaos_mgr_kill_ops_per_sec']:.0f}; "
       f"timeouts {chaos['chaos_timeouts']:.0f}, failovers {chaos['chaos_failovers']:.0f}, "
-      f"wal replayed {chaos['chaos_wal_replayed']:.0f}, gave up {chaos['chaos_gave_up']:.0f}")
+      f"wal replayed {chaos['chaos_wal_replayed']:.0f}, gave up {chaos['chaos_gave_up']:.0f}, "
+      f"expulsions {chaos['chaos_expulsions']:.0f}")
 if chaos['chaos_gave_up'] != 0:
     print("perf smoke: chaos storm ops exhausted their retry budget", file=sys.stderr)
+    failed = True
+# Every outage in the chaos smoke lasts 400-600 ms, under the 2 s recall
+# fuse (lease_break_timeout), which burns only while no send of a recall
+# lands: a flap that short must never expel a mount context (and drop its
+# dirty pages).
+if chaos['chaos_expulsions'] != 0:
+    print(f"perf smoke: a sub-fuse outage expelled {chaos['chaos_expulsions']:.0f} mount context(s)", file=sys.stderr)
     failed = True
 if chaos['chaos_timeouts'] == 0 or chaos['chaos_wal_replayed'] == 0:
     print("perf smoke: chaos storm never exercised timeout/recovery paths", file=sys.stderr)

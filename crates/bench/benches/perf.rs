@@ -366,6 +366,10 @@ fn run_chaos_entry() -> Entry {
                 "chaos_gave_up",
                 (crash.report.gave_up + flap.report.gave_up + mgr.chaos.gave_up) as f64,
             ),
+            (
+                "chaos_expulsions",
+                (crash.report.expulsions + flap.report.expulsions + mgr.chaos.expulsions) as f64,
+            ),
         ],
     }
 }

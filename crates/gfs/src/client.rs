@@ -29,6 +29,7 @@ use crate::types::{
 use crate::world::{GfsWorld, Mount};
 use bytes::Bytes;
 use gfs_auth::handshake::AccessMode;
+use simcore::fxhash::FxHashMap;
 use simcore::{Sim, SimDuration, SimTime};
 use simnet::{FlowSpec, Network, NodeId};
 use simsan::IoKind;
@@ -68,13 +69,6 @@ fn inflight_exit(w: &mut GfsWorld, c: ClientId, fs: FsId, inode: InodeId) {
     if *cnt == 0 {
         w.clients[c.0 as usize].inflight.remove(&(fs, inode));
     }
-}
-
-fn inflight_busy(w: &GfsWorld, c: ClientId, fs: FsId, inode: InodeId) -> bool {
-    w.clients[c.0 as usize]
-        .inflight
-        .get(&(fs, inode))
-        .is_some_and(|n| *n > 0)
 }
 
 /// Join helper: run `cb` once `n` completions have been counted.
@@ -594,34 +588,25 @@ fn token_grant(
         mode: outcome.granted.mode,
         seq: outcome.granted.seq,
     };
-    // One revocation per holder for the grants this acquire revoked, plus
-    // the ones already under way that it conflicts with.
+    // One recall per holder for the grants this acquire revoked, plus the
+    // ones already under way that it conflicts with.
     let mut by_holder: BTreeMap<ClientId, Vec<u64>> = BTreeMap::new();
     for g in &outcome.revoked {
         by_holder.entry(g.client).or_default().push(g.seq);
     }
     let mut fresh = Vec::with_capacity(by_holder.len());
     for (holder, seqs) in by_holder {
-        let rev = Rc::new(Revocation {
-            holder,
-            fs,
+        let what = Recalled::Tokens {
             inode,
             seqs: seqs.into(),
-            mgr,
-            landed: Cell::new(false),
-            fuse: Cell::new(None),
-            waiters: RefCell::new(Some(Vec::new())),
-        });
-        for &s in rev.seqs.iter() {
-            inst.revocations.insert(s, rev.clone());
-        }
-        fresh.push(rev);
+        };
+        fresh.push(inst.recalls.add(holder, fs, what, mgr));
     }
     let mut waits = fresh.clone();
     for g in &outcome.awaited {
-        if let Some(rev) = inst.revocations.get(&g.seq) {
-            if !waits.iter().any(|r| Rc::ptr_eq(r, rev)) {
-                waits.push(rev.clone());
+        if let Some(rec) = inst.recalls.grants.get(&g.seq) {
+            if !waits.iter().any(|r| Rc::ptr_eq(r, rec)) {
+                waits.push(rec.clone());
             }
         }
     }
@@ -661,21 +646,21 @@ fn token_grant(
                 cb(sim, w, Ok(()));
             });
         }
-        // Revocations of this grant go out behind its reply, on the same
-        // path, so none can reach the holder before the grant does.
-        let parked = w.fss[fs.0 as usize].parked.remove(&granted.seq);
-        for rev in parked.unwrap_or_default() {
-            start_revocation(sim, w, rev);
+        // Recalls of this grant go out behind its reply, on the same path,
+        // so none can reach the holder before the grant does.
+        let parked = w.fss[fs.0 as usize].recalls.parked.remove(&granted.seq);
+        for rec in parked.unwrap_or_default() {
+            start_recall(sim, w, rec);
         }
     });
     let join = Join::new(waits.len(), finish);
-    for rev in &waits {
+    for rec in &waits {
         let join = join.clone();
-        rev.wait(Box::new(move |sim, w, ()| join.arrive(sim, w)));
+        rec.wait(Box::new(move |sim, w, ()| join.arrive(sim, w)));
     }
     join.maybe_done(sim, w);
-    for rev in fresh {
-        start_revocation(sim, w, rev);
+    for rec in fresh {
+        start_recall(sim, w, rec);
     }
 }
 
@@ -712,38 +697,55 @@ fn give_back_over_cap(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, client: ClientI
     });
 }
 
-/// One token revocation under way: `holder`'s grants `seqs` on an inode.
-/// The acquire that started it and every later acquire that conflicts with
-/// the same grants wait for it.
+// ---------------------------------------------------------------------
+// Recalls: token revocation and lease break
+// ---------------------------------------------------------------------
+//
+// The manager takes authority back from a mount context by message, the
+// GPFS way (Schmuck & Haskin, FAST'02), and expels it only once it stops
+// answering: the context's grants on an inode when another context's
+// acquire conflicts with them, or its lease on a top-level subtree
+// (XUFS-style delegation) when another context's op lands there.
+
+/// What a recall takes back from its holder.
+pub(crate) enum Recalled {
+    /// The holder's grants `seqs` on `inode`.
+    Tokens { inode: InodeId, seqs: Rc<[u64]> },
+    /// The holder's lease on one top-level subtree.
+    Lease(Box<str>),
+}
+
+/// One recall under way. Acquires that conflict with a token recall's
+/// grants wait for it; envelope ops that meet a lease recall re-poll.
 ///
-/// The manager sends the revoke once the revoked grants' replies are out
-/// and repeats it every `retry_base` until the holder's ack arrives: a
-/// repeat that finds the holder still at work is ignored, one that finds
-/// it done draws the ack again, so neither a revoke nor an ack lost to a
-/// link flap can wedge the revocation. A holder that no send reaches for
-/// `costs.lease_break_timeout` is expelled, as for an unanswered lease
-/// break, and the revocation completes then.
-pub(crate) struct Revocation {
+/// The manager sends it once the grants it revokes have had their replies
+/// sent and repeats it every `retry_base` until the holder's ack arrives:
+/// a repeat that finds the holder still at work is ignored, one that finds
+/// it done draws the ack again, so neither a recall nor an ack lost to a
+/// link flap can wedge it. A holder that no send reaches for
+/// `costs.lease_break_timeout` is expelled, and the recall finishes then.
+pub(crate) struct Recall {
+    /// Unique on its filesystem; the holder marks its work in progress by it.
+    id: u64,
     holder: ClientId,
     fs: FsId,
-    inode: InodeId,
-    seqs: Rc<[u64]>,
+    what: Recalled,
     /// The manager node that sends it.
     mgr: NodeId,
     /// Some send has reached the holder; later ones are repeats.
     landed: Cell<bool>,
     /// Expulsion fuse, armed while no send gets through.
     fuse: Cell<Option<simcore::TimerId>>,
-    /// Who waits for the ack; `None` once the revocation completed.
+    /// Who waits for the ack; `None` once the recall finished.
     waiters: RefCell<Option<Vec<Cb<()>>>>,
 }
 
-impl Revocation {
+impl Recall {
     fn wait(&self, cb: Cb<()>) {
-        self.waiters
-            .borrow_mut()
+        let mut waiters = self.waiters.borrow_mut();
+        waiters
             .as_mut()
-            .expect("waiting on a finished revocation")
+            .expect("waiting on a finished recall")
             .push(cb);
     }
 
@@ -752,253 +754,270 @@ impl Revocation {
     }
 }
 
-/// Send `rev` once every grant it revokes has had its reply sent;
-/// otherwise hold it back behind the first reply still pending.
-fn start_revocation(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rev: Rc<Revocation>) {
-    let inst = &mut w.fss[rev.fs.0 as usize];
-    match rev.seqs.iter().find(|&&s| !inst.tokens.is_replied(s)) {
-        Some(&s) => inst.parked.entry(s).or_default().push(rev),
-        None => send_revoke(sim, w, rev),
+/// Every recall under way on one filesystem: token recalls under each
+/// grant they revoke, lease recalls under their subtree, and the token
+/// recalls held back until the reply of a grant they revoke is sent.
+#[derive(Default)]
+pub struct Recalls {
+    next_id: u64,
+    grants: FxHashMap<u64, Rc<Recall>>,
+    leases: BTreeMap<Box<str>, Rc<Recall>>,
+    parked: FxHashMap<u64, Vec<Rc<Recall>>>,
+}
+
+impl Recalls {
+    /// No recall is under way.
+    pub fn is_empty(&self) -> bool {
+        self.grants.is_empty() && self.leases.is_empty()
+    }
+
+    fn add(&mut self, holder: ClientId, fs: FsId, what: Recalled, mgr: NodeId) -> Rc<Recall> {
+        let (id, landed, fuse) = (self.next_id, Cell::new(false), Cell::new(None));
+        let waiters = RefCell::new(Some(Vec::new()));
+        let rec = Rc::new(Recall {
+            id,
+            holder,
+            fs,
+            what,
+            mgr,
+            landed,
+            fuse,
+            waiters,
+        });
+        self.next_id += 1;
+        match &rec.what {
+            Recalled::Tokens { seqs, .. } => {
+                self.grants.extend(seqs.iter().map(|&s| (s, rec.clone())));
+            }
+            Recalled::Lease(top) => {
+                self.leases.insert(top.clone(), rec.clone());
+            }
+        }
+        rec
+    }
+
+    fn remove(&mut self, rec: &Recall) {
+        match &rec.what {
+            Recalled::Tokens { seqs, .. } => {
+                for s in seqs.iter() {
+                    self.grants.remove(s);
+                }
+            }
+            Recalled::Lease(top) => {
+                self.leases.remove(top);
+            }
+        }
     }
 }
 
-/// One send of a revoke, then the next one `retry_base` later while the
-/// revocation is pending (see [`Revocation`]).
-fn send_revoke(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rev: Rc<Revocation>) {
-    if !rev.pending() {
+/// Must an envelope op of `ctx` on subtree `top` wait for a lease? It must
+/// while another context leases the subtree — the op may not run behind
+/// that delegate's back, so the lease is recalled — and while a recall of
+/// the subtree's lease is under way, unless it is the holder's own journal
+/// replay: the recall's ack clears the grant, so a grant made meanwhile
+/// (the holder re-acquiring) would leave a lease only its mirror lists.
+/// `FsInstance::lease_breaks` counts the recalls started here.
+pub(crate) fn lease_blocks(
+    sim: &mut Sim<GfsWorld>,
+    w: &mut GfsWorld,
+    fs: FsId,
+    ctx: ClientId,
+    top: &str,
+    replay: bool,
+) -> bool {
+    let inst = &mut w.fss[fs.0 as usize];
+    if inst.leases.is_empty() && inst.recalls.leases.is_empty() {
+        return false;
+    }
+    if let Some(rec) = inst.recalls.leases.get(top) {
+        return !replay || rec.holder != ctx;
+    }
+    let Some(holder) = inst.leases.get(top).copied().filter(|&h| h != ctx) else {
+        return false;
+    };
+    inst.lease_breaks += 1;
+    let mgr = inst.mgrs[inst.core.shards.shard_of(top) as usize].acting;
+    let rec = inst
+        .recalls
+        .add(holder, fs, Recalled::Lease(top.into()), mgr);
+    start_recall(sim, w, rec);
+    true
+}
+
+/// Send `rec` once every grant it revokes has had its reply sent;
+/// otherwise hold it back behind the first reply still pending.
+fn start_recall(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rec: Rc<Recall>) {
+    let inst = &mut w.fss[rec.fs.0 as usize];
+    let unreplied = match &rec.what {
+        Recalled::Tokens { seqs, .. } => seqs.iter().copied().find(|&s| !inst.tokens.is_replied(s)),
+        Recalled::Lease(_) => None,
+    };
+    match unreplied {
+        Some(s) => inst.recalls.parked.entry(s).or_default().push(rec),
+        None => send_recall(sim, w, rec),
+    }
+}
+
+/// One send of a recall, then the next one `retry_base` later while the
+/// recall is pending (see [`Recall`]).
+fn send_recall(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rec: Rc<Recall>) {
+    if !rec.pending() {
         return;
     }
-    let repeat = rev.landed.get();
-    let holder_node = client_node(w, rev.holder);
+    let repeat = rec.landed.get();
+    let holder_node = client_node(w, rec.holder);
     let rpcb = w.costs.rpc_bytes;
-    let r = rev.clone();
-    let landed = Network::send_msg(sim, w, rev.mgr, holder_node, rpcb, move |sim, w| {
-        revoke_arrives(sim, w, r, repeat);
+    let r = rec.clone();
+    let landed = Network::send_msg(sim, w, rec.mgr, holder_node, rpcb, move |sim, w| {
+        recall_arrives(sim, w, r, repeat);
     });
     if landed {
-        rev.landed.set(true);
-        if let Some(fuse) = rev.fuse.take() {
+        rec.landed.set(true);
+        if let Some(fuse) = rec.fuse.take() {
             sim.cancel_timer(fuse);
         }
-    } else if rev.fuse.get().is_none() {
-        let r = rev.clone();
+    } else if rec.fuse.get().is_none() {
+        let r = rec.clone();
         let fuse = sim.timer_after(w.costs.lease_break_timeout, move |sim, w| {
             r.fuse.set(None);
             if r.pending() {
                 expel(sim, w, r.fs, r.holder);
             }
         });
-        rev.fuse.set(Some(fuse));
+        rec.fuse.set(Some(fuse));
     }
-    sim.after(w.costs.retry_base, move |sim, w| send_revoke(sim, w, rev));
+    sim.after(w.costs.retry_base, move |sim, w| send_recall(sim, w, rec));
 }
 
-/// A revoke reached its holder.
-fn revoke_arrives(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rev: Rc<Revocation>, repeat: bool) {
-    let key = (rev.fs, rev.seqs[0]);
-    let c = &mut w.clients[rev.holder.0 as usize];
+/// A recall reached its holder.
+fn recall_arrives(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rec: Rc<Recall>, repeat: bool) {
+    let key = (rec.fs, rec.id);
+    let c = &mut w.clients[rec.holder.0 as usize];
     if repeat {
-        if !c.revoking.contains(&key) {
-            revoke_ack(sim, w, rev); // the work is done; its ack was lost
+        if !c.recalling.contains(&key) {
+            recall_ack(sim, w, rec); // the work is done; its ack was lost
         }
         return;
     }
-    c.revoking.insert(key);
-    c.held_tokens.begin_revoke(rev.fs, rev.inode, &rev.seqs);
-    revoke_at_holder(sim, w, rev);
-}
-
-/// Runs at the holder: waits while the holder has I/O in flight on the
-/// inode (GPFS completes in-flight operations before honouring a revoke,
-/// which is what makes a read or write atomic; new ops already stopped
-/// relying on the revoked grants when the revoke arrived, so the wait
-/// ends). Then the revoked grants leave the mirror, the dirty pages no
-/// remaining write grant covers are flushed, the pages no remaining grant
-/// covers are dropped, and the ack goes back.
-fn revoke_at_holder(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rev: Rc<Revocation>) {
-    let (holder, fs, inode) = (rev.holder, rev.fs, rev.inode);
-    if inflight_busy(w, holder, fs, inode) {
-        sim.after(SimDuration::from_micros(500), move |sim, w| {
-            revoke_at_holder(sim, w, rev);
-        });
-        return;
+    c.recalling.insert(key);
+    if let Recalled::Tokens { inode, seqs } = &rec.what {
+        // No new op may start under the revoked grants, so a busy holder
+        // cannot starve the recall.
+        c.held_tokens.begin_revoke(rec.fs, *inode, seqs);
     }
-    // From here no new op of the holder can use the revoked grants. A
-    // failed write-back does not block revocation: the token is being
-    // taken away and the cached copy is invalidated regardless;
-    // durability of the lost page is the failed flush's problem.
-    let block = w.fss[fs.0 as usize].core.config.block_size;
-    let c = &mut w.clients[holder.0 as usize];
-    c.held_tokens.revoke(fs, inode, &rev.seqs);
-    let tokens = &c.held_tokens;
-    let dirty: Vec<DirtyPage> = c
-        .pool
-        .dirty_pages_of(fs, inode)
-        .into_iter()
-        .filter(|p| !tokens.holds_page(p.key, true, block))
-        .collect();
-    let after_flush: Cb<Result<(), FsError>> =
-        Box::new(move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, _r| {
-            let c = &mut w.clients[holder.0 as usize];
-            let tokens = &c.held_tokens;
-            c.pool.retain(|key, dirty| {
-                key.fs != fs || key.inode != inode || tokens.holds_page(key, dirty, block)
-            });
-            c.revoking.remove(&(fs, rev.seqs[0]));
-            revoke_ack(sim, w, rev);
-        });
-    flush_dirty_pages(sim, w, holder, dirty, after_flush);
+    let drain = match &rec.what {
+        Recalled::Tokens { inode, .. } => Some((rec.fs, *inode)),
+        Recalled::Lease(_) => None,
+    };
+    let holder = rec.holder;
+    let then = Box::new(move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld| give_back(sim, w, rec));
+    when_drained(sim, w, holder, drain, then);
 }
 
-/// The holder's ack. If a link flap drops it, the manager's next repeat of
-/// the revoke draws it again.
-fn revoke_ack(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rev: Rc<Revocation>) {
-    let holder_node = client_node(w, rev.holder);
-    let rpcb = w.costs.rpc_bytes;
-    let mgr = rev.mgr;
-    Network::send_msg(sim, w, holder_node, mgr, rpcb, move |sim, w| {
-        finish_revocation(sim, w, &rev);
+/// Run `then` once `holder` is drained: no data op in flight on `inode`
+/// or, for `None`, no delegate op in flight (parked batches count). GPFS
+/// completes in-flight operations before it gives authority back, which
+/// keeps reads and writes atomic and a delegate journal complete.
+pub(crate) fn when_drained(
+    sim: &mut Sim<GfsWorld>,
+    w: &mut GfsWorld,
+    holder: ClientId,
+    inode: Option<(FsId, InodeId)>,
+    then: Box<dyn FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld)>,
+) {
+    let c = &w.clients[holder.0 as usize];
+    let busy = match inode {
+        Some(key) => c.inflight.contains_key(&key),
+        None => c.delegate_inflight > 0,
+    };
+    if !busy {
+        return then(sim, w);
+    }
+    sim.after(SimDuration::from_micros(500), move |sim, w| {
+        when_drained(sim, w, holder, inode, then);
     });
 }
 
-/// The revocation is over — acknowledged, or its holder expelled: the
-/// revoked grants stop blocking, and every acquire waiting on them moves
-/// on.
-fn finish_revocation(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rev: &Revocation) {
-    let Some(waiters) = rev.waiters.borrow_mut().take() else {
+/// The drained holder gives back what is recalled, then acks. Tokens: the
+/// revoked grants leave the mirror, the dirty pages no remaining write
+/// grant covers are flushed (a failed write-back does not block the
+/// recall), and the pages no remaining grant covers are dropped. A lease:
+/// the mirror entry goes first, so no new op delegates and the journal is
+/// complete, then the journal reconciles with the owning shard.
+fn give_back(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rec: Rc<Recall>) {
+    let (holder, fs, r) = (rec.holder, rec.fs, rec.clone());
+    let done: Box<dyn FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld)> = Box::new(move |sim, w| {
+        w.clients[holder.0 as usize].recalling.remove(&(fs, r.id));
+        recall_ack(sim, w, r);
+    });
+    let c = &mut w.clients[holder.0 as usize];
+    match &rec.what {
+        Recalled::Tokens { inode, seqs } => {
+            let (inode, block) = (*inode, w.fss[fs.0 as usize].core.config.block_size);
+            c.held_tokens.revoke(fs, inode, seqs);
+            let tokens = &c.held_tokens;
+            let mut dirty = c.pool.dirty_pages_of(fs, inode);
+            dirty.retain(|p| !tokens.holds_page(p.key, true, block));
+            let after_flush: Cb<Result<(), FsError>> = Box::new(move |sim, w, _| {
+                let c = &mut w.clients[holder.0 as usize];
+                let tokens = &c.held_tokens;
+                c.pool.retain(|key, dirty| {
+                    key.fs != fs || key.inode != inode || tokens.holds_page(key, dirty, block)
+                });
+                done(sim, w);
+            });
+            flush_dirty_pages(sim, w, holder, dirty, after_flush);
+        }
+        Recalled::Lease(top) => {
+            c.leases.remove(&(fs, top.clone()));
+            crate::session::reconcile_journal(sim, w, holder, fs, top.clone(), done);
+        }
+    }
+}
+
+/// The holder's ack. If a link flap drops it, the manager's next repeat of
+/// the recall draws it again.
+fn recall_ack(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rec: Rc<Recall>) {
+    let (holder_node, rpcb) = (client_node(w, rec.holder), w.costs.rpc_bytes);
+    Network::send_msg(sim, w, holder_node, rec.mgr, rpcb, move |sim, w| {
+        finish_recall(sim, w, &rec);
+    });
+}
+
+/// The recall is over — acknowledged, or its holder expelled: a token
+/// recall's grants stop blocking and its waiters move on; a lease recall
+/// clears the holder's grant.
+fn finish_recall(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rec: &Recall) {
+    let Some(waiters) = rec.waiters.borrow_mut().take() else {
         return; // a repeated ack, or the expulsion finished it first
     };
-    if let Some(fuse) = rev.fuse.take() {
+    if let Some(fuse) = rec.fuse.take() {
         sim.cancel_timer(fuse);
     }
-    let inst = &mut w.fss[rev.fs.0 as usize];
-    inst.tokens.revoke_done(rev.inode, rev.holder, &rev.seqs);
-    for s in rev.seqs.iter() {
-        inst.revocations.remove(s);
+    let inst = &mut w.fss[rec.fs.0 as usize];
+    inst.recalls.remove(rec);
+    match &rec.what {
+        Recalled::Tokens { inode, seqs } => inst.tokens.revoke_done(*inode, rec.holder, seqs),
+        Recalled::Lease(top) => {
+            if inst.leases.get(top) == Some(&rec.holder) {
+                inst.leases.remove(top);
+            }
+        }
     }
     for cb in waiters {
         cb(sim, w, ());
     }
 }
 
-// ---------------------------------------------------------------------
-// Subtree leases
-// ---------------------------------------------------------------------
-//
-// A per-site subtree lease (XUFS-style delegation) lets a mount context
-// run metadata ops on a top-level subtree against a *local delegate*
-// instead of crossing the WAN to the owning manager: the session layer
-// checks the client's lease mirror and, on a hit, charges only the
-// delegate's service queue. The manager keeps the authoritative lease
-// table; a conflicting op from anyone else breaks the lease exactly like
-// a token revocation (message out, deferral while the delegate has ops
-// in flight, ack back). A holder that never acks — partitioned or dead —
-// is *expelled* when its lease term runs out: the manager reclaims its
-// leases and releases every token the node held, and the node itself,
-// knowing its term expired, stops trusting its mirrors and drops its
-// cached pages without needing to hear from anyone. The next word from
-// the expelled client re-admits it.
-// Acquire and surrender are `Session` verbs riding envelopes; this module
-// keeps the manager-initiated side: the break and the expulsion.
-
-/// Break `holder`'s lease on `top` (manager side). Idempotent while a
-/// break is already in flight. Arms the expulsion fuse: a holder that
-/// does not ack within `costs.lease_break_timeout` loses its membership,
-/// not just the lease.
-pub(crate) fn start_lease_break(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    fs: FsId,
-    top: Box<str>,
-    holder: ClientId,
-) {
-    {
-        let inst = &mut w.fss[fs.0 as usize];
-        if !inst.breaking.insert(top.clone()) {
-            return; // a break for this subtree is already under way
-        }
-        inst.lease_breaks += 1;
-    }
-    let shard = w.fss[fs.0 as usize].core.shards.shard_of(&top);
-    let mgr = w.fss[fs.0 as usize].mgrs[shard as usize].acting;
-    let holder_node = client_node(w, holder);
-    let rpcb = w.costs.rpc_bytes;
-    let fuse = {
-        let top = top.clone();
-        sim.timer_after(w.costs.lease_break_timeout, move |sim, w| {
-            lease_expired(sim, w, fs, top, holder);
-        })
-    };
-    Network::send_msg(sim, w, mgr, holder_node, rpcb, move |sim, w| {
-        lease_break_at_holder(sim, w, fs, top, holder, mgr, holder_node, fuse);
-    });
-}
-
-/// Runs at the lease holder: defers until the local delegate drains its
-/// in-flight ops (GPFS revocation semantics), drops the mirror entry,
-/// reconciles the writeback journal with the owning manager (one bulk
-/// envelope through the dedup table), then acks back to the manager.
-#[allow(clippy::too_many_arguments)]
-fn lease_break_at_holder(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    fs: FsId,
-    top: Box<str>,
-    holder: ClientId,
-    mgr: NodeId,
-    holder_node: NodeId,
-    fuse: simcore::TimerId,
-) {
-    if w.clients[holder.0 as usize].delegate_inflight > 0 {
-        sim.after(SimDuration::from_micros(500), move |sim, w| {
-            lease_break_at_holder(sim, w, fs, top, holder, mgr, holder_node, fuse);
-        });
-        return;
-    }
-    w.clients[holder.0 as usize].leases.remove(&(fs, top.clone()));
-    let ack_top = top.clone();
-    crate::session::reconcile_journal(
-        sim,
-        w,
-        holder,
-        fs,
-        top,
-        Box::new(move |sim, w| {
-            let top = ack_top;
-            let rpcb = w.costs.rpc_bytes;
-            Network::send_msg(sim, w, holder_node, mgr, rpcb, move |sim, w| {
-                if !sim.cancel_timer(fuse) {
-                    return; // the term expired first; the expulsion owns this lease
-                }
-                let inst = &mut w.fss[fs.0 as usize];
-                if inst.leases.get(&top) == Some(&holder) {
-                    inst.leases.remove(&top);
-                }
-                inst.breaking.remove(&top);
-            });
-        }),
-    );
-}
-
-/// Lease-term expiry: the holder never acked the break. The manager
-/// reclaims the subtree and expels the node, unless the break completed on
-/// another path after all.
-fn lease_expired(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, fs: FsId, top: Box<str>, holder: ClientId) {
-    let inst = &mut w.fss[fs.0 as usize];
-    inst.breaking.remove(&top);
-    if inst.leases.get(&top) == Some(&holder) {
-        expel(sim, w, fs, holder);
-    }
-}
-
-/// Expel `holder` from `fs`: it left a lease break or a token revocation
-/// unanswered for `costs.lease_break_timeout`. The manager takes back its
-/// leases and releases every token it held, so nobody else blocks on a
-/// dead or cut-off node. The node side needs no message: its own term
-/// clock tells it its membership lapsed, so it stops trusting its lease
-/// and token mirrors and discards every cached page of the filesystem —
-/// a page is only valid under a token. Dirty pages dropped this way never
-/// reach the disk; the recovery log counts them.
+/// Expel `holder` from `fs`: no send of a recall reached it for
+/// `costs.lease_break_timeout`. The manager takes back its leases and
+/// releases every token it held, so nobody else blocks on a dead or
+/// cut-off node. The node side needs no message: its own term clock tells
+/// it its membership lapsed, so it stops trusting its lease and token
+/// mirrors and discards every cached page of the filesystem — a page is
+/// only valid under a token. Dirty pages dropped this way never reach the
+/// disk: the recovery log counts them, and the next fsync or close of each
+/// file they belonged to fails once (`Client::lost_writes`).
 fn expel(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, fs: FsId, holder: ClientId) {
     {
         let inst = &mut w.fss[fs.0 as usize];
@@ -1010,7 +1029,13 @@ fn expel(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, fs: FsId, holder: ClientId) 
     let c = &mut w.clients[holder.0 as usize];
     c.leases.retain(|(f, _)| *f != fs);
     c.held_tokens.forget_fs(fs);
-    let lost_pages = c.pool.retain(|key, _| key.fs != fs) as u64;
+    let lost = &mut c.lost_writes;
+    let lost_pages = c.pool.retain(|key, dirty| {
+        if key.fs == fs && dirty {
+            lost.insert((fs, key.inode));
+        }
+        key.fs != fs
+    }) as u64;
     // The writeback journal dies with the membership: an expelled node's
     // locally-applied mutations will never reconcile (the shared-disk
     // state already holds them; only the manager-side records are lost) —
@@ -1031,17 +1056,19 @@ fn expel(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, fs: FsId, holder: ClientId) 
             RecoveryWhat::DirtyPagesDiscarded { client: holder, pages: lost_pages },
         );
     }
-    // Nobody waits on the node any more: its revocations are over.
-    let mut revs: Vec<Rc<Revocation>> = w.fss[fs.0 as usize]
-        .revocations
+    // Nobody waits on the node any more: its recalls are over.
+    let recalls = &w.fss[fs.0 as usize].recalls;
+    let mut mine: Vec<Rc<Recall>> = recalls
+        .grants
         .values()
+        .chain(recalls.leases.values())
         .filter(|r| r.holder == holder)
         .cloned()
         .collect();
-    revs.sort_by_key(|r| r.seqs[0]);
-    revs.dedup_by(|a, b| Rc::ptr_eq(a, b));
-    for rev in revs {
-        finish_revocation(sim, w, &rev);
+    mine.sort_by_key(|r| r.id);
+    mine.dedup_by_key(|r| r.id);
+    for rec in mine {
+        finish_recall(sim, w, &rec);
     }
 }
 
@@ -1171,6 +1198,68 @@ fn extend_from_page(out: &mut Vec<u8>, page: &[u8], s: usize, e: usize) {
     out.resize(out.len() + (e - held), 0);
 }
 
+/// Where block `key` lives on disk; `None` for a hole or past EOF.
+fn block_addr(w: &GfsWorld, key: PageKey) -> Option<BlockAddr> {
+    let core = &w.fss[key.fs.0 as usize].core;
+    let block_size = core.config.block_size;
+    core.block_map(key.inode, key.block * block_size, 1)
+        .ok()?
+        .first()?
+        .1
+}
+
+/// Completion of one fetched segment: its keys and the fetch's result.
+type SegmentDone =
+    Rc<dyn Fn(&mut Sim<GfsWorld>, &mut GfsWorld, &[PageKey], Result<Vec<Bytes>, FsError>)>;
+
+/// Fetch missed blocks of one file: coalesce them into scatter-gather
+/// runs, plan each run across the home farm and any current replica copies
+/// by modeled RTT plus queue depth ([`replica::plan_run`]), and fetch each
+/// planned segment. With an inert catalog the planner returns one
+/// untracked Home segment per run, the plain one-fetch-per-run path. A
+/// segment releases its replica pressure when its fetch settles, then
+/// `done` gets its keys and result.
+fn fetch_misses(
+    sim: &mut Sim<GfsWorld>,
+    w: &mut GfsWorld,
+    client: ClientId,
+    misses: Vec<(PageKey, BlockAddr, ())>,
+    done: SegmentDone,
+) {
+    let plan_now = sim.now();
+    let from_node = client_node(w, client);
+    for (addr, members) in coalesce(misses) {
+        let keys: Vec<PageKey> = members.into_iter().map(|(k, ())| k).collect();
+        let (fs, inode) = (keys[0].fs, keys[0].inode);
+        let block_size = w.fss[fs.0 as usize].core.config.block_size;
+        let segs = {
+            let topo = w.net.topo();
+            let inst = &mut w.fss[fs.0 as usize];
+            replica::plan_run(topo, inst, from_node, inode, addr, keys.len(), plan_now)
+        };
+        for seg in segs {
+            let seg_keys: Vec<PageKey> = keys[seg.first..seg.first + seg.len].to_vec();
+            let seg_addr = BlockAddr {
+                nsd: addr.nsd,
+                block: addr.block + seg.first as u64,
+            };
+            let done = done.clone();
+            let done_keys = seg_keys.clone();
+            let settled: Cb<Result<Vec<Bytes>, FsError>> = Box::new(move |sim, w, r| {
+                if seg.tracked {
+                    w.fss[fs.0 as usize]
+                        .replicas
+                        .release_pending(seg.source, done_keys.len() as u64);
+                }
+                done(sim, w, &done_keys, r);
+            });
+            fetch_run(
+                sim, w, client, seg_keys, seg_addr, block_size, seg.source, settled,
+            );
+        }
+    }
+}
+
 /// Fetch one block into the page pool (cache-aware). `cb` receives the
 /// block's page (bytes past its end are zeros), or the error after the
 /// retry budget is spent. Single-block convenience over [`fetch_run`],
@@ -1193,14 +1282,8 @@ fn fetch_block(
         cb(sim, w, Ok(data));
         return;
     }
-    let inst = &w.fss[fs.0 as usize];
-    let block_size = inst.core.config.block_size;
-    let addr = inst
-        .core
-        .block_map(inode, block_idx * block_size, 1)
-        .ok()
-        .and_then(|m| m.first().and_then(|(_, a)| *a));
-    let Some(addr) = addr else {
+    let block_size = w.fss[fs.0 as usize].core.config.block_size;
+    let Some(addr) = block_addr(w, key) else {
         // Hole or past-EOF: zeros, no I/O. An empty page stands for them,
         // since every byte past a page's end reads as zero.
         cb(sim, w, Ok(Bytes::new()));
@@ -1387,14 +1470,7 @@ fn flush_dirty_pages(
     let join = Join::new(dirty.len(), finish);
     let mut items = Vec::with_capacity(dirty.len());
     for page in dirty {
-        let inst = &w.fss[page.key.fs.0 as usize];
-        let block_size = inst.core.config.block_size;
-        let addr = inst
-            .core
-            .block_map(page.key.inode, page.key.block * block_size, 1)
-            .ok()
-            .and_then(|m| m.first().and_then(|(_, a)| *a));
-        match addr {
+        match block_addr(w, page.key) {
             Some(addr) => items.push((page.key, addr, page.data)),
             None => join.arrive(sim, w),
         }
@@ -1630,44 +1706,11 @@ pub fn read(
                         // Count the miss (the uncoalesced path probed the
                         // pool per fetch), then resolve the block address.
                         let _ = w.clients[client.0 as usize].pool.get(key);
-                        let addr = w.fss[fs.0 as usize]
-                            .core
-                            .block_map(inode, b * block_size, 1)
-                            .ok()
-                            .and_then(|m| m.first().and_then(|(_, a)| *a));
-                        if let Some(addr) = addr {
+                        if let Some(addr) = block_addr(w, key) {
                             ahead_misses.push((key, addr, ()));
                         }
                     }
-                    let plan_now = sim.now();
-                    let from_node = client_node(w, client);
-                    for (addr, members) in coalesce(ahead_misses) {
-                        let keys: Vec<PageKey> = members.into_iter().map(|(k, ())| k).collect();
-                        let segs = {
-                            let topo = w.net.topo();
-                            let inst = &mut w.fss[fs.0 as usize];
-                            replica::plan_run(topo, inst, from_node, inode, addr, keys.len(), plan_now)
-                        };
-                        for seg in segs {
-                            let seg_keys: Vec<PageKey> = keys[seg.first..seg.first + seg.len].to_vec();
-                            let seg_addr = BlockAddr {
-                                nsd: addr.nsd,
-                                block: addr.block + seg.first as u64,
-                            };
-                            let run_len = seg_keys.len();
-                            let done: Cb<Result<Vec<Bytes>, FsError>> =
-                                Box::new(move |_sim, w, _r| {
-                                    if seg.tracked {
-                                        w.fss[fs.0 as usize]
-                                            .replicas
-                                            .release_pending(seg.source, run_len as u64);
-                                    }
-                                });
-                            fetch_run(
-                                sim, w, client, seg_keys, seg_addr, block_size, seg.source, done,
-                            );
-                        }
-                    }
+                    fetch_misses(sim, w, client, ahead_misses, Rc::new(|_, _, _, _| {}));
                     inflight_exit(w, client, fs, inode);
                     cb(sim, w, Ok(out));
                 })
@@ -1700,57 +1743,24 @@ pub fn read(
                     Some(addr) => misses.push((key, addr, ())),
                 }
             }
-            // Replica-aware dispatch: each coalesced run is planned across
-            // the home farm and any current replica copies by modeled RTT
-            // plus queue depth. With an inert catalog the planner returns a
-            // single untracked Home segment and this reduces to exactly the
-            // legacy one-fetch-per-run path.
-            let plan_now = sim.now();
-            let from_node = client_node(w, client);
-            for (addr, members) in coalesce(misses) {
-                let keys: Vec<PageKey> = members.into_iter().map(|(k, ())| k).collect();
-                let segs = {
-                    let topo = w.net.topo();
-                    let inst = &mut w.fss[fs.0 as usize];
-                    replica::plan_run(topo, inst, from_node, inode, addr, keys.len(), plan_now)
-                };
-                for seg in segs {
-                    let seg_keys: Vec<PageKey> = keys[seg.first..seg.first + seg.len].to_vec();
-                    let seg_addr = BlockAddr {
-                        nsd: addr.nsd,
-                        block: addr.block + seg.first as u64,
-                    };
-                    let parts = parts.clone();
-                    let join = join.clone();
-                    let first_err = first_err.clone();
-                    let run_len = seg_keys.len();
-                    let done_keys = seg_keys.clone();
-                    let done: Cb<Result<Vec<Bytes>, FsError>> = Box::new(move |sim, w, r| {
-                        if seg.tracked {
-                            w.fss[fs.0 as usize]
-                                .replicas
-                                .release_pending(seg.source, run_len as u64);
+            let join_all = join.clone();
+            let segment_done: SegmentDone = Rc::new(move |sim, w, keys, r| {
+                match r {
+                    Ok(data) => {
+                        for (key, part) in keys.iter().zip(data) {
+                            parts.borrow_mut()[(key.block - first) as usize] = Some(part);
                         }
-                        match r {
-                            Ok(data) => {
-                                for (key, part) in done_keys.iter().zip(data) {
-                                    parts.borrow_mut()[(key.block - first) as usize] = Some(part);
-                                }
-                            }
-                            Err(e) => {
-                                first_err.borrow_mut().get_or_insert(e);
-                            }
-                        }
-                        for _ in 0..run_len {
-                            join.arrive(sim, w);
-                        }
-                    });
-                    fetch_run(
-                        sim, w, client, seg_keys, seg_addr, block_size, seg.source, done,
-                    );
+                    }
+                    Err(e) => {
+                        first_err.borrow_mut().get_or_insert(e);
+                    }
                 }
-            }
-            join.maybe_done(sim, w);
+                for _ in 0..keys.len() {
+                    join.arrive(sim, w);
+                }
+            });
+            fetch_misses(sim, w, client, misses, segment_done);
+            join_all.maybe_done(sim, w);
         }),
     );
 }
@@ -1955,7 +1965,9 @@ pub(crate) fn write(
     );
 }
 
-/// Flush all dirty pages of the file behind `handle`.
+/// Flush all dirty pages of the file behind `handle`. The first call
+/// after an expulsion discarded dirty pages of the file fails with
+/// `FsError::Timeout` (see `Client::lost_writes`), once.
 pub fn fsync(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
@@ -1963,14 +1975,18 @@ pub fn fsync(
     handle: Handle,
     cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<(), FsError>) + 'static,
 ) {
-    let Some(of) = w.clients[client.0 as usize].handles.get(&handle).cloned() else {
+    let c = &mut w.clients[client.0 as usize];
+    let Some(of) = c.handles.get(&handle).cloned() else {
         cb(sim, w, Err(FsError::BadHandle));
         return;
     };
-    let dirty = w.clients[client.0 as usize]
-        .pool
-        .dirty_pages_of(of.fs, of.inode);
-    flush_dirty_pages(sim, w, client, dirty, Box::new(cb));
+    let dirty = c.pool.dirty_pages_of(of.fs, of.inode);
+    let done: Cb<Result<(), FsError>> = if c.lost_writes.remove(&(of.fs, of.inode)) {
+        Box::new(move |sim, w, r| cb(sim, w, r.and(Err(FsError::Timeout))))
+    } else {
+        Box::new(cb)
+    };
+    flush_dirty_pages(sim, w, client, dirty, done);
 }
 
 #[cfg(test)]

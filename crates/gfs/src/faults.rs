@@ -417,8 +417,8 @@ pub enum RecoveryWhat {
     },
     /// A restorative fault (link up, server restart, heal) was applied.
     Restored(String),
-    /// A mount context was expelled after leaving a lease break or a
-    /// token revocation unanswered for
+    /// A mount context was expelled because no send of a recall (token
+    /// revocation or lease break) reached it for
     /// [`crate::world::ProtocolCosts::lease_break_timeout`]; its leases and
     /// tokens were force-released and its cached pages discarded.
     Expelled {
@@ -442,7 +442,9 @@ pub enum RecoveryWhat {
         ops: u64,
     },
     /// An expelled context discarded dirty pages its filesystem never
-    /// received: writes that returned but will never reach the disk.
+    /// received: writes that returned but will never reach the disk. The
+    /// next `fsync` or close of each file they belonged to fails once with
+    /// [`crate::types::FsError::Timeout`].
     DirtyPagesDiscarded {
         /// The expelled context.
         client: ClientId,

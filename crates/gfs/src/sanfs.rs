@@ -70,35 +70,6 @@ pub fn san_read(
     });
 }
 
-/// Write direction of [`san_read`].
-pub fn san_write(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    fs: &SanFs,
-    client_node: NodeId,
-    bytes: u64,
-    tag: u32,
-    on_done: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld) + 'static,
-) {
-    let spec = StreamSpec {
-        client: client_node,
-        endpoints: fs.tunnel_endpoints.clone(),
-        bytes,
-        chunk: u64::MAX,
-        window: Some(fs.credit_window()),
-        tag,
-        dir: StreamDir::Write,
-    };
-    let mds = fs.mds;
-    let rpcb = w.costs.rpc_bytes;
-    simnet::Network::send_msg(sim, w, client_node, mds, rpcb, move |sim, w| {
-        let rpcb = w.costs.rpc_bytes;
-        simnet::Network::send_msg(sim, w, mds, client_node, rpcb, move |sim, w| {
-            run_stream(sim, w, spec, on_done);
-        });
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,19 +123,6 @@ mod tests {
             (160.0..190.0).contains(&rate_mb),
             "2-tunnel SAN read rate {rate_mb} MB/s at 80 ms RTT"
         );
-    }
-
-    #[test]
-    fn san_write_completes() {
-        let (mut sim, mut w, fs, client) = bed();
-        let fin = Rc::new(Cell::new(false));
-        let f2 = fin.clone();
-        san_write(&mut sim, &mut w, &fs, client, 10 * MBYTE, 2, move |_s, _w| {
-            f2.set(true)
-        });
-        sim.run(&mut w);
-        assert!(fin.get());
-        assert_eq!(w.net.total_delivered(), 10 * MBYTE);
     }
 
     #[test]

@@ -103,7 +103,7 @@ pub struct BatchOp {
     /// destination lives elsewhere, mkdir at a shard boundary). `None` for
     /// single-shard ops.
     peer: Option<u32>,
-    /// Times this op was deferred and re-queued (lease break in progress,
+    /// Times this op was deferred and re-queued (lease recall under way,
     /// peer shard recovering); bounded so a wedged peer surfaces as
     /// `Timeout` instead of an endless re-poll.
     defers: u32,
@@ -738,11 +738,13 @@ impl Session {
     /// this session's mount context, enabling the delegate fast path for
     /// every session sharing the context. The grant rides an envelope to
     /// the subtree's owning shard. When another context's delegate holds
-    /// the subtree, the envelope's lease-conflict rule applies as to any
-    /// op there: the manager breaks that lease and the acquire re-polls
-    /// 10 ms later, at most `MAX_DEFERS` (200) times. The grant is
-    /// idempotent, so it is not recorded: a retry after a lost reply asks
-    /// afresh rather than replaying a grant a break may have taken back.
+    /// the subtree, or a recall of its lease is under way (this context's
+    /// own included), the envelope's lease rule applies as to any op
+    /// there: the manager recalls that lease and the acquire re-polls
+    /// every 10 ms until the recall is over (see `max_defers`). The grant
+    /// is idempotent, so it is not recorded: a retry after a lost reply
+    /// asks afresh rather than replaying a grant a recall may have taken
+    /// back.
     pub fn acquire_lease(
         self,
         sim: &mut Sim<GfsWorld>,
@@ -826,10 +828,9 @@ impl Session {
         }
     }
 
-    /// Wait out in-flight delegate ops (including batches still parked
-    /// this instant — they count in `delegate_inflight` from park time),
-    /// like a lease break does; then drop the mirror entry, reconcile the
-    /// journal and release the lease at the manager.
+    /// Wait out in-flight delegate ops as a lease recall does
+    /// ([`client::when_drained`]); then drop the mirror entry, reconcile
+    /// the journal and release the lease at the manager.
     fn surrender_drain(
         self,
         sim: &mut Sim<GfsWorld>,
@@ -839,37 +840,33 @@ impl Session {
         cb: client::Cb<Result<(), FsError>>,
     ) {
         let ctx = self.ctx(w);
-        let c = &mut w.clients[ctx.0 as usize];
-        if !c.leases.contains(&(fs, top.clone())) {
-            cb(sim, w, Ok(()));
-            return;
-        }
-        if c.delegate_inflight > 0 {
-            sim.after(SimDuration::from_micros(500), move |sim, w| {
-                self.surrender_drain(sim, w, fs, top, cb);
-            });
-            return;
-        }
-        // Mirror entry goes first: from here no new op delegates, so the
-        // journal taken by the reconcile below is complete.
-        c.leases.remove(&(fs, top.clone()));
-        let reconciled = top.clone();
-        // The release drops only this context's own grant and is
-        // idempotent, so it is not recorded. It goes to the grant's shard
-        // but names no subtree: a surrender must never trip the
-        // lease-conflict rule against a newer holder.
-        let release = move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld| {
-            let shard = w.fss[fs.0 as usize].core.shards.shard_of(&top);
-            let run = move |_: &mut Sim<GfsWorld>, w: &mut GfsWorld, fs: FsId, _| {
-                let inst = &mut w.fss[fs.0 as usize];
-                if inst.leases.get(&top) == Some(&ctx) {
-                    inst.leases.remove(&top);
-                }
-                Ok(())
+        let surrender = move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld| {
+            // Mirror entry goes first: from here no new op delegates, so
+            // the journal taken by the reconcile below is complete. A
+            // recall or an expulsion may have taken the lease meanwhile.
+            if !w.clients[ctx.0 as usize].leases.remove(&(fs, top.clone())) {
+                cb(sim, w, Ok(()));
+                return;
+            }
+            let reconciled = top.clone();
+            // The release drops only this context's own grant and is
+            // idempotent, so it is not recorded. It goes to the grant's
+            // shard but names no subtree: a surrender must never trip the
+            // lease rule against a newer holder.
+            let release = move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld| {
+                let shard = w.fss[fs.0 as usize].core.shards.shard_of(&top);
+                let run = move |_: &mut Sim<GfsWorld>, w: &mut GfsWorld, fs: FsId, _| {
+                    let inst = &mut w.fss[fs.0 as usize];
+                    if inst.leases.get(&top) == Some(&ctx) {
+                        inst.leases.remove(&top);
+                    }
+                    Ok(())
+                };
+                self.submit_mgr(sim, w, fs, shard, "".into(), None, false, run, cb);
             };
-            self.submit_mgr(sim, w, fs, shard, "".into(), None, false, run, cb);
+            reconcile_journal(sim, w, ctx, fs, reconciled, Box::new(release));
         };
-        reconcile_journal(sim, w, ctx, fs, reconciled, Box::new(release));
+        client::when_drained(sim, w, ctx, None, Box::new(surrender));
     }
 }
 
@@ -1050,7 +1047,7 @@ fn envelope_done(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ctx: ClientId, fs: F
 /// result for later reconciliation. Two simulator events per batch —
 /// that is the entire cost; no message, no watchdog, no manager.
 fn submit_delegate(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ctx: ClientId, fs: FsId, op: BatchOp) {
-    // Counted at park time so a lease break arriving between park and
+    // Counted at park time so a lease recall arriving between park and
     // apply defers (`delegate_inflight > 0`) instead of slipping past a
     // batch whose journal entries it would strand.
     w.clients[ctx.0 as usize].delegate_inflight += 1;
@@ -1187,11 +1184,17 @@ pub(crate) fn reconcile_journal(
     }
 }
 
-/// How many times an op may be deferred (lease break in flight, peer shard
-/// recovering) before it fails with `Timeout`. At the 10ms re-poll cadence
-/// this gives a wedged dependency two full seconds to clear — more than
-/// any modeled recovery, far less than forever.
-const MAX_DEFERS: u32 = 200;
+/// How many times an op may be deferred (a lease recall under way, a peer
+/// shard recovering) before it fails with `Timeout`: enough re-polls to
+/// outlast the longest recall. Its fuse burns only while no send lands, so
+/// a holder that goes silent right after the first send lands is expelled
+/// `retry_base + lease_break_timeout` after the recall starts; the re-polls
+/// come at least `requeue_delay` apart, and one more sees the subtree free
+/// (211 at the defaults, 2.11 s or more).
+fn max_defers(costs: &crate::world::ProtocolCosts) -> u32 {
+    let longest = costs.retry_base + costs.lease_break_timeout;
+    (longest.as_nanos().div_ceil(requeue_delay().as_nanos()) + 1) as u32
+}
 
 /// Gather window for gated (multi-shard) envelope flushes: when a shard's
 /// gate frees, the next envelope waits this long collecting ops before it
@@ -1202,7 +1205,7 @@ const ENVELOPE_GATHER: SimDuration = SimDuration::from_micros(4000);
 
 /// Delegate journal high-water mark: a delegate batch whose client journal
 /// reaches this many entries kicks an early reconcile of every journaled
-/// subtree on that filesystem. Keeps surrender/break replay envelopes
+/// subtree on that filesystem. Keeps surrender/recall replay envelopes
 /// bounded and spreads the replay load across the run.
 const DELEGATE_JOURNAL_WATERMARK: usize = 4096;
 
@@ -1220,9 +1223,10 @@ type EnvelopeResults = Vec<Option<Rc<dyn Any>>>;
 ///
 /// The envelope travels to `shard`'s acting manager. At the service slot's
 /// end each op may additionally:
-/// - hit a subtree lease held by another context — the manager starts a
-///   lease break (revocation-style) and the op is re-queued after a
-///   re-poll delay rather than executed over the delegate's head;
+/// - hit a subtree lease held by another context, or one being recalled
+///   ([`client::lease_blocks`]) — the manager recalls the lease like a
+///   token and the op is re-queued after a re-poll delay rather than
+///   executed over the delegate's head;
 /// - reach across to a peer shard (two-phase op): if the peer is healthy
 ///   the op runs now, charges the peer's service queue, and journals on
 ///   *both* managers under the same op id (the commit record); if the
@@ -1305,21 +1309,13 @@ fn envelope_attempt(
                         m.retire(lo, hi);
                     }
                 }
-                // A subtree leased to someone else's delegate: the op must
-                // not run behind the delegate's back. Break the lease
-                // (token-revocation style) and re-poll.
-                let conflict = {
-                    let inst = &w.fss[fs.0 as usize];
-                    if inst.leases.is_empty() {
-                        None
-                    } else {
-                        let top = &env.borrow()[i].top;
-                        inst.leases.get(top).copied().filter(|&h| h != ctx)
-                    }
+                // A subtree leased to someone else's delegate, or whose
+                // lease is being recalled: re-poll.
+                let blocked = {
+                    let op = &env.borrow()[i];
+                    client::lease_blocks(sim, w, fs, ctx, &op.top, op.replay)
                 };
-                if let Some(holder) = conflict {
-                    let top = env.borrow()[i].top.clone();
-                    client::start_lease_break(sim, w, fs, top, holder);
+                if blocked {
                     results.push(None);
                     continue;
                 }
@@ -1440,7 +1436,7 @@ fn envelope_finish(
                     deliver: op.deliver.take(),
                 };
                 drop(ops);
-                if requeued.defers > MAX_DEFERS {
+                if requeued.defers > max_defers(&w.costs) {
                     if let Some(d) = requeued.deliver.take() {
                         d(sim, w, Err(FsError::Timeout));
                     }

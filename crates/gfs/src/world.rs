@@ -245,13 +245,11 @@ pub struct FsInstance {
     pub core: FsCore,
     /// Byte-range token manager (runs on the manager node).
     pub tokens: TokenManager,
-    /// Token revocations under way, by revoked grant: every acquire that
-    /// conflicts with one of them waits for it (see
-    /// [`crate::tokens::AcquireOutcome::awaited`]).
-    pub(crate) revocations: FxHashMap<u64, Rc<crate::client::Revocation>>,
-    /// Revocations held back until the reply of the grant they revoke has
-    /// been sent, by that grant.
-    pub(crate) parked: FxHashMap<u64, Vec<Rc<crate::client::Revocation>>>,
+    /// Recalls under way: token revocations (every acquire that conflicts
+    /// with one waits for it, see
+    /// [`crate::tokens::AcquireOutcome::awaited`]) and subtree-lease
+    /// breaks.
+    pub recalls: crate::client::Recalls,
     /// Configured (home) filesystem/token/configuration manager node.
     /// Shard 0's home; also the token/configuration manager and the target
     /// of mount handshakes and data-path control RPCs.
@@ -264,21 +262,20 @@ pub struct FsInstance {
     pub mgrs: Vec<ManagerState>,
     /// Per-site subtree leases: top-level subtree → the mount context
     /// currently delegated to run its metadata ops locally. Granted by the
-    /// owning shard; broken (like a token revocation) when any other
-    /// context touches the subtree.
+    /// owning shard; recalled, like a token, when any other context
+    /// touches the subtree.
     pub leases: BTreeMap<Box<str>, ClientId>,
-    /// Subtrees with a lease break in flight (break messages sent, ack or
-    /// expulsion pending).
-    pub breaking: std::collections::BTreeSet<Box<str>>,
-    /// Mount contexts expelled for not answering a lease break within
-    /// [`ProtocolCosts::lease_break_timeout`]. Their leases and tokens are
-    /// force-released; their next manager contact re-admits them.
+    /// Mount contexts expelled because no send of a recall (token or
+    /// lease) reached them for [`ProtocolCosts::lease_break_timeout`].
+    /// Their leases and tokens are force-released; their next manager
+    /// contact re-admits them.
     pub expelled: std::collections::BTreeSet<ClientId>,
     /// Subtree leases granted (observability).
     pub lease_grants: u64,
-    /// Lease breaks initiated (observability).
+    /// Recalls of subtree leases started (observability).
     pub lease_breaks: u64,
-    /// Holders expelled after an unanswered lease break.
+    /// Holders expelled after a recall no send of which reached them for
+    /// [`ProtocolCosts::lease_break_timeout`].
     pub expulsions: u64,
     /// Expelled contexts re-admitted on their next manager contact.
     pub readmissions: u64,
@@ -494,34 +491,38 @@ pub struct Client {
     /// Client-side mirror of held tokens: every grant the manager gave
     /// this context and has not revoked, kept past close.
     pub held_tokens: TokenCache,
-    /// Token revocations this context is working on, by `(fs, first
-    /// revoked grant)`: a repeated revoke for one of them is ignored, one
-    /// for a revocation already finished is answered with its ack again.
-    pub revoking: std::collections::BTreeSet<(FsId, u64)>,
+    /// Recalls (token or lease) this context is working on, by `(fs,
+    /// recall id)`: a repeated send of one of them is ignored, one of a
+    /// recall already finished here is answered with its ack again.
+    pub recalling: std::collections::BTreeSet<(FsId, u64)>,
+    /// Files whose dirty pages an expulsion discarded: the next `fsync`
+    /// or close of each fails once with [`crate::types::FsError::Timeout`],
+    /// so the writer learns its bytes never reached the disk.
+    pub lost_writes: std::collections::BTreeSet<(FsId, InodeId)>,
     /// Operations currently applying data under a held token, per inode.
-    /// Token revocations are deferred while this is nonzero — GPFS's
-    /// daemon likewise completes in-flight operations before honouring a
-    /// revoke, which is what makes individual writes atomic.
+    /// Token recalls wait while this is nonzero — GPFS's daemon likewise
+    /// completes in-flight operations before honouring a revoke, which is
+    /// what makes individual writes atomic.
     pub inflight: BTreeMap<(FsId, InodeId), u32>,
     /// Client-side mirror of held subtree leases: `(fs, top-level
     /// subtree)`. While an entry is present, this context's metadata ops
     /// under the subtree run against the local delegate (no manager
-    /// round-trip). Cleared by a lease break ack — or wholesale when the
-    /// lease term lapses during an expulsion.
+    /// round-trip). Cleared when a recall of the lease lands — or
+    /// wholesale when the lease term lapses during an expulsion.
     pub leases: std::collections::BTreeSet<(FsId, Box<str>)>,
     /// Service queue head of the local lease delegate (the site-local
     /// metadata server a leased subtree's ops run through). Same FIFO
     /// model as [`ManagerState::busy_until`].
     pub delegate_busy_until: SimTime,
-    /// Delegate ops currently applying. Lease breaks are deferred while
-    /// this is nonzero, exactly like token revocations waiting out
+    /// Delegate ops currently applying. Lease recalls and surrenders wait
+    /// while this is nonzero, exactly like token recalls waiting out
     /// [`Client::inflight`].
     pub delegate_inflight: u32,
     /// Writeback delegate journal: every mutation a leased subtree applied
     /// locally, in application order, awaiting reconciliation with the
     /// owning manager shard. Replayed as bulk envelopes (through the
     /// manager dedup table, so retries stay exactly-once) on lease
-    /// surrender or break; discarded with a journaled
+    /// surrender or recall; discarded with a journaled
     /// [`crate::faults::RecoveryWhat::JournalDiscarded`] on expulsion.
     pub journal: Vec<JournalEntry>,
 }
@@ -580,12 +581,13 @@ pub struct ProtocolCosts {
     /// metadata ops, write allocation, truncate, lease acquire and lease
     /// surrender.
     pub manager_op_service: SimDuration,
-    /// How long the owning manager waits for a lease-break ack before
-    /// expelling the unresponsive holder: its leases and tokens are
-    /// force-released and the blocked remote op proceeds. Generous — a
-    /// healthy holder only needs to drain in-flight delegate ops — so only
-    /// a dead or partitioned holder ever trips it (the stuck-revocation
-    /// window the chaos invariants used to merely watch).
+    /// The one recall fuse: a holder that no send of a recall (token
+    /// revocation or lease break) reaches for this long is expelled — its
+    /// leases and tokens are force-released and the blocked op proceeds.
+    /// The fuse burns only while sends fail to land, so a holder that is
+    /// reachable but slow (flushing, reconciling) is never expelled, and
+    /// a holder that goes silent right after a send lands is expelled
+    /// about `retry_base` plus this after the recall starts.
     pub lease_break_timeout: SimDuration,
 }
 
@@ -932,12 +934,10 @@ impl WorldBuilder {
                 FsInstance {
                     core,
                     tokens: TokenManager::new(),
-                    revocations: FxHashMap::default(),
-                    parked: FxHashMap::default(),
+                    recalls: Default::default(),
                     manager_node: p.manager,
                     mgrs,
                     leases: BTreeMap::new(),
-                    breaking: std::collections::BTreeSet::new(),
                     expelled: std::collections::BTreeSet::new(),
                     lease_grants: 0,
                     lease_breaks: 0,
@@ -971,7 +971,8 @@ impl WorldBuilder {
                 handles: BTreeMap::new(),
                 prefetch: BTreeMap::new(),
                 held_tokens: TokenCache::default(),
-                revoking: std::collections::BTreeSet::new(),
+                recalling: std::collections::BTreeSet::new(),
+                lost_writes: std::collections::BTreeSet::new(),
                 inflight: BTreeMap::new(),
                 leases: std::collections::BTreeSet::new(),
                 delegate_busy_until: SimTime::from_nanos(0),

@@ -78,11 +78,11 @@ pub fn world_invariants(sim: &Sim<GfsWorld>, w: &GfsWorld) -> Vec<String> {
             }
         }
 
-        if !c.revoking.is_empty() {
+        if !c.recalling.is_empty() {
             v.push(format!(
-                "client {} still works on {} token revocation(s) after drain",
+                "client {} still works on {} recall(s) after drain",
                 c.id.0,
-                c.revoking.len()
+                c.recalling.len()
             ));
         }
 
@@ -192,15 +192,12 @@ pub fn world_invariants(sim: &Sim<GfsWorld>, w: &GfsWorld) -> Vec<String> {
         for msg in inst.replicas.coherence_violations() {
             v.push(format!("fs {i}: replica catalog: {msg}"));
         }
-        // Subtree-lease coherence: every break must have completed (ack or
-        // expulsion fuse), and the manager's lease table must agree with
-        // the holders' client-side mirrors in both directions — a one-sided
-        // lease is delegated authority nobody can revoke.
-        if !inst.breaking.is_empty() {
-            v.push(format!(
-                "fs {i}: {} subtree lease break(s) still unresolved after drain",
-                inst.breaking.len()
-            ));
+        // Every recall, of tokens or of a subtree lease, must have
+        // finished (ack or expulsion), and the manager's lease table must
+        // agree with the holders' client-side mirrors in both directions —
+        // a one-sided lease is delegated authority nobody can recall.
+        if !inst.recalls.is_empty() {
+            v.push(format!("fs {i}: recalls still under way after drain"));
         }
         for (top, holder) in &inst.leases {
             let c = &w.clients[holder.0 as usize];

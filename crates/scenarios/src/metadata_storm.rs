@@ -328,6 +328,10 @@ pub struct StormReport {
     /// Lease breaks initiated (conflicting op forced a reconcile), summed
     /// over points.
     pub lease_breaks: u64,
+    /// Mount contexts expelled because no send of a recall reached them for
+    /// `lease_break_timeout`, summed over points. An outage shorter than
+    /// that fuse expels nobody.
+    pub expulsions: u64,
     /// Writeback-journal entries applied at a manager during lease
     /// surrender/break reconciliation (each counted once — dedup replays
     /// of a retried reconcile envelope don't recount), summed over points.
@@ -405,6 +409,7 @@ struct PointSummary {
     delegated_ops: u64,
     lease_acquires: u64,
     lease_breaks: u64,
+    expulsions: u64,
     reconcile_ops: u64,
     rebalance_migrations: u64,
     tree_fingerprint: u64,
@@ -542,6 +547,7 @@ pub fn run_chaos_storm_with_threads(
         delegated_ops: 0,
         lease_acquires: 0,
         lease_breaks: 0,
+        expulsions: 0,
         reconcile_ops: 0,
         rebalance_migrations: 0,
         tree_fingerprint: 0,
@@ -575,6 +581,7 @@ pub fn run_chaos_storm_with_threads(
         r.delegated_ops += s.delegated_ops;
         r.lease_acquires += s.lease_acquires;
         r.lease_breaks += s.lease_breaks;
+        r.expulsions += s.expulsions;
         r.reconcile_ops += s.reconcile_ops;
         r.rebalance_migrations += s.rebalance_migrations;
         r.tree_fingerprint = mix(r.tree_fingerprint, s.tree_fingerprint);
@@ -839,6 +846,7 @@ fn run_point(cfg: &StormConfig, chaos: &ChaosSpec, point: u32) -> PointSummary {
         delegated_ops: w.fss.iter().map(|i| i.delegated_ops).sum(),
         lease_acquires: w.fss.iter().map(|i| i.lease_grants).sum(),
         lease_breaks: w.fss.iter().map(|i| i.lease_breaks).sum(),
+        expulsions: w.fss.iter().map(|i| i.expulsions).sum(),
         reconcile_ops: w.fss.iter().map(|i| i.reconcile_ops).sum(),
         rebalance_migrations: w.fss.iter().map(|i| i.core.shards.migrations()).sum(),
         tree_fingerprint: core.tree_fingerprint(),

@@ -17,7 +17,7 @@
 
 use bytes::Bytes;
 use globalfs::gfs::tokens::CACHED_INODES;
-use globalfs::gfs::types::{Handle, OpenFlags, Owner};
+use globalfs::gfs::types::{FsError, Handle, OpenFlags, Owner};
 use globalfs::gfs::world::GfsWorld;
 use globalfs::gfs::{apply_fault, FaultKind, FsId, InodeId, RecoveryWhat, Session};
 use globalfs::gfs_auth::handshake::AccessMode;
@@ -375,10 +375,11 @@ fn the_cap_gives_back_old_grants_with_their_pages() {
 #[test]
 fn an_unreachable_holder_is_expelled_with_its_pages() {
     // A caches a dirty page under its write token, then drops off the
-    // network for good. B's read revokes A's token: the revoke cannot
-    // land, is resent, and after `lease_break_timeout` A is expelled —
-    // its grants released at the manager, its pages of the filesystem
-    // discarded and the lost dirty page logged — and B's read proceeds.
+    // network. B's read revokes A's token: the revoke cannot land, is
+    // resent, and after `lease_break_timeout` A is expelled — its grants
+    // released at the manager, its pages of the filesystem discarded and
+    // the lost dirty page logged — and B's read proceeds. Once healed, A's
+    // next fsync of the file reports the lost write, once.
     let (mut sim, mut w, fs, ss) = world(5, 2, 0, 16);
     let (a, b) = (ss[0], ss[1]);
     let h = open(&mut sim, &mut w, a, "/g", OpenFlags::Write);
@@ -397,5 +398,21 @@ fn an_unreachable_holder_is_expelled_with_its_pages() {
         matches!(e, RecoveryWhat::DirtyPagesDiscarded { pages: 1, .. })
     });
     assert_eq!(lost, 1, "the discarded dirty page must be logged");
+    apply_fault(
+        &mut sim,
+        &mut w,
+        FaultKind::Heal {
+            node: "c-home-0".into(),
+        },
+    );
+    let fsync = |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld| {
+        settle(sim, w, |sim, w, cb| a.fsync(sim, w, h, cb))
+    };
+    assert_eq!(
+        fsync(&mut sim, &mut w),
+        Err(FsError::Timeout),
+        "the writer learns of the loss"
+    );
+    assert_eq!(fsync(&mut sim, &mut w), Ok(()), "and learns it once");
     assert_healthy(&sim, &w);
 }

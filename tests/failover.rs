@@ -788,7 +788,7 @@ fn subtree_lease_lifecycle_break_expel_readmit() {
         let inst = &w.fss[fs.0 as usize];
         assert_eq!(inst.lease_breaks, 1);
         assert!(inst.leases.is_empty(), "break must clear the grant");
-        assert!(inst.breaking.is_empty(), "break must resolve");
+        assert!(inst.recalls.is_empty(), "the recall must finish");
         assert!(w.clients[a.0 as usize].leases.is_empty(), "ack must clear the mirror");
         assert_eq!(inst.expulsions, 0, "a responsive holder is never expelled");
     }
@@ -821,7 +821,7 @@ fn subtree_lease_lifecycle_break_expel_readmit() {
         let inst = &w.fss[fs.0 as usize];
         assert_eq!(inst.expulsions, 1, "unresponsive holder must be expelled");
         assert!(inst.expelled.contains(&a));
-        assert!(inst.leases.is_empty() && inst.breaking.is_empty());
+        assert!(inst.leases.is_empty() && inst.recalls.is_empty());
         let ac = &w.clients[a.0 as usize];
         assert!(ac.leases.is_empty(), "expulsion lapses the holder's lease term");
         assert!(
@@ -1488,6 +1488,369 @@ fn every_session_verb_rides_out_a_client_partition() {
     assert!(
         failures.is_empty(),
         "{} case(s) failed:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+}
+
+// ---------------------------------------------------------------------
+// Holder partitions: a recall rides out a flap of the context it recalls
+// from, and expels only a holder no send reaches for the whole fuse
+// ---------------------------------------------------------------------
+
+/// What the partitioned holder A caches when another context's op needs
+/// it back.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Holding {
+    /// A dirty page of `/data/f` under A's write token; B's read of the
+    /// file recalls the token.
+    DirtyPage,
+    /// The lease on `/proj` with a journaled mkdir, and a dirty page of
+    /// `/data/f` outside the leased subtree; B's stat under `/proj`
+    /// recalls the lease.
+    Lease,
+}
+
+/// The bytes A writes to `/data/f`.
+const HOLDER_BYTES: usize = 1000;
+
+/// A drained world of three mounted contexts on one LAN: A holds per
+/// `holding`, B makes the conflicting op (with `/data/f` open for reading),
+/// C reads back afterwards. Returns A's and B's handles on `/data/f`.
+fn holder_world(holding: Holding) -> (Sim<GfsWorld>, GfsWorld, FsId, [Session; 3], Handle, Handle) {
+    let (mut sim, mut w, fs, ctxs) = lease_bed(60, 1, 3, false);
+    w.fss[fs.0 as usize]
+        .core
+        .mkdir("/data", Owner::local(1, 1), 0)
+        .unwrap();
+    let ss = [0, 1, 2].map(|i| w.open_session(ctxs[i]));
+    let [a, b, _] = ss;
+    let rw = gfs_auth::handshake::AccessMode::ReadWrite;
+    let (sim_, w_) = (&mut sim, &mut w);
+    for s in ss {
+        settle(sim_, w_, |sim, w, cb| s.mount(sim, w, "hafs", rw, cb)).unwrap();
+    }
+    let owner = || Owner::local(1, 1);
+    let ha = settle(sim_, w_, |sim, w, cb| {
+        a.open(sim, w, "/data/f", OpenFlags::ReadWrite, owner(), cb)
+    })
+    .unwrap();
+    let data = Bytes::from(vec![0xa5; HOLDER_BYTES]);
+    settle(sim_, w_, |sim, w, cb| a.write(sim, w, ha, 0, data, cb)).unwrap();
+    if holding == Holding::Lease {
+        settle(sim_, w_, |sim, w, cb| a.acquire_lease(sim, w, "/proj", cb)).unwrap();
+        settle(sim_, w_, |sim, w, cb| {
+            a.mkdir(sim, w, "/proj/d0", owner(), cb)
+        })
+        .unwrap();
+        assert_eq!(
+            w_.clients[0].journal.len(),
+            1,
+            "the mkdir must run at A's delegate"
+        );
+    }
+    let hb = settle(sim_, w_, |sim, w, cb| {
+        b.open(sim, w, "/data/f", OpenFlags::Read, owner(), cb)
+    })
+    .unwrap();
+    (sim, w, fs, ss, ha, hb)
+}
+
+/// Submit B's conflicting op; `cb` gets the bytes B read (none for the
+/// stat).
+fn conflicting_op(
+    holding: Holding,
+    sim: &mut Sim<GfsWorld>,
+    w: &mut GfsWorld,
+    b: Session,
+    hb: Handle,
+    cb: client::Cb<Result<Option<Bytes>, FsError>>,
+) {
+    match holding {
+        Holding::DirtyPage => b.read(sim, w, hb, 0, HOLDER_BYTES as u64, move |sim, w, r| {
+            cb(sim, w, r.map(Some))
+        }),
+        Holding::Lease => b.stat(sim, w, "/proj/d0", move |sim, w, r| {
+            cb(sim, w, r.map(|_| None))
+        }),
+    }
+}
+
+/// Has A given back what B's op recalls? Both happen in the event the
+/// recall lands in, since A has nothing in flight.
+fn recall_landed(holding: Holding, w: &GfsWorld, fs: FsId) -> bool {
+    use globalfs::gfs::tokens::{ByteRange, TokenMode};
+    let a = &w.clients[0];
+    match holding {
+        Holding::DirtyPage => {
+            let f = w.fss[fs.0 as usize].core.lookup("/data/f").unwrap();
+            !a.held_tokens
+                .holds(fs, f, ByteRange::new(0, 1), TokenMode::Write)
+        }
+        Holding::Lease => !a.leases.contains(&(fs, "proj".into())),
+    }
+}
+
+/// One holder-partition case: B's conflicting op starts at once, and A is
+/// partitioned either right away (before the recall is sent) or the
+/// instant the recall lands, then healed `heal` later or never. Returns
+/// B's outcomes, the partition instant and B's completion instant.
+struct HolderCase {
+    sim: Sim<GfsWorld>,
+    w: GfsWorld,
+    fs: FsId,
+    ss: [Session; 3],
+    ha: Handle,
+    outcomes: Vec<Result<Option<Bytes>, FsError>>,
+    parted_at: globalfs::simcore::SimTime,
+    done_at: Option<globalfs::simcore::SimTime>,
+}
+
+fn holder_case(holding: Holding, after_landing: bool, heal: Option<SimDuration>) -> HolderCase {
+    use globalfs::gfs::{apply_fault, FaultKind};
+    let (mut sim, mut w, fs, ss, ha, hb) = holder_world(holding);
+    let log = Rc::new(std::cell::RefCell::new(Vec::new()));
+    let done_at = Rc::new(Cell::new(None));
+    {
+        let (log, done_at) = (log.clone(), done_at.clone());
+        conflicting_op(
+            holding,
+            &mut sim,
+            &mut w,
+            ss[1],
+            hb,
+            Box::new(move |sim, _, r| {
+                log.borrow_mut().push(r);
+                done_at.set(Some(sim.now()));
+            }),
+        );
+    }
+    if after_landing {
+        assert!(
+            sim.run_until(&mut w, |w| recall_landed(holding, w, fs)),
+            "{holding:?}: the recall never landed"
+        );
+    }
+    let parted_at = sim.now();
+    let node = || "client-a".to_string();
+    apply_fault(&mut sim, &mut w, FaultKind::Partition { node: node() });
+    if let Some(d) = heal {
+        sim.at(parted_at + d, move |sim, w| {
+            apply_fault(sim, w, FaultKind::Heal { node: node() })
+        });
+    }
+    sim.run(&mut w);
+    let outcomes = log.borrow_mut().drain(..).collect();
+    HolderCase {
+        sim,
+        w,
+        fs,
+        ss,
+        ha,
+        outcomes,
+        parted_at,
+        done_at: done_at.get(),
+    }
+}
+
+/// The holder-partition sweep. A token holder with a dirty page and a lease
+/// holder with a journaled mkdir (and a dirty page outside the subtree) are
+/// each partitioned before the recall is sent or the instant it lands, and
+/// healed after 20 ms, after 1 s, or never.
+///
+/// Healed, nobody is expelled and nothing is discarded: B's op completes
+/// and a fresh context reads A's bytes. Never healed, A is expelled exactly
+/// once, no earlier than `lease_break_timeout` after the first send that
+/// failed to land (the partition instant, or one `retry_base` after the
+/// landing), B's op still completes, and A's next fsync reports the loss.
+#[test]
+fn a_partitioned_holder_is_recalled_or_expelled_once() {
+    use globalfs::gfs::RecoveryWhat;
+    let mut failures = Vec::new();
+    for holding in [Holding::DirtyPage, Holding::Lease] {
+        for after_landing in [false, true] {
+            for heal in [
+                Some(SimDuration::from_millis(20)),
+                Some(SimDuration::from_secs(1)),
+                None,
+            ] {
+                let mut t = holder_case(holding, after_landing, heal);
+                let mut fail = |what: String| {
+                    failures.push(format!(
+                        "{holding:?}, partitioned {} the landing, healed after {heal:?}: {what}",
+                        if after_landing { "at" } else { "before" }
+                    ))
+                };
+                if t.outcomes.len() != 1 || t.outcomes[0].is_err() {
+                    fail(format!("B's op ended {:?}", t.outcomes));
+                    continue;
+                }
+                if t.sim.pending() != 0 {
+                    fail(format!(
+                        "{} events left after the run drained",
+                        t.sim.pending()
+                    ));
+                }
+                let expelled_at: Vec<_> =
+                    t.w.recovery
+                        .events
+                        .iter()
+                        .filter(|e| matches!(e.what, RecoveryWhat::Expelled { .. }))
+                        .map(|e| e.at)
+                        .collect();
+                let discarded =
+                    t.w.recovery
+                        .count(|e| matches!(e, RecoveryWhat::DirtyPagesDiscarded { .. }));
+                let (a, c) = (t.ss[0], t.ss[2]);
+                let ha = t.ha;
+                let fsync = settle(&mut t.sim, &mut t.w, |sim, w, cb| a.fsync(sim, w, ha, cb));
+                if heal.is_none() {
+                    let fuse = t.w.costs.lease_break_timeout;
+                    if expelled_at.len() != 1 || discarded != 1 {
+                        fail(format!(
+                            "{} expulsion(s), {discarded} discard(s)",
+                            expelled_at.len()
+                        ));
+                    } else if expelled_at[0] < t.parted_at + fuse {
+                        fail(format!(
+                            "expelled {} after the partition, inside the {fuse} fuse",
+                            expelled_at[0].since(t.parted_at)
+                        ));
+                    }
+                    if fsync != Err(FsError::Timeout) {
+                        fail(format!("A's fsync after the expulsion returned {fsync:?}"));
+                    }
+                    continue;
+                }
+                if !expelled_at.is_empty() || discarded != 0 {
+                    fail(format!(
+                        "{} expulsion(s), {discarded} discard(s), B done after {:?}",
+                        expelled_at.len(),
+                        t.done_at.map(|d| d.since(t.parted_at))
+                    ));
+                }
+                if fsync != Ok(()) {
+                    fail(format!("A's fsync returned {fsync:?}"));
+                }
+                let hc = settle(&mut t.sim, &mut t.w, |sim, w, cb| {
+                    c.open(sim, w, "/data/f", OpenFlags::Read, Owner::local(1, 1), cb)
+                })
+                .unwrap();
+                let got = settle(&mut t.sim, &mut t.w, |sim, w, cb| {
+                    c.read(sim, w, hc, 0, HOLDER_BYTES as u64, cb)
+                });
+                if !got.as_ref().is_ok_and(|b| b.iter().all(|&x| x == 0xa5)) {
+                    fail("a fresh context does not read A's bytes".into());
+                }
+                let violations = globalfs::scenarios::chaos::world_invariants(&t.sim, &t.w);
+                if !violations.is_empty() {
+                    fail(format!("{violations:?}"));
+                }
+                let _ = t.fs;
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} case(s) failed:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+}
+
+/// A lease holder partitioned for 20, 50 or 500 ms as B's conflicting stat
+/// starts: the recall's sends fail while the flap lasts and the first one
+/// after the heal lands, so the stat completes within one `retry_base` of
+/// the heal, as a token recall's reader does. Nobody is expelled, and the
+/// holder's unrelated write outside the leased subtree reaches the disk.
+#[test]
+fn a_lease_holder_flap_shorter_than_the_fuse_expels_nobody() {
+    for ms in [20, 50, 500] {
+        let flap = SimDuration::from_millis(ms);
+        let mut t = holder_case(Holding::Lease, false, Some(flap));
+        assert!(
+            matches!(t.outcomes[..], [Ok(None)]),
+            "{ms} ms: B's stat ended {:?}",
+            t.outcomes
+        );
+        let healed = t.parted_at + flap;
+        let done = t.done_at.expect("B's stat completed");
+        assert!(
+            done <= healed + t.w.costs.retry_base,
+            "{ms} ms: B's stat completed {} after the heal",
+            done.since(healed)
+        );
+        let inst = &t.w.fss[t.fs.0 as usize];
+        assert_eq!(
+            inst.expulsions, 0,
+            "{ms} ms: a flap under the fuse expelled the holder"
+        );
+        assert_eq!(inst.lease_breaks, 1);
+        assert!(inst.leases.is_empty() && inst.recalls.is_empty());
+        let (a, c, ha) = (t.ss[0], t.ss[2], t.ha);
+        settle(&mut t.sim, &mut t.w, |sim, w, cb| a.fsync(sim, w, ha, cb)).unwrap();
+        let hc = settle(&mut t.sim, &mut t.w, |sim, w, cb| {
+            c.open(sim, w, "/data/f", OpenFlags::Read, Owner::local(1, 1), cb)
+        })
+        .unwrap();
+        let got = settle(&mut t.sim, &mut t.w, |sim, w, cb| {
+            c.read(sim, w, hc, 0, HOLDER_BYTES as u64, cb)
+        })
+        .unwrap();
+        assert!(
+            got.iter().all(|&x| x == 0xa5),
+            "{ms} ms: the holder's write was lost"
+        );
+        let violations = globalfs::scenarios::chaos::world_invariants(&t.sim, &t.w);
+        assert!(violations.is_empty(), "{ms} ms: {violations:?}");
+    }
+}
+
+/// A holder re-acquires its own lease while B's conflicting stat recalls
+/// it: A's acquire goes 0–790 µs after B's stat, in 10 µs steps. An
+/// acquire waits while a recall of the subtree is under way, so the
+/// recall's ack cannot clear a grant made after it started: at every
+/// offset both ops complete and the manager's lease table agrees with the
+/// mirrors.
+#[test]
+fn a_re_acquire_during_a_recall_leaves_no_one_sided_lease() {
+    let mut failures = Vec::new();
+    for k in 0..80u64 {
+        let (mut sim, mut w, _fs, ss, _ha, hb) = holder_world(Holding::Lease);
+        let [a, b, _] = ss;
+        let calls = Rc::new(Cell::new(0));
+        let ok = calls.clone();
+        conflicting_op(
+            Holding::Lease,
+            &mut sim,
+            &mut w,
+            b,
+            hb,
+            Box::new(move |_, _, r| {
+                r.unwrap();
+                ok.set(ok.get() + 1);
+            }),
+        );
+        let ok = calls.clone();
+        sim.after(SimDuration::from_micros(10 * k), move |sim, w| {
+            a.acquire_lease(sim, w, "/proj", move |_, _, r| {
+                r.unwrap();
+                ok.set(ok.get() + 1);
+            })
+        });
+        sim.run(&mut w);
+        if calls.get() != 2 {
+            failures.push(format!("{} µs: {} of 2 ops completed", 10 * k, calls.get()));
+            continue;
+        }
+        let violations = globalfs::scenarios::chaos::world_invariants(&sim, &w);
+        if !violations.is_empty() {
+            failures.push(format!("{} µs: {violations:?}", 10 * k));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} of 80 offsets failed:\n{}",
         failures.len(),
         failures.join("\n")
     );
