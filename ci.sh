@@ -294,4 +294,11 @@ if failed:
     sys.exit(1)
 EOF
 
+echo "== non-test Rust lines (ROADMAP's \"net .rs lines go down\" gate)"
+# Every tracked .rs file outside tests/ and gfsbench/, each cut at its first
+# #[cfg(test)]: the one way every change reports the size of the program.
+git ls-files '*.rs' | grep -v -e '^tests/' -e '^gfsbench/' | while read -r f; do
+    awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f"
+done | awk '{ s += $1 } END { print s " non-test .rs lines" }'
+
 echo "CI OK"

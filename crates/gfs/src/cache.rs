@@ -160,6 +160,8 @@ impl PagePool {
 
     /// Insert a clean block (e.g. from an NSD read or prefetch). Returns
     /// any dirty pages evicted to make room — the caller must flush them.
+    /// A dirty page already resident keeps its bytes: they are newer than
+    /// anything a fetch could have read from disk.
     pub fn insert_clean(&mut self, key: PageKey, data: Bytes) -> Vec<DirtyPage> {
         self.insert(key, data, false)
     }
@@ -174,7 +176,9 @@ impl PagePool {
         let mut evicted = Vec::new();
         if let Some(&i) = self.index.get(&key) {
             let f = &mut self.frames[i as usize];
-            f.data = data;
+            if dirty || !f.dirty {
+                f.data = data;
+            }
             f.dirty = f.dirty || dirty;
             self.touch_frame(i);
             return evicted;
@@ -229,10 +233,17 @@ impl PagePool {
         evicted
     }
 
-    /// Mark a block clean after a successful flush.
-    pub fn mark_clean(&mut self, key: PageKey) {
+    /// Mark a block clean after a flush of `data` landed — unless the
+    /// frame was rewritten meanwhile with other bytes: those the flush never
+    /// wrote, so the page stays dirty. The frame still holds the flushed
+    /// buffer when it holds the same allocation, or equal bytes.
+    pub fn mark_clean(&mut self, key: PageKey, data: &Bytes) {
         if let Some(&i) = self.index.get(&key) {
-            self.frames[i as usize].dirty = false;
+            let f = &mut self.frames[i as usize];
+            let same = f.data.as_ptr() == data.as_ptr() && f.data.len() == data.len();
+            if same || f.data == *data {
+                f.dirty = false;
+            }
         }
     }
 
@@ -536,20 +547,29 @@ mod tests {
     }
 
     #[test]
-    fn overwrite_keeps_dirty_bit() {
+    fn a_fetch_never_overwrites_a_dirty_page() {
         let mut p = PagePool::new(2);
         p.insert_dirty(key(0), data(1));
-        p.insert_clean(key(0), data(2)); // e.g. reread: must stay dirty
+        // A fetch that read the disk before this write-back landed.
+        p.insert_clean(key(0), data(2));
         let d = p.dirty_pages_of(FsId(0), InodeId(1));
         assert_eq!(d.len(), 1);
-        assert_eq!(d[0].data, data(2));
+        assert_eq!(d[0].data, data(1), "the written bytes must survive the fetch");
     }
 
     #[test]
     fn mark_clean_after_flush() {
         let mut p = PagePool::new(2);
         p.insert_dirty(key(0), data(1));
-        p.mark_clean(key(0));
+        p.mark_clean(key(0), &data(1));
+        assert!(p.dirty_pages_of(FsId(0), InodeId(1)).is_empty());
+        // Rewritten while the flush of data(1) was in flight: the ack must
+        // not clean bytes it never wrote. Equal bytes count as flushed.
+        p.insert_dirty(key(0), data(1));
+        p.insert_dirty(key(0), data(2));
+        p.mark_clean(key(0), &data(1));
+        assert_eq!(p.dirty_pages_of(FsId(0), InodeId(1)).len(), 1);
+        p.mark_clean(key(0), &data(2));
         assert!(p.dirty_pages_of(FsId(0), InodeId(1)).is_empty());
     }
 
@@ -663,7 +683,9 @@ mod tests {
             pub fn insert(&mut self, key: PageKey, data: Bytes, dirty: bool) -> Vec<DirtyPage> {
                 let mut evicted = Vec::new();
                 if let Some((d, dt)) = self.pages.get_mut(&key) {
-                    *d = data;
+                    if dirty || !*dt {
+                        *d = data;
+                    }
                     *dt = *dt || dirty;
                     self.touch(key);
                     return evicted;
@@ -695,9 +717,11 @@ mod tests {
                 self.lru.retain(|k| !(k.fs == fs && k.inode == inode));
             }
 
-            pub fn mark_clean(&mut self, key: PageKey) {
-                if let Some((_, dt)) = self.pages.get_mut(&key) {
-                    *dt = false;
+            pub fn mark_clean(&mut self, key: PageKey, data: &Bytes) {
+                if let Some((d, dt)) = self.pages.get_mut(&key) {
+                    if d == data {
+                        *dt = false;
+                    }
                 }
             }
 
@@ -754,8 +778,14 @@ mod tests {
                             a.invalidate_file(FsId(0), inode);
                             b.invalidate_file(FsId(0), inode);
                         } else {
-                            a.mark_clean(k);
-                            b.mark_clean(k);
+                            // The ack of a flush of either the current
+                            // bytes or stale ones.
+                            let d = match rng.gen::<u64>() % 2 {
+                                0 => a.peek(k).cloned().unwrap_or_default(),
+                                _ => Bytes::from(vec![0xee; 8]),
+                            };
+                            a.mark_clean(k, &d);
+                            b.mark_clean(k, &d);
                         }
                     }
                 }

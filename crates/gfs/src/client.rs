@@ -1,8 +1,8 @@
 //! Client-side filesystem operations: mount (local and multi-cluster) and
 //! the data path (read/write/fsync/truncate), each one sequenced through
-//! simulated RPCs, token negotiation, NSD service and bulk data flows;
-//! plus the manager-side bodies of the metadata ops that sessions
-//! ([`crate::session`]) carry to the manager in envelopes.
+//! simulated RPCs, token negotiation, NSD service and bulk data flows. The
+//! manager requests among them ride session envelopes
+//! ([`crate::session::MetaOp`]).
 //!
 //! The concurrency protocol is the GPFS one:
 //!
@@ -21,11 +21,9 @@ use crate::cache::{DirtyPage, PageKey};
 use crate::faults::RecoveryWhat;
 use crate::replica;
 use crate::rpc::{self, Attempt};
-use crate::session::Session;
+use crate::session::{MetaOp, Reply, Session};
 use crate::tokens::{ByteRange, Held, TokenMode};
-use crate::types::{
-    check_file_size, BlockAddr, ClientId, FsError, FsId, Handle, InodeId, NsdId, OpenFlags, Owner,
-};
+use crate::types::{check_file_size, BlockAddr, ClientId, FsError, FsId, Handle, InodeId, NsdId};
 use crate::world::{GfsWorld, Mount};
 use bytes::Bytes;
 use gfs_auth::handshake::AccessMode;
@@ -161,7 +159,7 @@ pub fn mount(
                         };
                         a.reply(sim, w, Ok(mount));
                     });
-                });
+                })
             },
             installed,
         );
@@ -249,7 +247,7 @@ pub fn mount(
                         });
                     });
                 });
-            });
+            })
         },
         installed,
     );
@@ -265,141 +263,6 @@ pub(crate) fn mount_of(w: &GfsWorld, client: ClientId, device: &str) -> Result<M
         .get(device)
         .cloned()
         .ok_or_else(|| FsError::NotMounted(device.to_string()))
-}
-
-// Manager-side op bodies for envelopes (`crate::session`). Envelopes
-// execute *at* the owning manager shard, which resolves against its own
-// precisely-invalidated path cache (see `ManagerState::cached_path`).
-
-/// Resolve through the manager's path cache, filling it on miss.
-fn lookup_mgr(
-    core: &crate::fscore::FsCore,
-    mgr: &mut crate::world::ManagerState,
-    path: &str,
-) -> Result<InodeId, FsError> {
-    if let Some(id) = mgr.cached_path(path) {
-        core.meta_bump_resolve();
-        return Ok(id);
-    }
-    let id = core.lookup(path)?;
-    mgr.cache_path(path, id);
-    Ok(id)
-}
-
-pub(crate) fn mkdir_apply(
-    w: &mut GfsWorld,
-    fs: FsId,
-    shard: u32,
-    now: u64,
-    path: &str,
-    owner: &Owner,
-) -> Result<InodeId, FsError> {
-    let inst = &mut w.fss[fs.0 as usize];
-    let ch = inst.core.mkdir_entry(path, owner.clone(), now)?;
-    // Seed the owning manager's cache — the creator (or a sibling session)
-    // will almost always resolve the new directory next.
-    inst.mgrs[shard as usize].cache_path(path, ch.id);
-    Ok(ch.id)
-}
-
-pub(crate) fn stat_apply(
-    w: &mut GfsWorld,
-    fs: FsId,
-    shard: u32,
-    path: &str,
-) -> Result<crate::fscore::FileAttr, FsError> {
-    let inst = &mut w.fss[fs.0 as usize];
-    let id = lookup_mgr(&inst.core, &mut inst.mgrs[shard as usize], path)?;
-    inst.core.stat_id(id)
-}
-
-pub(crate) fn readdir_apply(
-    w: &mut GfsWorld,
-    fs: FsId,
-    shard: u32,
-    path: &str,
-) -> Result<Vec<String>, FsError> {
-    let inst = &mut w.fss[fs.0 as usize];
-    let id = lookup_mgr(&inst.core, &mut inst.mgrs[shard as usize], path)?;
-    inst.core.readdir_id(id).map_err(|e| match e {
-        FsError::NotADirectory(_) => FsError::NotADirectory(path.to_string()),
-        other => other,
-    })
-}
-
-pub(crate) fn unlink_apply(w: &mut GfsWorld, fs: FsId, path: &str) -> Result<(), FsError> {
-    let ch = {
-        let inst = &mut w.fss[fs.0 as usize];
-        let ch = inst.core.unlink_entry(path)?;
-        // Every shard drops the path, not just the one that ran the op: a
-        // shard that owned the subtree before a migration may still cache
-        // it.
-        for mgr in &mut inst.mgrs {
-            mgr.uncache_path(path);
-        }
-        ch
-    };
-    // Every context drops the dead file's cached pages (the manager
-    // broadcasts in GPFS; the effect is applied directly and charged
-    // nothing extra).
-    for c in &mut w.clients {
-        c.pool.invalidate_file(fs, ch.id);
-    }
-    Ok(())
-}
-
-pub(crate) fn rename_apply(
-    w: &mut GfsWorld,
-    fs: FsId,
-    from: &str,
-    to: &str,
-) -> Result<(), FsError> {
-    let ch = {
-        let inst = &mut w.fss[fs.0 as usize];
-        let ch = inst.core.rename_entry(from, to)?;
-        // A rename moves a whole subtree; every cached path under it is
-        // suspect, so every manager drops its cache wholesale (a cross-shard
-        // rename invalidates on both the source and destination owner).
-        for mgr in &mut inst.mgrs {
-            mgr.uncache_all_paths();
-        }
-        ch
-    };
-    // A rename that atomically replaced an existing target drops the old
-    // target's cached pages everywhere.
-    if let Some(rid) = ch.replaced {
-        for c in &mut w.clients {
-            c.pool.invalidate_file(fs, rid);
-        }
-    }
-    Ok(())
-}
-
-pub(crate) fn open_apply(
-    w: &mut GfsWorld,
-    fs: FsId,
-    shard: u32,
-    now: u64,
-    path: &str,
-    flags: OpenFlags,
-    owner: &Owner,
-) -> Result<(FsId, InodeId), FsError> {
-    let inst = &mut w.fss[fs.0 as usize];
-    let inode = match lookup_mgr(&inst.core, &mut inst.mgrs[shard as usize], path) {
-        Ok(id) => {
-            if inst.core.inode(id)?.is_dir() {
-                return Err(FsError::IsADirectory(path.to_string()));
-            }
-            id
-        }
-        Err(FsError::NotFound(_)) if flags.writes() => {
-            let ch = inst.core.create_file_entry(path, owner.clone(), now)?;
-            inst.mgrs[shard as usize].cache_path(path, ch.id);
-            ch.id
-        }
-        Err(e) => return Err(e),
-    };
-    Ok((fs, inode))
 }
 
 /// Truncate an open file to `new_size` (shrinking frees blocks; extending
@@ -458,19 +321,17 @@ pub(crate) fn truncate(
                     }
                     // Size changes go where tokens live: shard 0, which
                     // doubles as the filesystem's block/token manager.
+                    let op = MetaOp::Truncate {
+                        inode,
+                        size: new_size,
+                    };
                     sess.submit_mgr(
                         sim,
                         w,
                         fs,
                         0,
-                        "".into(),
-                        None,
-                        true,
-                        move |sim, w, fs, _shard| {
-                            let now = sim.now().as_nanos();
-                            w.fss[fs.0 as usize].core.truncate(inode, new_size, now)
-                        },
-                        move |sim, w, r| {
+                        op,
+                        move |sim, w, r: Result<(), FsError>| {
                             // Cached pages past the new EOF are stale; drop
                             // the whole file conservatively.
                             if r.is_ok() {
@@ -552,7 +413,7 @@ fn acquire_token(
             let rpcb = w.costs.rpc_bytes;
             Network::send_msg(sim, w, from, a.to, rpcb, move |sim, w| {
                 token_grant(sim, w, client, fs, inode, required, desired, mode, from, a)
-            });
+            })
         },
         cb,
     );
@@ -1128,10 +989,10 @@ pub fn maybe_rebalance(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, fs: FsId) -> b
             // collide with (or be retired by) ordinary op acks.
             let op_id = (1u64 << 62) | inst.migration_seq;
             inst.migration_seq += 1;
-            let rec: std::rc::Rc<dyn std::any::Any> =
-                std::rc::Rc::new(format!("migrate /{top}: shard {from} -> {to}"));
-            inst.mgrs[*from as usize].record(op_id, rec.clone());
-            inst.mgrs[*to as usize].record(op_id, rec);
+            let (subtree, from, to) = (top.clone(), *from, *to);
+            let rec = Ok(Reply::Migrated { subtree, from, to });
+            inst.mgrs[from as usize].record(op_id, rec.clone());
+            inst.mgrs[to as usize].record(op_id, rec);
         }
         inst.core.shards.commit_moves(&moves);
         inst.migrating = false;
@@ -1367,11 +1228,10 @@ fn fetch_run(
         move |sim, w, a| {
             let at_site = site.filter(|_| a.n == 0).map(|(s, _)| s);
             let keys = keys.clone();
-            w.nsd_stats.record(nblocks, nblocks * block_size);
             let from = client_node(w, client);
             let rpcb = w.costs.rpc_bytes;
             let window = w.costs.flow_window;
-            Network::send_msg(sim, w, from, a.to, rpcb, move |sim, w| {
+            let sent = Network::send_msg(sim, w, from, a.to, rpcb, move |sim, w| {
                 let server = a.to;
                 // A crashed server silently drops the request: the
                 // watchdog is the only way the client learns about it.
@@ -1443,6 +1303,10 @@ fn fetch_run(
                     });
                 });
             });
+            if sent {
+                w.nsd_stats.record(nblocks, nblocks * block_size);
+            }
+            sent
         },
         cb,
     );
@@ -1548,37 +1412,57 @@ fn flush_run(
                     nblocks * block_size,
                 );
                 sim.at(done, move |sim, w| {
-                    w.fss[fs.0 as usize].core.put_block_run(addr, data);
+                    w.fss[fs.0 as usize].core.put_block_run(addr, data.clone());
                     // Ack back to the client.
                     let rpcb = w.costs.rpc_bytes;
                     Network::send_msg(sim, w, server, from, rpcb, move |sim, w| {
                         let Some(cb) = a.claim(sim) else {
                             return; // a retry owns this flush now
                         };
-                        for key in &keys {
-                            w.clients[client.0 as usize].pool.mark_clean(*key);
+                        let pool = &mut w.clients[client.0 as usize].pool;
+                        for (key, data) in keys.iter().zip(&data) {
+                            pool.mark_clean(*key, data);
                         }
                         cb(sim, w, Ok(()));
                     });
                 });
             });
+            // A flow whose path is down stalls and resumes on its own.
+            true
         },
         cb,
     );
 }
 
+/// Write back pages the pool evicted dirty, per file, as I/O in flight on
+/// the file: a recall of the file's token waits for it ([`when_drained`])
+/// and the cap passes the file over. The pool no longer holds the pages,
+/// so a write-back that fails loses them: it is logged as
+/// `DirtyPagesDiscarded`, and the next fsync or close of the file fails
+/// once (`Client::lost_writes`), as after an expulsion.
 fn flush_evicted(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
     client: ClientId,
     evicted: Vec<DirtyPage>,
 ) {
-    if evicted.is_empty() {
-        return;
+    let mut by_file: BTreeMap<(FsId, InodeId), Vec<DirtyPage>> = BTreeMap::new();
+    for page in evicted {
+        by_file.entry((page.key.fs, page.key.inode)).or_default().push(page);
     }
-    // Background write-behind: errors surface on the next explicit
-    // fsync/close of the file, not here.
-    flush_dirty_pages(sim, w, client, evicted, Box::new(|_, _, _| {}));
+    for ((fs, inode), pages) in by_file {
+        inflight_enter(w, client, fs, inode);
+        let n = pages.len() as u64;
+        let settled: Cb<Result<(), FsError>> = Box::new(move |sim, w, r| {
+            inflight_exit(w, client, fs, inode);
+            if r.is_err() {
+                w.clients[client.0 as usize].lost_writes.insert((fs, inode));
+                let what = RecoveryWhat::DirtyPagesDiscarded { client, pages: n };
+                w.recovery.log(sim.now(), what);
+            }
+        });
+        flush_dirty_pages(sim, w, client, pages, settled);
+    }
 }
 
 /// Read `len` bytes at `offset`. Returns short data at EOF (like POSIX).
@@ -1838,26 +1722,8 @@ pub(crate) fn write(
                 w,
                 fs,
                 0,
-                "".into(),
-                None,
-                true,
-                move |sim, w, fs, _shard| -> Result<(), FsError> {
-                    let now = sim.now().as_nanos();
-                    let inst = &mut w.fss[fs.0 as usize];
-                    let first = offset / block_size;
-                    let last = end.div_ceil(block_size);
-                    for b in first..last {
-                        inst.core.ensure_block(inode, b)?;
-                    }
-                    inst.core.note_write(inode, offset, end - offset, now)?;
-                    // Write-consistency hook: bump the file generation and
-                    // invalidate (or patch, under Update policy) replica
-                    // copies. Rides the byte-range token revocation that
-                    // already serialized this write against readers.
-                    inst.replicas.on_write(inode, end - offset);
-                    Ok(())
-                },
-                move |sim, w, alloc_result| {
+                MetaOp::Allocate { inode, offset, end },
+                move |sim, w, alloc_result: Result<(), FsError>| {
                     if let Err(e) = alloc_result {
                         inflight_exit(w, client, fs, inode);
                         cb(sim, w, Err(e));
@@ -1993,6 +1859,7 @@ pub fn fsync(
 mod tests {
     use super::*;
     use crate::fscore::FsConfig;
+    use crate::types::{OpenFlags, Owner};
     use crate::world::{FsParams, WorldBuilder};
     use simcore::{Bandwidth, SimDuration};
 

@@ -7,7 +7,6 @@
 //! (State *changes* go through [`crate::admin`] and the world builders;
 //! this module is the read side.)
 
-use crate::tokens::TokenMode;
 use crate::types::{ClusterId, FsId};
 use crate::world::GfsWorld;
 use simcore::ByteSize;
@@ -150,13 +149,6 @@ pub fn mmdiag_tokens(w: &GfsWorld, fs: FsId) -> String {
     out
 }
 
-/// Render one token mode like the diagnostics do.
-pub fn mode_name(m: TokenMode) -> &'static str {
-    match m {
-        TokenMode::Read => "ro",
-        TokenMode::Write => "rw",
-    }
-}
 
 #[cfg(test)]
 mod tests {

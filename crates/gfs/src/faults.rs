@@ -141,26 +141,6 @@ impl FaultPlan {
         self.link_down(at, link.clone()).link_up(at + outage, link)
     }
 
-    /// `count` link flaps: the first goes down at `start`, each next one
-    /// `period` later, each outage lasting `outage` (must be shorter than
-    /// `period` or the link never comes up between flaps).
-    pub fn link_flap_every(
-        mut self,
-        start: SimTime,
-        period: SimDuration,
-        outage: SimDuration,
-        count: u32,
-        link: impl Into<String>,
-    ) -> Self {
-        assert!(outage < period, "outage must fit inside the flap period");
-        let link = link.into();
-        for i in 0..count {
-            let at = start + SimDuration::from_secs_f64(period.as_secs_f64() * f64::from(i));
-            self = self.link_flap(at, link.clone(), outage);
-        }
-        self
-    }
-
     /// NSD server crash at `at`.
     pub fn server_crash(mut self, at: SimTime, fs: FsId, server: impl Into<String>) -> Self {
         self.push(

@@ -45,7 +45,7 @@ pub use faults::{
 };
 pub use fsck::{fsck, fsck_instance, FsckError, FsckReport};
 pub use oracle::{ModelAttr, ModelFs, ModelId};
-pub use replica::{ReplicaCatalog, ReplicaCopy, ReplicaSite, WritePolicy};
+pub use replica::{ReplicaCatalog, ReplicaCopy, ReplicaSite};
 pub use fscore::{DataMode, FileAttr, FsConfig, FsCore};
 pub use tokens::{ByteRange, TokenManager, TokenMode};
 pub use session::{FanIn, Session, SessionState};

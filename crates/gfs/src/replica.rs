@@ -20,8 +20,7 @@
 //! * Write consistency rides the existing token machinery: the
 //!   allocation RPC that records a write at the manager also calls
 //!   [`ReplicaCatalog::on_write`], which bumps the file's generation and
-//!   either invalidates every copy ([`WritePolicy::Invalidate`]) or
-//!   patches them to the new generation ([`WritePolicy::Update`]). A
+//!   invalidates every copy; sites re-replicate in the background. A
 //!   read never serves from a non-current copy: the fetch path re-checks
 //!   [`ReplicaCatalog::copy_current`] at issue *and* at completion and
 //!   falls back to the home farm, counting the fallback.
@@ -41,19 +40,6 @@ use simcore::fxhash::FxHashMap;
 use simcore::{SimDuration, SimTime};
 use simnet::{NodeId, Topology};
 use std::collections::BTreeMap;
-
-/// How a write treats existing replicas.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum WritePolicy {
-    /// Mark every copy stale; sites re-replicate in the background.
-    /// Cheap writes, reads fall back home until the copy is refreshed.
-    #[default]
-    Invalidate,
-    /// Patch every copy to the new generation along with the token
-    /// revocation (the revocation message already reaches every holder;
-    /// the model charges the patched bytes to the catalog counters).
-    Update,
-}
 
 /// One remote site holding replicas: its server nodes and service queues.
 #[derive(Clone, Debug)]
@@ -79,7 +65,7 @@ pub struct ReplicaCopy {
     pub site: u32,
     /// Generation the copy holds.
     pub gen: u64,
-    /// False once a write invalidated it ([`WritePolicy::Invalidate`]).
+    /// False once a write invalidated it.
     pub valid: bool,
 }
 
@@ -108,12 +94,8 @@ pub struct ReplicaCounters {
     pub pick_score_ns: u64,
     /// Runs split across ≥ 2 near-equidistant sources.
     pub split_fanouts: u64,
-    /// Copies invalidated by writes ([`WritePolicy::Invalidate`]).
+    /// Copies invalidated by writes.
     pub invalidations: u64,
-    /// Copies patched in place by writes ([`WritePolicy::Update`]).
-    pub update_patches: u64,
-    /// Bytes charged to update patches.
-    pub update_bytes: u64,
     /// Fetches that found their planned copy no longer current at issue
     /// or completion and re-fetched from home instead of serving stale.
     pub stale_fallbacks: u64,
@@ -173,8 +155,6 @@ const SPLIT_SLACK_NS: u64 = 2_000_000;
 /// The per-filesystem replica catalog.
 #[derive(Default)]
 pub struct ReplicaCatalog {
-    /// Write-coherence policy.
-    pub policy: WritePolicy,
     /// Attached replica sites.
     pub sites: Vec<ReplicaSite>,
     /// Cataloged files (deterministic iteration order).
@@ -265,32 +245,20 @@ impl ReplicaCatalog {
         gen
     }
 
-    /// A write landed at the manager: bump the generation and apply the
-    /// coherence policy to every copy. Rides the same manager mutation
-    /// that records the write, so it is exactly-once under RPC retry and
-    /// ordered with the byte-range token revocation that preceded it.
-    pub fn on_write(&mut self, inode: InodeId, bytes: u64) {
+    /// A write landed at the manager: bump the generation and invalidate
+    /// every copy. Rides the same manager mutation that records the write,
+    /// so it is exactly-once under RPC retry and ordered with the
+    /// byte-range token revocation that preceded it.
+    pub fn on_write(&mut self, inode: InodeId) {
         let Some(f) = self.files.get_mut(&inode) else {
             return;
         };
         f.gen += 1;
         self.counters.max_gen = self.counters.max_gen.max(f.gen);
-        match self.policy {
-            WritePolicy::Invalidate => {
-                for c in &mut f.copies {
-                    if c.valid {
-                        c.valid = false;
-                        self.counters.invalidations += 1;
-                    }
-                }
-            }
-            WritePolicy::Update => {
-                for c in &mut f.copies {
-                    c.gen = f.gen;
-                    c.valid = true;
-                    self.counters.update_patches += 1;
-                    self.counters.update_bytes += bytes;
-                }
+        for c in &mut f.copies {
+            if c.valid {
+                c.valid = false;
+                self.counters.invalidations += 1;
             }
         }
     }
@@ -592,7 +560,7 @@ mod tests {
         assert!(cat.copy_current(ino, 0) && cat.copy_current(ino, 1));
         assert_eq!(cat.current_copies(), 2);
 
-        cat.on_write(ino, 4096);
+        cat.on_write(ino);
         assert!(!cat.copy_current(ino, 0));
         assert!(!cat.copy_current(ino, 1));
         assert_eq!(cat.counters.invalidations, 2);
@@ -606,31 +574,15 @@ mod tests {
     }
 
     #[test]
-    fn update_policy_patches_copies_in_place() {
-        let mut cat = catalog_with_sites(2);
-        cat.policy = WritePolicy::Update;
-        let ino = InodeId(3);
-        cat.register(ino);
-        cat.install_copy(ino, 0, 512);
-        cat.install_copy(ino, 1, 512);
-        cat.on_write(ino, 2048);
-        assert!(cat.copy_current(ino, 0) && cat.copy_current(ino, 1));
-        assert_eq!(cat.counters.update_patches, 2);
-        assert_eq!(cat.counters.update_bytes, 4096);
-        assert_eq!(cat.counters.invalidations, 0);
-        assert!(cat.coherence_violations().is_empty());
-    }
-
-    #[test]
     fn generation_watermark_is_monotone() {
         let mut cat = catalog_with_sites(1);
         let (a, b) = (InodeId(1), InodeId(2));
         cat.register(a);
         cat.register(b);
         for _ in 0..5 {
-            cat.on_write(a, 1);
+            cat.on_write(a);
         }
-        cat.on_write(b, 1);
+        cat.on_write(b);
         assert_eq!(cat.counters.max_gen, 5);
         assert!(cat.coherence_violations().is_empty());
         // A fabricated regression is caught.

@@ -17,6 +17,10 @@
 //!   it on arrival, so a completed exchange leaves nothing queued. An
 //!   answer that arrives after its watchdog fired finds the cancel refused
 //!   and is dropped: the retry owns the exchange.
+//! * An attempt whose request never left — a link on its path was down
+//!   when it was sent — sends it again every `costs.retry_base` until it
+//!   leaves or the watchdog fires, the rule a recall follows too. A
+//!   request that left and is lost further on is the watchdog's to find.
 //! * A fired watchdog logs `TimeoutDetected` and retries after a bounded
 //!   exponential backoff with seeded jitter. Once `costs.max_retries`
 //!   retries are spent it ends the exchange with [`FsError::Timeout`].
@@ -49,7 +53,7 @@ struct Exchange<T> {
     /// The one-shot completion slot.
     done: RefCell<Option<Cb<Result<T, FsError>>>>,
     target: RefCell<Box<dyn FnMut(&mut GfsWorld, u32) -> Target<T>>>,
-    send: RefCell<Box<dyn FnMut(&mut Sim<GfsWorld>, &mut GfsWorld, Attempt<T>)>>,
+    send: RefCell<Box<dyn FnMut(&mut Sim<GfsWorld>, &mut GfsWorld, Attempt<T>) -> bool>>,
 }
 
 impl<T> Exchange<T> {
@@ -63,14 +67,15 @@ impl<T> Exchange<T> {
 
 /// Start an exchange on behalf of `client`. Every attempt calls `target`
 /// with its number (0 for the first) to resolve where it goes, arms its
-/// watchdog, then calls `send` to put it on the wire. The answer reaches
-/// `done` through [`Attempt::reply`] or [`Attempt::claim`].
+/// watchdog, then calls `send` to put its request on the wire; `send`
+/// returns whether the request left. The answer reaches `done` through
+/// [`Attempt::reply`] or [`Attempt::claim`].
 pub(crate) fn exchange<T: 'static>(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
     client: ClientId,
     target: impl FnMut(&mut GfsWorld, u32) -> Target<T> + 'static,
-    send: impl FnMut(&mut Sim<GfsWorld>, &mut GfsWorld, Attempt<T>) + 'static,
+    send: impl FnMut(&mut Sim<GfsWorld>, &mut GfsWorld, Attempt<T>) -> bool + 'static,
     done: Cb<Result<T, FsError>>,
 ) {
     let ex = Rc::new(Exchange {
@@ -107,14 +112,34 @@ fn attempt<T: 'static>(
             },
         );
     }
-    let watchdog = Cell::new(arm(sim, &ex, to, n, w.costs.request_timeout));
+    let watchdog = arm(sim, &ex, to, n, w.costs.request_timeout);
+    send(sim, w, ex, to, n, watchdog);
+}
+
+/// Put attempt `n`'s request on the wire; while it does not leave, again
+/// every `retry_base` until it does or the attempt's watchdog fires.
+fn send<T: 'static>(
+    sim: &mut Sim<GfsWorld>,
+    w: &mut GfsWorld,
+    ex: Rc<Exchange<T>>,
+    to: NodeId,
+    n: u32,
+    watchdog: TimerId,
+) {
     let a = Attempt {
         ex: ex.clone(),
-        watchdog,
+        watchdog: Cell::new(watchdog),
         to,
         n,
     };
-    (ex.send.borrow_mut())(sim, w, a);
+    if (ex.send.borrow_mut())(sim, w, a) {
+        return;
+    }
+    sim.after(w.costs.retry_base, move |sim, w| {
+        if sim.timer_live(watchdog) {
+            send(sim, w, ex, to, n, watchdog);
+        }
+    });
 }
 
 /// Arm attempt `n`'s watchdog: on firing, retry after a backoff or, with

@@ -16,29 +16,35 @@
 //! and hand the session itself to `client::write` and `client::truncate`,
 //! whose block allocation and size change ride the session's envelopes.
 //!
+//! Every manager request is a value, a [`MetaOp`], answered by a
+//! [`Reply`]; [`MetaOp::apply`] runs it at the owning shard or at a lease
+//! delegate. The manager's WAL and dedup table and a delegate's journal
+//! hold the recorded [`Outcome`]s, so they can be printed, compared and
+//! replayed.
+//!
 //! **Fan-in**: sessions batch same-instant manager requests — metadata
 //! ops, write allocation, truncate, lease acquire and surrender — into
 //! one *envelope* per `(context, fs, shard)`: one request
 //! message, one watchdog, one response for the whole batch, with per-op
 //! results demuxed in submission order. A context with one session simply
 //! sends one-op envelopes. Exactly-once semantics are preserved per
-//! session op id: a retried envelope replays recorded results from the
+//! session op id: a retried envelope replays recorded outcomes from the
 //! manager's dedup table instead of re-running mutations. This is what
 //! makes a 100k-session, 10M-op storm affordable: the simulator pays a
 //! handful of events per *envelope* instead of four per op.
 
 use crate::cache::PrefetchState;
-use crate::client;
+use crate::client::{self, Cb};
+use crate::fscore::FileAttr;
 use crate::rpc::{self, Attempt};
 use crate::types::{ClientId, FsError, FsId, Handle, InodeId, OpenFlags, Owner, SessionId};
-use crate::world::{GfsWorld, Mount, OpenFile};
+use crate::world::{GfsWorld, JournalEntry, Mount, OpenFile};
 use bytes::Bytes;
 use gfs_auth::handshake::AccessMode;
 use simcore::fxhash::{FxHashMap, FxHashSet};
 use simcore::{Sim, SimDuration};
 use simnet::Network;
-use std::any::Any;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::ops::ControlFlow::Continue;
 use std::rc::Rc;
 
@@ -58,14 +64,16 @@ pub struct SessionState {
     /// Facade operations currently in flight (invariant: drains to 0).
     pub inflight_ops: u32,
     /// Sequence for session op ids: bit 63 set, session id in bits 62..32,
-    /// sequence below. Every manager request a session sends — metadata,
-    /// write allocation, truncate, lease verbs — and every delegated op
-    /// takes its id here; the only other ids in a manager's dedup table
-    /// are bit-62 migration records, so the two never collide.
+    /// bit 31 set for a delegated op, sequence below. Every manager request
+    /// a session sends — metadata, write allocation, truncate, lease verbs
+    /// — and every delegated op takes its id here; the only other ids in a
+    /// manager's dedup table are bit-62 migration records, so the two never
+    /// collide.
     pub next_op_seq: u64,
-    /// Highest sequence this session has told the manager to retire:
-    /// every result at or below it was delivered, so the manager may drop
-    /// its recorded copy (see [`crate::world::ManagerState::retire`]).
+    /// Highest sequence this session has acked: every op at or below it
+    /// was answered, and its range went onto the context's retirement list
+    /// (`Session::exit`), so the manager may drop the recorded
+    /// copies (see [`crate::world::ManagerState::retire`]).
     pub acked_seq: u64,
 }
 
@@ -84,21 +92,273 @@ impl SessionState {
     }
 }
 
-/// One operation inside a fan-in envelope: a type-erased manager-side body
-/// plus the client-side demux callback. `run` returns the op's
-/// `Result<T, FsError>` boxed as `Rc<dyn Any>` — the exact representation
-/// the manager's dedup table stores, so replay hands the recorded `Rc`
-/// straight back to `deliver`.
+/// One manager request. A session builds it, an envelope carries it to
+/// the owning shard (or a leased subtree's delegate runs it locally), and
+/// [`MetaOp::apply`] executes it there.
+#[derive(Clone, Debug, PartialEq)]
+pub enum MetaOp {
+    /// Create a directory.
+    Mkdir { path: String, owner: Owner },
+    /// A path's attributes.
+    Stat { path: String },
+    /// List a directory.
+    Readdir { path: String },
+    /// Remove a file or empty directory.
+    Unlink { path: String },
+    /// Rename within the filesystem.
+    Rename { from: String, to: String },
+    /// Resolve a file, creating it for a writing open.
+    Open { path: String, flags: OpenFlags, owner: Owner },
+    /// A write's block allocation and size update, for bytes `offset..end`.
+    Allocate { inode: InodeId, offset: u64, end: u64 },
+    /// Set a file's size.
+    Truncate { inode: InodeId, size: u64 },
+    /// Lease subtree `top` to `holder`'s delegate.
+    LeaseGrant { top: Box<str>, holder: ClientId },
+    /// Drop `holder`'s own lease on `top`, if it still has it.
+    LeaseRelease { top: Box<str>, holder: ClientId },
+    /// A delegate-journal entry under subtree `top`: the mutation already
+    /// ran under the lease, so the manager only records its outcome.
+    Replay { top: Box<str>, result: Outcome },
+}
+
+/// What a manager op answers.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Reply {
+    /// Unlink, rename, write allocation, truncate and the lease verbs.
+    Done,
+    /// The new directory.
+    Created(InodeId),
+    /// A path's attributes.
+    Attr(FileAttr),
+    /// A directory's entries.
+    Names(Vec<String>),
+    /// The opened file.
+    Opened(FsId, InodeId),
+    /// Not an op's answer but a WAL record: subtree `subtree` moved from
+    /// shard `from` to shard `to` (see [`client::maybe_rebalance`]).
+    Migrated { subtree: Box<str>, from: u32, to: u32 },
+}
+
+/// A manager op's recorded outcome: what the WAL, the dedup table and a
+/// delegate journal keep, and what an envelope carries back per op.
+pub type Outcome = Result<Reply, FsError>;
+
+impl MetaOp {
+    /// Does the op change the namespace or a file? The manager records
+    /// the outcome of such an op, and a read-only mount refuses it.
+    fn mutating(&self) -> bool {
+        match self {
+            MetaOp::Stat { .. } | MetaOp::Readdir { .. } => false,
+            MetaOp::LeaseGrant { .. } | MetaOp::LeaseRelease { .. } => false,
+            MetaOp::Open { flags, .. } => flags.writes(),
+            _ => true,
+        }
+    }
+
+    /// A namespace op's path, which picks its owning shard, and the other
+    /// path of an op that may span two shards: a rename's destination, a
+    /// mkdir's parent. Empty for the other ops.
+    fn route(&self) -> (&str, Option<&str>) {
+        match self {
+            MetaOp::Mkdir { path, .. } => {
+                let parent = match path.rfind('/') {
+                    Some(0) | None => "/",
+                    Some(i) => &path[..i],
+                };
+                (path, Some(parent))
+            }
+            MetaOp::Rename { from, to } => (from, Some(to)),
+            MetaOp::Stat { path } | MetaOp::Readdir { path } => (path, None),
+            MetaOp::Unlink { path } | MetaOp::Open { path, .. } => (path, None),
+            _ => ("", None),
+        }
+    }
+
+    /// The top-level subtree the op touches, for the lease rule. Empty for
+    /// ops outside the namespace, and for a release: a surrender must never
+    /// trip the rule against a newer holder.
+    fn top(&self) -> &str {
+        match self {
+            MetaOp::LeaseGrant { top, .. } | MetaOp::Replay { top, .. } => top,
+            _ => crate::fscore::top_component(self.route().0),
+        }
+    }
+
+    /// Run the op on filesystem `fs` at time `now` (ns), through `shard`'s
+    /// precisely invalidated path cache (see
+    /// [`crate::world::ManagerState::cached_path`]): at the owning shard,
+    /// or at the lease delegate of a context leasing the op's subtree.
+    pub fn apply(&self, w: &mut GfsWorld, fs: FsId, shard: u32, now: u64) -> Outcome {
+        let inst = &mut w.fss[fs.0 as usize];
+        match self {
+            MetaOp::Mkdir { path, owner } => {
+                let ch = inst.core.mkdir_entry(path, owner.clone(), now)?;
+                // Seed the owning manager's cache — the creator (or a
+                // sibling session) will almost always resolve it next.
+                inst.mgrs[shard as usize].cache_path(path, ch.id);
+                Ok(Reply::Created(ch.id))
+            }
+            MetaOp::Stat { path } => {
+                let id = inst.mgrs[shard as usize].lookup(&inst.core, path)?;
+                inst.core.stat_id(id).map(Reply::Attr)
+            }
+            MetaOp::Readdir { path } => {
+                let id = inst.mgrs[shard as usize].lookup(&inst.core, path)?;
+                match inst.core.readdir_id(id) {
+                    Ok(names) => Ok(Reply::Names(names)),
+                    Err(FsError::NotADirectory(_)) => Err(FsError::NotADirectory(path.clone())),
+                    Err(e) => Err(e),
+                }
+            }
+            MetaOp::Unlink { path } => {
+                let ch = inst.core.unlink_entry(path)?;
+                // Every shard drops the path, not just the one that ran the
+                // op: a shard that owned the subtree before a migration may
+                // still cache it.
+                for mgr in &mut inst.mgrs {
+                    mgr.uncache_path(path);
+                }
+                // Every context drops the dead file's cached pages (the
+                // manager broadcasts in GPFS; the effect is applied
+                // directly and charged nothing extra).
+                for c in &mut w.clients {
+                    c.pool.invalidate_file(fs, ch.id);
+                }
+                Ok(Reply::Done)
+            }
+            MetaOp::Rename { from, to } => {
+                let ch = inst.core.rename_entry(from, to)?;
+                // A rename moves a whole subtree; every cached path under
+                // it is suspect, so every manager drops its cache wholesale
+                // (a cross-shard rename invalidates on both owners).
+                for mgr in &mut inst.mgrs {
+                    mgr.uncache_all_paths();
+                }
+                // A rename that replaced an existing target drops the old
+                // target's cached pages everywhere.
+                if let Some(rid) = ch.replaced {
+                    for c in &mut w.clients {
+                        c.pool.invalidate_file(fs, rid);
+                    }
+                }
+                Ok(Reply::Done)
+            }
+            MetaOp::Open { path, flags, owner } => {
+                let mgr = &mut inst.mgrs[shard as usize];
+                let inode = match mgr.lookup(&inst.core, path) {
+                    Ok(id) if inst.core.inode(id)?.is_dir() => {
+                        return Err(FsError::IsADirectory(path.clone()))
+                    }
+                    Ok(id) => id,
+                    Err(FsError::NotFound(_)) if flags.writes() => {
+                        let ch = inst.core.create_file_entry(path, owner.clone(), now)?;
+                        mgr.cache_path(path, ch.id);
+                        ch.id
+                    }
+                    Err(e) => return Err(e),
+                };
+                Ok(Reply::Opened(fs, inode))
+            }
+            MetaOp::Allocate { inode, offset, end } => {
+                let block = inst.core.config.block_size;
+                for b in offset / block..end.div_ceil(block) {
+                    inst.core.ensure_block(*inode, b)?;
+                }
+                inst.core.note_write(*inode, *offset, end - offset, now)?;
+                // Write-consistency hook: bump the file generation and
+                // invalidate replica copies. Rides the byte-range token
+                // revocation that already serialized this write against
+                // readers.
+                inst.replicas.on_write(*inode);
+                Ok(Reply::Done)
+            }
+            MetaOp::Truncate { inode, size } => {
+                inst.core.truncate(*inode, *size, now).map(|()| Reply::Done)
+            }
+            MetaOp::LeaseGrant { top, holder } => {
+                if inst.leases.insert(top.clone(), *holder).is_none() {
+                    inst.lease_grants += 1;
+                }
+                Ok(Reply::Done)
+            }
+            MetaOp::LeaseRelease { top, holder } => {
+                if inst.leases.get(top) == Some(holder) {
+                    inst.leases.remove(top);
+                }
+                Ok(Reply::Done)
+            }
+            MetaOp::Replay { result, .. } => {
+                // Runs only when the dedup table has no record yet — the
+                // counter is the proof each entry applied exactly once.
+                inst.reconcile_ops += 1;
+                result.clone()
+            }
+        }
+    }
+}
+
+// Each op's typed answer, for the `Session` callbacks. An op only ever
+// answers with its own kind of reply; an op's own error and the envelope's
+// alike reach the callback as `Err`.
+
+impl From<Reply> for () {
+    fn from(_: Reply) {}
+}
+
+impl From<Reply> for InodeId {
+    fn from(r: Reply) -> Self {
+        match r {
+            Reply::Created(id) => id,
+            r => unreachable!("{r:?} answers another op"),
+        }
+    }
+}
+
+impl From<Reply> for FileAttr {
+    fn from(r: Reply) -> Self {
+        match r {
+            Reply::Attr(a) => a,
+            r => unreachable!("{r:?} answers another op"),
+        }
+    }
+}
+
+impl From<Reply> for Vec<String> {
+    fn from(r: Reply) -> Self {
+        match r {
+            Reply::Names(names) => names,
+            r => unreachable!("{r:?} answers another op"),
+        }
+    }
+}
+
+impl From<Reply> for (FsId, InodeId) {
+    fn from(r: Reply) -> Self {
+        match r {
+            Reply::Opened(fs, id) => (fs, id),
+            r => unreachable!("{r:?} answers another op"),
+        }
+    }
+}
+
+/// A session callback as a batch op's.
+fn typed<T: From<Reply> + 'static>(
+    cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<T, FsError>) + 'static,
+) -> Cb<Result<Outcome, FsError>> {
+    Box::new(move |sim, w, r| cb(sim, w, r.and_then(|o| o.map(T::from))))
+}
+
+/// One op inside a fan-in envelope or a delegate batch: the request, the
+/// session op id it runs under, its routing, and its callback. The
+/// callback gets the op's outcome, or the error that ended the envelope's
+/// exchange.
 pub struct BatchOp {
     op_id: u64,
-    mutating: bool,
-    /// Op-id range the manager may retire before running this op: the
-    /// session acks delivered results so the dedup table stays bounded.
-    ack: Option<(u64, u64)>,
-    /// Top-level namespace component the op touches, for lease-conflict
-    /// detection at the owning manager (empty for ops outside the
-    /// namespace, e.g. write allocation).
-    top: Box<str>,
+    op: MetaOp,
+    /// The shard the op was routed to: its envelope's destination, and the
+    /// path cache a delegate serves it through.
+    shard: u32,
     /// Owning shard of the *other* path of a cross-shard op (rename whose
     /// destination lives elsewhere, mkdir at a shard boundary). `None` for
     /// single-shard ops.
@@ -107,49 +367,18 @@ pub struct BatchOp {
     /// peer shard recovering); bounded so a wedged peer surfaces as
     /// `Timeout` instead of an endless re-poll.
     defers: u32,
-    /// Journal-reconcile replay: the mutation already ran under the lease
-    /// and this op only installs its recorded result (WAL append + dedup
-    /// insert, no path resolution), so the manager charges
-    /// `manager_replay_per_op` instead of the full op service cost.
-    replay: bool,
-    run: Box<dyn FnMut(&mut Sim<GfsWorld>, &mut GfsWorld, FsId, u32) -> Rc<dyn Any>>,
-    deliver: Option<Box<dyn FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<Rc<dyn Any>, FsError>)>>,
+    deliver: Cb<Result<Outcome, FsError>>,
 }
 
 impl BatchOp {
-    /// A live op under `op_id`: `run` executes at the manager (or the
-    /// lease delegate) and `cb` receives its typed result. Delivery moves
-    /// the result out of the `Rc` when it holds the only reference (always
-    /// true for unrecorded reads — the readdir name vector is never
-    /// cloned) and clones it when the dedup table still holds the other.
-    fn new<T: Clone + 'static>(
-        op_id: u64,
-        ack: Option<(u64, u64)>,
-        mutating: bool,
-        top: Box<str>,
-        peer: Option<u32>,
-        mut run: impl FnMut(&mut Sim<GfsWorld>, &mut GfsWorld, FsId, u32) -> Result<T, FsError> + 'static,
-        cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<T, FsError>) + 'static,
-    ) -> BatchOp {
+    fn new(op_id: u64, op: MetaOp, shard: u32, peer: Option<u32>, deliver: Cb<Result<Outcome, FsError>>) -> Self {
         BatchOp {
             op_id,
-            mutating,
-            ack,
-            top,
+            op,
+            shard,
             peer,
             defers: 0,
-            replay: false,
-            run: Box::new(move |sim, w, fs, shard| Rc::new(run(sim, w, fs, shard)) as Rc<dyn Any>),
-            deliver: Some(Box::new(move |sim, w, r| {
-                let out: Result<T, FsError> = match r {
-                    Ok(rc) => match rc.downcast::<Result<T, FsError>>() {
-                        Ok(rc) => Rc::try_unwrap(rc).unwrap_or_else(|rc| (*rc).clone()),
-                        Err(_) => panic!("batch op delivered a different result type"),
-                    },
-                    Err(e) => Err(e),
-                };
-                cb(sim, w, out);
-            })),
+            deliver,
         }
     }
 }
@@ -177,12 +406,14 @@ pub struct FanIn {
     /// `(ctx, fs, shard)` keys with a same-instant flush already scheduled
     /// (dedups the flush event across many same-instant submits).
     armed: FxHashSet<(u32, u32, u32)>,
-    /// Reconciled delegate-journal op ids whose results reached their
-    /// holder, keyed by `(ctx, fs, shard)`: the next envelope of that key
-    /// tells the shard to retire them. A reconcile records each entry
-    /// under its original session op id, which the session already acked
-    /// in a later op, so no session ack would ever cover it again.
-    retire: FxHashMap<(u32, u32, u32), Vec<u64>>,
+    /// Op-id ranges whose outcomes reached their sessions, keyed by
+    /// `(ctx, fs)`: the next envelope of that context to the filesystem
+    /// tells the manager to retire them on every shard. A session adds the
+    /// ids it took since its last ack once its last op in flight completes
+    /// (`Session::exit`); a reconcile adds each journal entry it answered,
+    /// recorded under an original session op id the session acked before
+    /// the reconcile recorded it.
+    retire: FxHashMap<(u32, u32), Vec<(u64, u64)>>,
     /// Delegate batches collecting this instant, keyed by `(ctx, fs)` —
     /// writeback-delegated ops batch exactly like envelopes do, paying a
     /// couple of simulator events per *batch* on the local delegate queue.
@@ -260,46 +491,46 @@ impl Session {
         w.sessions.get_mut(self.0 .0).expect("session no longer exists")
     }
 
-    /// A fresh op id in the session space (see
-    /// [`SessionState::next_op_seq`]) plus the retirement range this op
-    /// carries to the manager. When nothing else is in flight for the
-    /// session, every sequence below the new one has been delivered —
-    /// the op acks them so the manager can drop their recorded results.
-    fn next_op_id(self, w: &mut GfsWorld) -> (u64, Option<(u64, u64)>) {
-        let base = (1u64 << 63) | (u64::from(self.0 .0) << 32);
-        let st = self.state_mut(w);
-        st.next_op_seq += 1;
-        let seq = st.next_op_seq & 0xffff_ffff;
-        let ack = if st.inflight_ops == 1 && st.acked_seq + 1 < seq {
-            let lo = st.acked_seq + 1;
-            st.acked_seq = seq - 1;
-            Some((base | lo, base | (seq - 1)))
-        } else {
-            None
-        };
-        (base | seq, ack)
+    /// The high bits of the session's op ids (see
+    /// [`SessionState::next_op_seq`]).
+    fn op_base(self) -> u64 {
+        (1u64 << 63) | (u64::from(self.0 .0) << 32)
     }
 
-    /// A fresh op id for a writeback-delegated op: same session id space
-    /// (the reconcile envelope will present it to the manager dedup
-    /// table), but no retirement ack — the manager has not seen this
-    /// session's earlier results delivered, and `acked_seq` must not skip
-    /// past envelope results the manager still holds.
-    fn next_delegate_op_id(self, w: &mut GfsWorld) -> u64 {
-        let base = (1u64 << 63) | (u64::from(self.0 .0) << 32);
+    /// A fresh op id in the session space. A delegated op's id has bit 31
+    /// set, outside every ack range of the session (see [`Session::exit`]):
+    /// the manager records it only once a reconcile lands it, and that
+    /// reconcile retires it.
+    fn next_op_id(self, w: &mut GfsWorld, delegated: bool) -> u64 {
         let st = self.state_mut(w);
         st.next_op_seq += 1;
-        base | (st.next_op_seq & 0xffff_ffff)
+        self.op_base() | u64::from(delegated) << 31 | (st.next_op_seq & 0x7fff_ffff)
     }
 
     fn enter(self, w: &mut GfsWorld) {
         self.state_mut(w).inflight_ops += 1;
     }
 
+    /// A facade op completed. Once none is left in flight, every op id the
+    /// session took has been answered, so the envelope op ids since its
+    /// last ack join its context's retirement list (`FanIn::retire`), which
+    /// the next envelope of any session of the context carries.
     fn exit(self, w: &mut GfsWorld) {
+        let base = self.op_base();
         let st = self.state_mut(w);
         debug_assert!(st.inflight_ops > 0, "session inflight underflow");
         st.inflight_ops -= 1;
+        let seq = st.next_op_seq & 0x7fff_ffff;
+        if st.inflight_ops > 0 || st.acked_seq >= seq {
+            return;
+        }
+        let range = (base | (st.acked_seq + 1), base | seq);
+        st.acked_seq = seq;
+        let st = self.state(w);
+        let mount = st.device.as_deref().and_then(|d| w.clients[st.ctx.0 as usize].mounts.get(d));
+        if let Some(key) = mount.map(|m| (st.ctx.0, m.fs.0)) {
+            w.fanin.retire.entry(key).or_default().push(range);
+        }
     }
 
     /// Start a facade op: count it in flight and wrap its callback so the
@@ -385,18 +616,7 @@ impl Session {
         cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<InodeId, FsError>) + 'static,
     ) {
         let path = self.resolve(w, path);
-        // The parent directory may live on a different shard (a mkdir at
-        // the namespace's first level); routing carries it as the peer so
-        // the envelope runs the boundary op as a two-phase record.
-        let parent = match path.rfind('/') {
-            Some(0) | None => "/".to_string(),
-            Some(i) => path[..i].to_string(),
-        };
-        let route = path.clone();
-        self.submit_meta(sim, w, true, route, Some(parent), move |sim, w, fs, shard| {
-            let now = sim.now().as_nanos();
-            client::mkdir_apply(w, fs, shard, now, &path, &owner)
-        }, cb);
+        self.submit_meta(sim, w, MetaOp::Mkdir { path, owner }, cb);
     }
 
     /// `stat` a path.
@@ -405,14 +625,10 @@ impl Session {
         sim: &mut Sim<GfsWorld>,
         w: &mut GfsWorld,
         path: &str,
-        cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<crate::fscore::FileAttr, FsError>)
-            + 'static,
+        cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<FileAttr, FsError>) + 'static,
     ) {
         let path = self.resolve(w, path);
-        let route = path.clone();
-        self.submit_meta(sim, w, false, route, None, move |_sim, w, fs, shard| {
-            client::stat_apply(w, fs, shard, &path)
-        }, cb);
+        self.submit_meta(sim, w, MetaOp::Stat { path }, cb);
     }
 
     /// List a directory.
@@ -424,10 +640,7 @@ impl Session {
         cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<Vec<String>, FsError>) + 'static,
     ) {
         let path = self.resolve(w, path);
-        let route = path.clone();
-        self.submit_meta(sim, w, false, route, None, move |_sim, w, fs, shard| {
-            client::readdir_apply(w, fs, shard, &path)
-        }, cb);
+        self.submit_meta(sim, w, MetaOp::Readdir { path }, cb);
     }
 
     /// Remove a file or empty directory.
@@ -439,13 +652,13 @@ impl Session {
         cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<(), FsError>) + 'static,
     ) {
         let path = self.resolve(w, path);
-        let route = path.clone();
-        self.submit_meta(sim, w, true, route, None, move |_sim, w, fs, _shard| {
-            client::unlink_apply(w, fs, &path)
-        }, cb);
+        self.submit_meta(sim, w, MetaOp::Unlink { path }, cb);
     }
 
-    /// Rename within the bound filesystem.
+    /// Rename within the bound filesystem. A rename coordinates at the
+    /// source's owning shard; when the destination hashes elsewhere the
+    /// envelope runs it as a two-phase op, charging and journaling on both
+    /// managers.
     pub fn rename(
         self,
         sim: &mut Sim<GfsWorld>,
@@ -456,14 +669,7 @@ impl Session {
     ) {
         let from = self.resolve(w, from);
         let to = self.resolve(w, to);
-        // A rename coordinates at the source's owning shard; when the
-        // destination hashes elsewhere the envelope runs it as a two-phase
-        // op, charging and journaling on both managers.
-        let route = from.clone();
-        let peer = to.clone();
-        self.submit_meta(sim, w, true, route, Some(peer), move |_sim, w, fs, _shard| {
-            client::rename_apply(w, fs, &from, &to)
-        }, cb);
+        self.submit_meta(sim, w, MetaOp::Rename { from, to }, cb);
     }
 
     /// Open (and possibly create) a file. The handle is shared-context
@@ -480,18 +686,15 @@ impl Session {
     ) {
         let path = self.resolve(w, path);
         let ctx = self.ctx(w);
-        let path2 = path.clone();
-        let route = path.clone();
+        let op = MetaOp::Open {
+            path: path.clone(),
+            flags,
+            owner,
+        };
         self.submit_meta(
             sim,
             w,
-            flags.writes(),
-            route,
-            None,
-            move |sim, w, fs, shard| {
-                let now = sim.now().as_nanos();
-                client::open_apply(w, fs, shard, now, &path, flags, &owner)
-            },
+            op,
             move |sim, w, r: Result<(FsId, InodeId), FsError>| match r {
                 Ok((fs, inode)) => {
                     let h = w.alloc_handle();
@@ -502,7 +705,7 @@ impl Session {
                             fs,
                             inode,
                             flags,
-                            path: path2,
+                            path,
                         },
                     );
                     c.prefetch.insert(h, PrefetchState::new(16));
@@ -624,21 +827,16 @@ impl Session {
     }
 
     /// Fan-in metadata submit against the session's bound device: mount +
-    /// access-mode preflight, then shard routing. `route` is the path the
-    /// op primarily touches (it picks the owning manager), `peer_route`
-    /// the secondary path of a potentially cross-shard op. When the mount
-    /// context holds a subtree lease covering `route` and the op stays
-    /// within one shard, the op runs at the site-local delegate instead of
-    /// crossing to the manager at all.
-    #[allow(clippy::too_many_arguments)]
-    fn submit_meta<T: Clone + 'static>(
+    /// access-mode preflight, then shard routing by the op's path (see
+    /// [`MetaOp::route`]); a second path on another shard makes it a
+    /// two-phase op. When the mount context holds a subtree lease covering
+    /// the op and the op stays within one shard, the op runs at the
+    /// site-local delegate instead of crossing to the manager at all.
+    fn submit_meta<T: From<Reply> + 'static>(
         self,
         sim: &mut Sim<GfsWorld>,
         w: &mut GfsWorld,
-        needs_write: bool,
-        route: String,
-        peer_route: Option<String>,
-        mut run: impl FnMut(&mut Sim<GfsWorld>, &mut GfsWorld, FsId, u32) -> Result<T, FsError> + 'static,
+        op: MetaOp,
         cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<T, FsError>) + 'static,
     ) {
         let cb = self.begin(w, cb);
@@ -650,50 +848,30 @@ impl Session {
                 return;
             }
         };
-        if needs_write && m.mode == AccessMode::ReadOnly {
+        if op.mutating() && m.mode == AccessMode::ReadOnly {
             cb(sim, w, Err(FsError::ReadOnly));
             return;
         }
-        let (shard, peer, top) = {
-            let sm = &w.fss[m.fs.0 as usize].core.shards;
-            let shard = sm.shard_of(&route);
-            let peer = peer_route
-                .as_deref()
-                .map(|p| sm.shard_of(p))
-                .filter(|&b| b != shard);
-            let top: Box<str> = crate::fscore::top_component(&route).into();
-            (shard, peer, top)
-        };
+        let (route, other) = op.route();
+        let top = op.top();
+        let sm = &w.fss[m.fs.0 as usize].core.shards;
+        let shard = sm.shard_of(route);
+        let peer = other.map(|p| sm.shard_of(p)).filter(|&b| b != shard);
         // Writeback-delegate fast path: the context leases this subtree
         // and the op stays entirely inside it — serve it at the site-local
         // delegate with zero manager events. Mutations additionally journal
-        // their recorded result; the journal reconciles with the owning
+        // their recorded outcome; the journal reconciles with the owning
         // shard (as bulk envelopes through the dedup table) when the lease
         // is surrendered or broken. Expulsion needs no check here: losing
-        // the lease term clears the mirror. Ops whose secondary path leaves
+        // the lease term clears the mirror. Ops whose other path leaves
         // the subtree (cross-top renames, even same-shard ones) never
         // delegate — the lease does not cover the other end.
-        let delegate = {
-            let same_subtree = peer.is_none()
-                && peer_route
-                    .as_deref()
-                    .is_none_or(|p| crate::fscore::top_component(p) == top.as_ref());
-            let c = &w.clients[ctx.0 as usize];
-            same_subtree && !c.leases.is_empty() && c.leases.contains(&(m.fs, top.clone()))
-        };
-        if delegate {
-            let fs = m.fs;
-            let op_id = self.next_delegate_op_id(w);
-            w.fss[fs.0 as usize].delegated_ops += 1;
-            w.fanin.delegated += 1;
-            // Capture the routed shard: delegate application charges no
-            // manager, but run bodies key path caches by shard.
-            let run =
-                move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, fs, _| run(sim, w, fs, shard);
-            let op = BatchOp::new(op_id, None, needs_write, top, None, run, cb);
-            submit_delegate(sim, w, ctx, fs, op);
-            return;
-        }
+        let delegate = peer.is_none()
+            && other.is_none_or(|p| crate::fscore::top_component(p) == top)
+            && {
+                let c = &w.clients[ctx.0 as usize];
+                !c.leases.is_empty() && c.leases.contains(&(m.fs, top.into()))
+            };
         // Heat votes feed the rebalance policy, so they track *manager*
         // load: only ops that actually travel to a shard vote here.
         // Delegated ops cost the manager nothing until reconciliation —
@@ -701,37 +879,39 @@ impl Session {
         // letting them vote at full weight here would make the policy
         // strip the delegates' home shard of far more authority than the
         // cheap replays ever put on it.
-        if w.fss[m.fs.0 as usize].core.shards.shards() > 1 {
-            w.fss[m.fs.0 as usize].core.shards.note_heat(&route);
+        let sm = &mut w.fss[m.fs.0 as usize].core.shards;
+        if !delegate && sm.shards() > 1 {
+            sm.note_heat(route);
         }
-        self.submit_mgr(sim, w, m.fs, shard, top, peer, needs_write, run, cb);
+        let op = BatchOp::new(self.next_op_id(w, delegate), op, shard, peer, typed(cb));
+        if delegate {
+            w.fss[m.fs.0 as usize].delegated_ops += 1;
+            w.fanin.delegated += 1;
+            submit_delegate(sim, w, ctx, m.fs, op);
+        } else {
+            submit_batch(sim, w, ctx, m.fs, op);
+        }
     }
 
     /// Enqueue one manager op, under a fresh session op id, into the
     /// `(ctx, fs, shard)` envelope forming this instant (the caller has
-    /// already done any preflight). The first op of an instant schedules
-    /// the same-instant flush event. Every request a session sends to a
-    /// manager comes through here — metadata ops, lease verbs, and the
-    /// block allocation or size change of
+    /// already done any preflight). Every request a session sends to a
+    /// manager comes through here or [`Session::submit_meta`] — metadata
+    /// ops, lease verbs, and the block allocation or size change of
     /// `client::write` and `client::truncate`, each as part of its facade
     /// op.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn submit_mgr<T: Clone + 'static>(
+    pub(crate) fn submit_mgr<T: From<Reply> + 'static>(
         self,
         sim: &mut Sim<GfsWorld>,
         w: &mut GfsWorld,
         fs: FsId,
         shard: u32,
-        top: Box<str>,
-        peer: Option<u32>,
-        mutating: bool,
-        run: impl FnMut(&mut Sim<GfsWorld>, &mut GfsWorld, FsId, u32) -> Result<T, FsError> + 'static,
+        op: MetaOp,
         cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<T, FsError>) + 'static,
     ) {
         let ctx = self.ctx(w);
-        let (op_id, ack) = self.next_op_id(w);
-        let op = BatchOp::new(op_id, ack, mutating, top, peer, run, cb);
-        submit_batch(sim, w, ctx, fs, shard, op);
+        let op = BatchOp::new(self.next_op_id(w, false), op, shard, None, typed(cb));
+        submit_batch(sim, w, ctx, fs, op);
     }
 
     /// Acquire a subtree lease (on the top-level component of `path`) for
@@ -763,22 +943,16 @@ impl Session {
         };
         let ctx = self.ctx(w);
         let shard = w.fss[fs.0 as usize].core.shards.shard_of(&top);
-        let asked = top.clone();
+        let grant = MetaOp::LeaseGrant {
+            top: top.clone(),
+            holder: ctx,
+        };
         self.submit_mgr(
             sim,
             w,
             fs,
             shard,
-            top.clone(),
-            None,
-            false,
-            move |_sim, w, fs, _shard| {
-                let inst = &mut w.fss[fs.0 as usize];
-                if inst.leases.insert(asked.clone(), ctx).is_none() {
-                    inst.lease_grants += 1;
-                }
-                Ok(())
-            },
+            grant,
             move |sim, w, r: Result<(), FsError>| {
                 if r.is_ok() {
                     w.clients[ctx.0 as usize].leases.insert((fs, top));
@@ -851,18 +1025,11 @@ impl Session {
             let reconciled = top.clone();
             // The release drops only this context's own grant and is
             // idempotent, so it is not recorded. It goes to the grant's
-            // shard but names no subtree: a surrender must never trip the
-            // lease rule against a newer holder.
+            // shard (see `MetaOp::top` for the lease rule).
             let release = move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld| {
                 let shard = w.fss[fs.0 as usize].core.shards.shard_of(&top);
-                let run = move |_: &mut Sim<GfsWorld>, w: &mut GfsWorld, fs: FsId, _| {
-                    let inst = &mut w.fss[fs.0 as usize];
-                    if inst.leases.get(&top) == Some(&ctx) {
-                        inst.leases.remove(&top);
-                    }
-                    Ok(())
-                };
-                self.submit_mgr(sim, w, fs, shard, "".into(), None, false, run, cb);
+                let op = MetaOp::LeaseRelease { top, holder: ctx };
+                self.submit_mgr(sim, w, fs, shard, op, cb);
             };
             reconcile_journal(sim, w, ctx, fs, reconciled, Box::new(release));
         };
@@ -920,14 +1087,8 @@ fn degrade_err(e: FsError) -> FsError {
 /// independently — a slow envelope holds only its own shard. Without the
 /// gate, staggered per-shard completions splinter the session cohort into
 /// ever-smaller batches until every envelope carries one op.
-fn submit_batch(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    ctx: ClientId,
-    fs: FsId,
-    shard: u32,
-    op: BatchOp,
-) {
+fn submit_batch(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ctx: ClientId, fs: FsId, op: BatchOp) {
+    let shard = op.shard;
     let key = (ctx.0, fs.0, shard);
     let wave = w.fss[fs.0 as usize].core.shards.shards() > 1;
     let q = w.fanin.pending.entry(key).or_default();
@@ -973,7 +1134,8 @@ fn arm_shard_flush(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ctx: ClientId, fs:
 /// to the shard's acting manager as one exchange ([`crate::rpc`]): one
 /// message out, one watchdog, one message back — per *batch*. A retried
 /// envelope runs every op again through the manager's dedup table, so each
-/// mutation still applies exactly once.
+/// mutation still applies exactly once. The envelope also carries the
+/// context's retirement list for the filesystem (`FanIn::retire`).
 fn flush_shard_batch(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ctx: ClientId, fs: FsId, shard: u32) {
     let ops = w.fanin.pending.remove(&(ctx.0, fs.0, shard)).unwrap_or_default();
     if ops.is_empty() {
@@ -987,12 +1149,7 @@ fn flush_shard_batch(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ctx: ClientId, f
     }
     let env = Rc::new(RefCell::new(ops));
     let done_env = env.clone();
-    let retire: Rc<[u64]> = w
-        .fanin
-        .retire
-        .remove(&(ctx.0, fs.0, shard))
-        .unwrap_or_default()
-        .into();
+    let retire: Rc<[(u64, u64)]> = w.fanin.retire.remove(&(ctx.0, fs.0)).unwrap_or_default().into();
     let unretired = retire.clone();
     rpc::exchange(
         sim,
@@ -1009,10 +1166,10 @@ fn flush_shard_batch(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ctx: ClientId, f
             if r.is_err() && !unretired.is_empty() {
                 // The list may never have arrived; the next envelope
                 // carries it again (retiring twice is a no-op).
-                let key = (ctx.0, fs.0, shard);
+                let key = (ctx.0, fs.0);
                 w.fanin.retire.entry(key).or_default().extend_from_slice(&unretired);
             }
-            envelope_finish(sim, w, ctx, fs, shard, done_env, r)
+            envelope_finish(sim, w, ctx, fs, shard, done_env.take(), r)
         }),
     );
 }
@@ -1043,8 +1200,8 @@ fn envelope_done(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ctx: ClientId, fs: F
 /// batch charges the delegate's FIFO service queue in one slot
 /// (`manager_op_service` per op, like an envelope at the manager) and
 /// applies at the slot's end: each mutation runs against the shared-disk
-/// core (the lease guarantees exclusivity) and journals its recorded
-/// result for later reconciliation. Two simulator events per batch —
+/// core (the lease guarantees exclusivity) through its routed shard's path
+/// cache and journals its recorded outcome for later reconciliation. Two simulator events per batch —
 /// that is the entire cost; no message, no watchdog, no manager.
 fn submit_delegate(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ctx: ClientId, fs: FsId, op: BatchOp) {
     // Counted at park time so a lease recall arriving between park and
@@ -1066,24 +1223,22 @@ fn submit_delegate(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ctx: ClientId, fs:
             let done = start + w.costs.manager_op_service * n;
             c.delegate_busy_until = done;
             sim.at(done, move |sim, w| {
-                for mut op in ops {
-                    let r = (op.run)(sim, w, fs, 0);
+                let now = sim.now().as_nanos();
+                for op in ops {
+                    let r = op.op.apply(w, fs, op.shard, now);
                     let c = &mut w.clients[ctx.0 as usize];
                     c.delegate_inflight -= 1;
                     // Journal mutations only while the lease still stands —
                     // an expulsion mid-batch already discarded the journal,
                     // and a record with no lease would never reconcile.
-                    if op.mutating && c.leases.contains(&(fs, op.top.clone())) {
-                        c.journal.push(crate::world::JournalEntry {
-                            fs,
-                            top: op.top.clone(),
-                            op_id: op.op_id,
-                            result: r.clone(),
-                        });
+                    if op.op.mutating() {
+                        let top: Box<str> = op.op.top().into();
+                        if c.leases.contains(&(fs, top.clone())) {
+                            let (op_id, result) = (op.op_id, r.clone());
+                            c.journal.push(JournalEntry { fs, top, op_id, result });
+                        }
                     }
-                    if let Some(d) = op.deliver.take() {
-                        d(sim, w, Ok(r));
-                    }
+                    (op.deliver)(sim, w, Ok(r));
                 }
                 // Watermark writeback: once the journal grows past the
                 // high-water mark, replay it now (the entries are already
@@ -1110,14 +1265,14 @@ fn submit_delegate(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ctx: ClientId, fs:
 
 /// Replay the context's delegate journal for `(fs, top)` to the subtree's
 /// owning manager shard as one bulk envelope, then run `done`. Each
-/// journal entry becomes a result-returning batch op under its original
-/// session op id: the manager records it through the ordinary dedup
-/// table, so a crash mid-reconcile retries the whole envelope and replays
-/// — never re-records — entries the first attempt already landed.
-/// Exactly-once costs nothing new here; it is the same machinery every
-/// envelope mutation already rides. Once an entry's answer is back, no
-/// retry can ask for it again: its id rides the context's next envelope
-/// to the shard, which retires it (see `FanIn::retire`).
+/// journal entry becomes a [`MetaOp::Replay`] under its original session
+/// op id: the manager records it through the ordinary dedup table, so a
+/// crash mid-reconcile retries the whole envelope and replays — never
+/// re-records — entries the first attempt already landed. Exactly-once
+/// costs nothing new here; it is the same machinery every envelope
+/// mutation already rides. Once an entry's answer is back, no retry can
+/// ask for it again: its id joins the context's retirement list (see
+/// `FanIn::retire`).
 pub(crate) fn reconcile_journal(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
@@ -1126,15 +1281,10 @@ pub(crate) fn reconcile_journal(
     top: Box<str>,
     done: Box<dyn FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld)>,
 ) {
-    let mut entries: Vec<(u64, Rc<dyn Any>)> = Vec::new();
-    w.clients[ctx.0 as usize].journal.retain(|e| {
-        if e.fs == fs && e.top == top {
-            entries.push((e.op_id, e.result.clone()));
-            false
-        } else {
-            true
-        }
-    });
+    let journal = std::mem::take(&mut w.clients[ctx.0 as usize].journal);
+    let (entries, rest): (Vec<JournalEntry>, Vec<JournalEntry>) =
+        journal.into_iter().partition(|e| e.fs == fs && e.top == top);
+    w.clients[ctx.0 as usize].journal = rest;
     if entries.is_empty() {
         done(sim, w);
         return;
@@ -1148,39 +1298,26 @@ pub(crate) fn reconcile_journal(
     for _ in 0..entries.len().div_ceil(2) {
         w.fss[fs.0 as usize].core.shards.note_heat(&top);
     }
-    let left = Rc::new(std::cell::Cell::new(entries.len()));
+    let left = Rc::new(Cell::new(entries.len()));
     let done = Rc::new(RefCell::new(Some(done)));
-    for (op_id, result) in entries {
-        let left = left.clone();
-        let done = done.clone();
-        let op = BatchOp {
-            op_id,
-            mutating: true,
-            ack: None,
+    for e in entries {
+        let (left, done, id) = (left.clone(), done.clone(), e.op_id);
+        let deliver: Cb<Result<Outcome, FsError>> = Box::new(move |sim, w, r| {
+            if r.is_ok() {
+                w.fanin.retire.entry((ctx.0, fs.0)).or_default().push((id, id));
+            }
+            left.set(left.get() - 1);
+            if left.get() == 0 {
+                if let Some(d) = done.borrow_mut().take() {
+                    d(sim, w);
+                }
+            }
+        });
+        let op = MetaOp::Replay {
             top: top.clone(),
-            peer: None,
-            defers: 0,
-            replay: true,
-            run: Box::new(move |_sim, w, fs, _shard| {
-                // Executed only when the dedup table has no record yet —
-                // the counter is the proof each entry applied exactly once.
-                w.fss[fs.0 as usize].reconcile_ops += 1;
-                result.clone()
-            }),
-            deliver: Some(Box::new(move |sim, w, r| {
-                if r.is_ok() {
-                    let key = (ctx.0, fs.0, shard);
-                    w.fanin.retire.entry(key).or_default().push(op_id);
-                }
-                left.set(left.get() - 1);
-                if left.get() == 0 {
-                    if let Some(d) = done.borrow_mut().take() {
-                        d(sim, w);
-                    }
-                }
-            })),
+            result: e.result,
         };
-        submit_batch(sim, w, ctx, fs, shard, op);
+        submit_batch(sim, w, ctx, fs, BatchOp::new(id, op, shard, None, deliver));
     }
 }
 
@@ -1214,15 +1351,17 @@ fn requeue_delay() -> simcore::SimDuration {
     simcore::SimDuration::from_millis(10)
 }
 
-/// An envelope's result per op, in submission order: `None` marks an op
+/// An envelope's outcome per op, in submission order: `None` marks an op
 /// the manager deferred (a lease conflict or an unavailable peer shard).
-type EnvelopeResults = Vec<Option<Rc<dyn Any>>>;
+type EnvelopeResults = Vec<Option<Outcome>>;
 
-/// One wire attempt of a whole envelope. A crashed, recovering or
-/// superseded manager drops it on arrival.
+/// One wire attempt of a whole envelope; returns whether the request
+/// left. A crashed, recovering or superseded manager drops it on arrival,
+/// and so does any manager once the envelope has been answered.
 ///
 /// The envelope travels to `shard`'s acting manager. At the service slot's
-/// end each op may additionally:
+/// end the manager first retires the `retire` ranges on every shard, then
+/// each op may additionally:
 /// - hit a subtree lease held by another context, or one being recalled
 ///   ([`client::lease_blocks`]) — the manager recalls the lease like a
 ///   token and the op is re-queued after a re-poll delay rather than
@@ -1231,7 +1370,6 @@ type EnvelopeResults = Vec<Option<Rc<dyn Any>>>;
 ///   the op runs now, charges the peer's service queue, and journals on
 ///   *both* managers under the same op id (the commit record); if the
 ///   peer is down the op is re-queued until the peer recovers.
-#[allow(clippy::too_many_arguments)]
 fn envelope_attempt(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
@@ -1239,27 +1377,26 @@ fn envelope_attempt(
     fs: FsId,
     shard: u32,
     env: Rc<RefCell<Vec<BatchOp>>>,
-    retire: Rc<[u64]>,
+    retire: Rc<[(u64, u64)]>,
     a: Attempt<EnvelopeResults>,
-) {
+) -> bool {
     let mgr = a.to;
     let from = client::client_node(w, ctx);
     let rpcb = w.costs.rpc_bytes;
     Network::send_msg(sim, w, from, mgr, rpcb, move |sim, w| {
-        if !w.fss[fs.0 as usize].manager_answers(shard, mgr) {
+        if !w.fss[fs.0 as usize].manager_answers(shard, mgr) || env.borrow().is_empty() {
             return;
         }
         // First word from an expelled context re-admits it before anything
         // else happens at the manager.
         client::readmit_if_expelled(sim, w, fs, ctx);
         // Manager CPU: envelopes serialize FIFO through this shard's
-        // acting manager, `manager_op_service` per op. Execution happens
-        // at the slot's *end*, so cross-envelope op ordering is exactly
-        // arrival order — the same interleaving the uncharged model
-        // produced, just later on the clock.
+        // acting manager, `manager_op_service` per op (a journal replay
+        // costs `manager_replay_per_op`). Execution happens at the slot's
+        // *end*, so cross-envelope op ordering is exactly arrival order.
         let (n_live, n_replay) = {
             let ops = env.borrow();
-            let nr = ops.iter().filter(|o| o.replay).count() as u64;
+            let nr = ops.iter().filter(|o| matches!(o.op, MetaOp::Replay { .. })).count() as u64;
             (ops.len() as u64 - nr, nr)
         };
         let svc = w.costs.manager_op_service * n_live + w.costs.manager_replay_per_op * n_replay;
@@ -1275,95 +1412,70 @@ fn envelope_attempt(
             if !w.fss[fs.0 as usize].manager_answers(shard, mgr) {
                 return;
             }
-            // Apply (or replay) every op in submission order. Results
-            // travel to the response event as the same `Rc<dyn Any>` the
-            // dedup table records, so a retried envelope demuxes
-            // identically. `None` marks an op deferred by a lease conflict
-            // or an unavailable peer shard — delivered to nobody, it is
-            // re-queued when the response lands.
-            // Reconciled journal entries the holder has seen answered.
-            let ms = &mut w.fss[fs.0 as usize].mgrs[shard as usize];
-            for &id in retire.iter() {
-                ms.retire(id, id);
+            // Delivered history first: the ids a session has proven
+            // answered are retired on every shard, since its ops (and the
+            // peer halves of its two-phase ops) may have been recorded
+            // anywhere. Re-runs on an envelope retry are no-ops.
+            for m in &mut w.fss[fs.0 as usize].mgrs {
+                for &(lo, hi) in retire.iter() {
+                    m.retire(lo, hi);
+                }
             }
-            let n = env.borrow().len();
-            let mut results: EnvelopeResults = Vec::with_capacity(n);
+            // Apply (or replay) every op in submission order. Outcomes
+            // travel to the response event as the same values the dedup
+            // table records, so a retried envelope demuxes identically.
+            let ops = env.borrow();
+            let mut results: EnvelopeResults = Vec::with_capacity(ops.len());
+            let now = sim.now().as_nanos();
             // Two-phase ops wait for their peer's service slot; the
             // envelope's response leaves when the last peer commit is in.
             let mut response_at = sim.now();
-            for i in 0..n {
-                let (op_id, mutating, ack, peer) = {
-                    let ops = env.borrow();
-                    (ops[i].op_id, ops[i].mutating, ops[i].ack, ops[i].peer)
-                };
-                // Acked history first: results the session has proven
-                // delivered are retired before anything else runs — on
-                // every shard, since the session's earlier ops (and the
-                // peer halves of its two-phase ops) may have been recorded
-                // anywhere. The direct reach into the other shards is the
-                // same shortcut `unlink_apply` takes for the path caches.
-                // Re-runs on an envelope retry are no-ops (the ids are
-                // already gone).
-                if let Some((lo, hi)) = ack {
-                    for m in &mut w.fss[fs.0 as usize].mgrs {
-                        m.retire(lo, hi);
-                    }
-                }
+            for op in ops.iter() {
                 // A subtree leased to someone else's delegate, or whose
                 // lease is being recalled: re-poll.
-                let blocked = {
-                    let op = &env.borrow()[i];
-                    client::lease_blocks(sim, w, fs, ctx, &op.top, op.replay)
-                };
-                if blocked {
+                let replay = matches!(op.op, MetaOp::Replay { .. });
+                if client::lease_blocks(sim, w, fs, ctx, op.op.top(), replay) {
                     results.push(None);
                     continue;
                 }
                 // A cross-shard op needs its peer manager up to take the
                 // commit record; during the peer's WAL replay the op waits.
-                if let Some(b) = peer {
-                    if !w.fss[fs.0 as usize].manager_available(b) {
-                        results.push(None);
-                        continue;
-                    }
+                if op.peer.is_some_and(|b| !w.fss[fs.0 as usize].manager_available(b)) {
+                    results.push(None);
+                    continue;
                 }
-                let r = match w.fss[fs.0 as usize].mgrs[shard as usize].applied_result(op_id) {
-                    Some(r) => r,
-                    None => {
-                        let r = {
-                            let mut ops = env.borrow_mut();
-                            let run = &mut ops[i].run;
-                            run(sim, w, fs, shard)
-                        };
-                        if mutating {
-                            w.fss[fs.0 as usize].mgrs[shard as usize].record(op_id, r.clone());
-                        }
-                        if let Some(b) = peer {
-                            // Two-phase commit record: the peer journals the
-                            // already-validated result under the same op id,
-                            // so either manager can replay the op after a
-                            // crash. The append is *priority* work — it
-                            // holds the coordinator's locks, so it cuts
-                            // ahead of the peer's ordinary envelope backlog
-                            // (which is pushed back by the same amount)
-                            // rather than waiting out the whole queue; the
-                            // response waits only for the append itself.
-                            let pdone = sim.now() + w.costs.manager_replay_per_op;
-                            let inst = &mut w.fss[fs.0 as usize];
-                            let pm = &mut inst.mgrs[b as usize];
-                            pm.busy_until =
-                                pm.busy_until.max(sim.now()) + w.costs.manager_replay_per_op;
-                            if mutating {
-                                pm.record(op_id, r.clone());
-                            }
-                            inst.cross_shard_ops += 1;
-                            response_at = response_at.max(pdone);
-                        }
-                        r
+                let recorded = w.fss[fs.0 as usize].mgrs[shard as usize].applied_result(op.op_id);
+                if let Some(r) = recorded {
+                    results.push(Some(r.clone()));
+                    continue;
+                }
+                let r = op.op.apply(w, fs, shard, now);
+                let mutating = op.op.mutating();
+                if mutating {
+                    w.fss[fs.0 as usize].mgrs[shard as usize].record(op.op_id, r.clone());
+                }
+                if let Some(b) = op.peer {
+                    // Two-phase commit record: the peer journals the
+                    // already-validated outcome under the same op id, so
+                    // either manager can replay the op after a crash. The
+                    // append is *priority* work — it holds the
+                    // coordinator's locks, so it cuts ahead of the peer's
+                    // ordinary envelope backlog (which is pushed back by
+                    // the same amount) rather than waiting out the whole
+                    // queue; the response waits only for the append itself.
+                    let pdone = sim.now() + w.costs.manager_replay_per_op;
+                    let inst = &mut w.fss[fs.0 as usize];
+                    let pm = &mut inst.mgrs[b as usize];
+                    pm.busy_until = pm.busy_until.max(sim.now()) + w.costs.manager_replay_per_op;
+                    if mutating {
+                        pm.record(op.op_id, r.clone());
                     }
-                };
+                    inst.cross_shard_ops += 1;
+                    response_at = response_at.max(pdone);
+                }
                 results.push(Some(r));
             }
+            drop(ops);
             let respond = move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld| {
                 let rpcb = w.costs.rpc_bytes;
                 Network::send_msg(sim, w, mgr, from, rpcb, move |sim, w| {
@@ -1376,79 +1488,47 @@ fn envelope_attempt(
                 respond(sim, w);
             }
         });
-    });
+    })
 }
 
 /// An envelope's terminal state: the response arrived, or the retry
 /// budget ran out. The shard's gate slot frees first, so ops the
 /// deliveries below re-submit park into the next envelope (armed as this
 /// one completes) instead of deadlocking on this one. Then every op gets
-/// its result — or the exchange's error — and ops the manager deferred
-/// re-queue as fresh envelopes under the same op id (exactly-once holds).
+/// its outcome — or the exchange's error — and each op the manager
+/// deferred is re-submitted, by value, under the same op id (exactly-once
+/// holds).
 fn envelope_finish(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
     ctx: ClientId,
     fs: FsId,
     shard: u32,
-    env: Rc<RefCell<Vec<BatchOp>>>,
+    ops: Vec<BatchOp>,
     r: Result<EnvelopeResults, FsError>,
 ) {
     envelope_done(sim, w, ctx, fs, shard);
     let results = match r {
         Ok(results) => results,
         Err(e) => {
-            let delivers: Vec<_> = env
-                .borrow_mut()
-                .iter_mut()
-                .map(|op| op.deliver.take())
-                .collect();
-            for d in delivers.into_iter().flatten() {
-                d(sim, w, Err(e.clone()));
+            for op in ops {
+                (op.deliver)(sim, w, Err(e.clone()));
             }
             return;
         }
     };
-    let n = env.borrow().len();
-    for (i, r) in results.into_iter().enumerate() {
-        match r {
-            Some(r) => {
-                let d = env.borrow_mut()[i].deliver.take();
-                if let Some(d) = d {
-                    d(sim, w, Ok(r));
-                }
-            }
-            None => {
-                let mut ops = env.borrow_mut();
-                let op = &mut ops[i];
-                let mut requeued = BatchOp {
-                    op_id: op.op_id,
-                    mutating: op.mutating,
-                    ack: None,
-                    top: op.top.clone(),
-                    peer: op.peer,
-                    defers: op.defers + 1,
-                    replay: op.replay,
-                    run: std::mem::replace(
-                        &mut op.run,
-                        Box::new(|_, _, _, _| unreachable!("requeued op re-run")),
-                    ),
-                    deliver: op.deliver.take(),
-                };
-                drop(ops);
-                if requeued.defers > max_defers(&w.costs) {
-                    if let Some(d) = requeued.deliver.take() {
-                        d(sim, w, Err(FsError::Timeout));
-                    }
-                    continue;
-                }
-                sim.after(requeue_delay(), move |sim, w| {
-                    submit_batch(sim, w, ctx, fs, shard, requeued);
-                });
-            }
+    for (mut op, r) in ops.into_iter().zip(results) {
+        if let Some(r) = r {
+            (op.deliver)(sim, w, Ok(r));
+            continue;
         }
+        op.defers += 1;
+        if op.defers > max_defers(&w.costs) {
+            (op.deliver)(sim, w, Err(FsError::Timeout));
+            continue;
+        }
+        sim.after(requeue_delay(), move |sim, w| submit_batch(sim, w, ctx, fs, op));
     }
-    debug_assert_eq!(n, env.borrow().len());
 }
 
 #[cfg(test)]
@@ -1459,7 +1539,7 @@ mod tests {
     use crate::world::{FsParams, WorldBuilder};
     use bytes::Bytes;
     use simcore::{Bandwidth, SimDuration};
-    use std::cell::Cell;
+    use std::collections::BTreeMap;
 
     struct Bed {
         sim: Sim<GfsWorld>,
@@ -1561,41 +1641,28 @@ mod tests {
     fn retried_envelope_replays_from_dedup_table() {
         let mut t = bed(1);
         let s = t.sessions[0];
-        let ran = Rc::new(Cell::new(0u32));
-        let ran2 = ran.clone();
-        let got = Rc::new(Cell::new(0u32));
+        let got = Rc::new(RefCell::new(None));
         let got2 = got.clone();
         mounted(&mut t, move |sim, w| {
             // Starve attempt 0: the watchdog fires before the ~100µs RTT
             // completes, so the response is dropped and the envelope
             // retries — but the manager has already applied + recorded the
-            // op, so the retry must replay, not re-run.
+            // mkdir, so the retry must replay it; running it again would
+            // answer `AlreadyExists`.
             w.costs.request_timeout = SimDuration::from_micros(1);
-            let cb = s.begin(w, move |_sim, _w, r: Result<u32, FsError>| {
-                got2.set(r.unwrap());
+            s.mkdir(sim, w, "/d", owner(), move |_sim, _w, r| {
+                *got2.borrow_mut() = Some(r);
             });
-            s.submit_mgr(
-                sim,
-                w,
-                FsId(0),
-                0,
-                "".into(),
-                None,
-                true,
-                move |_sim, _w, _fs, _shard| {
-                    ran2.set(ran2.get() + 1);
-                    Ok(42u32)
-                },
-                cb,
-            );
             // Restore a sane timeout before the backoff (>= 50ms) fires,
             // so attempt 1 can actually complete.
             sim.after(SimDuration::from_millis(10), |_sim, w| {
                 w.costs.request_timeout = SimDuration::from_millis(1500);
             });
         });
-        assert_eq!(got.get(), 42, "retried op must still deliver its result");
-        assert_eq!(ran.get(), 1, "mutating op must run exactly once across retries");
+        let d = t.w.fss[0].core.lookup("/d").unwrap();
+        assert_eq!(*got.borrow(), Some(Ok(d)), "retried op must still deliver its result");
+        let wal = t.w.fss[0].mgrs[0].wal_len();
+        assert_eq!(wal, 1, "mutating op must run exactly once across retries");
         assert!(t.w.fanin.retries >= 1, "the starved attempt must have retried");
         assert_eq!(t.sessions[0].state(&t.w).inflight_ops, 0);
     }
@@ -1688,6 +1755,63 @@ mod tests {
         assert_eq!(inst.reconcile_ops, 3000, "every journal entry reconciles once");
         let wal = inst.mgrs[0].wal_len();
         assert!(wal <= WAL_BOUND, "a reconciled journal kept {wal} WAL records");
+    }
+
+    #[test]
+    fn recovery_rebuilds_the_dedup_table_it_lost() {
+        // 600 sequential mkdirs: each envelope retires the one before, so
+        // the table ends with one live record while 599 retired ones wait
+        // in the WAL for compaction. A crash wipes the table; recovery
+        // must rebuild it record for record, not bring the 599 back.
+        let mut t = bed(1);
+        let s = t.sessions[0];
+        mounted(&mut t, move |sim, w| {
+            s.mkdir(sim, w, "/a", owner(), move |sim, w, r| {
+                r.unwrap();
+                s.mkdir(sim, w, "/b", owner(), move |sim, w, r| {
+                    r.unwrap();
+                    mkdir_chain(sim, w, s, 0, 598, Box::new(|_, _| {}));
+                });
+            });
+        });
+        let mgr = &mut t.w.fss[0].mgrs[0];
+        assert_eq!(mgr.wal_len(), 600);
+        let before: BTreeMap<u64, Outcome> =
+            mgr.dedup_records().into_iter().map(|(id, r)| (id, r.clone())).collect();
+        assert_eq!(before.len(), 1, "one live record after the chain");
+        let node = mgr.acting;
+        mgr.crash();
+        assert!(mgr.dedup_records().is_empty());
+        assert_eq!(mgr.recover(node), 600, "replay reads the whole log");
+        let after: BTreeMap<u64, Outcome> =
+            mgr.dedup_records().into_iter().map(|(id, r)| (id, r.clone())).collect();
+        assert_eq!(after, before, "recovery must rebuild exactly the table the crash wiped");
+    }
+
+    #[test]
+    fn idle_sessions_ack_through_their_context() {
+        // 2,000 sessions of one context each make one mkdir and go idle;
+        // none sends another op, so only the context's next envelope —
+        // here a stat of another session — can carry their acks.
+        let mut t = bed(2001);
+        let sessions = t.sessions.clone();
+        mounted(&mut t, move |sim, w| {
+            let left = Rc::new(Cell::new(2000));
+            for (i, &s) in sessions[..2000].iter().enumerate() {
+                let (left, last) = (left.clone(), sessions[2000]);
+                s.mkdir(sim, w, &format!("/d{i}"), owner(), move |sim, w, r| {
+                    r.unwrap();
+                    left.set(left.get() - 1);
+                    if left.get() == 0 {
+                        last.stat(sim, w, "/d0", |_, _, r| {
+                            r.unwrap();
+                        });
+                    }
+                });
+            }
+        });
+        let wal = t.w.fss[0].mgrs[0].wal_len();
+        assert!(wal <= WAL_BOUND, "2,000 idle sessions kept {wal} WAL records");
     }
 
     /// `n` sequential 4 KiB writes from one session on one handle.

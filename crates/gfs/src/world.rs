@@ -7,17 +7,17 @@
 
 use crate::cache::{PagePool, PrefetchState};
 use crate::fscore::{FsConfig, FsCore};
+use crate::session::Outcome;
 use crate::tokens::{TokenCache, TokenManager};
-use crate::types::{ClientId, ClusterId, FsId, Handle, InodeId, NsdId, OpenFlags};
+use crate::types::{ClientId, ClusterId, FsError, FsId, Handle, InodeId, NsdId, OpenFlags};
 use gfs_auth::handshake::{AccessMode, ClusterAuth};
 use rand::rngs::StdRng;
 use simcore::{det_rng, Bandwidth, Sim, SimDuration, SimTime};
 use simnet::{NetWorld, Network, NodeId, Topology, TopologyBuilder};
-use simcore::fxhash::{FxFinalHashMap, FxHashMap};
+use simcore::fxhash::{FxFinalBuildHasher, FxFinalHashMap, FxHashMap};
 use simsan::{Array, ArraySpec};
 use std::any::Any;
-use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::collections::{BTreeMap, HashSet};
 
 /// How an NSD's physical service time is modeled.
 #[derive(Clone, Debug)]
@@ -88,18 +88,20 @@ pub struct ManagerState {
     /// True between a manager crash and the end of WAL replay; requests
     /// arriving in this window are dropped (clients retry).
     pub recovering: bool,
-    /// Write-ahead log: `(op id, recorded result)` per acknowledged
+    /// Write-ahead log: `(op id, recorded outcome)` per acknowledged
     /// mutation, in application order. Survives crashes.
-    wal: Vec<(u64, Rc<dyn Any>)>,
-    /// Volatile dedup table: op id → recorded result. Wiped by a crash,
+    wal: Vec<(u64, Outcome)>,
+    /// Volatile dedup table: op id → recorded outcome. Wiped by a crash,
     /// rebuilt from the WAL by recovery. Keyed by composed op ids (actor
     /// in the high bits, sequence low), so it needs the finalizing hasher
     /// — plain multiplicative Fx collapses this population onto a few
     /// buckets once sessions number in the thousands.
-    applied: FxFinalHashMap<u64, Rc<dyn Any>>,
-    /// WAL entries whose results have been retired (see [`Self::retire`])
-    /// but not yet reclaimed by compaction.
-    retired: u64,
+    applied: FxFinalHashMap<u64, Outcome>,
+    /// Ids retired (see [`Self::retire`]) whose WAL records compaction has
+    /// not reclaimed yet. Kept beside the WAL and, like it, survives a
+    /// crash: recovery skips them, so the rebuilt table holds exactly what
+    /// a retry could still ask for.
+    retired: HashSet<u64, FxFinalBuildHasher>,
     /// Total WAL entries replayed across all recoveries (observability).
     pub replayed: u64,
     /// The acting manager's own path → inode cache, used when applying
@@ -136,7 +138,7 @@ impl ManagerState {
             recovering: false,
             wal: Vec::new(),
             applied: FxFinalHashMap::default(),
-            retired: 0,
+            retired: HashSet::default(),
             replayed: 0,
             paths: FxHashMap::default(),
             busy_until: SimTime::from_nanos(0),
@@ -147,6 +149,17 @@ impl ManagerState {
     /// Probe the manager's path cache (see the `paths` field).
     pub fn cached_path(&self, path: &str) -> Option<crate::types::InodeId> {
         self.paths.get(path).copied()
+    }
+
+    /// Resolve `path` through the path cache, filling it on a miss.
+    pub(crate) fn lookup(&mut self, core: &FsCore, path: &str) -> Result<InodeId, FsError> {
+        if let Some(id) = self.cached_path(path) {
+            core.meta_bump_resolve();
+            return Ok(id);
+        }
+        let id = core.lookup(path)?;
+        self.cache_path(path, id);
+        Ok(id)
     }
 
     /// Remember a successful resolution.
@@ -172,15 +185,21 @@ impl ManagerState {
         self.paths.iter().map(|(p, id)| (p.as_ref(), *id))
     }
 
-    /// The recorded result of an already-applied op, if any.
-    pub fn applied_result(&self, op_id: u64) -> Option<Rc<dyn Any>> {
-        self.applied.get(&op_id).cloned()
+    /// The recorded outcome of an already-applied op, if any.
+    pub fn applied_result(&self, op_id: u64) -> Option<&Outcome> {
+        self.applied.get(&op_id)
     }
 
-    /// Record a mutation's result: WAL append + dedup-table insert.
-    pub fn record(&mut self, op_id: u64, result: Rc<dyn Any>) {
-        self.wal.push((op_id, result.clone()));
-        self.applied.insert(op_id, result);
+    /// The dedup table, in op-id order: every outcome a retry could still
+    /// ask for.
+    pub fn dedup_records(&self) -> BTreeMap<u64, &Outcome> {
+        self.applied.iter().map(|(&id, r)| (id, r)).collect()
+    }
+
+    /// Record a mutation's outcome: WAL append + dedup-table insert.
+    pub fn record(&mut self, op_id: u64, outcome: Outcome) {
+        self.wal.push((op_id, outcome.clone()));
+        self.applied.insert(op_id, outcome);
     }
 
     /// Number of ops in the WAL (drives the replay-time charge).
@@ -188,29 +207,29 @@ impl ManagerState {
         self.wal.len()
     }
 
-    /// Retire the recorded results in the op-id range `lo..=hi`: the
-    /// submitting session has proven (by sending a later op with nothing
-    /// else in flight) that every result below its current sequence point
-    /// was delivered, so no retry can ever ask for them again. Dropping
-    /// acked history keeps the dedup table O(live sessions) instead of
-    /// O(total ops) — the retirement-floor scheme real fan-in managers
-    /// use. Every client request a manager records carries a session op
-    /// id (bit 63), so every one of them is retired this way; only the
-    /// bit-62 migration records are never passed here.
+    /// Retire the recorded outcomes in the op-id range `lo..=hi`: each
+    /// reached its session (see `session::FanIn::retire`), so no retry can
+    /// ever ask for it again. Dropping acked
+    /// history keeps the dedup table O(live sessions) instead of O(total
+    /// ops) — the retirement-floor scheme real fan-in managers use. Every
+    /// client request a manager records carries a session op id (bit 63),
+    /// so every one of them is retired this way; only the bit-62
+    /// migration records are never passed here.
     pub fn retire(&mut self, lo: u64, hi: u64) {
         for id in lo..=hi {
             if self.applied.remove(&id).is_some() {
-                self.retired += 1;
+                self.retired.insert(id);
             }
         }
         // Compact once dead entries dominate the log — the checkpoint+
         // truncate a real manager performs when its acked floor advances.
         // The WAL stays within 2x its live size, bounding both memory and
         // the modeled replay charge for session-heavy workloads.
-        if self.retired >= 1024 && self.retired * 2 >= self.wal.len() as u64 {
+        let dead = self.retired.len();
+        if dead >= 1024 && dead * 2 >= self.wal.len() {
             let applied = &self.applied;
             self.wal.retain(|(id, _)| applied.contains_key(id));
-            self.retired = 0;
+            self.retired.clear();
         }
     }
 
@@ -223,14 +242,16 @@ impl ManagerState {
     }
 
     /// Recovery completed on `new_acting`: rebuild the dedup table from
-    /// the WAL (the observable replay) and start answering again. Returns
-    /// the number of entries replayed.
+    /// the WAL (the observable replay), skipping retired records, and start
+    /// answering again. Returns the number of records replayed — the whole
+    /// log is read.
     pub fn recover(&mut self, new_acting: NodeId) -> u64 {
-        let mut n = 0u64;
         for (op, r) in &self.wal {
-            self.applied.insert(*op, r.clone());
-            n += 1;
+            if !self.retired.contains(op) {
+                self.applied.insert(*op, r.clone());
+            }
         }
+        let n = self.wal.len() as u64;
         self.acting = new_acting;
         self.recovering = false;
         self.epoch += 1;
@@ -537,9 +558,9 @@ pub struct JournalEntry {
     /// The session-space op id the mutation was applied with — reused by
     /// the reconcile envelope so the manager dedup table sees retries.
     pub op_id: u64,
-    /// The recorded result, exactly what an envelope execution would have
+    /// The recorded outcome, exactly what an envelope execution would have
     /// journaled at the manager.
-    pub result: std::rc::Rc<dyn std::any::Any>,
+    pub result: Outcome,
 }
 
 /// Tunable protocol constants.

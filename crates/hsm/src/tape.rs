@@ -60,11 +60,6 @@ impl TapeLibrary {
         }
     }
 
-    /// Number of drives.
-    pub fn drive_count(&self) -> usize {
-        self.drives.len()
-    }
-
     /// Submit a tape job at `now`; returns its completion time. Picks the
     /// drive that can start earliest.
     pub fn submit(&mut self, now: SimTime, bytes: u64, write: bool) -> SimTime {
@@ -91,15 +86,6 @@ impl TapeLibrary {
             self.bytes_read += bytes;
         }
         done
-    }
-
-    /// Earliest time a new job could start.
-    pub fn earliest_start(&self, now: SimTime) -> SimTime {
-        self.drives
-            .iter()
-            .map(|t| (*t).max(now))
-            .min()
-            .expect("at least one drive")
     }
 }
 

@@ -1273,11 +1273,6 @@ impl TraceVerdict {
     pub fn total_ops(&self) -> u64 {
         self.reports.iter().map(|(_, r)| r.ops).sum()
     }
-
-    /// Max simulated replay duration across schedules (ns).
-    pub fn max_sim_ns(&self) -> u64 {
-        self.reports.iter().map(|(_, r)| r.sim_ns).max().unwrap_or(0)
-    }
 }
 
 /// Replay `corpus` at M=1 and M=4 manager shards — leases and the replica

@@ -218,6 +218,13 @@ impl<W> Sim<W> {
         true
     }
 
+    /// Is the timer still queued (neither fired nor cancelled)?
+    pub fn timer_live(&self, id: TimerId) -> bool {
+        self.timer_slots
+            .get(id.slot as usize)
+            .is_some_and(|s| s.gen == id.gen && s.pending.is_some())
+    }
+
     /// Execute exactly one event if any is due (and within the horizon).
     /// Merges the one-shot heap and the timer queue into a single global
     /// (time, seq) order. Returns `false` when both queues are exhausted or

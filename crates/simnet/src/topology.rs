@@ -69,11 +69,6 @@ impl Topology {
         &self.links
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Number of directed links.
     pub fn link_count(&self) -> usize {
         self.links.len()

@@ -182,11 +182,6 @@ impl Array {
         self.sets[set as usize].fail_data_disk(now, disk, rebuild_rate)
     }
 
-    /// How many of this array's RAID sets are currently rebuilding.
-    pub fn degraded_sets(&self, now: SimTime) -> u32 {
-        self.sets.iter().filter(|s| s.is_degraded(now)).count() as u32
-    }
-
     /// Bytes moved through all controllers.
     pub fn controller_bytes(&self) -> u64 {
         self.controllers.iter().map(|c| c.total_bytes).sum()

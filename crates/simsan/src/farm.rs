@@ -101,17 +101,6 @@ impl FarmSpec {
         )
     }
 
-    /// Bandwidth multiplier for the farm while `rebuilding_trays` of its
-    /// trays carry an in-progress RAID rebuild: each such tray gives up
-    /// [`crate::raid::REBUILD_SHARE`] of its service rate to reconstruction
-    /// traffic. Flow-level scenarios apply this to the farm's links for the
-    /// duration of the rebuild.
-    pub fn rebuild_degrade_factor(&self, rebuilding_trays: u32) -> f64 {
-        let n = rebuilding_trays.min(self.arrays) as f64;
-        let total = self.arrays as f64;
-        ((total - n) + n * (1.0 - crate::raid::REBUILD_SHARE)) / total
-    }
-
     /// Attach this farm to `server_node` in a topology: creates a `storage`
     /// pseudo-node with a read link (storage → server) and a write link
     /// (server → storage) at the farm's effective rates. Returns the

@@ -13,12 +13,17 @@
 //! * several contexts reading and overwriting shared files only ever read
 //!   versions inside the window the writes' timing allows;
 //! * the per-context cap gives back old grants together with their pages;
-//! * a holder no revoke can reach is expelled, and its pages go with it.
+//! * a holder no revoke can reach is expelled, and its pages go with it;
+//! * write-back keeps the bytes it was handed: a failed write-back of
+//!   evicted pages reaches the writer, a recall waits for the write-back
+//!   of evicted pages, and a flush's ack never cleans bytes written after
+//!   the flush took its copy.
 
 use bytes::Bytes;
+use globalfs::gfs::fscore::FsConfig;
 use globalfs::gfs::tokens::CACHED_INODES;
 use globalfs::gfs::types::{FsError, Handle, OpenFlags, Owner};
-use globalfs::gfs::world::GfsWorld;
+use globalfs::gfs::world::{FsParams, GfsWorld, WorldBuilder};
 use globalfs::gfs::{apply_fault, FaultKind, FsId, InodeId, RecoveryWhat, Session};
 use globalfs::gfs_auth::handshake::AccessMode;
 use globalfs::scenarios::chaos::world_invariants;
@@ -291,8 +296,17 @@ fn differential_step(
     });
 }
 
-fn shared_file_differential(seed: u64) {
-    let (mut sim, mut w, fs, ss) = world(seed, 2, 2, 32);
+/// The differential over 2 local and 2 remote contexts of `pool` pages,
+/// each carrying `per_ctx` sessions.
+fn shared_file_differential(seed: u64, pool: usize, per_ctx: usize) {
+    let (mut sim, mut w, fs, mut ss) = world(seed, 2, 2, pool);
+    for s in ss.clone() {
+        for _ in 1..per_ctx {
+            let more = w.open_session(s.ctx(&w));
+            more.bind_device(&mut w, "gfs");
+            ss.push(more);
+        }
+    }
     // Version 0 of every shared file, written straight into the core.
     let mut inodes: Vec<InodeId> = Vec::new();
     {
@@ -335,12 +349,24 @@ fn shared_file_differential(seed: u64) {
 
 #[test]
 fn shared_file_differential_seed_1() {
-    shared_file_differential(1);
+    shared_file_differential(1, 32, 1);
 }
 
 #[test]
 fn shared_file_differential_seed_2() {
-    shared_file_differential(2);
+    shared_file_differential(2, 32, 1);
+}
+
+/// A 4-page pool cannot hold one context's two open files, so dirty pages
+/// are evicted and written back while other contexts read.
+#[test]
+fn shared_file_differential_small_pool_two_sessions_seed_1() {
+    shared_file_differential(1, 4, 2);
+}
+
+#[test]
+fn shared_file_differential_small_pool_two_sessions_seed_2() {
+    shared_file_differential(2, 4, 2);
 }
 
 #[test]
@@ -414,5 +440,137 @@ fn an_unreachable_holder_is_expelled_with_its_pages() {
         "the writer learns of the loss"
     );
     assert_eq!(fsync(&mut sim, &mut w), Ok(()), "and learns it once");
+    assert_healthy(&sim, &w);
+}
+
+/// The write-back probes' bed: a manager node and one NSD server on a
+/// switch, 64 KiB blocks, and one context per entry of `nics` on a link of
+/// that rate, each with a 4-page pool and two sessions, all mounted.
+fn probe_world(nics: &[Bandwidth]) -> (Sim<GfsWorld>, GfsWorld, Vec<Session>) {
+    let mut b = WorldBuilder::new(9);
+    b.key_bits(384);
+    let sw = b.topo().node("sw");
+    let mgr = b.topo().node("mgr");
+    let srv = b.topo().node("srv");
+    let (lan, dly) = (Bandwidth::gbit(10.0), SimDuration::from_micros(50));
+    b.topo().duplex_link(mgr, sw, lan, dly, "mgr");
+    b.topo().duplex_link(srv, sw, lan, dly, "srv");
+    let cl = b.cluster("site");
+    let (rate, latency) = (Bandwidth::mbyte(400.0), SimDuration::from_micros(500));
+    let params = FsParams::ideal(FsConfig::small_test("gfs"), mgr, vec![srv], rate, latency);
+    b.filesystem(cl, params);
+    let mut sessions = Vec::new();
+    for (i, &nic) in nics.iter().enumerate() {
+        let n = b.topo().node(format!("c{i}"));
+        b.topo().duplex_link(n, sw, nic, dly, format!("nic{i}"));
+        let c = b.client(cl, n, 4);
+        sessions.extend([Session(b.session(c)), Session(b.session(c))]);
+    }
+    let (mut sim, mut w) = b.build();
+    for &s in &sessions {
+        s.mount(&mut sim, &mut w, "gfs", AccessMode::ReadWrite, |_, _, r| {
+            r.expect("mount")
+        });
+    }
+    sim.run(&mut w);
+    (sim, w, sessions)
+}
+
+fn block_of(byte: u8) -> Bytes {
+    Bytes::from(vec![byte; BLOCK as usize])
+}
+
+#[test]
+fn a_failed_write_back_of_evicted_pages_reaches_the_writer() {
+    // A fills its 4-page pool with dirty blocks 0-3 of /f, then writes
+    // blocks 4-7 while the one NSD server is down: each write evicts a
+    // dirty page whose write-back fails. The writes return `Ok` (write-
+    // behind), but the lost pages are logged, and once the server is back
+    // the next fsync of /f reports the loss, once.
+    let (mut sim, mut w, ss) = probe_world(&[Bandwidth::gbit(10.0)]);
+    let a = ss[0];
+    let h = open(&mut sim, &mut w, a, "/f", OpenFlags::Write);
+    for b in 0..4 {
+        write(&mut sim, &mut w, a, h, b * BLOCK, block_of(1));
+    }
+    let srv = w.fss[0].nsd_servers[0];
+    w.fss[0].fail_server(srv);
+    for b in 4..8 {
+        write(&mut sim, &mut w, a, h, b * BLOCK, block_of(2));
+    }
+    w.fss[0].restore_server(srv);
+    let discarded: u64 = w
+        .recovery
+        .events
+        .iter()
+        .map(|e| match e.what {
+            RecoveryWhat::DirtyPagesDiscarded { pages, .. } => pages,
+            _ => 0,
+        })
+        .sum();
+    assert_eq!(discarded, 4, "the four pages whose write-back failed must be logged");
+    let fsync = |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld| {
+        settle(sim, w, |sim, w, cb| a.fsync(sim, w, h, cb))
+    };
+    assert_eq!(
+        fsync(&mut sim, &mut w),
+        Err(FsError::Timeout),
+        "the writer learns its evicted pages never reached the disk"
+    );
+    assert_eq!(fsync(&mut sim, &mut w), Ok(()), "and learns it once");
+    assert_healthy(&sim, &w);
+}
+
+#[test]
+fn a_recall_waits_for_the_write_back_of_evicted_pages() {
+    // A sits on a 100 Mb/s link with /f's four blocks dirty in its 4-page
+    // pool. Writing /g evicts them; their write-back takes about 20 ms on
+    // that link. B opens and reads /f the moment A's write returns: the
+    // recall of A's token must wait for the write-back, so B reads A's
+    // bytes, not the zeros of blocks never written.
+    let (mut sim, mut w, ss) = probe_world(&[Bandwidth::mbit(100.0), Bandwidth::gbit(10.0)]);
+    let (a, b) = (ss[0], ss[2]);
+    let hf = open(&mut sim, &mut w, a, "/f", OpenFlags::Write);
+    write(&mut sim, &mut w, a, hf, 0, Bytes::from(vec![0x5a; 4 * BLOCK as usize]));
+    let hg = open(&mut sim, &mut w, a, "/g", OpenFlags::Write);
+    let got = Rc::new(RefCell::new(None));
+    let slot = got.clone();
+    let g = Bytes::from(vec![0x11; 4 * BLOCK as usize]);
+    a.write(&mut sim, &mut w, hg, 0, g, move |sim, w, r| {
+        r.expect("write /g");
+        b.open(sim, w, "/f", OpenFlags::Read, Owner::local(0, 0), move |sim, w, r| {
+            let hb = r.expect("open /f");
+            b.read(sim, w, hb, 0, 4 * BLOCK, move |_, _, r| *slot.borrow_mut() = Some(r));
+        });
+    });
+    sim.run(&mut w);
+    let got = got.borrow_mut().take().expect("B's read completed").unwrap();
+    let foreign = got.iter().filter(|&&x| x != 0x5a).count();
+    assert_eq!(foreign, 0, "B read {foreign} of {} bytes that are not A's", got.len());
+    assert_healthy(&sim, &w);
+}
+
+#[test]
+fn a_flush_ack_leaves_a_page_rewritten_meanwhile_dirty() {
+    // Two sessions of one context: s1 fsyncs /f while s2 rewrites its
+    // block 0. The flush's ack must not mark the rewritten bytes clean:
+    // the next fsync writes them, and another context, then the writer
+    // itself, read them back.
+    let (mut sim, mut w, ss) = probe_world(&[Bandwidth::gbit(10.0), Bandwidth::gbit(10.0)]);
+    let (s1, s2, b) = (ss[0], ss[1], ss[2]);
+    let h = open(&mut sim, &mut w, s1, "/f", OpenFlags::ReadWrite);
+    write(&mut sim, &mut w, s1, h, 0, block_of(1));
+    let outs = Rc::new(RefCell::new(Vec::new()));
+    let (o1, o2) = (outs.clone(), outs.clone());
+    s1.fsync(&mut sim, &mut w, h, move |_, _, r| o1.borrow_mut().push(r));
+    s2.write(&mut sim, &mut w, h, 0, block_of(2), move |_, _, r| o2.borrow_mut().push(r));
+    sim.run(&mut w);
+    assert_eq!(*outs.borrow(), vec![Ok(()), Ok(())], "the rewrite and the fsync both succeed");
+    settle(&mut sim, &mut w, |sim, w, cb| s1.fsync(sim, w, h, cb)).unwrap();
+    let hb = open(&mut sim, &mut w, b, "/f", OpenFlags::Read);
+    let got = read(&mut sim, &mut w, b, hb, 0, BLOCK);
+    assert!(got.iter().all(|&x| x == 2), "another context read the bytes the rewrite replaced");
+    let got = read(&mut sim, &mut w, s1, h, 0, BLOCK);
+    assert!(got.iter().all(|&x| x == 2), "the writer read the bytes its rewrite replaced");
     assert_healthy(&sim, &w);
 }

@@ -1659,7 +1659,10 @@ fn holder_case(holding: Holding, after_landing: bool, heal: Option<SimDuration>)
 /// healed after 20 ms, after 1 s, or never.
 ///
 /// Healed, nobody is expelled and nothing is discarded: B's op completes
-/// and a fresh context reads A's bytes. Never healed, A is expelled exactly
+/// and a fresh context reads A's bytes. Healed after 20 ms, B's op
+/// completes within 0.2 s of the partition: a request A sent into the
+/// partition (its journal reconcile) goes out again every `retry_base`
+/// instead of waiting out the 1.5 s watchdog. Never healed, A is expelled exactly
 /// once, no earlier than `lease_break_timeout` after the first send that
 /// failed to land (the partition instant, or one `retry_base` after the
 /// landing), B's op still completes, and A's next fsync reports the loss.
@@ -1721,6 +1724,11 @@ fn a_partitioned_holder_is_recalled_or_expelled_once() {
                         fail(format!("A's fsync after the expulsion returned {fsync:?}"));
                     }
                     continue;
+                }
+                let took = t.done_at.map(|d| d.since(t.parted_at));
+                let prompt = SimDuration::from_millis(200);
+                if heal == Some(SimDuration::from_millis(20)) && took.is_none_or(|d| d > prompt) {
+                    fail(format!("B done after {took:?}, past {prompt}"));
                 }
                 if !expelled_at.is_empty() || discarded != 0 {
                     fail(format!(
