@@ -662,7 +662,7 @@ fn run_trace_replay_entry() -> Entry {
     let sim_seconds: f64 = verdicts
         .iter()
         .flat_map(|(_, v)| v.reports.iter())
-        .map(|(_, r)| r.sim_ns as f64 / 1e9)
+        .map(|(_, r)| r.run.sim_ns as f64 / 1e9)
         .sum();
     let replays: usize = verdicts.iter().map(|(_, v)| v.reports.len()).sum();
     let all_clean = verdicts.iter().all(|(_, v)| v.is_clean());
@@ -674,9 +674,9 @@ fn run_trace_replay_entry() -> Entry {
         ("trace_ops_per_sec", total_ops as f64 / wall.max(1e-9)),
         ("trace_sim_ops_per_sec", total_ops as f64 / sim_seconds.max(1e-12)),
         ("trace_divergences", sum(|r| r.divergences) as f64),
-        ("trace_gave_up", sum(|r| r.gave_up) as f64),
-        ("trace_faults_injected", sum(|r| r.faults_injected) as f64),
-        ("trace_lease_acquires", sum(|r| r.lease_acquires) as f64),
+        ("trace_gave_up", sum(|r| r.run.gave_up) as f64),
+        ("trace_faults_injected", sum(|r| r.run.faults_injected) as f64),
+        ("trace_lease_acquires", sum(|r| r.run.lease_acquires) as f64),
         ("trace_replica_remote_picks", sum(|r| r.replica_remote_picks) as f64),
     ];
     for (c, _) in &verdicts {
@@ -692,15 +692,15 @@ fn run_trace_replay_entry() -> Entry {
     Entry {
         name: "trace replay differential (3 corpora, M=1/4, 4 schedules)",
         wall_seconds: wall,
-        events: sum(|r| r.events),
+        events: sum(|r| r.run.events),
         checks: vec![
             ("zero oracle divergence", 1.0, as_num(sum(|r| r.divergences) == 0), 0.0),
-            ("zero exhausted retries", 1.0, as_num(sum(|r| r.gave_up) == 0), 0.0),
+            ("zero exhausted retries", 1.0, as_num(sum(|r| r.run.gave_up) == 0), 0.0),
             ("all verdicts clean", 1.0, as_num(all_clean), 0.0),
             (
                 "faults actually injected",
                 1.0,
-                as_num(sum(|r| r.faults_injected) > 0),
+                as_num(sum(|r| r.run.faults_injected) > 0),
                 0.0,
             ),
         ],

@@ -24,7 +24,10 @@ use crate::rpc::{self, Attempt};
 use crate::session::{MetaOp, Reply, Session};
 use crate::tokens::{ByteRange, Held, TokenMode};
 use crate::types::{check_file_size, BlockAddr, ClientId, FsError, FsId, Handle, InodeId, NsdId};
-use crate::world::{GfsWorld, Mount};
+use crate::world::{
+    GfsWorld, Mount, LEASE_BREAK_TIMEOUT, MAX_RETRIES, RETRY_BASE, RPC_BYTES, SIGN_TIME,
+    VERIFY_TIME,
+};
 use bytes::Bytes;
 use gfs_auth::handshake::AccessMode;
 use simcore::fxhash::FxHashMap;
@@ -32,6 +35,7 @@ use simcore::{Sim, SimDuration, SimTime};
 use simnet::{FlowSpec, Network, NodeId};
 use simsan::IoKind;
 use std::cell::{Cell, RefCell};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow::{Break, Continue};
 use std::rc::Rc;
@@ -116,7 +120,7 @@ impl Join {
 /// `rpc` module): a lost leg times out and the whole exchange retries.
 /// Unknown devices surface [`FsError::NotMounted`]; export/grant problems
 /// surface [`FsError::AuthFailed`] — no variant-mismatch panics.
-pub fn mount(
+pub(crate) fn mount(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
     client: ClientId,
@@ -148,10 +152,8 @@ pub fn mount(
             move |_, _| Continue(mgr),
             move |sim, w, a| {
                 let from = client_node(w, client);
-                let rpcb = w.costs.rpc_bytes;
-                Network::send_msg(sim, w, from, a.to, rpcb, move |sim, w| {
-                    let rpcb = w.costs.rpc_bytes;
-                    Network::send_msg(sim, w, a.to, from, rpcb, move |sim, w| {
+                Network::send_msg(sim, w, from, a.to, RPC_BYTES, move |sim, w| {
+                    Network::send_msg(sim, w, a.to, from, RPC_BYTES, move |sim, w| {
                         let mount = Mount {
                             fs,
                             mode,
@@ -193,8 +195,7 @@ pub fn mount(
             let (client_cluster_name, fs_name) = (client_cluster_name.clone(), fs_name.clone());
             let from = client_node(w, client);
             // HELLO: client -> contact node of the serving cluster.
-            let rpcb = w.costs.rpc_bytes;
-            Network::send_msg(sim, w, from, a.to, rpcb, move |sim, w| {
+            Network::send_msg(sim, w, from, a.to, RPC_BYTES, move |sim, w| {
                 // Serving cluster issues a challenge.
                 let challenge = {
                     let (clusters, rng) = (&mut w.clusters, &mut w.rng);
@@ -202,21 +203,17 @@ pub fn mount(
                         .auth
                         .issue_challenge(&client_cluster_name, rng)
                 };
-                let rpcb = w.costs.rpc_bytes;
-                Network::send_msg(sim, w, a.to, from, rpcb, move |sim, w| {
+                Network::send_msg(sim, w, a.to, from, RPC_BYTES, move |sim, _w| {
                     // Client signs the challenge (charge RSA sign time).
-                    let sign_time = w.costs.sign_time;
-                    sim.after(sign_time, move |sim, w| {
+                    sim.after(SIGN_TIME, move |sim, w| {
                         let cl = w.clients[client.0 as usize].cluster;
                         let response = w.clusters[cl.0 as usize]
                             .auth
                             .respond(&challenge, &fs_name, mode);
                         let challenge_id = challenge.id;
-                        let rpcb = w.costs.rpc_bytes;
-                        Network::send_msg(sim, w, from, a.to, rpcb, move |sim, w| {
+                        Network::send_msg(sim, w, from, a.to, RPC_BYTES, move |sim, _w| {
                             // Server verifies (charge RSA verify time).
-                            let verify_time = w.costs.verify_time;
-                            sim.after(verify_time, move |sim, w| {
+                            sim.after(VERIFY_TIME, move |sim, w| {
                                 let outcome = {
                                     let (clusters, rng) = (&mut w.clusters, &mut w.rng);
                                     clusters[serving.0 as usize].auth.verify_response(
@@ -225,8 +222,7 @@ pub fn mount(
                                         rng,
                                     )
                                 };
-                                let rpcb = w.costs.rpc_bytes;
-                                Network::send_msg(sim, w, a.to, from, rpcb, move |sim, w| {
+                                Network::send_msg(sim, w, a.to, from, RPC_BYTES, move |sim, w| {
                                     let r = match outcome {
                                         Ok(grant) => {
                                             let cl = w.clients[client.0 as usize].cluster;
@@ -306,10 +302,9 @@ pub(crate) fn truncate(
                 cb(sim, w, Err(e));
                 return;
             }
-            // Flush this client's dirty pages first: data written below
+            // Make this client's writes durable first: data written below
             // the new size must survive the truncate (POSIX), and the
             // cache is invalidated afterwards.
-            let dirty = w.clients[client.0 as usize].pool.dirty_pages_of(fs, inode);
             let after_flush: Cb<Result<(), FsError>> =
                 Box::new(move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, r| {
                     // If any write-back failed the on-disk state below the
@@ -341,7 +336,7 @@ pub(crate) fn truncate(
                         },
                     );
                 });
-            flush_dirty_pages(sim, w, client, dirty, after_flush);
+            flush_file(sim, w, client, fs, inode, after_flush);
         }),
     );
 }
@@ -410,8 +405,7 @@ fn acquire_token(
         },
         move |sim, w, a| {
             let from = client_node(w, client);
-            let rpcb = w.costs.rpc_bytes;
-            Network::send_msg(sim, w, from, a.to, rpcb, move |sim, w| {
+            Network::send_msg(sim, w, from, a.to, RPC_BYTES, move |sim, w| {
                 token_grant(sim, w, client, fs, inode, required, desired, mode, from, a)
             })
         },
@@ -477,13 +471,12 @@ fn token_grant(
     // completes (the ack always travels first on the same path).
     let a = Rc::new(a);
     let ack = a.clone();
-    let rpcb = w.costs.rpc_bytes;
-    Network::send_msg(sim, w, mgr, from, rpcb, move |sim, w| {
+    Network::send_msg(sim, w, mgr, from, RPC_BYTES, move |sim, w| {
         // Stage two: revocations can legitimately take flush time, so the
         // fuse is generous; it only trips if the manager (or the grant
         // reply's path) died mid-exchange.
         let fuse = SimDuration::from_secs_f64(
-            w.costs.request_timeout.as_secs_f64() * (2 + w.costs.max_retries) as f64,
+            w.costs.request_timeout.as_secs_f64() * (2 + MAX_RETRIES) as f64,
         );
         ack.rearm(sim, fuse);
     });
@@ -495,8 +488,7 @@ fn token_grant(
         let live = inst.tokens.is_granted(inode, client, granted.seq);
         inst.tokens.replied(granted.seq);
         if live {
-            let rpcb = w.costs.rpc_bytes;
-            Network::send_msg(sim, w, mgr, from, rpcb, move |sim, w| {
+            Network::send_msg(sim, w, mgr, from, RPC_BYTES, move |sim, w| {
                 let Some(cb) = a.claim(sim) else {
                     return; // a watchdog fired; the retry owns this acquire
                 };
@@ -552,8 +544,7 @@ fn give_back_over_cap(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, client: ClientI
     let seqs = c.held_tokens.take(fs, inode);
     c.pool.invalidate_file(fs, inode);
     let (from, mgr) = (c.node, w.fss[fs.0 as usize].mgrs[0].acting);
-    let rpcb = w.costs.rpc_bytes;
-    Network::send_msg(sim, w, from, mgr, rpcb, move |_sim, w| {
+    Network::send_msg(sim, w, from, mgr, RPC_BYTES, move |_sim, w| {
         w.fss[fs.0 as usize].tokens.release(inode, client, &seqs);
     });
 }
@@ -580,11 +571,11 @@ pub(crate) enum Recalled {
 /// grants wait for it; envelope ops that meet a lease recall re-poll.
 ///
 /// The manager sends it once the grants it revokes have had their replies
-/// sent and repeats it every `retry_base` until the holder's ack arrives:
+/// sent and repeats it every `RETRY_BASE` until the holder's ack arrives:
 /// a repeat that finds the holder still at work is ignored, one that finds
 /// it done draws the ack again, so neither a recall nor an ack lost to a
 /// link flap can wedge it. A holder that no send reaches for
-/// `costs.lease_break_timeout` is expelled, and the recall finishes then.
+/// `LEASE_BREAK_TIMEOUT` is expelled, and the recall finishes then.
 pub(crate) struct Recall {
     /// Unique on its filesystem; the holder marks its work in progress by it.
     id: u64,
@@ -719,7 +710,7 @@ fn start_recall(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rec: Rc<Recall>) {
     }
 }
 
-/// One send of a recall, then the next one `retry_base` later while the
+/// One send of a recall, then the next one `RETRY_BASE` later while the
 /// recall is pending (see [`Recall`]).
 fn send_recall(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rec: Rc<Recall>) {
     if !rec.pending() {
@@ -727,9 +718,8 @@ fn send_recall(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rec: Rc<Recall>) {
     }
     let repeat = rec.landed.get();
     let holder_node = client_node(w, rec.holder);
-    let rpcb = w.costs.rpc_bytes;
     let r = rec.clone();
-    let landed = Network::send_msg(sim, w, rec.mgr, holder_node, rpcb, move |sim, w| {
+    let landed = Network::send_msg(sim, w, rec.mgr, holder_node, RPC_BYTES, move |sim, w| {
         recall_arrives(sim, w, r, repeat);
     });
     if landed {
@@ -739,7 +729,7 @@ fn send_recall(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rec: Rc<Recall>) {
         }
     } else if rec.fuse.get().is_none() {
         let r = rec.clone();
-        let fuse = sim.timer_after(w.costs.lease_break_timeout, move |sim, w| {
+        let fuse = sim.timer_after(LEASE_BREAK_TIMEOUT, move |sim, w| {
             r.fuse.set(None);
             if r.pending() {
                 expel(sim, w, r.fs, r.holder);
@@ -747,7 +737,7 @@ fn send_recall(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rec: Rc<Recall>) {
         });
         rec.fuse.set(Some(fuse));
     }
-    sim.after(w.costs.retry_base, move |sim, w| send_recall(sim, w, rec));
+    sim.after(RETRY_BASE, move |sim, w| send_recall(sim, w, rec));
 }
 
 /// A recall reached its holder.
@@ -839,8 +829,8 @@ fn give_back(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rec: Rc<Recall>) {
 /// The holder's ack. If a link flap drops it, the manager's next repeat of
 /// the recall draws it again.
 fn recall_ack(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rec: Rc<Recall>) {
-    let (holder_node, rpcb) = (client_node(w, rec.holder), w.costs.rpc_bytes);
-    Network::send_msg(sim, w, holder_node, rec.mgr, rpcb, move |sim, w| {
+    let holder_node = client_node(w, rec.holder);
+    Network::send_msg(sim, w, holder_node, rec.mgr, RPC_BYTES, move |sim, w| {
         finish_recall(sim, w, &rec);
     });
 }
@@ -871,7 +861,7 @@ fn finish_recall(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rec: &Recall) {
 }
 
 /// Expel `holder` from `fs`: no send of a recall reached it for
-/// `costs.lease_break_timeout`. The manager takes back its leases and
+/// `LEASE_BREAK_TIMEOUT`. The manager takes back its leases and
 /// releases every token it held, so nobody else blocks on a dead or
 /// cut-off node. The node side needs no message: its own term clock tells
 /// it its membership lapsed, so it stops trusting its lease and token
@@ -1229,9 +1219,8 @@ fn fetch_run(
             let at_site = site.filter(|_| a.n == 0).map(|(s, _)| s);
             let keys = keys.clone();
             let from = client_node(w, client);
-            let rpcb = w.costs.rpc_bytes;
             let window = w.costs.flow_window;
-            let sent = Network::send_msg(sim, w, from, a.to, rpcb, move |sim, w| {
+            let sent = Network::send_msg(sim, w, from, a.to, RPC_BYTES, move |sim, w| {
                 let server = a.to;
                 // A crashed server silently drops the request: the
                 // watchdog is the only way the client learns about it.
@@ -1414,8 +1403,7 @@ fn flush_run(
                 sim.at(done, move |sim, w| {
                     w.fss[fs.0 as usize].core.put_block_run(addr, data.clone());
                     // Ack back to the client.
-                    let rpcb = w.costs.rpc_bytes;
-                    Network::send_msg(sim, w, server, from, rpcb, move |sim, w| {
+                    Network::send_msg(sim, w, server, from, RPC_BYTES, move |sim, w| {
                         let Some(cb) = a.claim(sim) else {
                             return; // a retry owns this flush now
                         };
@@ -1452,6 +1440,8 @@ fn flush_evicted(
     }
     for ((fs, inode), pages) in by_file {
         inflight_enter(w, client, fs, inode);
+        let c = &mut w.clients[client.0 as usize];
+        c.write_backs.entry((fs, inode)).or_default().0 += 1;
         let n = pages.len() as u64;
         let settled: Cb<Result<(), FsError>> = Box::new(move |sim, w, r| {
             inflight_exit(w, client, fs, inode);
@@ -1460,13 +1450,64 @@ fn flush_evicted(
                 let what = RecoveryWhat::DirtyPagesDiscarded { client, pages: n };
                 w.recovery.log(sim.now(), what);
             }
+            let c = &mut w.clients[client.0 as usize];
+            if let Entry::Occupied(mut e) = c.write_backs.entry((fs, inode)) {
+                e.get_mut().0 -= 1;
+                if e.get().0 == 0 {
+                    for then in e.remove().1 {
+                        then(sim, w, ());
+                    }
+                }
+            }
         });
         flush_dirty_pages(sim, w, client, pages, settled);
     }
 }
 
+/// Make the file's written bytes durable: flush its dirty pages, wait until
+/// the write-back of its pages the pool evicted dirty has settled, then
+/// report a lost write-back of the file (here, earlier, or an expulsion's
+/// discard) once, as `FsError::Timeout`.
+fn flush_file(
+    sim: &mut Sim<GfsWorld>,
+    w: &mut GfsWorld,
+    client: ClientId,
+    fs: FsId,
+    inode: InodeId,
+    cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<(), FsError>) + 'static,
+) {
+    let dirty = w.clients[client.0 as usize].pool.dirty_pages_of(fs, inode);
+    let flushed = move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, r| {
+        settle_file(sim, w, client, (fs, inode), r, cb)
+    };
+    flush_dirty_pages(sim, w, client, dirty, Box::new(flushed));
+}
+
+/// The end of [`flush_file`]: once no write-back of `file`'s evicted pages
+/// is in flight, hand `cb` the flush result, or `Timeout` if a write-back
+/// of the file was lost.
+fn settle_file(
+    sim: &mut Sim<GfsWorld>,
+    w: &mut GfsWorld,
+    client: ClientId,
+    file: (FsId, InodeId),
+    r: Result<(), FsError>,
+    cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<(), FsError>) + 'static,
+) {
+    let c = &mut w.clients[client.0 as usize];
+    if let Some((_, waiting)) = c.write_backs.get_mut(&file) {
+        waiting.push(Box::new(move |sim, w, ()| settle_file(sim, w, client, file, r, cb)));
+        return;
+    }
+    let r = match c.lost_writes.remove(&file) {
+        true => r.and(Err(FsError::Timeout)),
+        false => r,
+    };
+    cb(sim, w, r);
+}
+
 /// Read `len` bytes at `offset`. Returns short data at EOF (like POSIX).
-pub fn read(
+pub(crate) fn read(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
     client: ClientId,
@@ -1831,28 +1872,22 @@ pub(crate) fn write(
     );
 }
 
-/// Flush all dirty pages of the file behind `handle`. The first call
-/// after an expulsion discarded dirty pages of the file fails with
-/// `FsError::Timeout` (see `Client::lost_writes`), once.
-pub fn fsync(
+/// Flush the file behind `handle` ([`flush_file`]): its dirty pages and
+/// the write-back of its evicted ones. The first call after a write-back
+/// of the file was lost fails with `FsError::Timeout` (see
+/// `Client::lost_writes`), once.
+pub(crate) fn fsync(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
     client: ClientId,
     handle: Handle,
     cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<(), FsError>) + 'static,
 ) {
-    let c = &mut w.clients[client.0 as usize];
-    let Some(of) = c.handles.get(&handle).cloned() else {
+    let Some(of) = w.clients[client.0 as usize].handles.get(&handle).cloned() else {
         cb(sim, w, Err(FsError::BadHandle));
         return;
     };
-    let dirty = c.pool.dirty_pages_of(of.fs, of.inode);
-    let done: Cb<Result<(), FsError>> = if c.lost_writes.remove(&(of.fs, of.inode)) {
-        Box::new(move |sim, w, r| cb(sim, w, r.and(Err(FsError::Timeout))))
-    } else {
-        Box::new(cb)
-    };
-    flush_dirty_pages(sim, w, client, dirty, done);
+    flush_file(sim, w, client, of.fs, of.inode, cb);
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //! [`simcore::TimeSeries::dip_below`] over the monitored link series.
 
 use crate::types::{ClientId, FsId};
-use crate::world::GfsWorld;
+use crate::world::{GfsWorld, MANAGER_RECOVERY_BASE, MANAGER_REPLAY_PER_OP};
 use simcore::{Sim, SimDuration, SimTime};
 use simnet::{Network, NodeId};
 
@@ -399,7 +399,7 @@ pub enum RecoveryWhat {
     Restored(String),
     /// A mount context was expelled because no send of a recall (token
     /// revocation or lease break) reached it for
-    /// [`crate::world::ProtocolCosts::lease_break_timeout`]; its leases and
+    /// [`crate::world::LEASE_BREAK_TIMEOUT`]; its leases and
     /// tokens were force-released and its cached pages discarded.
     Expelled {
         /// The unresponsive context.
@@ -630,9 +630,8 @@ pub fn apply_fault(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, kind: FaultKind) {
 fn schedule_manager_recovery(sim: &mut Sim<GfsWorld>, w: &GfsWorld, fs: FsId, shard: u32) {
     let inst = &w.fss[fs.0 as usize];
     let delay = SimDuration::from_secs_f64(
-        w.costs.manager_recovery_base.as_secs_f64()
-            + w.costs.manager_replay_per_op.as_secs_f64()
-                * inst.mgrs[shard as usize].wal_len() as f64,
+        MANAGER_RECOVERY_BASE.as_secs_f64()
+            + MANAGER_REPLAY_PER_OP.as_secs_f64() * inst.mgrs[shard as usize].wal_len() as f64,
     );
     sim.after(delay, move |sim, w| {
         finish_manager_recovery(sim, w, fs, shard)
@@ -648,8 +647,7 @@ fn finish_manager_recovery(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, fs: FsId, 
         return;
     }
     let Some(candidate) = inst.manager_candidate(shard) else {
-        let delay = w.costs.manager_recovery_base;
-        sim.after(delay, move |sim, w| {
+        sim.after(MANAGER_RECOVERY_BASE, move |sim, w| {
             finish_manager_recovery(sim, w, fs, shard)
         });
         return;

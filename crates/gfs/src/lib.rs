@@ -25,7 +25,6 @@ pub mod commands;
 pub mod faults;
 pub mod fscore;
 pub mod fsck;
-pub mod hsmlink;
 pub mod mpiio;
 pub mod oracle;
 pub mod replica;

@@ -18,11 +18,11 @@
 //!   answer that arrives after its watchdog fired finds the cancel refused
 //!   and is dropped: the retry owns the exchange.
 //! * An attempt whose request never left — a link on its path was down
-//!   when it was sent — sends it again every `costs.retry_base` until it
+//!   when it was sent — sends it again every `RETRY_BASE` until it
 //!   leaves or the watchdog fires, the rule a recall follows too. A
 //!   request that left and is lost further on is the watchdog's to find.
 //! * A fired watchdog logs `TimeoutDetected` and retries after a bounded
-//!   exponential backoff with seeded jitter. Once `costs.max_retries`
+//!   exponential backoff with seeded jitter. Once `MAX_RETRIES`
 //!   retries are spent it ends the exchange with [`FsError::Timeout`].
 //! * The completion callback sits in a one-shot slot that every attempt
 //!   shares, so it runs exactly once: with the answer, with the outcome
@@ -35,7 +35,7 @@
 use crate::client::Cb;
 use crate::faults::RecoveryWhat;
 use crate::types::{ClientId, FsError};
-use crate::world::GfsWorld;
+use crate::world::{GfsWorld, MAX_RETRIES, RETRY_BASE};
 use rand::Rng;
 use simcore::{Sim, SimDuration, TimerId};
 use simnet::NodeId;
@@ -117,7 +117,7 @@ fn attempt<T: 'static>(
 }
 
 /// Put attempt `n`'s request on the wire; while it does not leave, again
-/// every `retry_base` until it does or the attempt's watchdog fires.
+/// every `RETRY_BASE` until it does or the attempt's watchdog fires.
 fn send<T: 'static>(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
@@ -135,7 +135,7 @@ fn send<T: 'static>(
     if (ex.send.borrow_mut())(sim, w, a) {
         return;
     }
-    sim.after(w.costs.retry_base, move |sim, w| {
+    sim.after(RETRY_BASE, move |sim, w| {
         if sim.timer_live(watchdog) {
             send(sim, w, ex, to, n, watchdog);
         }
@@ -160,7 +160,7 @@ fn arm<T: 'static>(
                 server: to,
             },
         );
-        if n >= w.costs.max_retries {
+        if n >= MAX_RETRIES {
             ex.finish(sim, w, Err(FsError::Timeout));
             return;
         }
@@ -169,13 +169,13 @@ fn arm<T: 'static>(
     })
 }
 
-/// Backoff delay before retry `n + 1`: `retry_base * 2^n`, scaled by a
+/// Backoff delay before retry `n + 1`: `RETRY_BASE * 2^n`, scaled by a
 /// deterministic jitter in `[0.5, 1.5)` drawn from the world's seeded RNG
 /// (so colliding clients decorrelate but reruns reproduce).
 fn backoff_delay(w: &mut GfsWorld, n: u32) -> SimDuration {
     let jitter = 0.5 + w.rng.gen::<f64>();
     let scale = (1u64 << n.min(16)) as f64;
-    SimDuration::from_secs_f64(w.costs.retry_base.as_secs_f64() * scale * jitter)
+    SimDuration::from_secs_f64(RETRY_BASE.as_secs_f64() * scale * jitter)
 }
 
 /// One attempt of an exchange, handed to the exchange's `send` and carried

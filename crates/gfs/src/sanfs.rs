@@ -15,7 +15,7 @@
 //! numbers.
 
 use crate::stream::{run_stream, StreamDir, StreamSpec};
-use crate::world::GfsWorld;
+use crate::world::{GfsWorld, RPC_BYTES};
 use simcore::Sim;
 use simnet::NodeId;
 use simsan::FcipSpec;
@@ -60,11 +60,9 @@ pub fn san_read(
         dir: StreamDir::Read,
     };
     let mds = fs.mds;
-    let rpcb = w.costs.rpc_bytes;
     // Block-map RPC to the MDS, then the block streams.
-    simnet::Network::send_msg(sim, w, client_node, mds, rpcb, move |sim, w| {
-        let rpcb = w.costs.rpc_bytes;
-        simnet::Network::send_msg(sim, w, mds, client_node, rpcb, move |sim, w| {
+    simnet::Network::send_msg(sim, w, client_node, mds, RPC_BYTES, move |sim, w| {
+        simnet::Network::send_msg(sim, w, mds, client_node, RPC_BYTES, move |sim, w| {
             run_stream(sim, w, spec, on_done);
         });
     });

@@ -11,10 +11,11 @@
 //! sessions share a `Client`'s pool and tokens, while per-session state is
 //! just a slab-allocated handle table, a cwd, a bound device and an
 //! in-flight counter ([`SessionState`]). The facade methods
-//! (`sess.mkdir(sim, w, path, cb)` …) are the only way to run a metadata
-//! op; the data-path methods wrap [`client::read`] and [`client::fsync`],
-//! and hand the session itself to `client::write` and `client::truncate`,
-//! whose block allocation and size change ride the session's envelopes.
+//! (`sess.mkdir(sim, w, path, cb)` …) are the only way to run an op from
+//! outside this crate; the data-path methods wrap `client::read` and
+//! `client::fsync`, and hand the session itself to `client::write` and
+//! `client::truncate`, whose block allocation and size change ride the
+//! session's envelopes.
 //!
 //! Every manager request is a value, a [`MetaOp`], answered by a
 //! [`Reply`]; [`MetaOp::apply`] runs it at the owning shard or at a lease
@@ -38,7 +39,10 @@ use crate::client::{self, Cb};
 use crate::fscore::FileAttr;
 use crate::rpc::{self, Attempt};
 use crate::types::{ClientId, FsError, FsId, Handle, InodeId, OpenFlags, Owner, SessionId};
-use crate::world::{GfsWorld, JournalEntry, Mount, OpenFile};
+use crate::world::{
+    GfsWorld, JournalEntry, Mount, OpenFile, LEASE_BREAK_TIMEOUT, MANAGER_REPLAY_PER_OP,
+    RETRY_BASE, RPC_BYTES,
+};
 use bytes::Bytes;
 use gfs_auth::handshake::AccessMode;
 use simcore::fxhash::{FxHashMap, FxHashSet};
@@ -585,7 +589,7 @@ impl Session {
         }
     }
 
-    /// Mount `device` on the shared context ([`client::mount`] dispatches
+    /// Mount `device` on the shared context (`client::mount` dispatches
     /// local vs remote) and bind it as the session's target.
     pub fn mount(
         self,
@@ -921,7 +925,7 @@ impl Session {
     /// the subtree, or a recall of its lease is under way (this context's
     /// own included), the envelope's lease rule applies as to any op
     /// there: the manager recalls that lease and the acquire re-polls
-    /// every 10 ms until the recall is over (see `max_defers`). The grant
+    /// every 10 ms until the recall is over (see `MAX_DEFERS`). The grant
     /// is idempotent, so it is not recorded: a retry after a lost reply
     /// asks afresh rather than replaying a grant a recall may have taken
     /// back.
@@ -1325,13 +1329,12 @@ pub(crate) fn reconcile_journal(
 /// shard recovering) before it fails with `Timeout`: enough re-polls to
 /// outlast the longest recall. Its fuse burns only while no send lands, so
 /// a holder that goes silent right after the first send lands is expelled
-/// `retry_base + lease_break_timeout` after the recall starts; the re-polls
-/// come at least `requeue_delay` apart, and one more sees the subtree free
-/// (211 at the defaults, 2.11 s or more).
-fn max_defers(costs: &crate::world::ProtocolCosts) -> u32 {
-    let longest = costs.retry_base + costs.lease_break_timeout;
-    (longest.as_nanos().div_ceil(requeue_delay().as_nanos()) + 1) as u32
-}
+/// `RETRY_BASE + LEASE_BREAK_TIMEOUT` after the recall starts; the re-polls
+/// come at least `REQUEUE_DELAY` apart, and one more sees the subtree free
+/// (211, 2.11 s or more).
+const MAX_DEFERS: u32 = ((RETRY_BASE.as_nanos() + LEASE_BREAK_TIMEOUT.as_nanos())
+    .div_ceil(REQUEUE_DELAY.as_nanos())
+    + 1) as u32;
 
 /// Gather window for gated (multi-shard) envelope flushes: when a shard's
 /// gate frees, the next envelope waits this long collecting ops before it
@@ -1347,9 +1350,7 @@ const ENVELOPE_GATHER: SimDuration = SimDuration::from_micros(4000);
 const DELEGATE_JOURNAL_WATERMARK: usize = 4096;
 
 /// Deferred-op re-poll cadence.
-fn requeue_delay() -> simcore::SimDuration {
-    simcore::SimDuration::from_millis(10)
-}
+const REQUEUE_DELAY: SimDuration = SimDuration::from_millis(10);
 
 /// An envelope's outcome per op, in submission order: `None` marks an op
 /// the manager deferred (a lease conflict or an unavailable peer shard).
@@ -1382,8 +1383,7 @@ fn envelope_attempt(
 ) -> bool {
     let mgr = a.to;
     let from = client::client_node(w, ctx);
-    let rpcb = w.costs.rpc_bytes;
-    Network::send_msg(sim, w, from, mgr, rpcb, move |sim, w| {
+    Network::send_msg(sim, w, from, mgr, RPC_BYTES, move |sim, w| {
         if !w.fss[fs.0 as usize].manager_answers(shard, mgr) || env.borrow().is_empty() {
             return;
         }
@@ -1392,14 +1392,14 @@ fn envelope_attempt(
         client::readmit_if_expelled(sim, w, fs, ctx);
         // Manager CPU: envelopes serialize FIFO through this shard's
         // acting manager, `manager_op_service` per op (a journal replay
-        // costs `manager_replay_per_op`). Execution happens at the slot's
+        // costs `MANAGER_REPLAY_PER_OP`). Execution happens at the slot's
         // *end*, so cross-envelope op ordering is exactly arrival order.
         let (n_live, n_replay) = {
             let ops = env.borrow();
             let nr = ops.iter().filter(|o| matches!(o.op, MetaOp::Replay { .. })).count() as u64;
             (ops.len() as u64 - nr, nr)
         };
-        let svc = w.costs.manager_op_service * n_live + w.costs.manager_replay_per_op * n_replay;
+        let svc = w.costs.manager_op_service * n_live + MANAGER_REPLAY_PER_OP * n_replay;
         let start = w.fss[fs.0 as usize].mgrs[shard as usize].busy_until.max(sim.now());
         let done = start + svc;
         let ms = &mut w.fss[fs.0 as usize].mgrs[shard as usize];
@@ -1463,10 +1463,10 @@ fn envelope_attempt(
                     // ordinary envelope backlog (which is pushed back by
                     // the same amount) rather than waiting out the whole
                     // queue; the response waits only for the append itself.
-                    let pdone = sim.now() + w.costs.manager_replay_per_op;
+                    let pdone = sim.now() + MANAGER_REPLAY_PER_OP;
                     let inst = &mut w.fss[fs.0 as usize];
                     let pm = &mut inst.mgrs[b as usize];
-                    pm.busy_until = pm.busy_until.max(sim.now()) + w.costs.manager_replay_per_op;
+                    pm.busy_until = pm.busy_until.max(sim.now()) + MANAGER_REPLAY_PER_OP;
                     if mutating {
                         pm.record(op.op_id, r.clone());
                     }
@@ -1477,8 +1477,7 @@ fn envelope_attempt(
             }
             drop(ops);
             let respond = move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld| {
-                let rpcb = w.costs.rpc_bytes;
-                Network::send_msg(sim, w, mgr, from, rpcb, move |sim, w| {
+                Network::send_msg(sim, w, mgr, from, RPC_BYTES, move |sim, w| {
                     a.reply(sim, w, Ok(results))
                 });
             };
@@ -1523,11 +1522,11 @@ fn envelope_finish(
             continue;
         }
         op.defers += 1;
-        if op.defers > max_defers(&w.costs) {
+        if op.defers > MAX_DEFERS {
             (op.deliver)(sim, w, Err(FsError::Timeout));
             continue;
         }
-        sim.after(requeue_delay(), move |sim, w| submit_batch(sim, w, ctx, fs, op));
+        sim.after(REQUEUE_DELAY, move |sim, w| submit_batch(sim, w, ctx, fs, op));
     }
 }
 

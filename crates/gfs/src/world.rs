@@ -75,7 +75,7 @@ impl NsdState {
 /// mutation whose reply was lost in the crash. Every acknowledged mutation
 /// is therefore appended to a WAL at application time; recovery re-reads
 /// the log (charged per entry, see
-/// [`ProtocolCosts::manager_replay_per_op`]) to rebuild the table before
+/// [`MANAGER_REPLAY_PER_OP`]) to rebuild the table before
 /// the new manager starts answering. Token state survives for the same
 /// reason real GPFS recovers it: the surviving clients' token mirrors are
 /// replayed to the new manager during the same window.
@@ -287,7 +287,7 @@ pub struct FsInstance {
     /// touches the subtree.
     pub leases: BTreeMap<Box<str>, ClientId>,
     /// Mount contexts expelled because no send of a recall (token or
-    /// lease) reached them for [`ProtocolCosts::lease_break_timeout`].
+    /// lease) reached them for [`LEASE_BREAK_TIMEOUT`].
     /// Their leases and tokens are force-released; their next manager
     /// contact re-admits them.
     pub expelled: std::collections::BTreeSet<ClientId>,
@@ -296,7 +296,7 @@ pub struct FsInstance {
     /// Recalls of subtree leases started (observability).
     pub lease_breaks: u64,
     /// Holders expelled after a recall no send of which reached them for
-    /// [`ProtocolCosts::lease_break_timeout`].
+    /// [`LEASE_BREAK_TIMEOUT`].
     pub expulsions: u64,
     /// Expelled contexts re-admitted on their next manager contact.
     pub readmissions: u64,
@@ -516,8 +516,9 @@ pub struct Client {
     /// recall id)`: a repeated send of one of them is ignored, one of a
     /// recall already finished here is answered with its ack again.
     pub recalling: std::collections::BTreeSet<(FsId, u64)>,
-    /// Files whose dirty pages an expulsion discarded: the next `fsync`
-    /// or close of each fails once with [`crate::types::FsError::Timeout`],
+    /// Files whose dirty pages were lost (an expulsion discarded them, or
+    /// the write-back of evicted ones failed): the next `fsync`, close or
+    /// truncate of each fails once with [`crate::types::FsError::Timeout`],
     /// so the writer learns its bytes never reached the disk.
     pub lost_writes: std::collections::BTreeSet<(FsId, InodeId)>,
     /// Operations currently applying data under a held token, per inode.
@@ -525,6 +526,9 @@ pub struct Client {
     /// completes in-flight operations before honouring a revoke, which is
     /// what makes individual writes atomic.
     pub inflight: BTreeMap<(FsId, InodeId), u32>,
+    /// Write-backs of pages the pool evicted dirty, in flight per file,
+    /// with the fsyncs and truncates waiting for them to settle.
+    pub(crate) write_backs: BTreeMap<(FsId, InodeId), (u32, Vec<crate::client::Cb<()>>)>,
     /// Client-side mirror of held subtree leases: `(fs, top-level
     /// subtree)`. While an entry is present, this context's metadata ops
     /// under the subtree run against the local delegate (no manager
@@ -566,12 +570,6 @@ pub struct JournalEntry {
 /// Tunable protocol constants.
 #[derive(Clone, Debug)]
 pub struct ProtocolCosts {
-    /// Size of a metadata/token RPC request or reply on the wire.
-    pub rpc_bytes: u64,
-    /// Time to compute one RSA signature (2005-era hardware).
-    pub sign_time: SimDuration,
-    /// Time to verify one RSA signature.
-    pub verify_time: SimDuration,
     /// TCP window for block-fetch flows (bytes); models the per-connection
     /// socket buffer GPFS configures.
     pub flow_window: u64,
@@ -580,18 +578,6 @@ pub struct ProtocolCosts {
     /// declaring it lost and retrying (GPFS lease/ping timeout, compressed
     /// to simulation scale).
     pub request_timeout: SimDuration,
-    /// Base delay of the exponential retry backoff; attempt `k` waits
-    /// `retry_base * 2^k`, scaled by a seeded jitter in `[0.5, 1.5)`.
-    pub retry_base: SimDuration,
-    /// Retry budget per request; exhausting it surfaces
-    /// [`crate::types::FsError::Timeout`].
-    pub max_retries: u32,
-    /// Fixed cost of a namespace-manager takeover (leader election + log
-    /// open) before WAL replay starts.
-    pub manager_recovery_base: SimDuration,
-    /// Per-WAL-entry replay cost during manager recovery; total recovery
-    /// time is `manager_recovery_base + manager_replay_per_op × wal_len`.
-    pub manager_replay_per_op: SimDuration,
     /// Manager CPU per metadata op inside a fan-in envelope. Envelopes
     /// serialize through the acting manager's service queue
     /// ([`ManagerState::busy_until`]): an envelope of `n` ops occupies the
@@ -602,33 +588,44 @@ pub struct ProtocolCosts {
     /// metadata ops, write allocation, truncate, lease acquire and lease
     /// surrender.
     pub manager_op_service: SimDuration,
-    /// The one recall fuse: a holder that no send of a recall (token
-    /// revocation or lease break) reaches for this long is expelled — its
-    /// leases and tokens are force-released and the blocked op proceeds.
-    /// The fuse burns only while sends fail to land, so a holder that is
-    /// reachable but slow (flushing, reconciling) is never expelled, and
-    /// a holder that goes silent right after a send lands is expelled
-    /// about `retry_base` plus this after the recall starts.
-    pub lease_break_timeout: SimDuration,
 }
 
 impl Default for ProtocolCosts {
     fn default() -> Self {
         ProtocolCosts {
-            rpc_bytes: 256,
-            sign_time: SimDuration::from_millis(3),
-            verify_time: SimDuration::from_millis(1),
             flow_window: 16 * 1024 * 1024,
             request_timeout: SimDuration::from_millis(1500),
-            retry_base: SimDuration::from_millis(100),
-            max_retries: 6,
-            manager_recovery_base: SimDuration::from_millis(250),
-            manager_replay_per_op: SimDuration::from_micros(2),
             manager_op_service: SimDuration::from_micros(5),
-            lease_break_timeout: SimDuration::from_secs(2),
         }
     }
 }
+
+/// Size of a metadata/token RPC request or reply on the wire.
+pub const RPC_BYTES: u64 = 256;
+/// Time to compute one RSA signature (2005-era hardware).
+pub const SIGN_TIME: SimDuration = SimDuration::from_millis(3);
+/// Time to verify one RSA signature.
+pub const VERIFY_TIME: SimDuration = SimDuration::from_millis(1);
+/// Base delay of the exponential retry backoff; attempt `k` waits
+/// `RETRY_BASE * 2^k`, scaled by a seeded jitter in `[0.5, 1.5)`.
+pub const RETRY_BASE: SimDuration = SimDuration::from_millis(100);
+/// Retry budget per request; exhausting it surfaces
+/// [`crate::types::FsError::Timeout`].
+pub const MAX_RETRIES: u32 = 6;
+/// Fixed cost of a namespace-manager takeover (leader election + log
+/// open) before WAL replay starts.
+pub const MANAGER_RECOVERY_BASE: SimDuration = SimDuration::from_millis(250);
+/// Per-WAL-entry replay cost during manager recovery; total recovery
+/// time is `MANAGER_RECOVERY_BASE + MANAGER_REPLAY_PER_OP × wal_len`.
+pub const MANAGER_REPLAY_PER_OP: SimDuration = SimDuration::from_micros(2);
+/// The one recall fuse: a holder that no send of a recall (token
+/// revocation or lease break) reaches for this long is expelled — its
+/// leases and tokens are force-released and the blocked op proceeds.
+/// The fuse burns only while sends fail to land, so a holder that is
+/// reachable but slow (flushing, reconciling) is never expelled, and
+/// a holder that goes silent right after a send lands is expelled
+/// about `RETRY_BASE` plus this after the recall starts.
+pub const LEASE_BREAK_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 
 /// The world.
 pub struct GfsWorld {
@@ -995,6 +992,7 @@ impl WorldBuilder {
                 recalling: std::collections::BTreeSet::new(),
                 lost_writes: std::collections::BTreeSet::new(),
                 inflight: BTreeMap::new(),
+                write_backs: BTreeMap::new(),
                 leases: std::collections::BTreeSet::new(),
                 delegate_busy_until: SimTime::from_nanos(0),
                 delegate_inflight: 0,

@@ -459,8 +459,6 @@ pub fn check_manager_recovery_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metadata_storm::StormMix;
-    use crate::trace::TraceCorpus;
 
     /// The acceptance scenario: NSD crash at 40% + WAN flap at 70%, storm
     /// completes fsck-clean with every client RPC eventually succeeding,
@@ -513,14 +511,6 @@ mod tests {
         v.assert_clean();
         assert!(v.chaos.wal_replayed > 0);
         assert!(v.chaos.manager_epochs >= 1);
-    }
-
-    /// The same guarantees hold under a trace-corpus mix.
-    #[test]
-    fn trace_mix_chaos_storm_survives() {
-        let cfg = StormConfig::small().with_mix(StormMix::Corpus(TraceCorpus::UntarBuild));
-        let spec = canonical_chaos(&cfg, SimDuration::from_millis(400));
-        check_chaos_storm(&cfg, &spec).assert_clean();
     }
 
     /// Kill-one-shard chaos: in a 4-shard partitioned storm, the canonical

@@ -23,6 +23,7 @@
 #![allow(clippy::too_many_arguments)]
 pub mod ablations;
 pub mod builder;
+mod chain;
 pub mod chaos;
 pub mod common;
 pub mod driver;

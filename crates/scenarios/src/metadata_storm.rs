@@ -12,38 +12,26 @@
 //! 32 clients × 128 race ops) ≈ 1.08M metadata operations per run at the
 //! defaults.
 //!
+//! Each session is an op chain of the session driver the trace replay
+//! uses (`chain.rs`), fed by a generator of the storm's uniform mix, so
+//! both issue, tally and fingerprint every op the same way.
+//!
 //! Points are fully independent seeded worlds, so they fan out through
 //! [`crate::parallel::run_indexed`]; the merged [`StormReport`] — including
 //! its order-sensitive fingerprint — is bit-identical at any
 //! `GFS_SWEEP_THREADS` value.
 
-use crate::builder::{pattern_bytes, DataPathStats, NsdFarm, ScenarioBuilder};
+use crate::builder::{data_path_stats_of, DataPathStats, NsdFarm, ScenarioBuilder};
+use crate::chain::{self, mix, Chain, Lease, Oracle, Run, Tally};
+use crate::trace::{TraceOp, TraceOpKind};
 use gfs::faults::{FaultPlan, ProgressInjector, ProgressPlan, RecoveryWhat};
-use gfs::fscore::MetaSnapshot;
-use gfs::session::Session;
-use gfs::types::{FsError, OpenFlags, Owner};
+use gfs::oracle::ModelFs;
+use gfs::types::{FsId, Owner};
 use gfs::world::GfsWorld;
-use gfs_auth::handshake::AccessMode;
 use rand::{rngs::StdRng, Rng};
 use simcore::{det_rng, Bandwidth, Sim, SimDuration, SimTime};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-
-/// How each client picks its next operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StormMix {
-    /// Uniform random paths and a fixed op distribution — every probe is
-    /// equally likely to land anywhere in the tree.
-    Uniform,
-    /// Replay a generated [`TraceCorpus`] shape: each op of the corpus is
-    /// mapped onto the storm's `(top, sub, file, selector)` coordinates by
-    /// hashing its path components, and every client walks the script
-    /// sequentially from its own offset, so the op stream carries the
-    /// corpus's path locality and verb mix.
-    ///
-    /// [`TraceCorpus`]: crate::trace::TraceCorpus
-    Corpus(crate::trace::TraceCorpus),
-}
 
 /// Storm shape. The defaults produce ≥1M metadata operations.
 #[derive(Clone, Copy, Debug)]
@@ -88,8 +76,6 @@ pub struct StormConfig {
     pub rebalance_every_ms: u64,
     /// Bytes written by a small-write op.
     pub write_bytes: u64,
-    /// Op-selection shape.
-    pub mix: StormMix,
     /// Determinism seed.
     pub seed: u64,
 }
@@ -108,7 +94,6 @@ impl Default for StormConfig {
             lease_contexts: 0,
             rebalance_every_ms: 0,
             write_bytes: 4096,
-            mix: StormMix::Uniform,
             seed: 2005,
         }
     }
@@ -130,7 +115,6 @@ impl StormConfig {
             lease_contexts: 0,
             rebalance_every_ms: 0,
             write_bytes: 4096,
-            mix: StormMix::Uniform,
             seed: 2005,
         }
     }
@@ -156,15 +140,8 @@ impl StormConfig {
             lease_contexts: 16,
             rebalance_every_ms: 100,
             write_bytes: 4096,
-            mix: StormMix::Uniform,
             seed: 2005,
         }
-    }
-
-    /// Same config with a different op-selection shape.
-    pub fn with_mix(mut self, mix: StormMix) -> Self {
-        self.mix = mix;
-        self
     }
 
     /// Same config with `n` flyweight sessions per mount context.
@@ -266,9 +243,10 @@ impl ChaosSpec {
     }
 }
 
-/// Merged result of one storm run. All-integer so determinism tests can
-/// compare reports exactly.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// Result of one session-driver run: a storm merged over its points, or a
+/// trace replay (its [`crate::trace::ReplayReport::run`]). All-integer so
+/// determinism tests can compare reports exactly.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StormReport {
     /// Metadata operations performed (tree generation + client races).
     pub ops: u64,
@@ -329,7 +307,7 @@ pub struct StormReport {
     /// over points.
     pub lease_breaks: u64,
     /// Mount contexts expelled because no send of a recall reached them for
-    /// `lease_break_timeout`, summed over points. An outage shorter than
+    /// `LEASE_BREAK_TIMEOUT`, summed over points. An outage shorter than
     /// that fuse expels nobody.
     pub expulsions: u64,
     /// Writeback-journal entries applied at a manager during lease
@@ -384,113 +362,108 @@ impl StormReport {
             self.envelope_ops as f64 / self.envelopes as f64
         }
     }
-}
 
-/// Plain `Send` extract of one point (its world never leaves the thread).
-struct PointSummary {
-    ops: u64,
-    errors: u64,
-    events: u64,
-    fingerprint: u64,
-    meta: MetaSnapshot,
-    fsck_clean: bool,
-    data_path: DataPathStats,
-    timeouts: u64,
-    failovers: u64,
-    faults_injected: u64,
-    restores: u64,
-    manager_epochs: u64,
-    wal_replayed: u64,
-    gave_up: u64,
-    err_not_found: u64,
-    err_exists: u64,
-    err_races: u64,
-    cross_shard_ops: u64,
-    delegated_ops: u64,
-    lease_acquires: u64,
-    lease_breaks: u64,
-    expulsions: u64,
-    reconcile_ops: u64,
-    rebalance_migrations: u64,
-    tree_fingerprint: u64,
-    invariant_violations: u64,
-    sessions: u64,
-    envelopes: u64,
-    envelope_ops: u64,
-    sim_ns: u64,
-}
+    /// Read one drained world: the tally's counts, the world's counters,
+    /// fsck and the invariant audit (each violation printed under
+    /// `label`). `start` is when the chains started.
+    pub(crate) fn drained(
+        sim: &Sim<GfsWorld>,
+        w: &GfsWorld,
+        fs: FsId,
+        tally: &Tally,
+        start: SimTime,
+        label: &str,
+    ) -> StormReport {
+        let core = &w.fss[fs.0 as usize].core;
+        let violations = crate::chaos::world_invariants(sim, w);
+        for msg in &violations {
+            eprintln!("{label}: invariant violated: {msg}");
+        }
+        let meta = core.meta_snapshot();
+        let logged = |f: fn(&RecoveryWhat) -> bool| w.recovery.count(f) as u64;
+        let mgrs = || w.fss.iter().flat_map(|i| &i.mgrs);
+        StormReport {
+            ops: tally.ops.get(),
+            errors: tally.errors.get(),
+            events: sim.executed(),
+            fingerprint: tally.fingerprint.get(),
+            resolves: meta.resolves,
+            resolve_alloc_bytes: meta.resolve_alloc_bytes,
+            interned_names: meta.interned_names,
+            fsck_clean: gfs::fsck(core).is_clean(),
+            data_path: data_path_stats_of(w),
+            timeouts: logged(|e| matches!(e, RecoveryWhat::TimeoutDetected { .. })),
+            failovers: logged(|e| matches!(e, RecoveryWhat::FailedOver { .. })),
+            faults_injected: logged(|e| matches!(e, RecoveryWhat::FaultInjected(_))),
+            restores: logged(|e| matches!(e, RecoveryWhat::Restored(_))),
+            manager_epochs: mgrs().map(|m| m.epoch).sum(),
+            wal_replayed: mgrs().map(|m| m.replayed).sum(),
+            gave_up: tally.gave_up.get(),
+            err_not_found: tally.err_not_found.get(),
+            err_exists: tally.err_exists.get(),
+            err_races: tally.err_races.get(),
+            cross_shard_ops: w.fss.iter().map(|i| i.cross_shard_ops).sum(),
+            delegated_ops: w.fss.iter().map(|i| i.delegated_ops).sum(),
+            lease_acquires: w.fss.iter().map(|i| i.lease_grants).sum(),
+            lease_breaks: w.fss.iter().map(|i| i.lease_breaks).sum(),
+            expulsions: w.fss.iter().map(|i| i.expulsions).sum(),
+            reconcile_ops: w.fss.iter().map(|i| i.reconcile_ops).sum(),
+            rebalance_migrations: w.fss.iter().map(|i| i.core.shards.migrations()).sum(),
+            tree_fingerprint: core.tree_fingerprint(),
+            invariant_violations: violations.len() as u64,
+            sessions: w.sessions.len() as u64,
+            envelopes: w.fanin.envelopes,
+            envelope_ops: w.fanin.envelope_ops,
+            sim_ns: tally.end.get().max(start).since(start).as_nanos(),
+        }
+    }
 
-/// FxHash-style mixing for the result fingerprint: order-sensitive, cheap,
-/// and with no dependence on anything but the value sequence.
-#[inline]
-fn mix(h: u64, v: u64) -> u64 {
-    (h.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
-}
-
-/// Small stable code per error variant, for fingerprinting.
-fn err_code(e: &FsError) -> u64 {
-    match e {
-        FsError::NotFound(_) => 1,
-        FsError::AlreadyExists(_) => 2,
-        FsError::NotADirectory(_) => 3,
-        FsError::IsADirectory(_) => 4,
-        FsError::NotEmpty(_) => 5,
-        FsError::NoSpace => 6,
-        FsError::BadHandle => 7,
-        FsError::ReadOnly => 8,
-        FsError::NotMounted(_) => 9,
-        FsError::AuthFailed(_) => 10,
-        FsError::InvalidArgument(_) => 11,
-        FsError::Timeout => 12,
-        FsError::ServerDown => 13,
-        FsError::Degraded(_) => 14,
+    /// Fold in the report of the next point: counts add, fingerprints mix
+    /// in point order, the simulated duration is the slowest point's.
+    fn merged(mut self, s: &StormReport) -> StormReport {
+        self.ops += s.ops;
+        self.errors += s.errors;
+        self.events += s.events;
+        self.fingerprint = mix(self.fingerprint, s.fingerprint);
+        self.resolves += s.resolves;
+        self.resolve_alloc_bytes += s.resolve_alloc_bytes;
+        self.interned_names += s.interned_names;
+        self.fsck_clean &= s.fsck_clean;
+        self.data_path = self.data_path.merged(&s.data_path);
+        self.timeouts += s.timeouts;
+        self.failovers += s.failovers;
+        self.faults_injected += s.faults_injected;
+        self.restores += s.restores;
+        self.manager_epochs += s.manager_epochs;
+        self.wal_replayed += s.wal_replayed;
+        self.gave_up += s.gave_up;
+        self.err_not_found += s.err_not_found;
+        self.err_exists += s.err_exists;
+        self.err_races += s.err_races;
+        self.cross_shard_ops += s.cross_shard_ops;
+        self.delegated_ops += s.delegated_ops;
+        self.lease_acquires += s.lease_acquires;
+        self.lease_breaks += s.lease_breaks;
+        self.expulsions += s.expulsions;
+        self.reconcile_ops += s.reconcile_ops;
+        self.rebalance_migrations += s.rebalance_migrations;
+        self.tree_fingerprint = mix(self.tree_fingerprint, s.tree_fingerprint);
+        self.invariant_violations += s.invariant_violations;
+        self.sessions += s.sessions;
+        self.envelopes += s.envelopes;
+        self.envelope_ops += s.envelope_ops;
+        self.sim_ns = self.sim_ns.max(s.sim_ns);
+        self
     }
 }
 
-/// Shared per-point accounting the op chains update.
-struct Tally {
-    ops: Cell<u64>,
-    errors: Cell<u64>,
-    fingerprint: Cell<u64>,
-    finished_clients: Cell<u32>,
-    gave_up: Cell<u64>,
-    err_not_found: Cell<u64>,
-    err_exists: Cell<u64>,
-    err_races: Cell<u64>,
-    /// Instant the last piece of race work completed (chain drain or lease
-    /// surrender): the honest end of the race, excluding bookkeeping events
-    /// like the periodic rebalance tick that can fire after all chains are
-    /// done and would otherwise inflate the measured duration.
-    race_end: Cell<SimTime>,
-}
-
-impl Tally {
-    fn op_result(&self, code: u64, err: Option<&FsError>) {
-        self.ops.set(self.ops.get() + 1);
-        let v = match err {
-            None => code,
-            Some(e) => {
-                self.errors.set(self.errors.get() + 1);
-                // Per-kind breakdown: expected race outcomes vs gave-up.
-                // Every error lands in exactly one bucket, so
-                // `errors == not_found + exists + races + gave_up`.
-                match e {
-                    FsError::NotFound(_) => {
-                        self.err_not_found.set(self.err_not_found.get() + 1)
-                    }
-                    FsError::AlreadyExists(_) => {
-                        self.err_exists.set(self.err_exists.get() + 1)
-                    }
-                    FsError::Timeout | FsError::ServerDown | FsError::Degraded(_) => {
-                        self.gave_up.set(self.gave_up.get() + 1)
-                    }
-                    _ => self.err_races.set(self.err_races.get() + 1),
-                }
-                code << 8 | err_code(e)
-            }
-        };
-        self.fingerprint.set(mix(self.fingerprint.get(), v));
-    }
+/// Merge per-point reports in point order.
+fn merge_points<'a>(points: impl IntoIterator<Item = &'a StormReport>) -> StormReport {
+    let clean = StormReport {
+        fsck_clean: true,
+        ..StormReport::default()
+    };
+    points.into_iter().fold(clean, StormReport::merged)
 }
 
 /// Run the storm with [`crate::parallel::sweep_threads`] workers.
@@ -520,82 +493,41 @@ pub fn run_chaos_storm_with_threads(
     threads: usize,
 ) -> StormReport {
     let cfg = *cfg;
-    let summaries = crate::parallel::run_indexed(cfg.points as usize, threads, |i| {
-        run_point(&cfg, chaos, i as u32)
+    let points = crate::parallel::run_indexed(cfg.points as usize, threads, |i| {
+        run_point(&cfg, chaos, i as u32, false).0
     });
-    let mut r = StormReport {
-        ops: 0,
-        errors: 0,
-        events: 0,
-        fingerprint: 0,
-        resolves: 0,
-        resolve_alloc_bytes: 0,
-        interned_names: 0,
-        fsck_clean: true,
-        data_path: DataPathStats::default(),
-        timeouts: 0,
-        failovers: 0,
-        faults_injected: 0,
-        restores: 0,
-        manager_epochs: 0,
-        wal_replayed: 0,
-        gave_up: 0,
-        err_not_found: 0,
-        err_exists: 0,
-        err_races: 0,
-        cross_shard_ops: 0,
-        delegated_ops: 0,
-        lease_acquires: 0,
-        lease_breaks: 0,
-        expulsions: 0,
-        reconcile_ops: 0,
-        rebalance_migrations: 0,
-        tree_fingerprint: 0,
-        invariant_violations: 0,
-        sessions: 0,
-        envelopes: 0,
-        envelope_ops: 0,
-        sim_ns: 0,
-    };
-    for s in &summaries {
-        r.ops += s.ops;
-        r.errors += s.errors;
-        r.events += s.events;
-        r.fingerprint = mix(r.fingerprint, s.fingerprint);
-        r.resolves += s.meta.resolves;
-        r.resolve_alloc_bytes += s.meta.resolve_alloc_bytes;
-        r.interned_names += s.meta.interned_names;
-        r.fsck_clean &= s.fsck_clean;
-        r.data_path = r.data_path.merged(&s.data_path);
-        r.timeouts += s.timeouts;
-        r.failovers += s.failovers;
-        r.faults_injected += s.faults_injected;
-        r.restores += s.restores;
-        r.manager_epochs += s.manager_epochs;
-        r.wal_replayed += s.wal_replayed;
-        r.gave_up += s.gave_up;
-        r.err_not_found += s.err_not_found;
-        r.err_exists += s.err_exists;
-        r.err_races += s.err_races;
-        r.cross_shard_ops += s.cross_shard_ops;
-        r.delegated_ops += s.delegated_ops;
-        r.lease_acquires += s.lease_acquires;
-        r.lease_breaks += s.lease_breaks;
-        r.expulsions += s.expulsions;
-        r.reconcile_ops += s.reconcile_ops;
-        r.rebalance_migrations += s.rebalance_migrations;
-        r.tree_fingerprint = mix(r.tree_fingerprint, s.tree_fingerprint);
-        r.invariant_violations += s.invariant_violations;
-        r.sessions += s.sessions;
-        r.envelopes += s.envelopes;
-        r.envelope_ops += s.envelope_ops;
-        r.sim_ns = r.sim_ns.max(s.sim_ns);
-    }
-    r
+    merge_points(&points)
 }
 
-/// One sweep point: generate the tree, storm it, summarize.
-fn run_point(cfg: &StormConfig, chaos: &ChaosSpec, point: u32) -> PointSummary {
+/// Run a storm of one session per point with every op diffed against a
+/// [`ModelFs`] seeded with the point's generated tree: one sequential chain
+/// makes the model's answer well defined. Returns the merged report and
+/// one line per divergence or final-tree mismatch, labeled by point.
+///
+/// # Panics
+///
+/// If a point would run more than one session.
+pub fn check_against_oracle(cfg: &StormConfig) -> (StormReport, Vec<String>) {
+    assert_eq!(
+        cfg.clients_per_point * cfg.sessions_per_client.max(1),
+        1,
+        "the oracle diff needs one sequential session per point"
+    );
+    let (reports, violations): (Vec<StormReport>, Vec<Vec<String>>) = (0..cfg.points)
+        .map(|p| run_point(cfg, &ChaosSpec::none(), p, true))
+        .unzip();
+    (merge_points(&reports), violations.concat())
+}
+
+/// One sweep point: generate the tree, storm it, report. With `oracle` the
+/// point's single chain is diffed against a model of the tree, and the
+/// divergences come back as violation lines.
+fn run_point(
+    cfg: &StormConfig,
+    chaos: &ChaosSpec,
+    point: u32,
+    oracle: bool,
+) -> (StormReport, Vec<String>) {
     let point_seed = cfg
         .seed
         .wrapping_add(u64::from(point).wrapping_mul(0x9e37_79b9_7f4a_7c15));
@@ -626,36 +558,19 @@ fn run_point(cfg: &StormConfig, chaos: &ChaosSpec, point: u32) -> PointSummary {
     sb.faults(chaos.timed.clone());
     // No queued workloads: the builder just assembles the world; the storm
     // drives the client API directly.
-    let mut run = sb.run(SimTime::from_secs(1));
+    let mut sr = sb.run(SimTime::from_secs(1));
 
-    let tally = Rc::new(Tally {
-        ops: Cell::new(0),
-        errors: Cell::new(0),
-        fingerprint: Cell::new(0),
-        finished_clients: Cell::new(0),
-        gave_up: Cell::new(0),
-        err_not_found: Cell::new(0),
-        err_exists: Cell::new(0),
-        err_races: Cell::new(0),
-        race_end: Cell::new(SimTime::ZERO),
+    let st = Rc::new(Run {
+        faults: (!chaos.progress.is_empty())
+            .then(|| RefCell::new(ProgressInjector::new(&chaos.progress))),
+        oracle: oracle.then(|| Oracle::new(ModelFs::new())),
+        ..Run::default()
     });
-    let injector = (!chaos.progress.is_empty())
-        .then(|| Rc::new(RefCell::new(ProgressInjector::new(&chaos.progress))));
-    // Corpus-shaped storms compile the trace once per point into storm
-    // coordinates; every client then walks the same script from its own
-    // offset, so the op stream carries the corpus's real path locality.
-    let script: Option<Rc<Vec<(u32, u32, u32, u32)>>> = match cfg.mix {
-        StormMix::Corpus(c) => Some(Rc::new(corpus_script(
-            &c.generate(4, 2, cfg.seed),
-            cfg,
-        ))),
-        StormMix::Uniform => None,
-    };
 
     // Phase 1 — tree generation, straight on the core (the bulk of the
     // operation count; each call is a full path resolution + mutation).
     {
-        let core = &mut run.world.fss[fs.0 as usize].core;
+        let core = &mut sr.world.fss[fs.0 as usize].core;
         // Deterministic placement map for the partitioned storm: top dir
         // `tXX` lives on shard `XX mod managers`, a perfectly balanced
         // round-robin that makes every cross-top rename a two-phase op.
@@ -665,17 +580,31 @@ fn run_point(cfg: &StormConfig, chaos: &ChaosSpec, point: u32) -> PointSummary {
             }
         }
         let owner = Owner::local(0, 0);
+        let model = st.oracle.as_ref().map(|o| &o.model);
         let gen_top = |core: &mut gfs::FsCore, top: String| {
+            let made = |path: &str, code: u64| {
+                st.tally.record(code, None);
+                if let Some(m) = model {
+                    let mut m = m.borrow_mut();
+                    let r = if code == 22 {
+                        m.create_file(path)
+                    } else {
+                        m.mkdir(path)
+                    };
+                    r.expect("model tree");
+                }
+            };
             core.mkdir(&top, owner.clone(), 0).expect("mkdir top");
-            tally.op_result(20, None);
+            made(&top, 20);
             for s in 0..cfg.sub_dirs {
                 let sub = format!("{top}/s{s:02}");
                 core.mkdir(&sub, owner.clone(), 0).expect("mkdir sub");
-                tally.op_result(21, None);
+                made(&sub, 21);
                 for f in 0..cfg.files_per_sub {
-                    core.create_file(&format!("{sub}/f{f:04}"), owner.clone(), 0)
+                    let file = format!("{sub}/f{f:04}");
+                    core.create_file(&file, owner.clone(), 0)
                         .expect("create file");
-                    tally.op_result(22, None);
+                    made(&file, 22);
                 }
             }
         };
@@ -693,189 +622,128 @@ fn run_point(cfg: &StormConfig, chaos: &ChaosSpec, point: u32) -> PointSummary {
 
     // Phase 2 — the race: each mount context is mounted once (by its first
     // session), the rest of its sessions bind the device, then every
-    // session runs its op chain. Chains launched from one callback share
-    // the instant, so a multi-session context's first round is already
-    // one envelope.
-    let race_start = run.sim.now();
+    // session runs its op chain; a leased group's chains start once the
+    // first session holds the lease on its private subtree. Chains launched
+    // from one callback share the instant, so a multi-session context's
+    // first round is already one envelope.
+    let race_start = sr.sim.now();
     {
-        let (sim, w) = (&mut run.sim, &mut run.world);
+        let (sim, w) = (&mut sr.sim, &mut sr.world);
         sim.set_horizon(sim.now() + SimDuration::from_secs(3600));
         // Progress events at or below the tree-op count fire before the
         // first race op ("kill the server at op 0").
-        if let Some(inj) = &injector {
-            inj.borrow_mut().advance(sim, w, tally.ops.get());
+        if let Some(faults) = &st.faults {
+            faults.borrow_mut().advance(sim, w, st.tally.ops.get());
         }
-        let spc = cfg.sessions_per_client.max(1) as usize;
         let lease_n = cfg.effective_lease_contexts() as usize;
-        for (gi, group) in sessions.chunks(spc).enumerate() {
-            let group = group.to_vec();
-            let tally = tally.clone();
-            let cfg = *cfg;
-            let inj = injector.clone();
-            let script = script.clone();
-            group[0].mount(sim, w, "meta", AccessMode::ReadWrite, move |sim, w, r| {
-                r.expect("storm mount");
-                let g0 = group[0];
-                let glen = group.len() as u32;
-                let launch = move |sim: &mut Sim<GfsWorld>,
-                                   w: &mut GfsWorld,
-                                   lease: Option<Rc<LeaseGroup>>| {
-                    for (j, &sess) in group.iter().enumerate() {
-                        if j > 0 {
-                            sess.bind_device(w, "meta");
-                        }
-                        let si = gi * spc + j;
-                        let rng = det_rng(point_seed, &format!("storm-client-{si}"));
-                        next_op(
-                            sim,
-                            w,
-                            sess,
-                            rng,
-                            cfg.ops_per_client,
-                            cfg,
-                            tally.clone(),
-                            inj.clone(),
-                            lease.clone(),
-                            script.clone(),
-                        );
+        let groups = sessions
+            .chunks(spc as usize)
+            .enumerate()
+            .map(|(gi, group)| {
+                let lease = (gi < lease_n).then(|| {
+                    Rc::new(Lease {
+                        top: format!("/w{gi:02}"),
+                        holder: group[0],
+                        left: Cell::new(group.len() as u32),
+                    })
+                });
+                let private = lease.as_ref().map(|_| gi as u32);
+                let chains = group.iter().enumerate().map(|(j, &sess)| {
+                    let si = gi * spc as usize + j;
+                    let rng = det_rng(point_seed, &format!("storm-client-{si}"));
+                    Chain {
+                        sess,
+                        ops: Box::new(uniform_ops(*cfg, rng, private)),
+                        lease: lease.clone(),
+                        run: st.clone(),
                     }
-                };
-                if gi < lease_n {
-                    // Writeback-leased group: take the lease on the private
-                    // subtree first, then launch every chain — the group
-                    // surrenders (reconciling its journal) when the last
-                    // chain drains.
-                    let top = format!("/w{gi:02}");
-                    let lease = Rc::new(LeaseGroup {
-                        wi: gi as u32,
-                        top: top.clone(),
-                        sess: g0,
-                        left: Cell::new(glen),
-                    });
-                    g0.acquire_lease(sim, w, &top, move |sim, w, r| {
-                        r.expect("storm lease acquire");
-                        launch(sim, w, Some(lease));
-                    });
-                } else {
-                    launch(sim, w, None);
-                }
-            });
-        }
+                });
+                chains.collect()
+            })
+            .collect();
+        chain::launch(sim, w, "meta", groups);
         // The live rebalance policy: a deterministic in-sim tick, so both
         // the migrations and everything they shift stay bit-identical
         // across thread counts.
         if cfg.managers > 1 && cfg.rebalance_every_ms > 0 {
-            schedule_rebalance(sim, fs, *cfg, tally.clone());
+            schedule_rebalance(sim, fs, *cfg, st.clone());
         }
         sim.run(w);
     }
     assert_eq!(
-        tally.finished_clients.get(),
-        cfg.clients_per_point * cfg.sessions_per_client.max(1),
+        st.tally.finished.get(),
+        cfg.clients_per_point * spc,
         "storm point {point}: some session chains did not drain"
     );
-
-    if std::env::var_os("GFS_STORM_DEBUG").is_some() {
-        let w = &run.world;
-        let inst = &w.fss[fs.0 as usize];
-        let busy: Vec<f64> = inst
-            .mgrs
-            .iter()
-            .map(|m| m.busy_until.since(SimTime::ZERO).as_nanos() as f64 / 1e6)
-            .collect();
-        let svc: Vec<f64> = inst
-            .mgrs
-            .iter()
-            .map(|m| m.service_ns as f64 / 1e6)
-            .collect();
-        eprintln!("point {point}: shard_service(ms)={svc:?}");
-        let dlg: Vec<f64> = w
-            .clients
-            .iter()
-            .filter(|c| c.delegate_busy_until > SimTime::ZERO)
-            .map(|c| c.delegate_busy_until.since(SimTime::ZERO).as_nanos() as f64 / 1e6)
-            .collect();
-        eprintln!(
-            "point {point}: race_end={:.1}ms shard_busy_until(ms)={busy:?} delegate_busy(ms)={dlg:?} migrations={}",
-            tally.race_end.get().max(race_start).since(race_start).as_nanos() as f64 / 1e6,
-            inst.core.shards.migrations(),
-        );
+    let label = format!("storm point {point}");
+    let report = StormReport::drained(&sr.sim, &sr.world, fs, &st.tally, race_start, &label);
+    let mut violations = Vec::new();
+    if let Some(o) = &st.oracle {
+        o.diff_tree(&sr.world.fss[fs.0 as usize].core, report.tree_fingerprint);
+        let samples = o.samples.borrow();
+        violations.extend(samples.iter().map(|m| format!("{label}: {m}")));
     }
-    let w = &run.world;
-    let core = &w.fss[fs.0 as usize].core;
-    // Every point — healthy or faulted — is audited against the world
-    // invariants; violations are reported in the summary and detailed on
-    // stderr so a failing chaos test names the broken guarantee.
-    let violations = crate::chaos::world_invariants(&run.sim, w);
-    for msg in &violations {
-        eprintln!("storm point {point}: invariant violated: {msg}");
-    }
-    PointSummary {
-        ops: tally.ops.get(),
-        errors: tally.errors.get(),
-        events: run.sim.executed(),
-        fingerprint: tally.fingerprint.get(),
-        meta: core.meta_snapshot(),
-        fsck_clean: gfs::fsck(core).is_clean(),
-        data_path: crate::builder::data_path_stats_of(w),
-        timeouts: w
-            .recovery
-            .count(|e| matches!(e, RecoveryWhat::TimeoutDetected { .. })) as u64,
-        failovers: w
-            .recovery
-            .count(|e| matches!(e, RecoveryWhat::FailedOver { .. })) as u64,
-        faults_injected: w
-            .recovery
-            .count(|e| matches!(e, RecoveryWhat::FaultInjected(_))) as u64,
-        restores: w.recovery.count(|e| matches!(e, RecoveryWhat::Restored(_))) as u64,
-        manager_epochs: w
-            .fss
-            .iter()
-            .map(|i| i.mgrs.iter().map(|m| m.epoch).sum::<u64>())
-            .sum(),
-        wal_replayed: w
-            .fss
-            .iter()
-            .map(|i| i.mgrs.iter().map(|m| m.replayed).sum::<u64>())
-            .sum(),
-        gave_up: tally.gave_up.get(),
-        err_not_found: tally.err_not_found.get(),
-        err_exists: tally.err_exists.get(),
-        err_races: tally.err_races.get(),
-        cross_shard_ops: w.fss.iter().map(|i| i.cross_shard_ops).sum(),
-        delegated_ops: w.fss.iter().map(|i| i.delegated_ops).sum(),
-        lease_acquires: w.fss.iter().map(|i| i.lease_grants).sum(),
-        lease_breaks: w.fss.iter().map(|i| i.lease_breaks).sum(),
-        expulsions: w.fss.iter().map(|i| i.expulsions).sum(),
-        reconcile_ops: w.fss.iter().map(|i| i.reconcile_ops).sum(),
-        rebalance_migrations: w.fss.iter().map(|i| i.core.shards.migrations()).sum(),
-        tree_fingerprint: core.tree_fingerprint(),
-        invariant_violations: violations.len() as u64,
-        sessions: w.sessions.len() as u64,
-        envelopes: w.fanin.envelopes,
-        envelope_ops: w.fanin.envelope_ops,
-        sim_ns: tally
-            .race_end
-            .get()
-            .max(race_start)
-            .since(race_start)
-            .as_nanos(),
-    }
+    (report, violations)
 }
 
-/// A writeback-leased session group: the first session of the group holds
-/// the subtree lease on `/w{wi:02}` while every chain in the group runs;
-/// the last chain to drain surrenders it, replaying the delegate journal
-/// back to the manager as bulk reconcile envelopes.
-struct LeaseGroup {
-    /// Index of the group's private subtree (`/w{wi:02}`).
-    wi: u32,
-    /// Absolute path of the leased top directory.
-    top: String,
-    /// The lease-holding session (first of the group).
-    sess: Session,
-    /// Chains still running; surrender fires when this hits zero.
-    left: Cell<u32>,
+/// A session's op source: `ops_per_client` ops of the storm's uniform mix,
+/// drawn from `rng`. Each op is a file path anywhere in the generated tree
+/// (the widened file index makes stat and remove miss sometimes and create
+/// fresh names sometimes) and a fixed op distribution. A chain of a group
+/// leasing the private subtree `/w{lease:02}` puts 3 of 4 ops there, so
+/// most of its traffic rides the delegate journal.
+fn uniform_ops(
+    cfg: StormConfig,
+    mut rng: StdRng,
+    lease: Option<u32>,
+) -> impl FnMut() -> Option<TraceOp> {
+    use TraceOpKind::*;
+    let mut left = cfg.ops_per_client;
+    move || {
+        if left == 0 {
+            return None;
+        }
+        left -= 1;
+        let t = rng.gen::<u32>() % cfg.top_dirs;
+        let s = rng.gen::<u32>() % cfg.sub_dirs;
+        let f = rng.gen::<u32>() % (cfg.files_per_sub + cfg.files_per_sub / 4 + 1);
+        let sel = rng.gen::<u32>() % 100;
+        // Unleased chains never draw here, keeping their rng stream.
+        let top = match lease {
+            Some(wi) if rng.gen::<u32>() % 4 != 0 => format!("w{wi:02}"),
+            _ => format!("t{t:02}"),
+        };
+        let dir = format!("/{top}/s{s:02}");
+        let file = format!("{dir}/f{f:04}");
+        Some(match sel {
+            // stat — the resolve-heavy staple.
+            0..=29 => TraceOp::meta(Stat, file, 0),
+            30..=39 => TraceOp::meta(Readdir, dir, 0),
+            // mkdir of a racing extra directory.
+            40..=44 => TraceOp::meta(Mkdir, format!("{dir}/d{}", rng.gen::<u32>() % 8), 0),
+            45..=64 => TraceOp::meta(Create, file, 0),
+            // small-write: write-behind, token traffic and real NSD I/O on
+            // the flush. Scaled fan-in storms write 0 bytes (open and
+            // close), so 10M ops stay on the envelope path.
+            65..=84 => {
+                let size = if cfg.sessions_per_client > 1 {
+                    0
+                } else {
+                    cfg.write_bytes
+                };
+                TraceOp::data(Write, file, size, 0)
+            }
+            // cross-top rename — partitioned storms only. The target's top
+            // is always another one, which the round-robin placement puts on
+            // another shard: every one is a two-phase cross-shard op. With
+            // one manager the selector falls through to unlink.
+            85..=89 if cfg.managers > 1 && cfg.top_dirs > 1 => {
+                let t2 = (t + 1 + rng.gen::<u32>() % (cfg.top_dirs - 1)) % cfg.top_dirs;
+                TraceOp::rename(file, format!("/t{t2:02}/s{s:02}/f{f:04}"), 0)
+            }
+            _ => TraceOp::meta(Unlink, file, 0),
+        })
+    }
 }
 
 /// Periodic in-storm rebalance tick: consult the shard map's heat counters
@@ -883,263 +751,18 @@ struct LeaseGroup {
 /// event, so the migrations — and everything they shift — are part of the
 /// deterministic event stream. Stops rescheduling once every chain has
 /// drained so the point's horizon isn't held open.
-fn schedule_rebalance(
-    sim: &mut Sim<GfsWorld>,
-    fs: gfs::types::FsId,
-    cfg: StormConfig,
-    tally: Rc<Tally>,
-) {
+fn schedule_rebalance(sim: &mut Sim<GfsWorld>, fs: FsId, cfg: StormConfig, st: Rc<Run>) {
     let total = cfg.clients_per_point * cfg.sessions_per_client.max(1);
     sim.after(
         SimDuration::from_millis(cfg.rebalance_every_ms),
         move |sim, w| {
-            if tally.finished_clients.get() >= total {
+            if st.tally.finished.get() >= total {
                 return;
             }
             gfs::client::maybe_rebalance(sim, w, fs);
-            schedule_rebalance(sim, fs, cfg, tally);
+            schedule_rebalance(sim, fs, cfg, st);
         },
     );
-}
-
-/// Compile a trace corpus into storm coordinates: each op's path
-/// components hash to a `(top, sub, file)` cell of the generated tree and
-/// its kind maps onto the storm's selector arms. The mapping is
-/// deterministic and order-preserving, so consecutive script entries keep
-/// the corpus's directory locality.
-fn corpus_script(
-    ops: &[crate::trace::TraceOp],
-    cfg: &StormConfig,
-) -> Vec<(u32, u32, u32, u32)> {
-    use crate::trace::TraceOpKind;
-    let h = |s: &str| {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in s.bytes() {
-            h = mix(h, u64::from(b));
-        }
-        h
-    };
-    ops.iter()
-        .map(|op| {
-            let p = op.path.trim_start_matches('/');
-            let comps: Vec<&str> = p.split('/').collect();
-            let t = (h(comps[0]) as u32) % cfg.top_dirs.max(1);
-            let s = comps
-                .get(1)
-                .map_or(0, |c| (h(c) as u32) % cfg.sub_dirs.max(1));
-            let f = comps.last().map_or(0, |c| {
-                (h(c) as u32) % (cfg.files_per_sub + cfg.files_per_sub / 4 + 1).max(1)
-            });
-            let sel = match op.kind {
-                TraceOpKind::Stat | TraceOpKind::Read => 0,
-                TraceOpKind::Readdir => 30,
-                TraceOpKind::Mkdir => 40,
-                TraceOpKind::Create => 45,
-                TraceOpKind::Write => 65,
-                TraceOpKind::Rename => 85,
-                TraceOpKind::Unlink => 90,
-            };
-            (t, s, f, sel)
-        })
-        .collect()
-}
-
-/// One step of a session's op chain; schedules the next step from its own
-/// completion callback, so each session is a sequential stream of racing
-/// RPCs. Progress-keyed faults are advanced here, so "at op N" thresholds
-/// are evaluated against the shared per-point op counter between ops.
-#[allow(clippy::too_many_arguments)]
-fn next_op(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    sess: Session,
-    mut rng: StdRng,
-    remaining: u32,
-    cfg: StormConfig,
-    tally: Rc<Tally>,
-    inj: Option<Rc<RefCell<ProgressInjector>>>,
-    lease: Option<Rc<LeaseGroup>>,
-    script: Option<Rc<Vec<(u32, u32, u32, u32)>>>,
-) {
-    if let Some(inj) = &inj {
-        inj.borrow_mut().advance(sim, w, tally.ops.get());
-    }
-    if remaining == 0 {
-        tally.finished_clients.set(tally.finished_clients.get() + 1);
-        tally.race_end.set(sim.now());
-        if let Some(g) = lease {
-            // Last chain in a leased group drains: surrender the subtree
-            // lease, which replays the writeback journal to the manager
-            // as bulk reconcile envelopes.
-            g.left.set(g.left.get() - 1);
-            if g.left.get() == 0 {
-                g.sess.surrender_lease(sim, w, &g.top, move |sim, _w, r| {
-                    r.expect("storm lease surrender");
-                    tally.race_end.set(sim.now());
-                });
-            }
-        }
-        return;
-    }
-    let c = sess.ctx(w);
-    let done = cfg.ops_per_client - remaining;
-    let (t, s, f, sel) = match cfg.mix {
-        // Uniform: a file path anywhere in the generated tree; the widened
-        // file index makes stat/remove miss sometimes and create fresh
-        // names sometimes.
-        StormMix::Uniform => {
-            let t = rng.gen::<u32>() % cfg.top_dirs;
-            let s = rng.gen::<u32>() % cfg.sub_dirs;
-            let f = rng.gen::<u32>() % (cfg.files_per_sub + cfg.files_per_sub / 4 + 1);
-            (t, s, f, rng.gen::<u32>() % 100)
-        }
-        // Corpus: walk the compiled trace script sequentially from this
-        // client's offset — consecutive ops carry the corpus's real
-        // directory locality.
-        StormMix::Corpus(_) => {
-            let sc = script.as_ref().expect("corpus mix compiles a script");
-            let idx = (u64::from(c.0)
-                .wrapping_mul(101)
-                .wrapping_add(u64::from(done))
-                % sc.len() as u64) as usize;
-            sc[idx]
-        }
-    };
-    // Leased chains bias 3:1 toward their private writeback subtree, so
-    // most of their traffic rides the delegate journal (zero manager
-    // events); the rest keeps hammering the shared tree. Unleased chains
-    // never draw here, keeping their rng stream byte-identical to PR 7.
-    let top_str = match &lease {
-        Some(g) if rng.gen::<u32>() % 4 != 0 => format!("w{:02}", g.wi),
-        _ => format!("t{t:02}"),
-    };
-    let file_path = format!("/{top_str}/s{s:02}/f{f:04}");
-    let dir_path = format!("/{top_str}/s{s:02}");
-    let cont = move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rng: StdRng, tally: Rc<Tally>| {
-        next_op(sim, w, sess, rng, remaining - 1, cfg, tally, inj, lease, script);
-    };
-    match sel {
-        // stat — the resolve-heavy staple.
-        0..=29 => {
-            sess.stat(sim, w, &file_path, move |sim, w, r| {
-                tally.op_result(30, r.as_ref().err());
-                cont(sim, w, rng, tally);
-            });
-        }
-        // readdir of the subdirectory.
-        30..=39 => {
-            sess.readdir(sim, w, &dir_path, move |sim, w, r| {
-                let code = 31 ^ (r.as_ref().map_or(0, |names| names.len() as u64) << 16);
-                tally.op_result(code, r.as_ref().err());
-                cont(sim, w, rng, tally);
-            });
-        }
-        // mkdir of a racing extra directory.
-        40..=44 => {
-            let d = rng.gen::<u32>() % 8;
-            let path = format!("{dir_path}/d{d}");
-            sess.mkdir(sim, w, &path, Owner::local(0, 0), move |sim, w, r| {
-                tally.op_result(32, r.as_ref().err());
-                cont(sim, w, rng, tally);
-            });
-        }
-        // create: open-for-write (creates if absent) then close.
-        45..=64 => {
-            sess.open(
-                sim,
-                w,
-                &file_path,
-                OpenFlags::Write,
-                Owner::local(0, 0),
-                move |sim, w, r| match r {
-                    Ok(h) => sess.close(sim, w, h, move |sim, w, r| {
-                        tally.op_result(33, r.as_ref().err());
-                        cont(sim, w, rng, tally);
-                    }),
-                    Err(e) => {
-                        tally.op_result(33, Some(&e));
-                        cont(sim, w, rng, tally);
-                    }
-                },
-            );
-        }
-        // small-write: open, write `write_bytes`, close (write-behind +
-        // token traffic + real NSD I/O on the flush). Scaled fan-in storms
-        // keep this arm pure-metadata — a second create population — so
-        // 10M ops stay on the envelope path.
-        65..=84 => {
-            if cfg.sessions_per_client > 1 {
-                sess.open(
-                    sim,
-                    w,
-                    &file_path,
-                    OpenFlags::Write,
-                    Owner::local(0, 0),
-                    move |sim, w, r| match r {
-                        Ok(h) => sess.close(sim, w, h, move |sim, w, r| {
-                            tally.op_result(34, r.as_ref().err());
-                            cont(sim, w, rng, tally);
-                        }),
-                        Err(e) => {
-                            tally.op_result(34, Some(&e));
-                            cont(sim, w, rng, tally);
-                        }
-                    },
-                );
-                return;
-            }
-            sess.open(
-                sim,
-                w,
-                &file_path,
-                OpenFlags::Write,
-                Owner::local(0, 0),
-                move |sim, w, r| match r {
-                    Ok(h) => {
-                        let data = pattern_bytes(0, cfg.write_bytes);
-                        sess.write(sim, w, h, 0, data, move |sim, w, r| {
-                            if let Err(e) = &r {
-                                tally.op_result(34, Some(e));
-                                // Still close the handle before moving on.
-                            }
-                            let wrote = r.is_ok();
-                            sess.close(sim, w, h, move |sim, w, r| {
-                                if wrote {
-                                    tally.op_result(34, r.as_ref().err());
-                                }
-                                cont(sim, w, rng, tally);
-                            });
-                        });
-                    }
-                    Err(e) => {
-                        tally.op_result(34, Some(&e));
-                        cont(sim, w, rng, tally);
-                    }
-                },
-            );
-        }
-        // cross-top rename — partitioned storms only. The target's top dir
-        // is always different from the source's, and with the round-robin
-        // placement map that makes every one of these a two-phase
-        // cross-shard op (source shard coordinates, target shard commits).
-        // With `managers == 1` the guard fails and the selector falls
-        // through to unlink, preserving the single-manager event stream.
-        85..=89 if cfg.managers > 1 && cfg.top_dirs > 1 => {
-            let t2 = (t + 1 + rng.gen::<u32>() % (cfg.top_dirs - 1)) % cfg.top_dirs;
-            let to = format!("/t{t2:02}/s{s:02}/f{f:04}");
-            sess.rename(sim, w, &file_path, &to, move |sim, w, r| {
-                tally.op_result(36, r.as_ref().err());
-                cont(sim, w, rng, tally);
-            });
-        }
-        // remove.
-        _ => {
-            sess.unlink(sim, w, &file_path, move |sim, w, r| {
-                tally.op_result(35, r.as_ref().err());
-                cont(sim, w, rng, tally);
-            });
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1173,13 +796,29 @@ mod tests {
     }
 
     #[test]
-    fn corpus_mix_carries_real_trace_locality() {
-        // Every corpus-shaped storm drains with a clean tree and no op
-        // that gave up.
-        for corpus in crate::trace::TraceCorpus::ALL {
-            let r = run_storm(&StormConfig::small().with_mix(StormMix::Corpus(corpus)));
-            assert!(r.fsck_clean, "{corpus:?} storm left an inconsistent fs");
+    fn uniform_mix_matches_the_oracle_op_by_op() {
+        // One session per point runs the storm as one sequential chain, so
+        // every op — cross-shard renames, small writes, deliberate misses —
+        // has a well-defined model answer. Once at one manager, once at
+        // four with the session's context leasing its private subtree.
+        let one = StormConfig {
+            clients_per_point: 1,
+            ..StormConfig::small()
+        };
+        let leased = one.with_managers(4).with_leases(1);
+        for cfg in [one, leased] {
+            let (r, violations) = check_against_oracle(&cfg);
+            assert!(violations.is_empty(), "M={}: {violations:#?}", cfg.managers);
+            assert_eq!(
+                r.ops,
+                u64::from(cfg.points) * (cfg.tree_ops() + cfg.race_ops())
+            );
+            assert!(r.errors > 0, "the mix must surface typed errors");
             assert_eq!(r.gave_up, 0);
+            if cfg.managers > 1 {
+                assert_eq!(r.lease_acquires, u64::from(cfg.points));
+                assert!(r.delegated_ops > 0 && r.cross_shard_ops > 0);
+            }
         }
     }
 

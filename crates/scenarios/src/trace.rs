@@ -13,17 +13,18 @@
 //!    realistically-shaped corpora for the three paper workloads, including
 //!    deliberate error-shaped ops (double unlinks, stats of missing paths,
 //!    mkdir collisions) so typed-error behavior is part of the contract.
-//! 3. **Replay driver** — [`replay_trace`] partitions a corpus into
+//! 3. **Replay** — [`replay_trace`] partitions a corpus into
 //!    namespace-disjoint streams (union-find over top-level components;
 //!    renames union their two tops), gives each stream a flyweight
-//!    [`Session`], and replays the ops through the full stack — fan-in
-//!    envelopes, manager shards, subtree leases, replica catalog, faults.
-//! 4. **Oracle differ** — every stream's ops are *also* executed against a
-//!    [`ModelFs`]: a trivial in-memory filesystem with none of the caching,
-//!    sharding, token or lease machinery. Results are compared op-by-op —
-//!    values *and* typed [`FsError`] variants — and the final trees are
-//!    compared by structural fingerprint. Because streams are
-//!    namespace-disjoint and each stream is sequential, the oracle's
+//!    `Session`, and replays the ops through the full stack — fan-in
+//!    envelopes, manager shards, subtree leases, replica catalog, faults —
+//!    on the session driver the metadata storm runs on (`chain.rs`).
+//! 4. **Oracle differ** — the session driver's per-op hook also runs every op
+//!    against a [`ModelFs`]: a trivial in-memory filesystem with none of
+//!    the caching, sharding, token or lease machinery. Results are
+//!    compared op-by-op — values *and* typed `FsError` variants — and the
+//!    final trees are compared by structural fingerprint. Because streams
+//!    are namespace-disjoint and each stream is sequential, the oracle's
 //!    answer is well-defined even though streams interleave in time.
 //! 5. **Chaos entry** — [`check_trace_differential`] replays a corpus at
 //!    M=1 and M=4 manager shards, leases and replicas on, under healthy /
@@ -32,15 +33,13 @@
 //!    exhausted retry budgets and a clean fsck. Faults may never change
 //!    *answers*, only timing.
 
-use crate::builder::{pattern_bytes, NsdFarm, ScenarioBuilder};
-use crate::metadata_storm::ChaosSpec;
-use gfs::faults::{ProgressInjector, ProgressPlan, RecoveryWhat};
+use crate::builder::{NsdFarm, ScenarioBuilder};
+use crate::chain::{self, mix, Chain, Lease, Mirror, Oracle, Run};
+use crate::metadata_storm::{ChaosSpec, StormReport};
+use gfs::faults::{ProgressInjector, ProgressPlan};
 use gfs::oracle::ModelFs;
-use gfs::session::Session;
-use gfs::types::{FsError, FsId, InodeId, OpenFlags, Owner};
-use gfs::world::GfsWorld;
-use gfs_auth::handshake::AccessMode;
-use simcore::{Bandwidth, Sim, SimDuration, SimTime};
+use gfs::types::FsId;
+use simcore::{Bandwidth, SimDuration, SimTime};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -117,7 +116,7 @@ pub struct TraceOp {
 }
 
 impl TraceOp {
-    fn meta(kind: TraceOpKind, path: impl Into<String>, think_ns: u64) -> Self {
+    pub(crate) fn meta(kind: TraceOpKind, path: impl Into<String>, think_ns: u64) -> Self {
         TraceOp {
             kind,
             path: path.into(),
@@ -127,7 +126,12 @@ impl TraceOp {
         }
     }
 
-    fn data(kind: TraceOpKind, path: impl Into<String>, size: u64, think_ns: u64) -> Self {
+    pub(crate) fn data(
+        kind: TraceOpKind,
+        path: impl Into<String>,
+        size: u64,
+        think_ns: u64,
+    ) -> Self {
         TraceOp {
             kind,
             path: path.into(),
@@ -137,7 +141,7 @@ impl TraceOp {
         }
     }
 
-    fn rename(from: impl Into<String>, to: impl Into<String>, think_ns: u64) -> Self {
+    pub(crate) fn rename(from: impl Into<String>, to: impl Into<String>, think_ns: u64) -> Self {
         TraceOp {
             kind: TraceOpKind::Rename,
             path: from.into(),
@@ -279,12 +283,6 @@ impl TraceCorpus {
         }
         ops
     }
-}
-
-/// FxHash-style mixer — same shape the storm fingerprints use.
-#[inline]
-fn mix(h: u64, v: u64) -> u64 {
-    (h.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
 }
 
 /// Deterministic "random" in `[0, m)` from a seed and coordinates.
@@ -507,7 +505,7 @@ fn single_top(stream: &[TraceOp]) -> Option<String> {
 }
 
 // ---------------------------------------------------------------------------
-// Replay driver + oracle differ
+// Replay + oracle differ
 // ---------------------------------------------------------------------------
 
 /// Replay shape. `leases` and `replicate` follow the storm's gating:
@@ -540,448 +538,31 @@ impl Default for ReplayConfig {
     }
 }
 
-/// Merged result of one replay. All counters are exact and deterministic;
-/// `divergence_samples` carries the first few op-level mismatches verbatim
-/// so a failing differential names the exact op and both answers.
-#[derive(Clone, Debug, Default)]
+/// Result of one replay: the session-driver counters of the run plus the
+/// oracle's verdict. `divergence_samples` carries the first few op-level
+/// mismatches verbatim so a failing differential names the exact op and
+/// both answers.
+#[derive(Clone, Debug)]
 pub struct ReplayReport {
-    /// Trace ops replayed (each `Write`/`Read` counts once).
-    pub ops: u64,
-    /// Ops whose final result was an error (typed errors are expected
-    /// outcomes — the corpus includes deliberate misses).
-    pub errors: u64,
-    /// Op-level disagreements between the real stack and the oracle.
+    /// The run's counters, one session per stream (each `Write`/`Read`
+    /// counts as one op; typed errors are expected outcomes, the corpora
+    /// include deliberate misses).
+    pub run: StormReport,
+    /// Op-level and final-tree disagreements between the real stack and
+    /// the oracle.
     pub divergences: u64,
     /// First few divergences, rendered for humans.
     pub divergence_samples: Vec<String>,
-    /// Ops that exhausted the retry budget (`Timeout`/`ServerDown`/
-    /// `Degraded`): 0 whenever outages fit inside the retry window.
-    pub gave_up: u64,
-    /// Order-sensitive fingerprint over every op result.
-    pub fingerprint: u64,
-    /// Structural fingerprint of the real final tree.
-    pub tree_fingerprint: u64,
     /// Structural fingerprint of the oracle's final tree.
     pub oracle_fingerprint: u64,
-    /// `tree_fingerprint == oracle_fingerprint`.
+    /// `run.tree_fingerprint == oracle_fingerprint`.
     pub tree_matches_oracle: bool,
-    /// Post-replay fsck came back clean.
-    pub fsck_clean: bool,
-    /// World-invariant violations after the drain.
-    pub invariant_violations: u64,
-    /// Streams replayed (one session chain each).
-    pub streams: u64,
-    /// Simulation events executed.
-    pub events: u64,
-    /// Simulated replay duration in nanoseconds.
-    pub sim_ns: u64,
-    /// Faults applied (progress-keyed and timed).
-    pub faults_injected: u64,
-    /// Restorations logged.
-    pub restores: u64,
-    /// Client watchdog timeouts ridden out.
-    pub timeouts: u64,
-    /// Manager takeovers (epoch bumps).
-    pub manager_epochs: u64,
-    /// WAL records replayed during manager recovery.
-    pub wal_replayed: u64,
-    /// Two-phase cross-shard namespace ops.
-    pub cross_shard_ops: u64,
-    /// Ops absorbed by subtree-lease delegates.
-    pub delegated_ops: u64,
-    /// Subtree leases granted.
-    pub lease_acquires: u64,
-    /// Journal entries reconciled at surrender/break.
-    pub reconcile_ops: u64,
-    /// Fan-in envelopes sent.
-    pub envelopes: u64,
-    /// Ops those envelopes carried.
-    pub envelope_ops: u64,
     /// Replica copies installed mid-replay.
     pub replica_installs: u64,
     /// Reads the catalog routed to the replica site.
     pub replica_remote_picks: u64,
     /// Replica invalidations from writes to cataloged files.
     pub replica_invalidations: u64,
-}
-
-impl ReplayReport {
-    /// Modeled replay throughput (ops per simulated second).
-    pub fn sim_ops_per_sec(&self) -> f64 {
-        if self.sim_ns == 0 {
-            0.0
-        } else {
-            self.ops as f64 * 1e9 / self.sim_ns as f64
-        }
-    }
-}
-
-/// Stable code per error variant (mirrors the storm's private table).
-fn err_code(e: &FsError) -> u64 {
-    match e {
-        FsError::NotFound(_) => 1,
-        FsError::AlreadyExists(_) => 2,
-        FsError::NotADirectory(_) => 3,
-        FsError::IsADirectory(_) => 4,
-        FsError::NotEmpty(_) => 5,
-        FsError::NoSpace => 6,
-        FsError::BadHandle => 7,
-        FsError::ReadOnly => 8,
-        FsError::NotMounted(_) => 9,
-        FsError::AuthFailed(_) => 10,
-        FsError::InvalidArgument(_) => 11,
-        FsError::Timeout => 12,
-        FsError::ServerDown => 13,
-        FsError::Degraded(_) => 14,
-    }
-}
-
-/// Same typed outcome? (Ok/Ok, or errors of the same variant.)
-fn same_outcome<T, U>(real: &Result<T, FsError>, oracle: &Result<U, FsError>) -> bool {
-    match (real, oracle) {
-        (Ok(_), Ok(_)) => true,
-        (Err(a), Err(b)) => err_code(a) == err_code(b),
-        _ => false,
-    }
-}
-
-fn outcome_str<T>(r: &Result<T, FsError>) -> String {
-    match r {
-        Ok(_) => "Ok".to_string(),
-        Err(e) => format!("{e:?}"),
-    }
-}
-
-/// Shared replay accounting + the oracle itself.
-struct ReplayState {
-    ops: Cell<u64>,
-    errors: Cell<u64>,
-    gave_up: Cell<u64>,
-    fingerprint: Cell<u64>,
-    divergences: Cell<u64>,
-    samples: RefCell<Vec<String>>,
-    finished: Cell<u32>,
-    race_end: Cell<SimTime>,
-    oracle: RefCell<ModelFs>,
-    inj: Option<RefCell<ProgressInjector>>,
-    // Mid-replay replica install: at `replicate_at` ops, walk the live
-    // tree and install a copy of every file on the mirror site.
-    fs: FsId,
-    mirror_site: Option<u32>,
-    replicate_at: u64,
-    installed: Cell<bool>,
-    installs: Cell<u64>,
-}
-
-impl ReplayState {
-    /// Record one completed trace op: result code into the fingerprint,
-    /// error buckets, divergence check against the oracle's answer.
-    fn record<T, U>(
-        &self,
-        code: u64,
-        op: &TraceOp,
-        real: &Result<T, FsError>,
-        oracle: &Result<U, FsError>,
-    ) {
-        self.ops.set(self.ops.get() + 1);
-        let v = match real {
-            Ok(_) => code,
-            Err(e) => {
-                self.errors.set(self.errors.get() + 1);
-                if matches!(
-                    e,
-                    FsError::Timeout | FsError::ServerDown | FsError::Degraded(_)
-                ) {
-                    self.gave_up.set(self.gave_up.get() + 1);
-                }
-                code << 8 | err_code(e)
-            }
-        };
-        self.fingerprint.set(mix(self.fingerprint.get(), v));
-        if !same_outcome(real, oracle) {
-            self.diverge(format!(
-                "{} {}: real {} vs oracle {}",
-                op.kind.kw(),
-                op.path,
-                outcome_str(real),
-                outcome_str(oracle)
-            ));
-        }
-    }
-
-    fn diverge(&self, msg: String) {
-        self.divergences.set(self.divergences.get() + 1);
-        let mut s = self.samples.borrow_mut();
-        if s.len() < 16 {
-            s.push(msg);
-        }
-    }
-
-    /// A value-level mismatch on an op whose typed outcome already agreed.
-    fn diverge_value(&self, op: &TraceOp, what: &str, real: String, oracle: String) {
-        self.diverge(format!(
-            "{} {}: {what} differs: real {real} vs oracle {oracle}",
-            op.kind.kw(),
-            op.path
-        ));
-    }
-}
-
-/// Walk the live tree and install a replica copy of every non-empty file
-/// on the mirror site (catalog registration + copy at current generation).
-/// Fires once, between ops, so it is a deterministic simulation event.
-fn install_replicas(w: &mut GfsWorld, st: &ReplayState) {
-    let Some(site) = st.mirror_site else { return };
-    // Collect first (immutable walk), then mutate the catalog.
-    let mut files: Vec<(InodeId, u64)> = Vec::new();
-    let core = &w.fss[st.fs.0 as usize].core;
-    let mut stack = vec!["/".to_string()];
-    while let Some(dir) = stack.pop() {
-        let Ok(names) = core.readdir(&dir) else { continue };
-        for name in names {
-            let path = if dir == "/" {
-                format!("/{name}")
-            } else {
-                format!("{dir}/{name}")
-            };
-            let Ok(attr) = core.stat(&path) else { continue };
-            if attr.is_dir {
-                stack.push(path);
-            } else if attr.size > 0 {
-                files.push((attr.inode, attr.size));
-            }
-        }
-    }
-    let cat = &mut w.fss[st.fs.0 as usize].replicas;
-    for (ino, size) in files {
-        cat.register(ino);
-        cat.install_copy(ino, site, size);
-        st.installs.set(st.installs.get() + 1);
-    }
-}
-
-/// One step of a stream's replay chain: advance progress-keyed faults,
-/// fire the mid-replay replica install, apply think time, issue the op
-/// through the session, and — in the completion callback — execute the
-/// same op on the oracle and compare.
-fn next_trace_op(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    sess: Session,
-    ops: Rc<Vec<TraceOp>>,
-    idx: usize,
-    st: Rc<ReplayState>,
-    lease: Option<Rc<String>>,
-) {
-    if let Some(inj) = &st.inj {
-        inj.borrow_mut().advance(sim, w, st.ops.get());
-    }
-    if !st.installed.get() && st.mirror_site.is_some() && st.ops.get() >= st.replicate_at {
-        st.installed.set(true);
-        install_replicas(w, &st);
-    }
-    if idx >= ops.len() {
-        st.finished.set(st.finished.get() + 1);
-        st.race_end.set(sim.now());
-        if let Some(top) = lease {
-            let st2 = st.clone();
-            sess.surrender_lease(sim, w, &format!("/{top}"), move |sim, _w, r| {
-                r.expect("trace lease surrender");
-                st2.race_end.set(sim.now());
-            });
-        }
-        return;
-    }
-    let op = ops[idx].clone();
-    let think = op.think_ns;
-    let issue = move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld| {
-        dispatch_trace_op(sim, w, sess, ops, idx, op, st, lease);
-    };
-    if think > 0 {
-        sim.after(SimDuration::from_nanos(think), issue);
-    } else {
-        issue(sim, w);
-    }
-}
-
-/// Issue `op` through the session; the completion callback runs the same
-/// op against the oracle, diffs, and schedules the next step.
-fn dispatch_trace_op(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    sess: Session,
-    ops: Rc<Vec<TraceOp>>,
-    idx: usize,
-    op: TraceOp,
-    st: Rc<ReplayState>,
-    lease: Option<Rc<String>>,
-) {
-    let cont = move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, st: Rc<ReplayState>| {
-        next_trace_op(sim, w, sess, ops, idx + 1, st, lease);
-    };
-    let owner = Owner::local(0, 0);
-    match op.kind {
-        TraceOpKind::Mkdir => {
-            let path = op.path.clone();
-            sess.mkdir(sim, w, &path, owner, move |sim, w, r| {
-                let o = st.oracle.borrow_mut().mkdir(&op.path);
-                st.record(32, &op, &r, &o);
-                cont(sim, w, st);
-            });
-        }
-        TraceOpKind::Stat => {
-            let path = op.path.clone();
-            sess.stat(sim, w, &path, move |sim, w, r| {
-                let o = st.oracle.borrow().stat(&op.path);
-                st.record(30, &op, &r, &o);
-                if let (Ok(a), Ok(m)) = (&r, &o) {
-                    if (a.size, a.is_dir) != (m.size, m.is_dir) {
-                        st.diverge_value(
-                            &op,
-                            "attr",
-                            format!("(size {}, dir {})", a.size, a.is_dir),
-                            format!("(size {}, dir {})", m.size, m.is_dir),
-                        );
-                    }
-                }
-                cont(sim, w, st);
-            });
-        }
-        TraceOpKind::Readdir => {
-            let path = op.path.clone();
-            sess.readdir(sim, w, &path, move |sim, w, r| {
-                let o = st.oracle.borrow().readdir(&op.path);
-                let code = 31 ^ (r.as_ref().map_or(0, |n| n.len() as u64) << 16);
-                st.record(code, &op, &r, &o);
-                if let (Ok(a), Ok(m)) = (&r, &o) {
-                    if a != m {
-                        st.diverge_value(&op, "listing", format!("{a:?}"), format!("{m:?}"));
-                    }
-                }
-                cont(sim, w, st);
-            });
-        }
-        TraceOpKind::Unlink => {
-            let path = op.path.clone();
-            sess.unlink(sim, w, &path, move |sim, w, r| {
-                let o = st.oracle.borrow_mut().unlink(&op.path);
-                st.record(35, &op, &r, &o);
-                cont(sim, w, st);
-            });
-        }
-        TraceOpKind::Rename => {
-            let from = op.path.clone();
-            let to = op.path2.clone().expect("rename has a target");
-            sess.rename(sim, w, &from, &to, move |sim, w, r| {
-                let to = op.path2.as_deref().expect("rename has a target");
-                let o = st.oracle.borrow_mut().rename(&op.path, to);
-                st.record(36, &op, &r, &o);
-                cont(sim, w, st);
-            });
-        }
-        TraceOpKind::Create => {
-            let path = op.path.clone();
-            sess.open(sim, w, &path, OpenFlags::Write, owner, move |sim, w, r| {
-                let o = st.oracle.borrow_mut().open(&op.path, OpenFlags::Write);
-                match r {
-                    Ok(h) => sess.close(sim, w, h, move |sim, w, r| {
-                        st.record(33, &op, &r, &o.map(|_| ()));
-                        cont(sim, w, st);
-                    }),
-                    Err(e) => {
-                        st.record(33, &op, &Err::<(), _>(e), &o);
-                        cont(sim, w, st);
-                    }
-                }
-            });
-        }
-        TraceOpKind::Write => {
-            let path = op.path.clone();
-            sess.open(sim, w, &path, OpenFlags::Write, owner, move |sim, w, r| {
-                let o = st.oracle.borrow_mut().open(&op.path, OpenFlags::Write);
-                match (r, o) {
-                    (Ok(h), Ok(oid)) => {
-                        let data = pattern_bytes(0, op.size);
-                        sess.write(sim, w, h, 0, data.clone(), move |sim, w, r| {
-                            if r.is_ok() {
-                                st.oracle
-                                    .borrow_mut()
-                                    .write(oid, 0, data.as_ref())
-                                    .expect("oracle write");
-                            } else {
-                                // The oracle wrote nothing; if the real
-                                // side buffered anything the trees will
-                                // disagree at the end.
-                                st.diverge(format!(
-                                    "write {}: real {} vs oracle Ok (buffered write failed)",
-                                    op.path,
-                                    outcome_str(&r)
-                                ));
-                            }
-                            // Close flushes write-behind; its result is the
-                            // op's durable outcome.
-                            sess.close(sim, w, h, move |sim, w, r| {
-                                st.record(34, &op, &r, &Ok::<(), FsError>(()));
-                                cont(sim, w, st);
-                            });
-                        });
-                    }
-                    (Ok(h), Err(oe)) => {
-                        // Real opened what the oracle rejects: divergence;
-                        // still close so the chain stays healthy.
-                        sess.close(sim, w, h, move |sim, w, _| {
-                            st.record(34, &op, &Ok::<(), FsError>(()), &Err::<(), _>(oe));
-                            cont(sim, w, st);
-                        });
-                    }
-                    (Err(e), o) => {
-                        st.record(34, &op, &Err::<(), _>(e), &o.map(|_| ()));
-                        cont(sim, w, st);
-                    }
-                }
-            });
-        }
-        TraceOpKind::Read => {
-            let path = op.path.clone();
-            sess.open(sim, w, &path, OpenFlags::Read, owner, move |sim, w, r| {
-                let o = st.oracle.borrow_mut().open(&op.path, OpenFlags::Read);
-                match (r, o) {
-                    (Ok(h), Ok(oid)) => {
-                        sess.read(sim, w, h, 0, op.size, move |sim, w, r| {
-                            let want = st
-                                .oracle
-                                .borrow()
-                                .read(oid, 0, op.size)
-                                .expect("oracle read");
-                            let code = 37 ^ ((r.as_ref().map_or(0, |b| b.len() as u64)) << 16);
-                            st.record(code, &op, &r, &Ok::<(), FsError>(()));
-                            if let Ok(got) = &r {
-                                if got.as_ref() != want.as_slice() {
-                                    st.diverge_value(
-                                        &op,
-                                        "bytes",
-                                        format!("{} bytes", got.len()),
-                                        format!("{} bytes", want.len()),
-                                    );
-                                }
-                            }
-                            sess.close(sim, w, h, move |sim, w, _| cont(sim, w, st));
-                        });
-                    }
-                    (Ok(h), Err(oe)) => {
-                        sess.close(sim, w, h, move |sim, w, _| {
-                            st.record(37, &op, &Ok::<(), FsError>(()), &Err::<(), _>(oe));
-                            cont(sim, w, st);
-                        });
-                    }
-                    (Err(e), o) => {
-                        st.record(37, &op, &Err::<(), _>(e), &o.map(|_| ()));
-                        cont(sim, w, st);
-                    }
-                }
-            });
-        }
-    }
 }
 
 /// Replay a trace through the full stack and diff every op against the
@@ -1042,7 +623,7 @@ pub fn replay_trace(ops: &[TraceOp], cfg: &ReplayConfig, chaos: &ChaosSpec) -> R
     };
     let sessions = sb.sessions(client_site, nstreams, per_mount);
     sb.faults(chaos.timed.clone());
-    let mut run = sb.run(SimTime::from_secs(1));
+    let mut sr = sb.run(SimTime::from_secs(1));
 
     // Deterministic shard placement: every top the corpus touches,
     // round-robined in first-appearance order.
@@ -1056,186 +637,88 @@ pub fn replay_trace(ops: &[TraceOp], cfg: &ReplayConfig, chaos: &ChaosSpec) -> R
                 }
             }
         }
-        let core = &mut run.world.fss[fs.0 as usize].core;
+        let core = &mut sr.world.fss[fs.0 as usize].core;
         for (i, t) in tops.iter().enumerate() {
             core.shards.assign(t.clone(), i as u32 % cfg.managers);
         }
     }
-    let mirror_site = (!mirror_servers.is_empty()).then(|| {
-        run.world.fss[fs.0 as usize].replicas.attach_site(
+    let mirror = (!mirror_servers.is_empty()).then(|| Mirror {
+        fs,
+        site: sr.world.fss[fs.0 as usize].replicas.attach_site(
             "mirror",
             mirror_servers,
             4,
             1e9,
             SimDuration::from_micros(200),
-        )
+        ),
+        at: ops.len() as u64 / 3,
+        installs: Cell::new(None),
     });
-
-    let st = Rc::new(ReplayState {
-        ops: Cell::new(0),
-        errors: Cell::new(0),
-        gave_up: Cell::new(0),
-        fingerprint: Cell::new(0),
-        divergences: Cell::new(0),
-        samples: RefCell::new(Vec::new()),
-        finished: Cell::new(0),
-        race_end: Cell::new(SimTime::ZERO),
-        oracle: RefCell::new(ModelFs::new()),
-        inj: (!chaos.progress.is_empty())
+    let st = Rc::new(Run {
+        faults: (!chaos.progress.is_empty())
             .then(|| RefCell::new(ProgressInjector::new(&chaos.progress))),
-        fs,
-        mirror_site,
-        replicate_at: ops.len() as u64 / 3,
-        installed: Cell::new(false),
-        installs: Cell::new(0),
+        oracle: Some(Oracle::new(ModelFs::new())),
+        mirror,
+        ..Run::default()
     });
 
-    let replay_start = run.sim.now();
+    let replay_start = sr.sim.now();
     {
-        let (sim, w) = (&mut run.sim, &mut run.world);
+        let (sim, w) = (&mut sr.sim, &mut sr.world);
         sim.set_horizon(sim.now() + SimDuration::from_secs(3600));
         let lease_on = cfg.leases && cfg.managers > 1;
-        for (gi, group) in sessions.chunks(per_mount as usize).enumerate() {
-            let group = group.to_vec();
-            let st = st.clone();
-            let streams: Vec<Rc<Vec<TraceOp>>> = group
-                .iter()
-                .enumerate()
-                .map(|(j, _)| Rc::new(streams[gi * per_mount as usize + j].clone()))
-                .collect();
-            group[0].mount(sim, w, "trace", AccessMode::ReadWrite, move |sim, w, r| {
-                r.expect("trace mount");
-                for (j, &sess) in group.iter().enumerate() {
-                    if j > 0 {
-                        sess.bind_device(w, "trace");
+        let mut streams = streams.into_iter();
+        let groups = sessions
+            .chunks(per_mount as usize)
+            .map(|group| {
+                let chains = group.iter().map(|&sess| {
+                    let ops = streams.next().expect("one stream per session");
+                    let lease = single_top(&ops).filter(|_| lease_on).map(|top| {
+                        Rc::new(Lease {
+                            top: format!("/{top}"),
+                            holder: sess,
+                            left: Cell::new(1),
+                        })
+                    });
+                    let mut ops = ops.into_iter();
+                    Chain {
+                        sess,
+                        ops: Box::new(move || ops.next()),
+                        lease,
+                        run: st.clone(),
                     }
-                    let ops = streams[j].clone();
-                    let lease = lease_on
-                        .then(|| single_top(&ops).map(Rc::new))
-                        .flatten();
-                    let st = st.clone();
-                    match lease {
-                        Some(top) => {
-                            let path = format!("/{top}");
-                            sess.acquire_lease(sim, w, &path, move |sim, w, r| {
-                                r.expect("trace lease acquire");
-                                next_trace_op(sim, w, sess, ops, 0, st, Some(top));
-                            });
-                        }
-                        None => next_trace_op(sim, w, sess, ops, 0, st, None),
-                    }
-                }
-            });
-        }
+                });
+                chains.collect()
+            })
+            .collect();
+        chain::launch(sim, w, "trace", groups);
         sim.run(w);
     }
     assert_eq!(
-        st.finished.get(),
+        st.tally.finished.get(),
         nstreams,
         "trace replay: some stream chains did not drain"
     );
 
-    let w = &run.world;
-    let core = &w.fss[fs.0 as usize].core;
-    let oracle = st.oracle.borrow();
-    let tree_fp = core.tree_fingerprint();
-    let oracle_fp = oracle.tree_fingerprint();
-    if tree_fp != oracle_fp {
-        // Name the paths that differ, capped like the op samples.
-        diff_trees(core, &oracle, &st);
-    }
-    let violations = crate::chaos::world_invariants(&run.sim, w);
-    for msg in &violations {
-        eprintln!("trace replay: invariant violated: {msg}");
-    }
+    let w = &sr.world;
+    let run = StormReport::drained(&sr.sim, w, fs, &st.tally, replay_start, "trace replay");
+    let oracle = st.oracle.as_ref().expect("the replay carries an oracle");
+    let tree_matches_oracle = oracle.diff_tree(&w.fss[fs.0 as usize].core, run.tree_fingerprint);
+    let oracle_fingerprint = oracle.model.borrow().tree_fingerprint();
     let rc = &w.fss[fs.0 as usize].replicas.counters;
-    let divergence_samples = st.samples.borrow().clone();
     ReplayReport {
-        ops: st.ops.get(),
-        errors: st.errors.get(),
-        divergences: st.divergences.get(),
-        divergence_samples,
-        gave_up: st.gave_up.get(),
-        fingerprint: st.fingerprint.get(),
-        tree_fingerprint: tree_fp,
-        oracle_fingerprint: oracle_fp,
-        tree_matches_oracle: tree_fp == oracle_fp,
-        fsck_clean: gfs::fsck(core).is_clean(),
-        invariant_violations: violations.len() as u64,
-        streams: u64::from(nstreams),
-        events: run.sim.executed(),
-        sim_ns: st
-            .race_end
-            .get()
-            .max(replay_start)
-            .since(replay_start)
-            .as_nanos(),
-        faults_injected: w
-            .recovery
-            .count(|e| matches!(e, RecoveryWhat::FaultInjected(_))) as u64,
-        restores: w.recovery.count(|e| matches!(e, RecoveryWhat::Restored(_))) as u64,
-        timeouts: w
-            .recovery
-            .count(|e| matches!(e, RecoveryWhat::TimeoutDetected { .. })) as u64,
-        manager_epochs: w
-            .fss
-            .iter()
-            .map(|i| i.mgrs.iter().map(|m| m.epoch).sum::<u64>())
-            .sum(),
-        wal_replayed: w
-            .fss
-            .iter()
-            .map(|i| i.mgrs.iter().map(|m| m.replayed).sum::<u64>())
-            .sum(),
-        cross_shard_ops: w.fss.iter().map(|i| i.cross_shard_ops).sum(),
-        delegated_ops: w.fss.iter().map(|i| i.delegated_ops).sum(),
-        lease_acquires: w.fss.iter().map(|i| i.lease_grants).sum(),
-        reconcile_ops: w.fss.iter().map(|i| i.reconcile_ops).sum(),
-        envelopes: w.fanin.envelopes,
-        envelope_ops: w.fanin.envelope_ops,
-        replica_installs: st.installs.get(),
+        run,
+        divergences: oracle.divergences.get(),
+        divergence_samples: oracle.samples.take(),
+        oracle_fingerprint,
+        tree_matches_oracle,
+        replica_installs: st
+            .mirror
+            .as_ref()
+            .and_then(|m| m.installs.get())
+            .unwrap_or(0),
         replica_remote_picks: rc.remote_picks,
         replica_invalidations: rc.invalidations,
-    }
-}
-
-/// On a final-tree mismatch, walk both trees and sample the differing
-/// paths so the report names *what* diverged, not just that it did.
-fn diff_trees(core: &gfs::FsCore, oracle: &ModelFs, st: &ReplayState) {
-    let mut real: Vec<(String, u64, bool)> = Vec::new();
-    let mut stack = vec!["/".to_string()];
-    while let Some(dir) = stack.pop() {
-        if let Ok(names) = core.readdir(&dir) {
-            for name in names {
-                let path = if dir == "/" {
-                    format!("/{name}")
-                } else {
-                    format!("{dir}/{name}")
-                };
-                if let Ok(attr) = core.stat(&path) {
-                    if attr.is_dir {
-                        stack.push(path.clone());
-                    }
-                    real.push((path, attr.size, attr.is_dir));
-                }
-            }
-        }
-    }
-    real.sort();
-    let model = oracle.flatten();
-    for (path, size, is_dir) in &real {
-        match model.iter().find(|(p, _, _)| p == path) {
-            None => st.diverge(format!("tree: {path} exists only in the real fs")),
-            Some((_, msize, mdir)) if (msize, mdir) != (size, is_dir) => st.diverge(format!(
-                "tree: {path} real (size {size}, dir {is_dir}) vs oracle (size {msize}, dir {mdir})"
-            )),
-            _ => {}
-        }
-    }
-    for (path, _, _) in &model {
-        if !real.iter().any(|(p, _, _)| p == path) {
-            st.diverge(format!("tree: {path} exists only in the oracle"));
-        }
     }
 }
 
@@ -1271,7 +754,7 @@ impl TraceVerdict {
 
     /// Total ops replayed across every schedule.
     pub fn total_ops(&self) -> u64 {
-        self.reports.iter().map(|(_, r)| r.ops).sum()
+        self.reports.iter().map(|(_, r)| r.run.ops).sum()
     }
 }
 
@@ -1366,9 +849,8 @@ pub fn check_trace_differential_sized(
     };
     let again = replay_trace(&ops, &cfg, &ChaosSpec::none());
     let first = &reports[0].1;
-    if (first.fingerprint, first.tree_fingerprint, first.ops, first.errors)
-        != (again.fingerprint, again.tree_fingerprint, again.ops, again.errors)
-    {
+    let shape = |r: &StormReport| (r.fingerprint, r.tree_fingerprint, r.ops, r.errors);
+    if shape(&first.run) != shape(&again.run) {
         violations.push(format!(
             "{}: healthy replay is not deterministic across runs",
             corpus.name()
@@ -1392,25 +874,25 @@ fn audit(label: &str, r: &ReplayReport, faulted: bool, violations: &mut Vec<Stri
     if !r.tree_matches_oracle {
         violations.push(format!(
             "{label}: final tree differs from oracle ({:#x} vs {:#x})",
-            r.tree_fingerprint, r.oracle_fingerprint
+            r.run.tree_fingerprint, r.oracle_fingerprint
         ));
     }
-    if r.gave_up != 0 {
+    if r.run.gave_up != 0 {
         violations.push(format!(
             "{label}: {} op(s) exhausted the retry budget",
-            r.gave_up
+            r.run.gave_up
         ));
     }
-    if !r.fsck_clean {
+    if !r.run.fsck_clean {
         violations.push(format!("{label}: post-replay fsck found inconsistencies"));
     }
-    if r.invariant_violations != 0 {
+    if r.run.invariant_violations != 0 {
         violations.push(format!(
             "{label}: {} world-invariant violation(s) (see stderr)",
-            r.invariant_violations
+            r.run.invariant_violations
         ));
     }
-    if faulted && r.faults_injected == 0 {
+    if faulted && r.run.faults_injected == 0 {
         violations.push(format!(
             "{label}: fault schedule was non-empty but injected nothing"
         ));
@@ -1548,21 +1030,21 @@ mod tests {
     fn healthy_replay_matches_oracle_exactly() {
         let ops = TraceCorpus::UntarBuild.generate(2, 1, 2005);
         let r = replay_trace(&ops, &ReplayConfig::default(), &ChaosSpec::none());
-        assert_eq!(r.ops, ops.len() as u64, "every trace op must replay");
+        assert_eq!(r.run.ops, ops.len() as u64, "every trace op must replay");
         assert_eq!(
             r.divergences, 0,
             "divergences:\n  {}",
             r.divergence_samples.join("\n  ")
         );
         assert!(r.tree_matches_oracle);
-        assert!(r.fsck_clean);
-        assert_eq!(r.gave_up, 0);
-        assert_eq!(r.invariant_violations, 0);
+        assert!(r.run.fsck_clean);
+        assert_eq!(r.run.gave_up, 0);
+        assert_eq!(r.run.invariant_violations, 0);
         assert!(
-            r.errors > 0,
+            r.run.errors > 0,
             "the corpus's deliberate misses must surface typed errors"
         );
-        assert!(r.envelopes > 0, "per_mount=2 must batch fan-in envelopes");
+        assert!(r.run.envelopes > 0, "per_mount=2 must batch fan-in envelopes");
     }
 
     #[test]
@@ -1580,7 +1062,7 @@ mod tests {
         let mutated = replay_trace(&ops, &ReplayConfig::default(), &ChaosSpec::none());
         assert_eq!(mutated.divergences, 0, "oracle tracks the mutation too");
         assert_ne!(
-            base.tree_fingerprint, mutated.tree_fingerprint,
+            base.run.tree_fingerprint, mutated.run.tree_fingerprint,
             "the fingerprint must be sensitive to a single namespace change"
         );
     }
@@ -1600,7 +1082,7 @@ mod tests {
         );
         assert!(r.tree_matches_oracle);
         assert!(
-            r.cross_shard_ops > 0,
+            r.run.cross_shard_ops > 0,
             "src→obj renames must run as two-phase cross-shard ops"
         );
     }
@@ -1620,9 +1102,9 @@ mod tests {
             r.divergence_samples.join("\n  ")
         );
         assert!(r.tree_matches_oracle);
-        assert_eq!(r.lease_acquires, 3, "every single-top stream takes its lease");
-        assert!(r.delegated_ops > 0, "the cadence must ride the delegate");
-        assert!(r.reconcile_ops > 0, "surrender must reconcile the journal");
+        assert_eq!(r.run.lease_acquires, 3, "every single-top stream takes its lease");
+        assert!(r.run.delegated_ops > 0, "the cadence must ride the delegate");
+        assert!(r.run.reconcile_ops > 0, "surrender must reconcile the journal");
     }
 
     #[test]
@@ -1697,8 +1179,8 @@ mod tests {
                     r.divergence_samples.join("\n  ")
                 );
                 assert!(r.tree_matches_oracle, "round {round} M={m} tree mismatch");
-                assert!(r.errors > 0, "the soup must surface typed errors");
-                assert_eq!(r.gave_up, 0);
+                assert!(r.run.errors > 0, "the soup must surface typed errors");
+                assert_eq!(r.run.gave_up, 0);
             }
         }
     }
@@ -1711,10 +1193,10 @@ mod tests {
         v.assert_clean();
         // The faulted runs must really have faulted, and the M=4 leg must
         // really have leased.
-        assert!(v.reports.iter().any(|(l, r)| l.contains("mgr-kill") && r.faults_injected > 0));
+        assert!(v.reports.iter().any(|(l, r)| l.contains("mgr-kill") && r.run.faults_injected > 0));
         assert!(v
             .reports
             .iter()
-            .any(|(l, r)| l.contains("M=4") && r.lease_acquires > 0));
+            .any(|(l, r)| l.contains("M=4") && r.run.lease_acquires > 0));
     }
 }

@@ -12,7 +12,6 @@
 //! ```
 
 use gfs::admin::{connect_clusters, disconnect_fs};
-use gfs::client;
 use gfs::fscore::FsConfig;
 use gfs::world::{FsParams, WorldBuilder};
 use gfs_auth::cipher::CipherMode;
@@ -71,6 +70,7 @@ fn main() {
     let ncsa_client = b.client(c_ncsa, ncsa, 64);
     let rogue_client = b.client(c_rogue, rogue, 64);
     let (mut sim, mut w) = b.build();
+    let (ncsa, rogue) = (w.open_session(ncsa_client), w.open_session(rogue_client));
 
     println!("\n--- mmauth workflow ---");
     println!(
@@ -99,9 +99,9 @@ fn main() {
     );
 
     println!("\n--- mounts over the WAN ---");
-    client::mount(&mut sim, &mut w, ncsa_client, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, r| {
+    ncsa.mount(&mut sim, &mut w, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, r| {
         println!("[{}] ncsa rw mount:  {:?}  (grant is read-only — PTF 2 enforcement)", sim.now(), r.err().map(|e| e.to_string()));
-        client::mount(sim, w, ncsa_client, "gpfs-wan", AccessMode::ReadOnly, move |sim, w, r| {
+        ncsa.mount(sim, w, "gpfs-wan", AccessMode::ReadOnly, move |sim, w, r| {
             println!("[{}] ncsa ro mount:  ok = {}", sim.now(), r.is_ok());
             let key = w.clients[ncsa_client.0 as usize]
                 .mounts
@@ -112,7 +112,7 @@ fn main() {
                 sim.now(),
                 key.map(|k| k.len()).unwrap_or(0)
             );
-            client::mount(sim, w, rogue_client, "gpfs-wan", AccessMode::ReadOnly, move |sim, _w, r| {
+            rogue.mount(sim, w, "gpfs-wan", AccessMode::ReadOnly, move |sim, _w, r| {
                 println!(
                     "[{}] rogue mount:    {:?}",
                     sim.now(),
@@ -134,7 +134,7 @@ fn main() {
             remote_device: "gpfs-wan".into(),
         },
     );
-    client::mount(&mut sim, &mut w, ncsa_client, "gpfs-wan", AccessMode::ReadOnly, move |sim, _w, r| {
+    ncsa.mount(&mut sim, &mut w, "gpfs-wan", AccessMode::ReadOnly, move |sim, _w, r| {
         println!(
             "[{}] ncsa after deny: {:?}",
             sim.now(),

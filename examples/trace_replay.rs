@@ -56,8 +56,8 @@ fn main() {
         println!(
             "  {:<15} {:>4}  {:>6}  {:>11}  {}",
             corpus.name(),
-            r.ops,
-            r.errors,
+            r.run.ops,
+            r.run.errors,
             r.divergences,
             r.tree_matches_oracle
         );
@@ -85,9 +85,13 @@ fn main() {
     println!(
         "\nuntar-build under a mid-trace manager kill: {} fault(s), {} epoch bump(s), \
          {} WAL record(s) replayed, {} divergences, tree==oracle: {}",
-        r.faults_injected, r.manager_epochs, r.wal_replayed, r.divergences, r.tree_matches_oracle
+        r.run.faults_injected,
+        r.run.manager_epochs,
+        r.run.wal_replayed,
+        r.divergences,
+        r.tree_matches_oracle
     );
-    assert!(r.manager_epochs >= 1 && r.wal_replayed >= 1);
+    assert!(r.run.manager_epochs >= 1 && r.run.wal_replayed >= 1);
     assert_eq!(r.divergences, 0);
     assert!(r.tree_matches_oracle);
 
@@ -106,7 +110,7 @@ fn main() {
     for (label, r) in &verdict.reports {
         println!(
             "  {:<28} divergences {}  gave_up {}  faults {}  leases {}",
-            label, r.divergences, r.gave_up, r.faults_injected, r.lease_acquires
+            label, r.divergences, r.run.gave_up, r.run.faults_injected, r.run.lease_acquires
         );
     }
     verdict.assert_clean();

@@ -15,15 +15,15 @@
 //! * the per-context cap gives back old grants together with their pages;
 //! * a holder no revoke can reach is expelled, and its pages go with it;
 //! * write-back keeps the bytes it was handed: a failed write-back of
-//!   evicted pages reaches the writer, a recall waits for the write-back
-//!   of evicted pages, and a flush's ack never cleans bytes written after
-//!   the flush took its copy.
+//!   evicted pages reaches the writer, a recall and a close wait for the
+//!   write-back of evicted pages, and a flush's ack never cleans bytes
+//!   written after the flush took its copy.
 
 use bytes::Bytes;
 use globalfs::gfs::fscore::FsConfig;
 use globalfs::gfs::tokens::CACHED_INODES;
 use globalfs::gfs::types::{FsError, Handle, OpenFlags, Owner};
-use globalfs::gfs::world::{FsParams, GfsWorld, WorldBuilder};
+use globalfs::gfs::world::{FsParams, GfsWorld, WorldBuilder, LEASE_BREAK_TIMEOUT};
 use globalfs::gfs::{apply_fault, FaultKind, FsId, InodeId, RecoveryWhat, Session};
 use globalfs::gfs_auth::handshake::AccessMode;
 use globalfs::scenarios::chaos::world_invariants;
@@ -402,7 +402,7 @@ fn the_cap_gives_back_old_grants_with_their_pages() {
 fn an_unreachable_holder_is_expelled_with_its_pages() {
     // A caches a dirty page under its write token, then drops off the
     // network. B's read revokes A's token: the revoke cannot land, is
-    // resent, and after `lease_break_timeout` A is expelled — its grants
+    // resent, and after `LEASE_BREAK_TIMEOUT` A is expelled — its grants
     // released at the manager, its pages of the filesystem discarded and
     // the lost dirty page logged — and B's read proceeds. Once healed, A's
     // next fsync of the file reports the lost write, once.
@@ -414,7 +414,7 @@ fn an_unreachable_holder_is_expelled_with_its_pages() {
     let hb = open(&mut sim, &mut w, b, "/g", OpenFlags::Read);
     let t0 = sim.now();
     let got = read(&mut sim, &mut w, b, hb, 0, 1000);
-    assert!(sim.now().since(t0) >= w.costs.lease_break_timeout);
+    assert!(sim.now().since(t0) >= LEASE_BREAK_TIMEOUT);
     assert!(got.iter().all(|&x| x == 0), "A's write never reached the disk");
     close(&mut sim, &mut w, b, hb);
     let ac = &w.clients[a.ctx(&w).0 as usize];
@@ -547,6 +547,41 @@ fn a_recall_waits_for_the_write_back_of_evicted_pages() {
     let got = got.borrow_mut().take().expect("B's read completed").unwrap();
     let foreign = got.iter().filter(|&&x| x != 0x5a).count();
     assert_eq!(foreign, 0, "B read {foreign} of {} bytes that are not A's", got.len());
+    assert_healthy(&sim, &w);
+}
+
+#[test]
+fn a_close_waits_for_the_write_back_of_evicted_pages() {
+    // A sits on a 100 Mb/s link with /f's four blocks dirty in its 4-page
+    // pool. Writing /g evicts them, and their write-back takes about 20 ms
+    // on that link. A closes /f the moment that write returns: the close
+    // makes /f durable, so it must return only once every block holds A's
+    // bytes on disk.
+    let (mut sim, mut w, ss) = probe_world(&[Bandwidth::mbit(100.0)]);
+    let a = ss[0];
+    let hf = open(&mut sim, &mut w, a, "/f", OpenFlags::Write);
+    write(&mut sim, &mut w, a, hf, 0, Bytes::from(vec![0x5a; 4 * BLOCK as usize]));
+    let ino = w.fss[0].core.stat("/f").unwrap().inode;
+    let hg = open(&mut sim, &mut w, a, "/g", OpenFlags::Write);
+    let landed = Rc::new(RefCell::new(None));
+    let slot = landed.clone();
+    let g = Bytes::from(vec![0x11; 4 * BLOCK as usize]);
+    let t0 = sim.now();
+    a.write(&mut sim, &mut w, hg, 0, g, move |sim, w, r| {
+        r.expect("write /g");
+        a.close(sim, w, hf, move |sim, w, r| {
+            r.expect("close /f");
+            let core = &w.fss[0].core;
+            let on_disk = core.block_map(ino, 0, 4 * BLOCK).unwrap().into_iter();
+            let mine = on_disk
+                .filter(|(_, addr)| addr.is_some_and(|a| core.get_block_data(a) == vec![0x5a; BLOCK as usize]))
+                .count();
+            *slot.borrow_mut() = Some((mine, sim.now()));
+        });
+    });
+    sim.run(&mut w);
+    let (mine, at) = landed.borrow_mut().take().expect("the close completed");
+    assert_eq!(mine, 4, "close returned after {:?} with {mine} of 4 blocks on disk", at.since(t0));
     assert_healthy(&sim, &w);
 }
 

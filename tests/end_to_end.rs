@@ -4,7 +4,6 @@
 
 use bytes::Bytes;
 use globalfs::gfs::admin::connect_clusters;
-use globalfs::gfs::client;
 use globalfs::gfs::fscore::FsConfig;
 use globalfs::gfs::oracle::ModelFs;
 use globalfs::gfs::session::Session;
@@ -82,12 +81,12 @@ fn one_filesystem_three_administrative_domains() {
                             r.unwrap();
                             ncsa_sess.open(sim, w, "/enzo.out", OpenFlags::Read, owner(), move |sim, w, r| {
                                 let hn = r.unwrap();
-                                client::read(sim, w, ncsa, hn, 0, 300_000, move |sim, w, r| {
+                                ncsa_sess.read(sim, w, hn, 0, 300_000, move |sim, w, r| {
                                     assert_eq!(r.unwrap(), expect1);
                                     anl_sess.open(sim, w, "/enzo.out", OpenFlags::Read, owner(), move |sim, w, r| {
                                         let ha = r.unwrap();
                                         // ANL reads a slice out of the middle.
-                                        client::read(sim, w, anl, ha, 100_000, 50_000, move |_s, _w, r| {
+                                        anl_sess.read(sim, w, ha, 100_000, 50_000, move |_s, _w, r| {
                                             let got = r.unwrap();
                                             assert_eq!(&got[..], &expect2[100_000..150_000]);
                                             d.set(true);
@@ -127,7 +126,7 @@ fn cross_site_write_sharing_is_coherent() {
                         r.unwrap(); // write-behind: still dirty at NCSA
                         anl_sess.open(sim, w, "/shared", OpenFlags::Read, owner(), move |sim, w, r| {
                             let ha = r.unwrap();
-                            client::read(sim, w, anl, ha, 0, 70_000, move |_s, w, r| {
+                            anl_sess.read(sim, w, ha, 0, 70_000, move |_s, w, r| {
                                 let got = r.unwrap();
                                 assert!(got.iter().all(|b| *b == 0xEE), "stale data crossed sites");
                                 // The serving cluster's token manager did a

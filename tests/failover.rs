@@ -8,7 +8,9 @@ use globalfs::gfs::client;
 use globalfs::gfs::fscore::{DataMode, FsConfig};
 use globalfs::gfs::session::Session;
 use globalfs::gfs::types::{ClientId, FsError, FsId, Handle, NsdId, OpenFlags, Owner};
-use globalfs::gfs::world::{FsParams, GfsWorld, NsdBacking, WorldBuilder};
+use globalfs::gfs::world::{
+    FsParams, GfsWorld, NsdBacking, WorldBuilder, LEASE_BREAK_TIMEOUT, RETRY_BASE,
+};
 use globalfs::scenarios::recovery::{
     crash_one_of_n, disk_failure_during_sweep, link_flap_during_enzo, CrashConfig,
 };
@@ -75,7 +77,7 @@ fn nsds_fail_over_to_surviving_server() {
             let h = r.unwrap();
             sess.write(sim, w, h, 0, payload, move |sim, w, r| {
                 r.unwrap();
-                client::fsync(sim, w, client, h, move |sim, w, r| {
+                sess.fsync(sim, w, h, move |sim, w, r| {
                     r.unwrap();
                     // Kill server 1 (also the manager's *data* role; the
                     // manager RPC endpoint survives — GPFS would elect a
@@ -84,7 +86,7 @@ fn nsds_fail_over_to_surviving_server() {
                     // Drop the cache so reads must hit the surviving server.
                     let inode = w.clients[client.0 as usize].handles[&h].inode;
                     w.clients[client.0 as usize].pool.invalidate_file(fs, inode);
-                    client::read(sim, w, client, h, 0, 300_000, move |_s, w, r| {
+                    sess.read(sim, w, h, 0, 300_000, move |_s, w, r| {
                         let got = r.unwrap();
                         assert_eq!(got, expect, "data served through backup differs");
                         // Every NSD now routes to s2.
@@ -144,9 +146,9 @@ fn total_failure_is_unavailability() {
 }
 
 #[test]
-fn total_failure_surfaces_server_down_to_the_client() {
-    // ...but the client data path reports it as a typed error instead of
-    // tearing the process down.
+fn total_failure_surfaces_degraded_to_a_reader() {
+    // ...and so does a read that must go to storage: a typed error
+    // instead of tearing the process down.
     let (mut sim, mut w, client, fs, s1, s2) = bed();
     let sess = w.open_session(client);
     let seen = Rc::new(std::cell::RefCell::new(None::<FsError>));
@@ -157,7 +159,7 @@ fn total_failure_surfaces_server_down_to_the_client() {
             let h = r.unwrap();
             sess.write(sim, w, h, 0, Bytes::from(vec![9u8; 200_000]), move |sim, w, r| {
                 r.unwrap();
-                client::fsync(sim, w, client, h, move |sim, w, r| {
+                sess.fsync(sim, w, h, move |sim, w, r| {
                     r.unwrap();
                     // Both servers die; the cache is dropped so the read
                     // must go to storage.
@@ -165,7 +167,7 @@ fn total_failure_surfaces_server_down_to_the_client() {
                     w.fss[fs.0 as usize].fail_server(s2);
                     let inode = w.clients[client.0 as usize].handles[&h].inode;
                     w.clients[client.0 as usize].pool.invalidate_file(fs, inode);
-                    client::read(sim, w, client, h, 0, 200_000, move |_s, _w, r| {
+                    sess.read(sim, w, h, 0, 200_000, move |_s, _w, r| {
                         *seen2.borrow_mut() = Some(r.expect_err("read with no servers must fail"));
                     });
                 });
@@ -173,7 +175,11 @@ fn total_failure_surfaces_server_down_to_the_client() {
         });
     });
     sim.run(&mut w);
-    assert_eq!(*seen.borrow(), Some(FsError::ServerDown));
+    assert!(
+        matches!(seen.borrow().as_ref(), Some(FsError::Degraded(_))),
+        "a read with every NSD server down must be Degraded, got {:?}",
+        seen.borrow()
+    );
 }
 
 #[test]
@@ -196,7 +202,7 @@ fn writes_after_failover_land_and_survive_restore() {
                     w.fss[fs.0 as usize].restore_server(s1);
                     sess.open(sim, w, "/via-backup", OpenFlags::Read, Owner::local(1, 1), move |sim, w, r| {
                         let h = r.unwrap();
-                        client::read(sim, w, client, h, 0, 100_000, move |_s, _w, r| {
+                        sess.read(sim, w, h, 0, 100_000, move |_s, _w, r| {
                             let got = r.unwrap();
                             assert!(got.iter().all(|b| *b == 5));
                             ok2.set(true);
@@ -333,7 +339,7 @@ fn coalesced_scatter_gather_fails_over_like_per_block() {
                     let h = r.unwrap();
                     sess.write(sim, w, h, 0, payload, move |sim, w, r| {
                         r.unwrap();
-                        client::fsync(sim, w, client, h, move |sim, w, r| {
+                        sess.fsync(sim, w, h, move |sim, w, r| {
                             r.unwrap();
                             let inode = w.clients[client.0 as usize].handles[&h].inode;
                             w.clients[client.0 as usize].pool.invalidate_file(fs, inode);
@@ -349,14 +355,14 @@ fn coalesced_scatter_gather_fails_over_like_per_block() {
                             if per_block {
                                 for blk in 0..BLOCKS {
                                     let (intact, errors) = (intact.clone(), errors.clone());
-                                    client::read(sim, w, client, h, blk * BLOCK, BLOCK, move |_s, _w, r| match r {
+                                    sess.read(sim, w, h, blk * BLOCK, BLOCK, move |_s, _w, r| match r {
                                         Ok(got) => check(blk * BLOCK, &got, &intact),
                                         Err(_) => errors.set(errors.get() + 1),
                                     });
                                 }
                             } else {
                                 let (intact, errors) = (intact.clone(), errors.clone());
-                                client::read(sim, w, client, h, 0, BLOCKS * BLOCK, move |_s, _w, r| match r {
+                                sess.read(sim, w, h, 0, BLOCKS * BLOCK, move |_s, _w, r| match r {
                                     Ok(got) => check(0, &got, &intact),
                                     Err(_) => errors.set(errors.get() + 1),
                                 });
@@ -422,7 +428,7 @@ fn completed_request_watchdogs_are_cancelled_not_leaked() {
     fn read_chain(
         sim: &mut Sim<GfsWorld>,
         w: &mut GfsWorld,
-        client: ClientId,
+        sess: Session,
         h: globalfs::gfs::types::Handle,
         block: u64,
         log: Rc<std::cell::RefCell<Vec<usize>>>,
@@ -430,10 +436,10 @@ fn completed_request_watchdogs_are_cancelled_not_leaked() {
         if block == BLOCKS {
             return;
         }
-        client::read(sim, w, client, h, block * BLOCK, BLOCK, move |sim, w, r| {
+        sess.read(sim, w, h, block * BLOCK, BLOCK, move |sim, w, r| {
             r.unwrap();
             log.borrow_mut().push(sim.pending());
-            read_chain(sim, w, client, h, block + 1, log);
+            read_chain(sim, w, sess, h, block + 1, log);
         });
     }
 
@@ -445,11 +451,11 @@ fn completed_request_watchdogs_are_cancelled_not_leaked() {
                 let h = r.unwrap();
                 sess.write(sim, w, h, 0, Bytes::from(vec![3u8; (BLOCKS * BLOCK) as usize]), move |sim, w, r| {
                     r.unwrap();
-                    client::fsync(sim, w, client, h, move |sim, w, r| {
+                    sess.fsync(sim, w, h, move |sim, w, r| {
                         r.unwrap();
                         let inode = w.clients[client.0 as usize].handles[&h].inode;
                         w.clients[client.0 as usize].pool.invalidate_file(fs, inode);
-                        read_chain(sim, w, client, h, 0, log);
+                        read_chain(sim, w, sess, h, 0, log);
                     });
                 });
             });
@@ -490,18 +496,18 @@ fn request_timeout_surfaces_exactly_once_despite_late_responses() {
                 let h = r.unwrap();
                 sess.write(sim, w, h, 0, Bytes::from(vec![8u8; 65_536]), move |sim, w, r| {
                     r.unwrap();
-                    client::fsync(sim, w, client, h, move |sim, w, r| {
+                    sess.fsync(sim, w, h, move |sim, w, r| {
                         r.unwrap();
                         let inode = w.clients[client.0 as usize].handles[&h].inode;
                         w.clients[client.0 as usize].pool.invalidate_file(fs, inode);
                         // Shorter than the ~600 µs round trip: every fetch
                         // attempt times out before its response lands.
                         w.costs.request_timeout = SimDuration::from_micros(300);
-                        client::read(sim, w, client, h, 0, 65_536, move |sim, w, r| {
+                        sess.read(sim, w, h, 0, 65_536, move |sim, w, r| {
                             outcomes.borrow_mut().push(r.map(|b| b.len()));
                             // Sane timeout again: the same handle must work.
                             w.costs.request_timeout = SimDuration::from_millis(1500);
-                            client::read(sim, w, client, h, 0, 65_536, move |_s, _w, r| {
+                            sess.read(sim, w, h, 0, 65_536, move |_s, _w, r| {
                                 assert_eq!(r.unwrap().len(), 65_536);
                                 recovered.set(true);
                             });
@@ -598,14 +604,14 @@ fn coalesced_read_retries_to_restored_server_after_transient_crash() {
                 let h = r.unwrap();
                 sess.write(sim, w, h, 0, payload, move |sim, w, r| {
                     r.unwrap();
-                    client::fsync(sim, w, client, h, move |sim, w, r| {
+                    sess.fsync(sim, w, h, move |sim, w, r| {
                         r.unwrap();
                         let inode = w.clients[client.0 as usize].handles[&h].inode;
                         w.clients[client.0 as usize].pool.invalidate_file(fs, inode);
                         // One coalesced full-file read; the server dies while
                         // the scatter-gather runs are on the wire and comes
                         // back 1.2 s later — inside the 1.5 s timeout.
-                        client::read(sim, w, client, h, 0, BLOCKS * BLOCK, move |_s, _w, r| {
+                        sess.read(sim, w, h, 0, BLOCKS * BLOCK, move |_s, _w, r| {
                             let got = r.unwrap();
                             intact.set(got.iter().enumerate().all(|(i, b)| *b == pattern(i)));
                         });
@@ -1211,10 +1217,10 @@ fn manager_crash_replay_is_oracle_equivalent() {
     let r = replay_trace(&ops, &cfg, &spec);
     // A crash on a manager-hosting server logs both the crash and the
     // manager-loss marker, so >= rather than == here.
-    assert!(r.faults_injected >= 1, "the mid-trace manager kill never fired");
-    assert!(r.restores >= 1, "the crashed server was never restored");
-    assert!(r.manager_epochs >= 1, "recovery must bump the manager epoch");
-    assert!(r.wal_replayed >= 1, "takeover replayed nothing from the WAL");
+    assert!(r.run.faults_injected >= 1, "the mid-trace manager kill never fired");
+    assert!(r.run.restores >= 1, "the crashed server was never restored");
+    assert!(r.run.manager_epochs >= 1, "recovery must bump the manager epoch");
+    assert!(r.run.wal_replayed >= 1, "takeover replayed nothing from the WAL");
     assert_eq!(
         r.divergences, 0,
         "op results diverged from the oracle across the crash:\n{}",
@@ -1223,11 +1229,11 @@ fn manager_crash_replay_is_oracle_equivalent() {
     assert!(
         r.tree_matches_oracle,
         "faulted final tree {:#x} != oracle {:#x}",
-        r.tree_fingerprint, r.oracle_fingerprint
+        r.run.tree_fingerprint, r.oracle_fingerprint
     );
-    assert_eq!(r.gave_up, 0, "an op exhausted its retry budget");
-    assert!(r.fsck_clean, "post-replay fsck found inconsistencies");
-    assert_eq!(r.invariant_violations, 0);
+    assert_eq!(r.run.gave_up, 0, "an op exhausted its retry budget");
+    assert!(r.run.fsck_clean, "post-replay fsck found inconsistencies");
+    assert_eq!(r.run.invariant_violations, 0);
 }
 
 // ---------------------------------------------------------------------
@@ -1661,10 +1667,10 @@ fn holder_case(holding: Holding, after_landing: bool, heal: Option<SimDuration>)
 /// Healed, nobody is expelled and nothing is discarded: B's op completes
 /// and a fresh context reads A's bytes. Healed after 20 ms, B's op
 /// completes within 0.2 s of the partition: a request A sent into the
-/// partition (its journal reconcile) goes out again every `retry_base`
+/// partition (its journal reconcile) goes out again every `RETRY_BASE`
 /// instead of waiting out the 1.5 s watchdog. Never healed, A is expelled exactly
-/// once, no earlier than `lease_break_timeout` after the first send that
-/// failed to land (the partition instant, or one `retry_base` after the
+/// once, no earlier than `LEASE_BREAK_TIMEOUT` after the first send that
+/// failed to land (the partition instant, or one `RETRY_BASE` after the
 /// landing), B's op still completes, and A's next fsync reports the loss.
 #[test]
 fn a_partitioned_holder_is_recalled_or_expelled_once() {
@@ -1708,7 +1714,7 @@ fn a_partitioned_holder_is_recalled_or_expelled_once() {
                 let ha = t.ha;
                 let fsync = settle(&mut t.sim, &mut t.w, |sim, w, cb| a.fsync(sim, w, ha, cb));
                 if heal.is_none() {
-                    let fuse = t.w.costs.lease_break_timeout;
+                    let fuse = LEASE_BREAK_TIMEOUT;
                     if expelled_at.len() != 1 || discarded != 1 {
                         fail(format!(
                             "{} expulsion(s), {discarded} discard(s)",
@@ -1768,7 +1774,7 @@ fn a_partitioned_holder_is_recalled_or_expelled_once() {
 
 /// A lease holder partitioned for 20, 50 or 500 ms as B's conflicting stat
 /// starts: the recall's sends fail while the flap lasts and the first one
-/// after the heal lands, so the stat completes within one `retry_base` of
+/// after the heal lands, so the stat completes within one `RETRY_BASE` of
 /// the heal, as a token recall's reader does. Nobody is expelled, and the
 /// holder's unrelated write outside the leased subtree reaches the disk.
 #[test]
@@ -1784,7 +1790,7 @@ fn a_lease_holder_flap_shorter_than_the_fuse_expels_nobody() {
         let healed = t.parted_at + flap;
         let done = t.done_at.expect("B's stat completed");
         assert!(
-            done <= healed + t.w.costs.retry_base,
+            done <= healed + RETRY_BASE,
             "{ms} ms: B's stat completed {} after the heal",
             done.since(healed)
         );

@@ -8,10 +8,7 @@
 //! purpose.
 
 use globalfs::scenarios::chaos::check_manager_recovery;
-use globalfs::scenarios::metadata_storm::{
-    run_storm_with_threads, StormConfig, StormMix, StormReport,
-};
-use globalfs::scenarios::trace::TraceCorpus;
+use globalfs::scenarios::metadata_storm::{run_storm_with_threads, StormConfig, StormReport};
 use globalfs::simcore::SimDuration;
 
 /// Run `cfg` at 1 and 8 sweep threads, demand bit identity, exact op
@@ -48,17 +45,6 @@ fn small_uniform_storm_is_exact_clean_and_pinned() {
     assert_eq!(r.errors, 36);
     assert_eq!(r.fingerprint, 16556278373671237300);
     assert_eq!(r.tree_fingerprint, 8302466619863689343);
-}
-
-#[test]
-fn small_corpus_storm_is_exact_clean_and_pinned() {
-    let r = exact_clean_storm(
-        &StormConfig::small().with_mix(StormMix::Corpus(TraceCorpus::UntarBuild)),
-    );
-    assert_eq!(r.ops, 1448);
-    assert_eq!(r.errors, 15);
-    assert_eq!(r.fingerprint, 10152536190760135434);
-    assert_eq!(r.tree_fingerprint, 4016635406266118264);
 }
 
 #[test]

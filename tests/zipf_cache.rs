@@ -4,7 +4,6 @@
 //! caching ... integral piece of the overall file access mechanism"
 //! anticipates.
 
-use globalfs::gfs::client;
 use globalfs::gfs::fscore::FsConfig;
 use globalfs::gfs::types::{ClientId, OpenFlags, Owner};
 use globalfs::gfs::world::{FsParams, GfsWorld, WorldBuilder};
@@ -66,7 +65,7 @@ fn run_queries(pool_pages: usize, wl: Workload) -> (f64, u64, u64) {
             let data = bytes::Bytes::from(vec![0x11u8; 16 << 20]);
             sess.write(sim, w, h, 0, data, move |sim, w, r| {
                 r.unwrap();
-                client::fsync(sim, w, client, h, move |sim, w, r| {
+                sess.fsync(sim, w, h, move |sim, w, r| {
                     r.unwrap();
                     // Reset cache counters and drop pages: queries start cold.
                     let inode = w.clients[client.0 as usize].handles[&h].inode;
