@@ -1051,12 +1051,7 @@ fn extend_from_page(out: &mut Vec<u8>, page: &[u8], s: usize, e: usize) {
 
 /// Where block `key` lives on disk; `None` for a hole or past EOF.
 fn block_addr(w: &GfsWorld, key: PageKey) -> Option<BlockAddr> {
-    let core = &w.fss[key.fs.0 as usize].core;
-    let block_size = core.config.block_size;
-    core.block_map(key.inode, key.block * block_size, 1)
-        .ok()?
-        .first()?
-        .1
+    w.fss[key.fs.0 as usize].core.block_at(key.inode, key.block)
 }
 
 /// Completion of one fetched segment: its keys and the fetch's result.
@@ -1357,7 +1352,10 @@ fn flush_dirty_pages(
 
 /// Flush a scatter-gather run of dirty pages to disk-contiguous blocks on
 /// one NSD as one exchange ([`crate::rpc`]): one bulk flow, one NSD
-/// service, one ack, one watchdog for the whole run.
+/// service, one ack, one watchdog for the whole run. The run is stamped
+/// once, when issued, and every attempt carries that stamp: an attempt
+/// whose watchdog fired may still land later, and the stamp keeps it off
+/// any newer write of its blocks ([`crate::fscore::FsCore::land_block_run`]).
 fn flush_run(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
@@ -1370,6 +1368,7 @@ fn flush_run(
 ) {
     let fs = keys[0].fs;
     let nblocks = keys.len() as u64;
+    let stamp = w.fss[fs.0 as usize].core.next_stamp();
     rpc::exchange(
         sim,
         w,
@@ -1401,8 +1400,11 @@ fn flush_run(
                     nblocks * block_size,
                 );
                 sim.at(done, move |sim, w| {
-                    w.fss[fs.0 as usize].core.put_block_run(addr, data.clone());
-                    // Ack back to the client.
+                    let blocks = keys.iter().map(|k| k.block);
+                    let core = &mut w.fss[fs.0 as usize].core;
+                    core.land_block_run(addr, keys[0].inode, blocks, stamp, data.clone());
+                    // Ack back to the client, also when the run was fenced
+                    // off: its attempt is over either way.
                     Network::send_msg(sim, w, server, from, RPC_BYTES, move |sim, w| {
                         let Some(cb) = a.claim(sim) else {
                             return; // a retry owns this flush now

@@ -194,11 +194,6 @@ impl FaultPlan {
         plan.push(at + outage, FaultKind::Heal { node });
         plan
     }
-
-    /// Earliest scheduled fault, if any.
-    pub fn first_at(&self) -> Option<SimTime> {
-        self.events.iter().map(|e| e.at).min()
-    }
 }
 
 /// A fault keyed to workload *progress* rather than wall-clock: it strikes
@@ -705,7 +700,10 @@ mod tests {
             .link_flap(SimTime::from_secs(2), "lan", SimDuration::from_secs(1))
             .server_crash(SimTime::from_secs(1), FsId(0), "srv");
         assert_eq!(plan.events.len(), 3);
-        assert_eq!(plan.first_at(), Some(SimTime::from_secs(1)));
+        assert_eq!(
+            plan.events.iter().map(|e| e.at).min(),
+            Some(SimTime::from_secs(1))
+        );
     }
 
     #[test]

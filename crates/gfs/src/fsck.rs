@@ -9,9 +9,8 @@
 //!    filesystem has no hard links).
 //! 2. **Block ownership** — every allocated block is referenced by
 //!    exactly one file block pointer (no leaks, no double allocation).
-//! 3. **Size consistency** — a file's size never exceeds its block
-//!    pointer coverage... unless the tail is a hole, which is legal; but
-//!    size must place the last byte within the last *possible* block.
+//! 3. **Size consistency** — a file maps no block at or past its EOF
+//!    (holes, including a hole tail, map nothing).
 //! 4. **Allocator accounting** — the free-count derived from walking the
 //!    files matches the allocator's own bookkeeping.
 
@@ -42,8 +41,8 @@ pub enum FsckError {
         /// What walking the files implies.
         derived: u64,
     },
-    /// A file's size exceeds what its block pointers can address.
-    SizeBeyondBlocks(InodeId),
+    /// A file maps a block at or past its EOF.
+    BlockPastEof(InodeId),
     /// The replica catalog is incoherent with respect to the file tree
     /// (stale read served, non-monotone generation, dangling site, ...).
     ReplicaIncoherent(String),
@@ -113,11 +112,12 @@ pub fn fsck(fs: &FsCore) -> FsckReport {
             }
             InodeKind::File { size, blocks } => {
                 report.files += 1;
+                // Blocks are sorted by index: the last one is the highest.
                 let bs = fs.config.block_size;
-                if *size > blocks.len() as u64 * bs {
-                    report.errors.push(FsckError::SizeBeyondBlocks(id));
+                if blocks.last().is_some_and(|&(b, _)| b.saturating_mul(bs) >= *size) {
+                    report.errors.push(FsckError::BlockPastEof(id));
                 }
-                for addr in blocks.iter().flatten() {
+                for (_, addr) in blocks {
                     report.blocks += 1;
                     if !seen_blocks.insert(*addr) {
                         report.errors.push(FsckError::DoubleAllocated(*addr));

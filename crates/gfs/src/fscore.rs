@@ -193,12 +193,13 @@ pub struct MetaSnapshot {
 /// What an inode is.
 #[derive(Clone, Debug)]
 pub enum InodeKind {
-    /// Regular file: size plus block pointers (None = hole).
+    /// Regular file: size plus the blocks it maps. A hole maps nothing,
+    /// and no block is mapped at or past EOF.
     File {
         /// Size in bytes.
         size: u64,
-        /// Block pointer per block index.
-        blocks: Vec<Option<BlockAddr>>,
+        /// `(block index, address)` of each mapped block, sorted by index.
+        blocks: Vec<(u64, BlockAddr)>,
     },
     /// Directory: interned name → inode.
     Dir {
@@ -308,8 +309,9 @@ pub fn top_component(path: &str) -> &str {
 /// every non-namespace manager role: tokens, mounts, data-path control).
 ///
 /// Per-subtree heat counters accumulate at envelope execution;
-/// [`ShardMap::rebalance`] deterministically moves the hottest subtree of
-/// the hottest shard onto the coolest shard.
+/// [`ShardMap::plan_rebalance_moves`] deterministically plans moves of the
+/// hottest subtree of the hottest shard onto the coolest shard, and
+/// [`ShardMap::commit_moves`] takes them.
 #[derive(Debug, Default)]
 pub struct ShardMap {
     shards: u32,
@@ -364,8 +366,8 @@ impl ShardMap {
         (Self::hash_top(top) % u64::from(self.shards)) as u32
     }
 
-    /// Pin `top` to `shard` explicitly (deliberate placement; also how
-    /// [`ShardMap::rebalance`] records its moves).
+    /// Pin `top` to `shard` explicitly (deliberate placement;
+    /// [`ShardMap::commit_moves`] pins moved subtrees the same way).
     pub fn assign(&mut self, top: impl Into<Box<str>>, shard: u32) {
         let shard = shard % self.shards.max(1);
         self.overrides.insert(top.into(), shard);
@@ -390,31 +392,22 @@ impl ShardMap {
         self.heat.get(top).copied().unwrap_or(0)
     }
 
-    /// Plan one rebalance step without committing it: the hottest
-    /// *movable* subtree of the hottest shard goes to the coolest shard.
-    /// Fully deterministic — ties break on subtree name. A candidate is
+    /// Plan up to `max_moves` authority migrations in one drain cycle,
+    /// without committing them. Each step moves the hottest *movable*
+    /// subtree of the hottest shard to the coolest shard. A candidate is
     /// movable when its heat is strictly below the load gap (so the move
     /// narrows the imbalance rather than inverting it) and the coolest
     /// shard is not the shard the subtree last moved *from* (the
-    /// one-step-memory ping-pong guard). Pure: call
-    /// [`ShardMap::commit_move`] to take the move, after draining whatever
-    /// the caller has in flight against the subtree.
-    pub fn plan_rebalance(&self) -> Option<(Box<str>, u32, u32)> {
-        self.plan_rebalance_moves(1).pop()
-    }
-
-    /// Plan up to `max_moves` authority migrations in one drain cycle.
+    /// one-step-memory ping-pong guard).
     ///
-    /// The single-move planner stops after the hottest movable subtree
-    /// even when one move cannot close a large gap; here the plan
-    /// continues greedily against *simulated* post-move loads: after each
-    /// pick the hot/cool pair is recomputed, the hysteresis re-checked,
-    /// and the next pick made as if the previous moves had committed. The
-    /// per-move rules are unchanged — a candidate must narrow the
-    /// remaining gap (`h < gap`) and must not return to the shard it last
-    /// moved *from* — so every planned move individually satisfies the
-    /// no-ping-pong property, and the whole batch commits under a single
-    /// drain. Fully deterministic; ties break on subtree name.
+    /// After each pick the plan continues greedily against *simulated*
+    /// post-move loads: the hot/cool pair is recomputed, the hysteresis
+    /// re-checked, and the next pick made as if the previous moves had
+    /// committed. So every planned move individually satisfies the
+    /// no-ping-pong property, and the whole batch commits
+    /// ([`ShardMap::commit_moves`]) under a single drain of whatever the
+    /// caller has in flight against the subtrees. Fully deterministic;
+    /// ties break on subtree name.
     pub fn plan_rebalance_moves(&self, max_moves: usize) -> Vec<(Box<str>, u32, u32)> {
         let mut moves = Vec::new();
         if self.shards <= 1 || self.heat.is_empty() || max_moves == 0 {
@@ -483,16 +476,10 @@ impl ShardMap {
         });
     }
 
-    /// Commit a planned move: flip the subtree's authority to `to` and
-    /// remember where it came from (the ping-pong guard's one-step
-    /// memory), then age the heat epoch geometrically.
-    pub fn commit_move(&mut self, top: &str, to: u32) {
-        let mv = (Box::<str>::from(top), self.shard_of(top), to);
-        self.commit_moves(std::slice::from_ref(&mv));
-    }
-
-    /// Commit a batch of planned moves from one drain cycle. Heat is
-    /// decayed once for the whole batch (not once per move), so a
+    /// Commit a batch of planned moves from one drain cycle: flip each
+    /// subtree's authority to its target and remember where it came from
+    /// (the ping-pong guard's one-step memory). Heat is then aged
+    /// geometrically once for the whole batch (not once per move), so a
     /// multi-subtree commit ages the epoch exactly like a single-subtree
     /// one.
     pub fn commit_moves(&mut self, moves: &[(Box<str>, u32, u32)]) {
@@ -511,15 +498,6 @@ impl ShardMap {
     /// Authority migrations committed so far.
     pub fn migrations(&self) -> u64 {
         self.migrations
-    }
-
-    /// Plan and immediately commit one rebalance step (no drain — callers
-    /// with in-flight traffic should plan, drain, then commit). Returns
-    /// the `(subtree, from, to)` move when one was made.
-    pub fn rebalance(&mut self) -> Option<(Box<str>, u32, u32)> {
-        let (top, from, to) = self.plan_rebalance()?;
-        self.commit_move(&top, to);
-        Some((top, from, to))
     }
 }
 
@@ -544,8 +522,11 @@ pub struct FsCore {
     /// entries are only added.
     ns_gen: u64,
     alloc: Vec<NsdAlloc>,
-    /// Block payloads, sharded per NSD: `data[nsd][block]`.
-    data: Vec<FxHashMap<u64, Bytes>>,
+    /// Block payloads, sharded per NSD: `data[nsd][block]`, each with the
+    /// stamp of the write that stored it (see [`FsCore::land_block_run`]).
+    data: Vec<FxHashMap<u64, (u64, Bytes)>>,
+    /// The last write stamp handed out ([`FsCore::next_stamp`]).
+    stamp: u64,
     /// Shared all-zeros block payload: absent/synthetic blocks hand out
     /// refcounted slices of this one allocation instead of zeroing a fresh
     /// buffer per read.
@@ -586,6 +567,7 @@ impl FsCore {
             ns_gen: 0,
             alloc,
             data,
+            stamp: 0,
             zero_block,
         }
     }
@@ -957,13 +939,7 @@ impl FsCore {
             }
             _ => {}
         }
-        // Free data blocks.
-        if let InodeKind::File { blocks, .. } = &self.inode(id)?.kind {
-            for addr in blocks.iter().flatten().copied().collect::<Vec<_>>() {
-                self.alloc[addr.nsd as usize].free(addr.block);
-                self.data[addr.nsd as usize].remove(&addr.block);
-            }
-        }
+        self.release_blocks(id)?;
         if let InodeKind::Dir { entries } = &mut self.inode_mut(parent)?.kind {
             entries.remove(&nid);
         }
@@ -1055,12 +1031,7 @@ impl FsCore {
                 }
             }
             // Atomic replace: the target inode dies; free its blocks.
-            if let InodeKind::File { blocks, .. } = &self.inode(tid)?.kind {
-                for addr in blocks.iter().flatten().copied().collect::<Vec<_>>() {
-                    self.alloc[addr.nsd as usize].free(addr.block);
-                    self.data[addr.nsd as usize].remove(&addr.block);
-                }
-            }
+            self.release_blocks(tid)?;
             self.inodes[tid.0 as usize] = None;
             replaced = Some(tid);
         }
@@ -1085,6 +1056,14 @@ impl FsCore {
     // Block mapping and data
     // ------------------------------------------------------------------
 
+    /// The mapped blocks of file `inode`, sorted by block index.
+    fn mapped(&self, inode: InodeId) -> Result<&[(u64, BlockAddr)], FsError> {
+        match &self.inode(inode)?.kind {
+            InodeKind::File { blocks, .. } => Ok(blocks),
+            InodeKind::Dir { .. } => Err(FsError::IsADirectory(format!("inode {}", inode.0))),
+        }
+    }
+
     /// The block addresses covering byte range `[offset, offset+len)`, one
     /// entry per block index (None for holes or past EOF).
     pub fn block_map(
@@ -1094,15 +1073,23 @@ impl FsCore {
         len: u64,
     ) -> Result<Vec<(u64, Option<BlockAddr>)>, FsError> {
         let bs = self.config.block_size;
-        let ino = self.inode(inode)?;
-        let InodeKind::File { blocks, .. } = &ino.kind else {
-            return Err(FsError::IsADirectory(format!("inode {}", inode.0)));
-        };
+        let blocks = self.mapped(inode)?;
         let first = offset / bs;
         let last = (offset + len).div_ceil(bs);
+        let mut mapped = blocks[blocks.partition_point(|&(b, _)| b < first)..]
+            .iter()
+            .peekable();
         Ok((first..last)
-            .map(|b| (b, blocks.get(b as usize).copied().flatten()))
+            .map(|b| (b, mapped.next_if(|&&(m, _)| m == b).map(|&(_, a)| a)))
             .collect())
+    }
+
+    /// Where block `block_idx` of file `inode` lives; `None` for a hole,
+    /// past EOF, or when `inode` is no live file.
+    pub(crate) fn block_at(&self, inode: InodeId, block_idx: u64) -> Option<BlockAddr> {
+        let blocks = self.mapped(inode).ok()?;
+        let i = blocks.binary_search_by_key(&block_idx, |&(b, _)| b).ok()?;
+        Some(blocks[i].1)
     }
 
     /// Ensure a block exists for writing at `block_idx`, allocating with
@@ -1117,15 +1104,11 @@ impl FsCore {
         )?;
         let nsd_count = self.config.nsd_count;
         let start_nsd = ((inode.0 + block_idx) % nsd_count as u64) as u32;
-        {
-            let ino = self.inode(inode)?;
-            let InodeKind::File { blocks, .. } = &ino.kind else {
-                return Err(FsError::IsADirectory(format!("inode {}", inode.0)));
-            };
-            if let Some(Some(addr)) = blocks.get(block_idx as usize) {
-                return Ok(*addr);
-            }
-        }
+        let blocks = self.mapped(inode)?;
+        let at = match blocks.binary_search_by_key(&block_idx, |&(b, _)| b) {
+            Ok(i) => return Ok(blocks[i].1),
+            Err(at) => at,
+        };
         // Try the home NSD first, then spill round-robin (GPFS does the
         // same when a disk fills).
         let mut chosen = None;
@@ -1141,10 +1124,7 @@ impl FsCore {
         let InodeKind::File { blocks, .. } = &mut ino.kind else {
             unreachable!("checked above");
         };
-        if blocks.len() <= block_idx as usize {
-            blocks.resize(block_idx as usize + 1, None);
-        }
-        blocks[block_idx as usize] = Some(addr);
+        blocks.insert(at, (block_idx, addr));
         Ok(addr)
     }
 
@@ -1171,40 +1151,24 @@ impl FsCore {
     pub fn truncate(&mut self, inode: InodeId, new_size: u64, now_ns: u64) -> Result<(), FsError> {
         check_file_size(new_size)?;
         let bs = self.config.block_size;
-        let keep_blocks = new_size.div_ceil(bs) as usize;
-        let freed: Vec<BlockAddr> = {
+        let keep_blocks = new_size.div_ceil(bs);
+        let freed: Vec<(u64, BlockAddr)> = {
             let ino = self.inode_mut(inode)?;
             let InodeKind::File { size, blocks } = &mut ino.kind else {
                 return Err(FsError::IsADirectory(format!("inode {}", inode.0)));
             };
             *size = new_size;
             ino.mtime_ns = now_ns;
-            if blocks.len() > keep_blocks {
-                blocks.drain(keep_blocks..).flatten().collect()
-            } else {
-                // Truncate-up: extend coverage with holes so the size
-                // invariant (`size <= blocks.len() * block_size`) holds.
-                blocks.resize(keep_blocks, None);
-                Vec::new()
-            }
+            // A truncate up maps nothing: the new tail is a hole.
+            let cut = blocks.partition_point(|&(b, _)| b < keep_blocks);
+            blocks.drain(cut..).collect()
         };
-        for addr in freed {
-            self.alloc[addr.nsd as usize].free(addr.block);
-            self.data[addr.nsd as usize].remove(&addr.block);
-        }
+        self.free(freed);
         // Zero the tail of a partial final block: bytes past the new EOF
         // must read as zeros if the file is later extended (POSIX
         // truncate semantics). Only stored data needs the scrub.
         if self.config.data_mode == DataMode::Stored && !new_size.is_multiple_of(bs) {
-            let last_idx = (new_size / bs) as usize;
-            let addr = {
-                let ino = self.inode(inode)?;
-                let InodeKind::File { blocks, .. } = &ino.kind else {
-                    unreachable!("checked above");
-                };
-                blocks.get(last_idx).copied().flatten()
-            };
-            if let Some(addr) = addr {
+            if let Some(addr) = self.block_at(inode, new_size / bs) {
                 let data = self.get_block_data(addr);
                 let keep = (new_size % bs) as usize;
                 if data.len() > keep {
@@ -1243,23 +1207,12 @@ impl FsCore {
         let ids: Vec<InodeId> = self.live_inodes().collect();
         let mut moved = 0u64;
         for id in ids {
-            let block_count = {
-                let Ok(ino) = self.inode(id) else { continue };
-                match &ino.kind {
-                    InodeKind::File { blocks, .. } => blocks.len() as u64,
-                    InodeKind::Dir { .. } => continue,
-                }
+            let Ok(n) = self.mapped(id).map(<[_]>::len) else {
+                continue;
             };
-            for b in 0..block_count {
+            for k in 0..n {
+                let (b, cur) = self.mapped(id).expect("live file")[k];
                 let home = ((id.0 + b) % u64::from(nsd_count)) as u32;
-                let cur = {
-                    let InodeKind::File { blocks, .. } = &self.inode(id).expect("live").kind
-                    else {
-                        unreachable!()
-                    };
-                    blocks[b as usize]
-                };
-                let Some(cur) = cur else { continue };
                 if cur.nsd == home {
                     continue;
                 }
@@ -1280,7 +1233,7 @@ impl FsCore {
                 let InodeKind::File { blocks, .. } = &mut ino.kind else {
                     unreachable!()
                 };
-                blocks[b as usize] = Some(new_addr);
+                blocks[k].1 = new_addr;
                 moved += 1;
             }
         }
@@ -1365,16 +1318,28 @@ impl FsCore {
         let InodeKind::File { blocks, .. } = &mut ino.kind else {
             panic!("not a file");
         };
-        blocks[block_idx as usize] = Some(addr);
+        match blocks.binary_search_by_key(&block_idx, |&(b, _)| b) {
+            Ok(i) => blocks[i].1 = addr,
+            Err(i) => blocks.insert(i, (block_idx, addr)),
+        }
     }
 
-    /// Store a block payload (Stored mode only; Synthetic is a no-op).
+    /// Store a block payload (Stored mode only; Synthetic is a no-op)
+    /// under a fresh stamp, so no write issued before it lands over it.
     pub fn put_block_data(&mut self, addr: BlockAddr, data: Bytes) {
+        let stamp = self.next_stamp();
         if self.config.data_mode == DataMode::Stored {
             if let Some(shard) = self.data.get_mut(addr.nsd as usize) {
-                shard.insert(addr.block, data);
+                shard.insert(addr.block, (stamp, data));
             }
         }
+    }
+
+    /// A fresh write stamp: stamps order the writes of this filesystem's
+    /// blocks by when they were issued.
+    pub(crate) fn next_stamp(&mut self) -> u64 {
+        self.stamp += 1;
+        self.stamp
     }
 
     /// A refcounted all-zeros block payload (holes and past-EOF reads hand
@@ -1393,7 +1358,7 @@ impl FsCore {
                 .data
                 .get(addr.nsd as usize)
                 .and_then(|shard| shard.get(&addr.block))
-                .cloned()
+                .map(|(_, data)| data.clone())
                 .unwrap_or_default(),
             DataMode::Synthetic => self.zero_block.clone(),
         }
@@ -1413,18 +1378,53 @@ impl FsCore {
             .collect()
     }
 
-    /// Store the payloads of `n` disk-contiguous blocks starting at `addr`
-    /// (the write half of a scatter-gather request). Payload handles are
-    /// moved, not copied.
-    pub fn put_block_run(&mut self, addr: BlockAddr, payloads: Vec<Bytes>) {
-        for (i, data) in payloads.into_iter().enumerate() {
-            self.put_block_data(
-                BlockAddr {
-                    nsd: addr.nsd,
-                    block: addr.block + i as u64,
-                },
-                data,
-            );
+    /// Store a flushed run: `payloads` of disk-contiguous blocks starting
+    /// at `addr`, the write-back of blocks `file_blocks` of `inode`, issued
+    /// under `stamp` (the write half of a scatter-gather request; payload
+    /// handles are moved, not copied). A block lands only if it still maps
+    /// to its file block and holds no newer write, so a flush attempt
+    /// abandoned to its watchdog that lands after a newer write, a
+    /// truncate or an unlink of its blocks changes nothing.
+    pub(crate) fn land_block_run(
+        &mut self,
+        addr: BlockAddr,
+        inode: InodeId,
+        file_blocks: impl Iterator<Item = u64>,
+        stamp: u64,
+        payloads: Vec<Bytes>,
+    ) {
+        if self.config.data_mode != DataMode::Stored {
+            return;
+        }
+        for ((i, file_block), data) in (0..).zip(file_blocks).zip(payloads) {
+            let at = BlockAddr {
+                nsd: addr.nsd,
+                block: addr.block + i,
+            };
+            if self.block_at(inode, file_block) != Some(at) {
+                continue;
+            }
+            let shard = &mut self.data[at.nsd as usize];
+            if shard.get(&at.block).is_none_or(|&(held, _)| held < stamp) {
+                shard.insert(at.block, (stamp, data));
+            }
+        }
+    }
+
+    /// Free every block of file `id`, whose inode is going away.
+    fn release_blocks(&mut self, id: InodeId) -> Result<(), FsError> {
+        if let InodeKind::File { blocks, .. } = &mut self.inode_mut(id)?.kind {
+            let blocks = std::mem::take(blocks);
+            self.free(blocks);
+        }
+        Ok(())
+    }
+
+    /// Return `blocks` to their allocators and drop their payloads.
+    fn free(&mut self, blocks: Vec<(u64, BlockAddr)>) {
+        for (_, addr) in blocks {
+            self.alloc[addr.nsd as usize].free(addr.block);
+            self.data[addr.nsd as usize].remove(&addr.block);
         }
     }
 }
@@ -1439,6 +1439,13 @@ mod tests {
 
     fn owner() -> Owner {
         Owner::local(500, 100)
+    }
+
+    /// Plan and commit one rebalance step; the move, if one was made.
+    fn rebalance(sm: &mut ShardMap) -> Option<(Box<str>, u32, u32)> {
+        let moves = sm.plan_rebalance_moves(1);
+        sm.commit_moves(&moves);
+        moves.into_iter().next()
     }
 
     #[test]
@@ -1484,17 +1491,17 @@ mod tests {
         assert_eq!(sm.heat_of("a"), 350);
         // Gap is 500; moving the hottest subtree "a" (350) narrows it, so
         // that is the deterministic move: a → shard 1 (250 vs 450 after).
-        let mv = sm.rebalance().expect("imbalance must produce a move");
+        let mv = rebalance(&mut sm).expect("imbalance must produce a move");
         assert_eq!(mv, ("a".into(), 0, 1));
         assert_eq!(sm.shard_of("/a/f"), 1);
         // Commit aged the epoch geometrically (÷8): a=43, b=31, c=12.
         // Shard 1 (a+c = 55) is still hot over shard 0 (b = 31); "a"
         // overshoots the gap of 24 and is also blocked by the ping-pong
         // guard, so the cooler "c" narrows it instead.
-        assert_eq!(sm.rebalance(), Some(("c".into(), 1, 0)));
+        assert_eq!(rebalance(&mut sm), Some(("c".into(), 1, 0)));
         // Another decay (a=5, b=3, c=1) drops the gap under the 1.5×
         // hysteresis: no further move.
-        assert_eq!(sm.rebalance(), None);
+        assert_eq!(rebalance(&mut sm), None);
     }
 
     #[test]
@@ -1515,7 +1522,7 @@ mod tests {
         }
         // gap = 4800; "hot" (4000 < 4800) narrows it and is the hottest
         // movable subtree, so it is the deterministic move.
-        let (top, _, _) = sm.rebalance().expect("hotspot must move");
+        let (top, _, _) = rebalance(&mut sm).expect("hotspot must move");
         assert_eq!(&*top, "hot");
         // The wholesale-clear policy would leave heat_of("hot") == 0 here
         // and the planner blind until new traffic votes. Geometric aging
@@ -1619,7 +1626,7 @@ mod tests {
                     sm.note_heat(&format!("/{pick}/f"));
                 }
             }
-            if let Some((top, from, to)) = sm.plan_rebalance() {
+            if let Some((top, from, to)) = sm.plan_rebalance_moves(1).pop() {
                 let before = loads(&sm);
                 let gap = before[from as usize].abs_diff(before[to as usize]);
                 let h = sm.heat_of(&top);
@@ -1634,8 +1641,8 @@ mod tests {
                         "round {round}: {top} bounced straight back {from} -> {to}"
                     );
                 }
-                last = Some((top.clone(), from, to));
-                sm.commit_move(&top, to);
+                sm.commit_moves(&[(top.clone(), from, to)]);
+                last = Some((top, from, to));
                 committed += 1;
             }
         }
@@ -1837,6 +1844,43 @@ mod tests {
         f.truncate(id, bs + 1, 3).unwrap();
         assert_eq!(f.free_blocks(), before + 2); // blocks 2,3 freed
         assert_eq!(f.stat("/x").unwrap().size, bs + 1);
+    }
+
+    #[test]
+    fn sparse_map_holds_mapped_blocks_only() {
+        let mut f = fs();
+        let id = f.create_file("/s", owner(), 1).unwrap();
+        let bs = f.config.block_size;
+        f.truncate(id, 1 << 40, 2).unwrap();
+        assert!(f.block_map(id, 0, 3 * bs).unwrap().iter().all(|(_, a)| a.is_none()));
+        let far = f.ensure_block(id, 1000).unwrap();
+        let near = f.ensure_block(id, 2).unwrap();
+        let map = f.block_map(id, bs, 3 * bs).unwrap();
+        assert_eq!(map, [(1, None), (2, Some(near)), (3, None)]);
+        assert_eq!(f.block_at(id, 1000), Some(far));
+        // A truncate cuts at the first block past the new EOF.
+        f.truncate(id, 2 * bs + 1, 3).unwrap();
+        assert_eq!((f.block_at(id, 2), f.block_at(id, 1000)), (Some(near), None));
+    }
+
+    #[test]
+    fn a_run_lands_only_newer_and_on_its_file_block() {
+        let mut f = fs();
+        let id = f.create_file("/r", owner(), 1).unwrap();
+        let addr = f.ensure_block(id, 0).unwrap();
+        f.note_write(id, 0, 10, 2).unwrap();
+        let (older, newer) = (f.next_stamp(), f.next_stamp());
+        let land = |f: &mut FsCore, stamp, byte| {
+            f.land_block_run(addr, id, [0].into_iter(), stamp, vec![Bytes::from(vec![byte; 10])])
+        };
+        land(&mut f, newer, 2);
+        land(&mut f, older, 1);
+        assert_eq!(f.get_block_data(addr)[0], 2, "an older run landed over a newer one");
+        // Once the truncate has freed the block, even a newer run is dropped.
+        f.truncate(id, 0, 3).unwrap();
+        let newest = f.next_stamp();
+        land(&mut f, newest, 3);
+        assert!(f.get_block_data(addr).is_empty(), "a run landed on a freed block");
     }
 
     #[test]

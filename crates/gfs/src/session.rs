@@ -1943,7 +1943,7 @@ mod tests {
                         s.stat(sim, w, "/p/f", move |sim, w, r| {
                             r.unwrap();
                             assert!(w.fss[0].mgrs[0].cached_path("/p/f").is_some());
-                            w.fss[0].core.shards.commit_move("p", 1);
+                            w.fss[0].core.shards.commit_moves(&[("p".into(), 0, 1)]);
                             s.unlink(sim, w, "/p/f", move |_sim, _w, r| {
                                 r.unwrap();
                                 done2.set(true);

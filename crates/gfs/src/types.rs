@@ -156,9 +156,10 @@ impl std::error::Error for FsError {}
 
 /// The largest file any layer will hold: 1 TiB. Every file the paper's
 /// workloads write fits (Enzo's 100 GB visualization dumps are the
-/// largest), and it bounds the dense per-file block map at
-/// `MAX_FILE_SIZE / block_size` entries, where an unchecked offset in the
-/// petabytes would grow it until the allocation aborts.
+/// largest). A file's block map holds only its mapped blocks, so the
+/// limit sizes no allocation; it keeps every offset, block index and
+/// `offset + len` well inside `u64`, and the client stack,
+/// [`crate::fscore::FsCore`] and the oracle refuse the same requests.
 pub const MAX_FILE_SIZE: u64 = 1 << 40;
 
 /// `Ok` if a file may be `size` bytes long. Otherwise the one error every

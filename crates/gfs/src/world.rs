@@ -2,8 +2,7 @@
 //! clients, composed into one type driven by `simcore::Sim`.
 //!
 //! A [`GfsWorld`] is built once per scenario via [`WorldBuilder`] and then
-//! mutated only through simulation events. Scenario- or benchmark-specific
-//! state rides in the `ext` slot so callbacks can reach it.
+//! mutated only through simulation events.
 
 use crate::cache::{PagePool, PrefetchState};
 use crate::fscore::{FsConfig, FsCore};
@@ -16,7 +15,6 @@ use simcore::{det_rng, Bandwidth, Sim, SimDuration, SimTime};
 use simnet::{NetWorld, Network, NodeId, Topology, TopologyBuilder};
 use simcore::fxhash::{FxFinalBuildHasher, FxFinalHashMap, FxHashMap};
 use simsan::{Array, ArraySpec};
-use std::any::Any;
 use std::collections::{BTreeMap, HashSet};
 
 /// How an NSD's physical service time is modeled.
@@ -653,8 +651,6 @@ pub struct GfsWorld {
     /// Manager-RPC fan-in state: open per-`(mount ctx, fs)` batches plus
     /// envelope counters.
     pub fanin: crate::session::FanIn,
-    /// Scenario/benchmark extension state.
-    pub ext: Box<dyn Any>,
     pub(crate) next_handle: u64,
 }
 
@@ -753,20 +749,6 @@ impl GfsWorld {
         let remote = self.cluster_by_name(&rfs.cluster)?;
         let fs = self.fs_by_device(remote, &rfs.remote_device)?;
         Some((fs, true))
-    }
-
-    /// Typed access to the extension slot.
-    pub fn ext_mut<T: 'static>(&mut self) -> &mut T {
-        self.ext
-            .downcast_mut::<T>()
-            .expect("world extension has unexpected type")
-    }
-
-    /// Typed read access to the extension slot.
-    pub fn ext_ref<T: 'static>(&self) -> &T {
-        self.ext
-            .downcast_ref::<T>()
-            .expect("world extension has unexpected type")
     }
 }
 
@@ -1015,7 +997,6 @@ impl WorldBuilder {
             nsd_stats: NsdStats::default(),
             sessions,
             fanin: crate::session::FanIn::default(),
-            ext: Box::new(()),
             next_handle: 0,
         };
         (Sim::new(), world)
@@ -1144,14 +1125,5 @@ mod tests {
         // the role until the next takeover.
         inst.restore_server(m1);
         assert_eq!(inst.manager_endpoint(1), m0);
-    }
-
-    #[test]
-    fn ext_slot_roundtrip() {
-        let (_sim, mut w, ..) = tiny();
-        w.ext = Box::new(42u32);
-        assert_eq!(*w.ext_ref::<u32>(), 42);
-        *w.ext_mut::<u32>() += 1;
-        assert_eq!(*w.ext_ref::<u32>(), 43);
     }
 }

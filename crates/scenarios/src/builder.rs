@@ -12,7 +12,7 @@
 //!     .wan("sdsc", "ncsa", 10 Gb/s, 30 ms, "teragrid")
 //!     .nsd_farm("sdsc", NsdFarm::new("gpfs-wan", 64))
 //!     .clients("ncsa", 8, GbE, 100 µs)
-//!     .workload(Workload::stream(...))
+//!     .workload(Workload::phased(...))
 //!     .faults(FaultPlan::new().server_crash(...))
 //!     .run(horizon)
 //! ```
@@ -24,11 +24,12 @@
 //! tests can keep driving (read-back verification, fsck) after the run.
 
 use crate::common::{NSD_SERVER_EFF, TCP_EFF};
+use crate::driver::{self, Target, WorkloadStats};
 use bytes::Bytes;
 use gfs::fscore::{DataMode, FsConfig};
 use gfs::session::Session;
-use gfs::stream::{gfs_stream, StreamDir};
-use gfs::types::{FsError, FsId, Handle, OpenFlags, Owner};
+use gfs::stream::StreamDir;
+use gfs::types::{FsError, FsId, OpenFlags};
 use gfs::world::{FsParams, GfsWorld, NsdBacking, WorldBuilder};
 use gfs::{inject, FaultPlan, RecoveryLog};
 use gfs_auth::handshake::AccessMode;
@@ -132,29 +133,14 @@ impl NsdFarm {
     }
 }
 
-/// One driven workload. Workloads are addressed by [`Session`] — the
+/// One driven workload: a [`workloads`] phase list that
+/// [`crate::driver`] runs. Workloads are addressed by [`Session`] — the
 /// redesigned client surface — never by raw `ClientId`.
 #[derive(Clone, Debug)]
 pub enum Workload {
-    /// Flow-level stream (the figure-scale path): `bytes` across every
-    /// live NSD connection of `fs`.
-    Stream {
-        /// Streaming session.
-        session: Session,
-        /// Target filesystem.
-        fs: FsId,
-        /// Total bytes.
-        bytes: u64,
-        /// Direction.
-        dir: StreamDir,
-        /// Start time.
-        start: SimTime,
-        /// Monitoring tag.
-        tag: u32,
-    },
-    /// A phase sequence from the [`workloads`] crate, run through the
-    /// streaming path via [`crate::driver::run_streamed`] (compute gaps
-    /// honoured, reads/writes as flow-level streams).
+    /// A phase list run through the streaming path (compute gaps
+    /// honoured, reads/writes as flow-level streams of the session's
+    /// mount context).
     Phased {
         /// Driving session.
         session: Session,
@@ -167,55 +153,27 @@ pub enum Workload {
         /// Start time.
         start: SimTime,
     },
-    /// Per-block operation path: mount, create `path`, write `bytes` in
-    /// `chunk`-sized calls of deterministic [`pattern_bytes`] data, close
-    /// (which flushes). Exercises tokens, caching, and the NSD
+    /// A phase list run on a file through the per-block operation path:
+    /// mount `device`, open `path` with `flags`, run, close (which
+    /// flushes). Exercises tokens, caching, and the NSD
     /// timeout/retry/failover machinery.
-    FileWrite {
-        /// Writing session.
+    File {
+        /// Driving session.
         session: Session,
         /// Device to mount.
         device: String,
         /// File path.
         path: String,
-        /// Total bytes.
-        bytes: u64,
-        /// Bytes per `write` call.
-        chunk: u64,
-        /// Start time.
-        start: SimTime,
-    },
-    /// Per-block sequential read of an existing file in `chunk`-sized
-    /// calls (pair with an earlier [`Workload::FileWrite`]).
-    FileRead {
-        /// Reading session.
-        session: Session,
-        /// Device to mount.
-        device: String,
-        /// File path.
-        path: String,
-        /// Total bytes.
-        bytes: u64,
-        /// Bytes per `read` call.
-        chunk: u64,
+        /// Open flags.
+        flags: OpenFlags,
+        /// The phase list.
+        workload: workloads::Workload,
         /// Start time.
         start: SimTime,
     },
 }
 
 impl Workload {
-    /// Convenience: a read/write stream starting at t=0.
-    pub fn stream(session: Session, fs: FsId, bytes: u64, dir: StreamDir, tag: u32) -> Self {
-        Workload::Stream {
-            session,
-            fs,
-            bytes,
-            dir,
-            start: SimTime::from_nanos(0),
-            tag,
-        }
-    }
-
     /// Convenience: a phased workload starting at t=0.
     pub fn phased(session: Session, fs: FsId, workload: workloads::Workload, tag: u32) -> Self {
         Workload::Phased {
@@ -227,7 +185,8 @@ impl Workload {
         }
     }
 
-    /// Convenience: a chunked file write starting at t=0.
+    /// Convenience: create `path` and write `bytes` of deterministic
+    /// [`pattern_bytes`] data in `chunk`-sized calls, starting at t=0.
     pub fn file_write(
         session: Session,
         device: impl Into<String>,
@@ -235,17 +194,12 @@ impl Workload {
         bytes: u64,
         chunk: u64,
     ) -> Self {
-        Workload::FileWrite {
-            session,
-            device: device.into(),
-            path: path.into(),
-            bytes,
-            chunk,
-            start: SimTime::from_nanos(0),
-        }
+        Workload::file(session, device, path, OpenFlags::Write, StreamDir::Write, bytes, chunk)
     }
 
-    /// Convenience: a chunked file read starting at t=0.
+    /// Convenience: a sequential read of an existing file in
+    /// `chunk`-sized calls, starting at t=0 (pair with an earlier
+    /// [`Workload::file_write`]).
     pub fn file_read(
         session: Session,
         device: impl Into<String>,
@@ -253,12 +207,24 @@ impl Workload {
         bytes: u64,
         chunk: u64,
     ) -> Self {
-        Workload::FileRead {
+        Workload::file(session, device, path, OpenFlags::Read, StreamDir::Read, bytes, chunk)
+    }
+
+    fn file(
+        session: Session,
+        device: impl Into<String>,
+        path: impl Into<String>,
+        flags: OpenFlags,
+        dir: StreamDir,
+        bytes: u64,
+        chunk: u64,
+    ) -> Self {
+        Workload::File {
             session,
             device: device.into(),
             path: path.into(),
-            bytes,
-            chunk,
+            flags,
+            workload: crate::driver::chunked(dir, bytes, chunk),
             start: SimTime::from_nanos(0),
         }
     }
@@ -266,17 +232,14 @@ impl Workload {
     /// Shift the workload's start time.
     pub fn starting_at(mut self, t: SimTime) -> Self {
         match &mut self {
-            Workload::Stream { start, .. }
-            | Workload::Phased { start, .. }
-            | Workload::FileWrite { start, .. }
-            | Workload::FileRead { start, .. } => *start = t,
+            Workload::Phased { start, .. } | Workload::File { start, .. } => *start = t,
         }
         self
     }
 }
 
-/// The deterministic byte at file offset `off` in [`Workload::FileWrite`]
-/// data (a position-dependent pattern, so torn or misplaced blocks are
+/// The deterministic byte at file offset `off` in the data a
+/// [`crate::driver`] `Write` phase puts on a handle (a position-dependent pattern, so torn or misplaced blocks are
 /// detected on read-back).
 pub fn pattern_byte(off: u64) -> u8 {
     (off.wrapping_mul(131).wrapping_add(off >> 8)) as u8
@@ -660,32 +623,15 @@ impl ScenarioBuilder {
             let state = state.clone();
             let settle = move |sim: &mut Sim<GfsWorld>,
                                _w: &mut GfsWorld,
-                               r: Result<(), FsError>| {
+                               r: Result<WorkloadStats, FsError>| {
                 let mut st = state.borrow_mut();
                 match r {
-                    Ok(()) => st.completed += 1,
+                    Ok(_) => st.completed += 1,
                     Err(e) => st.errors.push((idx, e)),
                 }
                 st.finish = st.finish.max(sim.now());
             };
             match wl {
-                Workload::Stream {
-                    session,
-                    fs,
-                    bytes,
-                    dir,
-                    start,
-                    tag,
-                } => {
-                    sim.at(start, move |sim, w| {
-                        // Flow-level streams ride the session's shared
-                        // mount context directly.
-                        let ctx = session.ctx(w);
-                        gfs_stream(sim, w, ctx, fs, bytes, dir, tag, move |sim, w| {
-                            settle(sim, w, Ok(()))
-                        });
-                    });
-                }
                 Workload::Phased {
                     session,
                     fs,
@@ -694,40 +640,31 @@ impl ScenarioBuilder {
                     start,
                 } => {
                     sim.at(start, move |sim, w| {
-                        let ctx = session.ctx(w);
-                        crate::driver::run_streamed(
-                            sim,
-                            w,
-                            ctx,
+                        // Flow-level streams ride the session's shared
+                        // mount context directly.
+                        let target = Target::Stream {
+                            ctx: session.ctx(w),
                             fs,
-                            workload,
                             tag,
-                            move |sim, w, _stats| settle(sim, w, Ok(())),
-                        );
+                        };
+                        driver::run(sim, w, target, workload, settle);
                     });
                 }
-                Workload::FileWrite {
+                Workload::File {
                     session,
                     device,
                     path,
-                    bytes,
-                    chunk,
+                    flags,
+                    workload,
                     start,
                 } => {
                     sim.at(start, move |sim, w| {
-                        run_file_write(sim, w, session, device, path, bytes, chunk, Box::new(settle));
-                    });
-                }
-                Workload::FileRead {
-                    session,
-                    device,
-                    path,
-                    bytes,
-                    chunk,
-                    start,
-                } => {
-                    sim.at(start, move |sim, w| {
-                        run_file_read(sim, w, session, device, path, bytes, chunk, Box::new(settle));
+                        session.mount(sim, w, &device, AccessMode::ReadWrite, move |sim, w, r| {
+                            if let Err(e) = r {
+                                return settle(sim, w, Err(e));
+                            }
+                            driver::run_files(sim, w, session, vec![path], flags, workload, settle);
+                        });
                     });
                 }
             }
@@ -753,133 +690,23 @@ impl ScenarioBuilder {
     }
 }
 
-type DoneCb = Box<dyn FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<(), FsError>)>;
-
-/// Mount → open → chunked pattern writes → close, all through the session
-/// facade.
-fn run_file_write(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    sess: Session,
-    device: String,
-    path: String,
-    bytes: u64,
-    chunk: u64,
-    done: DoneCb,
-) {
-    assert!(chunk > 0, "file write needs a positive chunk");
-    sess.mount(sim, w, &device, AccessMode::ReadWrite, move |sim, w, r| {
-        if let Err(e) = r {
-            done(sim, w, Err(e));
-            return;
-        }
-        sess.open(
-            sim,
-            w,
-            &path,
-            OpenFlags::Write,
-            Owner::local(0, 0),
-            move |sim, w, r| match r {
-                Ok(h) => write_chunks(sim, w, sess, h, 0, bytes, chunk, done),
-                Err(e) => done(sim, w, Err(e)),
-            },
-        );
-    });
-}
-
-fn write_chunks(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    sess: Session,
-    h: Handle,
-    offset: u64,
-    remaining: u64,
-    chunk: u64,
-    done: DoneCb,
-) {
-    if remaining == 0 {
-        sess.close(sim, w, h, move |sim, w, r| done(sim, w, r));
-        return;
-    }
-    let this = remaining.min(chunk);
-    let data = pattern_bytes(offset, this);
-    sess.write(sim, w, h, offset, data, move |sim, w, r| {
-        if let Err(e) = r {
-            done(sim, w, Err(e));
-            return;
-        }
-        write_chunks(sim, w, sess, h, offset + this, remaining - this, chunk, done)
-    });
-}
-
-/// Mount → open → chunked sequential reads → close, all through the
-/// session facade.
-fn run_file_read(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    sess: Session,
-    device: String,
-    path: String,
-    bytes: u64,
-    chunk: u64,
-    done: DoneCb,
-) {
-    assert!(chunk > 0, "file read needs a positive chunk");
-    sess.mount(sim, w, &device, AccessMode::ReadWrite, move |sim, w, r| {
-        if let Err(e) = r {
-            done(sim, w, Err(e));
-            return;
-        }
-        sess.open(
-            sim,
-            w,
-            &path,
-            OpenFlags::Read,
-            Owner::local(0, 0),
-            move |sim, w, r| match r {
-                Ok(h) => read_chunks(sim, w, sess, h, 0, bytes, chunk, done),
-                Err(e) => done(sim, w, Err(e)),
-            },
-        );
-    });
-}
-
-fn read_chunks(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    sess: Session,
-    h: Handle,
-    offset: u64,
-    remaining: u64,
-    chunk: u64,
-    done: DoneCb,
-) {
-    if remaining == 0 {
-        sess.close(sim, w, h, move |sim, w, r| done(sim, w, r));
-        return;
-    }
-    let this = remaining.min(chunk);
-    sess.read(sim, w, h, offset, this, move |sim, w, r| {
-        if let Err(e) = r {
-            done(sim, w, Err(e));
-            return;
-        }
-        read_chunks(sim, w, sess, h, offset + this, remaining - this, chunk, done)
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gfs::fsck;
     use simcore::MBYTE;
 
+    /// One flow-level read of `bytes`, as a phase list.
+    fn one_read(bytes: u64) -> workloads::Workload {
+        driver::chunked(StreamDir::Read, bytes, bytes)
+    }
+
     #[test]
     fn builder_runs_a_stream_between_sites() {
         let mut sb = ScenarioBuilder::new(11);
         let fs = sb.nsd_farm("sdsc", NsdFarm::new("d", 4));
         let c = sb.clients("sdsc", 1, Bandwidth::gbit(10.0), SimDuration::from_micros(100), 16)[0];
-        sb.workload(Workload::stream(c, fs, 100 * MBYTE, StreamDir::Read, 1));
+        sb.workload(Workload::phased(c, fs, one_read(100 * MBYTE), 1));
         let run = sb.run(SimTime::from_secs(10));
         assert_eq!(run.completed, 1);
         assert!(run.errors.is_empty());
@@ -897,33 +724,19 @@ mod tests {
         );
         let c = sb.clients("site", 1, Bandwidth::gbit(1.0), SimDuration::from_micros(100), 64)[0];
         sb.workload(Workload::file_write(c, "d", "/f", MBYTE, 256 * 1024));
-        let mut run = sb.run(SimTime::from_secs(10));
+        let run = sb.run(SimTime::from_secs(10));
         assert_eq!(run.completed, 1, "errors: {:?}", run.errors);
-        let report = fsck(&run.world.fss[0].core);
+        let core = &run.world.fss[0].core;
+        let report = fsck(core);
         assert!(report.is_clean(), "fsck: {report:?}");
-        // Read the file back through the same session and compare against
-        // the pattern (the session keeps its device binding after the run).
-        let ok = Rc::new(RefCell::new(false));
-        let ok2 = ok.clone();
-        let (sim, w) = (&mut run.sim, &mut run.world);
-        c.open(
-            sim,
-            w,
-            "/f",
-            OpenFlags::Read,
-            Owner::local(0, 0),
-            move |sim, w, r| {
-                let h = r.expect("reopen");
-                c.read(sim, w, h, 0, MBYTE, move |_sim, _w, r| {
-                    let data = r.expect("read back");
-                    assert_eq!(data.len() as u64, MBYTE);
-                    assert_eq!(&data[..], &pattern_bytes(0, MBYTE)[..], "payload mismatch");
-                    *ok2.borrow_mut() = true;
-                });
-            },
-        );
-        sim.run(w);
-        assert!(*ok.borrow(), "read-back did not complete");
+        // The close flushed every block: the disk holds the pattern.
+        let ino = core.lookup("/f").expect("file exists");
+        let mut disk = Vec::new();
+        for (b, addr) in core.block_map(ino, 0, MBYTE).expect("block map") {
+            let addr = addr.unwrap_or_else(|| panic!("block {b} unmapped"));
+            disk.extend_from_slice(&core.get_block_data(addr));
+        }
+        assert_eq!(&disk[..], &pattern_bytes(0, MBYTE)[..], "payload mismatch");
     }
 
     #[test]
@@ -950,7 +763,7 @@ mod tests {
         let mut sb = ScenarioBuilder::new(13);
         let fs = sb.nsd_farm("site", NsdFarm::new("d", 4));
         let c = sb.clients("site", 1, Bandwidth::gbit(10.0), SimDuration::from_micros(100), 16)[0];
-        sb.workload(Workload::stream(c, fs, 400 * MBYTE, StreamDir::Read, 1));
+        sb.workload(Workload::phased(c, fs, one_read(400 * MBYTE), 1));
         sb.faults(FaultPlan::new().server_crash(SimTime::from_millis(100), fs, "d-srv2"));
         let run = sb.run(SimTime::from_secs(30));
         assert_eq!(run.completed, 1);

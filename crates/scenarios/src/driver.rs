@@ -1,14 +1,22 @@
-//! Workload driver: executes a [`workloads::Workload`] phase list against
-//! a mounted filesystem, through either the streaming path (figure-scale
-//! runs) or the per-operation session path (correctness-scale runs).
+//! Workload driver: the one interpreter of a [`workloads::Workload`] phase
+//! list; every scenario that runs one runs it here. A run has one of two
+//! targets ([`Target`]):
+//!
+//! * a mount context's streaming path (figure-scale runs): each read or
+//!   write phase is one flow-level stream across every live NSD
+//!   connection ([`gfs_stream`]);
+//! * an open [`Session`] handle (correctness-scale runs): each phase is
+//!   one `Session` call through tokens, the page pool and the NSD path.
+//!
+//! [`run_files`] wraps the handle target in open → run → close for each
+//! of a list of paths. On a handle the first error ends the run.
 
+use crate::builder::pattern_bytes;
 use gfs::session::Session;
 use gfs::stream::{gfs_stream, StreamDir};
-use gfs::types::{ClientId, FsError, FsId, Handle};
+use gfs::types::{ClientId, FsError, FsId, Handle, OpenFlags, Owner};
 use gfs::world::GfsWorld;
 use simcore::{Sim, SimTime};
-use std::cell::Cell;
-use std::rc::Rc;
 use workloads::{Phase, Workload};
 
 /// Statistics from a completed workload run.
@@ -22,175 +30,200 @@ pub struct WorkloadStats {
     pub finished_at: SimTime,
 }
 
-/// Run a workload through the streaming path; `on_done` receives totals.
-pub fn run_streamed(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    client: ClientId,
-    fs: FsId,
-    workload: Workload,
-    tag: u32,
-    on_done: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, WorkloadStats) + 'static,
-) {
-    let stats = Rc::new(Cell::new(WorkloadStats::default()));
-    step_streamed(
-        sim,
-        w,
-        client,
-        fs,
-        workload.phases,
-        tag,
-        stats,
-        Box::new(on_done),
-    );
+/// Where a run's phases go.
+#[derive(Clone, Copy, Debug)]
+pub enum Target {
+    /// Flow-level streams of mount context `ctx` against `fs`, tagged
+    /// `tag` for monitoring. `Read` and `ReadAt` stream the same bytes.
+    Stream {
+        /// The streaming mount context.
+        ctx: ClientId,
+        /// Target filesystem.
+        fs: FsId,
+        /// Monitoring tag.
+        tag: u32,
+    },
+    /// Calls on a handle `sess` holds open. `Read` and `Write` proceed
+    /// sequentially from offset 0, `ReadAt` reads where it says, and a
+    /// `Write` carries the file's [`pattern_bytes`] at its offset.
+    Handle {
+        /// The session owning the handle.
+        sess: Session,
+        /// The open handle.
+        handle: Handle,
+    },
 }
 
-#[allow(clippy::too_many_arguments)]
-fn step_streamed(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    client: ClientId,
-    fs: FsId,
-    mut phases: Vec<Phase>,
-    tag: u32,
-    stats: Rc<Cell<WorkloadStats>>,
-    on_done: Box<dyn FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, WorkloadStats)>,
-) {
-    if phases.is_empty() {
-        let mut s = stats.get();
-        s.finished_at = sim.now();
-        on_done(sim, w, s);
-        return;
-    }
-    let phase = phases.remove(0);
-    match phase {
-        Phase::Compute(d) => {
-            sim.after(d, move |sim, w| {
-                step_streamed(sim, w, client, fs, phases, tag, stats, on_done)
-            });
-        }
-        Phase::Write { bytes } => {
-            gfs_stream(sim, w, client, fs, bytes, StreamDir::Write, tag, move |sim, w| {
-                let mut s = stats.get();
-                s.written_bytes += bytes;
-                stats.set(s);
-                step_streamed(sim, w, client, fs, phases, tag, stats, on_done);
-            });
-        }
-        Phase::Read { bytes } | Phase::ReadAt { bytes, .. } => {
-            gfs_stream(sim, w, client, fs, bytes, StreamDir::Read, tag, move |sim, w| {
-                let mut s = stats.get();
-                s.read_bytes += bytes;
-                stats.set(s);
-                step_streamed(sim, w, client, fs, phases, tag, stats, on_done);
-            });
-        }
-    }
+/// A run's completion: its totals, or the first error on a handle.
+type Done = Box<dyn FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<WorkloadStats, FsError>)>;
+
+/// One run in progress: what is left of its phases and what it moved.
+struct Run {
+    target: Target,
+    phases: std::vec::IntoIter<Phase>,
+    /// Offset of the next sequential `Read` or `Write` on a handle.
+    cursor: u64,
+    stats: WorkloadStats,
+    done: Done,
 }
 
-/// Run a workload through the real operation path against a handle `sess`
-/// holds open (`ReadAt` honours offsets; `Read`/`Write` proceed
-/// sequentially).
-pub fn run_ops(
+/// Run `workload` against `target`; `on_done` receives the totals, or the
+/// first error when the target is a handle.
+pub fn run(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
-    sess: Session,
-    handle: Handle,
+    target: Target,
     workload: Workload,
     on_done: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<WorkloadStats, FsError>) + 'static,
 ) {
-    let stats = Rc::new(Cell::new(WorkloadStats::default()));
-    step_ops(
-        sim,
-        w,
-        sess,
-        handle,
-        workload.phases,
-        0,
-        stats,
-        Box::new(on_done),
-    );
+    let run = Box::new(Run {
+        target,
+        phases: workload.phases.into_iter(),
+        cursor: 0,
+        stats: WorkloadStats::default(),
+        done: Box::new(on_done),
+    });
+    step(sim, w, run);
 }
 
-#[allow(clippy::too_many_arguments)]
-fn step_ops(
+fn step(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, mut run: Box<Run>) {
+    let Some(phase) = run.phases.next() else {
+        run.stats.finished_at = sim.now();
+        (run.done)(sim, w, Ok(run.stats));
+        return;
+    };
+    match (run.target, phase) {
+        (_, Phase::Compute(d)) => sim.after(d, move |sim, w| step(sim, w, run)),
+        (Target::Stream { ctx, fs, tag }, phase) => {
+            let (dir, bytes) = match phase {
+                Phase::Write { bytes } => (StreamDir::Write, bytes),
+                _ => (StreamDir::Read, phase.bytes()),
+            };
+            gfs_stream(sim, w, ctx, fs, bytes, dir, tag, move |sim, w| {
+                match dir {
+                    StreamDir::Write => run.stats.written_bytes += bytes,
+                    StreamDir::Read => run.stats.read_bytes += bytes,
+                }
+                step(sim, w, run)
+            });
+        }
+        (Target::Handle { sess, handle }, Phase::Write { bytes }) => {
+            let data = pattern_bytes(run.cursor, bytes);
+            sess.write(sim, w, handle, run.cursor, data, move |sim, w, r| match r {
+                Ok(()) => {
+                    run.cursor += bytes;
+                    run.stats.written_bytes += bytes;
+                    step(sim, w, run)
+                }
+                Err(e) => (run.done)(sim, w, Err(e)),
+            });
+        }
+        (Target::Handle { sess, handle }, phase) => {
+            let (offset, sequential) = match phase {
+                Phase::ReadAt { offset, .. } => (offset, false),
+                _ => (run.cursor, true),
+            };
+            sess.read(sim, w, handle, offset, phase.bytes(), move |sim, w, r| match r {
+                Ok(data) => {
+                    if sequential {
+                        run.cursor += data.len() as u64;
+                    }
+                    run.stats.read_bytes += data.len() as u64;
+                    step(sim, w, run)
+                }
+                Err(e) => (run.done)(sim, w, Err(e)),
+            });
+        }
+    }
+}
+
+/// `bytes` as `chunk`-sized sequential phases: writes for
+/// [`StreamDir::Write`], reads for [`StreamDir::Read`].
+pub fn chunked(dir: StreamDir, bytes: u64, chunk: u64) -> Workload {
+    let phases = workloads::chunks(bytes, chunk)
+        .map(|bytes| match dir {
+            StreamDir::Write => Phase::Write { bytes },
+            StreamDir::Read => Phase::Read { bytes },
+        })
+        .collect();
+    Workload {
+        name: "chunked".into(),
+        phases,
+    }
+}
+
+/// For each of `paths` in turn: open it through `sess` with `flags` as
+/// `Owner::local(0, 0)`, run `workload` on the handle, close it. `on_done`
+/// receives the summed totals, or the first error, which ends the run.
+pub fn run_files(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
     sess: Session,
-    handle: Handle,
-    mut phases: Vec<Phase>,
-    cursor: u64,
-    stats: Rc<Cell<WorkloadStats>>,
-    on_done: Box<dyn FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<WorkloadStats, FsError>)>,
+    paths: Vec<String>,
+    flags: OpenFlags,
+    workload: Workload,
+    on_done: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<WorkloadStats, FsError>) + 'static,
 ) {
-    if phases.is_empty() {
-        let mut s = stats.get();
-        s.finished_at = sim.now();
-        on_done(sim, w, Ok(s));
+    let files = Files {
+        sess,
+        paths: paths.into_iter(),
+        flags,
+        workload,
+        total: WorkloadStats::default(),
+        done: Box::new(on_done),
+    };
+    next_file(sim, w, files);
+}
+
+/// A [`run_files`] in progress.
+struct Files {
+    sess: Session,
+    paths: std::vec::IntoIter<String>,
+    flags: OpenFlags,
+    workload: Workload,
+    total: WorkloadStats,
+    done: Done,
+}
+
+fn next_file(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, mut files: Files) {
+    let Some(path) = files.paths.next() else {
+        files.total.finished_at = sim.now();
+        (files.done)(sim, w, Ok(files.total));
         return;
-    }
-    let phase = phases.remove(0);
-    match phase {
-        Phase::Compute(d) => {
-            sim.after(d, move |sim, w| {
-                step_ops(sim, w, sess, handle, phases, cursor, stats, on_done)
-            });
-        }
-        Phase::Write { bytes } => {
-            let data = bytes::Bytes::from(vec![0x42u8; bytes as usize]);
-            sess.write(sim, w, handle, cursor, data, move |sim, w, r| match r {
+    };
+    let (sess, flags) = (files.sess, files.flags);
+    sess.open(sim, w, &path, flags, Owner::local(0, 0), move |sim, w, r| {
+        let handle = match r {
+            Ok(h) => h,
+            Err(e) => return (files.done)(sim, w, Err(e)),
+        };
+        let target = Target::Handle { sess, handle };
+        run(sim, w, target, files.workload.clone(), move |sim, w, r| {
+            let stats = match r {
+                Ok(s) => s,
+                Err(e) => return (files.done)(sim, w, Err(e)),
+            };
+            sess.close(sim, w, handle, move |sim, w, r| match r {
                 Ok(()) => {
-                    let mut s = stats.get();
-                    s.written_bytes += bytes;
-                    stats.set(s);
-                    step_ops(sim, w, sess, handle, phases, cursor + bytes, stats, on_done)
+                    files.total.read_bytes += stats.read_bytes;
+                    files.total.written_bytes += stats.written_bytes;
+                    next_file(sim, w, files)
                 }
-                Err(e) => on_done(sim, w, Err(e)),
+                Err(e) => (files.done)(sim, w, Err(e)),
             });
-        }
-        Phase::Read { bytes } => {
-            sess.read(sim, w, handle, cursor, bytes, move |sim, w, r| match r {
-                Ok(data) => {
-                    let mut s = stats.get();
-                    s.read_bytes += data.len() as u64;
-                    stats.set(s);
-                    step_ops(
-                        sim,
-                        w,
-                        sess,
-                        handle,
-                        phases,
-                        cursor + data.len() as u64,
-                        stats,
-                        on_done,
-                    )
-                }
-                Err(e) => on_done(sim, w, Err(e)),
-            });
-        }
-        Phase::ReadAt { offset, bytes } => {
-            sess.read(sim, w, handle, offset, bytes, move |sim, w, r| match r {
-                Ok(data) => {
-                    let mut s = stats.get();
-                    s.read_bytes += data.len() as u64;
-                    stats.set(s);
-                    step_ops(sim, w, sess, handle, phases, cursor, stats, on_done)
-                }
-                Err(e) => on_done(sim, w, Err(e)),
-            });
-        }
-    }
+        });
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gfs::fscore::FsConfig;
-    use gfs::types::{OpenFlags, Owner};
     use gfs::world::{FsParams, WorldBuilder};
     use gfs_auth::handshake::AccessMode;
     use simcore::{Bandwidth, SimDuration, GBYTE, MBYTE};
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
     use workloads::{scec, sort, visualization};
 
     fn world() -> (Sim<GfsWorld>, GfsWorld, ClientId, FsId) {
@@ -215,61 +248,58 @@ mod tests {
         (sim, w, client, fs)
     }
 
-    #[test]
-    fn scec_stream_moves_all_bytes() {
-        let (mut sim, mut w, client, fs) = world();
-        let wl = scec(10 * GBYTE, GBYTE);
+    /// Stream `wl` from the world's client and return its totals.
+    fn streamed(wl: Workload) -> WorkloadStats {
+        let (mut sim, mut w, ctx, fs) = world();
         let out = Rc::new(Cell::new(WorkloadStats::default()));
         let o = out.clone();
-        run_streamed(&mut sim, &mut w, client, fs, wl, 1, move |_s, _w, st| {
-            o.set(st)
-        });
+        let target = Target::Stream { ctx, fs, tag: 1 };
+        run(&mut sim, &mut w, target, wl, move |_s, _w, st| o.set(st.unwrap()));
         sim.run(&mut w);
-        assert_eq!(out.get().written_bytes, 10 * GBYTE);
-        assert!(out.get().finished_at > SimTime::ZERO);
+        out.get()
+    }
+
+    #[test]
+    fn scec_stream_moves_all_bytes() {
+        let st = streamed(scec(10 * GBYTE, GBYTE));
+        assert_eq!(st.written_bytes, 10 * GBYTE);
+        assert!(st.finished_at > SimTime::ZERO);
     }
 
     #[test]
     fn sort_reads_then_writes() {
-        let (mut sim, mut w, client, fs) = world();
-        let wl = sort(4 * GBYTE);
-        let out = Rc::new(Cell::new(WorkloadStats::default()));
-        let o = out.clone();
-        run_streamed(&mut sim, &mut w, client, fs, wl, 1, move |_s, _w, st| {
-            o.set(st)
-        });
-        sim.run(&mut w);
-        assert_eq!(out.get().read_bytes, 4 * GBYTE);
-        assert_eq!(out.get().written_bytes, 4 * GBYTE);
+        let st = streamed(sort(4 * GBYTE));
+        assert_eq!(st.read_bytes, 4 * GBYTE);
+        assert_eq!(st.written_bytes, 4 * GBYTE);
     }
 
     #[test]
     fn visualization_pacing_adds_compute_time() {
-        let (mut sim, mut w, client, fs) = world();
         // 10 frames x 100 MB at >= 1 GB/s: I/O ~1s; compute 10 x 1 s.
-        let wl = visualization(10, 100 * MBYTE, SimDuration::from_secs(1));
-        let out = Rc::new(Cell::new(WorkloadStats::default()));
-        let o = out.clone();
-        run_streamed(&mut sim, &mut w, client, fs, wl, 1, move |_s, _w, st| {
-            o.set(st)
-        });
-        sim.run(&mut w);
-        let t = out.get().finished_at.as_secs_f64();
+        let st = streamed(visualization(10, 100 * MBYTE, SimDuration::from_secs(1)));
+        let t = st.finished_at.as_secs_f64();
         assert!(t >= 10.0, "frame pacing ignored: {t}s");
         assert!(t < 13.0, "too slow: {t}s");
     }
 
     #[test]
-    fn ops_path_runs_mixed_workload_with_real_files() {
-        let (mut sim, mut w, client, fs) = world();
-        let _ = fs;
+    fn chunked_splits_the_tail() {
+        let wl = chunked(StreamDir::Write, 10, 4);
+        let sizes: Vec<u64> = wl.phases.iter().map(Phase::bytes).collect();
+        assert_eq!(sizes, [4, 4, 2]);
+        assert!(chunked(StreamDir::Read, 0, 4).phases.is_empty());
+    }
+
+    #[test]
+    fn handle_target_runs_mixed_workload_with_real_files() {
+        let (mut sim, mut w, client, _fs) = world();
         let done: Rc<RefCell<Option<WorkloadStats>>> = Rc::new(RefCell::new(None));
         let d = done.clone();
         let sess = w.open_session(client);
         sess.mount(&mut sim, &mut w, "wl", AccessMode::ReadWrite, move |sim, w, r| {
             r.unwrap();
             sess.open(sim, w, "/mixed", OpenFlags::ReadWrite, Owner::local(1, 1), move |sim, w, r| {
-                let h = r.unwrap();
+                let handle = r.unwrap();
                 let wl = Workload {
                     name: "mixed".into(),
                     phases: vec![
@@ -279,7 +309,7 @@ mod tests {
                         Phase::Write { bytes: 100_000 },
                     ],
                 };
-                run_ops(sim, w, sess, h, wl, move |_s, _w, r| {
+                run(sim, w, Target::Handle { sess, handle }, wl, move |_s, _w, r| {
                     *d.borrow_mut() = Some(r.unwrap());
                 });
             });
@@ -290,5 +320,40 @@ mod tests {
         assert_eq!(st.read_bytes, 10_000);
         // The file reflects the sequential writes: 200k at 0, 100k at 200k.
         assert_eq!(w.fss[0].core.stat("/mixed").unwrap().size, 300_000);
+    }
+
+    #[test]
+    fn run_files_writes_the_pattern_and_stops_at_the_first_error() {
+        let (mut sim, mut w, client, _fs) = world();
+        let sess = w.open_session(client);
+        let out: Rc<RefCell<Vec<Result<WorkloadStats, FsError>>>> = Rc::default();
+        let (o1, o2) = (out.clone(), out.clone());
+        sess.mount(&mut sim, &mut w, "wl", AccessMode::ReadWrite, move |sim, w, r| {
+            r.unwrap();
+            let paths = vec!["/a".to_string(), "/b".to_string()];
+            let wl = chunked(StreamDir::Write, 100_000, 30_000);
+            run_files(sim, w, sess, paths, OpenFlags::Write, wl, move |sim, w, r| {
+                o1.borrow_mut().push(r);
+                // Reading a missing file fails at its open; the run ends there.
+                let paths = vec!["/a".to_string(), "/missing".to_string(), "/b".to_string()];
+                let wl = chunked(StreamDir::Read, 100_000, 30_000);
+                run_files(sim, w, sess, paths, OpenFlags::Read, wl, move |_, _, r| {
+                    o2.borrow_mut().push(r)
+                });
+            });
+        });
+        sim.run(&mut w);
+        let out = out.borrow();
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[0].as_ref().unwrap().written_bytes, 200_000);
+        assert!(matches!(out[1], Err(FsError::NotFound(_))), "{:?}", out[1]);
+        let core = &w.fss[0].core;
+        for path in ["/a", "/b"] {
+            let ino = core.lookup(path).unwrap();
+            assert_eq!(core.stat(path).unwrap().size, 100_000);
+            let addr = core.block_map(ino, 0, 1).unwrap()[0].1.unwrap();
+            let block = core.get_block_data(addr);
+            assert_eq!(&block[..1000], &pattern_bytes(0, 1000)[..], "{path}");
+        }
     }
 }

@@ -29,19 +29,20 @@
 //! Everything measured is modeled time, so the per-point
 //! [`CampaignReport`] is bit-identical across sweep-thread counts.
 
-use crate::builder::{data_path_stats_of, pattern_bytes, DataPathStats, NsdFarm, ScenarioBuilder};
+use crate::builder::{data_path_stats_of, DataPathStats, NsdFarm, ScenarioBuilder};
 use crate::chaos::world_invariants;
+use crate::driver::{chunked, run_files};
 use crate::parallel::{run_indexed, sweep_threads};
-use bytes::Bytes;
 use gfs::fsck_instance;
 use gfs::session::Session;
-use gfs::types::{FsError, Handle, InodeId, OpenFlags, Owner};
+use gfs::stream::StreamDir;
+use gfs::types::{FsError, InodeId, OpenFlags, Owner};
 use gfs::world::GfsWorld;
 use gfs_auth::handshake::AccessMode;
 use gridftp::TransferSpec;
 use hsm::manager::{Hsm, HsmPolicy};
 use hsm::tape::{TapeLibrary, TapeSpec};
-use simcore::{Bandwidth, Sim, SimDuration, SimTime};
+use simcore::{Bandwidth, SimDuration, SimTime};
 use simnet::NodeId;
 use std::cell::Cell;
 use std::rc::Rc;
@@ -199,8 +200,6 @@ impl CampaignReport {
     }
 }
 
-type DoneCb = Box<dyn FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld)>;
-
 /// Shared error tally: session-surface failures anywhere in a phase chain.
 type ErrSink = Rc<Cell<u64>>;
 
@@ -208,145 +207,6 @@ fn note_err(errs: &ErrSink, r: &Result<impl Sized, FsError>) {
     if r.is_err() {
         errs.set(errs.get() + 1);
     }
-}
-
-/// open → chunked sequential reads → close, then `done`.
-fn read_file(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    sess: Session,
-    path: String,
-    bytes: u64,
-    chunk: u64,
-    errs: ErrSink,
-    done: DoneCb,
-) {
-    sess.open(
-        sim,
-        w,
-        &path,
-        OpenFlags::Read,
-        Owner::local(0, 0),
-        move |sim, w, r| {
-            note_err(&errs, &r);
-            let Ok(h) = r else {
-                done(sim, w);
-                return;
-            };
-            read_chunks(sim, w, sess, h, 0, bytes, chunk, errs, done);
-        },
-    );
-}
-
-fn read_chunks(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    sess: Session,
-    h: Handle,
-    offset: u64,
-    remaining: u64,
-    chunk: u64,
-    errs: ErrSink,
-    done: DoneCb,
-) {
-    if remaining == 0 {
-        sess.close(sim, w, h, move |sim, w, r| {
-            note_err(&errs, &r);
-            done(sim, w);
-        });
-        return;
-    }
-    let this = remaining.min(chunk);
-    sess.read(sim, w, h, offset, this, move |sim, w, r| {
-        note_err(&errs, &r);
-        read_chunks(sim, w, sess, h, offset + this, remaining - this, chunk, errs, done)
-    });
-}
-
-/// Read every path in order, then `done`.
-fn read_fileset(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    sess: Session,
-    mut paths: Vec<String>,
-    bytes: u64,
-    chunk: u64,
-    errs: ErrSink,
-    done: DoneCb,
-) {
-    let Some(path) = paths.pop() else {
-        done(sim, w);
-        return;
-    };
-    read_file(
-        sim,
-        w,
-        sess,
-        path,
-        bytes,
-        chunk,
-        errs.clone(),
-        Box::new(move |sim, w| read_fileset(sim, w, sess, paths, bytes, chunk, errs, done)),
-    );
-}
-
-/// open → chunked pattern writes → close, then `done`.
-fn write_file(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    sess: Session,
-    path: String,
-    bytes: u64,
-    chunk: u64,
-    fill: Option<u8>,
-    errs: ErrSink,
-    done: DoneCb,
-) {
-    sess.open(
-        sim,
-        w,
-        &path,
-        OpenFlags::Write,
-        Owner::local(0, 0),
-        move |sim, w, r| {
-            note_err(&errs, &r);
-            let Ok(h) = r else {
-                done(sim, w);
-                return;
-            };
-            write_chunks(sim, w, sess, h, 0, bytes, chunk, fill, errs, done);
-        },
-    );
-}
-
-fn write_chunks(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    sess: Session,
-    h: Handle,
-    offset: u64,
-    remaining: u64,
-    chunk: u64,
-    fill: Option<u8>,
-    errs: ErrSink,
-    done: DoneCb,
-) {
-    if remaining == 0 {
-        sess.close(sim, w, h, move |sim, w, r| {
-            note_err(&errs, &r);
-            done(sim, w);
-        });
-        return;
-    }
-    let this = remaining.min(chunk);
-    let data = match fill {
-        Some(b) => Bytes::from(vec![b; this as usize]),
-        None => pattern_bytes(offset, this),
-    };
-    sess.write(sim, w, h, offset, data, move |sim, w, r| {
-        note_err(&errs, &r);
-        write_chunks(sim, w, sess, h, offset + this, remaining - this, chunk, fill, errs, done)
-    });
 }
 
 /// A barrier over `n` independent chains: records the latest completion
@@ -471,17 +331,11 @@ pub fn run_campaign_point(cfg: &ReplicationConfig, point: usize) -> CampaignRepo
         for p in &hot_paths {
             let (p, errs) = (p.clone(), errs.clone());
             let (left, last) = (left.clone(), last.clone());
-            write_file(
-                &mut sim,
-                &mut w,
-                writer,
-                p,
-                cfg.hot_file_bytes,
-                cfg.chunk_bytes,
-                None,
-                errs,
-                Box::new(move |sim, _| arrive(&left, &last, sim.now())),
-            );
+            let wl = chunked(StreamDir::Write, cfg.hot_file_bytes, cfg.chunk_bytes);
+            run_files(&mut sim, &mut w, writer, vec![p], OpenFlags::Write, wl, move |sim, _, r| {
+                note_err(&errs, &r);
+                arrive(&left, &last, sim.now())
+            });
         }
         sim.run(&mut w);
         assert_eq!(left.get(), 0, "hot-set population stalled");
@@ -512,25 +366,21 @@ pub fn run_campaign_point(cfg: &ReplicationConfig, point: usize) -> CampaignRepo
     ));
 
     // --- Phase 2: single-home baseline. The hot files are not yet
-    // cataloged, so every read takes the legacy home path over the WAN. ---
+    // cataloged, so every read takes the legacy home path over the WAN.
+    // Every reader reads the hot set last file first. ---
+    let read_order: Vec<String> = hot_paths.iter().rev().cloned().collect();
+    let hot_read = chunked(StreamDir::Read, cfg.hot_file_bytes, cfg.chunk_bytes);
     let t_a = sim.now() + SimDuration::from_secs(1);
     let (left_a, last_a) = join_latest(readers_home.len());
     for sess in &readers_home {
         let sess = *sess;
-        let (paths, errs) = (hot_paths.clone(), errs.clone());
+        let (paths, wl, errs) = (read_order.clone(), hot_read.clone(), errs.clone());
         let (left, last) = (left_a.clone(), last_a.clone());
-        let (bytes, chunk) = (cfg.hot_file_bytes, cfg.chunk_bytes);
         sim.at(t_a, move |sim, w| {
-            read_fileset(
-                sim,
-                w,
-                sess,
-                paths,
-                bytes,
-                chunk,
-                errs,
-                Box::new(move |sim, _| arrive(&left, &last, sim.now())),
-            );
+            run_files(sim, w, sess, paths, OpenFlags::Read, wl, move |sim, _, r| {
+                note_err(&errs, &r);
+                arrive(&left, &last, sim.now())
+            });
         });
     }
     sim.run(&mut w);
@@ -573,20 +423,13 @@ pub fn run_campaign_point(cfg: &ReplicationConfig, point: usize) -> CampaignRepo
     let (left_b, last_b) = join_latest(readers_rep.len());
     for sess in &readers_rep {
         let sess = *sess;
-        let (paths, errs) = (hot_paths.clone(), errs.clone());
+        let (paths, wl, errs) = (read_order.clone(), hot_read.clone(), errs.clone());
         let (left, last) = (left_b.clone(), last_b.clone());
-        let (bytes, chunk) = (cfg.hot_file_bytes, cfg.chunk_bytes);
         sim.at(t_b, move |sim, w| {
-            read_fileset(
-                sim,
-                w,
-                sess,
-                paths,
-                bytes,
-                chunk,
-                errs,
-                Box::new(move |sim, _| arrive(&left, &last, sim.now())),
-            );
+            run_files(sim, w, sess, paths, OpenFlags::Read, wl, move |sim, _, r| {
+                note_err(&errs, &r);
+                arrive(&left, &last, sim.now())
+            });
         });
     }
     // One sequential fileset per physical site (farms a0, b0, c0), all
@@ -630,9 +473,11 @@ pub fn run_campaign_point(cfg: &ReplicationConfig, point: usize) -> CampaignRepo
     let inval_ino = hot_inodes[0];
     {
         let (path, errs) = (inval_path.clone(), errs.clone());
-        let (bytes, chunk) = (cfg.chunk_bytes, cfg.chunk_bytes);
+        let wl = chunked(StreamDir::Write, cfg.chunk_bytes, cfg.chunk_bytes);
         sim.at(t_b + SimDuration::from_secs(60), move |sim, w| {
-            write_file(sim, w, writer, path, bytes, chunk, Some(0xB7), errs, Box::new(|_, _| {}));
+            run_files(sim, w, writer, vec![path], OpenFlags::Write, wl, move |_, _, r| {
+                note_err(&errs, &r)
+            });
         });
     }
     {
@@ -640,9 +485,11 @@ pub fn run_campaign_point(cfg: &ReplicationConfig, point: usize) -> CampaignRepo
         // current, so this read must come from home (a catalog miss, never
         // a stale serve).
         let (path, errs) = (inval_path.clone(), errs.clone());
-        let (probe, chunk) = (probes[0], cfg.chunk_bytes);
+        let (probe, wl) = (probes[0], chunked(StreamDir::Read, cfg.chunk_bytes, cfg.chunk_bytes));
         sim.at(t_b + SimDuration::from_secs(90), move |sim, w| {
-            read_file(sim, w, probe, path, chunk, chunk, errs, Box::new(|_, _| {}));
+            run_files(sim, w, probe, vec![path], OpenFlags::Read, wl, move |_, _, r| {
+                note_err(&errs, &r)
+            });
         });
     }
     {
@@ -666,9 +513,11 @@ pub fn run_campaign_point(cfg: &ReplicationConfig, point: usize) -> CampaignRepo
     {
         // ...and a second probe lands back on its local replica farm.
         let (path, errs) = (inval_path, errs.clone());
-        let (probe, chunk) = (probes[1], cfg.chunk_bytes);
+        let (probe, wl) = (probes[1], chunked(StreamDir::Read, cfg.chunk_bytes, cfg.chunk_bytes));
         sim.at(t_b + SimDuration::from_secs(200), move |sim, w| {
-            read_file(sim, w, probe, path, chunk, chunk, errs, Box::new(|_, _| {}));
+            run_files(sim, w, probe, vec![path], OpenFlags::Read, wl, move |_, _, r| {
+                note_err(&errs, &r)
+            });
         });
     }
 
@@ -731,6 +580,8 @@ pub fn run_campaign(cfg: &ReplicationConfig) -> Vec<CampaignReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::pattern_bytes;
+    use bytes::Bytes;
     use gfs::FaultPlan;
     use std::cell::RefCell;
 
@@ -827,17 +678,13 @@ mod tests {
             });
         }
         sim.run(&mut w);
-        write_file(
-            &mut sim,
-            &mut w,
-            writer,
-            "/f".into(),
-            FILE,
-            FILE,
-            None,
-            errs.clone(),
-            Box::new(|_, _| {}),
-        );
+        {
+            let errs = errs.clone();
+            let wl = chunked(StreamDir::Write, FILE, FILE);
+            run_files(&mut sim, &mut w, writer, vec!["/f".into()], OpenFlags::Write, wl, move |_, _, r| {
+                note_err(&errs, &r)
+            });
+        }
         sim.run(&mut w);
 
         let ino = w.fss[fs.0 as usize].core.lookup("/f").expect("file exists");
@@ -884,18 +731,17 @@ mod tests {
         }
         {
             let errs = errs.clone();
+            // The overwrite's bytes are no pattern the driver writes.
             sim.at(t0 + SimDuration::from_millis(write_delay_ms), move |sim, w| {
-                write_file(
-                    sim,
-                    w,
-                    writer,
-                    "/f".into(),
-                    FILE,
-                    FILE,
-                    Some(0xB7),
-                    errs,
-                    Box::new(|_, _| {}),
-                );
+                writer.open(sim, w, "/f", OpenFlags::Write, Owner::local(0, 0), move |sim, w, r| {
+                    note_err(&errs, &r);
+                    let Ok(h) = r else { return };
+                    let data = Bytes::from(vec![0xB7u8; FILE as usize]);
+                    writer.write(sim, w, h, 0, data, move |sim, w, r| {
+                        note_err(&errs, &r);
+                        writer.close(sim, w, h, move |_, _, r| note_err(&errs, &r));
+                    });
+                });
             });
         }
         sim.run(&mut w);

@@ -147,20 +147,23 @@ pub fn nvo_queries(
     }
 }
 
+/// The sizes of `total_bytes` cut into `chunk`-sized pieces in order; the
+/// last piece holds the remainder.
+pub fn chunks(total_bytes: u64, chunk: u64) -> impl Iterator<Item = u64> {
+    assert!(chunk > 0, "chunks need a positive chunk size");
+    (0..total_bytes)
+        .step_by(chunk as usize)
+        .map(move |off| chunk.min(total_bytes - off))
+}
+
 /// SCEC-style bulk output: one long write campaign in `chunk`-sized
 /// pieces (the paper: ~250 TB in a single run; scale down for tests).
 pub fn scec(total_bytes: u64, chunk: u64) -> Workload {
-    assert!(chunk > 0);
-    let mut phases = Vec::new();
-    let mut left = total_bytes;
-    while left > 0 {
-        let b = chunk.min(left);
-        phases.push(Phase::Write { bytes: b });
-        left -= b;
-    }
     Workload {
         name: "scec".into(),
-        phases,
+        phases: chunks(total_bytes, chunk)
+            .map(|bytes| Phase::Write { bytes })
+            .collect(),
     }
 }
 

@@ -10,7 +10,7 @@
 
 use bytes::Bytes;
 use globalfs::gfs::session::Session;
-use globalfs::gfs::types::{FsError, Handle, OpenFlags, Owner};
+use globalfs::gfs::types::{FsError, Handle, OpenFlags, Owner, MAX_FILE_SIZE};
 use globalfs::gfs::world::GfsWorld;
 use globalfs::gfs_auth::handshake::AccessMode;
 use globalfs::scenarios::{NsdFarm, ScenarioBuilder};
@@ -119,12 +119,22 @@ fn counted<T: 'static>(
 }
 
 fn open(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, s: Session, flags: OpenFlags) -> Handle {
+    open_path(sim, w, s, "/f", flags)
+}
+
+fn open_path(
+    sim: &mut Sim<GfsWorld>,
+    w: &mut GfsWorld,
+    s: Session,
+    path: &str,
+    flags: OpenFlags,
+) -> Handle {
     let (h, _) = counted(sim, w, |sim, w, done| {
-        s.open(sim, w, "/f", flags, Owner::local(0, 0), move |_, _, r| {
+        s.open(sim, w, path, flags, Owner::local(0, 0), move |_, _, r| {
             done(r)
         })
     });
-    h.expect("open /f")
+    h.expect("open")
 }
 
 fn write(
@@ -280,4 +290,37 @@ fn small_file_write_allocates_no_block_buffer() {
     assert_eq!(got.len() as u64, grown);
     assert!(got[..4096].iter().all(|&b| b == 7));
     assert!(got[4096..].iter().all(|&b| b == 0));
+}
+
+/// The block map holds mapped blocks only: growing a file to the largest
+/// size, by a truncate or by one byte written into its last block, maps at
+/// most that one block and allocates no block-sized buffer for holes.
+#[test]
+fn a_file_grown_to_max_file_size_maps_no_holes() {
+    let (mut sim, mut w, s0, _) = world();
+    let h = open_path(&mut sim, &mut w, s0, "/truncated", OpenFlags::ReadWrite);
+    let (r, n) = counted(&mut sim, &mut w, |sim, w, done| {
+        s0.truncate(sim, w, h, MAX_FILE_SIZE, move |_, _, r| done(r))
+    });
+    r.expect("truncate to the largest size");
+    assert_eq!(n, 0, "a truncate up allocates nothing for the holes");
+
+    let h = open_path(&mut sim, &mut w, s0, "/tail", OpenFlags::ReadWrite);
+    let n = write(
+        &mut sim,
+        &mut w,
+        s0,
+        h,
+        MAX_FILE_SIZE - BLOCK as u64,
+        Bytes::from(vec![9u8]),
+    );
+    assert_eq!(n, 0, "a write into the last block maps that block alone");
+
+    for (path, size) in [("/truncated", MAX_FILE_SIZE), ("/tail", MAX_FILE_SIZE - BLOCK as u64 + 1)] {
+        let (attr, _) = counted(&mut sim, &mut w, |sim, w, done| {
+            s0.stat(sim, w, path, move |_, _, r| done(r))
+        });
+        assert_eq!(attr.expect("stat").size, size, "{path}");
+    }
+    assert!(globalfs::gfs::fsck(&w.fss[0].core).is_clean());
 }

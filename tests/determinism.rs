@@ -2,7 +2,7 @@
 //! results across the whole stack — the property that makes every number
 //! in EXPERIMENTS.md re-derivable.
 
-use globalfs::scenarios::{production, recovery, sc02, sc04};
+use globalfs::scenarios::{production, recovery, replication, sc02, sc04};
 use globalfs::simcore::SimDuration;
 
 #[test]
@@ -87,6 +87,61 @@ fn recovery_scenarios_bit_identical() {
     assert_eq!(da.baseline_seconds.to_bits(), db.baseline_seconds.to_bits());
     assert_eq!(da.degraded_reads, db.degraded_reads);
     assert_eq!(da.events, db.events);
+}
+
+/// Exact values of the recovery trio at its defaults. Run-against-run
+/// identity cannot see a change that moves both runs the same way; these
+/// pins can, so a refactor of the data path must leave every event where
+/// it was.
+#[test]
+fn recovery_scenarios_pinned() {
+    let c = recovery::crash_one_of_n(&recovery::CrashConfig::default());
+    assert_eq!(
+        (c.completed, c.events, c.finish.as_nanos()),
+        (1, 3001, 1_772_983_528)
+    );
+
+    let f = recovery::link_flap_during_enzo(21, SimDuration::from_secs(5));
+    assert_eq!((f.makespan.as_nanos(), f.events), (100_313_386_172, 465));
+
+    let d = recovery::disk_failure_during_sweep(31);
+    assert_eq!(
+        (
+            d.seconds.to_bits(),
+            d.baseline_seconds.to_bits(),
+            d.degraded_reads,
+            d.events
+        ),
+        (0x402d_e13b_419f_879a, 0x402d_94bd_dd70_b3f2, 55, 4169)
+    );
+}
+
+/// Exact values of one small replication campaign point: the hot-set
+/// reads, the write-invalidate probes and the bulk fan-out all run through
+/// the workload driver.
+#[test]
+fn replication_campaign_pinned() {
+    let cfg = replication::ReplicationConfig {
+        points: 1,
+        bulk_files: 6,
+        bulk_wire_bytes: 512 << 30,
+        tier_capacity: 1 << 40,
+        ..replication::ReplicationConfig::default()
+    };
+    let r = replication::run_campaign_point(&cfg, 0);
+    assert_eq!(r.io_errors, 0);
+    assert_eq!(
+        (
+            r.events,
+            r.home_elapsed_ns,
+            r.replica_elapsed_ns,
+            r.campaign_elapsed_ns,
+            r.installs,
+            r.remote_picks,
+            r.split_fanouts
+        ),
+        (2537, 3_731_322_901, 1_216_466_782, 2_808_913_009_655, 34, 196, 48)
+    );
 }
 
 /// The parallel sweep runner only decides *when* each isolated point runs,

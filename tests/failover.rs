@@ -1869,3 +1869,63 @@ fn a_re_acquire_during_a_recall_leaves_no_one_sided_lease() {
         failures.join("\n")
     );
 }
+
+/// A flush attempt abandoned to its watchdog must never land over a newer
+/// write of the same block. The block's primary server S loses its link,
+/// so the fsync of v1 stalls in flight; S crashes, the watchdog retries v1
+/// at the ring successor and the fsync returns; v2 is written and fsynced
+/// through the successor; S restarts and its link comes back, and the
+/// stalled first attempt of v1 completes at S. The block must still hold
+/// v2.
+#[test]
+fn an_abandoned_flush_attempt_never_lands_over_a_newer_write() {
+    let (mut sim, mut w, client, fs, _s1, s2) = bed();
+    let sess = w.open_session(client);
+    let rw = gfs_auth::handshake::AccessMode::ReadWrite;
+    let (sim_, w_) = (&mut sim, &mut w);
+    settle(sim_, w_, |sim, w, cb| sess.mount(sim, w, "hafs", rw, cb)).unwrap();
+    let h = settle(sim_, w_, |sim, w, cb| {
+        sess.open(sim, w, "/fenced", OpenFlags::ReadWrite, Owner::local(1, 1), cb)
+    })
+    .unwrap();
+    let block = 64 * 1024;
+    let v1 = Bytes::from(vec![0x11u8; block]);
+    let v2 = Bytes::from(vec![0x22u8; block]);
+    settle(sim_, w_, |sim, w, cb| sess.write(sim, w, h, 0, v1, cb)).unwrap();
+    let inode = w_.clients[client.0 as usize].handles[&h].inode;
+    let core = &w_.fss[fs.0 as usize].core;
+    let addr = core.block_map(inode, 0, 1).unwrap()[0].1.expect("block 0 allocated");
+    assert_eq!(
+        w_.fss[fs.0 as usize].try_server_of(NsdId(addr.nsd)),
+        Some(s2),
+        "block 0 must be served by the server that is not the manager"
+    );
+
+    // S's link goes down: the fsync's first flush attempt stalls on it.
+    let link = |w: &GfsWorld| w.net.links_named("l2");
+    for id in link(w_) {
+        globalfs::simnet::Network::set_link_up(sim_, w_, id, false);
+    }
+    // S crashes before the attempt's watchdog fires; the retry goes to the
+    // ring successor, v1 lands there and the fsync returns.
+    let crash_at = sim_.now() + SimDuration::from_millis(100);
+    sim_.at(crash_at, move |_, w| w.fss[fs.0 as usize].fail_server(s2));
+    settle(sim_, w_, |sim, w, cb| sess.fsync(sim, w, h, cb)).unwrap();
+    assert_eq!(&w_.fss[fs.0 as usize].core.get_block_data(addr)[..], &[0x11u8; 64 * 1024][..]);
+
+    // v2 lands through the successor.
+    settle(sim_, w_, |sim, w, cb| sess.write(sim, w, h, 0, v2, cb)).unwrap();
+    settle(sim_, w_, |sim, w, cb| sess.fsync(sim, w, h, cb)).unwrap();
+    assert_eq!(&w_.fss[fs.0 as usize].core.get_block_data(addr)[..], &[0x22u8; 64 * 1024][..]);
+
+    // S restarts, then its link comes back: the stalled attempt completes.
+    w_.fss[fs.0 as usize].restore_server(s2);
+    for id in link(w_) {
+        globalfs::simnet::Network::set_link_up(sim_, w_, id, true);
+    }
+    sim_.run(w_);
+    assert!(
+        w_.fss[fs.0 as usize].core.get_block_data(addr)[..] == [0x22u8; 64 * 1024][..],
+        "the abandoned attempt landed v1 over v2"
+    );
+}

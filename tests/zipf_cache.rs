@@ -7,7 +7,7 @@
 use globalfs::gfs::fscore::FsConfig;
 use globalfs::gfs::types::{ClientId, OpenFlags, Owner};
 use globalfs::gfs::world::{FsParams, GfsWorld, WorldBuilder};
-use globalfs::scenarios::driver::run_ops;
+use globalfs::scenarios::driver::{run, Target};
 use globalfs::simcore::{det_rng, Bandwidth, Sim, SimDuration};
 use globalfs::workloads::zipf::nvo_zipf_queries;
 use globalfs::workloads::Workload;
@@ -74,7 +74,7 @@ fn run_queries(pool_pages: usize, wl: Workload) -> (f64, u64, u64) {
                     c.pool.hits = 0;
                     c.pool.misses = 0;
                     *st.borrow_mut() = Some(sim.now());
-                    run_ops(sim, w, sess, h, wl, move |sim, _w, r| {
+                    run(sim, w, Target::Handle { sess, handle: h }, wl, move |sim, _w, r| {
                         r.unwrap();
                         d.set(sim.now().as_nanos());
                     });
