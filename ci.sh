@@ -48,6 +48,11 @@ echo "== gfsbench --self-test (the benchmark's own checks)"
 # breaks one of them fails here rather than in a benchmark run.
 cargo run --release --offline --quiet --manifest-path gfsbench/Cargo.toml -- --self-test
 
+echo "== gfsbench unit tests"
+# The benchmark's own unit tests, among them the LogHist quantile tests
+# behind every p50/p99 it reports.
+cargo test --release --offline --quiet --manifest-path gfsbench/Cargo.toml
+
 echo "== gfsbench: every workload once at full size"
 # The self-test plays small shapes only; one untraced round of each
 # workload at the benchmark's own size puts the integrity gate (fsck,

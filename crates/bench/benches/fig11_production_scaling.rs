@@ -5,7 +5,9 @@
 //! ~6 GB/s of an 8 GB/s theoretical network, writes plateau lower at the
 //! SATA RAID-5 destage ceiling. The figure-scale points run through the
 //! streaming path (the steady state of 128 MB blocks pipelined in 1 MB
-//! transfers); the pattern itself is exercised by `gfs::mpiio`.
+//! transfers). The rank pattern itself is `workloads::mpi_blocked`, which
+//! `scenarios::driver::collective` runs over `Session`s, one phase list
+//! per rank.
 
 use gfs_bench::{header, table, verdict};
 use scenarios::production::{bottleneck_report, run_fig11, ProductionConfig};

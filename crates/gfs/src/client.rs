@@ -31,7 +31,7 @@ use crate::world::{
 use bytes::Bytes;
 use gfs_auth::handshake::AccessMode;
 use simcore::fxhash::FxHashMap;
-use simcore::{Sim, SimDuration, SimTime};
+use simcore::{Join, Sim, SimDuration, SimTime};
 use simnet::{FlowSpec, Network, NodeId};
 use simsan::IoKind;
 use std::cell::{Cell, RefCell};
@@ -70,41 +70,6 @@ fn inflight_exit(w: &mut GfsWorld, c: ClientId, fs: FsId, inode: InodeId) {
     *cnt -= 1;
     if *cnt == 0 {
         w.clients[c.0 as usize].inflight.remove(&(fs, inode));
-    }
-}
-
-/// Join helper: run `cb` once `n` completions have been counted.
-struct Join {
-    remaining: Cell<usize>,
-    cb: RefCell<Option<Cb<()>>>,
-}
-
-impl Join {
-    fn new(n: usize, cb: Cb<()>) -> Rc<Self> {
-        Rc::new(Join {
-            remaining: Cell::new(n),
-            cb: RefCell::new(Some(cb)),
-        })
-    }
-
-    fn arrive(self: &Rc<Self>, sim: &mut Sim<GfsWorld>, w: &mut GfsWorld) {
-        let left = self.remaining.get();
-        debug_assert!(left > 0, "join over-arrived");
-        self.remaining.set(left - 1);
-        if left == 1 {
-            if let Some(cb) = self.cb.borrow_mut().take() {
-                cb(sim, w, ());
-            }
-        }
-    }
-
-    /// Fire immediately when n == 0.
-    fn maybe_done(self: &Rc<Self>, sim: &mut Sim<GfsWorld>, w: &mut GfsWorld) {
-        if self.remaining.get() == 0 {
-            if let Some(cb) = self.cb.borrow_mut().take() {
-                cb(sim, w, ());
-            }
-        }
     }
 }
 
@@ -481,7 +446,7 @@ fn token_grant(
         ack.rearm(sim, fuse);
     });
 
-    let finish: Cb<()> = Box::new(move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ()| {
+    let join = Join::<GfsWorld>::new(waits.len(), move |sim, w, _| {
         let inst = &mut w.fss[fs.0 as usize];
         // An expulsion of the requester meanwhile took the grant back; its
         // retry asks afresh.
@@ -506,12 +471,11 @@ fn token_grant(
             start_recall(sim, w, rec);
         }
     });
-    let join = Join::new(waits.len(), finish);
     for rec in &waits {
         let join = join.clone();
-        rec.wait(Box::new(move |sim, w, ()| join.arrive(sim, w)));
+        rec.wait(Box::new(move |sim, w, ()| join.arrive(sim, w, Ok(()))));
     }
-    join.maybe_done(sim, w);
+    join.seal(sim, w);
     for rec in fresh {
         start_recall(sim, w, rec);
     }
@@ -1297,9 +1261,9 @@ fn fetch_run(
 }
 
 /// Flush a batch of dirty pages, coalescing disk-contiguous blocks into
-/// scatter-gather write runs. `done` fires once every page has settled,
+/// scatter-gather write runs. `done` fires once every run has settled,
 /// carrying the first flush error (if any). Pages whose blocks were freed
-/// underneath (truncate/unlink raced the flush) settle immediately.
+/// underneath (truncate/unlink raced the flush) are dropped.
 fn flush_dirty_pages(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
@@ -1307,28 +1271,16 @@ fn flush_dirty_pages(
     dirty: Vec<DirtyPage>,
     done: Cb<Result<(), FsError>>,
 ) {
-    let first_err: Rc<RefCell<Option<FsError>>> = Rc::new(RefCell::new(None));
-    let first_err_f = first_err.clone();
-    let finish: Cb<()> = Box::new(move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ()| {
-        match first_err_f.borrow_mut().take() {
-            Some(e) => done(sim, w, Err(e)),
-            None => done(sim, w, Ok(())),
-        }
-    });
-    let join = Join::new(dirty.len(), finish);
-    let mut items = Vec::with_capacity(dirty.len());
-    for page in dirty {
-        match block_addr(w, page.key) {
-            Some(addr) => items.push((page.key, addr, page.data)),
-            None => join.arrive(sim, w),
-        }
-    }
-    for (addr, members) in coalesce(items) {
+    let items = dirty
+        .into_iter()
+        .filter_map(|page| Some((page.key, block_addr(w, page.key)?, page.data)))
+        .collect();
+    let runs = coalesce(items);
+    let join = Join::new(runs.len(), done);
+    for (addr, members) in runs {
         let (keys, data): (Vec<PageKey>, Vec<Bytes>) = members.into_iter().unzip();
         let block_size = w.fss[keys[0].fs.0 as usize].core.config.block_size;
-        let run_len = keys.len();
         let join = join.clone();
-        let first_err = first_err.clone();
         flush_run(
             sim,
             w,
@@ -1337,17 +1289,10 @@ fn flush_dirty_pages(
             data,
             addr,
             block_size,
-            Box::new(move |sim, w, r| {
-                if let Err(e) = r {
-                    first_err.borrow_mut().get_or_insert(e);
-                }
-                for _ in 0..run_len {
-                    join.arrive(sim, w);
-                }
-            }),
+            Box::new(move |sim, w, r| join.arrive(sim, w, r)),
         );
     }
-    join.maybe_done(sim, w);
+    join.seal(sim, w);
 }
 
 /// Flush a scatter-gather run of dirty pages to disk-contiguous blocks on
@@ -1560,12 +1505,10 @@ pub(crate) fn read(
             let nblocks = (last - first) as usize;
             let parts: Rc<RefCell<Vec<Option<Bytes>>>> =
                 Rc::new(RefCell::new(vec![None; nblocks]));
-            let first_err: Rc<RefCell<Option<FsError>>> = Rc::new(RefCell::new(None));
-            let finish: Cb<()> = {
+            let finish = {
                 let parts = parts.clone();
-                let first_err = first_err.clone();
-                Box::new(move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ()| {
-                    if let Some(e) = first_err.borrow_mut().take() {
+                move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, r: Result<(), FsError>| {
+                    if let Err(e) = r {
                         inflight_exit(w, client, fs, inode);
                         cb(sim, w, Err(e));
                         return;
@@ -1640,9 +1583,8 @@ pub(crate) fn read(
                     fetch_misses(sim, w, client, ahead_misses, Rc::new(|_, _, _, _| {}));
                     inflight_exit(w, client, fs, inode);
                     cb(sim, w, Ok(out));
-                })
+                }
             };
-            let join = Join::new(nblocks, finish);
             // One block-map resolution for the whole range; cache hits and
             // holes settle inline, misses coalesce into scatter-gather runs.
             let map = w.fss[fs.0 as usize]
@@ -1658,36 +1600,30 @@ pub(crate) fn read(
                 };
                 if let Some(data) = w.clients[client.0 as usize].pool.get(key) {
                     parts.borrow_mut()[i] = Some(data);
-                    join.arrive(sim, w);
                     continue;
                 }
                 match map.get(i).and_then(|(_, a)| *a) {
-                    None => {
-                        // Hole or past-EOF: zeros, no I/O.
-                        parts.borrow_mut()[i] = Some(w.fss[fs.0 as usize].core.zero_block());
-                        join.arrive(sim, w);
-                    }
+                    // Hole or past-EOF: zeros, no I/O.
+                    None => parts.borrow_mut()[i] = Some(w.fss[fs.0 as usize].core.zero_block()),
                     Some(addr) => misses.push((key, addr, ())),
                 }
             }
-            let join_all = join.clone();
+            // One part per missed block: a segment brings several.
+            let join = Join::new(misses.len(), finish);
+            let fetched = join.clone();
             let segment_done: SegmentDone = Rc::new(move |sim, w, keys, r| {
-                match r {
-                    Ok(data) => {
-                        for (key, part) in keys.iter().zip(data) {
-                            parts.borrow_mut()[(key.block - first) as usize] = Some(part);
-                        }
+                let r = r.map(|data| {
+                    for (key, part) in keys.iter().zip(data) {
+                        parts.borrow_mut()[(key.block - first) as usize] = Some(part);
                     }
-                    Err(e) => {
-                        first_err.borrow_mut().get_or_insert(e);
-                    }
+                });
+                for _ in 1..keys.len() {
+                    fetched.arrive(sim, w, Ok(()));
                 }
-                for _ in 0..keys.len() {
-                    join.arrive(sim, w);
-                }
+                fetched.arrive(sim, w, r);
             });
             fetch_misses(sim, w, client, misses, segment_done);
-            join_all.maybe_done(sim, w);
+            join.seal(sim, w);
         }),
     );
 }
@@ -1776,17 +1712,10 @@ pub(crate) fn write(
                     // old contents first.
                     let first = offset / block_size;
                     let last = end.div_ceil(block_size);
-                    let first_err: Rc<RefCell<Option<FsError>>> = Rc::new(RefCell::new(None));
-                    let first_err_f = first_err.clone();
-                    let finish: Cb<()> = Box::new(move |sim: &mut Sim<GfsWorld>, w, ()| {
+                    let join = Join::new((last - first) as usize, move |sim, w, r| {
                         inflight_exit(w, client, fs, inode);
-                        match first_err_f.borrow_mut().take() {
-                            Some(e) => cb(sim, w, Err(e)),
-                            None => cb(sim, w, Ok(())),
-                        }
+                        cb(sim, w, r)
                     });
-                    let join = Join::new((last - first) as usize, finish);
-                    join.maybe_done(sim, w);
                     for b in first..last {
                         let bstart = b * block_size;
                         let bend = bstart + block_size;
@@ -1802,8 +1731,6 @@ pub(crate) fn write(
                         };
                         let join = join.clone();
                         let join_err = join.clone();
-                        let first_err = first_err.clone();
-                        let merge_err = first_err.clone();
                         let merge = move |sim: &mut Sim<GfsWorld>,
                                           w: &mut GfsWorld,
                                           old: Option<Bytes>| {
@@ -1813,8 +1740,7 @@ pub(crate) fn write(
                             // dirty, so the write fails instead.
                             let c = &w.clients[client.0 as usize];
                             if !c.held_tokens.holds_page(key, true, block_size) {
-                                merge_err.borrow_mut().get_or_insert(FsError::Timeout);
-                                join.arrive(sim, w);
+                                join.arrive(sim, w, Err(FsError::Timeout));
                                 return;
                             }
                             // A fully covered block dirties the caller's
@@ -1841,7 +1767,7 @@ pub(crate) fn write(
                                 .pool
                                 .insert_dirty(key, page);
                             flush_evicted(sim, w, client, evicted);
-                            join.arrive(sim, w);
+                            join.arrive(sim, w, Ok(()));
                         };
                         if full_cover {
                             merge(sim, w, None);
@@ -1860,10 +1786,7 @@ pub(crate) fn write(
                                 b,
                                 Box::new(move |sim, w, r| match r {
                                     Ok(old) => merge(sim, w, Some(old)),
-                                    Err(e) => {
-                                        first_err.borrow_mut().get_or_insert(e);
-                                        join_err.arrive(sim, w);
-                                    }
+                                    Err(e) => join_err.arrive(sim, w, Err(e)),
                                 }),
                             );
                         }

@@ -35,6 +35,7 @@ use crate::types::{check_file_size, BlockAddr, FsError, FsId, InodeId, NameId, O
 use bytes::Bytes;
 use simcore::fxhash::FxHashMap;
 use std::cell::Cell;
+use std::ops::Range;
 
 /// Whether file contents are materialized.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -1126,6 +1127,22 @@ impl FsCore {
         };
         blocks.insert(at, (block_idx, addr));
         Ok(addr)
+    }
+
+    /// Map blocks `range` of `inode` for writing ([`FsCore::ensure_block`]).
+    /// A range the free space cannot cover maps nothing and fails with
+    /// `NoSpace`, so a write refused for space leaves no block past EOF.
+    pub fn ensure_blocks(&mut self, inode: InodeId, range: Range<u64>) -> Result<(), FsError> {
+        let mapped = self.mapped(inode)?;
+        let held = mapped.partition_point(|&(b, _)| b < range.end)
+            - mapped.partition_point(|&(b, _)| b < range.start);
+        if range.end.saturating_sub(range.start) - held as u64 > self.free_blocks() {
+            return Err(FsError::NoSpace);
+        }
+        for b in range {
+            self.ensure_block(inode, b)?;
+        }
+        Ok(())
     }
 
     /// Record a write's effect on file size and mtime.

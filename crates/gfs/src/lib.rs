@@ -14,7 +14,7 @@
 //!   over simulated RPCs, NSD service and bulk flows.
 //! * [`world`] — scenario assembly: clusters, filesystems, clients.
 //!
-//! Additional layers (streaming data path, MPI-IO, SAN-client mode) are in
+//! Additional layers (streaming data path, SAN-client mode) are in
 //! sibling modules.
 #![allow(clippy::type_complexity)] // Sim callback signatures are inherent to the event-driven style
 #![allow(clippy::too_many_arguments)] // op-path plumbing carries (sim, world, ids...) by design
@@ -25,7 +25,6 @@ pub mod commands;
 pub mod faults;
 pub mod fscore;
 pub mod fsck;
-pub mod mpiio;
 pub mod oracle;
 pub mod replica;
 mod rpc;

@@ -46,9 +46,9 @@ use crate::world::{
 use bytes::Bytes;
 use gfs_auth::handshake::AccessMode;
 use simcore::fxhash::{FxHashMap, FxHashSet};
-use simcore::{Sim, SimDuration};
+use simcore::{Join, Sim, SimDuration};
 use simnet::Network;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::ops::ControlFlow::Continue;
 use std::rc::Rc;
 
@@ -266,9 +266,8 @@ impl MetaOp {
             }
             MetaOp::Allocate { inode, offset, end } => {
                 let block = inst.core.config.block_size;
-                for b in offset / block..end.div_ceil(block) {
-                    inst.core.ensure_block(*inode, b)?;
-                }
+                let blocks = offset / block..end.div_ceil(block);
+                inst.core.ensure_blocks(*inode, blocks)?;
                 inst.core.note_write(*inode, *offset, end - offset, now)?;
                 // Write-consistency hook: bump the file generation and
                 // invalidate replica copies. Rides the byte-range token
@@ -1302,20 +1301,14 @@ pub(crate) fn reconcile_journal(
     for _ in 0..entries.len().div_ceil(2) {
         w.fss[fs.0 as usize].core.shards.note_heat(&top);
     }
-    let left = Rc::new(Cell::new(entries.len()));
-    let done = Rc::new(RefCell::new(Some(done)));
+    let join = Join::<GfsWorld>::new(entries.len(), move |sim, w, _| done(sim, w));
     for e in entries {
-        let (left, done, id) = (left.clone(), done.clone(), e.op_id);
+        let (join, id) = (join.clone(), e.op_id);
         let deliver: Cb<Result<Outcome, FsError>> = Box::new(move |sim, w, r| {
             if r.is_ok() {
                 w.fanin.retire.entry((ctx.0, fs.0)).or_default().push((id, id));
             }
-            left.set(left.get() - 1);
-            if left.get() == 0 {
-                if let Some(d) = done.borrow_mut().take() {
-                    d(sim, w);
-                }
-            }
+            join.arrive(sim, w, Ok(()));
         });
         let op = MetaOp::Replay {
             top: top.clone(),
@@ -1538,6 +1531,7 @@ mod tests {
     use crate::world::{FsParams, WorldBuilder};
     use bytes::Bytes;
     use simcore::{Bandwidth, SimDuration};
+    use std::cell::Cell;
     use std::collections::BTreeMap;
 
     struct Bed {

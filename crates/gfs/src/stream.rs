@@ -17,10 +17,8 @@
 
 use crate::types::{ClientId, FsId};
 use crate::world::GfsWorld;
-use simcore::Sim;
+use simcore::{Join, Sim};
 use simnet::{FlowSpec, Network, NodeId};
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
 
 /// Stream direction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -114,23 +112,14 @@ pub fn run_stream(
     let base = spec.bytes / n;
     let rem = spec.bytes % n;
 
-    let done: Rc<RefCell<Option<Box<dyn FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld)>>>> =
-        Rc::new(RefCell::new(Some(Box::new(on_done))));
-    let remaining_streams = Rc::new(Cell::new(spec.endpoints.len()));
-
+    let join = Join::<GfsWorld>::new(spec.endpoints.len(), move |sim, w, _| on_done(sim, w));
     for (i, &ep) in spec.endpoints.iter().enumerate() {
-        let share = base + if (i as u64) < rem { 1 } else { 0 };
-        if share == 0 {
-            let left = remaining_streams.get();
-            remaining_streams.set(left - 1);
-            continue;
-        }
+        let share = base + u64::from((i as u64) < rem);
         let (src, dst) = match spec.dir {
             StreamDir::Read => (ep, spec.client),
             StreamDir::Write => (spec.client, ep),
         };
-        let done = done.clone();
-        let remaining_streams = remaining_streams.clone();
+        let join = join.clone();
         chain(
             sim,
             w,
@@ -140,23 +129,8 @@ pub fn run_stream(
             spec.chunk,
             spec.window,
             spec.tag,
-            Box::new(move |sim, w| {
-                let left = remaining_streams.get();
-                remaining_streams.set(left - 1);
-                if left == 1 {
-                    if let Some(cb) = done.borrow_mut().take() {
-                        cb(sim, w);
-                    }
-                }
-            }),
+            Box::new(move |sim, w| join.arrive(sim, w, Ok(()))),
         );
-    }
-    // All shares were zero (bytes < endpoints as zero only when bytes==0,
-    // excluded by assert) — nothing else to do here.
-    if remaining_streams.get() == 0 {
-        if let Some(cb) = done.borrow_mut().take() {
-            cb(sim, w);
-        }
     }
 }
 
@@ -257,6 +231,8 @@ mod tests {
     use crate::fscore::FsConfig;
     use crate::world::{FsParams, WorldBuilder};
     use simcore::{Bandwidth, SimDuration, SimTime, GBYTE, MBYTE};
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     /// client --10Gb/s-- hub --1Gb/s x2-- two servers
     fn world() -> (Sim<GfsWorld>, GfsWorld, NodeId, Vec<NodeId>) {

@@ -18,10 +18,8 @@
 //!   suggests.
 
 #![allow(clippy::type_complexity)] // Sim callback signatures are inherent to the event-driven style
-use simcore::{Sim, SimDuration};
+use simcore::{Join, Sim, SimDuration};
 use simnet::{FlowSpec, NetWorld, Network, NodeId};
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
 
 /// One GridFTP transfer request.
 #[derive(Clone, Debug)]
@@ -115,20 +113,17 @@ pub fn transfer<W: NetWorld>(
     Network::send_msg(sim, w, ctl_dst, ctl_src, 512, move |sim, w| {
         Network::send_msg(sim, w, ctl_src, ctl_dst, 512, move |sim, _w| {
             sim.after(setup, move |sim, w| {
-                let done: Rc<RefCell<Option<Box<dyn FnOnce(&mut Sim<W>, &mut W)>>>> =
-                    Rc::new(RefCell::new(Some(Box::new(on_done))));
-                let remaining = Rc::new(Cell::new(total_streams as usize));
+                let join = Join::<W>::new(total_streams as usize, move |sim, w, _| on_done(sim, w));
                 let mut idx = 0u64;
                 for (s, d) in pairs {
                     for _ in 0..spec.parallel_streams {
-                        let share = per_stream + if idx < rem { 1 } else { 0 };
+                        let share = per_stream + u64::from(idx < rem);
                         idx += 1;
                         if share == 0 {
-                            remaining.set(remaining.get() - 1);
+                            join.arrive(sim, w, Ok(()));
                             continue;
                         }
-                        let done = done.clone();
-                        let remaining = remaining.clone();
+                        let join = join.clone();
                         let fspec = FlowSpec {
                             src: s,
                             dst: d,
@@ -137,19 +132,8 @@ pub fn transfer<W: NetWorld>(
                             tag: spec.tag,
                         };
                         Network::start_flow(sim, w, fspec, move |sim, w| {
-                            let left = remaining.get();
-                            remaining.set(left - 1);
-                            if left == 1 {
-                                if let Some(cb) = done.borrow_mut().take() {
-                                    cb(sim, w);
-                                }
-                            }
+                            join.arrive(sim, w, Ok(()))
                         });
-                    }
-                }
-                if remaining.get() == 0 {
-                    if let Some(cb) = done.borrow_mut().take() {
-                        cb(sim, w);
                     }
                 }
             });

@@ -19,7 +19,7 @@ use gfs::session::Session;
 use gfs::types::{FsError, FsId, InodeId, OpenFlags, Owner};
 use gfs::world::GfsWorld;
 use gfs_auth::handshake::AccessMode;
-use simcore::{Sim, SimDuration, SimTime};
+use simcore::{Join, Sim, SimDuration, SimTime};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -346,11 +346,30 @@ impl Run {
 /// reconciling the delegate journal.
 pub(crate) struct Lease {
     /// Absolute path of the leased top directory.
-    pub(crate) top: String,
+    top: String,
     /// The session that acquires and surrenders the lease.
-    pub(crate) holder: Session,
-    /// Chains still running under the lease.
-    pub(crate) left: Cell<u32>,
+    holder: Session,
+    /// Joins the chains running under the lease; the last one to drain
+    /// surrenders it.
+    drained: Join<GfsWorld>,
+}
+
+impl Lease {
+    /// A lease on `top` that `holder` acquires for `chains` chains of `run`.
+    pub(crate) fn new(top: String, holder: Session, chains: usize, run: Rc<Run>) -> Rc<Lease> {
+        let at = top.clone();
+        let drained = Join::<GfsWorld>::new(chains, move |sim, w, _| {
+            holder.surrender_lease(sim, w, &at, move |sim, _w, r| {
+                r.expect("lease surrender");
+                run.tally.end.set(sim.now());
+            });
+        });
+        Rc::new(Lease {
+            top,
+            holder,
+            drained,
+        })
+    }
 }
 
 /// One session's op chain.
@@ -432,16 +451,8 @@ fn finish(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, c: Chain) {
     let t = &c.run.tally;
     t.finished.set(t.finished.get() + 1);
     t.end.set(sim.now());
-    let Some(lease) = c.lease else { return };
-    lease.left.set(lease.left.get() - 1);
-    if lease.left.get() == 0 {
-        let run = c.run;
-        lease
-            .holder
-            .surrender_lease(sim, w, &lease.top, move |sim, _w, r| {
-                r.expect("lease surrender");
-                run.tally.end.set(sim.now());
-            });
+    if let Some(lease) = c.lease {
+        lease.drained.arrive(sim, w, Ok(()));
     }
 }
 

@@ -10,13 +10,15 @@
 //!
 //! [`run_files`] wraps the handle target in open → run → close for each
 //! of a list of paths. On a handle the first error ends the run.
+//! [`collective`] runs one phase list per rank on a shared file, MPI-IO
+//! style, with a barrier behind the slowest rank.
 
 use crate::builder::pattern_bytes;
 use gfs::session::Session;
 use gfs::stream::{gfs_stream, StreamDir};
 use gfs::types::{ClientId, FsError, FsId, Handle, OpenFlags, Owner};
 use gfs::world::GfsWorld;
-use simcore::{Sim, SimTime};
+use simcore::{Join, Sim, SimTime};
 use workloads::{Phase, Workload};
 
 /// Statistics from a completed workload run.
@@ -34,7 +36,8 @@ pub struct WorkloadStats {
 #[derive(Clone, Copy, Debug)]
 pub enum Target {
     /// Flow-level streams of mount context `ctx` against `fs`, tagged
-    /// `tag` for monitoring. `Read` and `ReadAt` stream the same bytes.
+    /// `tag` for monitoring. A phase at an offset streams the same bytes
+    /// as its sequential twin.
     Stream {
         /// The streaming mount context.
         ctx: ClientId,
@@ -44,8 +47,9 @@ pub enum Target {
         tag: u32,
     },
     /// Calls on a handle `sess` holds open. `Read` and `Write` proceed
-    /// sequentially from offset 0, `ReadAt` reads where it says, and a
-    /// `Write` carries the file's [`pattern_bytes`] at its offset.
+    /// sequentially from offset 0, `ReadAt` and `WriteAt` move their bytes
+    /// where they say, and a write carries the file's [`pattern_bytes`] at
+    /// its offset.
     Handle {
         /// The session owning the handle.
         sess: Session,
@@ -95,9 +99,10 @@ fn step(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, mut run: Box<Run>) {
     match (run.target, phase) {
         (_, Phase::Compute(d)) => sim.after(d, move |sim, w| step(sim, w, run)),
         (Target::Stream { ctx, fs, tag }, phase) => {
-            let (dir, bytes) = match phase {
-                Phase::Write { bytes } => (StreamDir::Write, bytes),
-                _ => (StreamDir::Read, phase.bytes()),
+            let bytes = phase.bytes();
+            let dir = match phase {
+                Phase::Write { .. } | Phase::WriteAt { .. } => StreamDir::Write,
+                _ => StreamDir::Read,
             };
             gfs_stream(sim, w, ctx, fs, bytes, dir, tag, move |sim, w| {
                 match dir {
@@ -107,11 +112,18 @@ fn step(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, mut run: Box<Run>) {
                 step(sim, w, run)
             });
         }
-        (Target::Handle { sess, handle }, Phase::Write { bytes }) => {
-            let data = pattern_bytes(run.cursor, bytes);
-            sess.write(sim, w, handle, run.cursor, data, move |sim, w, r| match r {
+        (
+            Target::Handle { sess, handle },
+            phase @ (Phase::Write { .. } | Phase::WriteAt { .. }),
+        ) => {
+            let (offset, bytes) = (phase.offset().unwrap_or(run.cursor), phase.bytes());
+            let sequential = phase.offset().is_none();
+            let data = pattern_bytes(offset, bytes);
+            sess.write(sim, w, handle, offset, data, move |sim, w, r| match r {
                 Ok(()) => {
-                    run.cursor += bytes;
+                    if sequential {
+                        run.cursor += bytes;
+                    }
                     run.stats.written_bytes += bytes;
                     step(sim, w, run)
                 }
@@ -119,10 +131,8 @@ fn step(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, mut run: Box<Run>) {
             });
         }
         (Target::Handle { sess, handle }, phase) => {
-            let (offset, sequential) = match phase {
-                Phase::ReadAt { offset, .. } => (offset, false),
-                _ => (run.cursor, true),
-            };
+            let offset = phase.offset().unwrap_or(run.cursor);
+            let sequential = phase.offset().is_none();
             sess.read(sim, w, handle, offset, phase.bytes(), move |sim, w, r| match r {
                 Ok(data) => {
                     if sequential {
@@ -173,6 +183,29 @@ pub fn run_files(
         done: Box::new(on_done),
     };
     next_file(sim, w, files);
+}
+
+/// An MPI-IO-style collective on the shared file `path`: every rank runs
+/// its phase list through [`run_files`] on its own session, all at once.
+/// `on_done` fires at the barrier, when the slowest rank is back, with the
+/// first error if a rank failed.
+pub fn collective(
+    sim: &mut Sim<GfsWorld>,
+    w: &mut GfsWorld,
+    path: &str,
+    flags: OpenFlags,
+    ranks: Vec<(Session, Workload)>,
+    on_done: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<(), FsError>) + 'static,
+) {
+    let barrier = Join::new(ranks.len(), on_done);
+    for (sess, workload) in ranks {
+        let barrier = barrier.clone();
+        let paths = vec![path.to_string()];
+        run_files(sim, w, sess, paths, flags, workload, move |sim, w, r| {
+            barrier.arrive(sim, w, r.map(drop))
+        });
+    }
+    barrier.seal(sim, w);
 }
 
 /// A [`run_files`] in progress.
@@ -320,6 +353,113 @@ mod tests {
         assert_eq!(st.read_bytes, 10_000);
         // The file reflects the sequential writes: 200k at 0, 100k at 200k.
         assert_eq!(w.fss[0].core.stat("/mixed").unwrap().size, 300_000);
+    }
+
+    /// `n` ranks on their own nodes behind one switch, each a session of
+    /// its own mount context, mounted on the one filesystem.
+    fn ranks(n: usize) -> (Sim<GfsWorld>, GfsWorld, Vec<Session>) {
+        let mut b = WorldBuilder::new(9);
+        b.key_bits(384);
+        let sw = b.topo().node("switch");
+        let mgr = b.topo().node("mgr");
+        let (bw, lat) = (Bandwidth::gbit(10.0), SimDuration::from_micros(50));
+        b.topo().duplex_link(mgr, sw, bw, lat, "mgr");
+        let c = b.cluster("c");
+        let params = FsParams::ideal(
+            FsConfig::small_test("pfs"),
+            mgr,
+            vec![mgr],
+            Bandwidth::gbyte(1.0),
+            SimDuration::from_micros(200),
+        );
+        b.filesystem(c, params);
+        let ctxs: Vec<ClientId> = (0..n)
+            .map(|i| {
+                let node = b.topo().node(format!("rank{i}"));
+                let (bw, lat) = (Bandwidth::gbit(1.0), SimDuration::from_micros(50));
+                b.topo().duplex_link(node, sw, bw, lat, format!("r{i}"));
+                b.client(c, node, 256)
+            })
+            .collect();
+        let (mut sim, mut w) = b.build();
+        let ranks: Vec<Session> = ctxs.into_iter().map(|c| w.open_session(c)).collect();
+        for &r in &ranks {
+            r.mount(&mut sim, &mut w, "pfs", AccessMode::ReadWrite, |_, _, r| {
+                r.unwrap()
+            });
+        }
+        sim.run(&mut w);
+        (sim, w, ranks)
+    }
+
+    /// Run a collective in which rank `r` moves its `block` of "/mpi.dat"
+    /// in `transfer`-sized ops; its result and the instant of the barrier.
+    fn blocked(
+        sim: &mut Sim<GfsWorld>,
+        w: &mut GfsWorld,
+        ranks: &[Session],
+        (block, transfer): (u64, u64),
+        write: bool,
+    ) -> (Result<(), FsError>, SimTime) {
+        let ranks = ranks
+            .iter()
+            .enumerate()
+            .map(|(r, &s)| (s, workloads::mpi_blocked(r as u64, block, transfer, write)))
+            .collect();
+        let flags = match write {
+            true => OpenFlags::ReadWrite,
+            false => OpenFlags::Read,
+        };
+        let out = Rc::new(RefCell::new(None));
+        let o = out.clone();
+        collective(sim, w, "/mpi.dat", flags, ranks, move |sim, _, r| {
+            *o.borrow_mut() = Some((r, sim.now()))
+        });
+        sim.run(w);
+        let r = out.borrow_mut().take();
+        r.expect("the barrier fired")
+    }
+
+    #[test]
+    fn every_rank_opens_the_shared_file() {
+        let (mut sim, mut w, ranks) = ranks(4);
+        let pattern = (256 * 1024, 64 * 1024);
+        let (r, _) = blocked(&mut sim, &mut w, &ranks, pattern, true);
+        r.unwrap();
+        // Every rank opened the file and wrote its own block there.
+        assert_eq!(w.fss[0].core.stat("/mpi.dat").unwrap().size, 4 * pattern.0);
+    }
+
+    #[test]
+    fn disjoint_ranks_write_then_read_without_revocations() {
+        let (mut sim, mut w, ranks) = ranks(4);
+        let pattern = (256 * 1024, 64 * 1024); // 4 blocks of 64 KiB per rank
+        blocked(&mut sim, &mut w, &ranks, pattern, true).0.unwrap();
+        blocked(&mut sim, &mut w, &ranks, pattern, false).0.unwrap();
+        // Disjoint regions: the token manager never revoked anything.
+        assert_eq!(w.fss[0].tokens.revocations, 0);
+        assert_eq!(w.fss[0].core.stat("/mpi.dat").unwrap().size, 4 * pattern.0);
+    }
+
+    #[test]
+    fn more_ranks_more_aggregate_throughput() {
+        // The collective's time for fixed per-rank work stays nearly flat
+        // as ranks grow, until a shared bottleneck: aggregate throughput
+        // scales (the Fig. 11 premise).
+        let times: Vec<f64> = [1, 4]
+            .into_iter()
+            .map(|n| {
+                let (mut sim, mut w, ranks) = ranks(n);
+                let start = sim.now();
+                let (r, end) = blocked(&mut sim, &mut w, &ranks, (512 * 1024, 64 * 1024), true);
+                r.unwrap();
+                end.since(start).as_secs_f64()
+            })
+            .collect();
+        // 4 ranks move 4x the data; perfect scaling would keep the times
+        // equal. Allow 2x, not worse.
+        let (one, four) = (times[0], times[1]);
+        assert!(four < one * 2.0, "4 ranks {four}s vs 1 rank {one}s");
     }
 
     #[test]

@@ -30,7 +30,7 @@ use gfs::types::{FsId, Owner};
 use gfs::world::GfsWorld;
 use rand::{rngs::StdRng, Rng};
 use simcore::{det_rng, Bandwidth, Sim, SimDuration, SimTime};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Storm shape. The defaults produce ≥1M metadata operations.
@@ -640,13 +640,8 @@ fn run_point(
             .chunks(spc as usize)
             .enumerate()
             .map(|(gi, group)| {
-                let lease = (gi < lease_n).then(|| {
-                    Rc::new(Lease {
-                        top: format!("/w{gi:02}"),
-                        holder: group[0],
-                        left: Cell::new(group.len() as u32),
-                    })
-                });
+                let lease = (gi < lease_n)
+                    .then(|| Lease::new(format!("/w{gi:02}"), group[0], group.len(), st.clone()));
                 let private = lease.as_ref().map(|_| gi as u32);
                 let chains = group.iter().enumerate().map(|(j, &sess)| {
                     let si = gi * spc as usize + j;

@@ -16,7 +16,7 @@ use gfs::fscore::{DataMode, FsConfig};
 use gfs::stream::{gfs_stream, StreamDir};
 use gfs::world::{FsParams, GfsWorld, NsdBacking, WorldBuilder};
 use gfs::types::{ClientId, FsId};
-use simcore::{Bandwidth, Sim, SimDuration, SimTime, GBYTE, MBYTE};
+use simcore::{Bandwidth, Join, Sim, SimDuration, SimTime, GBYTE, MBYTE};
 use simsan::{FarmSpec, IoKind};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -141,39 +141,40 @@ fn build(cfg: &ProductionConfig, nodes: u32) -> (Sim<GfsWorld>, GfsWorld, Vec<Cl
 /// `per_client_bytes` in `direction`; aggregate rate = total/makespan.
 pub fn run_scaling_point(cfg: ProductionConfig, nodes: u32, direction: Direction) -> ScalingPoint {
     assert!(nodes > 0);
-    let (mut sim, mut w, clients, fs) = build(&cfg, nodes);
+    let (sim, w, clients, fs) = build(&cfg, nodes);
+    stream_all(sim, w, &clients, fs, cfg.per_client_bytes, direction)
+}
+
+/// Every client streams `bytes` in `direction` at once; the point's
+/// makespan is the instant the slowest one finished.
+fn stream_all(
+    mut sim: Sim<GfsWorld>,
+    mut w: GfsWorld,
+    clients: &[ClientId],
+    fs: FsId,
+    bytes: u64,
+    direction: Direction,
+) -> ScalingPoint {
     let dir = match direction {
         Direction::Read => StreamDir::Read,
         Direction::Write => StreamDir::Write,
     };
-    let remaining = Rc::new(Cell::new(nodes));
-    let finish = Rc::new(Cell::new(0u64));
-    for &c in &clients {
-        let remaining = remaining.clone();
-        let finish = finish.clone();
-        gfs_stream(
-            &mut sim,
-            &mut w,
-            c,
-            fs,
-            cfg.per_client_bytes,
-            dir,
-            1,
-            move |sim, _w| {
-                remaining.set(remaining.get() - 1);
-                if remaining.get() == 0 {
-                    finish.set(sim.now().as_nanos());
-                }
-            },
-        );
+    let end = Rc::new(Cell::new(None));
+    let e = end.clone();
+    let all = Join::<GfsWorld>::new(clients.len(), move |sim, _, _| e.set(Some(sim.now())));
+    for &c in clients {
+        let all = all.clone();
+        gfs_stream(&mut sim, &mut w, c, fs, bytes, dir, 1, move |sim, w| {
+            all.arrive(sim, w, Ok(()))
+        });
     }
     sim.run(&mut w);
-    assert_eq!(remaining.get(), 0, "scaling run did not complete");
+    let end = end.get().expect("scaling run did not complete");
     ScalingPoint {
-        nodes,
+        nodes: clients.len() as u32,
         direction,
-        bytes: u64::from(nodes) * cfg.per_client_bytes,
-        seconds: SimTime::from_nanos(finish.get()).as_secs_f64(),
+        bytes: clients.len() as u64 * bytes,
+        seconds: end.as_secs_f64(),
         events: sim.executed(),
         data_path: crate::builder::data_path_stats_of(&w),
     }
@@ -305,29 +306,8 @@ pub fn run_anl(nodes: u32) -> ScalingPoint {
         );
         clients.push(b.client(cluster, n, 16));
     }
-    let (mut sim, mut w) = b.build();
-    let per_client = 2 * GBYTE;
-    let remaining = Rc::new(Cell::new(nodes));
-    let finish = Rc::new(Cell::new(0u64));
-    for &c in &clients {
-        let remaining = remaining.clone();
-        let finish = finish.clone();
-        gfs_stream(&mut sim, &mut w, c, fs, per_client, StreamDir::Read, 1, move |sim, _w| {
-            remaining.set(remaining.get() - 1);
-            if remaining.get() == 0 {
-                finish.set(sim.now().as_nanos());
-            }
-        });
-    }
-    sim.run(&mut w);
-    ScalingPoint {
-        nodes,
-        direction: Direction::Read,
-        bytes: u64::from(nodes) * per_client,
-        seconds: SimTime::from_nanos(finish.get()).as_secs_f64(),
-        events: sim.executed(),
-        data_path: crate::builder::data_path_stats_of(&w),
-    }
+    let (sim, w) = b.build();
+    stream_all(sim, w, &clients, fs, 2 * GBYTE, Direction::Read)
 }
 
 /// Latency-tolerance sweep (ablation A1): one well-provisioned client

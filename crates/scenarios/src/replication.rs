@@ -42,7 +42,7 @@ use gfs_auth::handshake::AccessMode;
 use gridftp::TransferSpec;
 use hsm::manager::{Hsm, HsmPolicy};
 use hsm::tape::{TapeLibrary, TapeSpec};
-use simcore::{Bandwidth, SimDuration, SimTime};
+use simcore::{Bandwidth, Join, SimDuration, SimTime};
 use simnet::NodeId;
 use std::cell::Cell;
 use std::rc::Rc;
@@ -209,15 +209,13 @@ fn note_err(errs: &ErrSink, r: &Result<impl Sized, FsError>) {
     }
 }
 
-/// A barrier over `n` independent chains: records the latest completion
-/// time and fires nothing — phases synchronize by draining the sim.
-fn join_latest(n: usize) -> (Rc<Cell<usize>>, Rc<Cell<SimTime>>) {
-    (Rc::new(Cell::new(n)), Rc::new(Cell::new(SimTime::ZERO)))
-}
-
-fn arrive(left: &Rc<Cell<usize>>, last: &Rc<Cell<SimTime>>, now: SimTime) {
-    left.set(left.get() - 1);
-    last.set(last.get().max(now));
+/// A join over `n` chains that notes the instant the last one finished;
+/// phases synchronize by draining the sim.
+fn cohort(n: usize) -> (Join<GfsWorld>, Rc<Cell<Option<SimTime>>>) {
+    let end = Rc::new(Cell::new(None));
+    let e = end.clone();
+    let join = Join::<GfsWorld>::new(n, move |sim, _, _| e.set(Some(sim.now())));
+    (join, end)
 }
 
 /// Run one campaign point on its own seeded world.
@@ -327,18 +325,17 @@ pub fn run_campaign_point(cfg: &ReplicationConfig, point: usize) -> CampaignRepo
 
     let hot_paths: Vec<String> = (0..cfg.hot_files).map(|i| format!("/hot/f{i}")).collect();
     {
-        let (left, last) = join_latest(cfg.hot_files);
+        let (files, end) = cohort(cfg.hot_files);
         for p in &hot_paths {
-            let (p, errs) = (p.clone(), errs.clone());
-            let (left, last) = (left.clone(), last.clone());
+            let (p, errs, files) = (p.clone(), errs.clone(), files.clone());
             let wl = chunked(StreamDir::Write, cfg.hot_file_bytes, cfg.chunk_bytes);
-            run_files(&mut sim, &mut w, writer, vec![p], OpenFlags::Write, wl, move |sim, _, r| {
+            run_files(&mut sim, &mut w, writer, vec![p], OpenFlags::Write, wl, move |sim, w, r| {
                 note_err(&errs, &r);
-                arrive(&left, &last, sim.now())
+                files.arrive(sim, w, Ok(()))
             });
         }
         sim.run(&mut w);
-        assert_eq!(left.get(), 0, "hot-set population stalled");
+        end.get().expect("hot-set population stalled");
     }
     let hot_inodes: Vec<InodeId> = hot_paths
         .iter()
@@ -371,21 +368,21 @@ pub fn run_campaign_point(cfg: &ReplicationConfig, point: usize) -> CampaignRepo
     let read_order: Vec<String> = hot_paths.iter().rev().cloned().collect();
     let hot_read = chunked(StreamDir::Read, cfg.hot_file_bytes, cfg.chunk_bytes);
     let t_a = sim.now() + SimDuration::from_secs(1);
-    let (left_a, last_a) = join_latest(readers_home.len());
+    let (readers, end_a) = cohort(readers_home.len());
     for sess in &readers_home {
         let sess = *sess;
         let (paths, wl, errs) = (read_order.clone(), hot_read.clone(), errs.clone());
-        let (left, last) = (left_a.clone(), last_a.clone());
+        let readers = readers.clone();
         sim.at(t_a, move |sim, w| {
-            run_files(sim, w, sess, paths, OpenFlags::Read, wl, move |sim, _, r| {
+            run_files(sim, w, sess, paths, OpenFlags::Read, wl, move |sim, w, r| {
                 note_err(&errs, &r);
-                arrive(&left, &last, sim.now())
+                readers.arrive(sim, w, Ok(()))
             });
         });
     }
     sim.run(&mut w);
-    assert_eq!(left_a.get(), 0, "baseline read cohort stalled");
-    let home_elapsed_ns = (last_a.get() - t_a).as_nanos();
+    let end_a = end_a.get().expect("baseline read cohort stalled");
+    let home_elapsed_ns = (end_a - t_a).as_nanos();
     let hot_bytes = readers_home.len() as u64 * cfg.hot_files as u64 * cfg.hot_file_bytes;
 
     // --- Phase 3: replicate the hot set to every farm over GridFTP. ---
@@ -420,15 +417,15 @@ pub fn run_campaign_point(cfg: &ReplicationConfig, point: usize) -> CampaignRepo
 
     // --- Phase 4: replicated reads while the bulk campaign fans out. ---
     let t_b = sim.now() + SimDuration::from_secs(1);
-    let (left_b, last_b) = join_latest(readers_rep.len());
+    let (readers, end_b) = cohort(readers_rep.len());
     for sess in &readers_rep {
         let sess = *sess;
         let (paths, wl, errs) = (read_order.clone(), hot_read.clone(), errs.clone());
-        let (left, last) = (left_b.clone(), last_b.clone());
+        let readers = readers.clone();
         sim.at(t_b, move |sim, w| {
-            run_files(sim, w, sess, paths, OpenFlags::Read, wl, move |sim, _, r| {
+            run_files(sim, w, sess, paths, OpenFlags::Read, wl, move |sim, w, r| {
                 note_err(&errs, &r);
-                arrive(&left, &last, sim.now())
+                readers.arrive(sim, w, Ok(()))
             });
         });
     }
@@ -524,8 +521,8 @@ pub fn run_campaign_point(cfg: &ReplicationConfig, point: usize) -> CampaignRepo
     // Drain everything — replicated reads, the invalidate sequence, and
     // the multi-hour bulk fan-out.
     sim.run(&mut w);
-    assert_eq!(left_b.get(), 0, "replicated read cohort stalled");
-    let replica_elapsed_ns = (last_b.get() - t_b).as_nanos();
+    let end_b = end_b.get().expect("replicated read cohort stalled");
+    let replica_elapsed_ns = (end_b - t_b).as_nanos();
     let campaign_elapsed_ns = (campaign_last.get() - t_b).as_nanos();
 
     // Final cold-tier watermark sweep, then audit.

@@ -673,13 +673,9 @@ pub fn replay_trace(ops: &[TraceOp], cfg: &ReplayConfig, chaos: &ChaosSpec) -> R
             .map(|group| {
                 let chains = group.iter().map(|&sess| {
                     let ops = streams.next().expect("one stream per session");
-                    let lease = single_top(&ops).filter(|_| lease_on).map(|top| {
-                        Rc::new(Lease {
-                            top: format!("/{top}"),
-                            holder: sess,
-                            left: Cell::new(1),
-                        })
-                    });
+                    let lease = single_top(&ops)
+                        .filter(|_| lease_on)
+                        .map(|top| Lease::new(format!("/{top}"), sess, 1, st.clone()));
                     let mut ops = ops.into_iter();
                     Chain {
                         sess,

@@ -20,6 +20,7 @@
 //!   host clock; all timestamps come from the engine.
 
 pub mod fxhash;
+pub mod join;
 pub mod rng;
 pub mod series;
 pub mod sim;
@@ -28,6 +29,7 @@ pub mod time;
 pub mod units;
 
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use join::Join;
 pub use rng::det_rng;
 pub use series::{Dip, RateSeries, SeriesPoint, TimeSeries};
 pub use sim::{Action, Sim, TimerId};

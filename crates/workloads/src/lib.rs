@@ -15,6 +15,8 @@
 //!   everything, write everything, both directions.
 //! * **Visualization**: frame-paced streaming reads that exhaust their
 //!   input and restart (the dip in the paper's Fig. 5).
+//! * **MPI-IO**: the paper's Fig. 11 benchmark, "128 MB Block Size, 1 MB
+//!   Transfer Size": each rank moves its own block of one shared file.
 //!
 //! Generators produce [`Phase`] sequences that scenario/bench code maps
 //! onto filesystem streams or the per-op client path.
@@ -47,6 +49,13 @@ pub enum Phase {
         /// Bytes to read.
         bytes: u64,
     },
+    /// Write of `bytes` at `offset` (a rank's slice of a shared file).
+    WriteAt {
+        /// Byte offset in the file.
+        offset: u64,
+        /// Bytes to write.
+        bytes: u64,
+    },
 }
 
 impl Phase {
@@ -54,7 +63,18 @@ impl Phase {
     pub fn bytes(&self) -> u64 {
         match self {
             Phase::Compute(_) => 0,
-            Phase::Write { bytes } | Phase::Read { bytes } | Phase::ReadAt { bytes, .. } => *bytes,
+            Phase::Write { bytes }
+            | Phase::Read { bytes }
+            | Phase::ReadAt { bytes, .. }
+            | Phase::WriteAt { bytes, .. } => *bytes,
+        }
+    }
+
+    /// Where an `*At` phase moves its bytes; `None` for a sequential one.
+    pub fn offset(&self) -> Option<u64> {
+        match self {
+            Phase::ReadAt { offset, .. } | Phase::WriteAt { offset, .. } => Some(*offset),
+            _ => None,
         }
     }
 }
@@ -73,7 +93,7 @@ impl Workload {
     pub fn write_bytes(&self) -> u64 {
         self.phases
             .iter()
-            .filter(|p| matches!(p, Phase::Write { .. }))
+            .filter(|p| matches!(p, Phase::Write { .. } | Phase::WriteAt { .. }))
             .map(Phase::bytes)
             .sum()
     }
@@ -190,6 +210,30 @@ pub fn visualization(frames: u32, frame_bytes: u64, frame_time: SimDuration) -> 
     }
 }
 
+/// Fig. 11's MPI-IO pattern for one rank: rank `rank` owns bytes
+/// `[rank * block, (rank + 1) * block)` of a shared file and moves them in
+/// order, one `transfer`-sized op at its offset — `WriteAt` phases when
+/// `write` is set, `ReadAt` phases otherwise. Disjoint ranks ask for
+/// disjoint byte ranges, so their tokens never conflict.
+pub fn mpi_blocked(rank: u64, block: u64, transfer: u64, write: bool) -> Workload {
+    let base = rank * block;
+    let phases = (0..block)
+        .step_by(transfer as usize)
+        .map(|off| {
+            let (offset, bytes) = (base + off, transfer.min(block - off));
+            if write {
+                Phase::WriteAt { offset, bytes }
+            } else {
+                Phase::ReadAt { offset, bytes }
+            }
+        })
+        .collect();
+    Workload {
+        name: "mpi-io".into(),
+        phases,
+    }
+}
+
 /// Fraction of an NVO-style dataset touched by a query workload —
 /// the x-axis of ablation A2 (GFS partial access vs GridFTP staging).
 pub fn accessed_fraction(w: &Workload, dataset_bytes: u64) -> f64 {
@@ -283,6 +327,18 @@ mod tests {
         let w = visualization(30, 100 * MBYTE, SimDuration::from_millis(500));
         assert_eq!(w.read_bytes(), 3000 * MBYTE);
         assert_eq!(w.compute_time(), SimDuration::from_secs(15));
+    }
+
+    #[test]
+    fn mpi_blocked_covers_the_rank_block_in_transfers() {
+        let w = mpi_blocked(2, 10, 4, true);
+        let at: Vec<(Option<u64>, u64)> =
+            w.phases.iter().map(|p| (p.offset(), p.bytes())).collect();
+        assert_eq!(at, [(Some(20), 4), (Some(24), 4), (Some(28), 2)]);
+        assert!(w.phases.iter().all(|p| matches!(p, Phase::WriteAt { .. })));
+        let r = mpi_blocked(2, 10, 4, false);
+        assert!(r.phases.iter().all(|p| matches!(p, Phase::ReadAt { .. })));
+        assert_eq!((r.write_bytes(), r.read_bytes()), (0, 10));
     }
 
     #[test]

@@ -121,7 +121,7 @@ fn run_phases(
                 run_phases(sim, w, client, fs, phases, checkpoint_no, finished)
             });
         }
-        Phase::Write { bytes } => {
+        Phase::Write { bytes } | Phase::WriteAt { bytes, .. } => {
             let t0 = sim.now();
             gfs_stream(sim, w, client, fs, bytes, StreamDir::Write, 1, move |sim, w| {
                 let dt = sim.now().since(t0);

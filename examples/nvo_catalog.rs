@@ -110,6 +110,6 @@ fn run_queries(
                 run_queries(sim, w, archive, site, phases, done_at)
             });
         }
-        Phase::Write { .. } => unreachable!("NVO workload is read-only"),
+        Phase::Write { .. } | Phase::WriteAt { .. } => unreachable!("NVO workload is read-only"),
     }
 }

@@ -2,7 +2,8 @@
 //! results across the whole stack — the property that makes every number
 //! in EXPERIMENTS.md re-derivable.
 
-use globalfs::scenarios::{production, recovery, replication, sc02, sc04};
+use globalfs::scenarios::ablations::{blocksize_streams, gfs_vs_gridftp, A2Config};
+use globalfs::scenarios::{deisa, production, recovery, replication, sc02, sc03, sc04};
 use globalfs::simcore::SimDuration;
 
 #[test]
@@ -141,6 +142,73 @@ fn replication_campaign_pinned() {
             r.split_fanouts
         ),
         (2537, 3_731_322_901, 1_216_466_782, 2_808_913_009_655, 34, 196, 48)
+    );
+}
+
+/// Exact values of the figure paths that join parallel streams: Fig. 11
+/// and the ANL mount (one stream per client, a join over the clients),
+/// the stream path's striped shares (SC'02, SC'03, DEISA, A3's chunked
+/// streams) and GridFTP's parallel streams (A2). A join never schedules
+/// an event, so none of these may move when the join's code does.
+#[test]
+fn figure_paths_pinned() {
+    use production::{run_anl, run_scaling_point, Direction, ProductionConfig};
+    let point = |n, d| {
+        let p = run_scaling_point(ProductionConfig::default(), n, d);
+        (p.seconds.to_bits(), p.events)
+    };
+    assert_eq!(point(1, Direction::Read), (0x4041_0578_efc4_b845, 3));
+    assert_eq!(point(1, Direction::Write), (0x4041_0578_efc4_b845, 3));
+    assert_eq!(point(128, Direction::Read), (0x4055_46d2_416b_5a41, 131));
+    assert_eq!(point(128, Direction::Write), (0x4060_830b_69d6_90f9, 131));
+    let anl = run_anl(32);
+    assert_eq!(
+        (anl.seconds.to_bits(), anl.events),
+        (0x404b_3f86_4538_0747, 35)
+    );
+
+    let d = deisa::run(deisa::DeisaConfig::default());
+    let rates: Vec<u64> = d.io_rates.iter().map(|(_, _, r)| r.to_bits()).collect();
+    assert_eq!(
+        rates,
+        [
+            0x405d_5a37_84cf_a646,
+            0x405d_5b19_662d_b126,
+            0x405d_5a37_84cf_a646,
+            0x405d_5955_b105_4c3b
+        ]
+    );
+
+    let s = sc02::run(sc02::Sc02Config::default());
+    assert_eq!(
+        (s.steady.mean.to_bits(), s.steady.n),
+        (0x4086_5f3d_ab5c_39bf, 56)
+    );
+    let s = sc03::run(sc03::Sc03Config::default());
+    assert_eq!(
+        (s.peak_gbs.to_bits(), s.dip_gbs.to_bits()),
+        (0x4021_e449_b5cd_fa16, 0)
+    );
+
+    let a2: Vec<(u64, u64)> = gfs_vs_gridftp(&A2Config::default(), &[0.01, 1.0])
+        .iter()
+        .map(|p| (p.gfs_seconds.to_bits(), p.gridftp_seconds.to_bits()))
+        .collect();
+    assert_eq!(
+        a2,
+        [
+            (0x4021_14ce_8b0a_5713, 0x408a_c207_f7d3_8bae),
+            (0x408a_98c0_29d4_f6ce, 0x4095_1d03_fbe9_c5d7)
+        ]
+    );
+    let a3 = |pipelined| {
+        blocksize_streams(&[256 * 1024], &[8], pipelined)[0]
+            .mbyte_per_sec
+            .to_bits()
+    };
+    assert_eq!(
+        (a3(false), a3(true)),
+        (0x4031_6e92_3ee5_7f2a, 0x408d_43c2_b3e1_f2fa)
     );
 }
 

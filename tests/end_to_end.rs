@@ -4,6 +4,7 @@
 
 use bytes::Bytes;
 use globalfs::gfs::admin::connect_clusters;
+use globalfs::gfs::fsck::fsck;
 use globalfs::gfs::fscore::FsConfig;
 use globalfs::gfs::oracle::ModelFs;
 use globalfs::gfs::session::Session;
@@ -324,4 +325,51 @@ fn session_write_ending_past_u64_max_is_invalid_argument() {
         s.close(sim, w, h, move |_, _, r| done(r))
     })
     .unwrap();
+}
+
+/// A write the free space cannot cover maps no block: the file keeps its
+/// size, every block stays free, and fsck finds nothing past EOF.
+#[test]
+fn a_write_refused_for_space_maps_no_block() {
+    let mut b = WorldBuilder::new(5);
+    b.key_bits(384);
+    let srv = b.topo().node("srv");
+    let cli = b.topo().node("cli");
+    let (bw, lat) = (Bandwidth::gbit(10.0), SimDuration::from_micros(50));
+    b.topo().duplex_link(cli, srv, bw, lat, "l");
+    let c = b.cluster("tiny");
+    // 2 NSDs x 2 blocks of 64 KiB: room for 4 blocks, and the write needs 5.
+    let config = FsConfig {
+        nsd_count: 2,
+        nsd_blocks: 2,
+        ..FsConfig::small_test("tiny")
+    };
+    let (rate, lat) = (Bandwidth::gbyte(1.0), SimDuration::from_micros(100));
+    b.filesystem(c, FsParams::ideal(config, srv, vec![srv], rate, lat));
+    let client = b.client(c, cli, 64);
+    let (mut sim, mut w) = b.build();
+    let s = w.open_session(client);
+    let (sim_, w_) = (&mut sim, &mut w);
+    settle(sim_, w_, |sim, w, done| {
+        s.mount(sim, w, "tiny", AccessMode::ReadWrite, move |_, _, r| {
+            done(r)
+        })
+    })
+    .unwrap();
+    let h = settle(sim_, w_, |sim, w, done| {
+        s.open(sim, w, "/f", OpenFlags::Write, owner(), move |_, _, r| {
+            done(r)
+        })
+    })
+    .unwrap();
+    let r = settle(sim_, w_, |sim, w, done| {
+        let data = Bytes::from(vec![7u8; 5 << 16]);
+        s.write(sim, w, h, 0, data, move |_, _, r| done(r))
+    });
+    assert_eq!(r, Err(FsError::NoSpace));
+    let core = &w.fss[0].core;
+    assert_eq!(core.stat("/f").unwrap().size, 0);
+    assert_eq!(core.free_blocks(), 4);
+    let report = fsck(core);
+    assert!(report.is_clean(), "{:?}", report.errors);
 }
