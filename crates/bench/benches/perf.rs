@@ -143,6 +143,8 @@ fn run_metadata_storm_entry() -> Entry {
         checks: vec![
             ("storm ops >= 1e6", 1.0, as_num(r.ops >= 1_000_000), 0.0),
             ("storm fsck clean", 1.0, as_num(r.fsck_clean), 0.0),
+            ("no op gave up", 1.0, as_num(r.gave_up == 0), 0.0),
+            ("world invariants hold", 1.0, as_num(r.invariant_violations == 0), 0.0),
         ],
         data_path: r.data_path,
         extra: vec![
@@ -182,6 +184,8 @@ fn run_storm_100k_entry() -> Entry {
             ("sessions >= 100k", 1.0, as_num(parallel.sessions >= 100_000), 0.0),
             ("storm ops >= 1e7", 1.0, as_num(parallel.ops >= 10_000_000), 0.0),
             ("storm fsck clean", 1.0, as_num(parallel.fsck_clean), 0.0),
+            ("no op gave up", 1.0, as_num(parallel.gave_up == 0), 0.0),
+            ("world invariants hold", 1.0, as_num(parallel.invariant_violations == 0), 0.0),
             (
                 "fan-in batched (envelopes < ops)",
                 1.0,
@@ -243,6 +247,7 @@ fn run_storm_partitioned_entry(single_ops_per_sec: f64) -> Entry {
         checks: vec![
             ("storm fsck clean", 1.0, as_num(parallel.fsck_clean), 0.0),
             ("no op gave up", 1.0, as_num(parallel.gave_up == 0), 0.0),
+            ("world invariants hold", 1.0, as_num(parallel.invariant_violations == 0), 0.0),
             (
                 "cross-shard ops exercised",
                 1.0,

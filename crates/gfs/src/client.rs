@@ -55,21 +55,86 @@ pub(crate) fn client_node(w: &GfsWorld, c: ClientId) -> NodeId {
     w.clients[c.0 as usize].node
 }
 
-fn inflight_enter(w: &mut GfsWorld, c: ClientId, fs: FsId, inode: InodeId) {
-    *w.clients[c.0 as usize]
-        .inflight
-        .entry((fs, inode))
-        .or_insert(0) += 1;
+// ---------------------------------------------------------------------
+// Work in flight
+// ---------------------------------------------------------------------
+
+/// What a mount context's work in flight is counted under, by who waits
+/// for it.
+#[derive(PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub enum InFlight {
+    /// A file's data ops and evicted write-backs: a token recall waits.
+    File(FsId, InodeId),
+    /// A file's evicted write-backs: fsync, close and truncate wait.
+    WriteBack(FsId, InodeId),
+    /// A leased subtree's delegate ops: a lease recall or surrender waits.
+    Delegate(FsId, Box<str>),
 }
 
-fn inflight_exit(w: &mut GfsWorld, c: ClientId, fs: FsId, inode: InodeId) {
-    let cnt = w.clients[c.0 as usize]
-        .inflight
-        .get_mut(&(fs, inode))
-        .expect("inflight_exit without enter");
-    *cnt -= 1;
-    if *cnt == 0 {
-        w.clients[c.0 as usize].inflight.remove(&(fs, inode));
+/// What runs once a key drains.
+pub(crate) type Then = Box<dyn FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld)>;
+
+/// A mount context's work in flight, counted per key, with the callbacks
+/// waiting for a key to drain. GPFS completes the operations under a token
+/// before it gives the token back (Schmuck & Haskin, FAST'02), which keeps
+/// reads and writes atomic and a delegate journal complete. Like
+/// [`simcore::Join`], a drain schedules nothing: the last op to `leave`
+/// a key runs its waiters inside its own event. A key with a waiter admits
+/// no new work ([`Drains::closing`]), so its count only falls.
+#[derive(Default)]
+pub struct Drains {
+    keys: BTreeMap<InFlight, (u32, Vec<Then>)>,
+}
+
+impl Drains {
+    /// Is work in flight under `key`?
+    pub fn busy(&self, key: &InFlight) -> bool {
+        self.keys.contains_key(key)
+    }
+
+    /// Does someone wait for `key` to drain? Then new work under it waits
+    /// too, or goes elsewhere.
+    pub fn closing(&self, key: &InFlight) -> bool {
+        self.keys.get(key).is_some_and(|(_, waiting)| !waiting.is_empty())
+    }
+
+    /// Every busy key with its op count and the number of waiters parked.
+    pub fn iter(&self) -> impl Iterator<Item = (&InFlight, u32, usize)> + '_ {
+        self.keys.iter().map(|(k, (n, waiting))| (k, *n, waiting.len()))
+    }
+}
+
+/// Count one op of `client` in under `key`.
+pub(crate) fn enter(w: &mut GfsWorld, client: ClientId, key: InFlight) {
+    w.clients[client.0 as usize].inflight.keys.entry(key).or_default().0 += 1;
+}
+
+/// Count one op of `client` out under `key`; the last one out runs the
+/// key's waiters, in the order they came.
+pub(crate) fn leave(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, client: ClientId, key: InFlight) {
+    let Entry::Occupied(mut e) = w.clients[client.0 as usize].inflight.keys.entry(key) else {
+        panic!("leave without enter");
+    };
+    e.get_mut().0 -= 1;
+    if e.get().0 == 0 {
+        for then in e.remove().1 {
+            then(sim, w);
+        }
+    }
+}
+
+/// Run `then` once no op of `client` is in flight under `key`: at once
+/// when none is, otherwise when the last one leaves.
+pub(crate) fn wait(
+    sim: &mut Sim<GfsWorld>,
+    w: &mut GfsWorld,
+    client: ClientId,
+    key: InFlight,
+    then: Then,
+) {
+    match w.clients[client.0 as usize].inflight.keys.get_mut(&key) {
+        Some((_, waiting)) => waiting.push(then),
+        None => then(sim, w),
     }
 }
 
@@ -321,7 +386,9 @@ pub(crate) fn truncate(
 /// still revoke each other. A call that starts where one of the context's
 /// grants on the inode ends continues a stream and asks for the desired
 /// range `[start, ∞)`, which the manager grants up to the first
-/// conflicting grant.
+/// conflicting grant. While a recall that landed on the file waits for
+/// the context's ops in flight there, the call waits behind the recall's
+/// give-back and then starts over ([`Drains::closing`]).
 ///
 /// Otherwise one exchange ([`crate::rpc`]) with shard 0's acting manager
 /// under a two-stage watchdog. Stage one covers the request leg: if the
@@ -345,6 +412,16 @@ fn acquire_token(
 ) {
     let required = range.to_blocks(w.fss[fs.0 as usize].core.config.block_size);
     let c = &mut w.clients[client.0 as usize];
+    let file = InFlight::File(fs, inode);
+    if c.inflight.closing(&file) {
+        // A recall landed while ops were in flight on the file: start over
+        // once it has given its grants back.
+        let retry = move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld| {
+            acquire_token(sim, w, client, fs, inode, range, mode, cb)
+        };
+        wait(sim, w, client, file, Box::new(retry));
+        return;
+    }
     if c.held_tokens.covers(fs, inode, required, mode) {
         cb(sim, w, Ok(()));
         return;
@@ -500,7 +577,7 @@ fn give_back_over_cap(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, client: ClientI
         .map(|(k, _)| (k.fs, k.inode))
         .collect();
     let victim = c.held_tokens.over_cap(|fs, inode| {
-        !c.inflight.contains_key(&(fs, inode)) && !dirty.contains(&(fs, inode))
+        !c.inflight.busy(&InFlight::File(fs, inode)) && !dirty.contains(&(fs, inode))
     });
     let Some((fs, inode)) = victim else {
         return;
@@ -704,7 +781,9 @@ fn send_recall(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rec: Rc<Recall>) {
     sim.after(RETRY_BASE, move |sim, w| send_recall(sim, w, rec));
 }
 
-/// A recall reached its holder.
+/// A recall reached its holder, which gives back what is recalled once its
+/// work in flight under it has drained: the ops on the file for tokens,
+/// the delegate ops under the subtree for a lease.
 fn recall_arrives(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rec: Rc<Recall>, repeat: bool) {
     let key = (rec.fs, rec.id);
     let c = &mut w.clients[rec.holder.0 as usize];
@@ -715,42 +794,16 @@ fn recall_arrives(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rec: Rc<Recall>, re
         return;
     }
     c.recalling.insert(key);
-    if let Recalled::Tokens { inode, seqs } = &rec.what {
-        // No new op may start under the revoked grants, so a busy holder
-        // cannot starve the recall.
-        c.held_tokens.begin_revoke(rec.fs, *inode, seqs);
-    }
     let drain = match &rec.what {
-        Recalled::Tokens { inode, .. } => Some((rec.fs, *inode)),
-        Recalled::Lease(_) => None,
+        Recalled::Tokens { inode, seqs } => {
+            // No new op may rely on the revoked grants.
+            c.held_tokens.begin_revoke(rec.fs, *inode, seqs);
+            InFlight::File(rec.fs, *inode)
+        }
+        Recalled::Lease(top) => InFlight::Delegate(rec.fs, top.clone()),
     };
     let holder = rec.holder;
-    let then = Box::new(move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld| give_back(sim, w, rec));
-    when_drained(sim, w, holder, drain, then);
-}
-
-/// Run `then` once `holder` is drained: no data op in flight on `inode`
-/// or, for `None`, no delegate op in flight (parked batches count). GPFS
-/// completes in-flight operations before it gives authority back, which
-/// keeps reads and writes atomic and a delegate journal complete.
-pub(crate) fn when_drained(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    holder: ClientId,
-    inode: Option<(FsId, InodeId)>,
-    then: Box<dyn FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld)>,
-) {
-    let c = &w.clients[holder.0 as usize];
-    let busy = match inode {
-        Some(key) => c.inflight.contains_key(&key),
-        None => c.delegate_inflight > 0,
-    };
-    if !busy {
-        return then(sim, w);
-    }
-    sim.after(SimDuration::from_micros(500), move |sim, w| {
-        when_drained(sim, w, holder, inode, then);
-    });
+    wait(sim, w, holder, drain, Box::new(move |sim, w| give_back(sim, w, rec)));
 }
 
 /// The drained holder gives back what is recalled, then acks. Tokens: the
@@ -761,7 +814,7 @@ pub(crate) fn when_drained(
 /// complete, then the journal reconciles with the owning shard.
 fn give_back(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, rec: Rc<Recall>) {
     let (holder, fs, r) = (rec.holder, rec.fs, rec.clone());
-    let done: Box<dyn FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld)> = Box::new(move |sim, w| {
+    let done: Then = Box::new(move |sim, w| {
         w.clients[holder.0 as usize].recalling.remove(&(fs, r.id));
         recall_ack(sim, w, r);
     });
@@ -1370,11 +1423,12 @@ fn flush_run(
 }
 
 /// Write back pages the pool evicted dirty, per file, as I/O in flight on
-/// the file: a recall of the file's token waits for it ([`when_drained`])
-/// and the cap passes the file over. The pool no longer holds the pages,
-/// so a write-back that fails loses them: it is logged as
-/// `DirtyPagesDiscarded`, and the next fsync or close of the file fails
-/// once (`Client::lost_writes`), as after an expulsion.
+/// the file: a recall of the file's token waits for it, and so do fsync,
+/// close and truncate of the file ([`InFlight`]); the cap passes the file
+/// over. The pool no longer holds the pages, so a write-back that fails
+/// loses them: it is logged as `DirtyPagesDiscarded`, and the next fsync
+/// or close of the file fails once (`Client::lost_writes`), as after an
+/// expulsion.
 fn flush_evicted(
     sim: &mut Sim<GfsWorld>,
     w: &mut GfsWorld,
@@ -1386,26 +1440,17 @@ fn flush_evicted(
         by_file.entry((page.key.fs, page.key.inode)).or_default().push(page);
     }
     for ((fs, inode), pages) in by_file {
-        inflight_enter(w, client, fs, inode);
-        let c = &mut w.clients[client.0 as usize];
-        c.write_backs.entry((fs, inode)).or_default().0 += 1;
+        enter(w, client, InFlight::File(fs, inode));
+        enter(w, client, InFlight::WriteBack(fs, inode));
         let n = pages.len() as u64;
         let settled: Cb<Result<(), FsError>> = Box::new(move |sim, w, r| {
-            inflight_exit(w, client, fs, inode);
             if r.is_err() {
                 w.clients[client.0 as usize].lost_writes.insert((fs, inode));
                 let what = RecoveryWhat::DirtyPagesDiscarded { client, pages: n };
                 w.recovery.log(sim.now(), what);
             }
-            let c = &mut w.clients[client.0 as usize];
-            if let Entry::Occupied(mut e) = c.write_backs.entry((fs, inode)) {
-                e.get_mut().0 -= 1;
-                if e.get().0 == 0 {
-                    for then in e.remove().1 {
-                        then(sim, w, ());
-                    }
-                }
-            }
+            leave(sim, w, client, InFlight::WriteBack(fs, inode));
+            leave(sim, w, client, InFlight::File(fs, inode));
         });
         flush_dirty_pages(sim, w, client, pages, settled);
     }
@@ -1424,33 +1469,17 @@ fn flush_file(
     cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<(), FsError>) + 'static,
 ) {
     let dirty = w.clients[client.0 as usize].pool.dirty_pages_of(fs, inode);
-    let flushed = move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, r| {
-        settle_file(sim, w, client, (fs, inode), r, cb)
+    let flushed = move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, r: Result<(), FsError>| {
+        let settled = move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld| {
+            let r = match w.clients[client.0 as usize].lost_writes.remove(&(fs, inode)) {
+                true => r.and(Err(FsError::Timeout)),
+                false => r,
+            };
+            cb(sim, w, r);
+        };
+        wait(sim, w, client, InFlight::WriteBack(fs, inode), Box::new(settled));
     };
     flush_dirty_pages(sim, w, client, dirty, Box::new(flushed));
-}
-
-/// The end of [`flush_file`]: once no write-back of `file`'s evicted pages
-/// is in flight, hand `cb` the flush result, or `Timeout` if a write-back
-/// of the file was lost.
-fn settle_file(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    client: ClientId,
-    file: (FsId, InodeId),
-    r: Result<(), FsError>,
-    cb: impl FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld, Result<(), FsError>) + 'static,
-) {
-    let c = &mut w.clients[client.0 as usize];
-    if let Some((_, waiting)) = c.write_backs.get_mut(&file) {
-        waiting.push(Box::new(move |sim, w, ()| settle_file(sim, w, client, file, r, cb)));
-        return;
-    }
-    let r = match c.lost_writes.remove(&file) {
-        true => r.and(Err(FsError::Timeout)),
-        false => r,
-    };
-    cb(sim, w, r);
 }
 
 /// Read `len` bytes at `offset`. Returns short data at EOF (like POSIX).
@@ -1499,7 +1528,7 @@ pub(crate) fn read(
                 return;
             }
             // Read atomicity: defer revocations while assembling.
-            inflight_enter(w, client, fs, inode);
+            enter(w, client, InFlight::File(fs, inode));
             let first = offset / block_size;
             let last = end.div_ceil(block_size);
             let nblocks = (last - first) as usize;
@@ -1509,7 +1538,7 @@ pub(crate) fn read(
                 let parts = parts.clone();
                 move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, r: Result<(), FsError>| {
                     if let Err(e) = r {
-                        inflight_exit(w, client, fs, inode);
+                        leave(sim, w, client, InFlight::File(fs, inode));
                         cb(sim, w, Err(e));
                         return;
                     }
@@ -1581,7 +1610,7 @@ pub(crate) fn read(
                         }
                     }
                     fetch_misses(sim, w, client, ahead_misses, Rc::new(|_, _, _, _| {}));
-                    inflight_exit(w, client, fs, inode);
+                    leave(sim, w, client, InFlight::File(fs, inode));
                     cb(sim, w, Ok(out));
                 }
             };
@@ -1693,7 +1722,7 @@ pub(crate) fn write(
             }
             // The token is held: mark the operation in flight so a
             // concurrent revocation waits for us (write atomicity).
-            inflight_enter(w, client, fs, inode);
+            enter(w, client, InFlight::File(fs, inode));
             // Allocation + size update at the manager — block allocation
             // is shard 0's job regardless of namespace partitioning.
             sess.submit_mgr(
@@ -1704,7 +1733,7 @@ pub(crate) fn write(
                 MetaOp::Allocate { inode, offset, end },
                 move |sim, w, alloc_result: Result<(), FsError>| {
                     if let Err(e) = alloc_result {
-                        inflight_exit(w, client, fs, inode);
+                        leave(sim, w, client, InFlight::File(fs, inode));
                         cb(sim, w, Err(e));
                         return;
                     }
@@ -1713,7 +1742,7 @@ pub(crate) fn write(
                     let first = offset / block_size;
                     let last = end.div_ceil(block_size);
                     let join = Join::new((last - first) as usize, move |sim, w, r| {
-                        inflight_exit(w, client, fs, inode);
+                        leave(sim, w, client, InFlight::File(fs, inode));
                         cb(sim, w, r)
                     });
                     for b in first..last {
@@ -1912,6 +1941,36 @@ mod tests {
     type Slot<T> = Rc<RefCell<Option<T>>>;
     fn slot<T>() -> Slot<T> {
         Rc::new(RefCell::new(None))
+    }
+
+    #[test]
+    fn a_drain_runs_its_waiters_inside_the_last_leave_in_order() {
+        let mut t = bed();
+        let (c, file) = (t.local, || InFlight::File(FsId(0), InodeId(7)));
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let note = |tag: &'static str| -> Then {
+            let seen = seen.clone();
+            Box::new(move |sim, _| seen.borrow_mut().push((tag, sim.executed(), sim.pending())))
+        };
+        let before = t.sim.executed();
+        wait(&mut t.sim, &mut t.w, c, file(), note("idle"));
+        enter(&mut t.w, c, file());
+        enter(&mut t.w, c, file());
+        wait(&mut t.sim, &mut t.w, c, file(), note("first"));
+        wait(&mut t.sim, &mut t.w, c, file(), note("second"));
+        let ins = &t.w.clients[c.0 as usize].inflight;
+        assert!(ins.busy(&file()) && ins.closing(&file()));
+        assert!(!ins.busy(&InFlight::WriteBack(FsId(0), InodeId(7))), "keys are apart");
+        leave(&mut t.sim, &mut t.w, c, file());
+        assert_eq!(seen.borrow().len(), 1, "one op is still in flight");
+        t.sim.after(SimDuration::from_millis(1), move |sim, w| leave(sim, w, c, file()));
+        run(&mut t);
+        // The waiters ran in the order they came, inside the one event of
+        // the last leave, and scheduled nothing.
+        let last = before + 1;
+        assert_eq!(*seen.borrow(), vec![("idle", before, 0), ("first", last, 0), ("second", last, 0)]);
+        assert_eq!(t.sim.executed(), last);
+        assert!(t.w.clients[c.0 as usize].inflight.iter().next().is_none());
     }
 
     #[test]

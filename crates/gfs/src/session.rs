@@ -35,7 +35,7 @@
 //! handful of events per *envelope* instead of four per op.
 
 use crate::cache::PrefetchState;
-use crate::client::{self, Cb};
+use crate::client::{self, Cb, InFlight};
 use crate::fscore::FileAttr;
 use crate::rpc::{self, Attempt};
 use crate::types::{ClientId, FsError, FsId, Handle, InodeId, OpenFlags, Owner, SessionId};
@@ -868,12 +868,16 @@ impl Session {
         // is surrendered or broken. Expulsion needs no check here: losing
         // the lease term clears the mirror. Ops whose other path leaves
         // the subtree (cross-top renames, even same-shard ones) never
-        // delegate — the lease does not cover the other end.
+        // delegate — the lease does not cover the other end. Nor do ops
+        // under a subtree a recall or surrender waits on: the manager
+        // defers them while a recall is under way.
         let delegate = peer.is_none()
             && other.is_none_or(|p| crate::fscore::top_component(p) == top)
             && {
                 let c = &w.clients[ctx.0 as usize];
-                !c.leases.is_empty() && c.leases.contains(&(m.fs, top.into()))
+                !c.leases.is_empty()
+                    && c.leases.contains(&(m.fs, top.into()))
+                    && !c.inflight.closing(&InFlight::Delegate(m.fs, top.into()))
             };
         // Heat votes feed the rebalance policy, so they track *manager*
         // load: only ops that actually travel to a shard vote here.
@@ -965,12 +969,13 @@ impl Session {
         );
     }
 
-    /// Surrender a subtree lease voluntarily: drain in-flight delegate
-    /// ops, reconcile the writeback journal with the owning manager shard
-    /// (one bulk envelope through the dedup table), then release the lease
-    /// in an envelope of this session. A context that no longer holds the
-    /// lease (broken or expelled meanwhile) completes immediately with
-    /// `Ok`.
+    /// Surrender a subtree lease voluntarily: wait out the subtree's
+    /// delegate ops in flight as a lease recall does ([`client::Drains`]),
+    /// drop the mirror entry, reconcile the writeback journal with the
+    /// owning manager shard (one bulk envelope through the dedup table),
+    /// then release the lease in an envelope of this session. A context
+    /// that no longer holds the lease (broken or expelled meanwhile)
+    /// completes with `Ok`.
     pub fn surrender_lease(
         self,
         sim: &mut Sim<GfsWorld>,
@@ -980,10 +985,32 @@ impl Session {
     ) {
         let path = self.resolve(w, path);
         let cb = self.begin(w, cb);
-        match self.lease_target(w, &path, false) {
-            Ok((fs, top)) => self.surrender_drain(sim, w, fs, top, Box::new(cb)),
-            Err(e) => cb(sim, w, Err(e)),
-        }
+        let (fs, top) = match self.lease_target(w, &path, false) {
+            Ok(target) => target,
+            Err(e) => return cb(sim, w, Err(e)),
+        };
+        let ctx = self.ctx(w);
+        let drain = InFlight::Delegate(fs, top.clone());
+        let surrender = move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld| {
+            // Mirror entry goes first, so the journal taken by the
+            // reconcile below stays complete. A recall or an expulsion may
+            // have taken the lease meanwhile.
+            if !w.clients[ctx.0 as usize].leases.remove(&(fs, top.clone())) {
+                cb(sim, w, Ok(()));
+                return;
+            }
+            let reconciled = top.clone();
+            // The release drops only this context's own grant and is
+            // idempotent, so it is not recorded. It goes to the grant's
+            // shard (see `MetaOp::top` for the lease rule).
+            let release = move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld| {
+                let shard = w.fss[fs.0 as usize].core.shards.shard_of(&top);
+                let op = MetaOp::LeaseRelease { top, holder: ctx };
+                self.submit_mgr(sim, w, fs, shard, op, cb);
+            };
+            reconcile_journal(sim, w, ctx, fs, reconciled, Box::new(release));
+        };
+        client::wait(sim, w, ctx, drain, Box::new(surrender));
     }
 
     /// The bound filesystem and the leasable top-level subtree of `path`.
@@ -1003,40 +1030,6 @@ impl Session {
             "" => Err(FsError::InvalidArgument(path.to_string())),
             top => Ok((m.fs, top.into())),
         }
-    }
-
-    /// Wait out in-flight delegate ops as a lease recall does
-    /// ([`client::when_drained`]); then drop the mirror entry, reconcile
-    /// the journal and release the lease at the manager.
-    fn surrender_drain(
-        self,
-        sim: &mut Sim<GfsWorld>,
-        w: &mut GfsWorld,
-        fs: FsId,
-        top: Box<str>,
-        cb: client::Cb<Result<(), FsError>>,
-    ) {
-        let ctx = self.ctx(w);
-        let surrender = move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld| {
-            // Mirror entry goes first: from here no new op delegates, so
-            // the journal taken by the reconcile below is complete. A
-            // recall or an expulsion may have taken the lease meanwhile.
-            if !w.clients[ctx.0 as usize].leases.remove(&(fs, top.clone())) {
-                cb(sim, w, Ok(()));
-                return;
-            }
-            let reconciled = top.clone();
-            // The release drops only this context's own grant and is
-            // idempotent, so it is not recorded. It goes to the grant's
-            // shard (see `MetaOp::top` for the lease rule).
-            let release = move |sim: &mut Sim<GfsWorld>, w: &mut GfsWorld| {
-                let shard = w.fss[fs.0 as usize].core.shards.shard_of(&top);
-                let op = MetaOp::LeaseRelease { top, holder: ctx };
-                self.submit_mgr(sim, w, fs, shard, op, cb);
-            };
-            reconcile_journal(sim, w, ctx, fs, reconciled, Box::new(release));
-        };
-        client::when_drained(sim, w, ctx, None, Box::new(surrender));
     }
 }
 
@@ -1207,10 +1200,10 @@ fn envelope_done(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ctx: ClientId, fs: F
 /// cache and journals its recorded outcome for later reconciliation. Two simulator events per batch —
 /// that is the entire cost; no message, no watchdog, no manager.
 fn submit_delegate(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ctx: ClientId, fs: FsId, op: BatchOp) {
-    // Counted at park time so a lease recall arriving between park and
-    // apply defers (`delegate_inflight > 0`) instead of slipping past a
-    // batch whose journal entries it would strand.
-    w.clients[ctx.0 as usize].delegate_inflight += 1;
+    // Counted in at park time so a lease recall arriving between park and
+    // apply waits for the batch instead of slipping past journal entries
+    // it would strand.
+    client::enter(w, ctx, InFlight::Delegate(fs, op.op.top().into()));
     let key = (ctx.0, fs.0);
     let q = w.fanin.dpending.entry(key).or_default();
     q.push(op);
@@ -1229,18 +1222,18 @@ fn submit_delegate(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, ctx: ClientId, fs:
                 let now = sim.now().as_nanos();
                 for op in ops {
                     let r = op.op.apply(w, fs, op.shard, now);
+                    let top: Box<str> = op.op.top().into();
                     let c = &mut w.clients[ctx.0 as usize];
-                    c.delegate_inflight -= 1;
                     // Journal mutations only while the lease still stands —
                     // an expulsion mid-batch already discarded the journal,
                     // and a record with no lease would never reconcile.
-                    if op.op.mutating() {
-                        let top: Box<str> = op.op.top().into();
-                        if c.leases.contains(&(fs, top.clone())) {
-                            let (op_id, result) = (op.op_id, r.clone());
-                            c.journal.push(JournalEntry { fs, top, op_id, result });
-                        }
+                    if op.op.mutating() && c.leases.contains(&(fs, top.clone())) {
+                        let (op_id, result) = (op.op_id, r.clone());
+                        c.journal.push(JournalEntry { fs, top: top.clone(), op_id, result });
                     }
+                    // Counted out once journaled: a give-back this wakes
+                    // reconciles the whole journal.
+                    client::leave(sim, w, ctx, InFlight::Delegate(fs, top));
                     (op.deliver)(sim, w, Ok(r));
                 }
                 // Watermark writeback: once the journal grows past the
@@ -1282,7 +1275,7 @@ pub(crate) fn reconcile_journal(
     ctx: ClientId,
     fs: FsId,
     top: Box<str>,
-    done: Box<dyn FnOnce(&mut Sim<GfsWorld>, &mut GfsWorld)>,
+    done: client::Then,
 ) {
     let journal = std::mem::take(&mut w.clients[ctx.0 as usize].journal);
     let (entries, rest): (Vec<JournalEntry>, Vec<JournalEntry>) =

@@ -307,20 +307,11 @@ impl GrantSet {
     }
 }
 
-/// Number of top-level shards in the token map. A power of two so the
-/// shard pick is a mask, sized so million-inode token traffic spreads
-/// instead of funnelling through one structure.
-const TOKEN_SHARDS: usize = 64;
-
-/// The token manager for one filesystem.
-///
-/// Per-inode grant sets live in a sharded top-level map: `shards[inode %
-/// 64]` is a deterministic-hash `HashMap<InodeId, GrantSet>`. Sharding
-/// keeps each map small at million-inode scale (shorter probe chains,
-/// cheaper rehashes) and gives `release_client` a partitioned walk.
+/// The token manager for one filesystem: a grant set per inode that has
+/// grants, live or being revoked.
 #[derive(Debug)]
 pub struct TokenManager {
-    shards: Vec<FxHashMap<InodeId, GrantSet>>,
+    inodes: FxHashMap<InodeId, GrantSet>,
     /// Sequence number the next installed grant takes.
     next_seq: u64,
     /// Grants whose reply has not been sent yet (see [`Self::replied`]).
@@ -341,17 +332,12 @@ impl TokenManager {
     /// Empty manager.
     pub fn new() -> Self {
         TokenManager {
-            shards: (0..TOKEN_SHARDS).map(|_| FxHashMap::default()).collect(),
+            inodes: FxHashMap::default(),
             next_seq: 1,
             unreplied: FxHashSet::default(),
             acquires: 0,
             revocations: 0,
         }
-    }
-
-    #[inline]
-    fn shard_of(inode: InodeId) -> usize {
-        inode.0 as usize & (TOKEN_SHARDS - 1)
     }
 
     /// Acquire a token for `client` on `inode` over exactly `range` in
@@ -395,9 +381,7 @@ impl TokenManager {
         debug_assert!(desired.contains(&required), "{desired:?} lacks {required:?}");
         self.acquires += 1;
         let unreplied = &self.unreplied;
-        let set = self.shards[Self::shard_of(inode)]
-            .entry(inode)
-            .or_default();
+        let set = self.inodes.entry(inode).or_default();
         let own = |g: &Grant| g.client == client && !unreplied.contains(&g.seq);
 
         // Fast path: an existing replied grant to this client already
@@ -502,12 +486,11 @@ impl TokenManager {
     /// `client` acknowledged the revocation of its grants `seqs` on
     /// `inode`: they stop blocking conflicting acquires.
     pub fn revoke_done(&mut self, inode: InodeId, client: ClientId, seqs: &[u64]) {
-        let shard = &mut self.shards[Self::shard_of(inode)];
-        if let Some(set) = shard.get_mut(&inode) {
+        if let Some(set) = self.inodes.get_mut(&inode) {
             set.revoking
                 .retain(|g| !(g.client == client && seqs.contains(&g.seq)));
             if set.is_empty() {
-                shard.remove(&inode);
+                self.inodes.remove(&inode);
             }
         }
     }
@@ -516,7 +499,7 @@ impl TokenManager {
     /// revoked? An expulsion releases grants whose replies are still
     /// pending; such a reply must not go out.
     pub fn is_granted(&self, inode: InodeId, client: ClientId, seq: u64) -> bool {
-        self.shards[Self::shard_of(inode)].get(&inode).is_some_and(|set| {
+        self.inodes.get(&inode).is_some_and(|set| {
             set.sorted
                 .iter()
                 .chain(&set.revoking)
@@ -527,12 +510,7 @@ impl TokenManager {
     /// Revocations not yet acknowledged and grants not yet replied to.
     /// Both drain to zero once every exchange has finished.
     pub fn pending(&self) -> (usize, usize) {
-        let revoking = self
-            .shards
-            .iter()
-            .flat_map(|shard| shard.values())
-            .map(|set| set.revoking.len())
-            .sum();
+        let revoking = self.inodes.values().map(|set| set.revoking.len()).sum();
         (revoking, self.unreplied.len())
     }
 
@@ -549,11 +527,10 @@ impl TokenManager {
     }
 
     fn release_where(&mut self, inode: InodeId, doomed: impl Fn(&Grant) -> bool) {
-        let shard = &mut self.shards[Self::shard_of(inode)];
-        if let Some(set) = shard.get_mut(&inode) {
+        if let Some(set) = self.inodes.get_mut(&inode) {
             set.retain(|g| !doomed(g));
             if set.is_empty() {
-                shard.remove(&inode);
+                self.inodes.remove(&inode);
             }
         }
     }
@@ -561,19 +538,17 @@ impl TokenManager {
     /// Release every token `client` holds anywhere, live or being revoked
     /// (expulsion).
     pub fn release_client(&mut self, client: ClientId) {
-        for shard in &mut self.shards {
-            shard.retain(|_, set| {
-                set.retain(|g| g.client != client);
-                set.revoking.retain(|g| g.client != client);
-                !set.is_empty()
-            });
-        }
+        self.inodes.retain(|_, set| {
+            set.retain(|g| g.client != client);
+            set.revoking.retain(|g| g.client != client);
+            !set.is_empty()
+        });
     }
 
     /// Current live grants on an inode, sorted by range start (for tests
     /// and introspection).
     pub fn grants(&self, inode: InodeId) -> &[Grant] {
-        self.shards[Self::shard_of(inode)]
+        self.inodes
             .get(&inode)
             .map_or(&[], |set| set.sorted.as_slice())
     }
@@ -585,17 +560,15 @@ impl TokenManager {
     /// that are nearly always a handful of grants.
     pub fn conflicting_grants(&self) -> usize {
         let mut n = 0;
-        for shard in &self.shards {
-            for set in shard.values() {
-                let gs = set.sorted.as_slice();
-                for (i, a) in gs.iter().enumerate() {
-                    for b in &gs[i + 1..] {
-                        if b.range.start >= a.range.end {
-                            break; // sorted by start: nothing later overlaps `a`
-                        }
-                        if conflicts(a, b.client, b.mode) {
-                            n += 1;
-                        }
+        for set in self.inodes.values() {
+            let gs = set.sorted.as_slice();
+            for (i, a) in gs.iter().enumerate() {
+                for b in &gs[i + 1..] {
+                    if b.range.start >= a.range.end {
+                        break; // sorted by start: nothing later overlaps `a`
+                    }
+                    if conflicts(a, b.client, b.mode) {
+                        n += 1;
                     }
                 }
             }
@@ -612,7 +585,7 @@ impl TokenManager {
         range: ByteRange,
         mode: TokenMode,
     ) -> bool {
-        self.shards[Self::shard_of(inode)].get(&inode).is_some_and(|set| {
+        self.inodes.get(&inode).is_some_and(|set| {
             set.find_overlapping(&range, |g| {
                 g.client == client && g.range.contains(&range) && g.mode.satisfies(mode)
             })

@@ -519,28 +519,22 @@ pub struct Client {
     /// truncate of each fails once with [`crate::types::FsError::Timeout`],
     /// so the writer learns its bytes never reached the disk.
     pub lost_writes: std::collections::BTreeSet<(FsId, InodeId)>,
-    /// Operations currently applying data under a held token, per inode.
-    /// Token recalls wait while this is nonzero — GPFS's daemon likewise
-    /// completes in-flight operations before honouring a revoke, which is
-    /// what makes individual writes atomic.
-    pub inflight: BTreeMap<(FsId, InodeId), u32>,
-    /// Write-backs of pages the pool evicted dirty, in flight per file,
-    /// with the fsyncs and truncates waiting for them to settle.
-    pub(crate) write_backs: BTreeMap<(FsId, InodeId), (u32, Vec<crate::client::Cb<()>>)>,
+    /// Work in flight, with who waits for it to drain: data ops and
+    /// evicted write-backs per file (a token recall waits), evicted
+    /// write-backs per file (fsync, close and truncate wait), and delegate
+    /// ops per leased subtree (a lease recall and a surrender wait).
+    pub inflight: crate::client::Drains,
     /// Client-side mirror of held subtree leases: `(fs, top-level
-    /// subtree)`. While an entry is present, this context's metadata ops
-    /// under the subtree run against the local delegate (no manager
-    /// round-trip). Cleared when a recall of the lease lands — or
-    /// wholesale when the lease term lapses during an expulsion.
+    /// subtree)`. While an entry is present and no recall or surrender
+    /// waits on it, this context's metadata ops under the subtree run
+    /// against the local delegate (no manager round-trip). Cleared by the
+    /// recall or surrender — or wholesale when the lease term lapses
+    /// during an expulsion.
     pub leases: std::collections::BTreeSet<(FsId, Box<str>)>,
     /// Service queue head of the local lease delegate (the site-local
     /// metadata server a leased subtree's ops run through). Same FIFO
     /// model as [`ManagerState::busy_until`].
     pub delegate_busy_until: SimTime,
-    /// Delegate ops currently applying. Lease recalls and surrenders wait
-    /// while this is nonzero, exactly like token recalls waiting out
-    /// [`Client::inflight`].
-    pub delegate_inflight: u32,
     /// Writeback delegate journal: every mutation a leased subtree applied
     /// locally, in application order, awaiting reconciliation with the
     /// owning manager shard. Replayed as bulk envelopes (through the
@@ -973,11 +967,9 @@ impl WorldBuilder {
                 held_tokens: TokenCache::default(),
                 recalling: std::collections::BTreeSet::new(),
                 lost_writes: std::collections::BTreeSet::new(),
-                inflight: BTreeMap::new(),
-                write_backs: BTreeMap::new(),
+                inflight: Default::default(),
                 leases: std::collections::BTreeSet::new(),
                 delegate_busy_until: SimTime::from_nanos(0),
-                delegate_inflight: 0,
                 journal: Vec::new(),
             })
             .collect();

@@ -14,10 +14,11 @@
 //!   (ops that exhausted the retry budget) stays 0 as long as outages are
 //!   shorter than the retry window.
 //! * **Post-storm health** — fsck comes back clean, op chains drain, no
-//!   watchdog timers leak, token state is conflict-free, client token
-//!   mirrors agree with the manager, every cached page lies under a token
-//!   its context holds and every manager path cache agrees with the live
-//!   tree ([`world_invariants`], also evaluated inside every storm point).
+//!   work is in flight or waited on, no watchdog timers leak, token state
+//!   is conflict-free, client token mirrors agree with the manager, every
+//!   cached page lies under a token its context holds and every manager
+//!   path cache agrees with the live tree ([`world_invariants`], also
+//!   evaluated inside every storm point).
 //! * **Exactly-once** — a manager kill/restart mid-storm recovers by WAL
 //!   replay and leaves the tree *identical* to a fault-free oracle run
 //!   ([`check_manager_recovery`]): retried mutations are deduplicated, not
@@ -52,14 +53,15 @@ pub fn world_invariants(sim: &Sim<GfsWorld>, w: &GfsWorld) -> Vec<String> {
     }
 
     for c in &w.clients {
-        // Op chains completed, so no data operation can still be pinning a
-        // token against revocation.
-        if !c.inflight.is_empty() {
-            v.push(format!(
-                "client {} still marks {} inode(s) in-flight after drain",
-                c.id.0,
-                c.inflight.len()
-            ));
+        // Op chains completed, so no work may still be in flight: a data op
+        // or an evicted write-back would pin a token against its recall, a
+        // delegate op a lease, and a waiter parked on a drain never ran.
+        for (key, ops, waiting) in c.inflight.iter() {
+            let id = c.id.0;
+            v.push(format!("client {id} still has {ops} op(s) in flight under {key:?} after drain"));
+            if waiting > 0 {
+                v.push(format!("client {id}: {waiting} waiter(s) still parked on {key:?}"));
+            }
         }
 
         // The client-side token mirror must be a subset of what the manager

@@ -17,7 +17,9 @@
 //! * write-back keeps the bytes it was handed: a failed write-back of
 //!   evicted pages reaches the writer, a recall and a close wait for the
 //!   write-back of evicted pages, and a flush's ack never cleans bytes
-//!   written after the flush took its copy.
+//!   written after the flush took its copy;
+//! * a recall waits for the holder's ops under way when it lands and no
+//!   others, so sessions rewriting the file back to back cannot starve it.
 
 use bytes::Bytes;
 use globalfs::gfs::fscore::FsConfig;
@@ -608,4 +610,76 @@ fn a_flush_ack_leaves_a_page_rewritten_meanwhile_dirty() {
     let got = read(&mut sim, &mut w, s1, h, 0, BLOCK);
     assert!(got.iter().all(|&x| x == 2), "the writer read the bytes its rewrite replaced");
     assert_healthy(&sim, &w);
+}
+
+/// A recall closes the door on its holder. Context A writes block 0 of
+/// /f, then `n` sessions of A each rewrite their own block (16, 32, ...)
+/// `REWRITES` times back to back. B's 100-byte write at offset 0, sent
+/// 5 ms later, recalls A's grant on block 0 only, and A always has a
+/// rewrite of /f in flight. The recall must wait for the rewrites under
+/// way when it lands and no others: A's next rewrites wait behind the
+/// give-back, so B's write returns long before A's sessions finish.
+fn a_recall_is_not_starved_by_the_holders_rewrites(n: usize) {
+    const REWRITES: u64 = 2_000;
+    let (mut sim, mut w, _fs, ss) = world(5, 2, 0, 4_096);
+    let (a, b) = (ss[0], ss[1]);
+    let h = open(&mut sim, &mut w, a, "/f", OpenFlags::Write);
+    write(&mut sim, &mut w, a, h, 0, block_of(1));
+    let hb = open(&mut sim, &mut w, b, "/f", OpenFlags::ReadWrite);
+    let ctx = a.ctx(&w);
+    let writers: Vec<Session> = (0..n).map(|_| w.open_session(ctx)).collect();
+    for &s in &writers {
+        settle(&mut sim, &mut w, |sim, w, cb| s.mount(sim, w, "gfs", AccessMode::ReadWrite, cb)).unwrap();
+    }
+    let a_done = Rc::new(RefCell::new(Vec::new()));
+    fn rewrite(
+        sim: &mut Sim<GfsWorld>,
+        w: &mut GfsWorld,
+        (s, h, block, left): (Session, Handle, u64, u64),
+        done: Rc<RefCell<Vec<SimTime>>>,
+    ) {
+        if left == 0 {
+            done.borrow_mut().push(sim.now());
+            return;
+        }
+        s.write(sim, w, h, block * BLOCK, block_of(left as u8), move |sim, w, r| {
+            r.expect("A's rewrite");
+            rewrite(sim, w, (s, h, block, left - 1), done);
+        });
+    }
+    let t0 = sim.now();
+    for (i, &s) in writers.iter().enumerate() {
+        let block = 16 * (i as u64 + 1);
+        rewrite(&mut sim, &mut w, (s, h, block, REWRITES), a_done.clone());
+    }
+    let b_done = Rc::new(RefCell::new(None));
+    let slot = b_done.clone();
+    sim.after(SimDuration::from_millis(5), move |sim, w| {
+        b.write(sim, w, hb, 0, Bytes::from(vec![7; 100]), move |sim, _, r| {
+            *slot.borrow_mut() = Some((r, sim.now()));
+        });
+    });
+    sim.run(&mut w);
+    let (r, b_at) = b_done.borrow_mut().take().expect("B's write completed");
+    assert_eq!(r, Ok(()));
+    let a_at = *a_done.borrow().iter().max().expect("A's sessions finished");
+    assert_eq!(a_done.borrow().len(), n);
+    let (b_lat, a_span) = (b_at.since(t0), a_at.since(t0));
+    assert!(
+        b_lat < SimDuration::from_millis(50) && b_lat.as_nanos() * 10 < a_span.as_nanos(),
+        "B's write returned after {b_lat:?}, A's {n} session(s) finished after {a_span:?}"
+    );
+    let got = read(&mut sim, &mut w, b, hb, 0, BLOCK);
+    assert!(got[..100].iter().all(|&x| x == 7) && got[100..].iter().all(|&x| x == 1));
+    assert_healthy(&sim, &w);
+}
+
+#[test]
+fn a_recall_is_not_starved_by_one_rewriting_session() {
+    a_recall_is_not_starved_by_the_holders_rewrites(1);
+}
+
+#[test]
+fn a_recall_is_not_starved_by_four_rewriting_sessions() {
+    a_recall_is_not_starved_by_the_holders_rewrites(4);
 }

@@ -14,7 +14,7 @@ use globalfs::gfs::world::{
 use globalfs::scenarios::recovery::{
     crash_one_of_n, disk_failure_during_sweep, link_flap_during_enzo, CrashConfig,
 };
-use globalfs::simcore::{Bandwidth, Sim, SimDuration};
+use globalfs::simcore::{Bandwidth, Sim, SimDuration, SimTime};
 use globalfs::simnet::NodeId;
 use std::cell::Cell;
 use std::rc::Rc;
@@ -1928,4 +1928,68 @@ fn an_abandoned_flush_attempt_never_lands_over_a_newer_write() {
         w_.fss[fs.0 as usize].core.get_block_data(addr)[..] == [0x22u8; 64 * 1024][..],
         "the abandoned attempt landed v1 over v2"
     );
+}
+
+/// A lease recall closes the door on its holder. A leases `/proj`, and
+/// `n` sessions of A each run `STATS` delegated stats of `/proj/d0` back
+/// to back, so A always has a delegate op in flight. B's stat of the same
+/// path, sent 1 ms in, recalls the lease: from the moment the recall lands
+/// A's new ops under `/proj` go to the manager, which defers them while
+/// the recall is under way, so the recall waits only for the ops already
+/// at A's delegate, and B's stat returns after one 10 ms re-poll instead
+/// of after A's last op.
+#[test]
+fn a_lease_recall_is_not_starved_by_the_holders_delegate_ops() {
+    const STATS: u32 = 6_000;
+    fn stats(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, s: Session, left: u32, done: Rc<Cell<SimTime>>) {
+        if left == 0 {
+            done.set(done.get().max(sim.now()));
+            return;
+        }
+        s.stat(sim, w, "/proj/d0", move |sim, w, r| {
+            r.expect("A's stat");
+            stats(sim, w, s, left - 1, done);
+        });
+    }
+    for n in [1, 4] {
+        let (mut sim, mut w, fs, ctxs) = lease_bed(61, 1, 2, false);
+        let (a, b) = (ctxs[0], ctxs[1]);
+        let sa: Vec<Session> = (0..n).map(|_| w.open_session(a)).collect();
+        let sb = w.open_session(b);
+        let rw = gfs_auth::handshake::AccessMode::ReadWrite;
+        for &s in sa.iter().chain([&sb]) {
+            settle(&mut sim, &mut w, |sim, w, cb| s.mount(sim, w, "hafs", rw, cb)).unwrap();
+        }
+        settle(&mut sim, &mut w, |sim, w, cb| sa[0].acquire_lease(sim, w, "/proj", cb)).unwrap();
+        settle(&mut sim, &mut w, |sim, w, cb| sa[0].mkdir(sim, w, "/proj/d0", Owner::local(1, 1), cb))
+            .unwrap();
+        assert_eq!(w.clients[a.0 as usize].journal.len(), 1, "the mkdir must run at A's delegate");
+        let t0 = sim.now();
+        let a_done = Rc::new(Cell::new(t0));
+        for &s in &sa {
+            stats(&mut sim, &mut w, s, STATS, a_done.clone());
+        }
+        let b_done = Rc::new(std::cell::RefCell::new(None));
+        let slot = b_done.clone();
+        sim.after(SimDuration::from_millis(1), move |sim, w| {
+            let sent = sim.now();
+            sb.stat(sim, w, "/proj/d0", move |sim, _, r| {
+                *slot.borrow_mut() = Some((r.map(|_| ()), sim.now().since(sent)));
+            });
+        });
+        sim.run(&mut w);
+        let (r, b_lat) = b_done.borrow_mut().take().expect("B's stat completed");
+        assert_eq!(r, Ok(()), "n = {n}");
+        let a_span = a_done.get().since(t0);
+        assert!(
+            b_lat < SimDuration::from_millis(20) && b_lat * 2 < a_span,
+            "n = {n}: B's stat returned after {b_lat:?}, A's sessions finished after {a_span:?}"
+        );
+        let inst = &w.fss[fs.0 as usize];
+        assert_eq!((inst.lease_breaks, inst.expulsions), (1, 0), "n = {n}");
+        assert!(inst.leases.is_empty() && inst.recalls.is_empty(), "n = {n}");
+        assert!(w.clients[a.0 as usize].journal.is_empty(), "n = {n}: the journal reconciled");
+        let v = globalfs::scenarios::chaos::world_invariants(&sim, &w);
+        assert!(v.is_empty(), "n = {n}: {v:?}");
+    }
 }

@@ -57,7 +57,7 @@ fn thirty_two_client_storm_is_exact_clean_and_pinned() {
     let r = exact_clean_storm(&cfg);
     assert_eq!(r.ops, 1300);
     assert_eq!(r.errors, 77);
-    assert_eq!(r.fingerprint, 7317268188588145229);
+    assert_eq!(r.fingerprint, 12529625232569499513);
     assert_eq!(r.tree_fingerprint, 5130660943358764152);
 }
 
