@@ -92,18 +92,85 @@ pub fn downsample(series: &TimeSeries, n: usize) -> TimeSeries {
     out
 }
 
-/// Shape verdict helper: measured within `tol` (relative) of paper value.
+/// The bound a gate row holds its measured number to.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Bound {
+    /// Within `tol` (relative) of the paper's value. A paper value of 0
+    /// admits only 0.
+    Paper { value: f64, tol: f64 },
+    /// At least this much.
+    Floor(f64),
+    /// At most this much.
+    Ceiling(f64),
+}
+
+/// One gate row: a claim, the number measured for it and its bound. A row
+/// reads `[OK ]` when the number meets the bound and `[OFF]` otherwise
+/// (a NaN meets none).
+#[derive(Clone, Debug, PartialEq)]
+pub struct Gate {
+    pub metric: String,
+    pub measured: f64,
+    pub bound: Bound,
+}
+
+impl Gate {
+    fn new(metric: impl Into<String>, measured: f64, bound: Bound) -> Gate {
+        let metric = metric.into();
+        Gate {
+            metric,
+            measured,
+            bound,
+        }
+    }
+
+    /// `measured` within `tol` (relative) of the paper's value.
+    pub fn paper(metric: impl Into<String>, paper: f64, measured: f64, tol: f64) -> Gate {
+        Gate::new(metric, measured, Bound::Paper { value: paper, tol })
+    }
+
+    /// `measured` at least `floor`.
+    pub fn floor(metric: impl Into<String>, floor: f64, measured: f64) -> Gate {
+        Gate::new(metric, measured, Bound::Floor(floor))
+    }
+
+    /// `measured` at most `ceiling`.
+    pub fn ceiling(metric: impl Into<String>, ceiling: f64, measured: f64) -> Gate {
+        Gate::new(metric, measured, Bound::Ceiling(ceiling))
+    }
+
+    /// Does the measured number meet the bound?
+    pub fn ok(&self) -> bool {
+        let m = self.measured;
+        match self.bound {
+            Bound::Paper { value: 0.0, .. } => m == 0.0,
+            Bound::Paper { value, tol } => (m - value).abs() / value.abs() <= tol,
+            Bound::Floor(f) => m >= f,
+            Bound::Ceiling(c) => m <= c,
+        }
+    }
+
+    /// The row as printed: mark, claim, bound and measured number.
+    pub fn line(&self) -> String {
+        let mark = if self.ok() { "OK " } else { "OFF" };
+        let (metric, m) = (&self.metric, self.measured);
+        let (kind, bound) = match self.bound {
+            Bound::Paper { value, .. } => ("paper", value),
+            Bound::Floor(f) => ("floor", f),
+            Bound::Ceiling(c) => ("ceil ", c),
+        };
+        let mut line = format!("[{mark}] {metric:<42} {kind} {bound:>10.2}  measured {m:>10.2}");
+        if matches!(self.bound, Bound::Paper { .. }) && bound != 0.0 {
+            line += &format!("  ({:+.1}%)", 100.0 * (m - bound) / bound);
+        }
+        line
+    }
+}
+
+/// Print a paper-vs-measured gate row: measured within `tol` (relative)
+/// of the paper value.
 pub fn verdict(metric: &str, paper: f64, measured: f64, tol: f64) {
-    let rel = if paper.abs() < f64::EPSILON {
-        0.0
-    } else {
-        (measured - paper).abs() / paper.abs()
-    };
-    let mark = if rel <= tol { "OK " } else { "OFF" };
-    println!(
-        "  [{mark}] {metric:<42} paper {paper:>10.2}  measured {measured:>10.2}  ({:+.1}%)",
-        100.0 * (measured - paper) / paper
-    );
+    println!("  {}", Gate::paper(metric, paper, measured, tol).line());
 }
 
 #[cfg(test)]
@@ -120,6 +187,45 @@ mod tests {
         let d = downsample(&s, 10);
         assert!(d.points.len() <= 10);
         assert!((d.mean() - 10.0).abs() < 1e-9);
+    }
+
+    fn mark(g: Gate) -> String {
+        g.line()[..5].to_string()
+    }
+
+    #[test]
+    fn a_paper_row_is_off_just_past_its_tolerance() {
+        assert_eq!(mark(Gate::paper("p", 10.0, 11.0, 0.1)), "[OK ]");
+        assert_eq!(mark(Gate::paper("p", 10.0, 9.0, 0.1)), "[OK ]");
+        assert_eq!(mark(Gate::paper("p", 10.0, 11.001, 0.1)), "[OFF]");
+        assert_eq!(mark(Gate::paper("p", 10.0, 8.999, 0.1)), "[OFF]");
+        // A paper value of 0 admits only 0 (relative error is undefined).
+        assert_eq!(mark(Gate::paper("p", 0.0, 0.0, 0.1)), "[OK ]");
+        assert_eq!(mark(Gate::paper("p", 0.0, 1e-9, 0.1)), "[OFF]");
+    }
+
+    #[test]
+    fn a_floor_row_is_off_just_below_its_floor() {
+        assert_eq!(mark(Gate::floor("f", 50.0, 50.0)), "[OK ]");
+        assert_eq!(mark(Gate::floor("f", 50.0, 49.999)), "[OFF]");
+        assert_eq!(mark(Gate::floor("f", 1.0, 0.0)), "[OFF]");
+    }
+
+    #[test]
+    fn a_ceiling_row_is_off_just_above_its_ceiling() {
+        assert_eq!(mark(Gate::ceiling("c", 2.5, 2.5)), "[OK ]");
+        assert_eq!(mark(Gate::ceiling("c", 2.5, 2.5001)), "[OFF]");
+        // Stale reads, divergences, ops that gave up, expulsions.
+        assert_eq!(mark(Gate::ceiling("c", 0.0, 0.0)), "[OK ]");
+        assert_eq!(mark(Gate::ceiling("c", 0.0, 1.0)), "[OFF]");
+        assert_eq!(mark(Gate::ceiling("c", 0.0, f64::MIN_POSITIVE)), "[OFF]");
+    }
+
+    #[test]
+    fn a_nan_meets_no_bound() {
+        assert!(!Gate::paper("p", 1.0, f64::NAN, 0.5).ok());
+        assert!(!Gate::floor("f", 0.0, f64::NAN).ok());
+        assert!(!Gate::ceiling("c", 0.0, f64::NAN).ok());
     }
 
     #[test]

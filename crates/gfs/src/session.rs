@@ -721,11 +721,13 @@ impl Session {
     }
 
     /// Close: flush the file's dirty pages, then drop the handle from
-    /// both the shared context and the session table. No message goes to
-    /// a manager: the context keeps its tokens on the file as cached
-    /// grants (see [`crate::tokens`]) until a conflicting acquire revokes
-    /// them, and that revocation is also what invalidates its cached pages
-    /// when another context writes the file.
+    /// both the shared context and the session table, whatever the flush
+    /// returned: like `close(2)`, a close that reports a flush error has
+    /// still released the handle. No message goes to a manager: the
+    /// context keeps its tokens on the file as cached grants (see
+    /// [`crate::tokens`]) until a conflicting acquire revokes them, and
+    /// that revocation is also what invalidates its cached pages when
+    /// another context writes the file.
     pub fn close(
         self,
         sim: &mut Sim<GfsWorld>,
@@ -740,15 +742,11 @@ impl Session {
         }
         let cb = self.begin(w, cb);
         client::fsync(sim, w, ctx, handle, move |sim, w, r| {
-            if let Err(e) = r {
-                cb(sim, w, Err(degrade_err(e)));
-                return;
-            }
             let c = &mut w.clients[ctx.0 as usize];
             c.handles.remove(&handle);
             c.prefetch.remove(&handle);
             self.forget_handle(w, handle);
-            cb(sim, w, Ok(()));
+            cb(sim, w, degrade(r));
         });
     }
 
@@ -1054,16 +1052,12 @@ fn canonical(path: String) -> String {
 
 /// Map total-server-loss to the session surface's degraded-service error.
 fn degrade<T>(r: Result<T, FsError>) -> Result<T, FsError> {
-    r.map_err(degrade_err)
-}
-
-fn degrade_err(e: FsError) -> FsError {
-    match e {
+    r.map_err(|e| match e {
         FsError::ServerDown => {
             FsError::Degraded("all NSD servers for the filesystem are down".to_string())
         }
         other => other,
-    }
+    })
 }
 
 /// Push one op into the `(ctx, fs, shard)` batch.
@@ -1853,6 +1847,40 @@ mod tests {
             });
         });
         assert!(saw.get());
+    }
+
+    #[test]
+    fn a_close_whose_flush_fails_still_releases_the_handle() {
+        let mut t = bed(1);
+        let s = t.sessions[0];
+        let saw = Rc::new(Cell::new(false));
+        let saw2 = saw.clone();
+        mounted(&mut t, move |sim, w| {
+            let saw = saw2;
+            s.open(sim, w, "/f", OpenFlags::Write, owner(), move |sim, w, r| {
+                let h = r.unwrap();
+                s.write(sim, w, h, 0, Bytes::from(vec![7u8; 4096]), move |sim, w, r| {
+                    r.unwrap();
+                    let servers = w.fss[0].nsd_servers.clone();
+                    for n in servers {
+                        w.fss[0].fail_server(n);
+                    }
+                    s.close(sim, w, h, move |_sim, w, r| {
+                        assert!(
+                            matches!(r, Err(FsError::Degraded(_))),
+                            "the failed flush must reach the close, got {r:?}"
+                        );
+                        let c = &w.clients[s.ctx(w).0 as usize];
+                        assert!(!c.handles.contains_key(&h), "the context kept the handle");
+                        assert!(!c.prefetch.contains_key(&h), "the context kept its prefetch");
+                        assert!(s.state(w).handles.is_empty(), "the session kept the handle");
+                        saw.set(true);
+                    });
+                });
+            });
+        });
+        assert!(saw.get());
+        t.w.end_session(s.id());
     }
 
     #[test]

@@ -249,18 +249,18 @@ fn live_inode(core: &gfs::FsCore, path: &str) -> Option<gfs::InodeId> {
         })
 }
 
-/// Verdict of a chaos storm: the (serial) report plus every violated
-/// invariant. Clean means the storm survived the faults with all
-/// guarantees intact.
+/// A checked run: what it reported and every invariant it violated. The
+/// chaos storm, the manager recovery and the trace differential all answer
+/// with one.
 #[derive(Clone, Debug)]
-pub struct ChaosVerdict {
-    /// The storm's merged report (from the single-thread run).
-    pub report: StormReport,
+pub struct Verdict<R> {
+    /// The run's report.
+    pub report: R,
     /// Violations, empty when every invariant held.
     pub violations: Vec<String>,
 }
 
-impl ChaosVerdict {
+impl<R> Verdict<R> {
     /// Did every invariant hold?
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
@@ -271,17 +271,19 @@ impl ChaosVerdict {
     pub fn assert_clean(&self) {
         assert!(
             self.is_clean(),
-            "chaos storm violated {} invariant(s):\n  {}",
+            "{} invariant(s) violated:\n  {}",
             self.violations.len(),
             self.violations.join("\n  ")
         );
     }
 }
 
+/// Verdict of a chaos storm: the merged report of the single-thread run.
+pub type ChaosVerdict = Verdict<StormReport>;
+
 /// Run `cfg` under `chaos` once serially and once with 8 sweep workers,
-/// then check every cross-run invariant: thread-count determinism, clean
-/// fsck, zero exhausted retry budgets, zero in-world invariant violations,
-/// and — when the spec is non-empty — that faults actually fired.
+/// then check thread-count determinism and audit the serial run
+/// ([`StormReport::audit`]).
 pub fn check_chaos_storm(cfg: &StormConfig, chaos: &ChaosSpec) -> ChaosVerdict {
     let serial = run_chaos_storm_with_threads(cfg, chaos, 1);
     let threaded = run_chaos_storm_with_threads(cfg, chaos, 8);
@@ -291,25 +293,8 @@ pub fn check_chaos_storm(cfg: &StormConfig, chaos: &ChaosSpec) -> ChaosVerdict {
             "report is not sweep-thread-invariant:\n  1 thread: {serial:?}\n  8 threads: {threaded:?}"
         ));
     }
-    if !serial.fsck_clean {
-        violations.push("post-storm fsck found inconsistencies".into());
-    }
-    if serial.gave_up != 0 {
-        violations.push(format!(
-            "{} op(s) exhausted the retry budget — outages outlasted the retry window",
-            serial.gave_up
-        ));
-    }
-    if serial.invariant_violations != 0 {
-        violations.push(format!(
-            "{} world-invariant violation(s) inside storm points (see stderr)",
-            serial.invariant_violations
-        ));
-    }
-    if !chaos.is_empty() && serial.faults_injected == 0 {
-        violations.push("chaos spec was non-empty but injected no faults".into());
-    }
-    ChaosVerdict {
+    violations.extend(serial.audit(!chaos.is_empty()));
+    Verdict {
         report: serial,
         violations,
     }
@@ -328,38 +313,21 @@ pub fn canonical_chaos(cfg: &StormConfig, outage: SimDuration) -> ChaosSpec {
             // the same schedule doubles as the kill-one-shard chaos run.
             .server_crash_at_op(cfg.race_op_at(0.4), gfs::FsId(0), "meta-srv1", Some(outage))
             .link_flap_at_op(cfg.race_op_at(0.7), "storm-wan", outage),
-        timed: Default::default(),
         wan_clients: true,
     }
 }
 
-/// Verdict of the exactly-once recovery check.
+/// The two runs of the exactly-once recovery check.
 #[derive(Clone, Debug)]
-pub struct RecoveryVerdict {
+pub struct Recovery {
     /// The faulted run (manager killed and recovered mid-storm).
     pub chaos: StormReport,
     /// The fault-free oracle run of the identical workload.
     pub oracle: StormReport,
-    /// Violations, empty when recovery was exactly-once.
-    pub violations: Vec<String>,
 }
 
-impl RecoveryVerdict {
-    /// Did recovery leave the namespace identical to the oracle's?
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Panic with the violation list unless clean.
-    pub fn assert_clean(&self) {
-        assert!(
-            self.is_clean(),
-            "manager recovery violated {} invariant(s):\n  {}",
-            self.violations.len(),
-            self.violations.join("\n  ")
-        );
-    }
-}
+/// Verdict of the exactly-once recovery check.
+pub type RecoveryVerdict = Verdict<Recovery>;
 
 /// Kill the acting namespace manager at `crash_frac` of the race, restart
 /// it `outage` later, and compare the recovered world against a fault-free
@@ -401,18 +369,11 @@ pub fn check_manager_recovery_on(
             server,
             Some(outage),
         ),
-        timed: Default::default(),
         wan_clients: false,
     };
     let chaos = run_chaos_storm_with_threads(&cfg, &chaos_spec, 1);
 
-    let mut violations = Vec::new();
-    if chaos.gave_up != 0 {
-        violations.push(format!(
-            "{} op(s) gave up — recovery outlasted the retry window",
-            chaos.gave_up
-        ));
-    }
+    let mut violations = chaos.audit(true);
     if chaos.tree_fingerprint != oracle.tree_fingerprint {
         violations.push(format!(
             "recovered tree differs from oracle: {:#x} vs {:#x} — a mutation was lost or replayed twice",
@@ -431,15 +392,6 @@ pub fn check_manager_recovery_on(
             chaos.ops, chaos.errors, oracle.ops, oracle.errors
         ));
     }
-    if !chaos.fsck_clean {
-        violations.push("post-recovery fsck found inconsistencies".into());
-    }
-    if chaos.invariant_violations != 0 {
-        violations.push(format!(
-            "{} world-invariant violation(s) inside storm points (see stderr)",
-            chaos.invariant_violations
-        ));
-    }
     // Prove the scenario exercised what it claims to: a real takeover with
     // a real WAL replay, observed by clients as timeouts they rode out.
     if chaos.manager_epochs == 0 {
@@ -451,9 +403,8 @@ pub fn check_manager_recovery_on(
     if chaos.timeouts == 0 {
         violations.push("no client ever timed out — the crash window was invisible".into());
     }
-    RecoveryVerdict {
-        chaos,
-        oracle,
+    Verdict {
+        report: Recovery { chaos, oracle },
         violations,
     }
 }
@@ -511,8 +462,8 @@ mod tests {
             SimDuration::from_millis(600),
         );
         v.assert_clean();
-        assert!(v.chaos.wal_replayed > 0);
-        assert!(v.chaos.manager_epochs >= 1);
+        assert!(v.report.chaos.wal_replayed > 0);
+        assert!(v.report.chaos.manager_epochs >= 1);
     }
 
     /// Kill-one-shard chaos: in a 4-shard partitioned storm, the canonical
@@ -548,8 +499,8 @@ mod tests {
         cfg.ops_per_client = 96;
         let v = check_manager_recovery_on(&cfg, 0.5, SimDuration::from_millis(600), "meta-srv1");
         v.assert_clean();
-        assert!(v.chaos.wal_replayed > 0);
-        assert!(v.chaos.manager_epochs >= 1);
-        assert!(v.chaos.cross_shard_ops > 0);
+        assert!(v.report.chaos.wal_replayed > 0);
+        assert!(v.report.chaos.manager_epochs >= 1);
+        assert!(v.report.chaos.cross_shard_ops > 0);
     }
 }

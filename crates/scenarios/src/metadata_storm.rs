@@ -24,7 +24,7 @@
 use crate::builder::{data_path_stats_of, DataPathStats, NsdFarm, ScenarioBuilder};
 use crate::chain::{self, mix, Chain, Lease, Oracle, Run, Tally};
 use crate::trace::{TraceOp, TraceOpKind};
-use gfs::faults::{FaultPlan, ProgressInjector, ProgressPlan, RecoveryWhat};
+use gfs::faults::{ProgressInjector, ProgressPlan, RecoveryWhat};
 use gfs::oracle::ModelFs;
 use gfs::types::{FsId, Owner};
 use gfs::world::GfsWorld;
@@ -74,11 +74,13 @@ pub struct StormConfig {
     /// effective with `managers > 1`. The private `/wNN` subtrees all
     /// start on shard 0, so a leased storm always has migrations to find.
     pub rebalance_every_ms: u64,
-    /// Bytes written by a small-write op.
-    pub write_bytes: u64,
     /// Determinism seed.
     pub seed: u64,
 }
+
+/// Bytes a small-write op writes (a storm of several sessions per context
+/// writes none; see `uniform_ops`).
+const WRITE_BYTES: u64 = 4096;
 
 impl Default for StormConfig {
     fn default() -> Self {
@@ -93,7 +95,6 @@ impl Default for StormConfig {
             managers: 1,
             lease_contexts: 0,
             rebalance_every_ms: 0,
-            write_bytes: 4096,
             seed: 2005,
         }
     }
@@ -114,7 +115,6 @@ impl StormConfig {
             managers: 1,
             lease_contexts: 0,
             rebalance_every_ms: 0,
-            write_bytes: 4096,
             seed: 2005,
         }
     }
@@ -139,7 +139,6 @@ impl StormConfig {
             // `with_managers(4)` in the partitioned bench.
             lease_contexts: 16,
             rebalance_every_ms: 100,
-            write_bytes: 4096,
             seed: 2005,
         }
     }
@@ -216,17 +215,14 @@ impl StormConfig {
     }
 }
 
-/// Fault schedule for a chaos storm. Progress-keyed events fire when the
-/// per-point op counter crosses their threshold; time-keyed events fire at
-/// absolute simulation times (the race starts near t = 0). With
-/// `wan_clients` the clients sit behind a single flappable WAN link named
-/// `"storm-wan"`, so `timed` plans can cut every client off at once.
+/// Fault schedule for a chaos storm. Its events fire when the per-point op
+/// counter crosses their threshold. With `wan_clients` the clients sit
+/// behind a single flappable WAN link named `"storm-wan"`, so one link flap
+/// cuts every client off at once.
 #[derive(Clone, Debug, Default)]
 pub struct ChaosSpec {
     /// Storm-progress-keyed faults ("kill the server at op 400k").
     pub progress: ProgressPlan,
-    /// Sim-time-keyed faults ("flap the WAN link every 30 s").
-    pub timed: FaultPlan,
     /// Route all storm clients through the `"storm-wan"` link.
     pub wan_clients: bool,
 }
@@ -239,7 +235,7 @@ impl ChaosSpec {
 
     /// Is this spec fault-free?
     pub fn is_empty(&self) -> bool {
-        self.progress.is_empty() && self.timed.events.is_empty() && !self.wan_clients
+        self.progress.is_empty() && !self.wan_clients
     }
 }
 
@@ -361,6 +357,27 @@ impl StormReport {
         } else {
             self.envelope_ops as f64 / self.envelopes as f64
         }
+    }
+
+    /// The health audit of a drained run, one line per failed check: fsck,
+    /// the retry budget, the world invariants and, when `faulted` (a fault
+    /// was scheduled), that a fault fired. Empty means healthy.
+    pub fn audit(&self, faulted: bool) -> Vec<String> {
+        let mut v = Vec::new();
+        if !self.fsck_clean {
+            v.push("fsck found inconsistencies".to_string());
+        }
+        if self.gave_up != 0 {
+            v.push(format!("{} op(s) exhausted the retry budget", self.gave_up));
+        }
+        if self.invariant_violations != 0 {
+            let n = self.invariant_violations;
+            v.push(format!("{n} world-invariant violation(s) (see stderr)"));
+        }
+        if faulted && self.faults_injected == 0 {
+            v.push("a fault was scheduled but none fired".to_string());
+        }
+        v
     }
 
     /// Read one drained world: the tally's counts, the world's counters,
@@ -555,7 +572,6 @@ fn run_point(
     // `sessions_per_client` sessions packed onto each mount context.
     let spc = cfg.sessions_per_client.max(1);
     let sessions = sb.sessions(client_site, cfg.clients_per_point * spc, spc);
-    sb.faults(chaos.timed.clone());
     // No queued workloads: the builder just assembles the world; the storm
     // drives the client API directly.
     let mut sr = sb.run(SimTime::from_secs(1));
@@ -724,7 +740,7 @@ fn uniform_ops(
                 let size = if cfg.sessions_per_client > 1 {
                     0
                 } else {
-                    cfg.write_bytes
+                    WRITE_BYTES
                 };
                 TraceOp::data(Write, file, size, 0)
             }

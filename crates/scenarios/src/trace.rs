@@ -35,6 +35,7 @@
 
 use crate::builder::{NsdFarm, ScenarioBuilder};
 use crate::chain::{self, mix, Chain, Lease, Mirror, Oracle, Run};
+use crate::chaos::Verdict;
 use crate::metadata_storm::{ChaosSpec, StormReport};
 use gfs::faults::{ProgressInjector, ProgressPlan};
 use gfs::oracle::ModelFs;
@@ -520,8 +521,6 @@ pub struct ReplayConfig {
     /// Attach a replica site and install copies mid-replay (at 1/3 of the
     /// corpus), so later reads route through the catalog.
     pub replicate: bool,
-    /// Flyweight sessions packed per mount context.
-    pub per_mount: u32,
     /// Determinism seed for the world build.
     pub seed: u64,
 }
@@ -532,11 +531,13 @@ impl Default for ReplayConfig {
             managers: 1,
             leases: false,
             replicate: false,
-            per_mount: 2,
             seed: 2005,
         }
     }
 }
+
+/// Flyweight sessions packed per mount context in a replay.
+const PER_MOUNT: u32 = 2;
 
 /// Result of one replay: the session-driver counters of the run plus the
 /// oracle's verdict. `divergence_samples` carries the first few op-level
@@ -567,7 +568,7 @@ pub struct ReplayReport {
 
 /// Replay a trace through the full stack and diff every op against the
 /// in-memory oracle. The corpus is split into namespace-disjoint streams,
-/// each driven by its own flyweight session (packed `per_mount` to a mount
+/// each driven by its own flyweight session (packed two to a mount
 /// context, so same-instant ops ride fan-in envelopes); with `managers > 1`
 /// the tops are round-robined across shards, and with `leases` on each
 /// single-top stream runs under a subtree lease. The report carries both
@@ -576,7 +577,6 @@ pub fn replay_trace(ops: &[TraceOp], cfg: &ReplayConfig, chaos: &ChaosSpec) -> R
     let streams = split_streams(ops);
     let nstreams = streams.len() as u32;
     assert!(nstreams > 0, "cannot replay an empty trace");
-    let per_mount = cfg.per_mount.max(1);
 
     let mut sb = ScenarioBuilder::new(cfg.seed);
     let fs = sb.nsd_farm(
@@ -621,8 +621,7 @@ pub fn replay_trace(ops: &[TraceOp], cfg: &ReplayConfig, chaos: &ChaosSpec) -> R
     } else {
         Vec::new()
     };
-    let sessions = sb.sessions(client_site, nstreams, per_mount);
-    sb.faults(chaos.timed.clone());
+    let sessions = sb.sessions(client_site, nstreams, PER_MOUNT);
     let mut sr = sb.run(SimTime::from_secs(1));
 
     // Deterministic shard placement: every top the corpus touches,
@@ -669,7 +668,7 @@ pub fn replay_trace(ops: &[TraceOp], cfg: &ReplayConfig, chaos: &ChaosSpec) -> R
         let lease_on = cfg.leases && cfg.managers > 1;
         let mut streams = streams.into_iter();
         let groups = sessions
-            .chunks(per_mount as usize)
+            .chunks(PER_MOUNT as usize)
             .map(|group| {
                 let chains = group.iter().map(|&sess| {
                     let ops = streams.next().expect("one stream per session");
@@ -722,35 +721,14 @@ pub fn replay_trace(ops: &[TraceOp], cfg: &ReplayConfig, chaos: &ChaosSpec) -> R
 // The chaos entry
 // ---------------------------------------------------------------------------
 
-/// Verdict of a full corpus differential: every `(schedule, report)` pair
-/// plus the violations found across all of them.
-#[derive(Clone, Debug)]
-pub struct TraceVerdict {
-    /// One report per `(managers, schedule)` combination, labeled.
-    pub reports: Vec<(String, ReplayReport)>,
-    /// Violations across all runs; empty means the corpus is clean.
-    pub violations: Vec<String>,
-}
+/// Verdict of a full corpus differential: every `(schedule, report)` pair,
+/// labeled, plus the violations found across all of them.
+pub type TraceVerdict = Verdict<Vec<(String, ReplayReport)>>;
 
 impl TraceVerdict {
-    /// Did every replay agree with the oracle everywhere?
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Panic with the violation list unless clean.
-    pub fn assert_clean(&self) {
-        assert!(
-            self.is_clean(),
-            "trace differential violated {} invariant(s):\n  {}",
-            self.violations.len(),
-            self.violations.join("\n  ")
-        );
-    }
-
     /// Total ops replayed across every schedule.
     pub fn total_ops(&self) -> u64 {
-        self.reports.iter().map(|(_, r)| r.run.ops).sum()
+        self.report.iter().map(|(_, r)| r.run.ops).sum()
     }
 }
 
@@ -779,7 +757,6 @@ pub fn check_trace_differential_sized(
             managers: m,
             leases: true,
             replicate: true,
-            per_mount: 2,
             seed: 2005,
         };
         // The manager kill targets the server hosting a *manager*: shard 0
@@ -797,7 +774,6 @@ pub fn check_trace_differential_sized(
                         mgr_target,
                         Some(SimDuration::from_millis(600)),
                     ),
-                    timed: Default::default(),
                     wan_clients: false,
                 },
             ),
@@ -810,7 +786,6 @@ pub fn check_trace_differential_sized(
                         "trace-srv2",
                         Some(SimDuration::from_millis(400)),
                     ),
-                    timed: Default::default(),
                     wan_clients: false,
                 },
             ),
@@ -822,7 +797,6 @@ pub fn check_trace_differential_sized(
                         "mc-site-0",
                         SimDuration::from_millis(400),
                     ),
-                    timed: Default::default(),
                     wan_clients: false,
                 },
             ),
@@ -840,7 +814,6 @@ pub fn check_trace_differential_sized(
         managers: 1,
         leases: true,
         replicate: true,
-        per_mount: 2,
         seed: 2005,
     };
     let again = replay_trace(&ops, &cfg, &ChaosSpec::none());
@@ -852,13 +825,14 @@ pub fn check_trace_differential_sized(
             corpus.name()
         ));
     }
-    TraceVerdict {
-        reports,
+    Verdict {
+        report: reports,
         violations,
     }
 }
 
-/// Fold one replay's health into the violation list.
+/// Fold one replay's health into the violation list: the oracle's verdict
+/// and the run's audit ([`StormReport::audit`]).
 fn audit(label: &str, r: &ReplayReport, faulted: bool, violations: &mut Vec<String>) {
     if r.divergences != 0 {
         violations.push(format!(
@@ -873,25 +847,8 @@ fn audit(label: &str, r: &ReplayReport, faulted: bool, violations: &mut Vec<Stri
             r.run.tree_fingerprint, r.oracle_fingerprint
         ));
     }
-    if r.run.gave_up != 0 {
-        violations.push(format!(
-            "{label}: {} op(s) exhausted the retry budget",
-            r.run.gave_up
-        ));
-    }
-    if !r.run.fsck_clean {
-        violations.push(format!("{label}: post-replay fsck found inconsistencies"));
-    }
-    if r.run.invariant_violations != 0 {
-        violations.push(format!(
-            "{label}: {} world-invariant violation(s) (see stderr)",
-            r.run.invariant_violations
-        ));
-    }
-    if faulted && r.run.faults_injected == 0 {
-        violations.push(format!(
-            "{label}: fault schedule was non-empty but injected nothing"
-        ));
+    for m in r.run.audit(faulted) {
+        violations.push(format!("{label}: {m}"));
     }
 }
 
@@ -1040,7 +997,7 @@ mod tests {
             r.run.errors > 0,
             "the corpus's deliberate misses must surface typed errors"
         );
-        assert!(r.run.envelopes > 0, "per_mount=2 must batch fan-in envelopes");
+        assert!(r.run.envelopes > 0, "two sessions per mount must batch fan-in envelopes");
     }
 
     #[test]
@@ -1189,9 +1146,9 @@ mod tests {
         v.assert_clean();
         // The faulted runs must really have faulted, and the M=4 leg must
         // really have leased.
-        assert!(v.reports.iter().any(|(l, r)| l.contains("mgr-kill") && r.run.faults_injected > 0));
+        assert!(v.report.iter().any(|(l, r)| l.contains("mgr-kill") && r.run.faults_injected > 0));
         assert!(v
-            .reports
+            .report
             .iter()
             .any(|(l, r)| l.contains("M=4") && r.run.lease_acquires > 0));
     }

@@ -561,28 +561,6 @@ impl<W: NetWorld> Network<W> {
         FlowId(id)
     }
 
-    /// Add bytes to an active flow (used by streaming layers to keep a
-    /// connection's flow alive across successive requests). Returns false if
-    /// the flow already drained.
-    pub fn extend_flow(sim: &mut Sim<W>, w: &mut W, id: FlowId, extra: u64) -> bool {
-        let now = sim.now();
-        let ok = {
-            let net = w.net();
-            net.settle(now);
-            match net.flow_index(id) {
-                Some(i) => {
-                    net.flows[i].remaining += extra as f64;
-                    true
-                }
-                None => false,
-            }
-        };
-        if ok {
-            Self::reschedule_tick(sim, w);
-        }
-        ok
-    }
-
     /// Cancel a flow, dropping its completion callback. Returns remaining
     /// bytes, or `None` if it had already drained.
     pub fn cancel_flow(sim: &mut Sim<W>, w: &mut W, id: FlowId) -> Option<u64> {
@@ -1175,21 +1153,6 @@ mod tests {
         sim.run(&mut w);
         let t = w.done[0].0.as_secs_f64();
         assert!((t - 1.025).abs() < 1e-3, "kept flow at {t}");
-    }
-
-    #[test]
-    fn extend_flow_prolongs_completion() {
-        let (mut sim, mut w, a, _m, c) = world();
-        let id = Network::start_flow(
-            &mut sim,
-            &mut w,
-            FlowSpec::bulk(a, c, 125 * MBYTE / 2),
-            |sim, w: &mut World| w.done.push((sim.now(), "ext")),
-        );
-        assert!(Network::extend_flow(&mut sim, &mut w, id, 125 * MBYTE / 2));
-        sim.run(&mut w);
-        let t = w.done[0].0.as_secs_f64();
-        assert!((t - 1.025).abs() < 1e-3, "extended flow at {t}");
     }
 
     #[test]

@@ -78,7 +78,6 @@ fn main() {
             "trace-srv0",
             Some(SimDuration::from_millis(600)),
         ),
-        timed: Default::default(),
         wan_clients: false,
     };
     let r = replay_trace(&ops, &ReplayConfig::default(), &spec);
@@ -103,11 +102,11 @@ fn main() {
     let verdict = check_trace_differential_sized(TraceCorpus::EnzoCheckpoint, 3, 1);
     println!(
         "\nenzo-checkpoint differential: {} replays, {} ops, clean: {}",
-        verdict.reports.len(),
+        verdict.report.len(),
         verdict.total_ops(),
         verdict.is_clean()
     );
-    for (label, r) in &verdict.reports {
+    for (label, r) in &verdict.report {
         println!(
             "  {:<28} divergences {}  gave_up {}  faults {}  leases {}",
             label, r.divergences, r.run.gave_up, r.run.faults_injected, r.run.lease_acquires

@@ -1161,7 +1161,6 @@ fn progress_plan_fires_at_op_zero_and_final_op() {
         progress: ProgressPlan::new()
             .server_crash_at_op(0, FsId(0), "meta-srv1", Some(SimDuration::from_millis(300)))
             .link_flap_at_op(total, "storm-wan", SimDuration::from_millis(100)),
-        timed: Default::default(),
         wan_clients: true,
     };
     let r = run_chaos_storm(&cfg, &spec);
@@ -1200,7 +1199,6 @@ fn manager_crash_replay_is_oracle_equivalent() {
         managers: 1,
         leases: false,
         replicate: false,
-        per_mount: 2,
         seed: 4242,
     };
     // Shard 0 — the only manager at M=1 — lives on trace-srv0.
@@ -1211,7 +1209,6 @@ fn manager_crash_replay_is_oracle_equivalent() {
             "trace-srv0",
             Some(SimDuration::from_millis(600)),
         ),
-        timed: Default::default(),
         wan_clients: false,
     };
     let r = replay_trace(&ops, &cfg, &spec);

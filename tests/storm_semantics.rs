@@ -67,16 +67,19 @@ fn manager_recovery_matches_fault_free_oracle_and_pin() {
     // fault-free oracle run of the same one-chain workload.
     let v = check_manager_recovery(&StormConfig::small(), 0.5, SimDuration::from_millis(600));
     assert!(v.violations.is_empty(), "violations: {:?}", v.violations);
-    assert_eq!(v.chaos.fingerprint, v.oracle.fingerprint);
-    assert_eq!(v.chaos.tree_fingerprint, v.oracle.tree_fingerprint);
+    assert_eq!(v.report.chaos.fingerprint, v.report.oracle.fingerprint);
     assert_eq!(
-        (v.chaos.ops, v.chaos.errors),
-        (v.oracle.ops, v.oracle.errors)
+        v.report.chaos.tree_fingerprint,
+        v.report.oracle.tree_fingerprint
     );
-    assert!(v.chaos.fsck_clean);
-    assert_eq!(v.chaos.gave_up, 0);
-    assert_eq!(v.chaos.ops, 1112);
-    assert_eq!(v.chaos.errors, 4);
-    assert_eq!(v.chaos.fingerprint, 336730383921503352);
-    assert_eq!(v.chaos.tree_fingerprint, 6762044656801413376);
+    assert_eq!(
+        (v.report.chaos.ops, v.report.chaos.errors),
+        (v.report.oracle.ops, v.report.oracle.errors)
+    );
+    assert!(v.report.chaos.fsck_clean);
+    assert_eq!(v.report.chaos.gave_up, 0);
+    assert_eq!(v.report.chaos.ops, 1112);
+    assert_eq!(v.report.chaos.errors, 4);
+    assert_eq!(v.report.chaos.fingerprint, 336730383921503352);
+    assert_eq!(v.report.chaos.tree_fingerprint, 6762044656801413376);
 }
