@@ -15,7 +15,7 @@ use gfs_auth::rsa::KeyPair;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simcore::{Sim, SimTime};
-use simnet::fairshare::{allocate, Solver, SolverFlow};
+use simnet::fairshare::{FlatFlow, Solver};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -55,52 +55,59 @@ fn bench_event_engine() {
     });
 }
 
-fn bench_fairshare() {
-    // 256 flows over 64 links, paths of length 4.
-    let caps: Vec<f64> = (0..64).map(|i| 1e9 + i as f64).collect();
-    let paths: Vec<Vec<u32>> = (0..256)
-        .map(|i| (0..4).map(|j| ((i * 7 + j * 13) % 64) as u32).collect())
+/// A solver input: link capacities, the path buffer and the flows.
+type Instance = (Vec<f64>, Vec<u32>, Vec<FlatFlow>);
+
+/// `n_flows` flows of 4 hops over `n_links` links, every third capped,
+/// packed for the solver.
+fn solver_instance(n_flows: usize, n_links: usize) -> Instance {
+    let caps: Vec<f64> = (0..n_links).map(|i| 1e9 + i as f64).collect();
+    let paths: Vec<u32> = (0..n_flows)
+        .flat_map(|i| (0..4).map(move |j| ((i * 7 + j * 13) % n_links) as u32))
         .collect();
-    let flows: Vec<SolverFlow> = paths
-        .iter()
-        .enumerate()
-        .map(|(i, p)| SolverFlow {
-            path: p,
+    let meta = (0..n_flows)
+        .map(|i| FlatFlow {
+            start: 4 * i as u32,
+            len: 4,
             cap: if i % 3 == 0 { 5e7 } else { f64::INFINITY },
         })
         .collect();
+    (caps, paths, meta)
+}
+
+/// Solve an instance as one group (it may hold several components; the
+/// rates are the same bits as a solve per component).
+fn solve_one_group(solver: &mut Solver, inst: &Instance, out: &mut Vec<f64>) {
+    let (caps, paths, meta) = inst;
+    solver.solve_grouped(caps, paths, meta, &[meta.len() as u32], out);
+}
+
+fn bench_fairshare() {
+    // 256 flows over 64 links, paths of length 4.
+    let inst = solver_instance(256, 64);
+    let mut rates = Vec::new();
     bench("simnet: max-min solve 256 flows / 64 links", || {
-        black_box(allocate(&caps, &flows));
+        solve_one_group(&mut Solver::new(), &inst, &mut rates);
+        black_box(rates.as_slice());
     });
 }
 
 /// Solver scaling: the same topology shape at 100 / 1 000 / 10 000 flows,
 /// solved with a reused [`Solver`] (the `Network` hot path — scratch
-/// buffers warm) and with a fresh [`allocate`] (cold allocations every
-/// call). The gap is what the scratch reuse buys per recompute.
+/// buffers warm) and with a fresh one (cold allocations every call). The
+/// gap is what the scratch reuse buys per recompute.
 fn bench_solver_scaling() {
     for &n_flows in &[100usize, 1_000, 10_000] {
-        let n_links = (n_flows / 4).max(16);
-        let caps: Vec<f64> = (0..n_links).map(|i| 1e9 + i as f64).collect();
-        let paths: Vec<Vec<u32>> = (0..n_flows)
-            .map(|i| (0..4).map(|j| ((i * 7 + j * 13) % n_links) as u32).collect())
-            .collect();
-        let flows: Vec<SolverFlow> = paths
-            .iter()
-            .enumerate()
-            .map(|(i, p)| SolverFlow {
-                path: p,
-                cap: if i % 3 == 0 { 5e7 } else { f64::INFINITY },
-            })
-            .collect();
+        let inst = solver_instance(n_flows, (n_flows / 4).max(16));
         let mut solver = Solver::new();
         let mut rates = Vec::new();
         bench(&format!("simnet: solve {n_flows} flows, reused solver"), || {
-            solver.solve(&caps, &flows, &mut rates);
+            solve_one_group(&mut solver, &inst, &mut rates);
             black_box(rates.as_slice());
         });
-        bench(&format!("simnet: solve {n_flows} flows, fresh allocate"), || {
-            black_box(allocate(&caps, &flows));
+        bench(&format!("simnet: solve {n_flows} flows, fresh solver"), || {
+            solve_one_group(&mut Solver::new(), &inst, &mut rates);
+            black_box(rates.as_slice());
         });
     }
 }

@@ -15,8 +15,8 @@
 use gfs::cache::DentryCache;
 use gfs::fscore::{DataMode, FsConfig, FsCore};
 use gfs::types::{FsId, Owner};
+use gfs::world::Counters;
 use gfs_bench::{header, table, Bound, Gate};
-use scenarios::builder::DataPathStats;
 use scenarios::metadata_storm::{run_storm, run_storm_with_threads, StormConfig, StormReport};
 use scenarios::production::{run_fig11, ProductionConfig};
 use scenarios::recovery::{
@@ -30,6 +30,8 @@ use std::time::Instant;
 struct Entry {
     name: &'static str,
     wall_seconds: f64,
+    /// What the events/sec floor divides: a world scenario's
+    /// `simcore.events`, a microbench's own count of lookups or flow events.
     events: u64,
     /// The scenario's claims, each a measured number and its bound.
     claims: Vec<Gate>,
@@ -37,15 +39,37 @@ struct Entry {
     /// 4-20x higher on a CI box), so it trips only on an order-of-magnitude
     /// regression, not on scheduler noise or cold caches.
     events_floor: f64,
-    /// Page-pool and NSD coalescing counters summed over the scenario's
-    /// worlds.
-    data_path: DataPathStats,
-    /// Scenario-specific extra numbers, emitted as a `"metadata"` JSON
-    /// object when non-empty.
+    /// The counters of every world the scenario's event count covers,
+    /// summed; written by name. Empty for the microbenches, which run no
+    /// world.
+    counters: Counters,
+    /// Numbers derived from the run (rates, speed-ups, sizes), emitted as
+    /// a `"metadata"` JSON object when non-empty. Counters go in
+    /// `counters`, never here.
     extra: Vec<(&'static str, f64)>,
 }
 
 impl Entry {
+    /// An entry over world runs: its event count is their `simcore.events`.
+    fn of_worlds(
+        name: &'static str,
+        wall_seconds: f64,
+        counters: Counters,
+        claims: Vec<Gate>,
+        events_floor: f64,
+        extra: Vec<(&'static str, f64)>,
+    ) -> Entry {
+        Entry {
+            name,
+            wall_seconds,
+            events: counters.get("simcore.events"),
+            claims,
+            events_floor,
+            counters,
+            extra,
+        }
+    }
+
     fn events_per_sec(&self) -> f64 {
         self.events as f64 / self.wall_seconds.max(1e-9)
     }
@@ -80,6 +104,16 @@ fn violations(metric: &'static str, found: &[String]) -> Gate {
     Gate::ceiling(metric, 0.0, found.len() as f64)
 }
 
+/// The sum of snapshots (the empty snapshot for none).
+fn merged<'a>(snapshots: impl IntoIterator<Item = &'a Counters>) -> Counters {
+    snapshots.into_iter().fold(Counters::default(), Counters::merged)
+}
+
+/// A counter as a gate's measured number.
+fn count(c: &Counters, name: &str) -> f64 {
+    c.get(name) as f64
+}
+
 /// The reports of one run at 1 and at N sweep threads must be
 /// bit-identical: the row counts those that differ.
 fn thread_mismatches<T: PartialEq>(serial: &[T], parallel: &[T]) -> Gate {
@@ -92,43 +126,32 @@ fn run_fig11_entry() -> Entry {
     let cfg = ProductionConfig::default();
     let counts = [1u32, 2, 4, 8, 16, 32, 48, 64, 96, 128];
     let (points, wall) = time_scenario(|| run_fig11(&cfg, &counts));
-    let events: u64 = points.iter().map(|(r, w)| r.events + w.events).sum();
-    let data_path = points
-        .iter()
-        .fold(DataPathStats::default(), |acc, (r, w)| {
-            acc.merged(&r.data_path).merged(&w.data_path)
-        });
+    let counters = merged(points.iter().flat_map(|(r, w)| [&r.counters, &w.counters]));
     let (r128, _) = &points[points.len() - 1];
-    Entry {
-        name: "fig11 production sweep (1..128 nodes, r+w)",
-        wall_seconds: wall,
-        events,
-        claims: vec![Gate::paper(
-            "read plateau (GB/s)",
-            5.9,
-            r128.aggregate_gbyte_per_sec(),
-            0.08,
-        )],
-        events_floor: 800.0,
-        data_path,
-        extra: vec![],
-    }
+    let plateau = r128.aggregate_gbyte_per_sec();
+    Entry::of_worlds(
+        "fig11 production sweep (1..128 nodes, r+w)",
+        wall,
+        counters,
+        vec![Gate::paper("read plateau (GB/s)", 5.9, plateau, 0.08)],
+        800.0,
+        vec![],
+    )
 }
 
 fn run_sc04_entry() -> Entry {
     let (r, wall) = time_scenario(|| sc04::run(Sc04Config::default()));
-    Entry {
-        name: "sc04 bandwidth challenge (600 s)",
-        wall_seconds: wall,
-        events: r.events,
-        claims: vec![
+    Entry::of_worlds(
+        "sc04 bandwidth challenge (600 s)",
+        wall,
+        r.counters,
+        vec![
             Gate::paper("aggregate rate (Gb/s)", 24.0, r.aggregate_steady.mean, 0.08),
             Gate::paper("momentary peak (Gb/s)", 27.0, r.peak_gbs, 0.08),
         ],
-        events_floor: 2000.0,
-        data_path: r.data_path,
-        extra: vec![],
-    }
+        2000.0,
+        vec![],
+    )
 }
 
 fn run_recovery_entry() -> Entry {
@@ -150,50 +173,49 @@ fn run_recovery_entry() -> Entry {
     let (crash, flap, disk) = &reports;
     let completed = [crash.completed == 1, flap.completed, disk.completed];
     let corrupt = u8::from(!crash.data_intact);
-    Entry {
-        name: "recovery trio (crash + flap + disk)",
-        wall_seconds: wall,
-        events: crash.events + flap.events + disk.events,
-        claims: vec![
+    Entry::of_worlds(
+        "recovery trio (crash + flap + disk)",
+        wall,
+        merged([&crash.counters, &flap.counters, &disk.counters]),
+        vec![
             Gate::floor(
                 "runs completed (crash, flap, disk)",
                 3.0,
                 completed.iter().filter(|&&c| c).count() as f64,
             ),
             Gate::ceiling("crash read-backs not intact", 0.0, f64::from(corrupt)),
-            Gate::floor("disk degraded reads served", 1.0, disk.degraded_reads as f64),
+            Gate::floor(
+                "disk degraded reads served",
+                1.0,
+                count(&disk.counters, "simsan.degraded_reads"),
+            ),
         ],
-        events_floor: 1500.0,
-        data_path: crash.data_path.merged(&flap.data_path).merged(&disk.data_path),
-        extra: vec![],
-    }
+        1500.0,
+        vec![],
+    )
 }
 
 fn run_metadata_storm_entry() -> Entry {
     let cfg = StormConfig::default();
     let (r, wall) = time_scenario(|| run_storm(&cfg));
-    Entry {
-        name: "metadata storm (8 pts x 32 clients, ~1M ops)",
-        wall_seconds: wall,
-        events: r.events,
-        claims: vec![
+    Entry::of_worlds(
+        "metadata storm (8 pts x 32 clients, ~1M ops)",
+        wall,
+        r.counters.clone(),
+        vec![
             Gate::floor("storm ops", 1e6, r.ops as f64),
             violations("audit: fsck, gave-up, invariants", &r.audit(false)),
             // The tree-generation phase runs outside the simulator, so
             // events/sec alone would miss a resolution-speed collapse.
             Gate::floor("storm ops/sec (wall)", 50_000.0, per_sec(r.ops, wall)),
         ],
-        events_floor: 8000.0,
-        data_path: r.data_path,
-        extra: vec![
+        8000.0,
+        vec![
             ("metadata_ops", r.ops as f64),
             ("metadata_ops_per_sec", per_sec(r.ops, wall)),
             ("metadata_errors", r.errors as f64),
-            ("interned_names", r.interned_names as f64),
-            ("resolves", r.resolves as f64),
-            ("resolve_alloc_bytes", r.resolve_alloc_bytes as f64),
         ],
-    }
+    )
 }
 
 /// The flyweight-session storm: 100k+ sessions multiplexed over 256 mount
@@ -206,46 +228,45 @@ fn run_storm_100k_entry() -> (Entry, StormReport) {
     let cfg = StormConfig::massive();
     let (parallel, parallel_wall) = time_scenario(|| run_storm(&cfg));
     let (serial, serial_wall) = time_scenario(|| run_storm_with_threads(&cfg, 1));
-    let entry = Entry {
-        name: "storm 100k sessions (8 pts x 12.8k sess, ~10M ops)",
-        wall_seconds: parallel_wall + serial_wall,
-        events: parallel.events,
-        claims: vec![
-            Gate::floor("sessions", 100_000.0, parallel.sessions as f64),
-            Gate::floor("storm ops", 1e7, parallel.ops as f64),
-            violations("audit: fsck, gave-up, invariants", &parallel.audit(false)),
-            // Fan-in batching: fewer envelopes than the ops they carried
-            // (and so at least one envelope), or batching has degraded to
-            // one message per op.
-            Gate::floor(
-                "batched ops - envelopes",
-                1.0,
-                parallel.envelope_ops as f64 - parallel.envelopes as f64,
-            ),
-            thread_mismatches(&[serial], &[parallel]),
-            // The *modeled* cluster rate: storm ops over the slowest
-            // point's simulated duration, bottlenecked by the manager's
-            // per-op service charge, so the row reads the same on any host.
-            Gate::floor("modeled ops/sec", 1e6, parallel.sim_ops_per_sec()),
-        ],
-        events_floor: 1000.0,
-        data_path: parallel.data_path,
-        extra: vec![
-            ("storm100k_sessions", parallel.sessions as f64),
-            ("storm100k_ops", parallel.ops as f64),
-            // Modeled cluster throughput (the gated rate); the host wall
-            // rate rides along as observability only.
-            ("storm100k_ops_per_sec", parallel.sim_ops_per_sec()),
-            ("storm100k_sim_seconds", parallel.sim_ns as f64 / 1e9),
-            ("storm100k_wall_ops_per_sec", per_sec(parallel.ops, parallel_wall)),
-            ("storm100k_envelopes", parallel.envelopes as f64),
-            ("storm100k_envelope_ops", parallel.envelope_ops as f64),
-            ("storm100k_ops_per_envelope", parallel.ops_per_envelope()),
-            ("storm100k_errors", parallel.errors as f64),
-            ("storm100k_gave_up", parallel.gave_up as f64),
-            ("storm100k_serial_wall_seconds", serial_wall),
-        ],
-    };
+    let c = &parallel.counters;
+    let claims = vec![
+        Gate::floor("sessions", 100_000.0, count(c, "session.sessions")),
+        Gate::floor("storm ops", 1e7, parallel.ops as f64),
+        violations("audit: fsck, gave-up, invariants", &parallel.audit(false)),
+        // Fan-in batching: fewer envelopes than the ops they carried
+        // (and so at least one envelope), or batching has degraded to
+        // one message per op.
+        Gate::floor(
+            "batched ops - envelopes",
+            1.0,
+            count(c, "session.envelope_ops") - count(c, "session.envelopes"),
+        ),
+        thread_mismatches(&[&serial], &[&parallel]),
+        // The *modeled* cluster rate: storm ops over the slowest
+        // point's simulated duration, bottlenecked by the manager's
+        // per-op service charge, so the row reads the same on any host.
+        Gate::floor("modeled ops/sec", 1e6, parallel.sim_ops_per_sec()),
+    ];
+    let extra = vec![
+        ("storm100k_ops", parallel.ops as f64),
+        // Modeled cluster throughput (the gated rate); the host wall
+        // rate rides along as observability only.
+        ("storm100k_ops_per_sec", parallel.sim_ops_per_sec()),
+        ("storm100k_sim_seconds", parallel.sim_ns as f64 / 1e9),
+        ("storm100k_wall_ops_per_sec", per_sec(parallel.ops, parallel_wall)),
+        ("storm100k_ops_per_envelope", parallel.ops_per_envelope()),
+        ("storm100k_errors", parallel.errors as f64),
+        ("storm100k_gave_up", parallel.gave_up as f64),
+        ("storm100k_serial_wall_seconds", serial_wall),
+    ];
+    let entry = Entry::of_worlds(
+        "storm 100k sessions (8 pts x 12.8k sess, ~10M ops)",
+        parallel_wall + serial_wall,
+        c.clone(),
+        claims,
+        1000.0,
+        extra,
+    );
     (entry, parallel)
 }
 
@@ -262,49 +283,38 @@ fn run_storm_partitioned_entry(single: &StormReport) -> Entry {
     let (serial, serial_wall) = time_scenario(|| run_storm_with_threads(&cfg, 1));
     let speedup = parallel.sim_ops_per_sec() / single.sim_ops_per_sec().max(1e-9);
     let wall_rate = per_sec(parallel.ops, parallel_wall);
-    Entry {
-        name: "storm partitioned (massive, M=4 manager shards)",
-        wall_seconds: parallel_wall + serial_wall,
-        events: parallel.events,
-        claims: vec![
+    let c = &parallel.counters;
+    Entry::of_worlds(
+        "storm partitioned (massive, M=4 manager shards)",
+        parallel_wall + serial_wall,
+        c.clone(),
+        vec![
             violations("audit: fsck, gave-up, invariants", &parallel.audit(false)),
             // The rename mix must straddle shards, or the two-phase path
             // goes untested.
-            Gate::floor("cross-shard ops", 1.0, parallel.cross_shard_ops as f64),
-            thread_mismatches(&[serial], &[parallel]),
+            Gate::floor("cross-shard ops", 1.0, count(c, "manager.cross_shard_ops")),
+            thread_mismatches(&[&serial], &[&parallel]),
             Gate::floor("speedup over one manager (modeled)", 3.0, speedup),
             Gate::floor("modeled ops/sec", 4.8e6, parallel.sim_ops_per_sec()),
             // The per-shard fan-in keeps the partitioned path batched.
             Gate::floor("ops per envelope", 50.0, parallel.ops_per_envelope()),
             // Writeback delegation, its journal reconciliation and the
             // live rebalance policy all fire during the race.
-            Gate::floor("delegated ops", 1.0, parallel.delegated_ops as f64),
-            Gate::floor("reconciled journal ops", 1.0, parallel.reconcile_ops as f64),
-            Gate::floor("rebalance migrations", 1.0, parallel.rebalance_migrations as f64),
+            Gate::floor("delegated ops", 1.0, count(c, "session.delegated_ops")),
+            Gate::floor("reconciled journal ops", 1.0, count(c, "manager.reconcile_ops")),
+            Gate::floor("rebalance migrations", 1.0, count(c, "manager.migrations")),
             // Batching collapsed this storm's event count ~10x on purpose,
             // so this wall rate, not events/sec, is its regression fence.
             Gate::floor("storm ops/sec (wall)", 130_000.0, wall_rate),
         ],
-        events_floor: 6000.0,
-        data_path: parallel.data_path,
-        extra: vec![
+        6000.0,
+        vec![
             ("storm_part_ops", parallel.ops as f64),
             // Modeled cluster throughput, same definition as storm100k.
             ("storm_part_ops_per_sec", parallel.sim_ops_per_sec()),
             ("storm_part_sim_seconds", parallel.sim_ns as f64 / 1e9),
             ("storm_part_speedup_vs_single", speedup),
-            ("storm_part_cross_shard_ops", parallel.cross_shard_ops as f64),
-            ("storm_part_delegated_ops", parallel.delegated_ops as f64),
-            ("storm_part_envelopes", parallel.envelopes as f64),
-            ("storm_part_envelope_ops", parallel.envelope_ops as f64),
             ("storm_part_ops_per_envelope", parallel.ops_per_envelope()),
-            ("storm_part_lease_acquires", parallel.lease_acquires as f64),
-            ("storm_part_lease_breaks", parallel.lease_breaks as f64),
-            ("storm_part_reconcile_ops", parallel.reconcile_ops as f64),
-            (
-                "storm_part_rebalance_migrations",
-                parallel.rebalance_migrations as f64,
-            ),
             ("storm_part_errors", parallel.errors as f64),
             ("storm_part_err_not_found", parallel.err_not_found as f64),
             ("storm_part_err_exists", parallel.err_exists as f64),
@@ -312,7 +322,7 @@ fn run_storm_partitioned_entry(single: &StormReport) -> Entry {
             ("storm_part_gave_up", parallel.gave_up as f64),
             ("storm_part_wall_ops_per_sec", wall_rate),
         ],
-    }
+    )
 }
 
 /// The chaos smoke: the same storm workload run under each fault class —
@@ -356,52 +366,49 @@ fn run_chaos_entry() -> Entry {
     let (mgr, mgr_wall) =
         time_scenario(|| check_manager_recovery(&cfg, 0.5, SimDuration::from_millis(600)));
 
-    let runs = [&crash.report, &flap.report, &mgr.report.chaos];
-    let sum = |f: fn(&StormReport) -> u64| runs.iter().map(|r| f(r)).sum::<u64>();
     // check_chaos_storm runs the storm twice (1 + 8 threads).
     let crash_rate = per_sec(2 * crash.report.ops, crash_wall);
     let flap_rate = per_sec(2 * flap.report.ops, flap_wall);
-    Entry {
-        name: "chaos storm smoke (crash / flap / manager kill)",
-        wall_seconds: healthy_wall + crash_wall + flap_wall + mgr_wall,
-        events: healthy.events + crash.report.events + flap.report.events + mgr.report.chaos.events,
-        claims: vec![
+    let runs = [&crash.report, &flap.report, &mgr.report.chaos];
+    let c = merged([&healthy.counters].into_iter().chain(runs.map(|r| &r.counters)));
+    let injected = |r: &StormReport| r.counters.get("faults.injected");
+    let gave_up = runs.iter().map(|r| r.gave_up).sum::<u64>() as f64;
+    Entry::of_worlds(
+        "chaos storm smoke (crash / flap / manager kill)",
+        healthy_wall + crash_wall + flap_wall + mgr_wall,
+        c.clone(),
+        vec![
             violations("crash storm violations", &crash.violations),
             violations("flap storm violations", &flap.violations),
             violations("manager recovery violations (vs oracle)", &mgr.violations),
             Gate::floor(
                 "faults injected (fewer of crash, flap)",
                 1.0,
-                crash.report.faults_injected.min(flap.report.faults_injected) as f64,
+                injected(&crash.report).min(injected(&flap.report)) as f64,
             ),
-            Gate::ceiling("ops gave up", 0.0, sum(|r| r.gave_up) as f64),
+            Gate::ceiling("ops gave up", 0.0, gave_up),
             // Every outage lasts 400-600 ms, under the 2 s recall fuse
             // (lease_break_timeout), which burns only while no send of a
             // recall lands: an outage that short never expels a context.
-            Gate::ceiling("mount contexts expelled", 0.0, sum(|r| r.expulsions) as f64),
-            Gate::floor("timeouts", 1.0, sum(|r| r.timeouts) as f64),
-            Gate::floor("WAL records replayed", 1.0, mgr.report.chaos.wal_replayed as f64),
+            Gate::ceiling("mount contexts expelled", 0.0, count(&c, "manager.expulsions")),
+            Gate::floor("timeouts", 1.0, count(&c, "faults.timeouts")),
+            Gate::floor(
+                "WAL records replayed",
+                1.0,
+                count(&mgr.report.chaos.counters, "manager.wal_replayed"),
+            ),
             Gate::floor("crash storm ops/sec (wall)", 10_000.0, crash_rate),
             Gate::floor("flap storm ops/sec (wall)", 10_000.0, flap_rate),
         ],
-        events_floor: 8000.0,
-        data_path: healthy
-            .data_path
-            .merged(&crash.report.data_path)
-            .merged(&flap.report.data_path),
-        extra: vec![
+        8000.0,
+        vec![
             ("chaos_healthy_ops_per_sec", per_sec(healthy.ops, healthy_wall)),
             ("chaos_crash_ops_per_sec", crash_rate),
             ("chaos_flap_ops_per_sec", flap_rate),
             ("chaos_mgr_kill_ops_per_sec", per_sec(2 * mgr.report.chaos.ops, mgr_wall)),
-            ("chaos_timeouts", sum(|r| r.timeouts) as f64),
-            ("chaos_failovers", sum(|r| r.failovers) as f64),
-            ("chaos_wal_replayed", mgr.report.chaos.wal_replayed as f64),
-            ("chaos_manager_epochs", mgr.report.chaos.manager_epochs as f64),
-            ("chaos_gave_up", sum(|r| r.gave_up) as f64),
-            ("chaos_expulsions", sum(|r| r.expulsions) as f64),
+            ("chaos_gave_up", gave_up),
         ],
-    }
+    )
 }
 
 /// The pre-interning metadata core, frozen here as the microbench baseline:
@@ -573,7 +580,7 @@ fn run_resolve_microbench_entry() -> Entry {
         events: lookups * 2,
         claims: vec![Gate::floor("resolve speedup", 10.0, speedup)],
         events_floor: 100_000.0,
-        data_path: DataPathStats::default(),
+        counters: Counters::default(),
         extra: vec![
             ("lookups_per_side", lookups as f64),
             ("old_wall_seconds", old_wall),
@@ -617,51 +624,38 @@ fn run_replication_entry() -> Entry {
         parallel.iter().map(|r| r.mean_pick_ms()).sum::<f64>() / parallel.len().max(1) as f64;
     let campaign_tb = sum(|r| r.campaign_bytes) as f64 / 1e12;
     let unclean = parallel.iter().filter(|r| !r.is_clean()).count();
-    let data_path = parallel
-        .iter()
-        .fold(DataPathStats::default(), |acc, r| acc.merged(&r.data_path));
+    let c = merged(parallel.iter().map(|r| &r.counters));
 
-    Entry {
-        name: "replication campaign (3 sites, hot set + bulk tier)",
-        wall_seconds: parallel_wall + serial_wall,
-        events: sum(|r| r.events),
-        claims: vec![
+    Entry::of_worlds(
+        "replication campaign (3 sites, hot set + bulk tier)",
+        parallel_wall + serial_wall,
+        c.clone(),
+        vec![
             Gate::floor("replica read speedup (slowest point)", 2.0, min_speedup),
             // The coherence tripwire: the catalog records any such serve.
-            Gate::ceiling("stale replica serves", 0.0, sum(|r| r.stale_reads) as f64),
+            Gate::ceiling("stale replica serves", 0.0, count(&c, "replica.stale_reads")),
             Gate::floor("bytes migrated to tape", 1.0, sum(|r| r.migrated_bytes) as f64),
             Gate::ceiling("unclean points (fsck, invariants, I/O)", 0.0, unclean as f64),
             thread_mismatches(&serial, &parallel),
-            Gate::floor("replica installs", 1.0, sum(|r| r.installs) as f64),
-            Gate::floor("replica invalidations", 1.0, sum(|r| r.invalidations) as f64),
-            Gate::floor("remote replica picks", 1.0, sum(|r| r.remote_picks) as f64),
-            Gate::floor("split fan-outs", 1.0, sum(|r| r.split_fanouts) as f64),
+            Gate::floor("replica installs", 1.0, count(&c, "replica.installs")),
+            Gate::floor("replica invalidations", 1.0, count(&c, "replica.invalidations")),
+            Gate::floor("remote replica picks", 1.0, count(&c, "replica.remote_picks")),
+            Gate::floor("split fan-outs", 1.0, count(&c, "replica.split_fanouts")),
         ],
         // One wall figure times a parallel and a serial sweep of few, long
         // flows, so events/sec sits near ~500: the floor only catches a
         // collapse.
-        events_floor: 50.0,
-        data_path,
-        extra: vec![
+        50.0,
+        vec![
             ("replica_read_speedup", min_speedup),
             ("replica_home_rate_mb_s", mean_home_rate / 1e6),
             ("replica_rate_mb_s", mean_replica_rate / 1e6),
             ("replica_campaign_tb", campaign_tb),
-            ("replica_installs", sum(|r| r.installs) as f64),
-            ("replica_invalidations", sum(|r| r.invalidations) as f64),
-            ("replica_stale_reads", sum(|r| r.stale_reads) as f64),
-            ("replica_stale_fallbacks", sum(|r| r.stale_fallbacks) as f64),
             ("replica_migrated_bytes", sum(|r| r.migrated_bytes) as f64),
-            ("replica_replicated_bytes", sum(|r| r.replicated_bytes) as f64),
-            ("replica_split_fanouts", sum(|r| r.split_fanouts) as f64),
-            ("replica_remote_picks", sum(|r| r.remote_picks) as f64),
-            ("replica_home_picks", sum(|r| r.home_picks) as f64),
-            ("replica_catalog_hits", sum(|r| r.catalog_hits) as f64),
-            ("replica_catalog_misses", sum(|r| r.catalog_misses) as f64),
             ("replica_current_copies", sum(|r| r.current_copies) as f64),
             ("replica_mean_pick_ms", mean_pick_ms),
         ],
-    }
+    )
 }
 
 /// Trace replay + oracle differential: the three captured-trace corpora
@@ -680,23 +674,15 @@ fn run_trace_replay_entry() -> Entry {
     let (verdicts, wall) = time_scenario(|| {
         TraceCorpus::ALL.map(|c| (c, check_trace_differential(c)))
     });
-    let sum = |f: fn(&scenarios::trace::ReplayReport) -> u64| -> u64 {
-        verdicts
-            .iter()
-            .flat_map(|(_, v)| v.report.iter().map(|(_, r)| r))
-            .map(f)
-            .sum()
-    };
+    let reports = || verdicts.iter().flat_map(|(_, v)| v.report.iter().map(|(_, r)| r));
+    let sum = |f: fn(&scenarios::trace::ReplayReport) -> u64| -> u64 { reports().map(f).sum() };
     let total_ops: u64 = verdicts.iter().map(|(_, v)| v.total_ops()).sum();
     // Modeled replay rate: ops over simulated time, summed over every
     // schedule — deterministic on any host, like the storm gates.
-    let sim_seconds: f64 = verdicts
-        .iter()
-        .flat_map(|(_, v)| v.report.iter())
-        .map(|(_, r)| r.run.sim_ns as f64 / 1e9)
-        .sum();
+    let sim_seconds: f64 = reports().map(|r| r.run.sim_ns as f64 / 1e9).sum();
     let replays: usize = verdicts.iter().map(|(_, v)| v.report.len()).sum();
     let found: Vec<String> = verdicts.iter().flat_map(|(_, v)| v.violations.clone()).collect();
+    let c = merged(reports().map(|r| &r.run.counters));
 
     let mut extra = vec![
         ("trace_replays", replays as f64),
@@ -705,38 +691,34 @@ fn run_trace_replay_entry() -> Entry {
         ("trace_sim_ops_per_sec", total_ops as f64 / sim_seconds.max(1e-12)),
         ("trace_divergences", sum(|r| r.divergences) as f64),
         ("trace_gave_up", sum(|r| r.run.gave_up) as f64),
-        ("trace_faults_injected", sum(|r| r.run.faults_injected) as f64),
-        ("trace_lease_acquires", sum(|r| r.run.lease_acquires) as f64),
-        ("trace_replica_remote_picks", sum(|r| r.replica_remote_picks) as f64),
     ];
-    for (c, _) in &verdicts {
+    for (corpus, _) in &verdicts {
         // One size per corpus (the generated op count a single replay sees),
         // keyed by corpus name so EXPERIMENTS.md can quote them directly.
-        let ops = c.generate(4, 2, 2005).len() as f64;
-        extra.push(match c {
+        let ops = corpus.generate(4, 2, 2005).len() as f64;
+        extra.push(match corpus {
             TraceCorpus::UntarBuild => ("trace_corpus_untar_build_ops", ops),
             TraceCorpus::NvoScan => ("trace_corpus_nvo_scan_ops", ops),
             TraceCorpus::EnzoCheckpoint => ("trace_corpus_enzo_checkpoint_ops", ops),
         });
     }
-    Entry {
-        name: "trace replay differential (3 corpora, M=1/4, 4 schedules)",
-        wall_seconds: wall,
-        events: sum(|r| r.run.events),
-        claims: vec![
+    Entry::of_worlds(
+        "trace replay differential (3 corpora, M=1/4, 4 schedules)",
+        wall,
+        c.clone(),
+        vec![
             Gate::ceiling("oracle divergences", 0.0, sum(|r| r.divergences) as f64),
             Gate::ceiling("ops gave up", 0.0, sum(|r| r.run.gave_up) as f64),
             violations("verdict violations", &found),
-            Gate::floor("faults injected", 1.0, sum(|r| r.run.faults_injected) as f64),
+            Gate::floor("faults injected", 1.0, count(&c, "faults.injected")),
             // 3 corpora x 2 manager counts x 4 schedules.
             Gate::floor("replays", 24.0, replays as f64),
         ],
         // Short replays with an oracle diff on every op; warm steady state
         // is ~450k events/sec.
-        events_floor: 20_000.0,
-        data_path: DataPathStats::default(),
+        20_000.0,
         extra,
-    }
+    )
 }
 
 /// The flow engine alone, on a LAN star shaped like the metadata
@@ -840,7 +822,7 @@ fn run_flow_engine_entry() -> Entry {
         // Every start and drain is a re-solve; warm steady state is ~100k
         // events/sec.
         events_floor: 20_000.0,
-        data_path: DataPathStats::default(),
+        counters: Counters::default(),
         extra: vec![
             ("flow_starts", w.starts as f64),
             ("flow_events", flow_events as f64),
@@ -868,6 +850,12 @@ fn json_str(s: &str) -> String {
     out
 }
 
+/// `{"name": value, ...}` on one line.
+fn json_object<'a, V: std::fmt::Display>(fields: impl Iterator<Item = (&'a str, V)>) -> String {
+    let fields: Vec<String> = fields.map(|(k, v)| format!("{}: {v}", json_str(k))).collect();
+    format!("{{{}}}", fields.join(", "))
+}
+
 fn write_json(entries: &[Entry]) -> std::io::Result<()> {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_perf.json");
     let mut body = String::from("{\n  \"scenarios\": [\n");
@@ -881,31 +869,13 @@ fn write_json(entries: &[Entry]) -> std::io::Result<()> {
             e.events_per_sec()
         ));
         body.push_str(&format!("      \"ok\": {},\n", e.all_ok()));
-        let d = &e.data_path;
-        body.push_str(&format!(
-            "      \"data_path\": {{\"pool_hits\": {}, \"pool_misses\": {}, \"pool_hit_rate\": {:.4}, \"pool_evictions\": {}, \"pool_bypass\": {}, \"pool_bypass_bytes\": {}, \"mean_bypass_bytes\": {:.1}, \"nsd_requests\": {}, \"nsd_coalesced\": {}, \"nsd_blocks\": {}, \"mean_request_bytes\": {:.1}}},\n",
-            d.pool_hits,
-            d.pool_misses,
-            d.hit_rate(),
-            d.pool_evictions,
-            d.pool_bypass,
-            d.pool_bypass_bytes,
-            d.mean_bypass_bytes(),
-            d.nsd_requests,
-            d.nsd_coalesced,
-            d.nsd_blocks,
-            d.mean_request_bytes(),
-        ));
+        if e.counters != Counters::default() {
+            let counters = json_object(e.counters.iter());
+            body.push_str(&format!("      \"counters\": {counters},\n"));
+        }
         if !e.extra.is_empty() {
-            let fields: Vec<String> = e
-                .extra
-                .iter()
-                .map(|(k, v)| format!("{}: {v}", json_str(k)))
-                .collect();
-            body.push_str(&format!(
-                "      \"metadata\": {{{}}},\n",
-                fields.join(", ")
-            ));
+            let extra = json_object(e.extra.iter().copied());
+            body.push_str(&format!("      \"metadata\": {extra},\n"));
         }
         body.push_str("      \"checks\": [\n");
         let gates = e.gates();

@@ -174,15 +174,20 @@ pub(crate) fn mount(
         })
     };
     if !remote {
-        let mgr = w.fss[fs.0 as usize].manager_node;
+        // The configuration manager is shard 0's acting manager, resolved
+        // per attempt like a token acquire's; a crashed or recovering one
+        // drops the request and the watchdog retries at its successor.
         rpc::exchange(
             sim,
             w,
             client,
-            move |_, _| Continue(mgr),
+            move |w, _| Continue(w.fss[fs.0 as usize].manager_endpoint(0)),
             move |sim, w, a| {
                 let from = client_node(w, client);
                 Network::send_msg(sim, w, from, a.to, RPC_BYTES, move |sim, w| {
+                    if !w.fss[fs.0 as usize].manager_answers(0, a.to) {
+                        return;
+                    }
                     Network::send_msg(sim, w, a.to, from, RPC_BYTES, move |sim, w| {
                         let mount = Mount {
                             fs,
@@ -1123,49 +1128,6 @@ fn fetch_misses(
     }
 }
 
-/// Fetch one block into the page pool (cache-aware). `cb` receives the
-/// block's page (bytes past its end are zeros), or the error after the
-/// retry budget is spent. Single-block convenience over [`fetch_run`],
-/// used by read-modify-write.
-fn fetch_block(
-    sim: &mut Sim<GfsWorld>,
-    w: &mut GfsWorld,
-    client: ClientId,
-    fs: FsId,
-    inode: InodeId,
-    block_idx: u64,
-    cb: Cb<Result<Bytes, FsError>>,
-) {
-    let key = PageKey {
-        fs,
-        inode,
-        block: block_idx,
-    };
-    if let Some(data) = w.clients[client.0 as usize].pool.get(key) {
-        cb(sim, w, Ok(data));
-        return;
-    }
-    let block_size = w.fss[fs.0 as usize].core.config.block_size;
-    let Some(addr) = block_addr(w, key) else {
-        // Hole or past-EOF: zeros, no I/O. An empty page stands for them,
-        // since every byte past a page's end reads as zero.
-        cb(sim, w, Ok(Bytes::new()));
-        return;
-    };
-    fetch_run(
-        sim,
-        w,
-        client,
-        vec![key],
-        addr,
-        block_size,
-        replica::Source::Home,
-        Box::new(move |sim, w, r| {
-            cb(sim, w, r.map(|mut parts| parts.pop().expect("one block requested")))
-        }),
-    );
-}
-
 /// Fetch a scatter-gather run of disk-contiguous blocks from `source`
 /// (one request message, one NSD service, one bulk flow, one watchdog for
 /// the whole run). `keys[i]` is the file block stored at disk block
@@ -1802,22 +1764,24 @@ pub(crate) fn write(
                             merge(sim, w, None);
                         } else if let Some(old) = w.clients[client.0 as usize].pool.get(key) {
                             merge(sim, w, Some(old));
-                        } else {
-                            // Read-modify-write: a failed fetch fails the
-                            // write for this block rather than merging into
-                            // stale or zeroed contents.
-                            fetch_block(
-                                sim,
-                                w,
-                                client,
-                                fs,
-                                inode,
-                                b,
+                        } else if let Some(addr) = block_addr(w, key) {
+                            // Read-modify-write of a block the pool just
+                            // missed: a failed fetch fails the write for
+                            // this block rather than merging into stale or
+                            // zeroed contents.
+                            let fetched: Cb<Result<Vec<Bytes>, FsError>> =
                                 Box::new(move |sim, w, r| match r {
-                                    Ok(old) => merge(sim, w, Some(old)),
+                                    Ok(mut parts) => {
+                                        let old = parts.pop().expect("one block requested");
+                                        merge(sim, w, Some(old))
+                                    }
                                     Err(e) => join_err.arrive(sim, w, Err(e)),
-                                }),
-                            );
+                                });
+                            let home = replica::Source::Home;
+                            fetch_run(sim, w, client, vec![key], addr, block_size, home, fetched);
+                        } else {
+                            // A hole reads as zeros: an empty page.
+                            merge(sim, w, Some(Bytes::new()));
                         }
                     }
                 },
@@ -1971,6 +1935,30 @@ mod tests {
         assert_eq!(*seen.borrow(), vec![("idle", before, 0), ("first", last, 0), ("second", last, 0)]);
         assert_eq!(t.sim.executed(), last);
         assert!(t.w.clients[c.0 as usize].inflight.iter().next().is_none());
+    }
+
+    #[test]
+    fn a_partial_block_write_probes_the_pool_once() {
+        // A 4,096-byte write to a new file merges into a block the pool
+        // does not hold: one probe, one miss, then the read-modify-write.
+        let mut t = bed();
+        let (ls, local) = (t.ls, t.local);
+        let done = Rc::new(Cell::new(false));
+        let d2 = done.clone();
+        ls.mount(&mut t.sim, &mut t.w, "gpfs-wan", AccessMode::ReadWrite, move |sim, w, r| {
+            r.unwrap();
+            ls.open(sim, w, "/f", OpenFlags::ReadWrite, owner(), move |sim, w, r| {
+                let h = r.unwrap();
+                ls.write(sim, w, h, 0, Bytes::from(vec![7u8; 4096]), move |_, _, r| {
+                    r.unwrap();
+                    d2.set(true);
+                });
+            });
+        });
+        run(&mut t);
+        assert!(done.get(), "the write never completed");
+        let pool = &t.w.clients[local.0 as usize].pool;
+        assert_eq!((pool.hits, pool.misses), (0, 1));
     }
 
     #[test]

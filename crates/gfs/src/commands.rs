@@ -9,7 +9,7 @@
 
 use crate::types::{ClusterId, FsId};
 use crate::world::GfsWorld;
-use simcore::ByteSize;
+use simcore::{ByteSize, Sim};
 use std::fmt::Write as _;
 
 /// `mmlsfs <device>` — filesystem attributes.
@@ -139,16 +139,15 @@ pub fn mmlsmount(w: &GfsWorld, fs: FsId) -> String {
     out
 }
 
-/// Token-manager statistics (`mmdiag --tokens` analog).
-pub fn mmdiag_tokens(w: &GfsWorld, fs: FsId) -> String {
-    let tm = &w.fss[fs.0 as usize].tokens;
+/// `mmdiag --stats` analog: every counter of the world's snapshot
+/// ([`GfsWorld::counters`]), one `name value` line each, in name order.
+pub fn mmdiag(sim: &Sim<GfsWorld>, w: &GfsWorld) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "token manager statistics:");
-    let _ = writeln!(out, "  acquires:    {}", tm.acquires);
-    let _ = writeln!(out, "  revocations: {}", tm.revocations);
+    for (name, v) in w.counters(sim).iter() {
+        let _ = writeln!(out, "{name:<28} {v}");
+    }
     out
 }
-
 
 #[cfg(test)]
 mod tests {
@@ -159,7 +158,7 @@ mod tests {
     use gfs_auth::handshake::AccessMode;
     use simcore::{Bandwidth, SimDuration};
 
-    fn world() -> (GfsWorld, FsId, ClusterId, ClusterId) {
+    fn world() -> (Sim<GfsWorld>, GfsWorld, FsId, ClusterId, ClusterId) {
         let mut b = WorldBuilder::new(5);
         b.key_bits(384);
         let n1 = b.topo().node("sdsc-mgr");
@@ -179,14 +178,14 @@ mod tests {
             ),
         );
         b.client(cb, n2, 16);
-        let (_sim, mut w) = b.build();
+        let (sim, mut w) = b.build();
         connect_clusters(&mut w, ca, cb, "gpfs-wan", AccessMode::ReadOnly, n1);
-        (w, fs, ca, cb)
+        (sim, w, fs, ca, cb)
     }
 
     #[test]
     fn mmlsfs_reports_geometry() {
-        let (w, fs, ..) = world();
+        let (_sim, w, fs, ..) = world();
         let out = mmlsfs(&w, fs);
         assert!(out.contains("65536"), "block size missing:\n{out}");
         assert!(out.contains("/gpfs-wan"));
@@ -195,7 +194,7 @@ mod tests {
 
     #[test]
     fn mmdf_reports_capacity() {
-        let (w, fs, ..) = world();
+        let (_sim, w, fs, ..) = world();
         let out = mmdf(&w, fs);
         assert!(out.contains("100%"), "fresh fs should be 100% free:\n{out}");
         assert!(out.contains("gpfs-wan"));
@@ -203,7 +202,7 @@ mod tests {
 
     #[test]
     fn mmauth_show_lists_grants() {
-        let (w, _fs, ca, _cb) = world();
+        let (_sim, w, _fs, ca, _cb) = world();
         let out = mmauth_show(&w, ca);
         assert!(out.contains("sdsc.teragrid"));
         assert!(out.contains("ncsa.teragrid"));
@@ -213,7 +212,7 @@ mod tests {
 
     #[test]
     fn mmremote_show_lists_imports() {
-        let (w, _fs, _ca, cb) = world();
+        let (_sim, w, _fs, _ca, cb) = world();
         let out = mmremote_show(&w, cb);
         assert!(out.contains("sdsc.teragrid"));
         assert!(out.contains("gpfs-wan"));
@@ -222,15 +221,17 @@ mod tests {
 
     #[test]
     fn mmlsmount_empty_then_counts() {
-        let (w, fs, ..) = world();
+        let (_sim, w, fs, ..) = world();
         let out = mmlsmount(&w, fs);
         assert!(out.contains("0 nodes"));
     }
 
     #[test]
-    fn mmdiag_tokens_zeroed_initially() {
-        let (w, fs, ..) = world();
-        let out = mmdiag_tokens(&w, fs);
-        assert!(out.contains("acquires:    0"));
+    fn mmdiag_renders_every_counter_of_the_snapshot() {
+        let (sim, w, ..) = world();
+        let out = mmdiag(&sim, &w);
+        assert_eq!(out.lines().count(), w.counters(&sim).iter().count());
+        assert!(out.contains("tokens.acquires"), "{out}");
+        assert!(out.lines().all(|l| l.ends_with(" 0")), "a fresh world counts nothing:\n{out}");
     }
 }

@@ -53,4 +53,6 @@ pub use types::{
     SessionId, MAX_FILE_SIZE,
 };
 pub use stream::{gfs_stream, run_stream, StreamDir, StreamSpec};
-pub use world::{FsParams, GfsWorld, ManagerState, NsdBacking, ProtocolCosts, WorldBuilder};
+pub use world::{
+    Counters, FsParams, GfsWorld, ManagerState, NsdBacking, ProtocolCosts, WorldBuilder,
+};

@@ -709,7 +709,115 @@ impl NetWorld for GfsWorld {
     }
 }
 
+/// A named snapshot of a world's counters ([`GfsWorld::counters`]): a
+/// stable `layer.counter` name per count, summed over the world's
+/// filesystems, clients and arrays. Every run report carries one instead
+/// of copying counters field by field, and snapshots of several worlds
+/// add up with [`Counters::merged`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Counters(BTreeMap<&'static str, u64>);
+
+impl Counters {
+    /// The counter called `name`.
+    ///
+    /// # Panics
+    ///
+    /// If no snapshot carries a counter of that name.
+    pub fn get(&self, name: &str) -> u64 {
+        match self.0.get(name) {
+            Some(&v) => v,
+            None => panic!("no counter named {name:?}"),
+        }
+    }
+
+    /// The sum of two snapshots, name by name.
+    pub fn merged(mut self, other: &Counters) -> Counters {
+        for (&name, &v) in &other.0 {
+            *self.0.entry(name).or_insert(0) += v;
+        }
+        self
+    }
+
+    /// Every counter, in name order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        self.0.iter().map(|(&name, &v)| (name, v))
+    }
+}
+
 impl GfsWorld {
+    /// Read every counter of the world, and the event count of `sim`, its
+    /// engine, into one snapshot. The one reader of the counter fields
+    /// below: a new counter is added here and nowhere else.
+    pub fn counters(&self, sim: &Sim<GfsWorld>) -> Counters {
+        use crate::faults::RecoveryWhat;
+        let fs_sum = |f: fn(&FsInstance) -> u64| self.fss.iter().map(f).sum::<u64>();
+        let mgr_sum = |f: fn(&ManagerState) -> u64| {
+            self.fss.iter().flat_map(|i| &i.mgrs).map(f).sum::<u64>()
+        };
+        let pool_sum = |f: fn(&PagePool) -> u64| {
+            self.clients.iter().map(|c| f(&c.pool)).sum::<u64>()
+        };
+        let logged = |f: fn(&RecoveryWhat) -> bool| self.recovery.count(f) as u64;
+        let n = &self.nsd_stats;
+        Counters(BTreeMap::from([
+            ("simcore.events", sim.executed()),
+            ("session.sessions", self.sessions.len() as u64),
+            ("session.envelopes", self.fanin.envelopes),
+            ("session.envelope_ops", self.fanin.envelope_ops),
+            ("session.envelope_retries", self.fanin.retries),
+            ("session.delegated_ops", fs_sum(|i| i.delegated_ops)),
+            ("manager.epochs", mgr_sum(|m| m.epoch)),
+            ("manager.wal_replayed", mgr_sum(|m| m.replayed)),
+            ("manager.lease_grants", fs_sum(|i| i.lease_grants)),
+            ("manager.lease_breaks", fs_sum(|i| i.lease_breaks)),
+            ("manager.expulsions", fs_sum(|i| i.expulsions)),
+            ("manager.readmissions", fs_sum(|i| i.readmissions)),
+            ("manager.cross_shard_ops", fs_sum(|i| i.cross_shard_ops)),
+            ("manager.reconcile_ops", fs_sum(|i| i.reconcile_ops)),
+            ("manager.migrations", fs_sum(|i| i.core.shards.migrations())),
+            ("fscore.resolves", fs_sum(|i| i.core.meta_snapshot().resolves)),
+            (
+                "fscore.resolve_alloc_bytes",
+                fs_sum(|i| i.core.meta_snapshot().resolve_alloc_bytes),
+            ),
+            ("fscore.interned_names", fs_sum(|i| i.core.meta_snapshot().interned_names)),
+            ("tokens.acquires", fs_sum(|i| i.tokens.acquires)),
+            ("tokens.revocations", fs_sum(|i| i.tokens.revocations)),
+            ("cache.pool_hits", pool_sum(|p| p.hits)),
+            ("cache.pool_misses", pool_sum(|p| p.misses)),
+            ("cache.pool_evictions", pool_sum(|p| p.evictions)),
+            ("nsd.requests", n.requests),
+            ("nsd.blocks", n.blocks),
+            ("nsd.bytes", n.bytes),
+            ("nsd.coalesced", n.coalesced),
+            ("nsd.bypass_transfers", n.bypass_transfers),
+            ("nsd.bypass_bytes", n.bypass_bytes),
+            ("faults.injected", logged(|e| matches!(e, RecoveryWhat::FaultInjected(_)))),
+            ("faults.timeouts", logged(|e| matches!(e, RecoveryWhat::TimeoutDetected { .. }))),
+            ("faults.failovers", logged(|e| matches!(e, RecoveryWhat::FailedOver { .. }))),
+            ("faults.restores", logged(|e| matches!(e, RecoveryWhat::Restored(_)))),
+            (
+                "simsan.degraded_reads",
+                self.arrays
+                    .iter()
+                    .flat_map(|a| (0..a.set_count() as u32).map(|s| a.raid_set(s)))
+                    .map(|set| set.degraded_reads)
+                    .sum(),
+            ),
+            ("replica.catalog_hits", fs_sum(|i| i.replicas.counters.catalog_hits)),
+            ("replica.catalog_misses", fs_sum(|i| i.replicas.counters.catalog_misses)),
+            ("replica.remote_picks", fs_sum(|i| i.replicas.counters.remote_picks)),
+            ("replica.home_picks", fs_sum(|i| i.replicas.counters.home_picks)),
+            ("replica.pick_score_ns", fs_sum(|i| i.replicas.counters.pick_score_ns)),
+            ("replica.split_fanouts", fs_sum(|i| i.replicas.counters.split_fanouts)),
+            ("replica.invalidations", fs_sum(|i| i.replicas.counters.invalidations)),
+            ("replica.stale_fallbacks", fs_sum(|i| i.replicas.counters.stale_fallbacks)),
+            ("replica.stale_reads", fs_sum(|i| i.replicas.counters.stale_reads)),
+            ("replica.installs", fs_sum(|i| i.replicas.counters.installs)),
+            ("replica.replicated_bytes", fs_sum(|i| i.replicas.counters.replicated_bytes)),
+        ]))
+    }
+
     /// Fresh handle id.
     pub fn alloc_handle(&mut self) -> Handle {
         self.next_handle += 1;
@@ -1036,6 +1144,31 @@ mod tests {
         assert_eq!(w.fss[fs.0 as usize].nsds.len(), 8);
         assert_eq!(w.cluster_by_name("test.cluster"), Some(ClusterId(0)));
         assert_eq!(w.cluster_by_name("nope"), None);
+    }
+
+    #[test]
+    fn counters_merge_by_name() {
+        let (sim, mut w, _c, fs) = tiny();
+        w.fss[fs.0 as usize].tokens.acquires = 3;
+        w.nsd_stats.record(2, 4096);
+        let a = w.counters(&sim);
+        assert_eq!((a.get("tokens.acquires"), a.get("nsd.blocks")), (3, 2));
+        w.fss[fs.0 as usize].tokens.acquires = 5;
+        w.nsd_stats.record(1, 100);
+        let b = w.counters(&sim);
+        let sum = a.clone().merged(&b);
+        assert!(sum.iter().all(|(name, v)| v == a.get(name) + b.get(name)));
+        assert_eq!((sum.get("tokens.acquires"), sum.get("nsd.bytes")), (8, 8292));
+        assert_eq!(sum.iter().count(), a.iter().count());
+        // An empty snapshot is the merge's identity.
+        assert_eq!(Counters::default().merged(&a), a);
+    }
+
+    #[test]
+    #[should_panic(expected = "no counter named \"nsd.requets\"")]
+    fn an_unknown_counter_name_panics() {
+        let (sim, w, _c, _fs) = tiny();
+        w.counters(&sim).get("nsd.requets");
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //!
 //! [`ScenarioBuilder::run`] wires everything into the event engine —
 //! monitoring first, then the fault plan, then the workloads — and returns
-//! a [`ScenarioRun`] carrying the monitored series, the world's
-//! [`RecoveryLog`], per-workload outcomes, and the simulator itself so
-//! tests can keep driving (read-back verification, fsck) after the run.
+//! a [`ScenarioRun`] carrying the monitored series, per-workload outcomes,
+//! and the simulator and world themselves (with the world's
+//! [`gfs::RecoveryLog`]) so tests can keep driving (read-back
+//! verification, fsck) after the run.
 
 use crate::common::{NSD_SERVER_EFF, TCP_EFF};
 use crate::driver::{self, Target, WorkloadStats};
@@ -31,7 +32,7 @@ use gfs::session::Session;
 use gfs::stream::StreamDir;
 use gfs::types::{FsError, FsId, OpenFlags};
 use gfs::world::{FsParams, GfsWorld, NsdBacking, WorldBuilder};
-use gfs::{inject, FaultPlan, RecoveryLog};
+use gfs::{inject, FaultPlan};
 use gfs_auth::handshake::AccessMode;
 use simcore::{Bandwidth, Sim, SimDuration, SimTime, TimeSeries};
 use simnet::{Network, NodeId};
@@ -298,117 +299,12 @@ pub struct ScenarioRun {
     pub world: GfsWorld,
     /// Monitored per-link series (empty unless `sample_every` was set).
     pub series: Vec<TimeSeries>,
-    /// The world's recovery log, taken out for convenience.
-    pub recovery: RecoveryLog,
     /// Workloads that completed successfully.
     pub completed: usize,
     /// `(workload index, error)` for workloads that failed.
     pub errors: Vec<(usize, FsError)>,
     /// Completion time of the last workload to finish.
     pub finish: SimTime,
-}
-
-/// Aggregated client data-path counters for one finished run: page-pool
-/// behaviour plus NSD request coalescing — the metrics the perf harness
-/// records alongside wall-clock so the trajectory captures data-path
-/// behaviour, not just runtime.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct DataPathStats {
-    /// Page-pool hits summed over all clients.
-    pub pool_hits: u64,
-    /// Page-pool misses summed over all clients.
-    pub pool_misses: u64,
-    /// Page-pool evictions summed over all clients.
-    pub pool_evictions: u64,
-    /// Streaming transfers that bypassed the page pool entirely (flow-level
-    /// bulk streams never probe it — without this counter a streaming run
-    /// reads as "0% hit rate" when the pool was simply not on the path).
-    pub pool_bypass: u64,
-    /// Bytes moved by pool-bypassing streams.
-    pub pool_bypass_bytes: u64,
-    /// NSD wire requests issued (every attempt, including retries).
-    pub nsd_requests: u64,
-    /// Requests that carried more than one block (scatter-gather runs).
-    pub nsd_coalesced: u64,
-    /// Total blocks moved by NSD requests.
-    pub nsd_blocks: u64,
-    /// Total bytes moved by NSD requests.
-    pub nsd_bytes: u64,
-}
-
-impl DataPathStats {
-    /// Page-pool hit rate in `[0, 1]` (0 when the pool was never probed).
-    pub fn hit_rate(&self) -> f64 {
-        let probes = self.pool_hits + self.pool_misses;
-        if probes == 0 {
-            0.0
-        } else {
-            self.pool_hits as f64 / probes as f64
-        }
-    }
-
-    /// Mean bytes per NSD request (0 when no requests were issued).
-    pub fn mean_request_bytes(&self) -> f64 {
-        if self.nsd_requests == 0 {
-            0.0
-        } else {
-            self.nsd_bytes as f64 / self.nsd_requests as f64
-        }
-    }
-
-    /// Mean bytes per pool-bypassing bulk stream (0 when none ran). The
-    /// figure-scale scenarios move their terabytes through these streams,
-    /// not through per-block NSD requests — reporting only
-    /// [`Self::mean_request_bytes`] made those runs read as "0 bytes
-    /// moved".
-    pub fn mean_bypass_bytes(&self) -> f64 {
-        if self.pool_bypass == 0 {
-            0.0
-        } else {
-            self.pool_bypass_bytes as f64 / self.pool_bypass as f64
-        }
-    }
-
-    /// Counter-wise sum (for scenarios that run several worlds).
-    pub fn merged(&self, other: &DataPathStats) -> DataPathStats {
-        DataPathStats {
-            pool_hits: self.pool_hits + other.pool_hits,
-            pool_misses: self.pool_misses + other.pool_misses,
-            pool_evictions: self.pool_evictions + other.pool_evictions,
-            pool_bypass: self.pool_bypass + other.pool_bypass,
-            pool_bypass_bytes: self.pool_bypass_bytes + other.pool_bypass_bytes,
-            nsd_requests: self.nsd_requests + other.nsd_requests,
-            nsd_coalesced: self.nsd_coalesced + other.nsd_coalesced,
-            nsd_blocks: self.nsd_blocks + other.nsd_blocks,
-            nsd_bytes: self.nsd_bytes + other.nsd_bytes,
-        }
-    }
-}
-
-impl ScenarioRun {
-    /// Data-path counters accumulated over the run.
-    pub fn data_path_stats(&self) -> DataPathStats {
-        data_path_stats_of(&self.world)
-    }
-}
-
-/// Data-path counters of a world (summed over its clients).
-pub fn data_path_stats_of(w: &GfsWorld) -> DataPathStats {
-    let mut s = DataPathStats {
-        pool_bypass: w.nsd_stats.bypass_transfers,
-        pool_bypass_bytes: w.nsd_stats.bypass_bytes,
-        nsd_requests: w.nsd_stats.requests,
-        nsd_coalesced: w.nsd_stats.coalesced,
-        nsd_blocks: w.nsd_stats.blocks,
-        nsd_bytes: w.nsd_stats.bytes,
-        ..DataPathStats::default()
-    };
-    for c in &w.clients {
-        s.pool_hits += c.pool.hits;
-        s.pool_misses += c.pool.misses;
-        s.pool_evictions += c.pool.evictions;
-    }
-    s
 }
 
 #[derive(Default)]
@@ -673,14 +569,12 @@ impl ScenarioBuilder {
         sim.run(&mut w);
 
         let series = w.net.finish_monitoring(horizon);
-        let recovery = std::mem::take(&mut w.recovery);
         // Borrow rather than unwrap: a workload stalled forever (e.g. on a
         // permanently partitioned path) still holds its callback, and shows
         // up as completed + errors < workloads launched.
         let st = state.borrow();
         ScenarioRun {
             series,
-            recovery,
             completed: st.completed,
             errors: st.errors.clone(),
             finish: st.finish,
@@ -768,7 +662,8 @@ mod tests {
         let run = sb.run(SimTime::from_secs(30));
         assert_eq!(run.completed, 1);
         assert_eq!(
-            run.recovery
+            run.world
+                .recovery
                 .count(|e| matches!(e, gfs::RecoveryWhat::FaultInjected(_))),
             1
         );

@@ -281,8 +281,8 @@ pub(crate) struct Mirror {
     pub(crate) fs: FsId,
     pub(crate) site: u32,
     pub(crate) at: u64,
-    /// Copies installed; `None` until the install fired.
-    pub(crate) installs: Cell<Option<u64>>,
+    /// The install fired.
+    pub(crate) installed: Cell<bool>,
 }
 
 impl Mirror {
@@ -316,7 +316,7 @@ impl Mirror {
             cat.register(ino);
             cat.install_copy(ino, self.site, size);
         }
-        self.installs.set(Some(files.len() as u64));
+        self.installed.set(true);
     }
 }
 
@@ -433,7 +433,7 @@ fn step(sim: &mut Sim<GfsWorld>, w: &mut GfsWorld, mut c: Chain) {
         faults.borrow_mut().advance(sim, w, ops);
     }
     if let Some(m) = &c.run.mirror {
-        if m.installs.get().is_none() && ops >= m.at {
+        if !m.installed.get() && ops >= m.at {
             m.install(w);
         }
     }

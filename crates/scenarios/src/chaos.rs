@@ -394,13 +394,13 @@ pub fn check_manager_recovery_on(
     }
     // Prove the scenario exercised what it claims to: a real takeover with
     // a real WAL replay, observed by clients as timeouts they rode out.
-    if chaos.manager_epochs == 0 {
+    if chaos.counters.get("manager.epochs") == 0 {
         violations.push("manager epoch never advanced — no takeover happened".into());
     }
-    if chaos.wal_replayed == 0 {
+    if chaos.counters.get("manager.wal_replayed") == 0 {
         violations.push("WAL replayed no entries — dedup state was never rebuilt".into());
     }
-    if chaos.timeouts == 0 {
+    if chaos.counters.get("faults.timeouts") == 0 {
         violations.push("no client ever timed out — the crash window was invisible".into());
     }
     Verdict {
@@ -423,10 +423,11 @@ mod tests {
         let verdict = check_chaos_storm(&cfg, &spec);
         verdict.assert_clean();
         let r = &verdict.report;
-        assert!(r.faults_injected >= 2, "faults {}", r.faults_injected);
-        assert!(r.restores >= 2, "restores {}", r.restores);
+        let n = |name| r.counters.get(name);
+        assert!(n("faults.injected") >= 2, "faults {}", n("faults.injected"));
+        assert!(n("faults.restores") >= 2, "restores {}", n("faults.restores"));
         assert!(
-            r.timeouts > 0,
+            n("faults.timeouts") > 0,
             "a crash plus a flap should strand at least one in-flight RPC"
         );
         assert_eq!(r.gave_up, 0, "every RPC must eventually succeed");
@@ -462,8 +463,8 @@ mod tests {
             SimDuration::from_millis(600),
         );
         v.assert_clean();
-        assert!(v.report.chaos.wal_replayed > 0);
-        assert!(v.report.chaos.manager_epochs >= 1);
+        assert!(v.report.chaos.counters.get("manager.wal_replayed") > 0);
+        assert!(v.report.chaos.counters.get("manager.epochs") >= 1);
     }
 
     /// Kill-one-shard chaos: in a 4-shard partitioned storm, the canonical
@@ -480,7 +481,7 @@ mod tests {
         verdict.assert_clean();
         let r = &verdict.report;
         assert!(
-            r.cross_shard_ops > 0,
+            r.counters.get("manager.cross_shard_ops") > 0,
             "shard loss must not starve the two-phase rename arm"
         );
         assert_eq!(r.gave_up, 0, "every RPC must eventually succeed");
@@ -499,8 +500,8 @@ mod tests {
         cfg.ops_per_client = 96;
         let v = check_manager_recovery_on(&cfg, 0.5, SimDuration::from_millis(600), "meta-srv1");
         v.assert_clean();
-        assert!(v.report.chaos.wal_replayed > 0);
-        assert!(v.report.chaos.manager_epochs >= 1);
-        assert!(v.report.chaos.cross_shard_ops > 0);
+        assert!(v.report.chaos.counters.get("manager.wal_replayed") > 0);
+        assert!(v.report.chaos.counters.get("manager.epochs") >= 1);
+        assert!(v.report.chaos.counters.get("manager.cross_shard_ops") > 0);
     }
 }

@@ -21,13 +21,13 @@
 //! its order-sensitive fingerprint — is bit-identical at any
 //! `GFS_SWEEP_THREADS` value.
 
-use crate::builder::{data_path_stats_of, DataPathStats, NsdFarm, ScenarioBuilder};
+use crate::builder::{NsdFarm, ScenarioBuilder};
 use crate::chain::{self, mix, Chain, Lease, Oracle, Run, Tally};
 use crate::trace::{TraceOp, TraceOpKind};
-use gfs::faults::{ProgressInjector, ProgressPlan, RecoveryWhat};
+use gfs::faults::{ProgressInjector, ProgressPlan};
 use gfs::oracle::ModelFs;
 use gfs::types::{FsId, Owner};
-use gfs::world::GfsWorld;
+use gfs::world::{Counters, GfsWorld};
 use rand::{rngs::StdRng, Rng};
 use simcore::{det_rng, Bandwidth, Sim, SimDuration, SimTime};
 use std::cell::RefCell;
@@ -242,41 +242,18 @@ impl ChaosSpec {
 /// Result of one session-driver run: a storm merged over its points, or a
 /// trace replay (its [`crate::trace::ReplayReport::run`]). All-integer so
 /// determinism tests can compare reports exactly.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct StormReport {
     /// Metadata operations performed (tree generation + client races).
     pub ops: u64,
     /// Operations that surfaced an error (races make `AlreadyExists` /
     /// `NotFound` expected; they are outcomes, not failures).
     pub errors: u64,
-    /// Simulation events executed, summed over points.
-    pub events: u64,
     /// Order-sensitive fingerprint over every operation result — the
     /// replay-identity witness.
     pub fingerprint: u64,
-    /// Path resolutions performed by the cores.
-    pub resolves: u64,
-    /// Bytes allocated during resolution (error rendering only).
-    pub resolve_alloc_bytes: u64,
-    /// Distinct interned names, summed over points.
-    pub interned_names: u64,
     /// Every point's post-storm fsck came back clean.
     pub fsck_clean: bool,
-    /// Data-path counters summed over points (small writes do real I/O).
-    pub data_path: DataPathStats,
-    /// Client watchdog timeouts detected (0 on a healthy run).
-    pub timeouts: u64,
-    /// Client retries that landed on a different server.
-    pub failovers: u64,
-    /// Faults applied, from both progress-keyed and time-keyed plans
-    /// (manager-loss markers included).
-    pub faults_injected: u64,
-    /// Restorations logged (link up, server restart, manager recovery).
-    pub restores: u64,
-    /// Namespace-manager takeovers (epoch bumps summed over points).
-    pub manager_epochs: u64,
-    /// WAL records replayed while rebuilding manager state.
-    pub wal_replayed: u64,
     /// Ops that exhausted the retry budget and surfaced
     /// `Timeout`/`ServerDown` — the storm's "eventually succeeded" check
     /// wants this at 0.
@@ -291,28 +268,6 @@ pub struct StormReport {
     /// ...): still race outcomes, broken out so a fault-free storm can
     /// assert `errors == err_not_found + err_exists + err_races`.
     pub err_races: u64,
-    /// Namespace ops that spanned two manager shards (two-phase rename /
-    /// boundary mkdir), summed over points. 0 when `managers == 1`.
-    pub cross_shard_ops: u64,
-    /// Metadata ops absorbed by client-side subtree-lease delegates
-    /// without touching a manager queue, summed over points.
-    pub delegated_ops: u64,
-    /// Subtree leases granted, summed over points.
-    pub lease_acquires: u64,
-    /// Lease breaks initiated (conflicting op forced a reconcile), summed
-    /// over points.
-    pub lease_breaks: u64,
-    /// Mount contexts expelled because no send of a recall reached them for
-    /// `LEASE_BREAK_TIMEOUT`, summed over points. An outage shorter than
-    /// that fuse expels nobody.
-    pub expulsions: u64,
-    /// Writeback-journal entries applied at a manager during lease
-    /// surrender/break reconciliation (each counted once — dedup replays
-    /// of a retried reconcile envelope don't recount), summed over points.
-    pub reconcile_ops: u64,
-    /// Live subtree-authority migrations committed by the in-storm
-    /// rebalance policy, summed over points.
-    pub rebalance_migrations: u64,
     /// Structural fingerprint of every point's final namespace (name-sorted
     /// recursive walk; timestamps excluded), merged in point order. The
     /// exactly-once witness: a crash-recovered run must match its
@@ -322,18 +277,15 @@ pub struct StormReport {
     /// after each point drained (details go to stderr). 0 on any correct
     /// run, faulted or not.
     pub invariant_violations: u64,
-    /// Flyweight sessions that raced, summed over points.
-    pub sessions: u64,
-    /// Fan-in envelopes sent (first attempts), summed over points.
-    pub envelopes: u64,
-    /// Metadata ops those envelopes carried, summed over points.
-    pub envelope_ops: u64,
     /// Simulated race-phase duration, **max** over points: points model
     /// independent sites storming concurrently, so the slowest site bounds
     /// the storm's end-to-end time on the modeled cluster. Deterministic
     /// (it is simulation time, not wall time), so it is safe to compare
     /// across thread counts and machines.
     pub sim_ns: u64,
+    /// The drained worlds' counters ([`GfsWorld::counters`]), summed over
+    /// points: events, envelopes, resolves, faults, leases, the data path.
+    pub counters: Counters,
 }
 
 impl StormReport {
@@ -352,10 +304,11 @@ impl StormReport {
     /// Mean ops per fan-in envelope — the batching-efficiency headline
     /// (0.0 when no envelope was sent).
     pub fn ops_per_envelope(&self) -> f64 {
-        if self.envelopes == 0 {
+        let envelopes = self.counters.get("session.envelopes");
+        if envelopes == 0 {
             0.0
         } else {
-            self.envelope_ops as f64 / self.envelopes as f64
+            self.counters.get("session.envelope_ops") as f64 / envelopes as f64
         }
     }
 
@@ -374,7 +327,7 @@ impl StormReport {
             let n = self.invariant_violations;
             v.push(format!("{n} world-invariant violation(s) (see stderr)"));
         }
-        if faulted && self.faults_injected == 0 {
+        if faulted && self.counters.get("faults.injected") == 0 {
             v.push("a fault was scheduled but none fired".to_string());
         }
         v
@@ -396,42 +349,19 @@ impl StormReport {
         for msg in &violations {
             eprintln!("{label}: invariant violated: {msg}");
         }
-        let meta = core.meta_snapshot();
-        let logged = |f: fn(&RecoveryWhat) -> bool| w.recovery.count(f) as u64;
-        let mgrs = || w.fss.iter().flat_map(|i| &i.mgrs);
         StormReport {
             ops: tally.ops.get(),
             errors: tally.errors.get(),
-            events: sim.executed(),
             fingerprint: tally.fingerprint.get(),
-            resolves: meta.resolves,
-            resolve_alloc_bytes: meta.resolve_alloc_bytes,
-            interned_names: meta.interned_names,
             fsck_clean: gfs::fsck(core).is_clean(),
-            data_path: data_path_stats_of(w),
-            timeouts: logged(|e| matches!(e, RecoveryWhat::TimeoutDetected { .. })),
-            failovers: logged(|e| matches!(e, RecoveryWhat::FailedOver { .. })),
-            faults_injected: logged(|e| matches!(e, RecoveryWhat::FaultInjected(_))),
-            restores: logged(|e| matches!(e, RecoveryWhat::Restored(_))),
-            manager_epochs: mgrs().map(|m| m.epoch).sum(),
-            wal_replayed: mgrs().map(|m| m.replayed).sum(),
             gave_up: tally.gave_up.get(),
             err_not_found: tally.err_not_found.get(),
             err_exists: tally.err_exists.get(),
             err_races: tally.err_races.get(),
-            cross_shard_ops: w.fss.iter().map(|i| i.cross_shard_ops).sum(),
-            delegated_ops: w.fss.iter().map(|i| i.delegated_ops).sum(),
-            lease_acquires: w.fss.iter().map(|i| i.lease_grants).sum(),
-            lease_breaks: w.fss.iter().map(|i| i.lease_breaks).sum(),
-            expulsions: w.fss.iter().map(|i| i.expulsions).sum(),
-            reconcile_ops: w.fss.iter().map(|i| i.reconcile_ops).sum(),
-            rebalance_migrations: w.fss.iter().map(|i| i.core.shards.migrations()).sum(),
             tree_fingerprint: core.tree_fingerprint(),
             invariant_violations: violations.len() as u64,
-            sessions: w.sessions.len() as u64,
-            envelopes: w.fanin.envelopes,
-            envelope_ops: w.fanin.envelope_ops,
             sim_ns: tally.end.get().max(start).since(start).as_nanos(),
+            counters: w.counters(sim),
         }
     }
 
@@ -440,36 +370,16 @@ impl StormReport {
     fn merged(mut self, s: &StormReport) -> StormReport {
         self.ops += s.ops;
         self.errors += s.errors;
-        self.events += s.events;
         self.fingerprint = mix(self.fingerprint, s.fingerprint);
-        self.resolves += s.resolves;
-        self.resolve_alloc_bytes += s.resolve_alloc_bytes;
-        self.interned_names += s.interned_names;
         self.fsck_clean &= s.fsck_clean;
-        self.data_path = self.data_path.merged(&s.data_path);
-        self.timeouts += s.timeouts;
-        self.failovers += s.failovers;
-        self.faults_injected += s.faults_injected;
-        self.restores += s.restores;
-        self.manager_epochs += s.manager_epochs;
-        self.wal_replayed += s.wal_replayed;
         self.gave_up += s.gave_up;
         self.err_not_found += s.err_not_found;
         self.err_exists += s.err_exists;
         self.err_races += s.err_races;
-        self.cross_shard_ops += s.cross_shard_ops;
-        self.delegated_ops += s.delegated_ops;
-        self.lease_acquires += s.lease_acquires;
-        self.lease_breaks += s.lease_breaks;
-        self.expulsions += s.expulsions;
-        self.reconcile_ops += s.reconcile_ops;
-        self.rebalance_migrations += s.rebalance_migrations;
         self.tree_fingerprint = mix(self.tree_fingerprint, s.tree_fingerprint);
         self.invariant_violations += s.invariant_violations;
-        self.sessions += s.sessions;
-        self.envelopes += s.envelopes;
-        self.envelope_ops += s.envelope_ops;
         self.sim_ns = self.sim_ns.max(s.sim_ns);
+        self.counters = self.counters.merged(&s.counters);
         self
     }
 }
@@ -796,14 +706,12 @@ mod tests {
         assert_eq!(r.gave_up, 0, "fault-free storm must not time out");
         assert!(r.err_not_found > 0, "uniform probes must miss sometimes");
         assert!(r.fsck_clean, "storm left an inconsistent filesystem");
-        assert!(r.events > 0);
-        assert!(r.resolves > r.ops / 2, "resolves {}", r.resolves);
+        let n = |name| r.counters.get(name);
+        assert!(n("simcore.events") > 0);
+        assert!(n("fscore.resolves") > r.ops / 2, "resolves {}", n("fscore.resolves"));
         // The name alphabet is tiny by design: interning collapses it.
-        assert!(
-            r.interned_names < 200,
-            "interned {} names for a 2-point small storm",
-            r.interned_names
-        );
+        let interned = n("fscore.interned_names");
+        assert!(interned < 200, "interned {interned} names for a 2-point small storm");
     }
 
     #[test]
@@ -827,8 +735,9 @@ mod tests {
             assert!(r.errors > 0, "the mix must surface typed errors");
             assert_eq!(r.gave_up, 0);
             if cfg.managers > 1 {
-                assert_eq!(r.lease_acquires, u64::from(cfg.points));
-                assert!(r.delegated_ops > 0 && r.cross_shard_ops > 0);
+                let n = |name| r.counters.get(name);
+                assert_eq!(n("manager.lease_grants"), u64::from(cfg.points));
+                assert!(n("session.delegated_ops") > 0 && n("manager.cross_shard_ops") > 0);
             }
         }
     }
@@ -848,7 +757,8 @@ mod tests {
         // 2 points × 8 contexts × 25 sessions = 400 flyweight sessions.
         let cfg = StormConfig::small().with_sessions_per_client(25);
         let r = run_storm(&cfg);
-        assert_eq!(r.sessions, cfg.total_sessions(), "sessions {}", r.sessions);
+        let n = |name| r.counters.get(name);
+        assert_eq!(n("session.sessions"), cfg.total_sessions());
         assert_eq!(
             r.ops,
             u64::from(cfg.points) * cfg.tree_ops() + u64::from(cfg.points) * cfg.race_ops(),
@@ -860,13 +770,9 @@ mod tests {
         // The whole point: many ops per manager message. Race ops all ride
         // envelopes (plus close-releases), in far fewer messages.
         let race = u64::from(cfg.points) * cfg.race_ops();
-        assert!(r.envelope_ops >= race, "envelope ops {} < race {race}", r.envelope_ops);
-        assert!(
-            r.envelopes * 4 < r.envelope_ops,
-            "batching too thin: {} envelopes for {} ops",
-            r.envelopes,
-            r.envelope_ops
-        );
+        let (envelopes, ops) = (n("session.envelopes"), n("session.envelope_ops"));
+        assert!(ops >= race, "envelope ops {ops} < race {race}");
+        assert!(envelopes * 4 < ops, "batching too thin: {envelopes} envelopes for {ops} ops");
     }
 
     #[test]
@@ -894,7 +800,7 @@ mod tests {
         assert_eq!(r.gave_up, 0);
         assert_eq!(r.invariant_violations, 0);
         assert!(
-            r.cross_shard_ops > 0,
+            r.counters.get("manager.cross_shard_ops") > 0,
             "the rename arm must exercise two-phase cross-shard commits"
         );
         assert_eq!(
@@ -934,18 +840,19 @@ mod tests {
         assert!(r.fsck_clean, "delegated storm left an inconsistent fs");
         assert_eq!(r.gave_up, 0);
         assert_eq!(r.invariant_violations, 0);
-        assert!(r.delegated_ops > 0, "leased contexts must take the writeback path");
+        let n = |name| r.counters.get(name);
+        assert!(n("session.delegated_ops") > 0, "leased contexts must take the writeback path");
         assert!(
-            r.reconcile_ops > 0,
+            n("manager.reconcile_ops") > 0,
             "surrender must replay journaled mutations through the manager"
         );
         assert_eq!(
-            r.lease_acquires,
+            n("manager.lease_grants"),
             u64::from(cfg.points) * u64::from(cfg.effective_lease_contexts()),
             "one subtree lease per leased context"
         );
         assert!(
-            r.rebalance_migrations >= 1,
+            n("manager.migrations") >= 1,
             "the in-storm policy must migrate at least one hot subtree"
         );
     }

@@ -14,7 +14,7 @@
 use crate::common::{NSD_SERVER_EFF, TCP_EFF};
 use gfs::fscore::{DataMode, FsConfig};
 use gfs::stream::{gfs_stream, StreamDir};
-use gfs::world::{FsParams, GfsWorld, NsdBacking, WorldBuilder};
+use gfs::world::{Counters, FsParams, GfsWorld, NsdBacking, WorldBuilder};
 use gfs::types::{ClientId, FsId};
 use simcore::{Bandwidth, Join, Sim, SimDuration, SimTime, GBYTE, MBYTE};
 use simsan::{FarmSpec, IoKind};
@@ -61,7 +61,7 @@ impl Default for ProductionConfig {
 }
 
 /// Result of one scaling point.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct ScalingPoint {
     /// Node count.
     pub nodes: u32,
@@ -71,11 +71,9 @@ pub struct ScalingPoint {
     pub bytes: u64,
     /// Makespan in seconds.
     pub seconds: f64,
-    /// Simulation events executed producing this point (for the perf
-    /// harness's events/sec reporting).
-    pub events: u64,
-    /// Page-pool and NSD coalescing counters for this point's world.
-    pub data_path: crate::builder::DataPathStats,
+    /// The point's world counters ([`GfsWorld::counters`]): its events and
+    /// the streams that bypassed the page pool.
+    pub counters: Counters,
 }
 
 impl ScalingPoint {
@@ -175,8 +173,7 @@ fn stream_all(
         direction,
         bytes: clients.len() as u64 * bytes,
         seconds: end.as_secs_f64(),
-        events: sim.executed(),
-        data_path: crate::builder::data_path_stats_of(&w),
+        counters: w.counters(&sim),
     }
 }
 
@@ -205,10 +202,8 @@ pub fn run_fig11_with_threads(
         };
         run_scaling_point(cfg.clone(), n, direction)
     });
-    points
-        .chunks_exact(2)
-        .map(|pair| (pair[0], pair[1]))
-        .collect()
+    let mut points = points.into_iter();
+    std::iter::from_fn(|| Some((points.next()?, points.next()?))).collect()
 }
 
 /// The A4 ablation: same sweep with the RAID parity/destage penalty

@@ -17,11 +17,12 @@
 //!   degraded (reconstruction reads, rebuild-throttled foreground I/O)
 //!   until the hot-spare rebuild completes, and the run still finishes.
 
-use crate::builder::{pattern_bytes, DataPathStats, NsdFarm, ScenarioBuilder, Workload};
+use crate::builder::{pattern_bytes, NsdFarm, ScenarioBuilder, Workload};
 use crate::common::series_named;
 use gfs::session::Session;
 use gfs::types::{FsError, OpenFlags, Owner};
-use gfs::{FaultPlan, RecoveryLog};
+use gfs::world::Counters;
+use gfs::FaultPlan;
 use simcore::{Bandwidth, Dip, SimDuration, SimTime, TimeSeries, MBYTE};
 use simsan::ArraySpec;
 use std::cell::RefCell;
@@ -81,12 +82,9 @@ pub struct CrashReport {
     pub client_series: TimeSeries,
     /// When the write completed.
     pub finish: SimTime,
-    /// Simulation events executed by the main run (before read-back), for
-    /// the perf harness's events/sec reporting.
-    pub events: u64,
-    /// Client data-path counters (page pool + NSD coalescing), including
-    /// the read-back phase.
-    pub data_path: DataPathStats,
+    /// The world's counters ([`gfs::GfsWorld::counters`]) when the write run
+    /// ended, before the read-back that checks it.
+    pub counters: Counters,
 }
 
 /// A copy of `s` truncated to points at or before `t` (monitoring pads
@@ -123,10 +121,9 @@ pub fn crash_one_of_n(cfg: &CrashConfig) -> CrashReport {
     sb.sample_every(SimDuration::from_millis(50));
 
     let mut run = sb.run(SimTime::from_secs(60));
-    let events = run.sim.executed();
+    let counters = run.world.counters(&run.sim);
     let fsck_clean = gfs::fsck(&run.world.fss[fs.0 as usize].core).is_clean();
     let data_intact = run.completed == 1 && read_back_matches(&mut run, c, cfg.bytes);
-    let data_path = run.data_path_stats();
 
     let client_series = truncated(&series_named(&run.series, "nic-sdsc-0>"), run.finish);
     // Healthy rate is ~the NIC goodput; anything under 10 MB/s is a stall.
@@ -136,13 +133,12 @@ pub fn crash_one_of_n(cfg: &CrashConfig) -> CrashReport {
         errors: run.errors.clone(),
         fsck_clean,
         data_intact,
-        time_to_detect: run.recovery.time_to_detect(),
-        time_to_failover: run.recovery.time_to_failover(),
+        time_to_detect: run.world.recovery.time_to_detect(),
+        time_to_failover: run.world.recovery.time_to_failover(),
         dip,
         client_series,
         finish: run.finish,
-        events,
-        data_path,
+        counters,
     }
 }
 
@@ -206,15 +202,11 @@ pub struct FlapReport {
     pub completed: bool,
     /// Campaign makespan.
     pub makespan: SimTime,
-    /// Fault + restoration events recorded.
-    pub recovery: RecoveryLog,
     /// WAN link forward-direction rate series.
     pub wan_series: TimeSeries,
-    /// Simulation events executed (for the perf harness's events/sec
-    /// reporting).
-    pub events: u64,
-    /// Client data-path counters (page pool + NSD coalescing).
-    pub data_path: DataPathStats,
+    /// The world's counters ([`gfs::GfsWorld::counters`]) after the campaign,
+    /// the flap's fault and restore among them.
+    pub counters: Counters,
 }
 
 /// An Enzo checkpoint campaign streams from NCSA to the SDSC farm over a
@@ -249,10 +241,8 @@ pub fn link_flap_during_enzo(seed: u64, outage: SimDuration) -> FlapReport {
     FlapReport {
         completed: run.completed == 1,
         makespan: run.finish,
-        recovery: run.recovery.clone(),
         wan_series: series_named(&run.series, "teragrid>"),
-        events: run.sim.executed(),
-        data_path: run.data_path_stats(),
+        counters: run.world.counters(&run.sim),
     }
 }
 
@@ -267,15 +257,11 @@ pub struct DiskFailReport {
     pub seconds: f64,
     /// Makespan of an identical run with no fault.
     pub baseline_seconds: f64,
-    /// Degraded reads served by reconstruction.
-    pub degraded_reads: u64,
     /// Whether the rebuild completed within the run (logged as Restored).
     pub rebuild_completed: bool,
-    /// Simulation events executed across both runs (baseline + faulted),
-    /// for the perf harness's events/sec reporting.
-    pub events: u64,
-    /// Client data-path counters summed across both runs.
-    pub data_path: DataPathStats,
+    /// The counters ([`gfs::GfsWorld::counters`]) of both runs, baseline and
+    /// faulted, summed. Only the faulted run serves degraded reads.
+    pub counters: Counters,
 }
 
 /// A Fig.11-style write-then-read sweep against a detailed DS4100 array;
@@ -299,10 +285,7 @@ pub fn disk_failure_during_sweep_with_threads(seed: u64, threads: usize) -> Disk
         completed: usize,
         errors: Vec<(usize, FsError)>,
         finish_secs: f64,
-        events: u64,
-        degraded_reads: u64,
-        rebuild_completed: bool,
-        data_path: DataPathStats,
+        counters: Counters,
     }
     let run_once = |plan: Option<FaultPlan>| -> RunSummary {
         let mut sb = ScenarioBuilder::new(seed);
@@ -327,20 +310,11 @@ pub fn disk_failure_during_sweep_with_threads(seed: u64, threads: usize) -> Disk
             sb.faults(p);
         }
         let run = sb.run(SimTime::from_secs(600));
-        let arr = &run.world.arrays[0];
         RunSummary {
             completed: run.completed,
             errors: run.errors.clone(),
             finish_secs: run.finish.as_secs_f64(),
-            events: run.sim.executed(),
-            degraded_reads: (0..arr.set_count() as u32)
-                .map(|i| arr.raid_set(i).degraded_reads)
-                .sum(),
-            rebuild_completed: run
-                .recovery
-                .count(|e| matches!(e, gfs::RecoveryWhat::Restored(_)))
-                > 0,
-            data_path: run.data_path_stats(),
+            counters: run.world.counters(&run.sim),
         }
     };
     // Fail data spindle 2 of set 0 just after the reads begin; hot-spare
@@ -365,10 +339,8 @@ pub fn disk_failure_during_sweep_with_threads(seed: u64, threads: usize) -> Disk
         errors: faulted.errors,
         seconds: faulted.finish_secs,
         baseline_seconds: baseline.finish_secs,
-        degraded_reads: faulted.degraded_reads,
-        rebuild_completed: faulted.rebuild_completed,
-        events: baseline.events + faulted.events,
-        data_path: baseline.data_path.merged(&faulted.data_path),
+        rebuild_completed: faulted.counters.get("faults.restores") > 0,
+        counters: baseline.counters.merged(&faulted.counters),
     }
 }
 
@@ -419,13 +391,7 @@ mod tests {
             "makespan stretched {stretch:.1}s for a {:.1}s outage",
             outage.as_secs_f64()
         );
-        assert!(
-            flapped
-                .recovery
-                .count(|e| matches!(e, gfs::RecoveryWhat::Restored(_)))
-                > 0,
-            "restoration not logged"
-        );
+        assert!(flapped.counters.get("faults.restores") > 0, "restoration not logged");
     }
 
     /// Baseline helper: the same campaign with no fault.
@@ -440,7 +406,7 @@ mod tests {
         assert!(report.completed, "sweep failed: {:?}", report.errors);
         assert!(report.errors.is_empty());
         assert!(
-            report.degraded_reads > 0,
+            report.counters.get("simsan.degraded_reads") > 0,
             "no reads were served by reconstruction"
         );
         assert!(

@@ -29,7 +29,7 @@
 //! Everything measured is modeled time, so the per-point
 //! [`CampaignReport`] is bit-identical across sweep-thread counts.
 
-use crate::builder::{data_path_stats_of, DataPathStats, NsdFarm, ScenarioBuilder};
+use crate::builder::{NsdFarm, ScenarioBuilder};
 use crate::chaos::world_invariants;
 use crate::driver::{chunked, run_files};
 use crate::parallel::{run_indexed, sweep_threads};
@@ -37,7 +37,7 @@ use gfs::fsck_instance;
 use gfs::session::Session;
 use gfs::stream::StreamDir;
 use gfs::types::{FsError, InodeId, OpenFlags, Owner};
-use gfs::world::GfsWorld;
+use gfs::world::{Counters, GfsWorld};
 use gfs_auth::handshake::AccessMode;
 use gridftp::TransferSpec;
 use hsm::manager::{Hsm, HsmPolicy};
@@ -129,44 +129,21 @@ pub struct CampaignReport {
     pub campaign_bytes: u64,
     /// Modeled time from campaign launch to the last site's completion, ns.
     pub campaign_elapsed_ns: u64,
-    /// Catalog counters at drain (see [`gfs::replica::ReplicaCounters`]).
-    pub catalog_hits: u64,
-    /// Runs whose cataloged file had no current copy.
-    pub catalog_misses: u64,
-    /// Segments routed to replica farms.
-    pub remote_picks: u64,
-    /// Segments the scheduler kept home despite live copies.
-    pub home_picks: u64,
-    /// Runs fanned across ≥ 2 near-equidistant sources.
-    pub split_fanouts: u64,
-    /// Copies invalidated by writes.
-    pub invalidations: u64,
-    /// Issue/completion currency rechecks that re-fetched from home.
-    pub stale_fallbacks: u64,
-    /// Reads served from a non-current copy — must be zero.
-    pub stale_reads: u64,
-    /// Copy installs (first installs + refreshes).
-    pub installs: u64,
-    /// Site-to-site bytes charged to installs.
-    pub replicated_bytes: u64,
     /// Disk → tape bytes the cold tier wrote.
     pub migrated_bytes: u64,
     /// Copies current at drain.
     pub current_copies: u64,
     /// Generation high watermark.
     pub max_gen: u64,
-    /// Summed winning-source scores, ns (mean = `/ catalog_hits`).
-    pub pick_score_ns: u64,
-    /// Events the point executed.
-    pub events: u64,
     /// `fsck_instance` errors (replica coherence included) — must be zero.
     pub fsck_errors: u64,
     /// `world_invariants` violations — must be zero.
     pub invariant_violations: u64,
     /// Session-surface read/write errors — must be zero.
     pub io_errors: u64,
-    /// Data-path counters (pool + NSD coalescing), for the bench table.
-    pub data_path: DataPathStats,
+    /// The drained world's counters ([`GfsWorld::counters`]): events, the
+    /// catalog's picks, fan-outs, installs and invalidations, the data path.
+    pub counters: Counters,
 }
 
 impl CampaignReport {
@@ -188,12 +165,13 @@ impl CampaignReport {
 
     /// Mean winning-source score per planned run, ms.
     pub fn mean_pick_ms(&self) -> f64 {
-        self.pick_score_ns as f64 / 1e6 / (self.catalog_hits as f64).max(1.0)
+        let hits = self.counters.get("replica.catalog_hits");
+        self.counters.get("replica.pick_score_ns") as f64 / 1e6 / (hits as f64).max(1.0)
     }
 
     /// All coherence/correctness gates in one place.
     pub fn is_clean(&self) -> bool {
-        self.stale_reads == 0
+        self.counters.get("replica.stale_reads") == 0
             && self.fsck_errors == 0
             && self.invariant_violations == 0
             && self.io_errors == 0
@@ -533,33 +511,20 @@ pub fn run_campaign_point(cfg: &ReplicationConfig, point: usize) -> CampaignRepo
     for v in &violations {
         eprintln!("replication campaign: invariant violated: {v}");
     }
-    let inst = &w.fss[fs.0 as usize];
-    let c = inst.replicas.counters;
+    let replicas = &w.fss[fs.0 as usize].replicas;
     CampaignReport {
         hot_bytes,
         home_elapsed_ns,
         replica_elapsed_ns,
         campaign_bytes: cfg.campaign_bytes(),
         campaign_elapsed_ns,
-        catalog_hits: c.catalog_hits,
-        catalog_misses: c.catalog_misses,
-        remote_picks: c.remote_picks,
-        home_picks: c.home_picks,
-        split_fanouts: c.split_fanouts,
-        invalidations: c.invalidations,
-        stale_fallbacks: c.stale_fallbacks,
-        stale_reads: c.stale_reads,
-        installs: c.installs,
-        replicated_bytes: c.replicated_bytes,
-        migrated_bytes: inst.replicas.migrated_bytes(),
-        current_copies: inst.replicas.current_copies(),
-        max_gen: c.max_gen,
-        pick_score_ns: c.pick_score_ns,
-        events: sim.executed(),
+        migrated_bytes: replicas.migrated_bytes(),
+        current_copies: replicas.current_copies(),
+        max_gen: replicas.counters.max_gen,
         fsck_errors: fsck.errors.len() as u64,
         invariant_violations: violations.len() as u64,
         io_errors: errs.get(),
-        data_path: data_path_stats_of(&w),
+        counters: w.counters(&sim),
     }
 }
 
@@ -603,17 +568,15 @@ mod tests {
                 r.home_rate() / 1e6,
                 r.replica_rate() / 1e6,
             );
-            assert!(r.remote_picks > 0, "no segment was served by a replica");
-            assert!(r.split_fanouts > 0, "no run split across sources");
-            assert!(
-                r.invalidations >= 4,
-                "write did not invalidate every copy: {}",
-                r.invalidations
-            );
-            assert!(r.catalog_misses > 0, "post-invalidate read did not miss");
+            let n = |name| r.counters.get(name);
+            assert!(n("replica.remote_picks") > 0, "no segment was served by a replica");
+            assert!(n("replica.split_fanouts") > 0, "no run split across sources");
+            let invalidations = n("replica.invalidations");
+            assert!(invalidations >= 4, "write did not invalidate every copy: {invalidations}");
+            assert!(n("replica.catalog_misses") > 0, "post-invalidate read did not miss");
             assert!(r.migrated_bytes > 0, "cold tier never migrated to tape");
             assert!(
-                r.replicated_bytes >= r.campaign_bytes,
+                n("replica.replicated_bytes") >= r.campaign_bytes,
                 "campaign bytes not accounted"
             );
             assert!(r.max_gen >= 1, "write did not bump the generation");

@@ -17,7 +17,7 @@ use crate::common::{self, TCP_EFF};
 use gfs::fscore::{DataMode, FsConfig};
 use gfs::stream::{gfs_stream, StreamDir};
 use gfs::types::{ClientId, FsId};
-use gfs::world::{FsParams, GfsWorld, WorldBuilder};
+use gfs::world::{Counters, FsParams, GfsWorld, WorldBuilder};
 use simcore::{Bandwidth, Sim, SimDuration, SimTime, Summary, TimeSeries, GBIT, GBYTE};
 use simnet::Network;
 use simsan::{FarmSpec, IoKind};
@@ -76,11 +76,8 @@ pub struct Sc04Result {
     pub san_theoretical_gbyte: f64,
     /// Measured-model show-floor filesystem rate, GB/s.
     pub san_achieved_gbyte: f64,
-    /// Simulation events executed (for the perf harness's events/sec
-    /// reporting).
-    pub events: u64,
-    /// Page-pool and NSD coalescing counters for the run.
-    pub data_path: crate::builder::DataPathStats,
+    /// The world's counters ([`GfsWorld::counters`]) after the run.
+    pub counters: Counters,
 }
 
 /// Filesystem-level efficiency of the show-floor SAN path (GPFS overhead
@@ -261,8 +258,7 @@ pub fn run(cfg: Sc04Config) -> Sc04Result {
         site_series: (sdsc_series, ncsa_series),
         san_theoretical_gbyte: 120.0 * Bandwidth::gbit(2.0).bytes_per_sec() / GBYTE as f64,
         san_achieved_gbyte: san_achieved,
-        events: sim.executed(),
-        data_path: crate::builder::data_path_stats_of(&w),
+        counters: w.counters(&sim),
     }
 }
 

@@ -38,6 +38,7 @@ use crate::chain::{self, mix, Chain, Lease, Mirror, Oracle, Run};
 use crate::chaos::Verdict;
 use crate::metadata_storm::{ChaosSpec, StormReport};
 use gfs::faults::{ProgressInjector, ProgressPlan};
+use gfs::fscore::top_component;
 use gfs::oracle::ModelFs;
 use gfs::types::FsId;
 use simcore::{Bandwidth, SimDuration, SimTime};
@@ -409,15 +410,6 @@ fn gen_enzo(ops: &mut Vec<TraceOp>, i: u32, scale: u32, seed: u64) {
 // Stream partitioning
 // ---------------------------------------------------------------------------
 
-/// Top-level component of an absolute path (`""` for the root itself).
-fn top_of(path: &str) -> &str {
-    let p = path.trim_start_matches('/');
-    match p.find('/') {
-        Some(i) => &p[..i],
-        None => p,
-    }
-}
-
 /// Partition a trace into namespace-disjoint streams: union-find over
 /// top-level components, where a rename unions its two tops and any op on
 /// the root (`/`) unions *everything* (a root readdir observes every top).
@@ -448,12 +440,12 @@ pub fn split_streams(ops: &[TraceOp]) -> Vec<Vec<TraceOp>> {
     }
     let mut root_seen = false;
     for op in ops {
-        let a = index_of(top_of(&op.path), &mut tops, &mut parent);
+        let a = index_of(top_component(&op.path), &mut tops, &mut parent);
         if tops[a].is_empty() {
             root_seen = true;
         }
         if let Some(p2) = &op.path2 {
-            let b = index_of(top_of(p2), &mut tops, &mut parent);
+            let b = index_of(top_component(p2), &mut tops, &mut parent);
             let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
             parent[ra] = rb;
         }
@@ -469,7 +461,7 @@ pub fn split_streams(ops: &[TraceOp]) -> Vec<Vec<TraceOp>> {
     let mut order: Vec<usize> = Vec::new();
     let mut buckets: Vec<Vec<TraceOp>> = Vec::new();
     for op in ops {
-        let t = top_of(&op.path).to_string();
+        let t = top_component(&op.path).to_string();
         let i = tops.iter().position(|x| *x == t).expect("top interned");
         let r = find(&mut parent, i);
         let slot = match order.iter().position(|&x| x == r) {
@@ -491,7 +483,7 @@ fn single_top(stream: &[TraceOp]) -> Option<String> {
     let mut top: Option<&str> = None;
     for op in stream {
         for p in std::iter::once(op.path.as_str()).chain(op.path2.as_deref()) {
-            let t = top_of(p);
+            let t = top_component(p);
             if t.is_empty() {
                 return None;
             }
@@ -558,12 +550,6 @@ pub struct ReplayReport {
     pub oracle_fingerprint: u64,
     /// `run.tree_fingerprint == oracle_fingerprint`.
     pub tree_matches_oracle: bool,
-    /// Replica copies installed mid-replay.
-    pub replica_installs: u64,
-    /// Reads the catalog routed to the replica site.
-    pub replica_remote_picks: u64,
-    /// Replica invalidations from writes to cataloged files.
-    pub replica_invalidations: u64,
 }
 
 /// Replay a trace through the full stack and diff every op against the
@@ -630,7 +616,7 @@ pub fn replay_trace(ops: &[TraceOp], cfg: &ReplayConfig, chaos: &ChaosSpec) -> R
         let mut tops: Vec<String> = Vec::new();
         for op in ops {
             for p in std::iter::once(op.path.as_str()).chain(op.path2.as_deref()) {
-                let t = top_of(p);
+                let t = top_component(p);
                 if !t.is_empty() && !tops.iter().any(|x| x == t) {
                     tops.push(t.to_string());
                 }
@@ -651,7 +637,7 @@ pub fn replay_trace(ops: &[TraceOp], cfg: &ReplayConfig, chaos: &ChaosSpec) -> R
             SimDuration::from_micros(200),
         ),
         at: ops.len() as u64 / 3,
-        installs: Cell::new(None),
+        installed: Cell::new(false),
     });
     let st = Rc::new(Run {
         faults: (!chaos.progress.is_empty())
@@ -700,20 +686,12 @@ pub fn replay_trace(ops: &[TraceOp], cfg: &ReplayConfig, chaos: &ChaosSpec) -> R
     let oracle = st.oracle.as_ref().expect("the replay carries an oracle");
     let tree_matches_oracle = oracle.diff_tree(&w.fss[fs.0 as usize].core, run.tree_fingerprint);
     let oracle_fingerprint = oracle.model.borrow().tree_fingerprint();
-    let rc = &w.fss[fs.0 as usize].replicas.counters;
     ReplayReport {
         run,
         divergences: oracle.divergences.get(),
         divergence_samples: oracle.samples.take(),
         oracle_fingerprint,
         tree_matches_oracle,
-        replica_installs: st
-            .mirror
-            .as_ref()
-            .and_then(|m| m.installs.get())
-            .unwrap_or(0),
-        replica_remote_picks: rc.remote_picks,
-        replica_invalidations: rc.invalidations,
     }
 }
 
@@ -997,7 +975,8 @@ mod tests {
             r.run.errors > 0,
             "the corpus's deliberate misses must surface typed errors"
         );
-        assert!(r.run.envelopes > 0, "two sessions per mount must batch fan-in envelopes");
+        let envelopes = r.run.counters.get("session.envelopes");
+        assert!(envelopes > 0, "two sessions per mount must batch fan-in envelopes");
     }
 
     #[test]
@@ -1035,7 +1014,7 @@ mod tests {
         );
         assert!(r.tree_matches_oracle);
         assert!(
-            r.run.cross_shard_ops > 0,
+            r.run.counters.get("manager.cross_shard_ops") > 0,
             "src→obj renames must run as two-phase cross-shard ops"
         );
     }
@@ -1055,9 +1034,10 @@ mod tests {
             r.divergence_samples.join("\n  ")
         );
         assert!(r.tree_matches_oracle);
-        assert_eq!(r.run.lease_acquires, 3, "every single-top stream takes its lease");
-        assert!(r.run.delegated_ops > 0, "the cadence must ride the delegate");
-        assert!(r.run.reconcile_ops > 0, "surrender must reconcile the journal");
+        let n = |name| r.run.counters.get(name);
+        assert_eq!(n("manager.lease_grants"), 3, "every single-top stream takes its lease");
+        assert!(n("session.delegated_ops") > 0, "the cadence must ride the delegate");
+        assert!(n("manager.reconcile_ops") > 0, "surrender must reconcile the journal");
     }
 
     #[test]
@@ -1077,9 +1057,9 @@ mod tests {
             r.divergence_samples.join("\n  ")
         );
         assert!(r.tree_matches_oracle);
-        assert!(r.replica_installs > 0, "the mid-replay install must fire");
+        assert!(r.run.counters.get("replica.installs") > 0, "the mid-replay install must fire");
         assert!(
-            r.replica_remote_picks > 0,
+            r.run.counters.get("replica.remote_picks") > 0,
             "scan reads after the install must route to the mirror"
         );
     }
@@ -1146,10 +1126,11 @@ mod tests {
         v.assert_clean();
         // The faulted runs must really have faulted, and the M=4 leg must
         // really have leased.
-        assert!(v.report.iter().any(|(l, r)| l.contains("mgr-kill") && r.run.faults_injected > 0));
+        let fired = |r: &ReplayReport| r.run.counters.get("faults.injected") > 0;
+        assert!(v.report.iter().any(|(l, r)| l.contains("mgr-kill") && fired(r)));
         assert!(v
             .report
             .iter()
-            .any(|(l, r)| l.contains("M=4") && r.run.lease_acquires > 0));
+            .any(|(l, r)| l.contains("M=4") && r.run.counters.get("manager.lease_grants") > 0));
     }
 }

@@ -12,15 +12,18 @@
 //! ## Incremental solving
 //!
 //! [`Solver`] is the reusable engine: it keeps every scratch buffer between
-//! calls (no allocation on the hot path once warmed up) and decomposes the
-//! flow set into **connected components** — flows joined transitively by
-//! shared links — solving each component with its own fill level. Two
-//! properties follow, and the network layer leans on both:
+//! calls (no allocation on the hot path once warmed up) and fills each
+//! **connected component** of the flow set — flows joined transitively by
+//! shared links — with its own fill level. The caller finds the components
+//! and hands them over grouped ([`Solver::solve_grouped`]); the network
+//! layer's `recompute_dirty` does so for its dirty components only, which
+//! leans on two properties:
 //!
 //! 1. Components are arithmetically independent: a component's rates are a
 //!    pure function of its own flows (in order) and its own links. Re-solving
 //!    one component in isolation is therefore **bit-for-bit identical** to
-//!    solving the whole system and reading off that component's rates.
+//!    solving the whole system and reading off that component's rates. The
+//!    same holds for several components filled as one group.
 //! 2. Constraint freezing uses exact comparisons against the per-round
 //!    level (no epsilon tolerances), and a cap-frozen flow's rate is its cap
 //!    *exactly* — which lets callers prove small mutations (an uncapped-link
@@ -29,34 +32,23 @@
 //! ## Link-indexed filling
 //!
 //! A solve first indexes every (link, flow) crossing by link. A fill round
-//! then scans only its component's live links — unsaturated and still
-//! crossed by an unfrozen flow — for the binding level, takes binding caps
-//! from a cap-sorted list, and freezes the flows of each saturating link
-//! once, through the index. A solve costs O(crossings + rounds × links)
-//! rather than O(rounds × crossings). Callers that already know the
-//! components ([`Solver::solve_grouped`]) skip the component search.
+//! then scans only its group's live links — unsaturated and still crossed
+//! by an unfrozen flow — for the binding level, takes binding caps from a
+//! cap-sorted list, and freezes the flows of each saturating link once,
+//! through the index. A solve costs O(crossings + rounds × links) rather
+//! than O(rounds × crossings).
 
-/// One flow as seen by the solver.
-#[derive(Clone, Debug)]
-pub struct SolverFlow<'a> {
-    /// Directed link indices this flow traverses.
-    pub path: &'a [u32],
-    /// Individual rate cap in bytes/sec (`f64::INFINITY` when unlimited);
-    /// typically `window / RTT`.
-    pub cap: f64,
-}
-
-/// One flow in the flat (pre-packed) solver input: its path is
-/// `path_buf[start..start + len]` in the caller-held path buffer. Callers on
-/// the hot path keep both buffers alive across solves instead of
-/// materializing `SolverFlow` slices.
+/// One flow in the solver input: its path is `path_buf[start..start + len]`
+/// in the caller-held path buffer. Callers on the hot path keep both
+/// buffers alive across solves.
 #[derive(Clone, Copy, Debug)]
 pub struct FlatFlow {
     /// Offset of the first link index in the shared path buffer.
     pub start: u32,
     /// Number of links in the path.
     pub len: u32,
-    /// Individual rate cap in bytes/sec (`f64::INFINITY` when unlimited).
+    /// Individual rate cap in bytes/sec (`f64::INFINITY` when unlimited);
+    /// typically `window / RTT`.
     pub cap: f64,
 }
 
@@ -64,8 +56,6 @@ pub struct FlatFlow {
 /// one cache line per link.
 #[derive(Clone, Copy, Default)]
 struct LinkState {
-    /// Union-find parent, for [`Solver::solve_flat`]'s component search.
-    parent: u32,
     /// Crossings by still-unfrozen flows; a path that repeats the link
     /// counts twice.
     active: u32,
@@ -93,18 +83,12 @@ pub struct Solver {
     crossings: Vec<u32>,
     // Per-flow scratch.
     frozen: Vec<bool>,
-    comp: Vec<u32>,
-    order: Vec<u32>,
-    group_ends: Vec<u32>,
     // Per-round scratch.
     live: Vec<u32>,
     cap_order: Vec<u32>,
     saturating: Vec<u32>,
     cap_frozen: Vec<u32>,
     level_frozen: Vec<u32>,
-    // Packing scratch for the `SolverFlow` entry point.
-    flat_paths: Vec<u32>,
-    flat_meta: Vec<FlatFlow>,
 }
 
 impl Solver {
@@ -137,126 +121,12 @@ impl Solver {
         self.touched_links.clear();
     }
 
-    fn uf_find(&mut self, mut l: u32) -> u32 {
-        while self.links[l as usize].parent != l {
-            let p = self.links[l as usize].parent;
-            self.links[l as usize].parent = self.links[p as usize].parent;
-            l = self.links[l as usize].parent;
-        }
-        l
-    }
-
-    /// Compute max-min fair rates for `flows` over `link_capacity`, writing
-    /// one rate per flow into `out` (cleared first). Flows with an empty path
-    /// get their cap (or `INFINITY` when uncapped). All scratch is reused;
-    /// after warmup the call allocates nothing.
-    pub fn solve(&mut self, link_capacity: &[f64], flows: &[SolverFlow<'_>], out: &mut Vec<f64>) {
-        let mut paths = std::mem::take(&mut self.flat_paths);
-        let mut meta = std::mem::take(&mut self.flat_meta);
-        paths.clear();
-        meta.clear();
-        for f in flows {
-            let start = paths.len() as u32;
-            paths.extend_from_slice(f.path);
-            meta.push(FlatFlow {
-                start,
-                len: f.path.len() as u32,
-                cap: f.cap,
-            });
-        }
-        self.solve_flat(link_capacity, &paths, &meta, out);
-        self.flat_paths = paths;
-        self.flat_meta = meta;
-    }
-
-    /// [`Solver::solve`] over pre-packed flat buffers: flow `i`'s path is
-    /// `path_buf[meta[i].start..][..meta[i].len]`. Finds the connected
-    /// components (flows joined transitively by shared links) and fills
-    /// each on its own; both entry points produce bit-identical rates for
-    /// the same flows.
-    pub fn solve_flat(
-        &mut self,
-        link_capacity: &[f64],
-        path_buf: &[u32],
-        meta: &[FlatFlow],
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        let nf = meta.len();
-        if nf == 0 {
-            return;
-        }
-        self.reset_links(link_capacity.len());
-        out.resize(nf, 0.0);
-        let path = |f: &FlatFlow| &path_buf[f.start as usize..][..f.len as usize];
-
-        // Union every flow's links into one component.
-        for f in meta {
-            let Some((&first, rest)) = path(f).split_first() else {
-                continue;
-            };
-            for &l in path(f) {
-                let s = &mut self.links[l as usize];
-                if !s.seen {
-                    s.seen = true;
-                    s.parent = l;
-                    self.touched_links.push(l);
-                }
-            }
-            let mut root = self.uf_find(first);
-            for &l in rest {
-                let r = self.uf_find(l);
-                if r != root {
-                    // Deterministic union: smaller root wins.
-                    let (lo, hi) = if r < root { (r, root) } else { (root, r) };
-                    self.links[hi as usize].parent = lo;
-                    root = lo;
-                }
-            }
-        }
-
-        // Assign flows to components; empty-path flows solve trivially to
-        // their cap.
-        self.comp.clear();
-        self.comp.resize(nf, u32::MAX);
-        for (i, f) in meta.iter().enumerate() {
-            match path(f).first() {
-                Some(&l) => self.comp[i] = self.uf_find(l),
-                None => out[i] = if f.cap.is_finite() { f.cap } else { f64::INFINITY },
-            }
-        }
-
-        // Group flow indices by component root, preserving flow order
-        // within each component (stable sort by root).
-        let comp = &self.comp;
-        let mut order = std::mem::take(&mut self.order);
-        order.clear();
-        order.extend((0..nf as u32).filter(|&i| comp[i as usize] != u32::MAX));
-        order.sort_by_key(|&i| comp[i as usize]);
-        let mut ends = std::mem::take(&mut self.group_ends);
-        ends.clear();
-        for k in 1..order.len() {
-            if comp[order[k] as usize] != comp[order[k - 1] as usize] {
-                ends.push(k as u32);
-            }
-        }
-        if !order.is_empty() {
-            ends.push(order.len() as u32);
-        }
-
-        // The union-find registered links in flow order; the fill
-        // re-registers them group by group.
-        self.reset_links(0);
-        self.fill_groups(link_capacity, path_buf, meta, &order, &ends, out);
-        self.order = order;
-        self.group_ends = ends;
-    }
-
-    /// [`Solver::solve_flat`] for a caller that already knows the
-    /// components: `meta` is laid out group by group, group `g` ending at
-    /// `group_ends[g]`, and no two groups share a link. Every flow's path
-    /// must be non-empty. Each group is filled on its own, with no
-    /// component search.
+    /// Compute max-min fair rates for `meta`'s flows over `link_capacity`,
+    /// writing one rate per flow into `out` (cleared first). The flows come
+    /// grouped by connected component: group `g` ends at `group_ends[g]`,
+    /// no two groups share a link (several components may share a group),
+    /// and every flow's path is non-empty. Each group is filled on its own.
+    /// All scratch is reused; after warmup the call allocates nothing.
     pub fn solve_grouped(
         &mut self,
         link_capacity: &[f64],
@@ -269,25 +139,6 @@ impl Solver {
         out.resize(meta.len(), 0.0);
         self.reset_links(link_capacity.len());
         debug_assert_eq!(group_ends.last().map_or(0, |&e| e as usize), meta.len());
-        let mut order = std::mem::take(&mut self.order);
-        order.clear();
-        order.extend(0..meta.len() as u32);
-        self.fill_groups(link_capacity, path_buf, meta, &order, group_ends, out);
-        self.order = order;
-    }
-
-    /// Index every crossing by link, then water-fill each group of
-    /// `members` (group `g` is `members[group_ends[g - 1]..group_ends[g]]`,
-    /// flow order within it) independently.
-    fn fill_groups(
-        &mut self,
-        link_capacity: &[f64],
-        path_buf: &[u32],
-        meta: &[FlatFlow],
-        members: &[u32],
-        group_ends: &[u32],
-        out: &mut [f64],
-    ) {
         let path = |i: u32| {
             let f = &meta[i as usize];
             &path_buf[f.start as usize..][..f.len as usize]
@@ -301,7 +152,7 @@ impl Solver {
         self.group_link_ends.clear();
         let mut begin = 0;
         for (g, &end) in group_ends.iter().enumerate() {
-            for &i in &members[begin..end as usize] {
+            for i in begin..end {
                 debug_assert!(!path(i).is_empty(), "grouped flows need a path");
                 for &l in path(i) {
                     let s = &mut self.links[l as usize];
@@ -317,7 +168,7 @@ impl Solver {
                 }
             }
             self.group_link_ends.push(self.touched_links.len() as u32);
-            begin = end as usize;
+            begin = end;
         }
 
         // Link `l`'s crossings become `crossings[first..end]`, in flow
@@ -331,7 +182,7 @@ impl Solver {
         }
         self.crossings.clear();
         self.crossings.resize(next as usize, 0);
-        for &i in members {
+        for i in 0..meta.len() as u32 {
             for &l in path(i) {
                 let s = &mut self.links[l as usize];
                 self.crossings[s.end as usize] = i;
@@ -345,9 +196,8 @@ impl Solver {
             self.live.clear();
             self.live
                 .extend_from_slice(&self.touched_links[link_begin..link_end]);
-            let group = &members[begin..end as usize];
-            self.fill(link_capacity, path_buf, meta, group, out);
-            begin = end as usize;
+            self.fill(link_capacity, path_buf, meta, begin..end, out);
+            begin = end;
             link_begin = link_end;
         }
     }
@@ -367,7 +217,7 @@ impl Solver {
         link_capacity: &[f64],
         path_buf: &[u32],
         meta: &[FlatFlow],
-        members: &[u32],
+        members: std::ops::Range<u32>,
         out: &mut [f64],
     ) {
         let path = |i: u32| {
@@ -385,7 +235,7 @@ impl Solver {
             level_frozen,
             ..
         } = self;
-        for &i in members {
+        for i in members.clone() {
             frozen[i as usize] = false;
         }
         let mut unfrozen = members.len();
@@ -394,8 +244,7 @@ impl Solver {
         cap_order.clear();
         cap_order.extend(
             members
-                .iter()
-                .copied()
+                .clone()
                 .filter(|&i| meta[i as usize].cap < f64::INFINITY),
         );
         cap_order.sort_by(|&a, &b| meta[a as usize].cap.total_cmp(&meta[b as usize].cap));
@@ -429,7 +278,7 @@ impl Solver {
             live.truncate(kept);
             if !best.is_finite() {
                 // No finite constraint: the rest are unconstrained.
-                for &i in members {
+                for i in members.clone() {
                     if !frozen[i as usize] {
                         out[i as usize] = f64::INFINITY;
                         frozen[i as usize] = true;
@@ -505,20 +354,6 @@ impl Solver {
     }
 }
 
-/// Compute max-min fair rates.
-///
-/// * `link_capacity[l]` — capacity of link `l` in bytes/sec.
-/// * returns one rate per flow, in bytes/sec.
-///
-/// Thin wrapper over [`Solver`] for one-shot callers; hot paths should hold
-/// a `Solver` and call [`Solver::solve`] to reuse scratch buffers.
-pub fn allocate(link_capacity: &[f64], flows: &[SolverFlow<'_>]) -> Vec<f64> {
-    let mut solver = Solver::new();
-    let mut out = Vec::new();
-    solver.solve(link_capacity, flows, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod reference;
 
@@ -533,26 +368,55 @@ mod tests {
         (a - b).abs() < 1e-6 * b.abs().max(1.0)
     }
 
+    /// Pack `(path, cap)` flows into the solver's flat input.
+    fn pack(flows: &[(&[u32], f64)]) -> (Vec<u32>, Vec<FlatFlow>) {
+        let mut paths = Vec::new();
+        let meta = flows
+            .iter()
+            .map(|&(p, cap)| {
+                let start = paths.len() as u32;
+                paths.extend_from_slice(p);
+                FlatFlow { start, len: p.len() as u32, cap }
+            })
+            .collect();
+        (paths, meta)
+    }
+
+    /// Solve flows with non-empty paths the way the network does: grouped
+    /// by component ([`components`]) through `solve_grouped`. The rates
+    /// come back in flow order.
+    fn solve_with(solver: &mut Solver, caps: &[f64], paths: &[u32], meta: &[FlatFlow]) -> Vec<f64> {
+        let (members, ends) = components(caps.len(), paths, meta);
+        let packed: Vec<FlatFlow> = members.iter().map(|&i| meta[i as usize]).collect();
+        let mut grouped = Vec::new();
+        solver.solve_grouped(caps, paths, &packed, &ends, &mut grouped);
+        let mut out = vec![f64::NAN; meta.len()];
+        for (&i, &r) in members.iter().zip(&grouped) {
+            out[i as usize] = r;
+        }
+        out
+    }
+
+    fn solve(caps: &[f64], flows: &[(&[u32], f64)]) -> Vec<f64> {
+        let (paths, meta) = pack(flows);
+        solve_with(&mut Solver::new(), caps, &paths, &meta)
+    }
+
+    const OPEN: f64 = f64::INFINITY;
+
+    fn flow(path: &[u32], cap: f64) -> (&[u32], f64) {
+        (path, cap)
+    }
+
     #[test]
     fn single_flow_takes_link() {
-        let rates = allocate(
-            &[100.0],
-            &[SolverFlow {
-                path: &[0],
-                cap: f64::INFINITY,
-            }],
-        );
+        let rates = solve(&[100.0], &[flow(&[0], OPEN)]);
         assert!(close(rates[0], 100.0));
     }
 
     #[test]
     fn equal_split_on_shared_link() {
-        let f = SolverFlow {
-            path: &[0],
-            cap: f64::INFINITY,
-        };
-        let rates = allocate(&[90.0], &[f.clone(), f.clone(), f]);
-        for r in rates {
+        for r in solve(&[90.0], &[flow(&[0], OPEN); 3]) {
             assert!(close(r, 30.0));
         }
     }
@@ -561,19 +425,7 @@ mod tests {
     fn window_cap_binds_before_link() {
         // One capped flow and one open flow share a 100-unit link: the
         // capped flow gets its cap, the open flow gets the rest.
-        let rates = allocate(
-            &[100.0],
-            &[
-                SolverFlow {
-                    path: &[0],
-                    cap: 10.0,
-                },
-                SolverFlow {
-                    path: &[0],
-                    cap: f64::INFINITY,
-                },
-            ],
-        );
+        let rates = solve(&[100.0], &[flow(&[0], 10.0), flow(&[0], OPEN)]);
         assert!(close(rates[0], 10.0));
         assert!(close(rates[1], 90.0));
     }
@@ -582,55 +434,24 @@ mod tests {
     fn classic_max_min_three_flows_two_links() {
         // Link0 cap 10 shared by f0 and f2; link1 cap 100 shared by f1, f2.
         // f0 = f2 = 5 (bottleneck link0), f1 = 95.
-        let rates = allocate(
-            &[10.0, 100.0],
-            &[
-                SolverFlow {
-                    path: &[0],
-                    cap: f64::INFINITY,
-                },
-                SolverFlow {
-                    path: &[1],
-                    cap: f64::INFINITY,
-                },
-                SolverFlow {
-                    path: &[0, 1],
-                    cap: f64::INFINITY,
-                },
-            ],
-        );
+        let flows = [flow(&[0], OPEN), flow(&[1], OPEN), flow(&[0, 1], OPEN)];
+        let rates = solve(&[10.0, 100.0], &flows);
         assert!(close(rates[0], 5.0));
         assert!(close(rates[1], 95.0));
         assert!(close(rates[2], 5.0));
     }
 
     #[test]
-    fn empty_path_uncapped_flow_is_infinite() {
-        let rates = allocate(
-            &[10.0],
-            &[SolverFlow {
-                path: &[],
-                cap: f64::INFINITY,
-            }],
-        );
-        assert!(rates[0].is_infinite());
-    }
-
-    #[test]
-    fn empty_path_capped_flow_gets_cap() {
-        let rates = allocate(
-            &[],
-            &[SolverFlow {
-                path: &[],
-                cap: 42.0,
-            }],
-        );
-        assert!(close(rates[0], 42.0));
-    }
-
-    #[test]
     fn no_flows() {
-        assert!(allocate(&[10.0], &[]).is_empty());
+        let mut out = vec![1.0];
+        Solver::new().solve_grouped(&[10.0], &[], &[], &[], &mut out);
+        assert!(out.is_empty());
+    }
+
+    /// Every other flow capped at 15, on four links of mixed capacity.
+    fn mixed(paths: &[Vec<u32>]) -> Vec<(&[u32], f64)> {
+        let cap = |i: usize| if i.is_multiple_of(2) { 15.0 } else { OPEN };
+        paths.iter().enumerate().map(|(i, p)| (&p[..], cap(i))).collect()
     }
 
     #[test]
@@ -645,31 +466,21 @@ mod tests {
             vec![0],
             vec![2],
         ];
-        let flows: Vec<SolverFlow> = paths
-            .iter()
-            .enumerate()
-            .map(|(i, p)| SolverFlow {
-                path: p,
-                cap: if i % 2 == 0 { 15.0 } else { f64::INFINITY },
-            })
-            .collect();
-        let rates = allocate(&caps, &flows);
+        let flows = mixed(&paths);
+        let rates = solve(&caps, &flows);
         // No link over capacity.
         for (l, &c) in caps.iter().enumerate() {
             let used: f64 = flows
                 .iter()
                 .zip(&rates)
-                .filter(|(f, _)| f.path.contains(&(l as u32)))
+                .filter(|((p, _), _)| p.contains(&(l as u32)))
                 .map(|(_, r)| r)
                 .sum();
             assert!(used <= c + 1e-6, "link {l} over capacity: {used} > {c}");
         }
-        // No flow over its cap.
-        for (f, r) in flows.iter().zip(&rates) {
-            assert!(*r <= f.cap + 1e-6);
-        }
-        // Every flow got something positive.
-        for r in &rates {
+        // No flow over its cap, and every flow got something positive.
+        for ((_, cap), r) in flows.iter().zip(&rates) {
+            assert!(*r <= cap + 1e-6);
             assert!(*r > 0.0);
         }
     }
@@ -678,22 +489,7 @@ mod tests {
     fn bottleneck_flow_does_not_starve_parallel_flows() {
         // The paper's SC'04 setup: three parallel 10 Gb/s links. Flows pinned
         // to distinct links must each saturate their own link.
-        let caps = [10.0, 10.0, 10.0];
-        let flows = [
-            SolverFlow {
-                path: &[0u32][..],
-                cap: f64::INFINITY,
-            },
-            SolverFlow {
-                path: &[1u32][..],
-                cap: f64::INFINITY,
-            },
-            SolverFlow {
-                path: &[2u32][..],
-                cap: f64::INFINITY,
-            },
-        ];
-        let rates = allocate(&caps, &flows);
+        let rates = solve(&[10.0; 3], &[flow(&[0], OPEN), flow(&[1], OPEN), flow(&[2], OPEN)]);
         let agg: f64 = rates.iter().sum();
         assert!(close(agg, 30.0));
     }
@@ -703,19 +499,7 @@ mod tests {
         // The network layer's fast paths rely on cap-frozen flows getting
         // their cap bit-for-bit, not cap ± epsilon.
         let cap = 123.456_789_012_345;
-        let rates = allocate(
-            &[1_000.0],
-            &[
-                SolverFlow {
-                    path: &[0],
-                    cap,
-                },
-                SolverFlow {
-                    path: &[0],
-                    cap: f64::INFINITY,
-                },
-            ],
-        );
+        let rates = solve(&[1_000.0], &[flow(&[0], cap), flow(&[0], OPEN)]);
         assert_eq!(rates[0], cap);
         assert!(close(rates[1], 1_000.0 - cap));
     }
@@ -724,19 +508,7 @@ mod tests {
     fn down_link_zeroes_crossing_flows_only() {
         // A zero-capacity (down) link stalls its flows at exactly 0 without
         // affecting a disjoint component.
-        let rates = allocate(
-            &[0.0, 50.0],
-            &[
-                SolverFlow {
-                    path: &[0],
-                    cap: f64::INFINITY,
-                },
-                SolverFlow {
-                    path: &[1],
-                    cap: f64::INFINITY,
-                },
-            ],
-        );
+        let rates = solve(&[0.0, 50.0], &[flow(&[0], OPEN), flow(&[1], OPEN)]);
         assert_eq!(rates[0], 0.0);
         assert!(close(rates[1], 50.0));
     }
@@ -746,35 +518,16 @@ mod tests {
         // Two disjoint components in one call must match two separate calls
         // bit-for-bit: the incremental network layer depends on this.
         let caps = [10.0, 100.0, 7.0, 33.0];
-        let a = vec![vec![0u32], vec![0, 1], vec![1]];
-        let b = vec![vec![2u32, 3], vec![3]];
-        let mk = |paths: &[Vec<u32>], cap0: f64| -> Vec<f64> {
-            let flows: Vec<SolverFlow> = paths
-                .iter()
-                .enumerate()
-                .map(|(i, p)| SolverFlow {
-                    path: p,
-                    cap: if i == 0 { cap0 } else { f64::INFINITY },
-                })
-                .collect();
-            allocate(&caps, &flows)
-        };
-        let joint = {
-            let paths: Vec<Vec<u32>> = a.iter().chain(b.iter()).cloned().collect();
-            let flows: Vec<SolverFlow> = paths
-                .iter()
-                .enumerate()
-                .map(|(i, p)| SolverFlow {
-                    path: p,
-                    cap: if i == 0 || i == 3 { 4.25 } else { f64::INFINITY },
-                })
-                .collect();
-            allocate(&caps, &flows)
-        };
-        let solo_a = mk(&a, 4.25);
-        let solo_b = mk(&b, 4.25);
-        assert_eq!(&joint[..3], &solo_a[..]);
-        assert_eq!(&joint[3..], &solo_b[..]);
+        let a: [&[u32]; 3] = [&[0], &[0, 1], &[1]];
+        let b: [&[u32]; 2] = [&[2, 3], &[3]];
+        fn first_capped<'a>(paths: &[&'a [u32]]) -> Vec<(&'a [u32], f64)> {
+            let cap = |i: usize| if i == 0 { 4.25 } else { OPEN };
+            paths.iter().enumerate().map(|(i, &p)| (p, cap(i))).collect()
+        }
+        let joint: Vec<_> = first_capped(&a).into_iter().chain(first_capped(&b)).collect();
+        let joint = solve(&caps, &joint);
+        assert_eq!(&joint[..3], &solve(&caps, &first_capped(&a))[..]);
+        assert_eq!(&joint[3..], &solve(&caps, &first_capped(&b))[..]);
     }
 
     #[test]
@@ -784,21 +537,12 @@ mod tests {
         let caps = [50.0, 80.0, 20.0, 100.0];
         let paths: Vec<Vec<u32>> =
             vec![vec![0, 1], vec![1, 2], vec![0, 2, 3], vec![3], vec![0]];
-        let flows: Vec<SolverFlow> = paths
-            .iter()
-            .enumerate()
-            .map(|(i, p)| SolverFlow {
-                path: p,
-                cap: if i % 2 == 0 { 15.0 } else { f64::INFINITY },
-            })
-            .collect();
-        let fresh = allocate(&caps, &flows);
+        let (paths, meta) = pack(&mixed(&paths));
+        let fresh = solve_with(&mut Solver::new(), &caps, &paths, &meta);
         let mut solver = Solver::new();
-        let mut out = Vec::new();
         // Pollute scratch with a different problem first.
-        solver.solve(&[5.0, 5.0, 5.0, 5.0], &flows[..2], &mut out);
-        solver.solve(&caps, &flows, &mut out);
-        assert_eq!(fresh, out);
+        solve_with(&mut solver, &[5.0; 4], &paths, &meta[..2]);
+        assert_eq!(fresh, solve_with(&mut solver, &caps, &paths, &meta));
     }
 
     /// One random solver instance, drawn to hit the fill's edge cases:
@@ -912,15 +656,20 @@ mod tests {
         let mut r = StdRng::seed_from_u64(0x11_f111);
         let mut reference = ReferenceSolver::default();
         let mut warm = Solver::new();
-        let (mut want, mut got, mut grouped) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut want, mut got) = (Vec::new(), Vec::new());
         for case in 0..6_000u32 {
             let (caps, paths, meta) = random_instance(&mut r);
             reference.solve_flat(&caps, &paths, &meta, &mut want);
-
-            warm.solve_flat(&caps, &paths, &meta, &mut got);
-            assert_same_bits(case, "warm solve_flat", &want, &got);
+            // The network's entry point: components found by the caller,
+            // flows with an empty path left out (the network settles them
+            // at their cap without a solve).
+            let (members, ends) = components(caps.len(), &paths, &meta);
+            let packed: Vec<FlatFlow> = members.iter().map(|&i| meta[i as usize]).collect();
+            let expect: Vec<f64> = members.iter().map(|&i| want[i as usize]).collect();
+            warm.solve_grouped(&caps, &paths, &packed, &ends, &mut got);
+            assert_same_bits(case, "warm solve_grouped", &expect, &got);
             if meta.is_empty() {
-                // Neither solver touches its scratch for an empty instance.
+                // The reference keeps its last instance's scratch.
                 continue;
             }
             let mut touched = warm.touched_links().to_vec();
@@ -935,24 +684,13 @@ mod tests {
                     "case {case}: saturation of link {l}"
                 );
             }
-
-            let mut cold = Solver::new();
-            cold.solve_flat(&caps, &paths, &meta, &mut got);
-            assert_same_bits(case, "cold solve_flat", &want, &got);
-
-            // The network's entry point: components found by the caller.
-            let (members, ends) = components(caps.len(), &paths, &meta);
-            let packed: Vec<FlatFlow> = members.iter().map(|&i| meta[i as usize]).collect();
-            warm.solve_grouped(&caps, &paths, &packed, &ends, &mut grouped);
-            let expect: Vec<f64> = members.iter().map(|&i| want[i as usize]).collect();
-            assert_same_bits(case, "warm solve_grouped", &expect, &grouped);
-            for &l in warm.touched_links() {
-                assert_eq!(
-                    warm.link_saturated(l),
-                    reference.link_saturated(l),
-                    "case {case}: grouped saturation of link {l}"
-                );
-            }
+            Solver::new().solve_grouped(&caps, &paths, &packed, &ends, &mut got);
+            assert_same_bits(case, "cold solve_grouped", &expect, &got);
+            // Every component filled as one group: the same bits.
+            let one = [packed.len() as u32];
+            let one = if packed.is_empty() { &one[..0] } else { &one[..] };
+            warm.solve_grouped(&caps, &paths, &packed, one, &mut got);
+            assert_same_bits(case, "one-group solve_grouped", &expect, &got);
         }
     }
 }

@@ -9,7 +9,7 @@
 //! fairness (with TCP window caps) whenever the flow set changes; control
 //! traffic moves as **messages** that experience latency but consume no
 //! modeled bandwidth. See [`network::Network`] for the engine and
-//! [`fairshare::allocate`] for the solver.
+//! [`fairshare::Solver`] for the solver.
 
 pub mod fairshare;
 pub mod network;

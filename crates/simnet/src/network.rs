@@ -1311,6 +1311,34 @@ mod tests {
     }
 
     #[test]
+    fn a_flow_to_its_own_node_runs_at_its_cap_without_a_solve() {
+        // A flow whose path crosses no link (source and sink on one node)
+        // settles at its cap, clamped, as it starts: no solve, and another
+        // flow's rate is left alone.
+        let (mut sim, mut w, a, _m, c) = world();
+        Network::start_flow(
+            &mut sim,
+            &mut w,
+            FlowSpec::bulk(a, c, 125 * MBYTE),
+            |sim, w: &mut World| w.done.push((sim.now(), "wan")),
+        );
+        let own = Network::start_flow(
+            &mut sim,
+            &mut w,
+            FlowSpec::bulk(c, c, 125 * MBYTE),
+            |sim, w: &mut World| w.done.push((sim.now(), "own")),
+        );
+        assert_eq!(w.net.flow_rate(own), Some(RATE_CLAMP));
+        sim.run(&mut w);
+        let names: Vec<_> = w.done.iter().map(|&(_, n)| n).collect();
+        assert_eq!(names, ["own", "wan"]);
+        // The other flow finished as if alone (1.0 s + 25 ms delivery).
+        assert!((w.done[1].0.as_secs_f64() - 1.025).abs() < 1e-3);
+        assert_eq!(w.net.solve_stats(), (1, 1), "only the other flow was solved");
+        assert_eq!(w.net.total_delivered(), 250 * MBYTE);
+    }
+
+    #[test]
     #[should_panic(expected = "at least one byte")]
     fn zero_byte_flow_rejected() {
         let (mut sim, mut w, a, _m, c) = world();

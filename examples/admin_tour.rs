@@ -9,7 +9,7 @@
 
 use bytes::Bytes;
 use gfs::admin::connect_clusters;
-use gfs::commands::{mmauth_show, mmdf, mmdiag_tokens, mmlsfs, mmlsmount, mmremote_show};
+use gfs::commands::{mmauth_show, mmdf, mmdiag, mmlsfs, mmlsmount, mmremote_show};
 use gfs::fscore::FsConfig;
 use gfs::fsck::fsck;
 use gfs::types::{OpenFlags, Owner};
@@ -68,7 +68,7 @@ fn main() {
     sim.run(&mut w);
 
     println!("## mmlsmount gpfs-wan -L\n{}", mmlsmount(&w, fs));
-    println!("## mmdiag --tokens\n{}", mmdiag_tokens(&w, fs));
+    println!("## mmdiag --stats\n{}", mmdiag(&sim, &w));
     println!("## mmdf gpfs-wan (after writes)\n{}", mmdf(&w, fs));
 
     // Key rotation, live.

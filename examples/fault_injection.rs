@@ -54,12 +54,12 @@ fn main() {
     println!("=== ad-hoc scenario (seed {seed}{}) ===", if crash_all { ", ALL servers crashed" } else { "" });
     println!("workloads completed: {}   errors: {:?}", run.completed, run.errors);
     println!("fsck clean: {}", globalfs::gfs::fsck(&run.world.fss[fs.0 as usize].core).is_clean());
-    println!("recovery log ({} events):", run.recovery.events.len());
-    for e in run.recovery.events.iter().take(12) {
+    println!("recovery log ({} events):", run.world.recovery.events.len());
+    for e in run.world.recovery.events.iter().take(12) {
         println!("  {:>9.3}s  {:?}", e.at.as_secs_f64(), e.what);
     }
-    if run.recovery.events.len() > 12 {
-        println!("  ... {} more", run.recovery.events.len() - 12);
+    if run.world.recovery.events.len() > 12 {
+        println!("  ... {} more", run.world.recovery.events.len() - 12);
     }
     if crash_all {
         return;

@@ -10,7 +10,7 @@ use globalfs::scenarios::parallel::run_indexed;
 use globalfs::scenarios::production::{
     run_fig11_with_threads, run_scaling_point, Direction, ProductionConfig,
 };
-use globalfs::scenarios::recovery::{crash_one_of_n, CrashConfig};
+use globalfs::scenarios::recovery::disk_failure_during_sweep;
 use globalfs::simcore::{Sim, SimDuration};
 use std::time::Instant;
 
@@ -52,20 +52,21 @@ fn main() {
 
     // ------------------------------------------------------------------
     // Scenario event counters: simulated work vs. wall-clock cost. The
-    // perf harness reports events/sec for the heavy scenarios from these
-    // same fields.
+    // perf harness reports events/sec for the heavy scenarios from the
+    // same counter snapshot.
     // ------------------------------------------------------------------
     println!("\n=== events vs. wall clock (Fig. 11 read points) ===");
     for nodes in [8u32, 32, 128] {
         let t0 = Instant::now();
         let p = run_scaling_point(ProductionConfig::default(), nodes, Direction::Read);
         let wall = t0.elapsed().as_secs_f64();
+        let events = p.counters.get("simcore.events");
         println!(
             "  {nodes:>3} nodes: {:>6.1} MB/s agg, {:>4} events, {:>5.1} ms wall ({:.0} events/s)",
             p.aggregate_mbyte_per_sec(),
-            p.events,
+            events,
             wall * 1e3,
-            p.events as f64 / wall.max(1e-9),
+            events as f64 / wall.max(1e-9),
         );
     }
 
@@ -89,26 +90,31 @@ fn main() {
     println!("  run_indexed(8, 4, i*i) -> {squares:?}");
 
     // ------------------------------------------------------------------
-    // Data-path counters: the crash scenario exercises the real block
-    // path (page pool + coalesced NSD scatter-gather), and its report
-    // carries the counters the perf harness writes to BENCH_perf.json.
+    // Data-path counters: the disk-failure sweep writes and then reads a
+    // 64 MB file through the real block path (page pool + coalesced NSD
+    // scatter-gather over 4 NSDs, RAID-5 reconstruction once a spindle
+    // dies), and its report carries the counter snapshot the perf harness
+    // writes to BENCH_perf.json. (The crash scenario's snapshot ends with
+    // its write, whose 64 NSDs give no two consecutive blocks one disk, so
+    // it coalesces nothing.)
     // ------------------------------------------------------------------
-    println!("\n=== data-path counters (crash 1-of-64 scenario) ===");
-    let report = crash_one_of_n(&CrashConfig::default());
-    let d = &report.data_path;
+    println!("\n=== data-path counters (disk-failure sweep) ===");
+    let report = disk_failure_during_sweep(31);
+    let n = |name| report.counters.get(name);
+    let (hits, misses) = (n("cache.pool_hits"), n("cache.pool_misses"));
     println!(
-        "  pool: {} hits / {} misses (hit rate {:.1}%), {} evictions",
-        d.pool_hits,
-        d.pool_misses,
-        100.0 * d.hit_rate(),
-        d.pool_evictions,
+        "  pool: {hits} hits / {misses} misses (hit rate {:.1}%), {} evictions",
+        100.0 * hits as f64 / (hits + misses).max(1) as f64,
+        n("cache.pool_evictions"),
     );
     println!(
-        "  NSD wire: {} requests, {} coalesced (>1 block), {} blocks, mean request {:.0} KiB",
-        d.nsd_requests,
-        d.nsd_coalesced,
-        d.nsd_blocks,
-        d.mean_request_bytes() / 1024.0,
+        "  NSD wire: {} requests, {} coalesced (>1 block), {} blocks, mean request {:.0} KiB; \
+         {} degraded reads",
+        n("nsd.requests"),
+        n("nsd.coalesced"),
+        n("nsd.blocks"),
+        n("nsd.bytes") as f64 / n("nsd.requests").max(1) as f64 / 1024.0,
+        n("simsan.degraded_reads"),
     );
-    assert!(d.nsd_coalesced > 0, "striped write-behind must coalesce runs");
+    assert!(n("nsd.coalesced") > 0, "a striped sweep must coalesce runs");
 }

@@ -43,26 +43,33 @@ fn main() {
         r.replica_elapsed_ns as f64 / 1e9,
         r.speedup()
     );
+    let n = |name| r.counters.get(name);
     println!(
         "scheduler: {} runs planned against the catalog, {} served remote, {} split across sources (mean winning score {:.2} ms)",
-        r.catalog_hits, r.remote_picks, r.split_fanouts, r.mean_pick_ms()
+        n("replica.catalog_hits"),
+        n("replica.remote_picks"),
+        n("replica.split_fanouts"),
+        r.mean_pick_ms()
     );
     println!(
         "campaign: {:.1} TB fanned to 3 sites in {:.1} modeled hours, {} installs, {:.1} TB migrated disk->tape",
         r.campaign_bytes as f64 / 1e12,
         r.campaign_elapsed_ns as f64 / 3.6e12,
-        r.installs,
+        n("replica.installs"),
         r.migrated_bytes as f64 / 1e12
     );
     println!(
         "consistency: {} invalidations from the mid-campaign write, {} post-invalidate home misses, {} stale fallbacks, {} stale reads",
-        r.invalidations, r.catalog_misses, r.stale_fallbacks, r.stale_reads
+        n("replica.invalidations"),
+        n("replica.catalog_misses"),
+        n("replica.stale_fallbacks"),
+        n("replica.stale_reads")
     );
     println!(
         "audit: fsck errors {}  invariant violations {}  io errors {}  (gen watermark {})",
         r.fsck_errors, r.invariant_violations, r.io_errors, r.max_gen
     );
-    assert_eq!(r.stale_reads, 0, "a read was served from an invalidated replica");
+    assert_eq!(n("replica.stale_reads"), 0, "a read was served from an invalidated replica");
     assert!(r.is_clean(), "campaign left the world unclean");
     assert!(r.speedup() >= 2.0, "replica speedup fell under the 2x gate");
 

@@ -142,7 +142,7 @@ fn main() {
     let r = run_storm_with_threads(&cfg, 1);
     println!(
         "\nmini-storm: {} sessions raced {} ops in {:.3} simulated s",
-        r.sessions,
+        r.counters.get("session.sessions"),
         r.ops,
         r.sim_ns as f64 / 1e9
     );
@@ -150,8 +150,8 @@ fn main() {
         "  {:.0} modeled metadata ops/s across 2 site managers, \
          {} envelopes ({:.0} ops each), fsck clean: {}",
         r.sim_ops_per_sec(),
-        r.envelopes,
-        r.envelope_ops as f64 / r.envelopes as f64,
+        r.counters.get("session.envelopes"),
+        r.ops_per_envelope(),
         r.fsck_clean
     );
     assert!(r.fsck_clean, "storm must leave a consistent namespace");
@@ -163,6 +163,7 @@ fn main() {
     //    shard boundary run a two-phase envelope charging both managers).
     // ------------------------------------------------------------------
     let pr = run_storm_with_threads(&cfg.with_managers(4), 1);
+    let n = |name| pr.counters.get(name);
     println!(
         "\npartitioned mini-storm (M=4): {} ops in {:.3} simulated s -> \
          {:.0} modeled ops/s ({:.2}x single-manager), {} cross-shard commits, \
@@ -171,22 +172,22 @@ fn main() {
         pr.sim_ns as f64 / 1e9,
         pr.sim_ops_per_sec(),
         pr.sim_ops_per_sec() / r.sim_ops_per_sec(),
-        pr.cross_shard_ops,
+        n("manager.cross_shard_ops"),
         pr.fsck_clean
     );
     println!(
         "  {} envelopes ({:.1} ops each), {} ops writeback-delegated, \
          {} reconciled as bulk replays, {} live rebalance migrations",
-        pr.envelopes,
-        pr.envelope_ops as f64 / pr.envelopes as f64,
-        pr.delegated_ops,
-        pr.reconcile_ops,
-        pr.rebalance_migrations
+        n("session.envelopes"),
+        pr.ops_per_envelope(),
+        n("session.delegated_ops"),
+        n("manager.reconcile_ops"),
+        n("manager.migrations")
     );
     assert!(pr.fsck_clean, "partitioned storm must leave a consistent namespace");
-    assert!(pr.cross_shard_ops > 0, "rename mix must cross shard boundaries");
+    assert!(n("manager.cross_shard_ops") > 0, "rename mix must cross shard boundaries");
     assert!(
-        pr.delegated_ops > 0 && pr.reconcile_ops > 0,
+        n("session.delegated_ops") > 0 && n("manager.reconcile_ops") > 0,
         "leased contexts must journal locally and reconcile in bulk"
     );
     assert!(

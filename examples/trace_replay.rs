@@ -81,16 +81,17 @@ fn main() {
         wan_clients: false,
     };
     let r = replay_trace(&ops, &ReplayConfig::default(), &spec);
+    let n = |name| r.run.counters.get(name);
     println!(
         "\nuntar-build under a mid-trace manager kill: {} fault(s), {} epoch bump(s), \
          {} WAL record(s) replayed, {} divergences, tree==oracle: {}",
-        r.run.faults_injected,
-        r.run.manager_epochs,
-        r.run.wal_replayed,
+        n("faults.injected"),
+        n("manager.epochs"),
+        n("manager.wal_replayed"),
         r.divergences,
         r.tree_matches_oracle
     );
-    assert!(r.run.manager_epochs >= 1 && r.run.wal_replayed >= 1);
+    assert!(n("manager.epochs") >= 1 && n("manager.wal_replayed") >= 1);
     assert_eq!(r.divergences, 0);
     assert!(r.tree_matches_oracle);
 
@@ -107,9 +108,14 @@ fn main() {
         verdict.is_clean()
     );
     for (label, r) in &verdict.report {
+        let n = |name| r.run.counters.get(name);
         println!(
             "  {:<28} divergences {}  gave_up {}  faults {}  leases {}",
-            label, r.divergences, r.run.gave_up, r.run.faults_injected, r.run.lease_acquires
+            label,
+            r.divergences,
+            r.run.gave_up,
+            n("faults.injected"),
+            n("manager.lease_grants")
         );
     }
     verdict.assert_clean();

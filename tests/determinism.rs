@@ -51,8 +51,8 @@ fn fig11_sweep_bit_identical() {
     for ((ra, wa), (rb, wb)) in a.iter().zip(&b) {
         assert_eq!(ra.seconds.to_bits(), rb.seconds.to_bits());
         assert_eq!(wa.seconds.to_bits(), wb.seconds.to_bits());
-        assert_eq!((ra.bytes, ra.events), (rb.bytes, rb.events));
-        assert_eq!((wa.bytes, wa.events), (wb.bytes, wb.events));
+        assert_eq!((ra.bytes, &ra.counters), (rb.bytes, &rb.counters));
+        assert_eq!((wa.bytes, &wa.counters), (wb.bytes, &wb.counters));
     }
 }
 
@@ -60,7 +60,7 @@ fn fig11_sweep_bit_identical() {
 fn sc04_event_count_bit_identical() {
     let a = sc04::run(sc04::Sc04Config::default());
     let b = sc04::run(sc04::Sc04Config::default());
-    assert_eq!(a.events, b.events);
+    assert_eq!(a.counters.get("simcore.events"), b.counters.get("simcore.events"));
     assert_eq!(a.peak_gbs.to_bits(), b.peak_gbs.to_bits());
 }
 
@@ -73,21 +73,20 @@ fn recovery_scenarios_bit_identical() {
     let b = recovery::crash_one_of_n(&recovery::CrashConfig::default());
     assert_eq!(a.client_series.points, b.client_series.points);
     assert_eq!(a.finish, b.finish);
-    assert_eq!(a.events, b.events);
+    assert_eq!(a.counters, b.counters);
 
     let outage = SimDuration::from_secs(5);
     let fa = recovery::link_flap_during_enzo(21, outage);
     let fb = recovery::link_flap_during_enzo(21, outage);
     assert_eq!(fa.wan_series.points, fb.wan_series.points);
     assert_eq!(fa.makespan, fb.makespan);
-    assert_eq!(fa.events, fb.events);
+    assert_eq!(fa.counters, fb.counters);
 
     let da = recovery::disk_failure_during_sweep(31);
     let db = recovery::disk_failure_during_sweep(31);
     assert_eq!(da.seconds.to_bits(), db.seconds.to_bits());
     assert_eq!(da.baseline_seconds.to_bits(), db.baseline_seconds.to_bits());
-    assert_eq!(da.degraded_reads, db.degraded_reads);
-    assert_eq!(da.events, db.events);
+    assert_eq!(da.counters, db.counters);
 }
 
 /// Exact values of the recovery trio at its defaults. Run-against-run
@@ -97,21 +96,22 @@ fn recovery_scenarios_bit_identical() {
 #[test]
 fn recovery_scenarios_pinned() {
     let c = recovery::crash_one_of_n(&recovery::CrashConfig::default());
+    let events = |c: &globalfs::gfs::Counters| c.get("simcore.events");
     assert_eq!(
-        (c.completed, c.events, c.finish.as_nanos()),
+        (c.completed, events(&c.counters), c.finish.as_nanos()),
         (1, 3001, 1_772_983_528)
     );
 
     let f = recovery::link_flap_during_enzo(21, SimDuration::from_secs(5));
-    assert_eq!((f.makespan.as_nanos(), f.events), (100_313_386_172, 465));
+    assert_eq!((f.makespan.as_nanos(), events(&f.counters)), (100_313_386_172, 465));
 
     let d = recovery::disk_failure_during_sweep(31);
     assert_eq!(
         (
             d.seconds.to_bits(),
             d.baseline_seconds.to_bits(),
-            d.degraded_reads,
-            d.events
+            d.counters.get("simsan.degraded_reads"),
+            events(&d.counters)
         ),
         (0x402d_e13b_419f_879a, 0x402d_94bd_dd70_b3f2, 55, 4169)
     );
@@ -131,15 +131,16 @@ fn replication_campaign_pinned() {
     };
     let r = replication::run_campaign_point(&cfg, 0);
     assert_eq!(r.io_errors, 0);
+    let n = |name| r.counters.get(name);
     assert_eq!(
         (
-            r.events,
+            n("simcore.events"),
             r.home_elapsed_ns,
             r.replica_elapsed_ns,
             r.campaign_elapsed_ns,
-            r.installs,
-            r.remote_picks,
-            r.split_fanouts
+            n("replica.installs"),
+            n("replica.remote_picks"),
+            n("replica.split_fanouts")
         ),
         (2537, 3_731_322_901, 1_216_466_782, 2_808_913_009_655, 34, 196, 48)
     );
@@ -155,7 +156,7 @@ fn figure_paths_pinned() {
     use production::{run_anl, run_scaling_point, Direction, ProductionConfig};
     let point = |n, d| {
         let p = run_scaling_point(ProductionConfig::default(), n, d);
-        (p.seconds.to_bits(), p.events)
+        (p.seconds.to_bits(), p.counters.get("simcore.events"))
     };
     assert_eq!(point(1, Direction::Read), (0x4041_0578_efc4_b845, 3));
     assert_eq!(point(1, Direction::Write), (0x4041_0578_efc4_b845, 3));
@@ -163,7 +164,7 @@ fn figure_paths_pinned() {
     assert_eq!(point(128, Direction::Write), (0x4060_830b_69d6_90f9, 131));
     let anl = run_anl(32);
     assert_eq!(
-        (anl.seconds.to_bits(), anl.events),
+        (anl.seconds.to_bits(), anl.counters.get("simcore.events")),
         (0x404b_3f86_4538_0747, 35)
     );
 
@@ -225,17 +226,15 @@ fn parallel_sweep_matches_serial_bitwise() {
     for ((rs, ws), (rp, wp)) in serial.iter().zip(&parallel) {
         assert_eq!(rs.seconds.to_bits(), rp.seconds.to_bits());
         assert_eq!(ws.seconds.to_bits(), wp.seconds.to_bits());
-        assert_eq!((rs.bytes, rs.events, rs.data_path), (rp.bytes, rp.events, rp.data_path));
-        assert_eq!((ws.bytes, ws.events, ws.data_path), (wp.bytes, wp.events, wp.data_path));
+        assert_eq!((rs.bytes, &rs.counters), (rp.bytes, &rp.counters));
+        assert_eq!((ws.bytes, &ws.counters), (wp.bytes, &wp.counters));
     }
 
     let ds = recovery::disk_failure_during_sweep_with_threads(31, 1);
     let dp = recovery::disk_failure_during_sweep_with_threads(31, 2);
     assert_eq!(ds.seconds.to_bits(), dp.seconds.to_bits());
     assert_eq!(ds.baseline_seconds.to_bits(), dp.baseline_seconds.to_bits());
-    assert_eq!(ds.degraded_reads, dp.degraded_reads);
-    assert_eq!(ds.events, dp.events);
-    assert_eq!(ds.data_path, dp.data_path);
+    assert_eq!(ds.counters, dp.counters);
 }
 
 /// A chaos storm — progress-keyed fault injection, timeout/backoff retries,
@@ -256,8 +255,9 @@ fn chaos_storm_bit_identical_across_runs_and_threads() {
         metadata_storm::run_chaos_storm_with_threads(&cfg, &spec, 8)
     );
     // Counters prove the replayed run really took faults and recovered.
-    assert!(serial.faults_injected >= 2, "faults {}", serial.faults_injected);
-    assert!(serial.timeouts > 0, "no RPC ever saw the outages");
+    let faults = serial.counters.get("faults.injected");
+    assert!(faults >= 2, "faults {faults}");
+    assert!(serial.counters.get("faults.timeouts") > 0, "no RPC ever saw the outages");
     assert_eq!(serial.gave_up, 0);
 }
 

@@ -285,7 +285,7 @@ fn disk_failure_during_fig11_sweep_degrades_gracefully() {
     let report = disk_failure_during_sweep(31);
     assert!(report.completed, "sweep failed: {:?}", report.errors);
     assert!(report.errors.is_empty(), "errors: {:?}", report.errors);
-    assert!(report.degraded_reads > 0, "no reconstruction reads served");
+    assert!(report.counters.get("simsan.degraded_reads") > 0, "no reconstruction reads served");
     assert!(
         report.seconds > report.baseline_seconds,
         "degraded run {:.2}s not slower than baseline {:.2}s",
@@ -580,6 +580,35 @@ fn metadata_op_rides_out_manager_crash_and_wal_recovery() {
         "no retry was recorded as landing on the new manager"
     );
     assert_eq!(sim.pending(), 0, "events left after the run drained");
+}
+
+/// A crashed manager answers no mount. A session that mounts straight into
+/// a fault-plan crash of the configuration manager (shard 0's node) is
+/// answered only by its successor, once the successor has replayed the WAL:
+/// the first attempt dies at the crashed node and its watchdog retries.
+#[test]
+fn a_mount_is_answered_only_by_a_live_manager() {
+    use globalfs::gfs::{apply_fault, FaultKind};
+    let (mut sim, mut w, client, fs, _s1, s2) = bed();
+    apply_fault(&mut sim, &mut w, FaultKind::ServerCrash { fs, server: "nsd-1".into() });
+    assert!(w.fss[fs.0 as usize].mgrs[0].recovering);
+    let sess = w.open_session(client);
+    let answered = Rc::new(Cell::new(None));
+    let slot = answered.clone();
+    let rw = gfs_auth::handshake::AccessMode::ReadWrite;
+    sess.mount(&mut sim, &mut w, "hafs", rw, move |sim, w, r| {
+        r.unwrap();
+        let mgr = &w.fss[fs.0 as usize].mgrs[0];
+        slot.set(Some((sim.now(), mgr.acting, mgr.recovering)));
+    });
+    sim.run(&mut w);
+    let (at, acting, recovering) = answered.get().expect("the mount never completed");
+    assert!(
+        !recovering && acting == s2,
+        "mount answered at {at:?} while shard 0 was still recovering on the crashed node"
+    );
+    let watchdog = SimTime::ZERO + w.costs.request_timeout;
+    assert!(at >= watchdog, "answered after {at:?}, before the watchdog");
 }
 
 /// A transient crash shorter than the detection window: the server is
@@ -1166,12 +1195,12 @@ fn progress_plan_fires_at_op_zero_and_final_op() {
     let r = run_chaos_storm(&cfg, &spec);
     let points = u64::from(cfg.points);
     assert_eq!(
-        r.faults_injected,
+        r.counters.get("faults.injected"),
         2 * points,
         "both boundary events must fire exactly once per point"
     );
     assert_eq!(
-        r.restores,
+        r.counters.get("faults.restores"),
         2 * points,
         "both heals must fire exactly once per point"
     );
@@ -1214,10 +1243,11 @@ fn manager_crash_replay_is_oracle_equivalent() {
     let r = replay_trace(&ops, &cfg, &spec);
     // A crash on a manager-hosting server logs both the crash and the
     // manager-loss marker, so >= rather than == here.
-    assert!(r.run.faults_injected >= 1, "the mid-trace manager kill never fired");
-    assert!(r.run.restores >= 1, "the crashed server was never restored");
-    assert!(r.run.manager_epochs >= 1, "recovery must bump the manager epoch");
-    assert!(r.run.wal_replayed >= 1, "takeover replayed nothing from the WAL");
+    let n = |name| r.run.counters.get(name);
+    assert!(n("faults.injected") >= 1, "the mid-trace manager kill never fired");
+    assert!(n("faults.restores") >= 1, "the crashed server was never restored");
+    assert!(n("manager.epochs") >= 1, "recovery must bump the manager epoch");
+    assert!(n("manager.wal_replayed") >= 1, "takeover replayed nothing from the WAL");
     assert_eq!(
         r.divergences, 0,
         "op results diverged from the oracle across the crash:\n{}",

@@ -12,7 +12,7 @@ use globalfs::gfs::types::{ClientId, InodeId, Owner};
 use globalfs::gfs_auth::bigint::BigUint;
 use globalfs::gfs_auth::{sha256, StreamCipher};
 use globalfs::simcore::{RateSeries, SimDuration, SimTime};
-use globalfs::simnet::fairshare::{allocate, SolverFlow};
+use globalfs::simnet::fairshare::{FlatFlow, Solver};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -136,6 +136,24 @@ fn sha256_is_deterministic_and_sensitive() {
 // Max-min fairness: feasibility and work conservation
 // ---------------------------------------------------------------------
 
+/// Max-min fair rates of `(path, cap)` flows, every path non-empty, solved
+/// as one group: the same bits as a solve per connected component.
+fn max_min(caps: &[f64], flows: &[(&[u32], f64)]) -> Vec<f64> {
+    let mut paths = Vec::new();
+    let meta: Vec<FlatFlow> = flows
+        .iter()
+        .map(|&(p, cap)| {
+            let start = paths.len() as u32;
+            paths.extend_from_slice(p);
+            FlatFlow { start, len: p.len() as u32, cap }
+        })
+        .collect();
+    let groups: &[u32] = if meta.is_empty() { &[] } else { &[meta.len() as u32] };
+    let mut rates = Vec::new();
+    Solver::new().solve_grouped(caps, &paths, &meta, groups, &mut rates);
+    rates
+}
+
 #[test]
 fn fairshare_is_feasible_and_conserving() {
     let mut r = rng(0xfa17);
@@ -155,32 +173,32 @@ fn fairshare_is_feasible_and_conserving() {
                     .collect()
             })
             .collect();
-        let flows: Vec<SolverFlow> = paths
+        let flows: Vec<(&[u32], f64)> = paths
             .iter()
-            .map(|p| SolverFlow {
-                path: p,
-                cap: if r.gen::<f64>() < 0.5 {
+            .map(|p| {
+                let cap = if r.gen::<f64>() < 0.5 {
                     r.gen_range(1.0f64..=1e8)
                 } else {
                     f64::INFINITY
-                },
+                };
+                (&p[..], cap)
             })
             .collect();
-        let rates = allocate(&caps, &flows);
+        let rates = max_min(&caps, &flows);
         assert_eq!(rates.len(), flows.len());
         // 1. No link exceeds capacity.
         for (l, &cap) in caps.iter().enumerate() {
             let used: f64 = flows
                 .iter()
                 .zip(&rates)
-                .filter(|(f, _)| f.path.contains(&(l as u32)))
+                .filter(|((path, _), _)| path.contains(&(l as u32)))
                 .map(|(_, r)| *r)
                 .sum();
             assert!(used <= cap * (1.0 + 1e-6), "link {l} used {used} > cap {cap}");
         }
         // 2. No flow exceeds its own cap.
-        for (f, rate) in flows.iter().zip(&rates) {
-            assert!(*rate <= f.cap * (1.0 + 1e-6));
+        for ((_, cap), rate) in flows.iter().zip(&rates) {
+            assert!(*rate <= cap * (1.0 + 1e-6));
         }
         // 3. Every flow gets a strictly positive rate (no starvation).
         for rate in &rates {
@@ -188,13 +206,13 @@ fn fairshare_is_feasible_and_conserving() {
         }
         // 4. Work conservation: each flow is limited by a saturated link
         //    or by its own cap.
-        for (f, rate) in flows.iter().zip(&rates) {
-            let capped_by_self = *rate >= f.cap * (1.0 - 1e-6);
-            let capped_by_link = f.path.iter().any(|&l| {
+        for ((path, cap), rate) in flows.iter().zip(&rates) {
+            let capped_by_self = *rate >= cap * (1.0 - 1e-6);
+            let capped_by_link = path.iter().any(|&l| {
                 let used: f64 = flows
                     .iter()
                     .zip(&rates)
-                    .filter(|(g, _)| g.path.contains(&l))
+                    .filter(|((other, _), _)| other.contains(&l))
                     .map(|(_, r)| *r)
                     .sum();
                 used >= caps[l as usize] * (1.0 - 1e-6)
@@ -212,8 +230,8 @@ fn fairshare_is_feasible_and_conserving() {
 // ---------------------------------------------------------------------
 
 mod netprop {
+    use super::max_min;
     use globalfs::simcore::{Bandwidth, Sim, SimDuration, SimTime};
-    use globalfs::simnet::fairshare::{allocate, SolverFlow};
     use globalfs::simnet::{FlowId, FlowSpec, NetWorld, Network, NodeId, TopologyBuilder};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -239,7 +257,7 @@ mod netprop {
 
     /// The live `Network` re-solves incrementally — dirty components only,
     /// fast paths that skip the solver, same-instant batching. A fresh
-    /// global [`allocate`] over the identical flow set must produce the
+    /// global solve ([`max_min`]) over the identical flow set must produce the
     /// exact same bits for every active flow, at every probe instant; any
     /// float divergence between the two code paths fails here.
     #[test]
@@ -419,11 +437,8 @@ mod netprop {
             };
             live.push((id, path.iter().map(|l| l.0).collect(), cap));
         }
-        let flows: Vec<SolverFlow> = live
-            .iter()
-            .map(|(_, p, cap)| SolverFlow { path: p, cap: *cap })
-            .collect();
-        let want = allocate(&caps, &flows);
+        let flows: Vec<(&[u32], f64)> = live.iter().map(|(_, p, cap)| (&p[..], *cap)).collect();
+        let want = max_min(&caps, &flows);
         for ((id, _, _), want) in live.iter().zip(&want) {
             let got = net.flow_rate(*id).expect("still active");
             assert_eq!(

@@ -26,7 +26,7 @@ fn exact_clean_storm(cfg: &StormConfig) -> StormReport {
         points * (cfg.tree_ops() + cfg.race_ops()),
         "every chain must drain"
     );
-    assert_eq!(r.sessions, cfg.total_sessions());
+    assert_eq!(r.counters.get("session.sessions"), cfg.total_sessions());
     assert!(r.fsck_clean, "storm left an inconsistent filesystem");
     assert_eq!(r.gave_up, 0, "fault-free storm must not give up");
     assert_eq!(r.invariant_violations, 0);
